@@ -30,15 +30,24 @@
 //! with a clean pass over **all** live demands — the delta-touched fast
 //! path only decides which rows to look at first. The differential fuzz
 //! campaign certifies warm optima against the exact rational oracle.
+//!
+//! [`SchedulingSession`] is what a long-lived caller (the controller's
+//! event loop) holds: one master plus the deltas since its last optimum
+//! and that optimum before and after hardening, so a request for "the
+//! optimum of the live pool" costs what changed (DESIGN.md §6y).
 
 use crate::allocation::Allocation;
 use crate::demand::{BaDemand, DemandId};
 use crate::profile::MaskedProfile;
-use crate::scheduling::{separate_demand, RowGenStats, ScheduleResult, ROWGEN_SEED_SINGLES};
+use crate::scheduling::{
+    count_round, harden, schedule_hardened, separate_demand, RowGenStats, ScheduleResult,
+    ROWGEN_SEED_SINGLES,
+};
 use crate::TeContext;
 use bate_lp::{quick_check, Relation, Sense, Solution, SolveError, VarId, WarmState};
 use bate_obs::{Counter, Histogram, Registry};
 use bate_routing::TunnelId;
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -202,6 +211,15 @@ impl IncrementalScheduler {
             .filter(|s| s.alive)
             .map(|s| &s.demand)
             .collect()
+    }
+
+    /// Whether the live demands are exactly `pool`, in any order.
+    fn live_ids_are(&self, pool: &[BaDemand]) -> bool {
+        let ids: HashSet<DemandId> = pool.iter().map(|d| d.id).collect();
+        let mut alive = self.slots.iter().filter(|s| s.alive);
+        ids.len() == pool.len()
+            && alive.clone().count() == pool.len()
+            && alive.all(|s| ids.contains(&s.demand.id))
     }
 
     /// The current master problem — what the exact rational oracle
@@ -678,6 +696,270 @@ impl IncrementalScheduler {
     }
 }
 
+/// How a [`SchedulingSession`] answered a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionPath {
+    /// Nothing changed since the held optimum: no LP solve.
+    Reused,
+    /// The pending deltas went through one warm [`IncrementalScheduler::apply`].
+    Warm,
+    /// No usable history: a cold [`schedule_hardened`] over the pool.
+    Cold,
+}
+
+impl SessionPath {
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SessionPath::Reused => "reused",
+            SessionPath::Warm => "warm",
+            SessionPath::Cold => "cold",
+        }
+    }
+}
+
+/// Lifetime counters of a [`SchedulingSession`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    pub reused_rounds: u64,
+    pub warm_rounds: u64,
+    pub cold_rounds: u64,
+    /// Deltas the most recent master solve was fed (a rebuild is fed the
+    /// live pool).
+    pub last_apply_deltas: usize,
+}
+
+/// A hardened optimum for the live pool, and how the session got it.
+#[derive(Debug, Clone)]
+pub struct SessionRound {
+    pub path: SessionPath,
+    /// Deltas that were pending when the round was asked for.
+    pub pending: usize,
+    pub result: ScheduleResult,
+}
+
+/// What a session remembers between requests. It exists only from a
+/// successful master solve on, so a session without a master holds no
+/// deltas at all.
+#[derive(Debug)]
+struct History {
+    master: IncrementalScheduler,
+    /// Deltas since `lp`, `Add`/`Remove` pairs of one id cancelled.
+    pending: Vec<DemandDelta>,
+    /// The master's last LP optimum.
+    lp: ScheduleResult,
+    /// `lp` after [`harden`] with the violations left, computed at most
+    /// once per `lp`.
+    hardened: Option<(ScheduleResult, usize)>,
+}
+
+/// One warm scheduling session over a churning demand pool.
+///
+/// The caller reports every pool edit ([`note_add`](Self::note_add),
+/// [`note_remove`](Self::note_remove)) and asks for the pool's optimum
+/// with the pool itself in hand: un-hardened for a multi-submit batch
+/// ([`batch_optimum`](Self::batch_optimum), which is also what builds
+/// the master), hardened for a TE round
+/// ([`hardened_round`](Self::hardened_round)). A request costs what
+/// changed: nothing pending reuses the held optimum, pending deltas take
+/// one warm `apply`. A repair asks for [`cold_round`](Self::cold_round),
+/// which solves from scratch beside the history. The history is dropped
+/// — and a round solved by the cold [`schedule_hardened`] — when it is
+/// *stale* (more pending deltas than live demands: replaying them would
+/// cost more than starting over), when a master solve fails, or when the
+/// master's live ids are not the pool's, so correctness never rests on
+/// the caller's reports.
+#[derive(Debug, Default)]
+pub struct SchedulingSession {
+    history: Option<History>,
+    /// Pool size at the last failed master solve. While the live pool is
+    /// at least this big no master is rebuilt: a pool that just blew the
+    /// simplex iteration budget will blow it again, and re-burning the
+    /// full budget every batch is a death spiral. Clears once
+    /// withdrawals shrink the pool.
+    poisoned_at: Option<usize>,
+    stats: SessionStats,
+}
+
+impl SchedulingSession {
+    pub fn stats(&self) -> SessionStats {
+        self.stats
+    }
+
+    /// The warm master, while the session has a history (what the exact
+    /// oracle certifies the session's LP optimum against).
+    pub fn master(&self) -> Option<&IncrementalScheduler> {
+        self.history.as_ref().map(|h| &h.master)
+    }
+
+    /// Deltas held since the last optimum.
+    pub fn pending(&self) -> usize {
+        self.history.as_ref().map_or(0, |h| h.pending.len())
+    }
+
+    /// `demand` entered the pool.
+    pub fn note_add(&mut self, demand: &BaDemand) {
+        if let Some(h) = &mut self.history {
+            h.pending.push(DemandDelta::Add(demand.clone()));
+        }
+    }
+
+    /// Demand `id` left the pool. Cancels a pending `Add` of the same id,
+    /// so a demand that came and went never reaches the master.
+    pub fn note_remove(&mut self, id: DemandId) {
+        let Some(h) = &mut self.history else { return };
+        let added = h
+            .pending
+            .iter()
+            .rposition(|d| matches!(d, DemandDelta::Add(a) if a.id == id));
+        match added {
+            Some(i) => {
+                h.pending.remove(i);
+            }
+            None => h.pending.push(DemandDelta::Remove(id)),
+        }
+    }
+
+    /// The LP optimum for `live` (not hardened), building or rebuilding
+    /// the master from `live` when there is no usable history. `None`:
+    /// the master solve failed, or the poison guard is holding rebuilds
+    /// off; the caller keeps the allocation it has.
+    pub fn batch_optimum(&mut self, ctx: &TeContext, live: &[BaDemand]) -> Option<&ScheduleResult> {
+        if self.advance(ctx, live).is_none() && !self.rebuild(ctx, live) {
+            return None;
+        }
+        self.history.as_ref().map(|h| &h.lp)
+    }
+
+    /// The hardened optimum for `live`, booked as one scheduling round
+    /// ([`count_round`]) on every path.
+    pub fn hardened_round(
+        &mut self,
+        ctx: &TeContext,
+        live: &[BaDemand],
+    ) -> Result<SessionRound, SolveError> {
+        let t0 = Instant::now();
+        let pending = self.pending();
+        let Some(path) = self.advance(ctx, live) else {
+            return self.cold(ctx, live, pending);
+        };
+        let h = self.history.as_mut().expect("advance kept the history");
+        let (held, violations) = h.hardened.get_or_insert_with(|| {
+            let mut result = h.lp.clone();
+            let violations = harden(ctx, live, &mut result);
+            (result, violations)
+        });
+        count_round(live.len(), *violations, held, t0);
+        match path {
+            SessionPath::Warm => self.stats.warm_rounds += 1,
+            _ => self.stats.reused_rounds += 1,
+        }
+        Ok(SessionRound {
+            path,
+            pending,
+            result: held.clone(),
+        })
+    }
+
+    /// The hardened optimum for `live` solved from scratch, whatever the
+    /// session holds: what a repair installs (see DESIGN.md §9 for why a
+    /// repair does not reuse the held optimum yet). The history and its
+    /// pending deltas stay for the next batch or round.
+    pub fn cold_round(
+        &mut self,
+        ctx: &TeContext,
+        live: &[BaDemand],
+    ) -> Result<SessionRound, SolveError> {
+        self.cold(ctx, live, self.pending())
+    }
+
+    fn cold(
+        &mut self,
+        ctx: &TeContext,
+        live: &[BaDemand],
+        pending: usize,
+    ) -> Result<SessionRound, SolveError> {
+        let result = schedule_hardened(ctx, live)?;
+        self.stats.cold_rounds += 1;
+        Ok(SessionRound {
+            path: SessionPath::Cold,
+            pending,
+            result,
+        })
+    }
+
+    /// Bring the history up to date with `live`: `Reused` when nothing
+    /// was pending, `Warm` after one `apply`. `None` leaves no history.
+    fn advance(&mut self, ctx: &TeContext, live: &[BaDemand]) -> Option<SessionPath> {
+        let h = self.history.as_mut()?;
+        if h.pending.len() > live.len() {
+            self.history = None;
+            return None;
+        }
+        let mut path = SessionPath::Reused;
+        if !h.pending.is_empty() {
+            let deltas = std::mem::take(&mut h.pending);
+            self.stats.last_apply_deltas = deltas.len();
+            match h.master.apply(ctx, &deltas) {
+                Ok(lp) => {
+                    h.lp = lp;
+                    h.hardened = None;
+                    path = SessionPath::Warm;
+                }
+                Err(e) => {
+                    self.poison(live.len(), &e);
+                    return None;
+                }
+            }
+        }
+        // The optimum is for the master's live set; trust it only if
+        // that is the pool the caller holds.
+        if !h.master.live_ids_are(live) {
+            self.history = None;
+            return None;
+        }
+        Some(path)
+    }
+
+    /// A fresh master over `live`, unless the poison guard holds it off.
+    fn rebuild(&mut self, ctx: &TeContext, live: &[BaDemand]) -> bool {
+        if let Some(at) = self.poisoned_at {
+            if live.len() >= at {
+                return false;
+            }
+            self.poisoned_at = None;
+        }
+        let deltas: Vec<DemandDelta> = live.iter().cloned().map(DemandDelta::Add).collect();
+        self.stats.last_apply_deltas = deltas.len();
+        let mut master = IncrementalScheduler::new(ctx);
+        match master.apply(ctx, &deltas) {
+            Ok(lp) => {
+                self.history = Some(History {
+                    master,
+                    pending: Vec::new(),
+                    lp,
+                    hardened: None,
+                });
+                true
+            }
+            Err(e) => {
+                self.poison(live.len(), &e);
+                false
+            }
+        }
+    }
+
+    fn poison(&mut self, pool: usize, error: &SolveError) {
+        bate_obs::warn!(
+            "sched.session_poisoned",
+            deltas = self.stats.last_apply_deltas,
+            pool = pool,
+            error = format!("{error}"),
+        );
+        self.history = None;
+        self.poisoned_at = Some(pool);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,5 +1130,196 @@ mod tests {
         assert!(inc.stats().warm_rounds > 0);
         let sol = inc.last_solution().unwrap();
         bate_lp::exact::verify_certificate(inc.problem(), sol).unwrap();
+    }
+
+    /// A session over toy4 with a master built from `pool`.
+    fn session_over(ctx: &TeContext, pool: &[BaDemand]) -> SchedulingSession {
+        let mut session = SchedulingSession::default();
+        let lp = session.batch_optimum(ctx, pool).expect("master builds");
+        approx(lp.total_bandwidth, cold_objective(ctx, pool));
+        session
+    }
+
+    #[test]
+    fn session_answers_reused_warm_and_cold() {
+        let (topo, tunnels, scenarios) = ctx_parts();
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let n = |s: &str| topo.find_node(s).unwrap();
+        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
+        let mut pool = vec![
+            BaDemand::single(1, pair, 4000.0, 0.99),
+            BaDemand::single(2, pair, 3000.0, 0.9),
+        ];
+
+        // No history: today's cold round, and nothing is remembered.
+        let mut session = SchedulingSession::default();
+        session.note_add(&pool[0]);
+        assert_eq!(session.pending(), 0, "no master, no deltas");
+        let cold = session.hardened_round(&ctx, &pool).unwrap();
+        assert_eq!(cold.path, SessionPath::Cold);
+        assert!(session.master().is_none());
+
+        // Nothing pending: the held optimum, hardened once, no solve.
+        let mut session = session_over(&ctx, &pool);
+        let solves = session.master().unwrap().stats();
+        let first = session.hardened_round(&ctx, &pool).unwrap();
+        let again = session.hardened_round(&ctx, &pool).unwrap();
+        assert_eq!(
+            (first.path, again.path),
+            (SessionPath::Reused, SessionPath::Reused)
+        );
+        assert_eq!(
+            session.master().unwrap().stats(),
+            solves,
+            "reuse must not solve"
+        );
+        approx(first.result.total_bandwidth, cold.result.total_bandwidth);
+        assert_eq!(
+            first.result.allocation.total_allocated(),
+            again.result.allocation.total_allocated()
+        );
+        for d in &pool {
+            assert!(first.result.allocation.meets_target(&ctx, d));
+        }
+
+        // A little churn: one warm apply, then hardened.
+        let d3 = BaDemand::single(3, pair, 1000.0, 0.9);
+        session.note_add(&d3);
+        pool.push(d3);
+        let warm = session.hardened_round(&ctx, &pool).unwrap();
+        assert_eq!((warm.path, warm.pending), (SessionPath::Warm, 1));
+        let fresh = schedule_hardened(&ctx, &pool).unwrap();
+        approx(warm.result.total_bandwidth, fresh.total_bandwidth);
+        for d in &pool {
+            assert!(warm.result.allocation.meets_target(&ctx, d));
+        }
+        let sol = session.master().unwrap().last_solution().unwrap();
+        bate_lp::exact::verify_certificate(session.master().unwrap().problem(), sol).unwrap();
+
+        // A repair's round is solved from scratch whatever is held, and
+        // the history (here one pending delta) survives it.
+        let d4 = BaDemand::single(4, pair, 500.0, 0.9);
+        session.note_add(&d4);
+        pool.push(d4);
+        let repair = session.cold_round(&ctx, &pool).unwrap();
+        assert_eq!((repair.path, repair.pending), (SessionPath::Cold, 1));
+        approx(
+            repair.result.total_bandwidth,
+            schedule_hardened(&ctx, &pool).unwrap().total_bandwidth,
+        );
+        assert!(session.master().is_some() && session.pending() == 1);
+
+        // More pending deltas than live demands: stale, dropped, cold.
+        for d in &pool {
+            session.note_remove(d.id);
+        }
+        let keeper = vec![BaDemand::single(9, pair, 500.0, 0.9)];
+        session.note_add(&keeper[0]);
+        assert_eq!(session.pending(), 4);
+        let stale = session.hardened_round(&ctx, &keeper).unwrap();
+        assert_eq!((stale.path, stale.pending), (SessionPath::Cold, 4));
+        assert!(session.master().is_none() && session.pending() == 0);
+        let stats = session.stats();
+        assert_eq!(
+            (stats.reused_rounds, stats.warm_rounds, stats.cold_rounds),
+            (2, 1, 2)
+        );
+    }
+
+    #[test]
+    fn session_pending_stays_bounded_under_submit_withdraw_cycles() {
+        let (topo, tunnels, scenarios) = ctx_parts();
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let n = |s: &str| topo.find_node(s).unwrap();
+        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
+        let pool = vec![BaDemand::single(1, pair, 4000.0, 0.99)];
+        let visitor = BaDemand::single(2, pair, 1000.0, 0.9);
+
+        // Without a master nothing is held at all...
+        let mut idle = SchedulingSession::default();
+        // ...and with one, a demand that came and went cancels out.
+        let mut session = session_over(&ctx, &pool);
+        for _ in 0..10_000 {
+            for s in [&mut idle, &mut session] {
+                s.note_add(&visitor);
+                assert!(s.pending() <= pool.len() + 1);
+                s.note_remove(visitor.id);
+                assert!(s.pending() <= pool.len());
+            }
+        }
+        assert_eq!((idle.pending(), session.pending()), (0, 0));
+        // The master never saw the visitor.
+        let round = session.hardened_round(&ctx, &pool).unwrap();
+        assert_eq!(round.path, SessionPath::Reused);
+        assert_eq!(session.stats().last_apply_deltas, pool.len());
+    }
+
+    #[test]
+    fn session_drops_history_when_the_pool_changed_behind_its_back() {
+        let (topo, tunnels, scenarios) = ctx_parts();
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let n = |s: &str| topo.find_node(s).unwrap();
+        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
+        let d1 = BaDemand::single(1, pair, 4000.0, 0.99);
+        let d2 = BaDemand::single(2, pair, 3000.0, 0.9);
+        let d3 = BaDemand::single(3, pair, 1000.0, 0.9);
+
+        // Same size, different ids, reported by nobody: reuse is refused.
+        let mut session = session_over(&ctx, &[d1.clone(), d2.clone()]);
+        let swapped = vec![d1.clone(), d3.clone()];
+        let round = session.hardened_round(&ctx, &swapped).unwrap();
+        assert_eq!(round.path, SessionPath::Cold);
+        assert!(session.master().is_none());
+        approx(
+            round.result.total_bandwidth,
+            schedule_hardened(&ctx, &swapped).unwrap().total_bandwidth,
+        );
+        assert_eq!(round.result.allocation.flows_of(d2.id).count(), 0);
+
+        // A warm answer is checked the same way: the reported delta is
+        // applied, but the pool also lost a demand nobody reported.
+        let mut session = session_over(&ctx, &[d1.clone(), d2.clone()]);
+        session.note_add(&d3);
+        let round = session
+            .hardened_round(&ctx, &[d2.clone(), d3.clone()])
+            .unwrap();
+        assert_eq!(round.path, SessionPath::Cold);
+        assert_eq!(round.result.allocation.flows_of(d1.id).count(), 0);
+
+        // Order does not matter.
+        let mut session = session_over(&ctx, &[d1.clone(), d2.clone()]);
+        let round = session.hardened_round(&ctx, &[d2, d1]).unwrap();
+        assert_eq!(round.path, SessionPath::Reused);
+    }
+
+    #[test]
+    fn session_poison_guard_holds_rebuilds_off_until_the_pool_shrinks() {
+        let (topo, tunnels, scenarios) = ctx_parts();
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let n = |s: &str| topo.find_node(s).unwrap();
+        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
+        let d1 = BaDemand::single(1, pair, 4000.0, 0.9);
+        // 30 Gbps through a 20 Gbps cut: the master solve fails.
+        let hog = BaDemand::single(2, pair, 30_000.0, 0.5);
+        let broken = vec![d1.clone(), hog.clone()];
+
+        let mut session = session_over(&ctx, std::slice::from_ref(&d1));
+        session.note_add(&hog);
+        assert!(session.batch_optimum(&ctx, &broken).is_none());
+        assert!(session.master().is_none());
+        // Same pool size: no rebuild is even attempted.
+        let mut same_size = broken.clone();
+        same_size[1] = BaDemand::single(3, pair, 1000.0, 0.9);
+        assert!(session.batch_optimum(&ctx, &same_size).is_none());
+        assert_eq!(
+            session.stats().last_apply_deltas,
+            1,
+            "the failed warm apply was the last"
+        );
+        // A smaller pool clears the guard.
+        let lp = session
+            .batch_optimum(&ctx, std::slice::from_ref(&d1))
+            .unwrap();
+        approx(lp.total_bandwidth, cold_objective(&ctx, &[d1]));
     }
 }

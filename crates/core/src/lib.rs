@@ -74,7 +74,7 @@ pub use bate_obs::clock;
 pub use allocation::Allocation;
 pub use clock::{Clock, SimClock, SystemClock};
 pub use demand::{AvailabilityClass, BaDemand, DemandId};
-pub use incremental::{DemandDelta, IncrementalScheduler, IncrementalStats};
+pub use incremental::{DemandDelta, IncrementalScheduler, IncrementalStats, SchedulingSession};
 pub use pricing::SlaSchedule;
 
 /// The solver error type, re-exported so downstream crates (sim, system)

@@ -193,29 +193,39 @@ pub fn schedule_hardened(
     ctx: &TeContext,
     demands: &[BaDemand],
 ) -> Result<ScheduleResult, SolveError> {
-    let m = sched_metrics();
     // Traced rounds get a span so the master solve and the hardening
     // sweep's fan-out solves all parent under one node.
     let traced = bate_obs::context::current().is_some();
     let _sp = traced.then(|| bate_obs::span!("sched.harden", demands = demands.len()));
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let mut result = schedule(ctx, demands)?;
     let violations = harden(ctx, demands, &mut result);
+    count_round(demands.len(), violations, &result, t0);
+    Ok(result)
+}
+
+/// Book one hardened scheduling round, whether its LP optimum came from
+/// the cold [`schedule`] above or from the warm session
+/// ([`crate::incremental::SchedulingSession`], which may also reinstall a
+/// held result): `bate_sched_rounds_total`,
+/// `bate_sched_hard_violations_total` (the `ba_guarantee_rate` SLO reads
+/// both), `bate_sched_round_ms` since `t0`, and the `sched.round` event.
+pub fn count_round(demands: usize, violations: usize, result: &ScheduleResult, t0: Instant) {
+    let m = sched_metrics();
     m.rounds.inc();
     m.round_violations.add(violations as u64);
     m.round_ms.observe_ms(t0.elapsed());
     // Trace contract: this event fires from the caller's (sequential)
-    // context; the parallel hardening internals above record only to the
+    // context; the parallel hardening internals record only to the
     // registry. Fields carry deterministic values only.
     bate_obs::info!(
         "sched.round",
-        demands = demands.len(),
+        demands = demands,
         violations = violations,
         total_bandwidth = result.total_bandwidth,
         lp_iterations = result.solve_stats.iterations(),
         lp_pivots = result.solve_stats.pivots,
     );
-    Ok(result)
 }
 
 /// Place a single demand with a **hard** availability guarantee on the

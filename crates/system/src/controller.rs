@@ -7,12 +7,14 @@
 //! pending `SubmitDemand` frames form an *admission batch*: verdicts are
 //! decided by the same first-come-first-served pipeline fold the threaded
 //! plane ran (identical verdicts by construction — see
-//! `bate_core::admission::admit_batch`), and then ONE warm
-//! [`IncrementalScheduler`] solve re-optimizes the whole pool, amortizing
+//! `bate_core::admission::admit_batch`), and then ONE warm solve of the
+//! loop's [`SchedulingSession`] re-optimizes the whole pool, amortizing
 //! the scheduling LP across the batch instead of paying a round per
-//! arrival. Batches of one take the exact legacy path, which is what pins
-//! the fault-suite goldens byte-identical across the concurrency-model
-//! change.
+//! arrival. TE rounds ask the same session, so they cost what changed
+//! since its last optimum (a repair asks it for a solve from scratch,
+//! DESIGN.md §9). Batches of one take the exact legacy
+//! path, which is what pins the fault-suite goldens byte-identical across
+//! the concurrency-model change.
 //!
 //! Hardened against lossy control channels: demand ids double as
 //! idempotency keys — including *within* a batch, where a duplicated
@@ -35,9 +37,8 @@ use crate::proto::{FlowEntry, Message};
 use crate::wire::{encode_frame, encode_frame_ctx, FrameCtx};
 use bate_core::admission;
 use bate_core::clock::{Clock, SystemClock};
-use bate_core::incremental::{DemandDelta, IncrementalScheduler};
+use bate_core::incremental::{SchedulingSession, SessionRound, SessionStats};
 use bate_core::recovery::greedy::greedy_recovery;
-use bate_core::scheduling::schedule_hardened as schedule;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_net::{GroupId, LinkSet, Scenario, ScenarioSet, Topology};
 use bate_routing::{RoutingScheme, TunnelSet};
@@ -46,7 +47,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -203,6 +204,10 @@ struct Shared {
     commands: Mutex<Vec<Cmd>>,
     waker: Waker,
     progress: Mutex<HashMap<u64, ConnProgress>>,
+    /// This controller's share of `bate_ctrl_conns_reaped_total`.
+    reaped: AtomicU64,
+    /// The loop's scheduling-session counters, published after each use.
+    session_stats: Mutex<SessionStats>,
     legacy_duplicate_handling: bool,
     idle_timeout: Option<Duration>,
 }
@@ -270,6 +275,8 @@ impl Controller {
             commands: Mutex::new(Vec::new()),
             waker: Waker::new()?,
             progress: Mutex::new(HashMap::new()),
+            reaped: AtomicU64::new(0),
+            session_stats: Mutex::new(SessionStats::default()),
             legacy_duplicate_handling: config.legacy_duplicate_handling,
             idle_timeout: config.idle_timeout,
         });
@@ -409,9 +416,15 @@ impl Controller {
         v
     }
 
-    /// Connections reaped for stalling mid-frame (process-wide counter).
-    pub fn reaped_total() -> u64 {
-        ctrl_metrics().conns_reaped.get()
+    /// Connections this controller reaped for stalling mid-frame.
+    pub fn reaped(&self) -> u64 {
+        self.shared.reaped.load(Ordering::Relaxed)
+    }
+
+    /// How this controller's rounds and repairs were answered (reused,
+    /// warm, cold), as of the last one.
+    pub fn session_stats(&self) -> SessionStats {
+        *self.shared.session_stats.lock()
     }
 }
 
@@ -473,61 +486,15 @@ struct PendingSubmit {
     refund_ratio: f64,
 }
 
-/// The live mirror of the demand pool inside the warm incremental
-/// scheduler. Deltas are queued lazily on every admit/withdraw and
-/// applied in one [`IncrementalScheduler::apply`] per multi-submit batch;
-/// a failed solve poisons the mirror, which is rebuilt from the live
-/// pool on the next batch (correctness never depends on the mirror — the
-/// FCFS fold already produced valid verdicts and allocations).
-struct Mirror {
-    sched: Option<IncrementalScheduler>,
-    pending: Vec<DemandDelta>,
-    /// Pool size at the last failed solve. While the live pool is at
-    /// least this big, rebuild attempts are skipped: a pool that just
-    /// blew the simplex iteration budget will blow it again, and
-    /// re-burning the full budget every batch is a death spiral. The
-    /// guard clears once withdrawals shrink the pool.
-    poisoned_at: Option<usize>,
-}
-
-impl Mirror {
-    fn solve(&mut self, ctx: &TeContext, live: &[BaDemand]) -> Option<bate_core::scheduling::ScheduleResult> {
-        if let Some(at) = self.poisoned_at {
-            if live.len() >= at {
-                return None;
-            }
-            self.poisoned_at = None;
-        }
-        if self.sched.is_none() {
-            self.pending = live.iter().map(|d| DemandDelta::Add(d.clone())).collect();
-            self.sched = Some(IncrementalScheduler::new(ctx));
-        }
-        let deltas = std::mem::take(&mut self.pending);
-        match self.sched.as_mut().unwrap().apply(ctx, &deltas) {
-            Ok(res) => Some(res),
-            Err(e) => {
-                bate_obs::warn!(
-                    "ctrl.batch_solve_poisoned",
-                    deltas = deltas.len(),
-                    pool = live.len(),
-                    error = format!("{e}"),
-                );
-                self.sched = None;
-                self.pending.clear();
-                self.poisoned_at = Some(live.len());
-                None
-            }
-        }
-    }
-}
-
 struct EventLoop {
     shared: Arc<Shared>,
     listener: TcpListener,
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    mirror: Mirror,
+    /// The warm optimum of the live pool (DESIGN.md §6y): fed every pool
+    /// edit, asked by multi-submit batches, rounds and repairs.
+    session: SchedulingSession,
 }
 
 impl EventLoop {
@@ -538,11 +505,7 @@ impl EventLoop {
             poller,
             conns: HashMap::new(),
             next_token: TOK_FIRST_CONN,
-            mirror: Mirror {
-                sched: None,
-                pending: Vec::new(),
-                poisoned_at: None,
-            },
+            session: SchedulingSession::default(),
         }
     }
 
@@ -673,7 +636,7 @@ impl EventLoop {
         let shared = Arc::clone(&self.shared);
         let ctx = shared.ctx();
         let conns = &mut self.conns;
-        let mirror = &mut self.mirror;
+        let session = &mut self.session;
         // A batch of one is the legacy path: verdict, per-demand push,
         // reply, all inside the adopted span — byte-identical wire
         // behavior to the threaded plane (the fault-suite goldens).
@@ -697,7 +660,7 @@ impl EventLoop {
                 sub,
                 defer_push,
                 &mut push_ids,
-                &mut mirror.pending,
+                session,
                 &mut fresh_admits,
             );
             let reply = Message::AdmissionReply {
@@ -716,7 +679,7 @@ impl EventLoop {
             // is in effect (the recovery allocation stays authoritative
             // until repair, same as scheduling rounds).
             if fresh_admits > 0 && state.failed.is_empty() {
-                if let Some(res) = mirror.solve(&ctx, &state.demands) {
+                if let Some(res) = session.batch_optimum(&ctx, &state.demands) {
                     m.batch_solves.inc();
                     bate_obs::info!(
                         "ctrl.batch_solve",
@@ -724,14 +687,15 @@ impl EventLoop {
                         admitted = fresh_admits,
                         pool = state.demands.len(),
                     );
-                    state.allocation = res.allocation;
+                    state.allocation = res.allocation.clone();
                     push_all_allocations(&mut state, conns);
                     pushed_all = true;
                 }
+                *shared.session_stats.lock() = session.stats();
             }
             if !pushed_all {
                 // No solve (pure-replay batch, active failure, or a
-                // poisoned mirror): push the fold's per-demand
+                // poisoned session): push the fold's per-demand
                 // allocations, once per distinct id.
                 push_ids.sort_unstable_by_key(|d| d.0);
                 push_ids.dedup();
@@ -773,7 +737,7 @@ impl EventLoop {
                             withdrawn: true,
                         });
                     if was_present {
-                        self.mirror.pending.push(DemandDelta::Remove(DemandId(id)));
+                        self.session.note_remove(DemandId(id));
                         broadcast(&mut state, conns, &Message::RemoveAllocation { demand: id });
                     }
                 }
@@ -799,7 +763,7 @@ impl EventLoop {
             Message::LinkReport { group, up } => {
                 ctrl_metrics().link_reports.inc();
                 bate_obs::warn!("ctrl.link_report", group = group, up = up);
-                handle_link_report(&shared, conns, group as usize, up);
+                handle_link_report(&shared, conns, &mut self.session, group as usize, up);
             }
             Message::Ping { token: t } => {
                 queue_to(conns, token, &Message::Pong { token: t }, None);
@@ -846,7 +810,7 @@ impl EventLoop {
             match cmd {
                 Cmd::ScheduleRound(gate) => {
                     if !shutting_down {
-                        schedule_round(&self.shared, &mut self.conns);
+                        schedule_round(&self.shared, &mut self.conns, &mut self.session);
                     }
                     gate.open();
                 }
@@ -867,6 +831,7 @@ impl EventLoop {
             .collect();
         for token in overdue {
             ctrl_metrics().conns_reaped.inc();
+            self.shared.reaped.fetch_add(1, Ordering::Relaxed);
             bate_obs::warn!("ctrl.conn_reaped", token = token);
             self.close_conn(token);
         }
@@ -943,7 +908,7 @@ fn handle_submit_locked(
     sub: &PendingSubmit,
     defer_push: bool,
     push_ids: &mut Vec<DemandId>,
-    pending_deltas: &mut Vec<DemandDelta>,
+    session: &mut SchedulingSession,
     fresh_admits: &mut usize,
 ) -> bool {
     let fingerprint = submit_fingerprint(
@@ -1011,7 +976,7 @@ fn handle_submit_locked(
         ..
     } = state;
     if admission::admit_and_apply(ctx, demands, allocation, &demand) {
-        pending_deltas.push(DemandDelta::Add(demand.clone()));
+        session.note_add(&demand);
         *fresh_admits += 1;
         if defer_push {
             push_ids.push(demand.id);
@@ -1037,24 +1002,56 @@ fn handle_submit_locked(
     }
 }
 
+/// The session's hardened optimum for the live pool, installed in
+/// `state` and reported as the event a round or a repair emits. A repair
+/// is solved from scratch (DESIGN.md §9).
+fn install_optimum(
+    shared: &Shared,
+    state: &mut CtrlState,
+    session: &mut SchedulingSession,
+    repair: bool,
+) -> bool {
+    let ctx = shared.ctx();
+    let (event, round) = if repair {
+        ("ctrl.repair", session.cold_round(&ctx, &state.demands))
+    } else {
+        ("ctrl.schedule_round", session.hardened_round(&ctx, &state.demands))
+    };
+    *shared.session_stats.lock() = session.stats();
+    let Ok(SessionRound {
+        path,
+        pending,
+        result,
+    }) = round
+    else {
+        return false;
+    };
+    bate_obs::info!(
+        event,
+        demands = state.demands.len(),
+        lp_iterations = result.solve_stats.iterations(),
+        lp_pivots = result.solve_stats.pivots,
+        path = path.as_str(),
+        pending = pending,
+    );
+    state.allocation = result.allocation;
+    true
+}
+
 /// One Online Scheduler round: re-optimize every admitted demand and push
 /// the fresh allocations to the brokers. Skipped while a failure is in
 /// effect (the recovery allocation stays authoritative until repair).
-fn schedule_round(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>) {
-    let ctx = shared.ctx();
+fn schedule_round(
+    shared: &Arc<Shared>,
+    conns: &mut HashMap<u64, Conn>,
+    session: &mut SchedulingSession,
+) {
     let mut state = shared.state.lock();
     if state.demands.is_empty() || !state.failed.is_empty() {
         return;
     }
-    if let Ok(res) = schedule(&ctx, &state.demands) {
+    if install_optimum(shared, &mut state, session, false) {
         ctrl_metrics().rounds.inc();
-        bate_obs::info!(
-            "ctrl.schedule_round",
-            demands = state.demands.len(),
-            lp_iterations = res.solve_stats.iterations(),
-            lp_pivots = res.solve_stats.pivots,
-        );
-        state.allocation = res.allocation;
         push_all_allocations(&mut state, conns);
     }
     // One SLO sample per scheduling round: burn rates evolve at round
@@ -1065,10 +1062,10 @@ fn schedule_round(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>) {
 fn handle_link_report(
     shared: &Arc<Shared>,
     conns: &mut HashMap<u64, Conn>,
+    session: &mut SchedulingSession,
     group: usize,
     up: bool,
 ) {
-    let ctx = shared.ctx();
     let mut state = shared.state.lock();
     if group >= shared.topo.num_groups() {
         return;
@@ -1083,16 +1080,14 @@ fn handle_link_report(
     }
     if state.failed.is_empty() {
         // Everything healthy again: go back to a guaranteed schedule.
-        if let Ok(res) = schedule(&ctx, &state.demands) {
-            state.allocation = res.allocation;
-        }
+        install_optimum(shared, &mut state, session, true);
     } else {
         // Failure in effect: reroute with Algorithm 2.
         let scenario = Scenario {
             failed: state.failed.clone(),
             probability: 0.0,
         };
-        let out = greedy_recovery(&ctx, &state.demands, &scenario);
+        let out = greedy_recovery(&shared.ctx(), &state.demands, &scenario);
         state.allocation = out.allocation;
     }
     push_all_allocations(&mut state, conns);

@@ -9,14 +9,19 @@
 //! by-construction claim: batching changes *when* the pool is
 //! re-optimized, never *what* is admitted.
 
-use bate_core::scheduling::schedule;
-use bate_core::{BaDemand, TeContext};
+use bate_core::incremental::SessionStats;
+use bate_core::scheduling::{schedule, schedule_hardened};
+use bate_core::{Allocation, BaDemand, DemandId, SchedulingSession, TeContext};
 use bate_net::{topologies, ScenarioSet};
-use bate_routing::{RoutingScheme, TunnelSet};
+use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
 use bate_system::client::DemandRequest;
+use bate_system::proto::Message;
+use bate_system::wire::{read_frame, write_frame};
 use bate_system::{Client, Controller, ControllerConfig, PipelinedClient};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::net::TcpStream;
+use std::time::Duration;
 
 fn start_controller() -> Controller {
     Controller::start(ControllerConfig::manual(
@@ -175,4 +180,186 @@ fn duplicate_submit_within_a_batch_replays_the_verdict() {
     let verdicts: Vec<(u64, bool)> = (0..3).map(|_| pipelined.recv_verdict().unwrap()).collect();
     assert_eq!(verdicts, vec![(7, true), (7, true), (8, true)]);
     assert_eq!(ctrl.admitted_count(), 2, "the duplicate is not double-counted");
+}
+
+/// A broker reduced to its socket: registers, then reads what the
+/// controller installs. The controller answers in order on one
+/// connection, so everything pushed before a `Ping` was handled has
+/// been read when its `Pong` arrives.
+struct Probe {
+    stream: TcpStream,
+    pings: u64,
+}
+
+impl Probe {
+    fn register(ctrl: &Controller) -> Probe {
+        let mut stream = TcpStream::connect(ctrl.addr()).unwrap();
+        write_frame(&mut stream, &Message::RegisterBroker { dc: "DC1".into() }).unwrap();
+        assert!(ctrl.wait_for_brokers(1, Duration::from_secs(2)));
+        Probe { stream, pings: 0 }
+    }
+
+    fn send(&mut self, msg: &Message) {
+        write_frame(&mut self.stream, msg).unwrap();
+    }
+
+    /// The allocation installed since the last call, and how many
+    /// installs carried it.
+    fn installed(&mut self) -> (Allocation, usize) {
+        self.pings += 1;
+        self.send(&Message::Ping { token: self.pings });
+        let (mut alloc, mut installs) = (Allocation::new(), 0);
+        loop {
+            match read_frame::<Message, _>(&mut self.stream).unwrap() {
+                Message::Pong { token } if token == self.pings => return (alloc, installs),
+                Message::InstallAllocation { demand, entries } => {
+                    installs += 1;
+                    alloc.remove_demand(DemandId(demand));
+                    for e in entries {
+                        let tunnel = TunnelId {
+                            pair: e.pair as usize,
+                            tunnel: e.tunnel as usize,
+                        };
+                        alloc.set(DemandId(demand), tunnel, e.rate);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+fn flows(alloc: &Allocation, pool: &[BaDemand]) -> Vec<Vec<(TunnelId, f64)>> {
+    pool.iter()
+        .map(|d| alloc.flows_of(d.id).collect())
+        .collect()
+}
+
+fn rounds(s: SessionStats) -> (u64, u64, u64) {
+    (s.reused_rounds, s.warm_rounds, s.cold_rounds)
+}
+
+/// Rounds ask the session the batch solve left warm: with nothing
+/// changed a round reinstalls its hardened optimum without a solve, after
+/// a withdrawal it takes one warm re-solve. A repair is solved from
+/// scratch and leaves the session's history alone. What each installs is
+/// what a cold `schedule_hardened` over the same pool guarantees.
+#[test]
+fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
+    let ctrl = start_controller();
+    let mut probe = Probe::register(&ctrl);
+    let reqs = seeded_demands(0xBA7E, 12, 3000);
+    let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
+    for req in &reqs {
+        pipelined.queue_submit(req).unwrap();
+    }
+    pipelined.flush().unwrap();
+    let admitted: Vec<&DemandRequest> = reqs
+        .iter()
+        .filter(|_| pipelined.recv_verdict().unwrap().1)
+        .collect();
+
+    let topo = topologies::testbed6();
+    let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+    let scenarios = ScenarioSet::enumerate(&topo, 2);
+    let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+    let mut pool: Vec<BaDemand> = admitted
+        .iter()
+        .map(|r| {
+            let s = topo.find_node(&r.src).unwrap();
+            let d = topo.find_node(&r.dst).unwrap();
+            BaDemand::single(r.id, tunnels.pair_index(s, d).unwrap(), r.bandwidth, r.beta)
+        })
+        .collect();
+    assert!(pool.len() > 4);
+    let check = |alloc: &Allocation, pool: &[BaDemand]| {
+        let oracle = schedule_hardened(&ctx, pool)
+            .expect("oracle solve")
+            .total_bandwidth;
+        let total = alloc.total_allocated();
+        assert!(
+            (total - oracle).abs() <= 1e-6 * oracle,
+            "installed total {total} != hardened oracle {oracle}"
+        );
+        assert!(pool.iter().all(|d| alloc.meets_target(&ctx, d)));
+        assert!(alloc.respects_capacity(&ctx, 1e-6));
+    };
+    probe.installed(); // the batch's own push
+
+    // First round: nothing pending, so no solve; harden, install.
+    ctrl.run_schedule_round();
+    let (round, installs) = probe.installed();
+    assert_eq!(installs, pool.len());
+    check(&round, &pool);
+    assert_eq!(rounds(ctrl.session_stats()), (1, 0, 0));
+
+    // Failure, then repair: the recovery allocation is replaced by a
+    // hardened optimum solved from scratch; the history survives it.
+    probe.send(&Message::LinkReport {
+        group: 0,
+        up: false,
+    });
+    assert_eq!(probe.installed().1, pool.len());
+    ctrl.run_schedule_round(); // skipped while the failure is in effect
+    assert_eq!(probe.installed().1, 0);
+    probe.send(&Message::LinkReport { group: 0, up: true });
+    let (repair, installs) = probe.installed();
+    assert_eq!(installs, pool.len());
+    check(&repair, &pool);
+    assert_eq!(rounds(ctrl.session_stats()), (1, 0, 1));
+    ctrl.run_schedule_round();
+    assert_eq!(flows(&probe.installed().0, &pool), flows(&round, &pool));
+    assert_eq!(rounds(ctrl.session_stats()), (2, 0, 1));
+
+    // One withdrawal: one delta against the pool, a warm re-solve.
+    let gone = pool.remove(1);
+    pipelined.queue_withdraw(gone.id.0).unwrap();
+    pipelined.flush().unwrap();
+    pipelined.recv_withdraw_ack().unwrap();
+    ctrl.run_schedule_round();
+    let (warm, installs) = probe.installed();
+    assert_eq!(installs, pool.len());
+    check(&warm, &pool);
+    assert_eq!(rounds(ctrl.session_stats()), (2, 1, 1));
+
+    // The LP optimum a session holds for this pool is exact.
+    let mut session = SchedulingSession::default();
+    session.batch_optimum(&ctx, &pool).expect("master builds");
+    let master = session.master().unwrap();
+    bate_lp::exact::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
+}
+
+/// A multi-submit batch after a long run of batches of one must not feed
+/// every edit since the last solve through the warm master: edits that
+/// cancel never reach it, and a history with more pending deltas than
+/// live demands is dropped and rebuilt from the pool.
+#[test]
+fn batch_after_many_single_flushes_solves_at_most_the_pool() {
+    let ctrl = start_controller();
+    let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
+    let req = |id: u64| DemandRequest::new(id, "DC1", "DC3", 10.0, 0.9);
+    let mut submit = |ids: std::ops::Range<u64>| {
+        for id in ids.clone() {
+            pipelined.queue_submit(&req(id)).unwrap();
+        }
+        pipelined.flush().unwrap();
+        for id in ids {
+            assert_eq!(pipelined.recv_verdict().unwrap(), (id, true));
+        }
+    };
+    submit(0..4); // builds the master
+    assert_eq!(ctrl.session_stats().last_apply_deltas, 4);
+    // 200 single flushes, each followed by the withdrawal of the oldest
+    // live demand: the pool stays at 4 and turns over 50 times.
+    for id in 4..204 {
+        submit(id..id + 1);
+        let mut w = PipelinedClient::connect(ctrl.addr()).unwrap();
+        w.queue_withdraw(id - 4).unwrap();
+        w.flush().unwrap();
+        assert_eq!(w.recv_withdraw_ack().unwrap(), id - 4);
+    }
+    submit(204..208);
+    assert_eq!(ctrl.admitted_count(), 8);
+    let fed = ctrl.session_stats().last_apply_deltas;
+    assert!(fed <= 8, "the master was fed {fed} deltas for a pool of 8");
 }

@@ -66,7 +66,6 @@ fn peer_closed(stream: &mut TcpStream) -> bool {
 #[test]
 fn dribbler_does_not_block_other_connections_and_is_reaped() {
     let controller = start_controller(Duration::from_millis(400));
-    let reaped_before = Controller::reaped_total();
 
     // The dribbler: a valid Ping frame delivered one byte per 25 ms —
     // each byte is progress, so a naive per-read timeout would never
@@ -123,8 +122,7 @@ fn dribbler_does_not_block_other_connections_and_is_reaped() {
     // not refreshed per byte: the dribbler is reaped while still
     // dribbling.
     assert!(
-        poll_until(Duration::from_secs(3), || Controller::reaped_total()
-            > reaped_before),
+        poll_until(Duration::from_secs(3), || controller.reaped() > 0),
         "dribbler was never reaped"
     );
     assert!(peer_closed(&mut dribbler), "reaped socket must be closed");
@@ -140,7 +138,6 @@ fn dribbler_does_not_block_other_connections_and_is_reaped() {
 #[test]
 fn mid_frame_staller_is_reaped_but_idle_connections_are_not() {
     let controller = start_controller(Duration::from_millis(300));
-    let reaped_before = Controller::reaped_total();
 
     // The staller: half a frame, then silence.
     let mut staller = TcpStream::connect(controller.addr()).unwrap();
@@ -155,8 +152,7 @@ fn mid_frame_staller_is_reaped_but_idle_connections_are_not() {
     assert!(idle.ping().unwrap() < Duration::from_secs(1));
 
     assert!(
-        poll_until(Duration::from_secs(3), || Controller::reaped_total()
-            > reaped_before),
+        poll_until(Duration::from_secs(3), || controller.reaped() > 0),
         "mid-frame staller was never reaped"
     );
     assert!(peer_closed(&mut staller));
@@ -165,5 +161,5 @@ fn mid_frame_staller_is_reaped_but_idle_connections_are_not() {
     // answers.
     std::thread::sleep(Duration::from_millis(400));
     assert!(idle.ping().unwrap() < Duration::from_secs(1));
-    assert_eq!(Controller::reaped_total(), reaped_before + 1);
+    assert_eq!(controller.reaped(), 1);
 }
