@@ -394,6 +394,60 @@ fn main() {
         "churn_warm: speedup {churn_speedup:.2}x below the 10x acceptance bar"
     );
 
+    // The same warm path at the benchmark's `wan_cycle` shape: a pool of
+    // 250 demands on the ATT y = 2 instance, every round retiring the 8
+    // oldest and admitting 8 new ones (so the master compacts every dozen
+    // rounds or so and the round after is cold). What is recorded is the
+    // distribution of one warm `apply` — no cold baseline — and how many
+    // pivots a warm solve spends re-realising a basis it already had:
+    // zero since the master tableau stays live between solves.
+    let pool250_rounds = 40;
+    let mut pool250_cfg = churn::ChurnConfig::steady(
+        churn_cfg.pairs.clone(),
+        250 + 8 * pool250_rounds,
+        0,
+        250,
+    );
+    pool250_cfg.availability_targets = vec![0.9, 0.95, 0.99];
+    let stream = churn::generate(&pool250_cfg).initial;
+    let mut sched = IncrementalScheduler::new(&ctx);
+    let fill: Vec<DemandDelta> = stream[..250].iter().cloned().map(DemandDelta::Add).collect();
+    sched.apply(&ctx, &fill).unwrap();
+    let mut warm_ms: Vec<f64> = Vec::new();
+    let mut pool250_cold = 0usize;
+    let mut install_pivots = 0u64;
+    for round in 0..pool250_rounds {
+        let batch: Vec<DemandDelta> = stream[8 * round..8 * round + 8]
+            .iter()
+            .map(|d| DemandDelta::Remove(d.id))
+            .chain(
+                stream[250 + 8 * round..258 + 8 * round]
+                    .iter()
+                    .cloned()
+                    .map(DemandDelta::Add),
+            )
+            .collect();
+        let cold_before = sched.stats().cold_rounds;
+        let t = Instant::now();
+        let res = sched.apply(&ctx, &batch).unwrap();
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        if sched.stats().cold_rounds == cold_before {
+            warm_ms.push(ms);
+            install_pivots += res.solve_stats.install_pivots;
+        } else {
+            pool250_cold += 1;
+        }
+    }
+    warm_ms.sort_by(f64::total_cmp);
+    let quantile = |q: f64| warm_ms[((warm_ms.len() - 1) as f64 * q).round() as usize];
+    let (pool250_min, pool250_q1, pool250_median, pool250_q3) =
+        (warm_ms[0], quantile(0.25), quantile(0.5), quantile(0.75));
+    let pool250_install = install_pivots as f64 / warm_ms.len() as f64;
+    println!(
+        "churn_warm_pool250   250 demands {pool250_rounds} rounds ({} warm, {pool250_cold} cold)  warm apply min {pool250_min:>7.3} ms  median {pool250_median:>7.3} ms  quartiles {pool250_q1:.3}..{pool250_q3:.3} ms  install pivots/warm solve {pool250_install:.1}",
+        warm_ms.len(),
+    );
+
     // Telemetry overhead on the largest scheduling LP: the bare sparse
     // solve (no active trace, so the in-solver phase attribution is
     // gated off) vs the same solve under an active trace root plus the
@@ -507,6 +561,10 @@ fn main() {
             churn_stats.warm_rounds,
             churn_stats.dual_pivots,
             churn_stats.cert_fallbacks
+        ));
+        json.push_str(&format!(
+            "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}, \"install_pivots_per_warm_solve\": {pool250_install:.1}}},\n",
+            warm_ms.len()
         ));
         json.push_str(&format!(
             "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"base_secs\": {base_secs:.9}, \"instrumented_secs\": {instrumented_secs:.9}, \"overhead_pct\": {overhead_pct:.3}}}\n"

@@ -6,9 +6,10 @@
 //! [`IncrementalScheduler`] keeps the row-generation master *alive*
 //! between rounds inside a [`WarmState`]: demand churn arrives as
 //! [`DemandDelta`]s, each delta edits the master in place under the
-//! warm-start mutation contract, and the next solve repairs the saved
-//! simplex basis (dual simplex for retired/tightened work, priced-in
-//! columns for new demands) instead of running cold.
+//! warm-start mutation contract, and the next solve applies the same
+//! edits to the live simplex tableau the last one left and repairs that
+//! (dual simplex for retired/tightened work, priced-in columns and a
+//! short phase 1 for new demands) instead of running cold.
 //!
 //! Delta semantics:
 //!
@@ -17,7 +18,7 @@
 //!   existing capacity rows.
 //! * **Remove** — retire in place: every column's upper bound drops to
 //!   zero and the demand's `≥` rows drop to a zero rhs. Rows stay in the
-//!   master (structurally unchanged ⇒ the basis survives); the dead
+//!   master (structurally unchanged ⇒ the live tableau survives); the dead
 //!   columns are reclaimed by a periodic compaction once they exceed
 //!   [`COMPACT_DEAD_FRACTION`] of the master.
 //! * **Resize** — remove + re-add under the same id (the bandwidth `b`
@@ -79,7 +80,7 @@ pub enum DemandDelta {
 pub struct IncrementalStats {
     /// Deltas applied.
     pub deltas: u64,
-    /// Master solves that reused a saved basis.
+    /// Master solves that resumed on the live tableau.
     pub warm_rounds: u64,
     /// Master solves that ran cold.
     pub cold_rounds: u64,
@@ -1088,7 +1089,16 @@ mod tests {
         let r = inc.apply(&ctx, &[]).unwrap();
         assert_eq!(inc.stats().cert_fallbacks, 1);
         assert!(!r.solve_stats.warm_start, "fallback answer must be cold");
-        approx(r.total_bandwidth, cold_objective(&ctx, &[d]));
+        approx(r.total_bandwidth, cold_objective(&ctx, std::slice::from_ref(&d)));
+        // The failure dropped the live tableau (the cold answer above came
+        // from a fresh build); the cold solve left a new one, so the round
+        // after resumes on it without re-realising a basis.
+        let d2 = BaDemand::single(2, pair, 3000.0, 0.9);
+        let r = inc.apply(&ctx, &[DemandDelta::Add(d2.clone())]).unwrap();
+        assert_eq!(inc.stats().cert_fallbacks, 1);
+        assert!(r.solve_stats.warm_start, "the round after must be warm again");
+        assert_eq!(r.solve_stats.install_pivots, 0, "and live, not re-installed");
+        approx(r.total_bandwidth, cold_objective(&ctx, &[d, d2]));
     }
 
     #[test]

@@ -161,9 +161,10 @@ impl Problem {
 
     /// Replace the right-hand side of constraint `row`.
     ///
-    /// The row's coefficients and relation are untouched, so a cached
-    /// [`Workspace`](crate::Workspace) layout stays valid — callers only
-    /// need to re-sync the rhs (see `Workspace::sync_rhs`).
+    /// The row's coefficients and relation are untouched, which is what
+    /// lets a [`WarmState`](crate::WarmState) apply the change to its live
+    /// tableau (the basic values move along one column) instead of
+    /// solving again from scratch.
     pub fn set_rhs(&mut self, row: usize, rhs: f64) {
         self.constraints[row].rhs = rhs;
     }
@@ -176,8 +177,9 @@ impl Problem {
     /// Replace the upper bound of `var` (`f64::INFINITY` for unbounded).
     ///
     /// Bounds are variable attributes, not rows, so tightening or relaxing
-    /// one never changes a cached workspace layout. Setting the bound to
-    /// zero is the warm-start idiom for retiring a column in place.
+    /// one never changes a cached workspace layout or a live tableau's
+    /// shape. Setting the bound to zero is the warm-start idiom for
+    /// retiring a column in place.
     pub fn set_var_upper(&mut self, var: VarId, upper: f64) {
         assert!(upper >= 0.0, "upper bound must be non-negative");
         self.vars[var.0].upper = upper;
@@ -192,9 +194,9 @@ impl Problem {
     ///
     /// Every appended term must reference a variable **not already present**
     /// in the row: the existing terms stay a frozen prefix, which is what
-    /// lets a cached workspace treat the old row as unchanged and splice in
-    /// only the new columns (see `Workspace::append_cols`). Zero
-    /// coefficients are dropped.
+    /// lets a [`WarmState`](crate::WarmState) treat the old row as
+    /// unchanged and splice only the new columns into its live tableau.
+    /// Zero coefficients are dropped.
     pub fn extend_constraint(&mut self, row: usize, terms: &[(VarId, f64)]) {
         let c = &mut self.constraints[row];
         for &(v, coef) in terms {

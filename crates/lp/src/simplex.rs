@@ -47,7 +47,9 @@
 //!   every tableau buffer across solves of the same problem (only bound
 //!   overrides changing), and can reinstall a saved [`Basis`] to skip
 //!   phase 1 entirely. Branch-and-bound warm-starts each child node from
-//!   its parent's optimal basis.
+//!   its parent's optimal basis. A [`crate::WarmState`] goes further and
+//!   keeps the final tableau itself, editing it in place between solves
+//!   (the `live` submodule has both).
 
 use crate::error::SolveError;
 use crate::problem::{Problem, Relation, Sense};
@@ -55,6 +57,11 @@ use crate::solution::Solution;
 use crate::stats::SolveStats;
 use crate::EPS;
 use std::sync::{Arc, OnceLock};
+
+mod live;
+
+use live::Install;
+pub(crate) use live::solve_live;
 
 /// Registry handles for the solver phase-attribution family
 /// (`bate_solve_phase_*`): where each solve's wall-clock went. The
@@ -165,26 +172,6 @@ pub struct Basis {
     at_upper: Vec<bool>,
 }
 
-/// Outcome of a warm-basis installation attempt (see
-/// [`Tableau::install_basis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Install {
-    /// The saved basis is primal feasible; phase 1 is skipped.
-    Feasible,
-    /// The basis was installed but some rows were repaired into
-    /// artificial-basic form (appended rows the warm point violates);
-    /// phase 1 runs from the warm point and only drives those out.
-    NeedsPhase1,
-    /// The basis was installed but some basic variables sit outside their
-    /// box (the rhs/bound-edit pattern: a shrunk upper bound or tightened
-    /// rhs pushed them out). The dual simplex repairs exactly those rows
-    /// from the still-dual-feasible warm point (see
-    /// [`Tableau::dual_iterate`]) instead of restarting phase 1.
-    NeedsDualRepair,
-    /// The basis no longer fits; the caller rebuilds and solves cold.
-    Reject,
-}
-
 /// Reusable solver state: prepared sparse problem rows, tableau buffers,
 /// and an optional warm-start basis.
 ///
@@ -195,9 +182,10 @@ enum Install {
 ///   [`Problem`] once, not per solve),
 /// * every tableau allocation (the dense matrix, pricing buffers, pivot
 ///   scratch — all reused), and
-/// * optionally phase 1, by reinstalling a saved basis (see
-///   [`Workspace::set_warm`]); if the saved basis is not primal feasible
-///   under the new bounds the solve silently falls back to a cold start.
+/// * optionally phase 1, by reinstalling a saved basis on the rebuilt
+///   tableau (see [`Workspace::set_warm`]); if the saved basis is not
+///   primal feasible under the new bounds and cannot be repaired in
+///   place, the solve silently falls back to a cold start.
 ///
 /// After every successful solve the workspace re-arms its warm basis with
 /// that solve's final basis, so plain sequential re-solving warm-starts
@@ -209,6 +197,9 @@ pub struct Workspace {
     tab: Tableau,
     prepared: Option<Prepared>,
     warm: Option<Basis>,
+    /// Set while `tab` still holds the optimum of the last
+    /// [`solve_live`]: the problem as the tableau has absorbed it.
+    live: Option<live::Live>,
 }
 
 impl Workspace {
@@ -236,18 +227,25 @@ impl Workspace {
     /// `problem` since this workspace last solved it — the incremental
     /// mutation behind cutting-plane row generation.
     ///
-    /// Cost is O(nnz of the appended rows) for the sparse row clones plus
-    /// O(rows) column-layout bookkeeping; nothing about the existing rows
-    /// is re-prepared. Slack columns extend the existing slack block, so
-    /// structural and pre-existing slack indices are untouched and only
-    /// the artificial block shifts up — the saved warm basis is remapped
-    /// in place under that shift (**re-armed, not rebuilt**), and each
-    /// appended row enters it with its own slack basic (artificial for
-    /// `Eq` rows). The next [`solve_with`] then reinstalls the remapped
-    /// basis: appended rows the warm point already satisfies cost nothing,
-    /// and violated ones are repaired by a short phase 1 confined to their
-    /// artificials (see [`Tableau::install_basis`]) instead of restarting
-    /// from the slack basis.
+    /// What this call itself costs is O(nnz of the appended rows) for the
+    /// sparse row clones plus O(rows) column-layout bookkeeping; nothing
+    /// about the existing *prepared rows* is redone. Slack columns extend
+    /// the existing slack block, so structural and pre-existing slack
+    /// indices are untouched and only the artificial block shifts up — the
+    /// saved warm **basis** is remapped in place under that shift, and
+    /// each appended row enters it with its own slack basic (artificial
+    /// for `Eq` rows).
+    ///
+    /// The tableau is another matter: the next [`solve_with`] `build`s it
+    /// afresh from the prepared rows and pivots it onto the remapped basis
+    /// (`Tableau::install_basis`: one pivot per basic that is not a
+    /// slack, counted in `SolveStats::install_pivots`) before anything
+    /// else. After that, appended rows the warm point already satisfies
+    /// cost nothing more, and violated ones are repaired by a short
+    /// phase 1 confined to their artificials instead of restarting from
+    /// the slack basis. Callers that re-solve one growing master many
+    /// times and want to skip the rebuild and the install as well hold a
+    /// [`crate::WarmState`], whose tableau stays live between solves.
     ///
     /// Returns `false` — leaving the workspace untouched, the caller just
     /// solves cold and re-prepares — when the workspace holds no prepared
@@ -348,118 +346,6 @@ impl Workspace {
         }
         true
     }
-
-    /// Extend the prepared column set with the variables appended to
-    /// `problem` since this workspace last solved it — the dual of
-    /// [`Workspace::append_rows`], used by the incremental scheduling path
-    /// when a demand *add* widens existing capacity rows with new flow
-    /// columns.
-    ///
-    /// Only the first `m_old` (already-prepared) rows are spliced here;
-    /// rows appended alongside the new columns are handled by a following
-    /// [`Workspace::append_rows`] call, which is why the sync order is
-    /// always columns-then-rows. Existing rows may only have *grown*: their
-    /// old terms stay a frozen prefix (see [`Problem::extend_constraint`])
-    /// and every suffix term references a newly appended variable. Slack
-    /// and artificial columns shift up by the number of new structural
-    /// columns; the saved warm basis is remapped in place under that shift,
-    /// and the new columns enter nonbasic at their lower bound — the next
-    /// solve prices them into the existing basis instead of starting cold.
-    ///
-    /// Returns `false` — leaving the workspace untouched, the caller
-    /// rebuilds and solves cold — when the workspace holds no prepared
-    /// state for a column-prefix of `problem` (fewer variables or rows than
-    /// prepared, or a suffix term referencing a pre-existing variable).
-    /// Like [`Workspace::append_rows`] this is a structural fingerprint,
-    /// not a content hash: in-place edits of existing coefficients are the
-    /// caller's contract to avoid.
-    pub fn append_cols(&mut self, problem: &Problem) -> bool {
-        let Some(prepared) = self.prepared.as_mut() else {
-            return false;
-        };
-        let (n_old, m_old, _) = prepared.fingerprint;
-        let n_new = problem.num_vars();
-        if n_new < n_old || problem.constraints.len() < m_old {
-            return false;
-        }
-        for (i, c) in problem.constraints[..m_old].iter().enumerate() {
-            let old_len = prepared.terms[i].len();
-            if c.terms.len() < old_len {
-                return false;
-            }
-            if c.terms[old_len..].iter().any(|&(j, _)| j < n_old) {
-                return false;
-            }
-        }
-        let k = n_new - n_old;
-        if k == 0 {
-            return true; // no columns appended (suffix check forces extra == 0)
-        }
-        for (i, c) in problem.constraints[..m_old].iter().enumerate() {
-            let old_len = prepared.terms[i].len();
-            prepared.terms[i].extend_from_slice(&c.terms[old_len..]);
-        }
-        for sc in prepared.slack_col.iter_mut() {
-            if *sc != usize::MAX {
-                *sc += k;
-            }
-        }
-        for ac in prepared.art_col.iter_mut() {
-            *ac += k;
-        }
-        prepared.first_artificial += k;
-        let cols_old = prepared.cols;
-        prepared.cols += k;
-        let nnz: usize = prepared.terms.iter().map(|t| t.len()).sum();
-        prepared.fingerprint = (n_new, m_old, nnz);
-
-        // Remap the warm basis: structural columns keep their indices, the
-        // slack/artificial blocks shift past the appended columns, and the
-        // new columns rest nonbasic at their lower bound.
-        let mut keep = false;
-        if let Some(basis) = self.warm.as_mut() {
-            if basis.rows.len() == m_old && basis.at_upper.len() == cols_old {
-                for b in basis.rows.iter_mut() {
-                    if *b >= n_old {
-                        *b += k;
-                    }
-                }
-                let mut at_upper = vec![false; prepared.cols];
-                for (c, &up) in basis.at_upper.iter().enumerate() {
-                    if up {
-                        at_upper[if c >= n_old { c + k } else { c }] = true;
-                    }
-                }
-                basis.at_upper = at_upper;
-                keep = true;
-            }
-        }
-        if !keep {
-            self.warm = None; // basis from some other layout: solve cold
-        }
-        true
-    }
-
-    /// Re-copy every constraint rhs out of `problem` into the prepared
-    /// rows — the sync step after in-place [`Problem::set_rhs`] edits
-    /// (retiring a demand zeroes its rows' rhs rather than deleting them).
-    /// Coefficients, relations, and the column layout are untouched, so
-    /// the saved warm basis stays installable; a basic pushed out of its
-    /// box by the new rhs is repaired by the dual simplex at the next
-    /// solve. Returns `false` (workspace untouched) when the prepared
-    /// fingerprint does not match `problem`.
-    pub fn sync_rhs(&mut self, problem: &Problem) -> bool {
-        let Some(prepared) = self.prepared.as_mut() else {
-            return false;
-        };
-        if !prepared.matches(problem) {
-            return false;
-        }
-        for (dst, c) in prepared.rhs.iter_mut().zip(&problem.constraints) {
-            *dst = c.rhs;
-        }
-        true
-    }
 }
 
 /// Problem structure shared by every solve in a workspace: sparse rows
@@ -553,6 +439,7 @@ pub fn solve_with(
     ws: &mut Workspace,
 ) -> Result<Solution, SolveError> {
     let n = problem.num_vars();
+    ws.live = None; // `build` below overwrites the tableau
 
     // Effective bounds per variable.
     let mut lo = vec![0.0f64; n];
@@ -585,6 +472,7 @@ pub fn solve_with(
 
     // Shift x = lo + y. Constraint rhs absorbs the shift.
     ws.tab.build(prepared, &lo, &hi);
+    ws.tab.stats = fresh_stats(&ws.tab, false);
     let mut install = Install::Reject;
     if let Some(basis) = ws.warm.as_ref() {
         install = ws.tab.install_basis(basis);
@@ -593,27 +481,11 @@ pub fn solve_with(
             ws.tab.build(prepared, &lo, &hi);
         }
     }
-    ws.tab.stats = SolveStats {
-        rows: ws.tab.rows as u32,
-        cols: ws.tab.cols as u32,
-        // A basis was accepted — either immediately feasible or repaired
-        // into a short artificial-only phase 1 (the append_rows path).
-        warm_start: install != Install::Reject,
-        ..SolveStats::default()
-    };
-    // Only solves running inside an active trace get a span: the
-    // parallel hardening sweep calls in here from `par_map` workers with
-    // no context, and emitting from those threads would interleave
-    // nondeterministically (see the determinism contract in `bate_obs`).
-    let traced = bate_obs::context::current().is_some();
-    let mut solve_span = traced.then(|| {
-        bate_obs::span!(
-            "lp.solve",
-            rows = ws.tab.rows as u64,
-            cols = ws.tab.cols as u64,
-            warm_start = install != Install::Reject,
-        )
-    });
+    // A basis was accepted — either immediately feasible or repaired
+    // into a short artificial-only phase 1 (the append_rows path).
+    ws.tab.stats.warm_start = install != Install::Reject;
+    let solve_span = open_span(&ws.tab);
+    let traced = solve_span.is_some();
     let run = (|| {
         match install {
             Install::Feasible => ws.tab.phase2(problem, false),
@@ -635,18 +507,9 @@ pub fn solve_with(
         // retries around row generation). Genuine infeasibility from the
         // cold path propagates as usual.
         if install == Install::NeedsDualRepair {
-            phase_metrics().warm_fallbacks.inc();
-            if traced {
-                // The event's ctx stamp carries the triggering trace id.
-                bate_obs::warn!("lp.warm_fallback", reason = "dual_repair_failed");
-            }
+            note_fallback(traced, "dual_repair_failed");
             ws.tab.build(prepared, &lo, &hi);
-            ws.tab.stats = SolveStats {
-                rows: ws.tab.rows as u32,
-                cols: ws.tab.cols as u32,
-                warm_start: false,
-                ..SolveStats::default()
-            };
+            ws.tab.stats = fresh_stats(&ws.tab, false);
             let retry = (|| {
                 ws.tab.phase1()?;
                 ws.tab.phase2(problem, false)
@@ -661,17 +524,7 @@ pub fn solve_with(
         }
     }
 
-    let extract_values = |tab: &Tableau| {
-        let y = tab.extract();
-        let mut values = vec![0.0f64; n];
-        for j in 0..n {
-            let v = lo[j] + y[j];
-            // Clamp solver noise back into the box.
-            values[j] = v.clamp(lo[j], hi[j]);
-        }
-        values
-    };
-    let mut values = extract_values(&ws.tab);
+    let mut values = ws.tab.values(&lo, &hi);
 
     // Backstop for every warm path: the repaired/polished point must
     // actually satisfy the rows. A warm install starts from a tableau the
@@ -680,22 +533,9 @@ pub fn solve_with(
     // otherwise surface as a silently wrong "optimum" — one cheap residual
     // scan converts that into a cold re-solve instead.
     if ws.tab.stats.warm_start && primal_violation(problem, &values) > 1e-6 {
-        phase_metrics().warm_fallbacks.inc();
-        if traced {
-            bate_obs::warn!("lp.warm_fallback", reason = "residual_backstop");
-        }
+        note_fallback(traced, "residual_backstop");
         ws.tab.build(prepared, &lo, &hi);
-        let warm_stats = ws.tab.stats.clone();
-        ws.tab.stats = SolveStats {
-            rows: ws.tab.rows as u32,
-            cols: ws.tab.cols as u32,
-            warm_start: false,
-            // Keep the wasted warm work on the books.
-            pivots: warm_stats.pivots,
-            dual_pivots: warm_stats.dual_pivots,
-            bound_flips: warm_stats.bound_flips,
-            ..SolveStats::default()
-        };
+        ws.tab.stats = after_wasted(&ws.tab.stats);
         let redo = (|| {
             ws.tab.phase1()?;
             ws.tab.phase2(problem, false)
@@ -704,7 +544,7 @@ pub fn solve_with(
             ws.warm = None;
             return Err(e);
         }
-        values = extract_values(&ws.tab);
+        values = ws.tab.values(&lo, &hi);
     }
 
     // Re-arm the warm basis with this solve's final basis.
@@ -713,33 +553,87 @@ pub fn solve_with(
         at_upper: ws.tab.at_upper.clone(),
     });
 
-    // Phase attribution: one observation per completed solve.
-    {
-        let s = &ws.tab.stats;
-        let pm = phase_metrics();
-        pm.phase1.observe(s.phase1_secs * 1e9);
-        pm.phase2.observe(s.phase2_secs * 1e9);
-        pm.pricing.observe(s.pricing_secs * 1e9);
-        pm.pivot.observe(s.pivot_secs * 1e9);
-        if s.dual_repair_secs > 0.0 {
-            pm.dual_repair.observe(s.dual_repair_secs * 1e9);
-        }
-        if let Some(sp) = solve_span.as_mut() {
-            sp.record("iterations", s.iterations());
-            sp.record("pivots", s.pivots);
-            sp.record("dual_pivots", s.dual_pivots);
-        }
-    }
-    drop(solve_span);
+    Ok(finish(problem, &ws.tab, values, solve_span))
+}
 
-    let tab = &ws.tab;
-    let objective = problem.objective_value(&values);
-    Ok(Solution {
-        objective,
+/// Book a warm solve that is about to be redone cold.
+fn note_fallback(traced: bool, reason: &'static str) {
+    phase_metrics().warm_fallbacks.inc();
+    if traced {
+        // The event's ctx stamp carries the triggering trace id.
+        bate_obs::warn!("lp.warm_fallback", reason = reason);
+    }
+}
+
+/// Zeroed counters for a solve that starts on `tab`.
+fn fresh_stats(tab: &Tableau, warm_start: bool) -> SolveStats {
+    SolveStats {
+        rows: tab.rows as u32,
+        cols: tab.cols as u32,
+        warm_start,
+        ..SolveStats::default()
+    }
+}
+
+/// Counters for the cold redo of a warm solve whose answer the residual
+/// backstop refused: the wasted warm work stays on the books.
+fn after_wasted(warm: &SolveStats) -> SolveStats {
+    SolveStats {
+        rows: warm.rows,
+        cols: warm.cols,
+        pivots: warm.pivots,
+        dual_pivots: warm.dual_pivots,
+        bound_flips: warm.bound_flips,
+        install_pivots: warm.install_pivots,
+        ..SolveStats::default()
+    }
+}
+
+/// Open the `lp.solve` span for a solve about to run on `tab`. Only
+/// solves inside an active trace get one: the parallel hardening sweep
+/// calls in here from `par_map` workers with no context, and emitting from
+/// those threads would interleave nondeterministically (see the
+/// determinism contract in `bate_obs`).
+fn open_span(tab: &Tableau) -> Option<bate_obs::trace::SpanGuard> {
+    bate_obs::context::current().is_some().then(|| {
+        bate_obs::span!(
+            "lp.solve",
+            rows = tab.rows as u64,
+            cols = tab.cols as u64,
+            warm_start = tab.stats.warm_start,
+        )
+    })
+}
+
+/// Book a completed solve — one phase-attribution observation, the span's
+/// closing fields — and package the answer.
+fn finish(
+    problem: &Problem,
+    tab: &Tableau,
+    values: Vec<f64>,
+    mut span: Option<bate_obs::trace::SpanGuard>,
+) -> Solution {
+    let s = &tab.stats;
+    let pm = phase_metrics();
+    pm.phase1.observe(s.phase1_secs * 1e9);
+    pm.phase2.observe(s.phase2_secs * 1e9);
+    pm.pricing.observe(s.pricing_secs * 1e9);
+    pm.pivot.observe(s.pivot_secs * 1e9);
+    if s.dual_repair_secs > 0.0 {
+        pm.dual_repair.observe(s.dual_repair_secs * 1e9);
+    }
+    if let Some(sp) = span.as_mut() {
+        sp.record("iterations", s.iterations());
+        sp.record("pivots", s.pivots);
+        sp.record("dual_pivots", s.dual_pivots);
+    }
+    drop(span);
+    Solution {
+        objective: problem.objective_value(&values),
         values,
         duals: Some(tab.duals(problem.sense)),
-        stats: tab.stats.clone(),
-    })
+        stats: s.clone(),
+    }
 }
 
 /// Largest relative row residual of `values` over the problem's own
@@ -770,10 +664,25 @@ fn primal_violation(problem: &Problem, values: &[f64]) -> f64 {
 /// row (gathered once per pivot into `scratch`).
 #[derive(Debug, Default)]
 struct Tableau {
-    /// Row-major, `rows x (cols + 1)`; last column = basic values.
+    /// Row-major, `rows x stride` with `stride >= cols`; cells past `cols`
+    /// are zero, so an appended column (see [`live`]) is already in place.
     a: Vec<f64>,
+    stride: usize,
+    /// Leave half again of head-room in `stride` at the next `build`, and
+    /// take a newly needed matrix as zero pages rather than memset it, so
+    /// that the head-room costs address space only: set for tableaus that
+    /// will be kept live and grown. (The incremental scheduler rebuilds
+    /// its master before retired columns pass 30 % of it, that is before
+    /// it has grown by 43 %.)
+    roomy: bool,
+    /// Current value of each row's basic variable.
+    xb: Vec<f64>,
     rows: usize,
     cols: usize,
+    /// What each column stands for. `build` lays columns out as
+    /// `[structural | slack | artificial]`; live appends go on the end, so
+    /// nothing may infer a column's role from its position.
+    kind: Vec<Col>,
     /// Basis variable of each row.
     basis: Vec<usize>,
     /// `is_basic[c]` ⇔ some row has `basis[r] == c`. Maintained across
@@ -792,14 +701,18 @@ struct Tableau {
     /// Columns that may enter the basis (artificials are blocked in
     /// phase 2; zero-width columns are always blocked).
     allowed: Vec<bool>,
-    /// Index of the first artificial column.
-    first_artificial: usize,
     /// Number of structural (shifted user) variables.
     n_struct: usize,
     /// Per original constraint: the marker column (slack/surplus/
     /// artificial) and the sign mapping its reduced cost to the row's dual
     /// value, used by [`Tableau::duals`].
     row_meta: Vec<(usize, f64)>,
+    /// Per original constraint: its artificial column.
+    row_art: Vec<usize>,
+    /// Phase-2 reduced costs carried through a phase 1 that starts from a
+    /// live tableau (empty otherwise): every pivot eliminates this row
+    /// too, so phase 2 resumes without pricing out from scratch.
+    parked: Vec<f64>,
     /// Pivot scratch: nonzero column indices of the current pivot row,
     /// with the (scaled) values gathered into `scratch_val` so the
     /// elimination inner loop reads them contiguously.
@@ -850,9 +763,20 @@ struct Tableau {
     stats: SolveStats,
 }
 
+/// What a tableau column stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Col {
+    /// The user variable with this index.
+    Var(usize),
+    /// Slack or surplus of a row.
+    Slack,
+    /// Artificial of a row.
+    Artificial,
+}
+
 /// Hint the CPU to start loading the cache line holding `p`. The
 /// entering-column gather reads the row-major tableau at a
-/// `(cols+1) * 8`-byte stride — beyond the page-bounded reach of
+/// `stride * 8`-byte stride — beyond the page-bounded reach of
 /// hardware stride prefetchers — so without an explicit hint each row
 /// read serialises on a full memory-latency miss. Prefetching a fixed
 /// distance ahead overlaps those misses. `wrapping_add` keeps the
@@ -883,17 +807,17 @@ const GATHER_PREFETCH_DIST: usize = 8;
 impl Tableau {
     #[inline]
     fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * (self.cols + 1) + c]
+        self.a[r * self.stride + c]
     }
 
     #[inline]
     fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.a[r * (self.cols + 1) + c] = v;
+        self.a[r * self.stride + c] = v;
     }
 
     #[inline]
-    fn xb(&self, r: usize) -> f64 {
-        self.at(r, self.cols)
+    fn is_artificial(&self, c: usize) -> bool {
+        self.kind[c] == Col::Artificial
     }
 
     /// Fill the tableau from `prepared` with variables shifted by `lo`;
@@ -910,13 +834,13 @@ impl Tableau {
         // the rhs column is O(nnz) instead of a matrix-sized memset —
         // at scheduling scale the memset alone costs as much as the
         // whole pivot loop.
-        let stride = cols + 1;
         let same_layout = self.track_cols
             && self.rows == m
             && self.cols == cols
-            && self.a.len() == m * stride
+            && self.a.len() == m * self.stride
             && self.col_rows.len() == cols;
         if same_layout {
+            let stride = self.stride;
             for c in 0..cols {
                 if self.col_dense[c] {
                     for r in 0..m {
@@ -928,19 +852,31 @@ impl Tableau {
                     }
                 }
             }
-            for r in 0..m {
-                self.a[r * stride + cols] = 0.0;
-            }
         } else {
-            self.a.clear();
-            self.a.resize(m * stride, 0.0);
+            self.stride = if self.roomy { cols + cols / 2 } else { cols };
+            let cells = m * self.stride;
+            if self.roomy && self.a.capacity() < cells {
+                // Fresh zero pages instead of a memset: head-room that is
+                // never written is never faulted in.
+                self.a = vec![0.0; cells];
+            } else {
+                self.a.clear();
+                self.a.resize(cells, 0.0);
+            }
         }
+        self.xb.clear();
+        self.xb.resize(m, 0.0);
 
         self.rows = m;
         self.cols = cols;
         self.n_struct = n;
-        self.first_artificial = prepared.first_artificial;
         self.objval = 0.0;
+        self.kind.clear();
+        self.kind.extend((0..n).map(Col::Var));
+        self.kind.resize(prepared.first_artificial, Col::Slack);
+        self.kind.resize(cols, Col::Artificial);
+        self.row_art.clone_from(&prepared.art_col);
+        self.parked.clear();
         self.track_cols = cols > COL_FILE_MIN_COLS;
 
         self.basis.clear();
@@ -997,7 +933,7 @@ impl Tableau {
                     self.col_rows[j].push(i as u32);
                 }
             }
-            self.set(i, cols, sign * rhs);
+            self.xb[i] = sign * rhs;
             let relation = if sign < 0.0 {
                 match prepared.relations[i] {
                     Relation::Le => Relation::Ge,
@@ -1048,281 +984,26 @@ impl Tableau {
         }
     }
 
-    /// Try to reinstall `saved` as the starting basis, skipping phase 1.
-    ///
-    /// Pivots the freshly built tableau onto the saved basis (transforming
-    /// the rhs to `B⁻¹b` along the way), folds nonbasic-at-upper
-    /// contributions back in, and inspects primal feasibility:
-    ///
-    /// * every basic inside its box → [`Install::Feasible`], phase 1 is
-    ///   skipped entirely;
-    /// * a slack-basic row driven negative (the row-generation pattern:
-    ///   [`Workspace::append_rows`] marks each appended row's slack basic,
-    ///   and the warm point violates exactly the rows the separation
-    ///   oracle just appended) is converted **in place** — the row is
-    ///   sign-flipped and its (still all-zero) artificial column made
-    ///   basic at the violation amount — and a basic artificial resting
-    ///   at a positive value is kept as-is; both yield
-    ///   [`Install::NeedsPhase1`], where phase 1 starts from the warm
-    ///   point and only has to drive out the handful of artificials
-    ///   measuring the new violations instead of rebuilding feasibility
-    ///   from the slack basis;
-    /// * basics outside their box that the conversion above cannot absorb
-    ///   (beyond a shrunk upper bound, or negative without the row's own
-    ///   slack basic — the bound/rhs-edit pattern) are left installed and
-    ///   reported as [`Install::NeedsDualRepair`]: the dual simplex drives
-    ///   them back to a bound from the still-dual-feasible warm point;
-    /// * anything unrepairable (layout mismatch, singular pivot, a
-    ///   negative basic artificial, positive artificials mixed with
-    ///   out-of-box basics) → [`Install::Reject`], with the tableau left
-    ///   dirty; the caller rebuilds and solves cold.
-    fn install_basis(&mut self, saved: &Basis) -> Install {
-        if saved.rows.len() != self.rows || saved.at_upper.len() != self.cols {
-            return Install::Reject;
-        }
-        // The solution point a basis describes depends only on the *set*
-        // of basic columns (plus the at-upper rests), not on which row
-        // each one is associated with — so the install realizes the set:
-        // wanted columns that are already basic stay where they are, and
-        // each remaining one is pivoted into the first row whose current
-        // basic is not wanted. This accepts saved bases whose row
-        // assignment got permuted by pivoting history (the strict
-        // row-by-row install rejected those and forced a cold restart).
-        let mut wanted = vec![false; self.cols];
-        for &j in &saved.rows {
-            if j >= self.cols || wanted[j] {
-                return Install::Reject;
-            }
-            wanted[j] = true;
-        }
-        for idx in 0..self.rows {
-            let j = saved.rows[idx];
-            if self.is_basic[j] {
-                continue; // already basic; keep in place
-            }
-            let mut target = None;
-            for r in 0..self.rows {
-                if !wanted[self.basis[r]] && self.at(r, j).abs() >= 1e-8 {
-                    target = Some(r);
-                    break;
-                }
-            }
-            let Some(r) = target else {
-                return Install::Reject; // singular: no admissible pivot row
-            };
-            let old = self.basis[r];
-            self.pivot_matrix_ext(r, j, true);
-            self.is_basic[old] = false;
-            self.is_basic[j] = true;
-            self.basis[r] = j;
-        }
-        // Restore nonbasic-at-upper rests and fold their contribution into
-        // the rhs (which currently holds B⁻¹b).
-        for j in 0..self.cols {
-            self.at_upper[j] = false;
-            if saved.at_upper[j] && !self.is_basic[j] && self.ub[j].is_finite() && self.ub[j] > 0.0
-            {
-                self.at_upper[j] = true;
-                let w = self.ub[j];
-                for r in 0..self.rows {
-                    let alpha = self.at(r, j);
-                    if alpha != 0.0 {
-                        let nv = self.xb(r) - alpha * w;
-                        self.set(r, self.cols, nv);
-                    }
-                }
-            }
-        }
-        // Primal feasibility of the installed point, with repair. A first
-        // read-only pass classifies every row so one repair strategy can
-        // be committed for the whole tableau: converting a row to
-        // artificial form pins it to a phase-1 run, while dual repair
-        // needs the infeasible rows left exactly as installed.
-        let mut has_pos_art = false;
-        let mut has_above_ub = false;
-        let mut all_convertible = true;
-        let mut neg_rows: Vec<usize> = Vec::new();
-        for r in 0..self.rows {
-            let v = self.xb(r);
-            let b = self.basis[r];
-            if b >= self.first_artificial {
-                if v < -PHASE1_TOL {
-                    return Install::Reject; // artificials cannot go negative
-                }
-                if v > PHASE1_TOL {
-                    // A basic artificial at a positive value is a valid
-                    // phase-1 starting point (its column is still the unit
-                    // vector for this row — install pivots never touched
-                    // it, see `convert_row_to_artificial`).
-                    has_pos_art = true;
-                }
-                continue;
-            }
-            if v > self.ub[b] + PHASE1_TOL {
-                has_above_ub = true;
-            }
-            if v < -PHASE1_TOL {
-                neg_rows.push(r);
-                if !self.can_convert_row(r) {
-                    all_convertible = false;
-                }
-            }
-        }
-
-        if !has_pos_art && !has_above_ub && neg_rows.is_empty() {
-            self.clamp_negative_noise();
-            return Install::Feasible;
-        }
-        if !has_above_ub && all_convertible {
-            // The append_rows pattern: every violated row is a freshly
-            // appended one whose slack went negative (plus possibly basic
-            // artificials the saved basis kept). Convert in place and run
-            // a short phase 1 confined to those artificials.
-            for &r in &neg_rows {
-                let ok = self.convert_row_to_artificial(r);
-                debug_assert!(ok, "can_convert_row admitted an unconvertible row");
-                if !ok {
-                    return Install::Reject;
-                }
-            }
-            self.clamp_negative_noise();
-            return Install::NeedsPhase1;
-        }
-        if !has_pos_art {
-            // The bound/rhs-edit pattern: basics pushed below zero or above
-            // a (shrunk) upper bound. Leave the rows as installed — the
-            // dual simplex drives each one back to a bound while keeping
-            // reduced costs optimal.
-            return Install::NeedsDualRepair;
-        }
-        // Positive artificials mixed with out-of-box basics: neither a
-        // confined phase 1 nor a pure dual repair applies.
-        Install::Reject
-    }
-
-    /// Clamp sub-tolerance negative basic values (solver noise on a basis
-    /// accepted as feasible) back to zero.
-    fn clamp_negative_noise(&mut self) {
-        for r in 0..self.rows {
-            if self.xb(r) < 0.0 {
-                self.set(r, self.cols, 0.0);
-            }
-        }
-    }
-
-    /// Read-only preconditions of [`Tableau::convert_row_to_artificial`]:
-    /// would the conversion succeed on row `r`?
-    fn can_convert_row(&self, r: usize) -> bool {
-        let slack = self.basis[r];
-        if self.row_meta[r].0 != slack || slack >= self.first_artificial {
-            return false;
-        }
-        let art = self.first_artificial + r;
-        if self.is_basic[art] {
-            return false;
-        }
-        let stride = self.cols + 1;
-        for r2 in 0..self.rows {
-            if r2 != r && self.a[r2 * stride + art] != 0.0 {
-                return false;
-            }
-        }
-        let own = self.a[r * stride + art];
-        own == 0.0 || own == -1.0
-    }
-
-    /// Repair a row whose basic slack sits at a negative value by swapping
-    /// the row's artificial in as the basic measuring the violation.
-    ///
-    /// Preconditions (checked; `false` on failure, caller rejects the
-    /// install): the row's basic must be its own slack/surplus marker, and
-    /// the row's artificial column must be zero outside row `r` and `0` or
-    /// `-1` in it — true for appended rows: a `Le` artificial is never
-    /// populated by `build`, a `Ge` artificial holds exactly `-1` after
-    /// the surplus pivot (the row was scaled by `1/(-1)`), and install
-    /// pivots cannot create fill-in elsewhere (every pivot row carries a
-    /// zero in appended-row marker columns).
-    ///
-    /// The row `a·x + s = rhs` with basic `s = v < 0` is sign-flipped to
-    /// `-a·x - s + art = -rhs` with `s` nonbasic at its lower bound and
-    /// `art = -v > 0` basic: the artificial's value is exactly the
-    /// violation, and driving it to zero in phase 1 restores the original
-    /// inequality. The row's `row_meta` dual sign is untouched: the flip
-    /// negates the marker column's coefficient along with the row, and the
-    /// two cancel in the marker's reduced cost, keeping [`Tableau::duals`]
-    /// exact for the final solve.
-    fn convert_row_to_artificial(&mut self, r: usize) -> bool {
-        let slack = self.basis[r];
-        if self.row_meta[r].0 != slack || slack >= self.first_artificial {
-            return false;
-        }
-        // build() always lays artificials out as first_artificial + row.
-        let art = self.first_artificial + r;
-        if self.is_basic[art] {
-            return false;
-        }
-        let stride = self.cols + 1;
-        for r2 in 0..self.rows {
-            if r2 != r && self.a[r2 * stride + art] != 0.0 {
-                return false;
-            }
-        }
-        let base = r * stride;
-        let own = self.a[base + art];
-        if own != 0.0 && own != -1.0 {
-            return false;
-        }
-        // Flip the whole row, rhs included (xb(r) = v becomes -v > 0).
-        // `row_meta` keeps its sign: the flip negates both the row's dual
-        // and the marker column's tableau coefficient, and the two cancel
-        // in the marker's reduced cost (verified against cold duals by
-        // `converted_row_duals_match_cold` for both relations).
-        for c in 0..=self.cols {
-            let v = self.a[base + c];
-            if v != 0.0 {
-                self.a[base + c] = -v;
-            }
-        }
-        if own == 0.0 {
-            self.a[base + art] = 1.0;
-            if self.track_cols && !self.col_dense[art] {
-                self.col_rows[art].push(r as u32);
-            }
-        }
-        self.is_basic[slack] = false;
-        self.at_upper[slack] = false; // rests at its lower bound (0)
-        self.is_basic[art] = true;
-        self.basis[r] = art;
-        true
-    }
-
     /// Phase 1: minimize the sum of artificial variables.
     fn phase1(&mut self) -> Result<(), SolveError> {
-        let any_artificial_basic = self
-            .basis
-            .iter()
-            .any(|&b| b >= self.first_artificial);
-        if !any_artificial_basic {
+        if !self.basis.iter().any(|&b| self.is_artificial(b)) {
             return Ok(()); // slack basis is already feasible
         }
         // Reduced costs for cost e_{artificials}: basics must have zero
         // reduced cost, so subtract each artificial-basic row.
-        for v in self.obj.iter_mut() {
-            *v = 0.0;
-        }
-        for c in self.first_artificial..self.cols {
-            self.obj[c] = 1.0;
+        for c in 0..self.cols {
+            self.obj[c] = if self.is_artificial(c) { 1.0 } else { 0.0 };
         }
         self.objval = 0.0;
         for i in 0..self.rows {
-            if self.basis[i] >= self.first_artificial {
+            if self.is_artificial(self.basis[i]) {
                 for c in 0..self.cols {
                     let v = self.at(i, c);
                     if v != 0.0 {
                         self.obj[c] -= v;
                     }
                 }
-                self.objval += self.xb(i);
+                self.objval += self.xb[i];
             }
         }
 
@@ -1339,8 +1020,9 @@ impl Tableau {
         // Drive any artificial still in the basis out (it sits at zero, so
         // this is a degenerate pivot).
         for r in 0..self.rows {
-            if self.basis[r] >= self.first_artificial {
-                let col = (0..self.first_artificial).find(|&c| self.at(r, c).abs() > 1e-8);
+            if self.is_artificial(self.basis[r]) {
+                let col = (0..self.cols)
+                    .find(|&c| !self.is_artificial(c) && self.at(r, c).abs() > 1e-8);
                 if let Some(c) = col {
                     self.degenerate_swap(r, c);
                 }
@@ -1351,35 +1033,34 @@ impl Tableau {
         Ok(())
     }
 
-    /// Phase 2: optimize the real (internally minimized) objective.
-    ///
-    /// With `dual_repair` set (a warm install left basics outside their
-    /// box), a dual-simplex pass restores primal feasibility *after* the
-    /// reduced costs are rebuilt — the dual ratio test needs them — and
-    /// before the primal pivot loop polishes to optimality.
+    /// Phase 2: optimize the real (internally minimized) objective from a
+    /// basis whose reduced costs are not known yet.
     fn phase2(&mut self, problem: &Problem, dual_repair: bool) -> Result<(), SolveError> {
-        let sign = match problem.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        for c in self.first_artificial..self.cols {
-            self.allowed[c] = false;
+        self.price_out(problem);
+        self.optimize(dual_repair)
+    }
+
+    /// Cost of column `c` in the internal minimization.
+    #[inline]
+    fn cost(&self, problem: &Problem, c: usize) -> f64 {
+        match (self.kind[c], problem.sense) {
+            (Col::Var(v), Sense::Minimize) => problem.objective[v],
+            (Col::Var(v), Sense::Maximize) => -problem.objective[v],
+            _ => 0.0,
         }
-        // Rebuild reduced costs: d_j = c_j - c_B' (B^{-1} A_j).
+    }
+
+    /// Rebuild the reduced costs `d_j = c_j - c_B' (B^{-1} A_j)` and the
+    /// objective value from the tableau, and block the artificials.
+    fn price_out(&mut self, problem: &Problem) {
         for c in 0..self.cols {
-            self.obj[c] = if c < self.n_struct {
-                sign * problem.objective[c]
-            } else {
-                0.0
-            };
+            if self.is_artificial(c) {
+                self.allowed[c] = false;
+            }
+            self.obj[c] = self.cost(problem, c);
         }
         for i in 0..self.rows {
-            let b = self.basis[i];
-            let cb = if b < self.n_struct {
-                sign * problem.objective[b]
-            } else {
-                0.0
-            };
+            let cb = self.cost(problem, self.basis[i]);
             if cb != 0.0 {
                 for c in 0..self.cols {
                     let v = self.at(i, c);
@@ -1389,21 +1070,34 @@ impl Tableau {
                 }
             }
         }
-        // Current objective value: c_B' x_B + Σ_{nonbasic at upper} c_j w_j.
+        self.objval = self.basis_objective(problem);
+    }
+
+    /// Objective value of the current point:
+    /// `c_B' x_B + Σ_{nonbasic at upper} c_j w_j`.
+    fn basis_objective(&self, problem: &Problem) -> f64 {
         let mut val = 0.0;
         for i in 0..self.rows {
-            let b = self.basis[i];
-            if b < self.n_struct {
-                val += sign * problem.objective[b] * self.xb(i);
+            if let Col::Var(_) = self.kind[self.basis[i]] {
+                val += self.cost(problem, self.basis[i]) * self.xb[i];
             }
         }
-        for j in 0..self.n_struct {
-            if !self.is_basic[j] && self.at_upper[j] {
-                val += sign * problem.objective[j] * self.ub[j];
+        for j in 0..self.cols {
+            if let Col::Var(_) = self.kind[j] {
+                if !self.is_basic[j] && self.at_upper[j] {
+                    val += self.cost(problem, j) * self.ub[j];
+                }
             }
         }
-        self.objval = val;
+        val
+    }
 
+    /// The pivot loops of phase 2, from valid reduced costs. With
+    /// `dual_repair` set (basics sit outside their box after a bound or
+    /// rhs edit), a dual-simplex pass restores primal feasibility first —
+    /// its ratio test reads the reduced costs — and the primal loop then
+    /// polishes to optimality.
+    fn optimize(&mut self, dual_repair: bool) -> Result<(), SolveError> {
         if dual_repair {
             let t0 = std::time::Instant::now();
             let run = self.dual_iterate();
@@ -1455,7 +1149,7 @@ impl Tableau {
         /// abandoned rather than risk a `1/α` blow-up.
         const DUAL_PIVOT_TOL: f64 = 1e-7;
         let max_iters = 50 * self.rows + 1_000;
-        let stride = self.cols + 1;
+        let stride = self.stride;
         let mut iters = 0u64;
         'outer: loop {
             if iters as usize >= max_iters {
@@ -1466,7 +1160,7 @@ impl Tableau {
             let mut leave: Option<(usize, f64, bool)> = None; // (row, target, to_upper)
             let mut worst = PHASE1_TOL;
             for r in 0..self.rows {
-                let v = self.xb(r);
+                let v = self.xb[r];
                 let b = self.basis[r];
                 if v < -worst {
                     worst = -v;
@@ -1488,7 +1182,7 @@ impl Tableau {
                 if iters as usize >= max_iters {
                     return Err(SolveError::IterationLimit);
                 }
-                let diff = self.xb(r) - target;
+                let diff = self.xb[r] - target;
                 if diff.abs() <= PHASE1_TOL {
                     // Flips alone repaired the row.
                     continue 'outer;
@@ -1541,8 +1235,8 @@ impl Tableau {
                     self.gather_entering(e);
                     for k in 0..self.ecol_rows.len() {
                         let i = self.ecol_rows[k] as usize;
-                        let nv = self.xb(i) - self.ecol_vals[k] * delta;
-                        self.set(i, self.cols, nv);
+                        let nv = self.xb[i] - self.ecol_vals[k] * delta;
+                        self.xb[i] = nv;
                     }
                     self.objval += self.obj[e] * delta;
                     self.at_upper[e] = !self.at_upper[e];
@@ -1568,7 +1262,7 @@ impl Tableau {
                 self.basis[r] = e;
                 // In-box by the width test above; clamp the epsilon slack.
                 let nv = (rest + step).clamp(0.0, if width.is_finite() { width } else { f64::MAX });
-                self.set(r, self.cols, if nv.abs() < EPS { 0.0 } else { nv });
+                self.xb[r] = if nv.abs() < EPS { 0.0 } else { nv };
                 self.stats.pivots += 1;
                 self.stats.dual_pivots += 1;
                 iters += 1;
@@ -1611,6 +1305,14 @@ impl Tableau {
             if it % 256 == 0 && std::time::Instant::now() > deadline {
                 return Err(SolveError::IterationLimit);
             }
+            // A phase 1 confined to the new violations of a live tableau
+            // (the one that carries `parked`) is done the moment they are
+            // gone. Its cost row is minus the few rows that measured them,
+            // so from there on pricing would only find what cancellation
+            // left in those rows, and pivot on it.
+            if !self.parked.is_empty() && self.objval <= PHASE1_TOL {
+                return Ok(it as u64);
+            }
             // Phase-attribution sampling: every TIME_SAMPLE-th iteration is
             // timed (pricing vs pivot work) and the caller scales up.
             let t_iter = (it % TIME_SAMPLE == 0).then(std::time::Instant::now);
@@ -1650,10 +1352,10 @@ impl Tableau {
                 let rate = delta * alpha; // basic i changes at -rate per unit
                 let candidate = if rate > EPS {
                     // Basic decreases toward 0.
-                    Some((self.xb(i) / rate, false))
+                    Some((self.xb[i] / rate, false))
                 } else if rate < -EPS && self.ub[self.basis[i]].is_finite() {
                     // Basic increases toward its own upper bound.
-                    Some(((self.ub[self.basis[i]] - self.xb(i)) / (-rate), true))
+                    Some(((self.ub[self.basis[i]] - self.xb[i]) / (-rate), true))
                 } else {
                     None
                 };
@@ -1685,8 +1387,8 @@ impl Tableau {
                     // Bound flip: entering moves across its whole range.
                     for k in 0..self.ecol_rows.len() {
                         let i = self.ecol_rows[k] as usize;
-                        let nv = self.xb(i) - delta * self.ecol_vals[k] * t;
-                        self.set(i, self.cols, nv);
+                        let nv = self.xb[i] - delta * self.ecol_vals[k] * t;
+                        self.xb[i] = nv;
                     }
                     self.at_upper[e] = !self.at_upper[e];
                     self.stats.bound_flips += 1;
@@ -1705,7 +1407,7 @@ impl Tableau {
                     self.is_basic[old_basic] = false;
                     self.is_basic[e] = true;
                     self.basis[r] = e;
-                    self.set(r, self.cols, new_value.max(0.0));
+                    self.xb[r] = new_value.max(0.0);
                     self.stats.pivots += 1;
                 }
             }
@@ -1847,7 +1549,7 @@ impl Tableau {
     fn gather_entering(&mut self, e: usize) {
         self.ecol_rows.clear();
         self.ecol_vals.clear();
-        let stride = self.cols + 1;
+        let stride = self.stride;
         if !self.col_dense[e] {
             let mut list = std::mem::take(&mut self.col_rows[e]);
             list.sort_unstable();
@@ -1901,7 +1603,7 @@ impl Tableau {
         }
         for idx in 0..self.scratch.len() {
             let c = self.scratch[idx];
-            if c == col || c >= self.cols || self.col_dense[c] {
+            if c == col || self.col_dense[c] {
                 continue;
             }
             for k in 0..self.ecol_rows.len() {
@@ -1941,7 +1643,7 @@ impl Tableau {
     /// most of them. Arithmetic on touched cells is identical to
     /// `pivot_matrix` plus the caller-side rhs loop it replaces.
     fn pivot_with_rhs_update(&mut self, row: usize, col: usize, step: f64, pk: usize) {
-        let stride = self.cols + 1;
+        let stride = self.stride;
         let base = row * stride;
         let p = self.ecol_vals[pk];
         debug_assert!(p.abs() > 1e-12, "pivot on (near-)zero element");
@@ -1966,27 +1668,37 @@ impl Tableau {
             let r = self.ecol_rows[k] as usize;
             let f = self.ecol_vals[k];
             let rbase = r * stride;
-            self.a[rbase + self.cols] -= f * step;
+            self.xb[r] -= f * step;
             for k2 in 0..self.scratch.len() {
                 self.a[rbase + self.scratch[k2]] -= f * self.scratch_val[k2];
             }
             self.a[rbase + col] = 0.0;
         }
-        let f = self.obj[col];
-        if f != 0.0 {
-            for k in 0..self.scratch.len() {
-                self.obj[self.scratch[k]] -= f * self.scratch_val[k];
-            }
-            self.obj[col] = 0.0;
-        }
+        self.eliminate_costs(col);
         self.note_fill_in(row, col);
+    }
+
+    /// Eliminate the entering column `col` from the reduced-cost row (and
+    /// from the parked phase-2 row, when one is carried), given the scaled
+    /// pivot row in `scratch` / `scratch_val`.
+    fn eliminate_costs(&mut self, col: usize) {
+        let rows = [&mut self.obj, &mut self.parked];
+        for cost in rows {
+            let f = cost.get(col).copied().unwrap_or(0.0);
+            if f != 0.0 {
+                for k in 0..self.scratch.len() {
+                    cost[self.scratch[k]] -= f * self.scratch_val[k];
+                }
+                cost[col] = 0.0;
+            }
+        }
     }
 
     /// Pivot implementation; `include_rhs` additionally transforms the rhs
     /// column (wanted when the rhs holds `B⁻¹b` during basis installation,
     /// NOT during the main loop where the caller maintains folded values).
     fn pivot_matrix_ext(&mut self, row: usize, col: usize, include_rhs: bool) {
-        let stride = self.cols + 1;
+        let stride = self.stride;
         let base = row * stride;
         let p = self.a[base + col];
         debug_assert!(p.abs() > 1e-12, "pivot on (near-)zero element");
@@ -1995,15 +1707,23 @@ impl Tableau {
         // eliminations below touch only these. Untouched columns would
         // only ever receive `x -= f * 0`, so skipping them is exact.
         self.scratch.clear();
-        let limit = if include_rhs { self.cols + 1 } else { self.cols };
-        for c in 0..limit {
+        self.scratch_val.clear();
+        for c in 0..self.cols {
             let v = self.a[base + c];
             if v != 0.0 {
-                self.a[base + c] = v * inv;
+                let sv = v * inv;
+                self.a[base + c] = sv;
                 self.scratch.push(c);
+                self.scratch_val.push(sv);
             }
         }
         self.a[base + col] = 1.0;
+        let rhs = if include_rhs {
+            self.xb[row] *= inv;
+            self.xb[row]
+        } else {
+            0.0
+        };
 
         // Track which rows get eliminated so the per-column row files can
         // record the fill-in afterwards (this path reads the entering
@@ -2021,22 +1741,15 @@ impl Tableau {
                 self.ecol_rows.push(r as u32);
                 let rbase = r * stride;
                 for k in 0..self.scratch.len() {
-                    let c = self.scratch[k];
-                    self.a[rbase + c] -= f * self.a[base + c];
+                    self.a[rbase + self.scratch[k]] -= f * self.scratch_val[k];
                 }
                 self.a[rbase + col] = 0.0;
-            }
-        }
-        let f = self.obj[col];
-        if f != 0.0 {
-            for k in 0..self.scratch.len() {
-                let c = self.scratch[k];
-                if c < self.cols {
-                    self.obj[c] -= f * self.a[base + c];
+                if rhs != 0.0 {
+                    self.xb[r] -= f * rhs;
                 }
             }
-            self.obj[col] = 0.0;
         }
+        self.eliminate_costs(col);
         self.note_fill_in(row, col);
     }
 
@@ -2052,7 +1765,7 @@ impl Tableau {
         self.is_basic[old] = false;
         self.is_basic[col] = true;
         self.basis[row] = col;
-        self.set(row, self.cols, entering_value);
+        self.xb[row] = entering_value;
         // Other basic values are unchanged (t = 0 step) — but the entering
         // column may have had a nonzero value at its upper bound, which was
         // already folded into every row's rhs, and remains correct because
@@ -2073,18 +1786,29 @@ impl Tableau {
             .collect()
     }
 
+    /// The user variables' values at the final tableau, shifted back by
+    /// `lo` and with solver noise clamped into the `[lo, hi]` box.
+    fn values(&self, lo: &[f64], hi: &[f64]) -> Vec<f64> {
+        let mut values = self.extract();
+        for (j, v) in values.iter_mut().enumerate() {
+            *v = (lo[j] + *v).clamp(lo[j], hi[j]);
+        }
+        values
+    }
+
     /// Read the structural-variable values out of the final tableau.
     fn extract(&self) -> Vec<f64> {
         let mut y = vec![0.0f64; self.n_struct];
-        for (j, yj) in y.iter_mut().enumerate() {
-            if !self.is_basic[j] && self.at_upper[j] {
-                *yj = self.ub[j];
+        for c in 0..self.cols {
+            if let Col::Var(v) = self.kind[c] {
+                if !self.is_basic[c] && self.at_upper[c] {
+                    y[v] = self.ub[c];
+                }
             }
         }
         for i in 0..self.rows {
-            let b = self.basis[i];
-            if b < self.n_struct {
-                y[b] = self.xb(i).max(0.0);
+            if let Col::Var(v) = self.kind[self.basis[i]] {
+                y[v] = self.xb[i].max(0.0);
             }
         }
         y
@@ -2609,81 +2333,6 @@ mod workspace_tests {
     }
 
     #[test]
-    fn append_cols_prices_new_column_into_basis() {
-        // Solve, append a cheaper column into the binding row, re-solve
-        // warm; must match a cold solve of the widened problem.
-        let mut p = demo_problem();
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        let w = p.add_var("w");
-        p.set_objective(w, 0.5);
-        p.extend_constraint(0, &[(w, 1.0)]);
-        assert!(ws.append_cols(&p));
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(warm.stats.warm_start, "column append should stay warm");
-        let cold = super::solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        assert!(warm.objective < first.objective - 1e-6);
-        assert!(p.is_feasible(&warm.values, 1e-6));
-    }
-
-    #[test]
-    fn append_cols_then_rows_combined() {
-        // The incremental-scheduler sync order: widen existing rows with
-        // new columns, then append rows referencing them.
-        let mut p = demo_problem();
-        let mut ws = Workspace::new();
-        solve_with(&p, &[], &mut ws).unwrap();
-        let w = p.add_bounded_var("w", 5.0);
-        p.set_objective(w, 0.25);
-        p.extend_constraint(0, &[(w, 1.0)]);
-        p.add_constraint(&[(w, 1.0), (crate::VarId(0), 1.0)], Relation::Ge, 2.0);
-        assert!(ws.append_cols(&p));
-        assert!(ws.append_rows(&p));
-        assert!(ws.sync_rhs(&p));
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        let cold = super::solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        for (a, b) in warm.values.iter().zip(&cold.values) {
-            approx(*a, *b);
-        }
-    }
-
-    #[test]
-    fn append_cols_rejects_out_of_contract_shapes() {
-        let p = demo_problem();
-        let mut ws = Workspace::new();
-        // Nothing prepared yet.
-        assert!(!ws.append_cols(&p));
-        solve_with(&p, &[], &mut ws).unwrap();
-        // No new columns is a no-op success.
-        assert!(ws.append_cols(&p));
-        // Fewer variables than prepared: not an extension.
-        let mut narrow = Problem::new(Sense::Minimize);
-        narrow.add_var("q");
-        assert!(!ws.append_cols(&narrow));
-        // Still solves the original problem correctly afterwards.
-        let again = solve_with(&p, &[], &mut ws).unwrap();
-        approx(again.objective, super::solve_relaxation(&p, &[]).unwrap().objective);
-    }
-
-    #[test]
-    fn sync_rhs_propagates_in_place_edits() {
-        let mut p = demo_problem();
-        let mut ws = Workspace::new();
-        solve_with(&p, &[], &mut ws).unwrap();
-        p.set_rhs(0, 12.0);
-        assert!(ws.sync_rhs(&p));
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        let cold = super::solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        // A mismatched problem refuses the sync.
-        let mut other = Problem::new(Sense::Minimize);
-        other.add_var("q");
-        assert!(!ws.sync_rhs(&other));
-    }
-
-    #[test]
     fn explicit_warm_basis_transfer() {
         let p = demo_problem();
         let mut ws1 = Workspace::new();
@@ -2869,29 +2518,6 @@ mod dual_repair_tests {
         assert!(warm.values[0] <= x_at / 2.0 + 1e-9);
     }
 
-    /// rhs tightening through sync_rhs repairs dually and matches cold.
-    #[test]
-    fn rhs_tightening_repairs_dually() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.set_objective(x, 2.0);
-        p.set_objective(y, 3.0);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        p.add_constraint(&[(x, 1.0)], Relation::Le, 6.0);
-        let mut ws = Workspace::new();
-        solve_with(&p, &[], &mut ws).unwrap();
-        // Tighten the cap below the warm point (x = 6).
-        p.set_rhs(1, 2.0);
-        assert!(ws.sync_rhs(&p));
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(warm.stats.warm_start);
-        let cold = solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        approx(warm.values[0], 2.0);
-        approx(warm.values[1], 8.0);
-    }
-
     /// Retiring a variable in place (upper bound to zero) must evict it
     /// from the basis and re-route — the demand-removal idiom.
     #[test]
@@ -2936,37 +2562,6 @@ mod dual_repair_tests {
         p.set_var_upper(y, 10.0);
         let again = solve_with(&p, &[], &mut ws).unwrap();
         approx(again.objective, 12.0);
-    }
-
-    /// Random-ish battery: repeated bound/rhs edits re-solved warm must
-    /// track cold solves exactly (objective and point, via feasibility).
-    #[test]
-    fn repair_battery_matches_cold_across_edits() {
-        let mut p = Problem::new(Sense::Minimize);
-        let vars: Vec<VarId> = (0..6).map(|i| p.add_bounded_var(&format!("v{i}"), 10.0)).collect();
-        for (i, &v) in vars.iter().enumerate() {
-            p.set_objective(v, 1.0 + i as f64 * 0.37);
-        }
-        p.add_constraint(
-            &vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
-            Relation::Ge,
-            20.0,
-        );
-        p.add_constraint(&[(vars[0], 1.0), (vars[1], 1.0)], Relation::Le, 9.0);
-        p.add_constraint(&[(vars[2], 1.0), (vars[3], 1.0)], Relation::Ge, 3.0);
-        let mut ws = Workspace::new();
-        solve_with(&p, &[], &mut ws).unwrap();
-        // A deterministic edit schedule mixing shrinks, relaxes, and rhs.
-        let edits: &[(usize, f64)] = &[(0, 2.0), (1, 5.0), (0, 10.0), (4, 1.5), (2, 0.0), (2, 7.0)];
-        for (step, &(vi, ub)) in edits.iter().enumerate() {
-            p.set_var_upper(vars[vi], ub);
-            p.set_rhs(0, 20.0 - step as f64 * 0.5);
-            assert!(ws.sync_rhs(&p));
-            let warm = solve_with(&p, &[], &mut ws).unwrap();
-            let cold = solve_relaxation(&p, &[]).unwrap();
-            approx(warm.objective, cold.objective);
-            assert!(p.is_feasible(&warm.values, 1e-6), "step {step}");
-        }
     }
 
     /// A repair whose cheapest entering column is too narrow to absorb the

@@ -41,6 +41,10 @@ pub struct SolveStats {
     /// Dual-simplex repair pivots (warm bases left primal-infeasible by a
     /// rhs/bound edit are repaired row-first instead of re-solved cold).
     pub dual_pivots: u64,
+    /// Pivots spent re-realising a saved basis on a freshly built tableau
+    /// before the solve proper (0 for cold solves, and for warm solves
+    /// that resumed on the live tableau of the previous one).
+    pub install_pivots: u64,
     /// Wall-clock seconds in phase 1 (informational; nondeterministic).
     pub phase1_secs: f64,
     /// Wall-clock seconds in phase 2 (informational; nondeterministic).

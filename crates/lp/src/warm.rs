@@ -2,13 +2,18 @@
 //!
 //! The row-generation loops in `bate-core` rebuild their master LP from
 //! scratch every scheduling round, even when the demand set changed by a
-//! few percent. [`WarmState`] owns the master [`Problem`] and its
-//! [`Workspace`] *between* rounds: the caller mutates the problem
-//! incrementally (append variables/rows, extend rows with new columns,
-//! edit rhs values and variable bounds in place) and [`WarmState::solve`]
-//! re-syncs the prepared workspace — columns, then rows, then rhs — so the
-//! saved simplex basis survives the edit and the next solve is a basis
-//! repair instead of a cold two-phase run.
+//! few percent. [`WarmState`] owns the master [`Problem`] and a *live*
+//! simplex tableau *between* rounds: after a solve the factored matrix,
+//! the basic values, the reduced costs and the at-upper rests stay where
+//! the simplex left them, the caller mutates the problem incrementally
+//! (append variables/rows, extend rows with new columns, edit rhs values
+//! and variable bounds in place), and the next [`WarmState::solve`] diffs
+//! the problem against what the tableau has absorbed and applies each
+//! edit to the tableau directly (`crate::simplex`'s `live` module has the
+//! algebra). A solve then costs its edits' nonzeros plus the pivots they
+//! really need — no rebuild of the dense tableau, no re-installation of
+//! the basis (`stats.install_pivots` is 0), no re-pricing of the
+//! reduced-cost row.
 //!
 //! ## Mutation contract
 //!
@@ -21,9 +26,23 @@
 //! * edit rhs values in place ([`Problem::set_rhs`]), and
 //! * edit variable upper bounds ([`Problem::set_var_upper`]).
 //!
-//! Editing an existing coefficient, relation, or objective entry in place
-//! is outside the contract (the workspace fingerprints structure, not
-//! content); callers needing that rebuild via [`WarmState::rebuild_cold`].
+//! Anything else that shows in the problem's shape, relations, sense or
+//! objective vector makes the next solve cold. Editing an existing
+//! *coefficient* in place shows in none of those and is outside the
+//! contract; callers needing that rebuild via [`WarmState::rebuild_cold`].
+//!
+//! ## What drops the live tableau
+//!
+//! An edit outside the contract, a point the classification cannot repair
+//! in place, any error of the live run (a stuck dual repair, an
+//! `Infeasible` or `IterationLimit` from its short phase 1), an answer
+//! that misses the problem's rows by more than 1e-6 (the residual
+//! backstop), and [`WarmState::rebuild_cold`] — which is what callers
+//! invoke when their own gate refuses an answer. The solve that follows is
+//! today's cold one (fresh `build`, phase 1, phase 2), and it follows
+//! within the same [`WarmState::solve`]: an error is only ever reported
+//! from a fresh build. So correctness never depends on the live path, and
+//! round-off cannot accumulate past the first answer a guard refuses.
 //!
 //! [`quick_check`] is the float mirror of the exact KKT certificate in
 //! [`crate::exact`]: a microsecond-scale gate the incremental scheduler
@@ -38,17 +57,18 @@ use crate::solution::Solution;
 /// Warm-start survival counters, exposed for metrics/benchmark reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Solves where the saved basis was installed (feasible directly,
-    /// short phase 1, or dual repair).
+    /// Solves that resumed on the live tableau (feasible directly, short
+    /// phase 1, or dual repair).
     pub warm_solves: u64,
-    /// Solves that ran cold (first solve, failed sync, rejected basis, or
-    /// an explicit [`WarmState::rebuild_cold`]).
+    /// Solves that ran cold (first solve, out-of-contract edit, refused
+    /// live answer, or an explicit [`WarmState::rebuild_cold`]).
     pub cold_solves: u64,
     /// Total dual-simplex repair pivots across all solves.
     pub dual_pivots: u64,
 }
 
-/// A master problem plus the solver workspace that outlives each solve.
+/// A master problem plus the solver workspace — and in it the live
+/// tableau — that outlives each solve.
 #[derive(Debug)]
 pub struct WarmState {
     problem: Problem,
@@ -57,8 +77,8 @@ pub struct WarmState {
 }
 
 impl WarmState {
-    /// Wrap `problem`; the first [`WarmState::solve`] runs cold and arms
-    /// the basis for every following one.
+    /// Wrap `problem`; the first [`WarmState::solve`] runs cold and leaves
+    /// the tableau live for every following one.
     pub fn new(problem: Problem) -> Self {
         WarmState {
             problem,
@@ -89,23 +109,13 @@ impl WarmState {
         self.ws = Workspace::new();
     }
 
-    /// Re-sync the workspace to the problem's current shape and solve.
-    ///
-    /// Sync order is columns → rows → rhs: appended columns must widen the
-    /// prepared rows before appended rows (whose terms may reference the
-    /// new columns) are cloned, and the rhs copy-through requires the
-    /// final fingerprint. Any sync step refusing (out-of-contract shape)
-    /// falls back to a cold rebuild — correctness never depends on the
-    /// warm path being taken. `stats.warm_start` on the returned solution
+    /// Apply the edits since the last solve to the live tableau and
+    /// re-optimize from there; cold when there is no live tableau, the
+    /// edits are outside the contract, or a guard refuses the live answer
+    /// (see the module docs). `stats.warm_start` on the returned solution
     /// says which path actually ran.
     pub fn solve(&mut self) -> Result<Solution, SolveError> {
-        let synced = self.ws.append_cols(&self.problem)
-            && self.ws.append_rows(&self.problem)
-            && self.ws.sync_rhs(&self.problem);
-        if !synced {
-            self.ws = Workspace::new();
-        }
-        let sol = simplex::solve_with(&self.problem, &[], &mut self.ws)?;
+        let sol = simplex::solve_live(&self.problem, &mut self.ws)?;
         if sol.stats.warm_start {
             self.stats.warm_solves += 1;
         } else {
@@ -238,6 +248,8 @@ mod tests {
         assert!(!first.stats.warm_start);
         let second = warm.solve().unwrap();
         assert!(second.stats.warm_start);
+        assert_eq!(second.stats.install_pivots, 0, "live, not re-installed");
+        assert_eq!(second.stats.iterations(), 0, "nothing changed");
         approx(first.objective, second.objective);
         assert_eq!(warm.stats().warm_solves, 1);
         assert_eq!(warm.stats().cold_solves, 1);
@@ -284,6 +296,165 @@ mod tests {
         let cold = warm.problem().clone().solve().unwrap();
         approx(sol.objective, cold.objective);
         assert!(sol.objective < first.objective - 1.0);
+    }
+
+    /// The incremental scheduler's edit order in one batch: widen an
+    /// existing row with a new column, then append a row over old and new
+    /// columns alike.
+    #[test]
+    fn column_and_row_appends_combine() {
+        let mut warm = WarmState::new(demo());
+        warm.solve().unwrap();
+        let p = warm.problem_mut();
+        let w = p.add_bounded_var("w", 5.0);
+        p.set_objective(w, 0.25);
+        p.extend_constraint(0, &[(w, 1.0)]);
+        p.add_constraint(&[(w, 1.0), (VarId(0), 1.0)], Relation::Ge, 2.0);
+        let sol = warm.solve().unwrap();
+        assert!(sol.stats.warm_start);
+        assert_eq!(sol.stats.install_pivots, 0);
+        let cold = warm.problem().clone().solve().unwrap();
+        approx(sol.objective, cold.objective);
+        for (a, b) in sol.values.iter().zip(&cold.values) {
+            approx(*a, *b);
+        }
+    }
+
+    /// An appended row the warm point violates is repaired where it
+    /// stands, for all three relations, and reports the dual a cold solve
+    /// reports.
+    #[test]
+    fn violated_row_appends_match_cold_duals() {
+        for relation in [Relation::Le, Relation::Ge, Relation::Eq] {
+            let mut p = Problem::new(Sense::Minimize);
+            let x = p.add_var("x");
+            let y = p.add_var("y");
+            p.set_objective(x, 2.0);
+            p.set_objective(y, 3.0);
+            p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
+            let mut warm = WarmState::new(p);
+            warm.solve().unwrap(); // optimum x = 10, y = 0
+            match relation {
+                Relation::Le => warm.problem_mut().add_constraint(&[(x, 1.0)], Relation::Le, 3.0),
+                Relation::Ge => warm.problem_mut().add_constraint(&[(y, 1.0)], Relation::Ge, 5.0),
+                // A negative rhs on the way: -x - y = -12.
+                Relation::Eq => {
+                    warm.problem_mut()
+                        .add_constraint(&[(x, -1.0), (y, -1.0)], Relation::Eq, -12.0)
+                }
+            };
+            let sol = warm.solve().unwrap();
+            assert!(sol.stats.warm_start, "{relation:?} append should stay live");
+            assert_eq!(sol.stats.install_pivots, 0);
+            let cold = warm.problem().clone().solve().unwrap();
+            approx(sol.objective, cold.objective);
+            let (wd, cd) = (sol.duals.unwrap(), cold.duals.unwrap());
+            for (i, (a, b)) in wd.iter().zip(&cd).enumerate() {
+                assert!((a - b).abs() < 1e-6, "{relation:?} dual {i}: live {a} vs cold {b}");
+            }
+        }
+    }
+
+    /// rhs tightening below the warm point moves the basics with it and
+    /// matches cold.
+    #[test]
+    fn rhs_tightening_matches_cold() {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        p.set_objective(x, 2.0);
+        p.set_objective(y, 3.0);
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
+        p.add_constraint(&[(x, 1.0)], Relation::Le, 6.0);
+        let mut warm = WarmState::new(p);
+        warm.solve().unwrap();
+        // Tighten the cap below the warm point (x = 6).
+        warm.problem_mut().set_rhs(1, 2.0);
+        let sol = warm.solve().unwrap();
+        assert!(sol.stats.warm_start);
+        approx(sol.objective, warm.problem().clone().solve().unwrap().objective);
+        approx(sol.values[0], 2.0);
+        approx(sol.values[1], 8.0);
+    }
+
+    /// Repeated bound/rhs edits — shrinks, relaxes, retiring a variable to
+    /// a zero box and re-opening it — re-solved on one live tableau must
+    /// track cold solves.
+    #[test]
+    fn repair_battery_matches_cold_across_edits() {
+        let mut p = Problem::new(Sense::Minimize);
+        let vars: Vec<VarId> = (0..6).map(|i| p.add_bounded_var(&format!("v{i}"), 10.0)).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            p.set_objective(v, 1.0 + i as f64 * 0.37);
+        }
+        p.add_constraint(
+            &vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+            Relation::Ge,
+            20.0,
+        );
+        p.add_constraint(&[(vars[0], 1.0), (vars[1], 1.0)], Relation::Le, 9.0);
+        p.add_constraint(&[(vars[2], 1.0), (vars[3], 1.0)], Relation::Ge, 3.0);
+        let mut warm = WarmState::new(p);
+        warm.solve().unwrap();
+        let edits: &[(usize, f64)] = &[(0, 2.0), (1, 5.0), (0, 10.0), (4, 1.5), (2, 0.0), (2, 7.0)];
+        for (step, &(vi, ub)) in edits.iter().enumerate() {
+            warm.problem_mut().set_var_upper(vars[vi], ub);
+            warm.problem_mut().set_rhs(0, 20.0 - step as f64 * 0.5);
+            let sol = warm.solve().unwrap();
+            assert!(sol.stats.warm_start, "step {step}");
+            let cold = warm.problem().clone().solve().unwrap();
+            approx(sol.objective, cold.objective);
+            assert!(warm.problem().is_feasible(&sol.values, 1e-6), "step {step}");
+        }
+        assert_eq!(warm.stats().cold_solves, 1);
+    }
+
+    /// Edits outside the contract that show in the problem's shape or
+    /// objective cost a cold solve, never a wrong answer.
+    #[test]
+    fn out_of_contract_edits_solve_cold() {
+        let mut warm = WarmState::new(demo());
+        warm.solve().unwrap();
+        // An objective entry edited in place.
+        warm.problem_mut().set_objective(VarId(0), 5.0);
+        let sol = warm.solve().unwrap();
+        assert!(!sol.stats.warm_start);
+        approx(sol.objective, warm.problem().clone().solve().unwrap().objective);
+        // A term over an existing variable spliced into an existing row.
+        warm.problem_mut().constraints[1].terms.push((2, 1.0));
+        let sol = warm.solve().unwrap();
+        assert!(!sol.stats.warm_start);
+        approx(sol.objective, warm.problem().clone().solve().unwrap().objective);
+        // A different (smaller) problem altogether.
+        let mut other = Problem::new(Sense::Minimize);
+        let q = other.add_var("q");
+        other.set_objective(q, 1.0);
+        other.add_constraint(&[(q, 1.0)], Relation::Ge, 1.0);
+        *warm.problem_mut() = other;
+        let sol = warm.solve().unwrap();
+        assert!(!sol.stats.warm_start);
+        approx(sol.objective, 1.0);
+        // And live again afterwards.
+        assert!(warm.solve().unwrap().stats.warm_start);
+    }
+
+    /// An infeasible edit is reported as such and leaves the state usable.
+    #[test]
+    fn infeasible_edit_is_detected_and_recovered_from() {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_bounded_var("x", 10.0);
+        let y = p.add_bounded_var("y", 10.0);
+        p.set_objective(x, 1.0);
+        p.set_objective(y, 1.0);
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 12.0);
+        let mut warm = WarmState::new(p);
+        warm.solve().unwrap();
+        warm.problem_mut().set_var_upper(x, 1.0);
+        warm.problem_mut().set_var_upper(y, 1.0);
+        assert_eq!(warm.solve().unwrap_err(), SolveError::Infeasible);
+        warm.problem_mut().set_var_upper(x, 10.0);
+        warm.problem_mut().set_var_upper(y, 10.0);
+        approx(warm.solve().unwrap().objective, 12.0);
     }
 
     #[test]

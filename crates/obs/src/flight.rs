@@ -315,6 +315,7 @@ pub fn render_tree(events: &[Event], trace_id: u64) -> String {
 mod tests {
     use super::*;
     use crate::context::SpanCtx;
+    use crate::trace::tests::serial;
     use crate::trace::{Level, Value};
 
     fn ev(seq: u64, name: &'static str, trace: u64, span: u64, parent: u64) -> Event {
@@ -367,6 +368,7 @@ mod tests {
 
     #[test]
     fn trigger_dumps_causal_slice_of_matching_trace() {
+        let _guard = serial();
         enable(16);
         set_dump_dir(None);
         for e in [
@@ -389,6 +391,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
+        let _guard = serial();
         enable(2);
         for i in 0..5 {
             record(&ev(i, "e", 1, 10, 0));

@@ -556,13 +556,14 @@ impl Subscriber for NoopSubscriber {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::clock::SimClock;
 
-    // The dispatch slot is process-global; tests that install must not
-    // interleave.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // The dispatch slot is process-global, and so is the flight ring every
+    // dispatched event is teed into: tests that install a subscriber or
+    // enable the recorder must not interleave.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }

@@ -43,6 +43,11 @@ fi
 # differenced and certificate-checked.
 run cargo test -q --offline -p bate-bench --test fuzz_campaign
 
+# Random contract-edit sequences through one live WarmState tableau,
+# every answer differenced against a fresh cold solve (and certified while
+# the instance is small), plus 600 in-place churn rounds on one tableau.
+run cargo test -q --offline -p bate-lp --test live_edits
+
 # Correlated-scenario properties (joint-mass conservation, generator
 # determinism, SRLG/link-state consistency) and the pinned storm/demand
 # golden traces (budget-independent, bitwise).

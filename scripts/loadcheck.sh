@@ -13,7 +13,13 @@
 # The default scaled run (30k/min offered over a 2s schedule, 20k/min
 # floor) finishes in seconds and is deterministic in the schedule it
 # offers; the wall-clock side (and so the exact achieved rate) is real
-# time, which is why the floor sits well under the offered rate.
+# time, which is why the floor sits well under the offered rate. At 500
+# submits/s a verdict comes back before the next submit is due, so below
+# the full rate the bench releases submits to a lane two at a time:
+# every flush is a multi-submit batch by construction, and the
+# engagement assertion no longer waits for four lanes' writes to happen
+# to land in one wakeup (it failed about half the runs, EXPERIMENTS.md
+# E24).
 #
 # --full additionally runs the full-scale bench (120k/min target, 100k
 # floor) and rewrites BENCH_load.json at the repo root.
