@@ -132,6 +132,17 @@ pub fn maximize_admissions_mode(
     solve_admission(ctx, demands, false, mode)
 }
 
+/// The branch-and-cut master of [`maximize_admissions`] as the search left
+/// it: seed rows, then the pooled cuts in order. What
+/// `model_text_golden.rs` pins.
+#[doc(hidden)]
+pub fn admission_lazy_master(ctx: &TeContext, demands: &[BaDemand]) -> Result<Problem, SolveError> {
+    let mode = SolveMode::RowGen {
+        seed_singles: ROWGEN_SEED_SINGLES,
+    };
+    solve_admission_model(ctx, demands, false, mode).map(|(_, master)| master)
+}
+
 /// Build the full Appendix-A admission MILP without solving it.
 ///
 /// Like [`crate::scheduling::scheduling_lp`], this is the entry point for
@@ -288,6 +299,15 @@ fn solve_admission(
     force_all: bool,
     mode: SolveMode,
 ) -> Result<OptimalAdmission, SolveError> {
+    solve_admission_model(ctx, demands, force_all, mode).map(|(res, _)| res)
+}
+
+fn solve_admission_model(
+    ctx: &TeContext,
+    demands: &[BaDemand],
+    force_all: bool,
+    mode: SolveMode,
+) -> Result<(OptimalAdmission, Problem), SolveError> {
     let seed_singles = match mode {
         SolveMode::RowGen { seed_singles } => seed_singles,
         _ => ROWGEN_SEED_SINGLES,
@@ -435,10 +455,11 @@ fn solve_admission(
             None => true,
         })
         .collect();
-    Ok(OptimalAdmission {
+    let res = OptimalAdmission {
         accepted,
         allocation,
-    })
+    };
+    Ok((res, p))
 }
 
 #[cfg(test)]

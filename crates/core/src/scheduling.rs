@@ -609,6 +609,29 @@ pub fn schedule_with_capacities_mode(
     capacities: &[f64],
     mode: SolveMode,
 ) -> Result<ScheduleResult, SolveError> {
+    solve_mode(ctx, demands, capacities, mode).map(|(result, _)| result)
+}
+
+/// The row-generation master as its final round left it: seed rows, then
+/// the appended cuts in order. What `model_text_golden.rs` pins.
+#[doc(hidden)]
+pub fn rowgen_master(
+    ctx: &TeContext,
+    demands: &[BaDemand],
+    capacities: &[f64],
+) -> Result<Problem, SolveError> {
+    let mode = SolveMode::RowGen {
+        seed_singles: ROWGEN_SEED_SINGLES,
+    };
+    solve_mode(ctx, demands, capacities, mode).map(|(_, master)| master)
+}
+
+fn solve_mode(
+    ctx: &TeContext,
+    demands: &[BaDemand],
+    capacities: &[f64],
+    mode: SolveMode,
+) -> Result<(ScheduleResult, Problem), SolveError> {
     assert_eq!(capacities.len(), ctx.topo.num_links());
 
     let seed_singles = match mode {
@@ -647,7 +670,7 @@ pub fn schedule_with_capacities_mode(
         m.lp_iterations.add(sol.stats.iterations());
         m.lp_pivots.add(sol.stats.pivots);
         m.solve_ms.observe_ms(t0.elapsed());
-        return Ok(extract_result(ctx, demands, &built, sol, None));
+        return Ok((extract_result(ctx, demands, &built, sol, None), built.p));
     }
 
     // --- Cutting-plane row generation ---------------------------------
@@ -796,7 +819,7 @@ pub fn schedule_with_capacities_mode(
     m.solve_phase_separation_ns
         .observe_ns(std::time::Duration::from_nanos(rg.separation_ns));
 
-    Ok(extract_result(ctx, demands, &built, sol, Some(rg)))
+    Ok((extract_result(ctx, demands, &built, sol, Some(rg)), built.p))
 }
 
 /// Turn the final LP vertex into a [`ScheduleResult`]: link shadow prices
