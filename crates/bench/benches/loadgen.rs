@@ -135,8 +135,6 @@ fn main() {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: None,
-        clock: bate_core::clock::SystemClock::shared(),
-        legacy_duplicate_handling: false,
         idle_timeout: Some(Duration::from_secs(30)),
     })
     .expect("controller start");

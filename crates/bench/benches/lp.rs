@@ -14,7 +14,7 @@
 //! ```
 
 use bate_core::incremental::{DemandDelta, IncrementalScheduler};
-use bate_core::scheduling::{self, SolveMode, ROWGEN_SEED_SINGLES};
+use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, DemandId, TeContext};
 use bate_sim::churn;
 use bate_lp::dense_reference::solve_relaxation_dense;
@@ -280,18 +280,16 @@ fn main() {
     // (higher betas push the full solve into guard territory, which makes
     // the timing flaky rather than the comparison harder).
     let demands = rowgen_demands(&topo, &tunnels, 6, 6, 10_000.0, 7, &[0.9, 0.95]);
-    let rowgen_mode = SolveMode::RowGen {
-        seed_singles: ROWGEN_SEED_SINGLES,
-    };
+    let rowgen_mode = SolveMode::RowGen;
 
-    let full_secs = best_of(2, || {
-        scheduling::schedule_mode(&ctx, &demands, SolveMode::Full).unwrap()
-    });
-    let rowgen_secs = best_of(2, || {
-        scheduling::schedule_mode(&ctx, &demands, rowgen_mode).unwrap()
-    });
-    let res_full = scheduling::schedule_mode(&ctx, &demands, SolveMode::Full).unwrap();
-    let res_rg = scheduling::schedule_mode(&ctx, &demands, rowgen_mode).unwrap();
+    let caps = ctx.link_capacities();
+    let solve = |pool: &[BaDemand], mode| {
+        scheduling::schedule_with_capacities_mode(&ctx, pool, &caps, mode).unwrap()
+    };
+    let full_secs = best_of(2, || solve(&demands, SolveMode::Full));
+    let rowgen_secs = best_of(2, || solve(&demands, rowgen_mode));
+    let res_full = solve(&demands, SolveMode::Full);
+    let res_rg = solve(&demands, rowgen_mode);
     assert!(
         (res_full.total_bandwidth - res_rg.total_bandwidth).abs()
             <= 1e-9 * (1.0 + res_full.total_bandwidth.abs()),
@@ -363,7 +361,7 @@ fn main() {
             let warm_res = sched.apply(&ctx, batch).unwrap();
             warm_total += t.elapsed().as_secs_f64();
             let t = Instant::now();
-            let cold_res = scheduling::schedule_mode(&ctx, &pool, rowgen_mode).unwrap();
+            let cold_res = solve(&pool, rowgen_mode);
             cold_total += t.elapsed().as_secs_f64();
             assert!(
                 (warm_res.total_bandwidth - cold_res.total_bandwidth).abs()

@@ -26,7 +26,7 @@ use bate_core::incremental::{DemandDelta, IncrementalScheduler};
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::recovery::milp::{optimal_recovery, recovery_milp};
 use bate_core::recovery::RecoveryOutcome;
-use bate_core::scheduling::{self, SolveMode, ROWGEN_SEED_SINGLES};
+use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, TeContext};
 use bate_net::{topologies, GroupId, ScenarioSet, SrlgSet};
 use bate_routing::{RoutingScheme, TunnelSet};
@@ -44,9 +44,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 fn rowgen_mode() -> SolveMode {
-    SolveMode::RowGen {
-        seed_singles: ROWGEN_SEED_SINGLES,
-    }
+    SolveMode::RowGen
 }
 
 /// Difference one LP instance: float kernel vs exact oracle. Optimal
@@ -260,7 +258,10 @@ fn scheduling_instances_agree_across_modes_and_certify() {
             let modes = [SolveMode::Full, rowgen_mode(), SolveMode::Auto];
             let answers: Vec<_> = modes
                 .iter()
-                .map(|&m| scheduling::schedule_mode(&ctx, &demands, m))
+                .map(|&m| {
+                    let caps = ctx.link_capacities();
+                    scheduling::schedule_with_capacities_mode(&ctx, &demands, &caps, m)
+                })
                 .collect();
             match &answers[0] {
                 Ok(f) => {
@@ -368,7 +369,8 @@ fn churn_sequences_match_cold_and_certify() {
             let warm = sched
                 .apply(&ctx, batch)
                 .unwrap_or_else(|e| panic!("{tag} round {round}: warm apply failed: {e}"));
-            let cold = scheduling::schedule_mode(&ctx, &pool, rowgen_mode())
+            let caps = ctx.link_capacities();
+            let cold = scheduling::schedule_with_capacities_mode(&ctx, &pool, &caps, rowgen_mode())
                 .unwrap_or_else(|e| panic!("{tag} round {round}: cold solve failed: {e}"));
             assert!(
                 close(warm.total_bandwidth, cold.total_bandwidth),

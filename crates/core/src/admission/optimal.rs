@@ -16,11 +16,11 @@
 
 use crate::allocation::Allocation;
 use crate::demand::BaDemand;
+use crate::model::{self, DemandCols, Form};
 use crate::profile::MaskedProfile;
-use crate::scheduling::{SolveMode, ROWGEN_AUTO_THRESHOLD, ROWGEN_SEED_SINGLES};
+use crate::scheduling::SolveMode;
 use crate::TeContext;
-use bate_lp::{milp, LazyRow, Problem, Relation, Sense, SolveError, VarId};
-use bate_routing::TunnelId;
+use bate_lp::{milp, Problem, Relation, Sense, SolveError, VarId};
 
 /// Result of the optimal admission MILP.
 #[derive(Debug, Clone)]
@@ -137,10 +137,7 @@ pub fn maximize_admissions_mode(
 /// `model_text_golden.rs` pins.
 #[doc(hidden)]
 pub fn admission_lazy_master(ctx: &TeContext, demands: &[BaDemand]) -> Result<Problem, SolveError> {
-    let mode = SolveMode::RowGen {
-        seed_singles: ROWGEN_SEED_SINGLES,
-    };
-    solve_admission_model(ctx, demands, false, mode).map(|(_, master)| master)
+    solve_admission_model(ctx, demands, false, SolveMode::RowGen).map(|(_, master)| master)
 }
 
 /// Build the full Appendix-A admission MILP without solving it.
@@ -154,91 +151,45 @@ pub fn admission_milp(
     demands: &[BaDemand],
     force_all: bool,
 ) -> Result<Problem, SolveError> {
-    let tracked = ctx.scenarios.most_probable_singles(ROWGEN_SEED_SINGLES);
-    let profiles: Vec<MaskedProfile> =
-        bate_lp::par_map(demands, |d| MaskedProfile::collapse(ctx, d, &tracked));
-    Ok(build_admission_milp(ctx, demands, &profiles, force_all, None)?.p)
+    let profiles = model::collapse_all(ctx, demands);
+    Ok(build_admission_milp(ctx, demands, &profiles, force_all, false)?.p)
 }
 
-/// The admission MILP under construction, with the variable handles the
-/// solve loop and extraction code need.
+/// The admission MILP under construction, with the handles the solve
+/// loop and the read-out need.
 struct BuiltMilp {
     p: Problem,
-    /// `f[d][local pair][tunnel]`.
-    f_vars: Vec<Vec<Vec<VarId>>>,
-    /// `q[d][collapsed state]` binaries.
-    q_vars_all: Vec<Vec<VarId>>,
+    /// Per demand, in `demands` order (`ind` are the `q` binaries).
+    cols: Vec<DemandCols>,
     /// Acceptance binary per demand (`None` under `force_all`).
     a_vars: Vec<Option<VarId>>,
 }
 
-/// Build the Appendix-A MILP. With `seeded = None` every qualification
-/// row of Eq. 14 is emitted (the full formulation); with
-/// `seeded = Some(flags)` only the flagged states' rows are — the
-/// branch-and-cut master.
+/// Build the Appendix-A MILP: every flow column, then per demand its `q`
+/// binaries, Eq. 14 rows and Eq. 15–16 row, then the capacity rows.
+/// `lazy` keeps only the seed states' Eq. 14 rows — the branch-and-cut
+/// master; otherwise every one is emitted.
 fn build_admission_milp(
     ctx: &TeContext,
     demands: &[BaDemand],
     profiles: &[MaskedProfile],
     force_all: bool,
-    seeded: Option<&[Vec<bool>]>,
+    lazy: bool,
 ) -> Result<BuiltMilp, SolveError> {
     let mut p = Problem::new(Sense::Maximize);
+    let flows = demands
+        .iter()
+        .map(|d| model::flow_columns(&mut p, ctx, d, 0.0))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // Flow variables per demand / local pair / tunnel.
-    let mut f_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(demands.len());
-    for demand in demands {
-        let mut per = Vec::new();
-        for &(pair, _) in &demand.bandwidth {
-            let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
-                .map(|t| p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0)))
-                .collect();
-            if vars.is_empty() {
-                return Err(SolveError::BadModel(format!(
-                    "demand {} requests a pair with no tunnels",
-                    demand.id.0
-                )));
-            }
-            per.push(vars);
-        }
-        f_vars.push(per);
-    }
-
-    // Per demand: q[state] binaries (Eq. 14 lower linkage), acceptance a_d.
-    // All binaries exist up front in every mode — the lazy path appends
-    // rows, never columns.
     let mut a_vars: Vec<Option<VarId>> = Vec::with_capacity(demands.len());
-    let mut q_vars_all: Vec<Vec<VarId>> = Vec::with_capacity(demands.len());
-    for (di, demand) in demands.iter().enumerate() {
-        let profile = &profiles[di];
-        let q_vars: Vec<VarId> = (0..profile.len())
-            .map(|s| p.add_binary_var(&format!("q[{}][{s}]", demand.id.0)))
-            .collect();
-
-        for (si, state) in profile.states.iter().enumerate() {
-            if let Some(flags) = seeded {
-                if !flags[di][si] {
-                    continue;
-                }
-            }
-            for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-                // Σ_t f v >= b q  (qualified scenarios deliver in full)
-                let mut terms: Vec<(VarId, f64)> = vec![(q_vars[si], -b)];
-                for (ti, &fv) in f_vars[di][ki].iter().enumerate() {
-                    if state.masks[ki] >> ti & 1 == 1 {
-                        terms.push((fv, 1.0));
-                    }
-                }
-                p.add_constraint(&terms, Relation::Ge, 0.0);
-            }
-        }
+    let mut cols: Vec<DemandCols> = Vec::with_capacity(demands.len());
+    for ((demand, profile), f) in demands.iter().zip(profiles).zip(flows) {
+        let mut c = DemandCols::new(&mut p, Form::Admission, demand, profile, f);
+        c.add_rows(&mut p, demand, profile, lazy, None);
 
         // Achieved availability s_d = Σ q p (Eq. 15), linked to acceptance.
-        let s_terms: Vec<(VarId, f64)> = q_vars
-            .iter()
-            .zip(&profile.states)
-            .map(|(&q, st)| (q, st.probability))
-            .collect();
+        let mut s_terms = c.availability_terms(profile);
         if force_all {
             p.add_constraint(&s_terms, Relation::Ge, demand.beta);
             a_vars.push(None);
@@ -246,41 +197,17 @@ fn build_admission_milp(
             let a = p.add_binary_var(&format!("a[{}]", demand.id.0));
             p.set_objective(a, 1.0);
             // s_d >= β a_d (Eq. 16 lower linkage).
-            let mut terms = s_terms;
-            terms.push((a, -demand.beta));
-            p.add_constraint(&terms, Relation::Ge, 0.0);
+            s_terms.push((a, -demand.beta));
+            p.add_constraint(&s_terms, Relation::Ge, 0.0);
             a_vars.push(Some(a));
         }
-        q_vars_all.push(q_vars);
+        cols.push(c);
     }
 
     // Capacity (Eq. 18).
-    let mut per_link: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ctx.topo.num_links()];
-    for (di, demand) in demands.iter().enumerate() {
-        for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {
-            for (ti, &fv) in f_vars[di][ki].iter().enumerate() {
-                for &l in &ctx.tunnels.path(TunnelId { pair, tunnel: ti }).links {
-                    per_link[l.index()].push((fv, 1.0));
-                }
-            }
-        }
-    }
-    for (li, terms) in per_link.iter().enumerate() {
-        if !terms.is_empty() {
-            p.add_constraint(
-                terms,
-                Relation::Le,
-                ctx.topo.link(bate_net::LinkId(li)).capacity,
-            );
-        }
-    }
-
-    Ok(BuiltMilp {
-        p,
-        f_vars,
-        q_vars_all,
-        a_vars,
-    })
+    let members = demands.iter().zip(&cols);
+    model::add_capacity_rows(&mut p, ctx, members, &ctx.link_capacities());
+    Ok(BuiltMilp { p, cols, a_vars })
 }
 
 /// Build and solve the Appendix-A MILP.
@@ -288,7 +215,7 @@ fn build_admission_milp(
 /// Under [`SolveMode::RowGen`] (or Auto above the threshold) the
 /// per-(state, pair) qualification rows of Eq. 14 are generated lazily by
 /// branch-and-cut ([`milp::solve_lazy`]): the master starts with the
-/// seeded states' rows, a bitset separation oracle checks every candidate
+/// seeded states' rows, the separation sweep checks every candidate
 /// relaxation against all collapsed states, and violated rows join a
 /// global row pool every node inherits. Exactness argument mirrors the
 /// scheduling LP's: node relaxations are row-subset relaxations (pruning
@@ -308,46 +235,13 @@ fn solve_admission_model(
     force_all: bool,
     mode: SolveMode,
 ) -> Result<(OptimalAdmission, Problem), SolveError> {
-    let seed_singles = match mode {
-        SolveMode::RowGen { seed_singles } => seed_singles,
-        _ => ROWGEN_SEED_SINGLES,
-    };
-    let tracked = ctx.scenarios.most_probable_singles(seed_singles);
-    let profiles: Vec<MaskedProfile> =
-        bate_lp::par_map(demands, |d| MaskedProfile::collapse(ctx, d, &tracked));
-    let full_qual_rows: usize = profiles
-        .iter()
-        .zip(demands)
-        .map(|(pr, d)| pr.len() * d.bandwidth.len())
-        .sum();
-    let use_rowgen = match mode {
-        SolveMode::Full => false,
-        SolveMode::RowGen { .. } => true,
-        SolveMode::Auto => full_qual_rows > ROWGEN_AUTO_THRESHOLD,
-    };
-    // Seed states for the lazy master: all-up plus the tracked singles.
-    let seeded: Option<Vec<Vec<bool>>> = use_rowgen.then(|| {
-        profiles
-            .iter()
-            .map(|pr| {
-                let mut flags = vec![false; pr.len()];
-                if !flags.is_empty() {
-                    flags[0] = true;
-                }
-                for &si in &pr.tracked_states {
-                    flags[si] = true;
-                }
-                flags
-            })
-            .collect()
-    });
-
+    let profiles = model::collapse_all(ctx, demands);
+    let lazy = mode.lazy(model::full_qualification_rows(demands, &profiles));
     let BuiltMilp {
         mut p,
-        f_vars,
-        q_vars_all,
+        mut cols,
         a_vars,
-    } = build_admission_milp(ctx, demands, &profiles, force_all, seeded.as_deref())?;
+    } = build_admission_milp(ctx, demands, &profiles, force_all, lazy)?;
 
     // Each node costs a simplex solve; the fast paths above mean the MILP
     // only sees genuinely ambiguous instances, where a moderate budget
@@ -360,94 +254,18 @@ fn solve_admission_model(
         max_nodes: 400,
         gap: 1e-6,
     };
-    let sol = match seeded {
-        None => milp::solve(&p, cfg)?,
-        Some(flags) => {
-            // Branch-and-cut: `added[di][si*pairs + ki]` tracks which
-            // qualification rows are in the master (seeded or appended),
-            // so no row is ever generated twice.
-            let mut added: Vec<Vec<bool>> = demands
-                .iter()
-                .enumerate()
-                .map(|(di, d)| {
-                    let pairs = d.bandwidth.len();
-                    let mut a = vec![false; profiles[di].len() * pairs];
-                    for (si, &on) in flags[di].iter().enumerate() {
-                        if on {
-                            for ki in 0..pairs {
-                                a[si * pairs + ki] = true;
-                            }
-                        }
-                    }
-                    a
-                })
-                .collect();
-            milp::solve_lazy(&mut p, cfg, |relax| {
-                // Bitset sweep over every collapsed state of every demand —
-                // exactly the full Eq. 14 row set. Parallel fan-out is safe:
-                // each demand reads only its own slice of `added`.
-                let per_demand: Vec<Vec<(usize, usize)>> =
-                    bate_lp::par_map(&(0..demands.len()).collect::<Vec<_>>(), |&di| {
-                        let demand = &demands[di];
-                        let pairs = demand.bandwidth.len();
-                        let mut viol = Vec::new();
-                        for (si, state) in profiles[di].states.iter().enumerate() {
-                            let q = relax[q_vars_all[di][si]];
-                            for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-                                if added[di][si * pairs + ki] {
-                                    continue;
-                                }
-                                let mut mask = state.masks[ki];
-                                let mut flow = 0.0;
-                                while mask != 0 {
-                                    let ti = mask.trailing_zeros() as usize;
-                                    flow += relax[f_vars[di][ki][ti]];
-                                    mask &= mask - 1;
-                                }
-                                if flow - b * q < -1e-9 * (1.0 + b.abs()) {
-                                    viol.push((si, ki));
-                                }
-                            }
-                        }
-                        viol
-                    });
-                let mut cuts = Vec::new();
-                for (di, viol) in per_demand.iter().enumerate() {
-                    let demand = &demands[di];
-                    let pairs = demand.bandwidth.len();
-                    for &(si, ki) in viol {
-                        let b = demand.bandwidth[ki].1;
-                        let mut terms: Vec<(VarId, f64)> = vec![(q_vars_all[di][si], -b)];
-                        let mut mask = profiles[di].states[si].masks[ki];
-                        while mask != 0 {
-                            let ti = mask.trailing_zeros() as usize;
-                            terms.push((f_vars[di][ki][ti], 1.0));
-                            mask &= mask - 1;
-                        }
-                        cuts.push(LazyRow {
-                            terms,
-                            relation: Relation::Ge,
-                            rhs: 0.0,
-                        });
-                        added[di][si * pairs + ki] = true;
-                    }
-                }
-                cuts
-            })?
-        }
+    let sol = if lazy {
+        // Branch-and-cut: the sweep covers every collapsed state of every
+        // demand — exactly the full Eq. 14 row set — and skips the rows
+        // the master holds, so no row is ever generated twice.
+        milp::solve_lazy(&mut p, cfg, |relax| {
+            let violated = model::sweep(demands, &profiles, &cols, relax);
+            model::cuts(demands, &profiles, &mut cols, &violated)
+        })?
+    } else {
+        milp::solve(&p, cfg)?
     };
 
-    let mut allocation = Allocation::new();
-    for (di, demand) in demands.iter().enumerate() {
-        for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {
-            for (ti, &fv) in f_vars[di][ki].iter().enumerate() {
-                let f = sol[fv];
-                if f > 1e-9 {
-                    allocation.set(demand.id, TunnelId { pair, tunnel: ti }, f);
-                }
-            }
-        }
-    }
     let accepted = a_vars
         .iter()
         .map(|a| match a {
@@ -457,7 +275,7 @@ fn solve_admission_model(
         .collect();
     let res = OptimalAdmission {
         accepted,
-        allocation,
+        allocation: model::read_allocation(demands.iter().zip(&cols), &sol),
     };
     Ok((res, p))
 }

@@ -37,17 +37,15 @@
 //! and that optimum before and after hardening, so a request for "the
 //! optimum of the live pool" costs what changed (DESIGN.md §6y).
 
-use crate::allocation::Allocation;
 use crate::demand::{BaDemand, DemandId};
+use crate::model::{self, DemandCols, Form};
 use crate::profile::MaskedProfile;
 use crate::scheduling::{
-    count_round, harden, schedule_hardened, separate_demand, RowGenStats, ScheduleResult,
-    ROWGEN_SEED_SINGLES,
+    count_round, harden, schedule_hardened, schedule_result, RowGenStats, ScheduleResult,
 };
 use crate::TeContext;
-use bate_lp::{quick_check, Relation, Sense, Solution, SolveError, VarId, WarmState};
+use bate_lp::{quick_check, Relation, Sense, Solution, SolveError, WarmState};
 use bate_obs::{Counter, Histogram, Registry};
-use bate_routing::TunnelId;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -135,16 +133,12 @@ pub fn register_metrics() {
 struct Slot {
     demand: BaDemand,
     profile: MaskedProfile,
-    /// `f[local pair][tunnel]`.
-    f_vars: Vec<Vec<VarId>>,
-    /// `B[collapsed state]`.
-    b_vars: Vec<VarId>,
+    /// The demand's columns, and the qualification rows the master holds.
+    cols: DemandCols,
     /// Eq. 1 coverage rows, one per pair.
     eq1_rows: Vec<usize>,
     /// Eq. 4 availability row.
     avail_row: usize,
-    /// Qualification rows present in the master, `[si * pairs + ki]`.
-    added: Vec<bool>,
     alive: bool,
     /// Touched by a delta since the last clean separation pass.
     dirty: bool,
@@ -177,14 +171,13 @@ pub struct IncrementalScheduler {
 impl IncrementalScheduler {
     /// Empty scheduler over the full link capacities.
     pub fn new(ctx: &TeContext) -> Self {
-        let caps: Vec<f64> = ctx.topo.links().map(|(_, l)| l.capacity).collect();
-        Self::with_capacities(ctx, caps)
+        Self::with_capacities(ctx, ctx.link_capacities())
     }
 
     /// Empty scheduler over explicit per-link capacities.
     pub fn with_capacities(ctx: &TeContext, capacities: Vec<f64>) -> Self {
         assert_eq!(capacities.len(), ctx.topo.num_links());
-        let tracked = ctx.scenarios.most_probable_singles(ROWGEN_SEED_SINGLES);
+        let tracked = model::seed_scenarios(ctx);
         let capacity_row = vec![None; ctx.topo.num_links()];
         IncrementalScheduler {
             warm: WarmState::new(bate_lp::Problem::new(Sense::Minimize)),
@@ -263,7 +256,7 @@ impl IncrementalScheduler {
         if self.should_compact() {
             self.compact(ctx)?;
         }
-        let result = self.resolve(ctx);
+        let result = self.resolve();
         m.resolve_ms.observe_ms(t0.elapsed());
         result
     }
@@ -317,83 +310,19 @@ impl IncrementalScheduler {
         let profile = MaskedProfile::collapse(ctx, &demand, &self.tracked);
         let p = self.warm.problem_mut();
 
-        // Flow columns, objective 1.0 (minimize total bandwidth).
-        let mut f_vars: Vec<Vec<VarId>> = Vec::with_capacity(demand.bandwidth.len());
-        for &(pair, _) in &demand.bandwidth {
-            let tunnels = ctx.tunnels.tunnels(pair);
-            if tunnels.is_empty() {
-                return Err(SolveError::BadModel(format!(
-                    "demand {} requests a pair with no tunnels",
-                    demand.id.0
-                )));
-            }
-            let vars: Vec<VarId> = (0..tunnels.len())
-                .map(|t| {
-                    let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
-                    p.set_objective(v, 1.0);
-                    v
-                })
-                .collect();
-            f_vars.push(vars);
-        }
-
-        // Eq. 1 coverage rows.
-        let mut eq1_rows = Vec::with_capacity(demand.bandwidth.len());
-        for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-            let terms: Vec<(VarId, f64)> = f_vars[ki].iter().map(|&v| (v, 1.0)).collect();
-            eq1_rows.push(p.add_constraint(&terms, Relation::Ge, b));
-        }
-
-        // Delivered-fraction columns and the seeded qualification rows
-        // (all-up state plus wherever the tracked singles collapsed to).
-        let b_vars: Vec<VarId> = (0..profile.len())
-            .map(|s| p.add_bounded_var(&format!("B[{}][{s}]", demand.id.0), 1.0))
-            .collect();
-        let pairs = demand.bandwidth.len();
-        let mut seeded = vec![false; profile.len()];
-        if !seeded.is_empty() {
-            seeded[0] = true;
-        }
-        for &si in &profile.tracked_states {
-            seeded[si] = true;
-        }
-        let carry = carry.filter(|c| c.len() == profile.len() * pairs);
-        let mut added = vec![false; profile.len() * pairs];
-        for (si, state) in profile.states.iter().enumerate() {
-            for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-                if !seeded[si] && !carry.as_ref().is_some_and(|c| c[si * pairs + ki]) {
-                    continue;
-                }
-                let mut terms: Vec<(VarId, f64)> = vec![(b_vars[si], b)];
-                for (ti, &fv) in f_vars[ki].iter().enumerate() {
-                    if state.masks[ki] >> ti & 1 == 1 {
-                        terms.push((fv, -1.0));
-                    }
-                }
-                p.add_constraint(&terms, Relation::Le, 0.0);
-                added[si * pairs + ki] = true;
-            }
-        }
-
-        // Eq. 4 availability row.
-        let avail_terms: Vec<(VarId, f64)> = b_vars
-            .iter()
-            .zip(&profile.states)
-            .map(|(&v, s)| (v, s.probability))
-            .collect();
-        let avail_row = p.add_constraint(&avail_terms, Relation::Ge, demand.beta);
+        // Flow columns at objective 1.0 (minimize total bandwidth), Eq. 1,
+        // the delivered-fraction columns, then the qualification rows of
+        // the seed states and of whatever `carry` already discovered.
+        let f = model::flow_columns(p, ctx, &demand, 1.0)?;
+        let eq1_rows = model::coverage_rows(p, &demand, &f);
+        let mut cols = DemandCols::new(p, Form::Scheduling, &demand, &profile, f);
+        cols.add_rows(p, &demand, &profile, true, carry.as_deref());
+        let avail_row =
+            p.add_constraint(&cols.availability_terms(&profile), Relation::Ge, demand.beta);
 
         // Splice the new flow columns into the capacity rows (Eq. 6);
         // links no admitted demand has used yet get a fresh row.
-        let mut per_link: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); self.capacity_row.len()];
-        for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {
-            for (ti, &fv) in f_vars[ki].iter().enumerate() {
-                let path = ctx.tunnels.path(TunnelId { pair, tunnel: ti });
-                for &l in &path.links {
-                    per_link[l.index()].push((fv, 1.0));
-                }
-            }
-        }
+        let per_link = model::capacity_terms(ctx, [(&demand, &cols)]);
         for (li, terms) in per_link.iter().enumerate() {
             if terms.is_empty() {
                 continue;
@@ -410,11 +339,9 @@ impl IncrementalScheduler {
         self.slots.push(Slot {
             demand,
             profile,
-            f_vars,
-            b_vars,
+            cols,
             eq1_rows,
             avail_row,
-            added,
             alive: true,
             dirty: true,
         });
@@ -427,13 +354,7 @@ impl IncrementalScheduler {
         };
         let p = self.warm.problem_mut();
         let mut retired = 0usize;
-        for per_pair in &slot.f_vars {
-            for &v in per_pair {
-                p.set_var_upper(v, 0.0);
-                retired += 1;
-            }
-        }
-        for &v in &slot.b_vars {
+        for &v in slot.cols.f.iter().flatten().chain(&slot.cols.ind) {
             p.set_var_upper(v, 0.0);
             retired += 1;
         }
@@ -464,7 +385,7 @@ impl IncrementalScheduler {
         // generated for the old incarnation carry over — which rows bind
         // depends on the availability patterns, not the magnitude of `b`.
         let mut demand = slot.demand.clone();
-        let carried = slot.added.clone();
+        let carried = slot.cols.added.clone();
         for (_, b) in &mut demand.bandwidth {
             *b *= factor;
         }
@@ -489,7 +410,7 @@ impl IncrementalScheduler {
             .slots
             .iter()
             .filter(|s| s.alive)
-            .map(|s| (s.demand.clone(), s.added.clone()))
+            .map(|s| (s.demand.clone(), s.cols.added.clone()))
             .collect();
         let mut fresh = IncrementalScheduler::with_capacities(ctx, self.capacities.clone());
         for (d, added) in live {
@@ -564,13 +485,7 @@ impl IncrementalScheduler {
             .collect();
         let hits: Vec<Vec<(usize, usize)>> = bate_lp::par_map(&idx, |&i| {
             let slot = &self.slots[i];
-            let f_vals: Vec<Vec<f64>> = slot
-                .f_vars
-                .iter()
-                .map(|per_pair| per_pair.iter().map(|&v| sol[v]).collect())
-                .collect();
-            let b_vals: Vec<f64> = slot.b_vars.iter().map(|&v| sol[v]).collect();
-            separate_demand(&slot.demand, &slot.profile, &f_vals, &b_vals, &slot.added)
+            slot.cols.violated(&slot.demand, &slot.profile, sol)
         });
         idx.into_iter()
             .zip(hits)
@@ -582,17 +497,9 @@ impl IncrementalScheduler {
         let mut fresh = 0u64;
         for &(i, ref rows) in violated {
             let slot = &mut self.slots[i];
-            let pairs = slot.demand.bandwidth.len();
-            for &(si, ki) in rows {
-                let b = slot.demand.bandwidth[ki].1;
-                let mut terms: Vec<(VarId, f64)> = vec![(slot.b_vars[si], b)];
-                for (ti, &fv) in slot.f_vars[ki].iter().enumerate() {
-                    if slot.profile.states[si].masks[ki] >> ti & 1 == 1 {
-                        terms.push((fv, -1.0));
-                    }
-                }
-                self.warm.problem_mut().add_constraint(&terms, Relation::Le, 0.0);
-                slot.added[si * pairs + ki] = true;
+            for cut in slot.cols.cuts(&slot.demand, &slot.profile, rows) {
+                let p = self.warm.problem_mut();
+                p.add_constraint(&cut.terms, cut.relation, cut.rhs);
                 fresh += 1;
             }
         }
@@ -601,7 +508,7 @@ impl IncrementalScheduler {
 
     /// The warm row-generation loop: solve, gate, separate (delta-touched
     /// slots first, then the certifying full pass), cut, repeat.
-    fn resolve(&mut self, ctx: &TeContext) -> Result<ScheduleResult, SolveError> {
+    fn resolve(&mut self) -> Result<ScheduleResult, SolveError> {
         let m = warm_metrics();
         let mut rg = RowGenStats::default();
         let fallbacks_before = self.stats.cert_fallbacks;
@@ -651,7 +558,7 @@ impl IncrementalScheduler {
         rg.master_rows = self.warm.problem().num_constraints() as u32;
         rg.full_rows = self.full_formulation_rows() as u32;
 
-        let result = self.extract(ctx, &sol, rg);
+        let result = self.extract(&sol, rg);
         self.last_solution = Some(sol);
         Ok(result)
     }
@@ -667,33 +574,10 @@ impl IncrementalScheduler {
         qual + self.capacity_row.iter().filter(|r| r.is_some()).count()
     }
 
-    fn extract(&self, ctx: &TeContext, sol: &Solution, rg: RowGenStats) -> ScheduleResult {
-        let link_prices: Vec<f64> = match &sol.duals {
-            Some(duals) => self
-                .capacity_row
-                .iter()
-                .map(|row| row.map(|r| duals[r].abs()).unwrap_or(0.0))
-                .collect(),
-            None => vec![0.0; ctx.topo.num_links()],
-        };
-        let mut allocation = Allocation::new();
-        for slot in self.slots.iter().filter(|s| s.alive) {
-            for (ki, &(pair, _)) in slot.demand.bandwidth.iter().enumerate() {
-                for (ti, &fv) in slot.f_vars[ki].iter().enumerate() {
-                    let f = sol[fv];
-                    if f > 1e-9 {
-                        allocation.set(slot.demand.id, TunnelId { pair, tunnel: ti }, f);
-                    }
-                }
-            }
-        }
-        ScheduleResult {
-            total_bandwidth: sol.objective,
-            allocation,
-            link_prices,
-            solve_stats: sol.stats.clone(),
-            rowgen: Some(rg),
-        }
+    fn extract(&self, sol: &Solution, rg: RowGenStats) -> ScheduleResult {
+        let live = self.slots.iter().filter(|s| s.alive);
+        let members = live.map(|s| (&s.demand, &s.cols));
+        schedule_result(members, &self.capacity_row, sol, Some(rg))
     }
 }
 
@@ -976,8 +860,7 @@ mod tests {
     }
 
     fn cold_objective(ctx: &TeContext, demands: &[BaDemand]) -> f64 {
-        let caps: Vec<f64> = ctx.topo.links().map(|(_, l)| l.capacity).collect();
-        schedule_with_capacities_mode(ctx, demands, &caps, SolveMode::Full)
+        schedule_with_capacities_mode(ctx, demands, &ctx.link_capacities(), SolveMode::Full)
             .unwrap()
             .total_bandwidth
     }

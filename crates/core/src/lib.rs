@@ -26,7 +26,9 @@
 //! [`pricing`] (Azure-style SLA refund schedules), [`allocation`] (tunnel
 //! bandwidth assignments and their achieved availability), and
 //! [`profile`] (the per-demand scenario-collapsing device that keeps the
-//! LPs small — see module docs).
+//! LPs small — see module docs). The scheduling LP, the [`incremental`]
+//! master and the optimal-admission MILP are built from one private
+//! `model` module, which holds the formulation they share.
 //!
 //! ## Example
 //!
@@ -59,6 +61,7 @@ pub mod admission;
 pub mod allocation;
 pub mod demand;
 pub mod incremental;
+mod model;
 pub mod pricing;
 pub mod profile;
 pub mod recovery;
@@ -101,5 +104,11 @@ impl<'a> TeContext<'a> {
             tunnels,
             scenarios,
         }
+    }
+
+    /// Every link's full capacity, in link order — the capacity vector of
+    /// a schedule that has the whole network to itself.
+    pub fn link_capacities(&self) -> Vec<f64> {
+        self.topo.links().map(|(_, l)| l.capacity).collect()
     }
 }

@@ -21,33 +21,44 @@
 
 use crate::allocation::Allocation;
 use crate::demand::BaDemand;
+use crate::model::{self, DemandCols, Form};
 use crate::profile::MaskedProfile;
 use crate::TeContext;
-use bate_lp::{Problem, Relation, Sense, SolveError, SolveStats, VarId};
+use bate_lp::{Problem, Relation, Sense, Solution, SolveError, SolveStats};
 use bate_obs::{Counter, Histogram, Registry};
 use bate_routing::TunnelId;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+pub use crate::model::{separate_demand, ROWGEN_SEED_SINGLES};
 
 /// How [`schedule_with_capacities_mode`] builds and solves the LP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveMode {
-    /// Pick [`SolveMode::RowGen`] (with [`ROWGEN_SEED_SINGLES`] seeds)
-    /// when the full formulation would carry more than
-    /// [`ROWGEN_AUTO_THRESHOLD`] qualification rows; the full build
-    /// otherwise. This is what every production entry point uses.
+    /// Pick [`SolveMode::RowGen`] when the full formulation would carry
+    /// more than [`ROWGEN_AUTO_THRESHOLD`] qualification rows; the full
+    /// build otherwise. This is what every production entry point uses.
     Auto,
     /// Build every qualification row upfront — the reference formulation.
     Full,
     /// Cutting-plane row generation: the master LP starts with the
     /// qualification rows of the all-up state plus the states of the
-    /// `seed_singles` most probable single-failure scenarios, and grows
-    /// by exactly the rows a separation oracle finds violated.
-    RowGen { seed_singles: usize },
+    /// [`ROWGEN_SEED_SINGLES`] most probable single-failure scenarios,
+    /// and grows by exactly the rows a separation oracle finds violated.
+    RowGen,
 }
 
-/// Single-failure seeds the Auto mode hands to [`SolveMode::RowGen`].
-pub const ROWGEN_SEED_SINGLES: usize = 4;
+impl SolveMode {
+    /// Whether a model with `full_qual_rows` qualification rows in its
+    /// full formulation generates them lazily.
+    pub(crate) fn lazy(self, full_qual_rows: usize) -> bool {
+        match self {
+            SolveMode::Full => false,
+            SolveMode::RowGen => true,
+            SolveMode::Auto => full_qual_rows > ROWGEN_AUTO_THRESHOLD,
+        }
+    }
+}
 
 /// Auto switches to row generation above this many full-formulation
 /// qualification rows. Sized so every pinned test instance (toy4,
@@ -175,8 +186,7 @@ pub fn register_metrics() {
 
 /// Schedule all demands on the full link capacities.
 pub fn schedule(ctx: &TeContext, demands: &[BaDemand]) -> Result<ScheduleResult, SolveError> {
-    let caps: Vec<f64> = ctx.topo.links().map(|(_, l)| l.capacity).collect();
-    schedule_with_capacities(ctx, demands, &caps)
+    schedule_with_capacities_mode(ctx, demands, &ctx.link_capacities(), SolveMode::Auto)
 }
 
 /// [`schedule`] followed by a hardening pass.
@@ -243,7 +253,8 @@ pub fn place_single_hard(
     demand: &BaDemand,
     capacities: &[f64],
 ) -> Option<Allocation> {
-    if let Ok(res) = schedule_with_capacities(ctx, std::slice::from_ref(demand), capacities) {
+    let alone = std::slice::from_ref(demand);
+    if let Ok(res) = schedule_with_capacities_mode(ctx, alone, capacities, SolveMode::Auto) {
         if res.allocation.meets_target(ctx, demand) {
             return Some(res.allocation);
         }
@@ -392,29 +403,6 @@ pub fn harden(ctx: &TeContext, demands: &[BaDemand], result: &mut ScheduleResult
     violations
 }
 
-/// Schedule all demands against explicit per-link capacities (used by the
-/// fixed admission check, which schedules a newcomer on residual capacity).
-/// Mode is [`SolveMode::Auto`]: large instances solve by row generation,
-/// small ones build the full formulation.
-pub fn schedule_with_capacities(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    capacities: &[f64],
-) -> Result<ScheduleResult, SolveError> {
-    schedule_with_capacities_mode(ctx, demands, capacities, SolveMode::Auto)
-}
-
-/// [`schedule`] with an explicit [`SolveMode`] (goldens pin Full-vs-RowGen
-/// equivalence through this).
-pub fn schedule_mode(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    mode: SolveMode,
-) -> Result<ScheduleResult, SolveError> {
-    let caps: Vec<f64> = ctx.topo.links().map(|(_, l)| l.capacity).collect();
-    schedule_with_capacities_mode(ctx, demands, &caps, mode)
-}
-
 /// Build the full scheduling LP of Eq. 1–7 without solving it.
 ///
 /// This is the entry point for the exact certifying oracle and the
@@ -427,174 +415,70 @@ pub fn scheduling_lp(
     capacities: &[f64],
 ) -> Result<Problem, SolveError> {
     assert_eq!(capacities.len(), ctx.topo.num_links());
-    let tracked = ctx.scenarios.most_probable_singles(ROWGEN_SEED_SINGLES);
-    let profiles: Vec<MaskedProfile> =
-        bate_lp::par_map(demands, |d| MaskedProfile::collapse(ctx, d, &tracked));
-    Ok(build_lp(ctx, demands, capacities, &profiles, None)?.p)
+    let profiles = model::collapse_all(ctx, demands);
+    Ok(build_lp(ctx, demands, capacities, &profiles, false)?.p)
 }
 
-/// The LP under construction, with the variable/row handles the solve
-/// loop and the extraction code need.
+/// The row-generation master as its final round left it: seed rows, then
+/// the appended cuts in order. What `model_text_golden.rs` pins.
+#[doc(hidden)]
+pub fn rowgen_master(
+    ctx: &TeContext,
+    demands: &[BaDemand],
+    capacities: &[f64],
+) -> Result<Problem, SolveError> {
+    solve_mode(ctx, demands, capacities, SolveMode::RowGen).map(|(_, master)| master)
+}
+
+/// The LP under construction, with the handles the solve loop and the
+/// read-out need.
 struct BuiltLp {
     p: Problem,
-    /// `f[d][local pair][tunnel]`.
-    f_vars: Vec<Vec<Vec<VarId>>>,
-    /// `B[d][collapsed state]`.
-    b_vars: Vec<Vec<VarId>>,
+    /// Per demand, in `demands` order.
+    cols: Vec<DemandCols>,
     /// Row index of each link's capacity constraint (None: link unused).
     capacity_row: Vec<Option<usize>>,
 }
 
-/// Build the scheduling LP of Eq. 1–7. With `seeded = None` every
-/// qualification row is emitted (the full formulation, row order
-/// unchanged from the original builder); with `seeded = Some(flags)` only
-/// the flagged states' qualification rows are — the row-generation master.
+/// Build the scheduling LP of Eq. 1–7: every flow column, then per demand
+/// its Eq. 1 rows, `B` columns, qualification rows and Eq. 4 row, then
+/// the capacity rows. `lazy` keeps only the seed states' qualification
+/// rows — the row-generation master; otherwise every one is emitted.
 fn build_lp(
     ctx: &TeContext,
     demands: &[BaDemand],
     capacities: &[f64],
     profiles: &[MaskedProfile],
-    seeded: Option<&[Vec<bool>]>,
+    lazy: bool,
 ) -> Result<BuiltLp, SolveError> {
     let mut p = Problem::new(Sense::Minimize);
+    let flows = demands
+        .iter()
+        .map(|d| model::flow_columns(&mut p, ctx, d, 1.0))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // f[d][local pair][tunnel]
-    let mut f_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(demands.len());
-    for demand in demands {
-        let mut per_demand = Vec::with_capacity(demand.bandwidth.len());
-        for &(pair, _) in &demand.bandwidth {
-            let tunnels = ctx.tunnels.tunnels(pair);
-            let vars: Vec<VarId> = (0..tunnels.len())
-                .map(|t| {
-                    let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
-                    p.set_objective(v, 1.0);
-                    v
-                })
-                .collect();
-            per_demand.push(vars);
-        }
-        f_vars.push(per_demand);
+    let mut cols: Vec<DemandCols> = Vec::with_capacity(demands.len());
+    for ((demand, profile), f) in demands.iter().zip(profiles).zip(flows) {
+        model::coverage_rows(&mut p, demand, &f);
+        let mut c = DemandCols::new(&mut p, Form::Scheduling, demand, profile, f);
+        c.add_rows(&mut p, demand, profile, lazy, None);
+        p.add_constraint(&c.availability_terms(profile), Relation::Ge, demand.beta);
+        cols.push(c);
     }
 
-    let mut b_vars: Vec<Vec<VarId>> = Vec::with_capacity(demands.len());
-    for (di, demand) in demands.iter().enumerate() {
-        // Eq. 1: demand coverage in the no-failure case.
-        for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-            let terms: Vec<(VarId, f64)> = f_vars[di][ki].iter().map(|&v| (v, 1.0)).collect();
-            if terms.is_empty() {
-                return Err(SolveError::BadModel(format!(
-                    "demand {} requests a pair with no tunnels",
-                    demand.id.0
-                )));
-            }
-            p.add_constraint(&terms, Relation::Ge, b);
-        }
-
-        // Eq. 2–4 over collapsed states. Every B variable exists up front
-        // regardless of mode (rows can be appended later, columns cannot).
-        let profile = &profiles[di];
-        let bv: Vec<VarId> = (0..profile.len())
-            .map(|s| p.add_bounded_var(&format!("B[{}][{s}]", demand.id.0), 1.0))
-            .collect();
-        for (si, state) in profile.states.iter().enumerate() {
-            if let Some(flags) = seeded {
-                if !flags[di][si] {
-                    continue;
-                }
-            }
-            for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-                // b * B_d^s - Σ_t f v <= 0
-                let mut terms: Vec<(VarId, f64)> = vec![(bv[si], b)];
-                for (ti, &fv) in f_vars[di][ki].iter().enumerate() {
-                    if state.masks[ki] >> ti & 1 == 1 {
-                        terms.push((fv, -1.0));
-                    }
-                }
-                p.add_constraint(&terms, Relation::Le, 0.0);
-            }
-        }
-        let avail_terms: Vec<(VarId, f64)> = bv
-            .iter()
-            .zip(&profile.states)
-            .map(|(&v, s)| (v, s.probability))
-            .collect();
-        p.add_constraint(&avail_terms, Relation::Ge, demand.beta);
-        b_vars.push(bv);
-    }
-
-    // Eq. 6: link capacity.
-    let mut per_link_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ctx.topo.num_links()];
-    for (di, demand) in demands.iter().enumerate() {
-        for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {
-            for (ti, &fv) in f_vars[di][ki].iter().enumerate() {
-                let path = ctx.tunnels.path(TunnelId { pair, tunnel: ti });
-                for &l in &path.links {
-                    per_link_terms[l.index()].push((fv, 1.0));
-                }
-            }
-        }
-    }
-    let mut capacity_row: Vec<Option<usize>> = vec![None; ctx.topo.num_links()];
-    for (li, terms) in per_link_terms.iter().enumerate() {
-        if !terms.is_empty() {
-            capacity_row[li] = Some(p.add_constraint(terms, Relation::Le, capacities[li]));
-        }
-    }
+    let capacity_row =
+        model::add_capacity_rows(&mut p, ctx, demands.iter().zip(&cols), capacities);
     Ok(BuiltLp {
         p,
-        f_vars,
-        b_vars,
+        cols,
         capacity_row,
     })
 }
 
-/// Sum the flow values of the tunnels whose mask bit is set — the
-/// bitset sweep at the heart of the separation oracle. Bits are consumed
-/// lowest-first, so the summation order matches the full formulation's
-/// tunnel-index walk exactly (bit-identical accumulation).
-fn masked_flow_sum(mut mask: u64, f: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    while mask != 0 {
-        sum += f[mask.trailing_zeros() as usize];
-        mask &= mask - 1;
-    }
-    sum
-}
-
-/// Separation oracle for one demand: evaluate every not-yet-added
-/// qualification row `b·B_s − Σ_{t up} f_t ≤ 0` of Eq. 2–3 at the
-/// candidate point and return the `(state, pair)` indices violated beyond
-/// `1e-9 · (1 + b)` — the same relative scale the golden equivalence
-/// bound uses, so a clean pass certifies full-formulation optimality.
-///
-/// `f_vals[ki][ti]` are the demand's tunnel flows, `b_vals[si]` its
-/// delivered-fraction variables, and `added[si * pairs + ki]` flags rows
-/// already in the master (skipped — the LP enforces them already, and
-/// skipping guarantees the cutting-plane loop terminates).
-pub fn separate_demand(
-    demand: &BaDemand,
-    profile: &MaskedProfile,
-    f_vals: &[Vec<f64>],
-    b_vals: &[f64],
-    added: &[bool],
-) -> Vec<(usize, usize)> {
-    let pairs = demand.bandwidth.len();
-    let mut out = Vec::new();
-    for (si, state) in profile.states.iter().enumerate() {
-        for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
-            if added[si * pairs + ki] {
-                continue;
-            }
-            let lhs = b * b_vals[si] - masked_flow_sum(state.masks[ki], &f_vals[ki]);
-            if lhs > 1e-9 * (1.0 + b.abs()) {
-                out.push((si, ki));
-            }
-        }
-    }
-    out
-}
-
-/// Schedule with an explicit capacity vector and [`SolveMode`].
+/// Schedule with an explicit capacity vector and [`SolveMode`] — the
+/// general form behind [`schedule`] (full capacities, `Auto`), the fixed
+/// admission check and hardening (residual capacities, `Auto`), and the
+/// Full-vs-RowGen goldens.
 ///
 /// The row-generation path is *exactly equivalent* to the full build: the
 /// master LP's feasible set is a superset (fewer rows), so its optimum
@@ -612,20 +496,6 @@ pub fn schedule_with_capacities_mode(
     solve_mode(ctx, demands, capacities, mode).map(|(result, _)| result)
 }
 
-/// The row-generation master as its final round left it: seed rows, then
-/// the appended cuts in order. What `model_text_golden.rs` pins.
-#[doc(hidden)]
-pub fn rowgen_master(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    capacities: &[f64],
-) -> Result<Problem, SolveError> {
-    let mode = SolveMode::RowGen {
-        seed_singles: ROWGEN_SEED_SINGLES,
-    };
-    solve_mode(ctx, demands, capacities, mode).map(|(_, master)| master)
-}
-
 fn solve_mode(
     ctx: &TeContext,
     demands: &[BaDemand],
@@ -633,232 +503,79 @@ fn solve_mode(
     mode: SolveMode,
 ) -> Result<(ScheduleResult, Problem), SolveError> {
     assert_eq!(capacities.len(), ctx.topo.num_links());
-
-    let seed_singles = match mode {
-        SolveMode::RowGen { seed_singles } => seed_singles,
-        _ => ROWGEN_SEED_SINGLES,
-    };
-    let tracked = ctx.scenarios.most_probable_singles(seed_singles);
-    // Collapsing sweeps every enumerated scenario per demand; profiles are
-    // independent, so fan the sweep out (deterministic fork-join).
-    let profiles: Vec<MaskedProfile> =
-        bate_lp::par_map(demands, |d| MaskedProfile::collapse(ctx, d, &tracked));
-
-    let full_qual_rows: usize = profiles
-        .iter()
-        .zip(demands)
-        .map(|(pr, d)| pr.len() * d.bandwidth.len())
-        .sum();
-    let use_rowgen = match mode {
-        SolveMode::Full => false,
-        SolveMode::RowGen { .. } => true,
-        SolveMode::Auto => full_qual_rows > ROWGEN_AUTO_THRESHOLD,
-    };
+    let profiles = model::collapse_all(ctx, demands);
+    let full_qual_rows = model::full_qualification_rows(demands, &profiles);
+    let lazy = mode.lazy(full_qual_rows);
+    let mut built = build_lp(ctx, demands, capacities, &profiles, lazy)?;
 
     let m = sched_metrics();
-    if !use_rowgen {
-        let built = build_lp(ctx, demands, capacities, &profiles, None)?;
-        let t0 = Instant::now();
-        let sol = match built.p.solve() {
-            Ok(sol) => sol,
-            Err(e) => {
-                m.solve_errors.inc();
-                return Err(e);
-            }
-        };
+    let book_solve = |stats: &SolveStats, wall: Duration| {
         m.solves.inc();
-        m.lp_iterations.add(sol.stats.iterations());
-        m.lp_pivots.add(sol.stats.pivots);
-        m.solve_ms.observe_ms(t0.elapsed());
-        return Ok((extract_result(ctx, demands, &built, sol, None), built.p));
+        m.lp_iterations.add(stats.iterations());
+        m.lp_pivots.add(stats.pivots);
+        m.solve_ms.observe_ms(wall);
+    };
+    if !lazy {
+        let t0 = Instant::now();
+        let sol = built.p.solve().inspect_err(|_| m.solve_errors.inc())?;
+        book_solve(&sol.stats, t0.elapsed());
+        let members = demands.iter().zip(&built.cols);
+        let result = schedule_result(members, &built.capacity_row, &sol, None);
+        return Ok((result, built.p));
     }
 
-    // --- Cutting-plane row generation ---------------------------------
-    // Seed states: the all-up state plus wherever the tracked most-likely
-    // single-failure scenarios collapsed to.
-    let seeded: Vec<Vec<bool>> = profiles
+    // Cutting-plane row generation (`bate_lp::solve_lp_lazy` is the loop;
+    // this side supplies the separation oracle and books the rounds).
+    let seed_qual_rows: usize = built
+        .cols
         .iter()
-        .map(|pr| {
-            let mut flags = vec![false; pr.len()];
-            if !flags.is_empty() {
-                flags[0] = true; // scenario 0 (all-up) is always state 0
-            }
-            for &si in &pr.tracked_states {
-                flags[si] = true;
-            }
-            flags
-        })
-        .collect();
-
-    let mut built = build_lp(ctx, demands, capacities, &profiles, Some(&seeded))?;
-    let seed_qual_rows: usize = seeded
-        .iter()
-        .zip(demands)
-        .map(|(flags, d)| flags.iter().filter(|&&f| f).count() * d.bandwidth.len())
+        .map(|c| c.added.iter().filter(|&&held| held).count())
         .sum();
     let mut rg = RowGenStats {
         full_rows: (built.p.num_constraints() + full_qual_rows - seed_qual_rows) as u32,
         ..RowGenStats::default()
     };
-
-    // Row-presence flags, `added[di][si * pairs + ki]`.
-    let mut added: Vec<Vec<bool>> = demands
-        .iter()
-        .enumerate()
-        .map(|(di, d)| {
-            let pairs = d.bandwidth.len();
-            let mut flags = vec![false; profiles[di].len() * pairs];
-            for (si, &s) in seeded[di].iter().enumerate() {
-                if s {
-                    for ki in 0..pairs {
-                        flags[si * pairs + ki] = true;
-                    }
-                }
-            }
-            flags
-        })
-        .collect();
-
-    let order: Vec<usize> = (0..demands.len()).collect();
-    let mut ws = bate_lp::Workspace::new();
-    // Whether `ws` is a fresh workspace (no warm basis to install). A
-    // warm-started master can degenerate-cycle into the simplex guards
-    // (IterationLimit) even when the identical LP solves cleanly from
-    // scratch — the warm install's tolerance repairs can drop phase 1
-    // into a stalled near-feasible corner. Any error on a warm attempt is
-    // therefore retried cold once before being propagated, so the rowgen
-    // path never fails on an instance the full formulation would solve.
-    let mut ws_cold = true;
-    let sol = loop {
-        let t0 = Instant::now();
-        let sol = match bate_lp::simplex::solve_with(&built.p, &[], &mut ws) {
-            Ok(sol) => sol,
-            Err(_) if !ws_cold => {
-                rg.cold_verifies += 1;
-                ws = bate_lp::Workspace::new();
-                match bate_lp::simplex::solve_with(&built.p, &[], &mut ws) {
-                    Ok(sol) => sol,
-                    Err(e) => {
-                        m.solve_errors.inc();
-                        return Err(e);
-                    }
-                }
-            }
-            Err(e) => {
-                m.solve_errors.inc();
-                return Err(e);
-            }
-        };
-        ws_cold = false;
-        m.solves.inc();
-        m.lp_iterations.add(sol.stats.iterations());
-        m.lp_pivots.add(sol.stats.pivots);
-        m.solve_ms.observe_ms(t0.elapsed());
-        rg.rounds += 1;
-
-        // Parallel bitset sweep over every demand's collapsed states.
+    let mut log = bate_lp::LazyLpLog::default();
+    let solved = bate_lp::solve_lp_lazy(&mut built.p, &mut log, |sol| {
         let t_sep = Instant::now();
-        let violated: Vec<Vec<(usize, usize)>> = bate_lp::par_map(&order, |&di| {
-            let f_vals: Vec<Vec<f64>> = built.f_vars[di]
-                .iter()
-                .map(|per_pair| per_pair.iter().map(|&v| sol[v]).collect())
-                .collect();
-            let b_vals: Vec<f64> = built.b_vars[di].iter().map(|&v| sol[v]).collect();
-            separate_demand(&demands[di], &profiles[di], &f_vals, &b_vals, &added[di])
-        });
+        let violated = model::sweep(demands, &profiles, &built.cols, sol);
         rg.separation_ns += t_sep.elapsed().as_nanos() as u64;
-
-        let fresh: usize = violated.iter().map(|v| v.len()).sum();
-        rg.rows_per_round.push(fresh as u32);
-        if fresh == 0 {
-            // Clean separation — but only accept a *cold-solved* optimum.
-            // A warm install repairs violated appended rows through
-            // `PHASE1_TOL`-scale tolerances, and on ill-conditioned
-            // instances (availability rows mix ~1e3 bandwidths with
-            // ~1e-12 scenario probabilities) that perturbation moves the
-            // claimed optimum by far more than the golden equivalence
-            // bound, in either direction. Re-solving the final master
-            // from scratch routes the accepted vertex through the exact
-            // same code path the full formulation uses.
-            if !sol.stats.warm_start {
-                break sol; // cold-verified: optimal for the full LP
-            }
-            rg.cold_verifies += 1;
-            ws = bate_lp::Workspace::new();
-            ws_cold = true;
-            continue;
-        }
-        rg.rows_added += fresh as u64;
-        for (di, rows) in violated.iter().enumerate() {
-            let pairs = demands[di].bandwidth.len();
-            for &(si, ki) in rows {
-                let b = demands[di].bandwidth[ki].1;
-                let mut terms: Vec<(VarId, f64)> = vec![(built.b_vars[di][si], b)];
-                for (ti, &fv) in built.f_vars[di][ki].iter().enumerate() {
-                    if profiles[di].states[si].masks[ki] >> ti & 1 == 1 {
-                        terms.push((fv, -1.0));
-                    }
-                }
-                built.p.add_constraint(&terms, Relation::Le, 0.0);
-                added[di][si * pairs + ki] = true;
-            }
-        }
-        // O(nnz of the new rows): extend the prepared layout and re-arm
-        // the warm basis instead of rebuilding. The guard cannot fire on
-        // this loop's problem (same vars, appended rows only), but fall
-        // back to a cold workspace rather than trust that.
-        if !ws.append_rows(&built.p) {
-            ws = bate_lp::Workspace::new();
-        }
-    };
+        model::cuts(demands, &profiles, &mut built.cols, &violated)
+    });
+    for (stats, wall) in &log.solves {
+        book_solve(stats, *wall);
+    }
+    let sol = solved.inspect_err(|_| m.solve_errors.inc())?;
+    rg.rounds = log.solves.len() as u32;
+    rg.cold_verifies = log.cold_verifies;
+    rg.rows_added = log.rows_per_round.iter().map(|&r| r as u64).sum();
+    rg.rows_per_round = log.rows_per_round;
     rg.master_rows = built.p.num_constraints() as u32;
     m.rowgen_rounds.add(rg.rounds as u64);
     m.rowgen_rows.add(rg.rows_added);
     m.rowgen_separation_ns
-        .observe_ns(std::time::Duration::from_nanos(rg.separation_ns));
+        .observe_ns(Duration::from_nanos(rg.separation_ns));
     m.solve_phase_separation_ns
-        .observe_ns(std::time::Duration::from_nanos(rg.separation_ns));
+        .observe_ns(Duration::from_nanos(rg.separation_ns));
 
-    Ok((extract_result(ctx, demands, &built, sol, Some(rg)), built.p))
+    let members = demands.iter().zip(&built.cols);
+    let result = schedule_result(members, &built.capacity_row, &sol, Some(rg));
+    Ok((result, built.p))
 }
 
-/// Turn the final LP vertex into a [`ScheduleResult`]: link shadow prices
-/// from the duals, then the sparse tunnel allocation.
-fn extract_result(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    built: &BuiltLp,
-    sol: bate_lp::Solution,
+/// Turn an LP vertex into a [`ScheduleResult`]: link shadow prices from
+/// the duals, then the sparse tunnel allocation of `members`.
+pub(crate) fn schedule_result<'a>(
+    members: impl IntoIterator<Item = (&'a BaDemand, &'a DemandCols)>,
+    capacity_row: &[Option<usize>],
+    sol: &Solution,
     rowgen: Option<RowGenStats>,
 ) -> ScheduleResult {
-    // Link shadow prices from the LP duals. For this minimization the dual
-    // of a Le capacity row is ≤ 0 (more capacity can only reduce the total
-    // bandwidth needed); report the magnitude as the link's price.
-    let link_prices: Vec<f64> = match &sol.duals {
-        Some(duals) => built
-            .capacity_row
-            .iter()
-            .map(|row| row.map(|r| duals[r].abs()).unwrap_or(0.0))
-            .collect(),
-        None => vec![0.0; ctx.topo.num_links()],
-    };
-
-    let mut allocation = Allocation::new();
-    for (di, demand) in demands.iter().enumerate() {
-        for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {
-            for (ti, &fv) in built.f_vars[di][ki].iter().enumerate() {
-                let f = sol[fv];
-                if f > 1e-9 {
-                    allocation.set(demand.id, TunnelId { pair, tunnel: ti }, f);
-                }
-            }
-        }
-    }
     ScheduleResult {
         total_bandwidth: sol.objective,
-        allocation,
-        link_prices,
-        solve_stats: sol.stats,
+        allocation: model::read_allocation(members, sol),
+        link_prices: model::link_prices(sol, capacity_row),
+        solve_stats: sol.stats.clone(),
         rowgen,
     }
 }
@@ -1099,7 +816,9 @@ mod tests {
         // Leave only 4 Gbps on every link: the 8 Gbps demand splits, but if
         // we zero one path's capacity it becomes infeasible at 0.9 target.
         let caps: Vec<f64> = ctx.topo.links().map(|_| 4000.0).collect();
-        let res = schedule_with_capacities(&ctx, std::slice::from_ref(&d), &caps).unwrap();
+        let res =
+            schedule_with_capacities_mode(&ctx, std::slice::from_ref(&d), &caps, SolveMode::Auto)
+                .unwrap();
         assert!(res.allocation.respects_capacity_with(&ctx, &caps));
     }
 

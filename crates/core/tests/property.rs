@@ -214,11 +214,12 @@ proptest! {
     /// (when feasible) the optimal objective, for arbitrary demand sets.
     #[test]
     fn rowgen_equals_full_on_random_demands(demands in demand_strategy(30, 4)) {
-        use bate_core::scheduling::{schedule_mode, SolveMode};
+        use bate_core::scheduling::{schedule_with_capacities_mode, SolveMode};
         let (topo, tunnels, scenarios) = testbed();
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let full = schedule_mode(&ctx, &demands, SolveMode::Full);
-        let lazy = schedule_mode(&ctx, &demands, SolveMode::RowGen { seed_singles: 4 });
+        let caps = ctx.link_capacities();
+        let full = schedule_with_capacities_mode(&ctx, &demands, &caps, SolveMode::Full);
+        let lazy = schedule_with_capacities_mode(&ctx, &demands, &caps, SolveMode::RowGen);
         match (full, lazy) {
             (Ok(f), Ok(l)) => {
                 let scale = 1.0 + f.total_bandwidth.abs().max(l.total_bandwidth.abs());

@@ -12,7 +12,7 @@
 //! worker scheduling must never leak into results).
 
 use bate_core::admission::optimal::{maximize_admissions_mode, optimal_feasible_mode};
-use bate_core::scheduling::{self, SolveMode, ROWGEN_SEED_SINGLES};
+use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, TeContext};
 use bate_lp::SolveError;
 use bate_net::{topologies, traffic, ScenarioSet, Topology};
@@ -21,9 +21,7 @@ use bate_routing::{RoutingScheme, TunnelSet};
 const SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
 
 fn rowgen_mode() -> SolveMode {
-    SolveMode::RowGen {
-        seed_singles: ROWGEN_SEED_SINGLES,
-    }
+    SolveMode::RowGen
 }
 
 /// Relative-tolerance equality for objectives.
@@ -90,8 +88,11 @@ fn rowgen_matches_full_objective_and_hardening() {
             let demands = gravity_demands(&topo, &tunnels, n, total, seed);
             let tag = format!("{} y={y} seed={seed}", topo.name());
 
-            let full = scheduling::schedule_mode(&ctx, &demands, SolveMode::Full);
-            let lazy = scheduling::schedule_mode(&ctx, &demands, rowgen_mode());
+            let caps = ctx.link_capacities();
+            let full =
+                scheduling::schedule_with_capacities_mode(&ctx, &demands, &caps, SolveMode::Full);
+            let lazy =
+                scheduling::schedule_with_capacities_mode(&ctx, &demands, &caps, rowgen_mode());
             match (full, lazy) {
                 (Ok(mut f), Ok(mut l)) => {
                     assert!(
@@ -269,7 +270,9 @@ fn rowgen_path_is_deterministic_across_thread_counts() {
 
     let run = |threads: usize| -> Fingerprint {
         bate_lp::par::with_thread_count(threads, || {
-            let res = scheduling::schedule_mode(&ctx, &demands, rowgen_mode()).unwrap();
+            let caps = ctx.link_capacities();
+            let res = scheduling::schedule_with_capacities_mode(&ctx, &demands, &caps, rowgen_mode())
+                .unwrap();
             let mut flows: Vec<(u64, usize, usize, u64)> = Vec::new();
             for d in &demands {
                 for (tid, f) in res.allocation.flows_of(d.id) {

@@ -53,7 +53,7 @@ pub use error::SolveError;
 pub use export::LpParseError;
 pub use par::{par_map, par_map_with, thread_count};
 pub use problem::{Problem, Relation, Sense, VarId, VarKind};
-pub use milp::{solve_lazy, solve_traced_lazy, LazyRow};
+pub use milp::{solve_lazy, solve_lp_lazy, solve_traced_lazy, LazyLpLog, LazyRow};
 pub use simplex::{register_phase_metrics, Basis, Workspace};
 pub use solution::Solution;
 pub use stats::{IncumbentPoint, MilpStats, SolveStats};

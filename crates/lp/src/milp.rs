@@ -30,8 +30,9 @@ use crate::par::par_map_with;
 use crate::problem::{Problem, Relation, Sense, VarId, VarKind};
 use crate::simplex::{self, BoundOverride};
 use crate::solution::Solution;
-use crate::stats::{IncumbentPoint, MilpStats};
+use crate::stats::{IncumbentPoint, MilpStats, SolveStats};
 use crate::INT_EPS;
+use std::time::{Duration, Instant};
 
 /// Nodes evaluated per parallel batch. Fixed (not derived from the thread
 /// count) so search behavior is reproducible on any machine.
@@ -78,6 +79,110 @@ pub fn solve_lazy(
     separate: impl FnMut(&Solution) -> Vec<LazyRow>,
 ) -> Result<Solution, SolveError> {
     solve_traced_lazy(problem, config, separate).map(|(s, _)| s)
+}
+
+/// What [`solve_lp_lazy`] did, filled in as it goes so that a caller can
+/// book the master solves of a run that ended in an error too.
+#[derive(Debug, Default)]
+pub struct LazyLpLog {
+    /// Kernel counters and wall time of every master solve that reached an
+    /// optimum, in round order. A cold retry is part of the round it
+    /// rescued: one entry, the retry's counters, both attempts' time.
+    pub solves: Vec<(SolveStats, Duration)>,
+    /// Master solves redone from a cold workspace: a warm solve that
+    /// failed, or a warm optimum that separated clean.
+    pub cold_verifies: u32,
+    /// Rows appended after each round. The last entry of a finished run is
+    /// 0, the clean pass on a cold optimum; an interior 0 is a clean pass
+    /// on a warm one, which is verified cold before it is accepted.
+    pub rows_per_round: Vec<u32>,
+}
+
+/// The LP cutting-plane loop: solve the master, ask `separate` for rows of
+/// the full formulation the optimum violates, append them, repeat until a
+/// **cold-solved** optimum separates clean. Each round warm-starts from
+/// the previous basis through [`simplex::Workspace::append_rows`].
+///
+/// The master only ever lacks rows, so its optimum bounds the full
+/// formulation's and an infeasible master proves the full LP infeasible;
+/// the optimum that separates clean is feasible for, hence optimal in, the
+/// full formulation. `separate` may skip rows it already reported.
+pub fn solve_lp_lazy(
+    problem: &mut Problem,
+    log: &mut LazyLpLog,
+    separate: impl FnMut(&Solution) -> Vec<LazyRow>,
+) -> Result<Solution, SolveError> {
+    lazy_lp_loop(
+        problem,
+        log,
+        |p, ws| simplex::solve_with(p, &[], ws),
+        separate,
+    )
+}
+
+/// [`solve_lp_lazy`] over an injectable master solver (the unit tests
+/// substitute one that fails on demand).
+fn lazy_lp_loop(
+    problem: &mut Problem,
+    log: &mut LazyLpLog,
+    mut solve: impl FnMut(&Problem, &mut simplex::Workspace) -> Result<Solution, SolveError>,
+    mut separate: impl FnMut(&Solution) -> Vec<LazyRow>,
+) -> Result<Solution, SolveError> {
+    let mut ws = simplex::Workspace::new();
+    // Whether `ws` is a fresh workspace (no warm basis to install). A
+    // warm-started master can degenerate-cycle into the simplex guards
+    // (IterationLimit) even when the identical LP solves cleanly from
+    // scratch — the warm install's tolerance repairs can drop phase 1
+    // into a stalled near-feasible corner. Any error on a warm attempt is
+    // therefore retried cold once before being propagated, so the lazy
+    // path never fails on an instance the full formulation would solve.
+    let mut ws_cold = true;
+    loop {
+        let t0 = Instant::now();
+        let sol = match solve(problem, &mut ws) {
+            Ok(sol) => sol,
+            Err(_) if !ws_cold => {
+                log.cold_verifies += 1;
+                ws = simplex::Workspace::new();
+                solve(problem, &mut ws)?
+            }
+            Err(e) => return Err(e),
+        };
+        ws_cold = false;
+        log.solves.push((sol.stats.clone(), t0.elapsed()));
+
+        let cuts = separate(&sol);
+        log.rows_per_round.push(cuts.len() as u32);
+        if cuts.is_empty() {
+            // Clean separation — but only accept a *cold-solved* optimum.
+            // A warm install repairs violated appended rows through
+            // `PHASE1_TOL`-scale tolerances, and on ill-conditioned
+            // instances (availability rows mix ~1e3 bandwidths with
+            // ~1e-12 scenario probabilities) that perturbation moves the
+            // claimed optimum by far more than the golden equivalence
+            // bound, in either direction. Re-solving the final master
+            // from scratch routes the accepted vertex through the exact
+            // same code path the full formulation uses; its optimum is
+            // then separated again.
+            if !sol.stats.warm_start {
+                return Ok(sol);
+            }
+            log.cold_verifies += 1;
+            ws = simplex::Workspace::new();
+            ws_cold = true;
+            continue;
+        }
+        for cut in &cuts {
+            problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
+        }
+        // O(nnz of the new rows): extend the prepared layout and re-arm
+        // the warm basis instead of rebuilding. The guard cannot fire on
+        // this loop's problem (same vars, appended rows only), but fall
+        // back to a cold workspace rather than trust that.
+        if !ws.append_rows(problem) {
+            ws = simplex::Workspace::new();
+        }
+    }
 }
 
 /// Branch-and-cut: branch-and-bound over a master problem that holds only
@@ -138,48 +243,15 @@ pub fn solve_traced_lazy(
         .collect();
     let mut stats = MilpStats::default();
     if int_vars.is_empty() {
-        // Pure LP: a plain cutting-plane loop over one workspace, each
-        // round warm-started from the previous basis via `append_rows`.
-        let mut ws = simplex::Workspace::new();
-        // A warm-started solve can degenerate-cycle into the simplex
-        // guards on an LP that solves cleanly from scratch; any error on
-        // a warm attempt is retried cold once before being propagated.
-        let mut ws_cold = true;
-        let sol = loop {
-            let sol = match simplex::solve_with(problem, &[], &mut ws) {
-                Ok(sol) => sol,
-                Err(_) if !ws_cold => {
-                    ws = simplex::Workspace::new();
-                    simplex::solve_with(problem, &[], &mut ws)?
-                }
-                Err(e) => return Err(e),
-            };
-            ws_cold = false;
-            stats.nodes += 1;
-            stats.lp_iterations += sol.stats.iterations();
-            stats.lp_pivots += sol.stats.pivots;
-            stats.separation_calls += 1;
-            let cuts = separate(&sol);
-            if cuts.is_empty() {
-                // Only accept an optimum from a cold solve: warm installs
-                // repair violated appended rows through phase-1 tolerances,
-                // which on ill-conditioned rows can shift the claimed
-                // optimum beyond the exact-equivalence guarantee. A clean
-                // pass on a warm solve triggers one cold re-solve of the
-                // same master; its (exact) optimum is then re-separated.
-                if !sol.stats.warm_start {
-                    break sol;
-                }
-                ws = simplex::Workspace::new();
-                ws_cold = true;
-                continue;
-            }
-            stats.lazy_rows_added += cuts.len() as u64;
-            for cut in &cuts {
-                problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
-            }
-            ws.append_rows(problem);
-        };
+        let mut log = LazyLpLog::default();
+        let sol = solve_lp_lazy(problem, &mut log, separate)?;
+        stats.nodes = log.solves.len() as u64;
+        stats.separation_calls = stats.nodes;
+        for (solve, _) in &log.solves {
+            stats.lp_iterations += solve.iterations();
+            stats.lp_pivots += solve.pivots;
+        }
+        stats.lazy_rows_added = log.rows_per_round.iter().map(|&r| r as u64).sum();
         stats.incumbents.push(IncumbentPoint {
             node: stats.nodes,
             objective: sol.objective,
@@ -883,6 +955,104 @@ mod tests {
             }
             assert_eq!(base_stats, stats, "stats differ at {threads} threads");
         }
+    }
+
+    /// `min x + y` over `x + y >= 1/4`, with `x + y >= 2` held back: one
+    /// cut, then a clean pass.
+    fn one_cut_master() -> (Problem, LazyRow) {
+        let mut master = Problem::new(Sense::Minimize);
+        let x = master.add_var("x");
+        let y = master.add_var("y");
+        master.set_objective(x, 1.0);
+        master.set_objective(y, 1.0);
+        master.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 0.25);
+        let hidden = LazyRow {
+            terms: vec![(x, 1.0), (y, 1.0)],
+            relation: Relation::Ge,
+            rhs: 2.0,
+        };
+        (master, hidden)
+    }
+
+    /// An oracle that reports `hidden` while a candidate violates it.
+    fn oracle(hidden: LazyRow) -> impl FnMut(&Solution) -> Vec<LazyRow> {
+        move |cand| {
+            let lhs: f64 = hidden.terms.iter().map(|&(v, c)| c * cand[v]).sum();
+            if lhs < hidden.rhs - 1e-9 {
+                vec![hidden.clone()]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_lp_verifies_a_clean_warm_pass_cold() {
+        let (mut master, hidden) = one_cut_master();
+        let mut log = LazyLpLog::default();
+        let sol = solve_lp_lazy(&mut master, &mut log, oracle(hidden)).unwrap();
+        approx(sol.objective, 2.0);
+        // Cold, cut; warm and clean — not accepted; cold again, clean.
+        assert_eq!(log.rows_per_round, vec![1, 0, 0]);
+        assert_eq!(log.cold_verifies, 1);
+        let warm: Vec<bool> = log.solves.iter().map(|(s, _)| s.warm_start).collect();
+        assert_eq!(warm, vec![false, true, false]);
+        assert!(!sol.stats.warm_start, "the accepted vertex is cold-solved");
+        assert_eq!(master.num_constraints(), 2);
+    }
+
+    #[test]
+    fn lazy_lp_retries_a_failed_warm_solve_cold_once() {
+        // A master solver that fails `failures` times on a workspace that
+        // carries a warm basis, and after that whenever `then_always`.
+        let run = |mut failures: u32, then_always: bool| {
+            let (mut master, hidden) = one_cut_master();
+            let mut log = LazyLpLog::default();
+            let mut calls = Vec::new();
+            let res = lazy_lp_loop(
+                &mut master,
+                &mut log,
+                |p, ws| {
+                    let warm = ws.final_basis().is_some();
+                    calls.push(warm);
+                    if (warm && failures > 0) || (calls.len() > 1 && then_always) {
+                        failures = failures.saturating_sub(1);
+                        return Err(SolveError::IterationLimit);
+                    }
+                    simplex::solve_with(p, &[], ws)
+                },
+                oracle(hidden),
+            );
+            (res, log, calls)
+        };
+
+        // The warm round fails once: redone on a fresh workspace, and the
+        // retry's optimum, being cold, is accepted on its clean pass.
+        let (res, log, calls) = run(1, false);
+        approx(res.unwrap().objective, 2.0);
+        assert_eq!(calls, vec![false, true, false]);
+        assert_eq!(log.solves.len(), 2, "the retry is part of its round");
+        assert_eq!((log.cold_verifies, &log.rows_per_round[..]), (1, &[1, 0][..]));
+
+        // The retry fails too: that error is the answer, after one retry.
+        let (res, log, calls) = run(1, true);
+        assert_eq!(res.unwrap_err(), SolveError::IterationLimit);
+        assert_eq!(calls, vec![false, true, false]);
+        assert_eq!(log.solves.len(), 1, "the first round stays booked");
+
+        // An error on a cold solve is not retried.
+        let (mut master, hidden) = one_cut_master();
+        let mut calls = 0;
+        let res = lazy_lp_loop(
+            &mut master,
+            &mut LazyLpLog::default(),
+            |_, _| {
+                calls += 1;
+                Err(SolveError::Infeasible)
+            },
+            oracle(hidden),
+        );
+        assert_eq!((res.unwrap_err(), calls), (SolveError::Infeasible, 1));
     }
 
     #[test]

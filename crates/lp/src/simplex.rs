@@ -261,9 +261,10 @@ impl Workspace {
     /// count, total prefix term count), deliberately not a content hash:
     /// an in-place mutation that preserves the term count passes it, and
     /// the workspace would then silently solve against the stale prepared
-    /// copy of that row — an answer to the wrong problem. Every in-tree
-    /// caller (the cutting-plane loops in [`crate::milp`]) only ever
-    /// appends; uphold the same contract or rebuild the workspace.
+    /// copy of that row — an answer to the wrong problem. The one in-tree
+    /// caller ([`crate::milp::solve_lp_lazy`], the cutting-plane loop)
+    /// only ever appends; uphold the same contract or rebuild the
+    /// workspace.
     pub fn append_rows(&mut self, problem: &Problem) -> bool {
         let Some(prepared) = self.prepared.as_mut() else {
             return false;
@@ -668,12 +669,12 @@ struct Tableau {
     /// are zero, so an appended column (see [`live`]) is already in place.
     a: Vec<f64>,
     stride: usize,
-    /// Leave half again of head-room in `stride` at the next `build`, and
-    /// take a newly needed matrix as zero pages rather than memset it, so
-    /// that the head-room costs address space only: set for tableaus that
-    /// will be kept live and grown. (The incremental scheduler rebuilds
-    /// its master before retired columns pass 30 % of it, that is before
-    /// it has grown by 43 %.)
+    /// Leave half again of head-room in `stride` at the next `build`: set
+    /// for tableaus that will be kept live and grown. A matrix that has
+    /// to be allocated is taken as zero pages, so the head-room costs
+    /// address space only. (The incremental scheduler rebuilds its master
+    /// before retired columns pass 30 % of it, that is before it has
+    /// grown by 43 %.)
     roomy: bool,
     /// Current value of each row's basic variable.
     xb: Vec<f64>,
@@ -855,9 +856,9 @@ impl Tableau {
         } else {
             self.stride = if self.roomy { cols + cols / 2 } else { cols };
             let cells = m * self.stride;
-            if self.roomy && self.a.capacity() < cells {
-                // Fresh zero pages instead of a memset: head-room that is
-                // never written is never faulted in.
+            if self.a.capacity() < cells {
+                // Fresh zero pages instead of a memset: cells that are
+                // never written are never faulted in.
                 self.a = vec![0.0; cells];
             } else {
                 self.a.clear();

@@ -124,8 +124,6 @@ fn main() {
                 routing: RoutingScheme::default_ksp4(),
                 max_failures: prune,
                 schedule_interval: Some(Duration::from_secs_f64(interval)),
-                clock: bate_core::clock::SystemClock::shared(),
-                legacy_duplicate_handling: false,
                 idle_timeout: Some(Duration::from_secs(30)),
             })
             .expect("controller start");

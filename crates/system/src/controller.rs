@@ -14,7 +14,8 @@
 //! since its last optimum (a repair asks it for a solve from scratch,
 //! DESIGN.md §9). Batches of one take the exact legacy
 //! path, which is what pins the fault-suite goldens byte-identical across
-//! the concurrency-model change.
+//! the concurrency-model change. Periodic rounds are a deadline of the
+//! same loop, so a running controller is one thread.
 //!
 //! Hardened against lossy control channels: demand ids double as
 //! idempotency keys — including *within* a batch, where a duplicated
@@ -36,7 +37,6 @@ use crate::poller::{Poller, Waker};
 use crate::proto::{FlowEntry, Message};
 use crate::wire::{encode_frame, encode_frame_ctx, FrameCtx};
 use bate_core::admission;
-use bate_core::clock::{Clock, SystemClock};
 use bate_core::incremental::{SchedulingSession, SessionRound, SessionStats};
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
@@ -102,17 +102,9 @@ pub struct ControllerConfig {
     /// Scenario pruning depth `y` for the scheduling LP.
     pub max_failures: usize,
     /// Period of the Online Scheduler's automatic rescheduling rounds
-    /// (§3.3 suggests minutes in production; `None` disables the thread —
-    /// rounds then only happen via [`Controller::run_schedule_round`]).
+    /// (§3.3 suggests minutes in production; `None`: rounds only happen
+    /// via [`Controller::run_schedule_round`]).
     pub schedule_interval: Option<Duration>,
-    /// Time source for the scheduler thread (tests inject a simulated
-    /// clock; everything else uses the system clock).
-    pub clock: Arc<dyn Clock>,
-    /// Pre-hardening duplicate handling: a repeated SubmitDemand id is
-    /// refused outright instead of replaying the original verdict. Kept
-    /// ONLY so regression tests can demonstrate the retry bug this
-    /// shipped with; leave `false`.
-    pub legacy_duplicate_handling: bool,
     /// How long a connection may sit *mid-frame* before it is reaped
     /// (slow-loris defense). Idle connections between frames are never
     /// reaped. `None` disables reaping.
@@ -128,8 +120,6 @@ impl ControllerConfig {
             routing,
             max_failures,
             schedule_interval: None,
-            clock: SystemClock::shared(),
-            legacy_duplicate_handling: false,
             idle_timeout: Some(Duration::from_secs(30)),
         }
     }
@@ -146,8 +136,7 @@ struct SubmitRecord {
 }
 
 /// Work requests delivered to the poll loop from other threads
-/// (public-API callers and the periodic scheduler thread), signaled
-/// through the waker.
+/// (public-API callers), signaled through the waker.
 enum Cmd {
     ScheduleRound(Arc<Gate>),
 }
@@ -208,7 +197,6 @@ struct Shared {
     reaped: AtomicU64,
     /// The loop's scheduling-session counters, published after each use.
     session_stats: Mutex<SessionStats>,
-    legacy_duplicate_handling: bool,
     idle_timeout: Option<Duration>,
 }
 
@@ -238,7 +226,6 @@ pub struct Controller {
     addr: SocketAddr,
     shared: Arc<Shared>,
     loop_thread: Option<JoinHandle<()>>,
-    scheduler_thread: Option<JoinHandle<()>>,
 }
 
 impl Controller {
@@ -277,7 +264,6 @@ impl Controller {
             progress: Mutex::new(HashMap::new()),
             reaped: AtomicU64::new(0),
             session_stats: Mutex::new(SessionStats::default()),
-            legacy_duplicate_handling: config.legacy_duplicate_handling,
             idle_timeout: config.idle_timeout,
         });
 
@@ -290,49 +276,15 @@ impl Controller {
         poller.add(shared.waker.fd(), TOK_WAKER, true, false)?;
 
         let loop_shared = Arc::clone(&shared);
+        let interval = config.schedule_interval;
         let loop_thread = std::thread::spawn(move || {
-            EventLoop::new(loop_shared, listener, poller).run();
-        });
-
-        // The Online Scheduler thread (§4): periodic rescheduling rounds,
-        // paced by the injected clock, executed on the poll loop (which
-        // owns the broker connections the round pushes to).
-        let scheduler_thread = config.schedule_interval.map(|interval| {
-            let sched_shared = Arc::clone(&shared);
-            let clock = Arc::clone(&config.clock);
-            std::thread::spawn(move || {
-                // Wake frequently so shutdown stays responsive even with
-                // long intervals.
-                let tick = Duration::from_millis(20).min(interval);
-                let mut elapsed = Duration::ZERO;
-                while !sched_shared.shutdown.load(Ordering::Relaxed) {
-                    clock.sleep(tick);
-                    elapsed += tick;
-                    if elapsed >= interval {
-                        elapsed = Duration::ZERO;
-                        let gate = Gate::new();
-                        sched_shared.enqueue(Cmd::ScheduleRound(Arc::clone(&gate)));
-                        // Wait so rounds can't pile up faster than the
-                        // loop executes them — but stay responsive to
-                        // shutdown (the loop may already be gone).
-                        let deadline = Instant::now() + Duration::from_secs(10);
-                        while !gate.wait(Duration::from_millis(20)) {
-                            if sched_shared.shutdown.load(Ordering::Relaxed)
-                                || Instant::now() >= deadline
-                            {
-                                break;
-                            }
-                        }
-                    }
-                }
-            })
+            EventLoop::new(loop_shared, listener, poller, interval).run();
         });
 
         Ok(Controller {
             addr,
             shared,
             loop_thread: Some(loop_thread),
-            scheduler_thread,
         })
     }
 
@@ -391,7 +343,7 @@ impl Controller {
             .map(|r| r.admitted && !r.withdrawn)
     }
 
-    /// Run a scheduling round now (the Online Scheduler also does this
+    /// Run a scheduling round now (the poll loop also does this
     /// periodically when `schedule_interval` is set). Executes on the
     /// poll loop and blocks until the round (and its broker pushes) are
     /// queued.
@@ -433,17 +385,6 @@ impl Drop for Controller {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.waker.wake();
         if let Some(t) = self.loop_thread.take() {
-            t.join().ok();
-        }
-        // A command enqueued after the loop's final drain (the scheduler
-        // thread racing shutdown) would leave its caller gated: open
-        // every leftover gate before joining.
-        for cmd in self.shared.commands.lock().drain(..) {
-            match cmd {
-                Cmd::ScheduleRound(gate) => gate.open(),
-            }
-        }
-        if let Some(t) = self.scheduler_thread.take() {
             t.join().ok();
         }
     }
@@ -495,10 +436,18 @@ struct EventLoop {
     /// The warm optimum of the live pool (DESIGN.md §6y): fed every pool
     /// edit, asked by multi-submit batches, rounds and repairs.
     session: SchedulingSession,
+    /// The Online Scheduler (§4): period of the automatic rounds and when
+    /// the next one is due.
+    round_timer: Option<(Duration, Instant)>,
 }
 
 impl EventLoop {
-    fn new(shared: Arc<Shared>, listener: TcpListener, poller: Poller) -> EventLoop {
+    fn new(
+        shared: Arc<Shared>,
+        listener: TcpListener,
+        poller: Poller,
+        schedule_interval: Option<Duration>,
+    ) -> EventLoop {
         EventLoop {
             shared,
             listener,
@@ -506,6 +455,7 @@ impl EventLoop {
             conns: HashMap::new(),
             next_token: TOK_FIRST_CONN,
             session: SchedulingSession::default(),
+            round_timer: schedule_interval.map(|period| (period, Instant::now() + period)),
         }
     }
 
@@ -538,6 +488,7 @@ impl EventLoop {
             }
             self.process_inbox(&mut inbox);
             self.drain_commands(false);
+            self.run_due_round();
             self.reap_overdue();
             self.flush_and_sweep();
             self.publish_progress();
@@ -546,17 +497,32 @@ impl EventLoop {
         self.drain_commands(true);
     }
 
-    /// The poll timeout: short enough to honor the earliest mid-frame
-    /// reap deadline, long enough not to spin (commands and shutdown
-    /// arrive through the waker, not the timeout).
+    /// The poll timeout: short enough to honor the earliest deadline — a
+    /// mid-frame reap or the next periodic round — long enough not to
+    /// spin (commands and shutdown arrive through the waker, not the
+    /// timeout).
     fn next_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
         self.conns
             .values()
             .filter_map(|c| c.frame_deadline())
+            .chain(self.round_timer.map(|(_, due)| due))
             .min()
             .map(|d| d.saturating_duration_since(now).max(Duration::from_millis(1)))
             .or(Some(Duration::from_millis(200)))
+    }
+
+    /// Run the periodic round once its deadline has passed. The next one
+    /// is due a full period after this one finished, so rounds cannot
+    /// pile up faster than the loop executes them.
+    fn run_due_round(&mut self) {
+        let Some((period, due)) = self.round_timer else {
+            return;
+        };
+        if Instant::now() >= due {
+            schedule_round(&self.shared, &mut self.conns, &mut self.session);
+            self.round_timer = Some((period, Instant::now() + period));
+        }
     }
 
     fn accept_ready(&mut self) {
@@ -941,14 +907,7 @@ fn handle_submit_locked(
         refund_ratio: sub.refund_ratio.clamp(0.0, 1.0),
     };
 
-    if shared.legacy_duplicate_handling {
-        // Pre-hardening path: any repeated id is refused — which means a
-        // client whose AdmissionReply was lost retries and is told
-        // `false` for a demand the controller is billing it for.
-        if state.demands.iter().any(|d| d.id.0 == sub.id) {
-            return false;
-        }
-    } else if let Some(rec) = state.outcomes.get(&sub.id).copied() {
+    if let Some(rec) = state.outcomes.get(&sub.id).copied() {
         if rec.withdrawn {
             return false; // stale resubmit of a withdrawn demand
         }
@@ -983,16 +942,14 @@ fn handle_submit_locked(
         } else {
             push_demand_allocation(state, conns, demand.id);
         }
-        if !shared.legacy_duplicate_handling {
-            state.outcomes.insert(
-                sub.id,
-                SubmitRecord {
-                    fingerprint,
-                    admitted: true,
-                    withdrawn: false,
-                },
-            );
-        }
+        state.outcomes.insert(
+            sub.id,
+            SubmitRecord {
+                fingerprint,
+                admitted: true,
+                withdrawn: false,
+            },
+        );
         true
     } else {
         // Rejections are NOT recorded: admitting nothing has no side

@@ -6,7 +6,6 @@
 //! condvar-notified `wait_for_*` helpers, and every listener binds an
 //! ephemeral port.
 
-use bate_core::clock::SystemClock;
 use bate_net::topologies;
 use bate_routing::RoutingScheme;
 use bate_system::client::DemandRequest;
@@ -55,8 +54,6 @@ fn rejection_of_oversized_demand() {
 
 /// A resubmitted id is an idempotent replay, not a refusal: the retried
 /// SubmitDemand gets the original verdict and the demand is counted once.
-/// (The pre-hardening controller refused the retry — see the
-/// `legacy_duplicate_handling_refuses_retries` regression test.)
 #[test]
 fn duplicate_ids_replay_the_original_verdict() {
     let controller = start_controller();
@@ -72,29 +69,6 @@ fn duplicate_ids_replay_the_original_verdict() {
     // Same id with *different* content is an id collision, not a retry.
     let collision = DemandRequest::new(7, "DC1", "DC4", 250.0, 0.9);
     assert!(!client.submit(&collision).unwrap());
-    assert_eq!(controller.admitted_count(), 1);
-}
-
-/// Regression demonstration of the pre-hardening bug: with
-/// `legacy_duplicate_handling`, a client whose AdmissionReply was lost
-/// retries and is told `false` for a demand the controller admitted.
-#[test]
-fn legacy_duplicate_handling_refuses_retries() {
-    let controller = Controller::start(ControllerConfig {
-        topo: topologies::testbed6(),
-        routing: RoutingScheme::default_ksp4(),
-        max_failures: 2,
-        schedule_interval: None,
-        clock: SystemClock::shared(),
-        legacy_duplicate_handling: true,
-        idle_timeout: Some(Duration::from_secs(30)),
-    })
-    .unwrap();
-    let mut client = Client::connect(controller.addr()).unwrap();
-    let req = DemandRequest::new(7, "DC1", "DC4", 100.0, 0.9);
-    assert!(client.submit(&req).unwrap());
-    // The old code path: retry refused even though the demand is live.
-    assert!(!client.submit(&req).unwrap());
     assert_eq!(controller.admitted_count(), 1);
 }
 
@@ -276,8 +250,6 @@ fn periodic_scheduler_keeps_allocations_fresh() {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: Some(Duration::from_millis(40)),
-        clock: SystemClock::shared(),
-        legacy_duplicate_handling: false,
         idle_timeout: Some(Duration::from_secs(30)),
     })
     .unwrap();

@@ -3,7 +3,6 @@
 //! other connections (the poller keeps every other state machine
 //! progressing) nor leak — the frame-assembly deadline reaps it.
 
-use bate_core::clock::SystemClock;
 use bate_net::topologies;
 use bate_routing::RoutingScheme;
 use bate_system::client::DemandRequest;
@@ -22,8 +21,6 @@ fn start_controller(idle_timeout: Duration) -> Controller {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: None,
-        clock: SystemClock::shared(),
-        legacy_duplicate_handling: false,
         idle_timeout: Some(idle_timeout),
     })
     .unwrap()

@@ -10,7 +10,6 @@ use bate::net::topologies;
 use bate::routing::RoutingScheme;
 use bate::system::client::DemandRequest;
 use bate::system::{Broker, Client, Controller, ControllerConfig};
-use bate_core::clock::SystemClock;
 use std::time::Duration;
 
 fn main() {
@@ -22,8 +21,6 @@ fn main() {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: Some(Duration::from_secs(2)),
-        clock: SystemClock::shared(),
-        legacy_duplicate_handling: false,
         idle_timeout: Some(Duration::from_secs(30)),
     })
     .expect("controller start");

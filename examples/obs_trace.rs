@@ -163,8 +163,6 @@ fn causal_artifacts(
             routing: RoutingScheme::Ksp(3),
             max_failures: 2,
             schedule_interval: None,
-            clock: bate_core::clock::SystemClock::shared(),
-            legacy_duplicate_handling: false,
             idle_timeout: Some(Duration::from_secs(30)),
         })
         .expect("controller start");
