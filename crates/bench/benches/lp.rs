@@ -194,6 +194,14 @@ fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// Sorts `xs`; returns its lower quartile, median and upper quartile
+/// (nearest rank).
+fn quartiles(xs: &mut [f64]) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    (at(0.25), at(0.5), at(0.75))
+}
+
 struct BenchRow {
     name: &'static str,
     vars: usize,
@@ -223,16 +231,12 @@ fn main() {
     for (name, demands, states, links, reps) in sizes {
         let p = scheduling_instance(7, demands, states, links);
         let dense = best_of(reps, || solve_relaxation_dense(&p, &[]).unwrap());
-        // The sparse kernel is benchmarked the way schedule() and
-        // branch-and-bound call it: a long-lived workspace with the warm
-        // basis cleared, so every rep is a full cold solve (phase 1 +
-        // phase 2) but buffer reuse lets the sparse-aware rebuild skip
-        // the matrix-sized allocation + memset.
+        // The sparse kernel is benchmarked the way branch-and-bound calls
+        // it: a long-lived workspace, so every rep is a full cold solve
+        // (phase 1 + phase 2) but buffer reuse lets the sparse-aware
+        // rebuild skip the matrix-sized allocation + memset.
         let mut ws = Workspace::new();
-        let sparse = best_of(reps, || {
-            ws.clear_warm();
-            solve_with(&p, &[], &mut ws).unwrap()
-        });
+        let sparse = best_of(reps, || solve_with(&p, &[], &mut ws).unwrap());
         let d_obj = solve_relaxation_dense(&p, &[]).unwrap().objective;
         let s_obj = solve_relaxation(&p, &[]).unwrap().objective;
         assert!(
@@ -396,9 +400,7 @@ fn main() {
     // 250 demands on the ATT y = 2 instance, every round retiring the 8
     // oldest and admitting 8 new ones (so the master compacts every dozen
     // rounds or so and the round after is cold). What is recorded is the
-    // distribution of one warm `apply` — no cold baseline — and how many
-    // pivots a warm solve spends re-realising a basis it already had:
-    // zero since the master tableau stays live between solves.
+    // distribution of one warm `apply` — no cold baseline.
     let pool250_rounds = 40;
     let mut pool250_cfg = churn::ChurnConfig::steady(
         churn_cfg.pairs.clone(),
@@ -413,7 +415,6 @@ fn main() {
     sched.apply(&ctx, &fill).unwrap();
     let mut warm_ms: Vec<f64> = Vec::new();
     let mut pool250_cold = 0usize;
-    let mut install_pivots = 0u64;
     for round in 0..pool250_rounds {
         let batch: Vec<DemandDelta> = stream[8 * round..8 * round + 8]
             .iter()
@@ -427,22 +428,18 @@ fn main() {
             .collect();
         let cold_before = sched.stats().cold_rounds;
         let t = Instant::now();
-        let res = sched.apply(&ctx, &batch).unwrap();
+        sched.apply(&ctx, &batch).unwrap();
         let ms = t.elapsed().as_secs_f64() * 1e3;
         if sched.stats().cold_rounds == cold_before {
             warm_ms.push(ms);
-            install_pivots += res.solve_stats.install_pivots;
         } else {
             pool250_cold += 1;
         }
     }
-    warm_ms.sort_by(f64::total_cmp);
-    let quantile = |q: f64| warm_ms[((warm_ms.len() - 1) as f64 * q).round() as usize];
-    let (pool250_min, pool250_q1, pool250_median, pool250_q3) =
-        (warm_ms[0], quantile(0.25), quantile(0.5), quantile(0.75));
-    let pool250_install = install_pivots as f64 / warm_ms.len() as f64;
+    let (pool250_q1, pool250_median, pool250_q3) = quartiles(&mut warm_ms);
+    let pool250_min = warm_ms[0];
     println!(
-        "churn_warm_pool250   250 demands {pool250_rounds} rounds ({} warm, {pool250_cold} cold)  warm apply min {pool250_min:>7.3} ms  median {pool250_median:>7.3} ms  quartiles {pool250_q1:.3}..{pool250_q3:.3} ms  install pivots/warm solve {pool250_install:.1}",
+        "churn_warm_pool250   250 demands {pool250_rounds} rounds ({} warm, {pool250_cold} cold)  warm apply min {pool250_min:>7.3} ms  median {pool250_median:>7.3} ms  quartiles {pool250_q1:.3}..{pool250_q3:.3} ms",
         warm_ms.len(),
     );
 
@@ -458,7 +455,7 @@ fn main() {
     // cost. Acceptance: overhead < 2 %.
     let (name, demands, states, links, _) = sizes[sizes.len() - 1];
     let p = scheduling_instance(7, demands, states, links);
-    let overhead_reps = 15;
+    let overhead_reps = 30;
 
     bate_obs::trace::install(NoopSubscriber::new(), SystemClock::shared());
     let r = Registry::global();
@@ -467,27 +464,26 @@ fn main() {
     let pivots = r.counter("bench_overhead_pivots_total");
     let solve_ms = r.histogram("bench_overhead_solve_ms");
 
-    // Interleaved best-of: alternate a bare rep and an instrumented rep so
-    // clock-speed drift and cache state hit both sides equally — two
-    // back-to-back best-of loops would attribute machine drift (which on
-    // this instance exceeds the telemetry cost by orders of magnitude) to
-    // whichever side ran second.
+    // Paired runs: a bare solve and an instrumented one back to back,
+    // the order alternating from pair to pair, and the overhead taken per
+    // pair — clock-speed drift and cache state then hit both sides of a
+    // pair alike, where two separate best-of loops would attribute the
+    // drift (which on this instance exceeds the telemetry cost by orders
+    // of magnitude) to whichever side ran second. Reported as the median
+    // pair with its quartiles: one pair alone reads anywhere within a few
+    // percent of zero.
     let mut ws = Workspace::new();
-    let mut base_secs = f64::INFINITY;
-    let mut instrumented_secs = f64::INFINITY;
-    ws.clear_warm();
     solve_with(&p, &[], &mut ws).unwrap(); // warm-up
-    for rep in 0..overhead_reps {
+    let bare = |ws: &mut Workspace| {
         let t = Instant::now();
-        ws.clear_warm();
-        std::hint::black_box(solve_with(&p, &[], &mut ws).unwrap());
-        base_secs = base_secs.min(t.elapsed().as_secs_f64());
-
+        std::hint::black_box(solve_with(&p, &[], ws).unwrap());
+        t.elapsed().as_secs_f64()
+    };
+    let instrumented = |ws: &mut Workspace, rep: usize| {
         let t = Instant::now();
         let _root = bate_obs::context::root("bench-overhead", rep as u64);
         let t0 = Instant::now();
-        ws.clear_warm();
-        let sol = solve_with(&p, &[], &mut ws).unwrap();
+        let sol = solve_with(&p, &[], ws).unwrap();
         solves.inc();
         iters.add(sol.stats.iterations());
         pivots.add(sol.stats.pivots);
@@ -499,14 +495,31 @@ fn main() {
         );
         std::hint::black_box(sol);
         drop(_root);
-        instrumented_secs = instrumented_secs.min(t.elapsed().as_secs_f64());
+        t.elapsed().as_secs_f64()
+    };
+    let mut base_secs: Vec<f64> = Vec::new();
+    let mut instrumented_secs: Vec<f64> = Vec::new();
+    let mut overhead_pcts: Vec<f64> = Vec::new();
+    for rep in 0..overhead_reps {
+        let (b, i) = if rep % 2 == 0 {
+            let b = bare(&mut ws);
+            (b, instrumented(&mut ws, rep))
+        } else {
+            let i = instrumented(&mut ws, rep);
+            (bare(&mut ws), i)
+        };
+        base_secs.push(b);
+        instrumented_secs.push(i);
+        overhead_pcts.push((i / b - 1.0) * 100.0);
     }
     bate_obs::trace::uninstall();
-    let overhead_pct = (instrumented_secs / base_secs - 1.0) * 100.0;
+    let (_, base_median, _) = quartiles(&mut base_secs);
+    let (_, instrumented_median, _) = quartiles(&mut instrumented_secs);
+    let (overhead_q1, overhead_pct, overhead_q3) = quartiles(&mut overhead_pcts);
     println!(
-        "telemetry_overhead   {name}: base {:>9.3} ms  instrumented {:>9.3} ms  overhead {overhead_pct:+.3}%",
-        base_secs * 1e3,
-        instrumented_secs * 1e3,
+        "telemetry_overhead   {name}: {overhead_reps} pairs  base median {:>9.3} ms  instrumented median {:>9.3} ms  overhead median {overhead_pct:+.3}%  quartiles {overhead_q1:+.3}..{overhead_q3:+.3}%",
+        base_median * 1e3,
+        instrumented_median * 1e3,
     );
 
     for r in &out {
@@ -561,11 +574,11 @@ fn main() {
             churn_stats.cert_fallbacks
         ));
         json.push_str(&format!(
-            "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}, \"install_pivots_per_warm_solve\": {pool250_install:.1}}},\n",
+            "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}}},\n",
             warm_ms.len()
         ));
         json.push_str(&format!(
-            "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"base_secs\": {base_secs:.9}, \"instrumented_secs\": {instrumented_secs:.9}, \"overhead_pct\": {overhead_pct:.3}}}\n"
+            "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"runs\": {overhead_reps}, \"base_median_secs\": {base_median:.9}, \"instrumented_median_secs\": {instrumented_median:.9}, \"overhead_pct\": {overhead_pct:.3}, \"overhead_q1_pct\": {overhead_q1:.3}, \"overhead_q3_pct\": {overhead_q3:.3}}}\n"
         ));
         json.push_str("}\n");
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp.json");

@@ -975,12 +975,11 @@ mod tests {
         approx(r.total_bandwidth, cold_objective(&ctx, std::slice::from_ref(&d)));
         // The failure dropped the live tableau (the cold answer above came
         // from a fresh build); the cold solve left a new one, so the round
-        // after resumes on it without re-realising a basis.
+        // after resumes on it.
         let d2 = BaDemand::single(2, pair, 3000.0, 0.9);
         let r = inc.apply(&ctx, &[DemandDelta::Add(d2.clone())]).unwrap();
         assert_eq!(inc.stats().cert_fallbacks, 1);
         assert!(r.solve_stats.warm_start, "the round after must be warm again");
-        assert_eq!(r.solve_stats.install_pivots, 0, "and live, not re-installed");
         approx(r.total_bandwidth, cold_objective(&ctx, &[d, d2]));
     }
 

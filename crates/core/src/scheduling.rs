@@ -80,16 +80,8 @@ pub struct RowGenStats {
     /// (seed rows excluded).
     pub rows_added: u64,
     /// Rows appended per round, in round order. The last entry is always
-    /// 0 — the clean separation pass that proves optimality. An interior
-    /// 0 marks a cold verification re-solve (see `cold_verifies`).
+    /// 0 — the clean separation pass that proves optimality.
     pub rows_per_round: Vec<u32>,
-    /// Warm-started master solves that were redone from a cold workspace:
-    /// either separation came back clean on a warm optimum (warm installs
-    /// repair violated rows through phase-1 tolerances; the accepted
-    /// vertex must come from the same exact path the full build uses) or
-    /// the warm solve itself failed (a warm install can degenerate-cycle
-    /// into the simplex guards on an LP that solves cleanly from scratch).
-    pub cold_verifies: u32,
     /// Constraint rows in the final master LP.
     pub master_rows: u32,
     /// Constraint rows the full formulation would have carried.
@@ -97,10 +89,10 @@ pub struct RowGenStats {
     /// Wall-clock nanoseconds spent in the separation oracle
     /// (informational; nondeterministic).
     pub separation_ns: u64,
-    /// Master solves that reused a saved basis. Always 0 for the batch
-    /// rowgen path above (it re-verifies optima cold); filled by the
-    /// incremental scheduler ([`crate::incremental`]), whose warm answers
-    /// are gated by the float KKT certificate instead.
+    /// Master solves that resumed on a live tableau. Always 0 for the
+    /// batch rowgen path above (every master there solves cold); filled by
+    /// the incremental scheduler ([`crate::incremental`]), whose warm
+    /// answers are gated by the float KKT certificate.
     pub warm_rounds: u32,
     /// Dual-simplex repair pivots across the warm master solves.
     pub dual_repair_pivots: u64,
@@ -123,7 +115,7 @@ pub struct ScheduleResult {
     /// result. Hardening re-placements are separate single-demand solves
     /// and are not reflected here, so the counts are pinnable goldens for
     /// the round's main LP. Under row generation these are the counters
-    /// of the *final* warm re-solve (the one whose vertex is returned);
+    /// of the *final* master solve (the one whose vertex is returned);
     /// the per-round history lives in [`ScheduleResult::rowgen`].
     pub solve_stats: SolveStats,
     /// Row-generation instrumentation; `None` when the full formulation
@@ -547,7 +539,6 @@ fn solve_mode(
     }
     let sol = solved.inspect_err(|_| m.solve_errors.inc())?;
     rg.rounds = log.solves.len() as u32;
-    rg.cold_verifies = log.cold_verifies;
     rg.rows_added = log.rows_per_round.iter().map(|&r| r as u64).sum();
     rg.rows_per_round = log.rows_per_round;
     rg.master_rows = built.p.num_constraints() as u32;

@@ -8,10 +8,16 @@
 //! comparable offline solver, so this crate implements:
 //!
 //! * a **sparse-aware two-phase primal simplex** method with candidate-list
-//!   partial pricing, warm starts, and a Bland's-rule fallback for
-//!   anti-cycling ([`simplex`]; the original dense kernel is preserved in
-//!   [`dense_reference`] for golden tests and benchmarks), and
-//! * a **branch-and-bound** MILP solver layered on top of it ([`milp`]),
+//!   partial pricing and a Bland's-rule fallback for anti-cycling
+//!   ([`simplex`]; the original dense kernel is preserved in
+//!   [`dense_reference`] for golden tests and benchmarks),
+//! * one **warm start** on top of it: a [`WarmState`] keeps its master's
+//!   final tableau live and edits it in place between solves ([`warm`]);
+//!   every other solve — each branch-and-bound node, each round of the
+//!   cutting-plane loop — runs cold, and a cold answer is the reference a
+//!   warm one must pass its gate against or be redone as, and
+//! * a **branch-and-bound** MILP solver ([`milp`]): one tree search,
+//!   over a fixed problem or a master that a separation oracle grows,
 //!   supporting binary and general integer variables, with deterministic
 //!   batch-parallel node evaluation ([`par`]).
 //!
@@ -54,7 +60,7 @@ pub use export::LpParseError;
 pub use par::{par_map, par_map_with, thread_count};
 pub use problem::{Problem, Relation, Sense, VarId, VarKind};
 pub use milp::{solve_lazy, solve_lp_lazy, solve_traced_lazy, LazyLpLog, LazyRow};
-pub use simplex::{register_phase_metrics, Basis, Workspace};
+pub use simplex::{register_phase_metrics, Workspace};
 pub use solution::Solution;
 pub use stats::{IncumbentPoint, MilpStats, SolveStats};
 pub use warm::{quick_check, WarmState, WarmStats};

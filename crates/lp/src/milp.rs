@@ -21,9 +21,9 @@
 //! sequential DFS.
 //!
 //! Each worker thread owns a [`simplex::Workspace`], so tableau buffers and
-//! the prepared sparse rows are reused across the nodes of its chunk; each
-//! node explicitly clears the workspace's warm state, so workspace history
-//! never leaks into results.
+//! the prepared sparse rows are reused across the nodes of its chunk. A
+//! workspace carries no basis from one solve to the next, so which
+//! chunk-mate ran before a node cannot reach its result.
 
 use crate::error::SolveError;
 use crate::par::par_map_with;
@@ -86,27 +86,26 @@ pub fn solve_lazy(
 #[derive(Debug, Default)]
 pub struct LazyLpLog {
     /// Kernel counters and wall time of every master solve that reached an
-    /// optimum, in round order. A cold retry is part of the round it
-    /// rescued: one entry, the retry's counters, both attempts' time.
+    /// optimum, in round order.
     pub solves: Vec<(SolveStats, Duration)>,
-    /// Master solves redone from a cold workspace: a warm solve that
-    /// failed, or a warm optimum that separated clean.
-    pub cold_verifies: u32,
     /// Rows appended after each round. The last entry of a finished run is
-    /// 0, the clean pass on a cold optimum; an interior 0 is a clean pass
-    /// on a warm one, which is verified cold before it is accepted.
+    /// 0: the clean pass.
     pub rows_per_round: Vec<u32>,
 }
 
-/// The LP cutting-plane loop: solve the master, ask `separate` for rows of
-/// the full formulation the optimum violates, append them, repeat until a
-/// **cold-solved** optimum separates clean. Each round warm-starts from
-/// the previous basis through [`simplex::Workspace::append_rows`].
+/// The LP cutting-plane loop: solve the master cold, ask `separate` for
+/// rows of the full formulation the optimum violates, append them to
+/// `problem`, repeat until an optimum separates clean.
 ///
 /// The master only ever lacks rows, so its optimum bounds the full
 /// formulation's and an infeasible master proves the full LP infeasible;
 /// the optimum that separates clean is feasible for, hence optimal in, the
 /// full formulation. `separate` may skip rows it already reported.
+///
+/// Every round is a solve from scratch, so the accepted vertex is the one
+/// a cold solve of the final master lands on. The loops this serves
+/// separate clean on their first or second master (EXPERIMENTS.md E27);
+/// carrying a basis across rounds cost more than it saved there.
 pub fn solve_lp_lazy(
     problem: &mut Problem,
     log: &mut LazyLpLog,
@@ -115,7 +114,7 @@ pub fn solve_lp_lazy(
     lazy_lp_loop(
         problem,
         log,
-        |p, ws| simplex::solve_with(p, &[], ws),
+        |p| simplex::solve_relaxation(p, &[]),
         separate,
     )
 }
@@ -125,62 +124,20 @@ pub fn solve_lp_lazy(
 fn lazy_lp_loop(
     problem: &mut Problem,
     log: &mut LazyLpLog,
-    mut solve: impl FnMut(&Problem, &mut simplex::Workspace) -> Result<Solution, SolveError>,
+    mut solve: impl FnMut(&Problem) -> Result<Solution, SolveError>,
     mut separate: impl FnMut(&Solution) -> Vec<LazyRow>,
 ) -> Result<Solution, SolveError> {
-    let mut ws = simplex::Workspace::new();
-    // Whether `ws` is a fresh workspace (no warm basis to install). A
-    // warm-started master can degenerate-cycle into the simplex guards
-    // (IterationLimit) even when the identical LP solves cleanly from
-    // scratch — the warm install's tolerance repairs can drop phase 1
-    // into a stalled near-feasible corner. Any error on a warm attempt is
-    // therefore retried cold once before being propagated, so the lazy
-    // path never fails on an instance the full formulation would solve.
-    let mut ws_cold = true;
     loop {
         let t0 = Instant::now();
-        let sol = match solve(problem, &mut ws) {
-            Ok(sol) => sol,
-            Err(_) if !ws_cold => {
-                log.cold_verifies += 1;
-                ws = simplex::Workspace::new();
-                solve(problem, &mut ws)?
-            }
-            Err(e) => return Err(e),
-        };
-        ws_cold = false;
+        let sol = solve(problem)?;
         log.solves.push((sol.stats.clone(), t0.elapsed()));
-
         let cuts = separate(&sol);
         log.rows_per_round.push(cuts.len() as u32);
         if cuts.is_empty() {
-            // Clean separation — but only accept a *cold-solved* optimum.
-            // A warm install repairs violated appended rows through
-            // `PHASE1_TOL`-scale tolerances, and on ill-conditioned
-            // instances (availability rows mix ~1e3 bandwidths with
-            // ~1e-12 scenario probabilities) that perturbation moves the
-            // claimed optimum by far more than the golden equivalence
-            // bound, in either direction. Re-solving the final master
-            // from scratch routes the accepted vertex through the exact
-            // same code path the full formulation uses; its optimum is
-            // then separated again.
-            if !sol.stats.warm_start {
-                return Ok(sol);
-            }
-            log.cold_verifies += 1;
-            ws = simplex::Workspace::new();
-            ws_cold = true;
-            continue;
+            return Ok(sol);
         }
         for cut in &cuts {
             problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
-        }
-        // O(nnz of the new rows): extend the prepared layout and re-arm
-        // the warm basis instead of rebuilding. The guard cannot fire on
-        // this loop's problem (same vars, appended rows only), but fall
-        // back to a cold workspace rather than trust that.
-        if !ws.append_rows(problem) {
-            ws = simplex::Workspace::new();
         }
     }
 }
@@ -234,40 +191,115 @@ pub fn solve_traced_lazy(
     config: BnbConfig,
     mut separate: impl FnMut(&Solution) -> Vec<LazyRow>,
 ) -> Result<(Solution, MilpStats), SolveError> {
-    let int_vars: Vec<usize> = problem
+    let int_vars = integer_vars(problem);
+    if !int_vars.is_empty() {
+        return branch_and_bound(Master::Lazy(problem, &mut separate), &int_vars, config);
+    }
+    let mut log = LazyLpLog::default();
+    let sol = solve_lp_lazy(problem, &mut log, separate)?;
+    let mut stats = MilpStats {
+        nodes: log.solves.len() as u64,
+        separation_calls: log.solves.len() as u64,
+        lazy_rows_added: log.rows_per_round.iter().map(|&r| r as u64).sum(),
+        ..MilpStats::default()
+    };
+    for (solve, _) in &log.solves {
+        stats.lp_iterations += solve.iterations();
+        stats.lp_pivots += solve.pivots;
+    }
+    stats.incumbents.push(IncumbentPoint {
+        node: stats.nodes,
+        objective: sol.objective,
+    });
+    Ok((sol, stats))
+}
+
+/// [`solve`], additionally returning the search statistics — node count,
+/// maximum depth, aggregate LP work, and the incumbent trajectory. All
+/// accounting happens in the sequential batch-processing loop, so the
+/// stats are byte-identical across thread counts.
+pub fn solve_traced(
+    problem: &Problem,
+    config: BnbConfig,
+) -> Result<(Solution, MilpStats), SolveError> {
+    let int_vars = integer_vars(problem);
+    if !int_vars.is_empty() {
+        return branch_and_bound(Master::Fixed(problem), &int_vars, config);
+    }
+    let sol = simplex::solve_relaxation(problem, &[])?;
+    let stats = MilpStats {
+        nodes: 1,
+        lp_iterations: sol.stats.iterations(),
+        lp_pivots: sol.stats.pivots,
+        incumbents: vec![IncumbentPoint {
+            node: 1,
+            objective: sol.objective,
+        }],
+        ..MilpStats::default()
+    };
+    Ok((sol, stats))
+}
+
+fn integer_vars(problem: &Problem) -> Vec<usize> {
+    problem
         .vars
         .iter()
         .enumerate()
         .filter(|(_, v)| v.kind == VarKind::Integer)
         .map(|(i, _)| i)
-        .collect();
-    let mut stats = MilpStats::default();
-    if int_vars.is_empty() {
-        let mut log = LazyLpLog::default();
-        let sol = solve_lp_lazy(problem, &mut log, separate)?;
-        stats.nodes = log.solves.len() as u64;
-        stats.separation_calls = stats.nodes;
-        for (solve, _) in &log.solves {
-            stats.lp_iterations += solve.iterations();
-            stats.lp_pivots += solve.pivots;
+        .collect()
+}
+
+/// What a branch-and-bound searches over: the whole formulation, or a
+/// master that a separation oracle grows towards it.
+enum Master<'a> {
+    Fixed(&'a Problem),
+    Lazy(&'a mut Problem, &'a mut dyn FnMut(&Solution) -> Vec<LazyRow>),
+}
+
+impl Master<'_> {
+    fn problem(&self) -> &Problem {
+        match self {
+            Master::Fixed(problem) => problem,
+            Master::Lazy(problem, _) => problem,
         }
-        stats.lazy_rows_added = log.rows_per_round.iter().map(|&r| r as u64).sum();
-        stats.incumbents.push(IncumbentPoint {
-            node: stats.nodes,
-            objective: sol.objective,
-        });
-        return Ok((sol, stats));
     }
 
+    /// Ask the oracle about `cand` and append what it reports. True when
+    /// rows were appended: the caller re-queues its node against the
+    /// tightened master (later batches re-prepare their workspaces
+    /// against the grown row set by themselves).
+    fn separate(&mut self, cand: &Solution, stats: &mut MilpStats) -> bool {
+        let Master::Lazy(problem, separate) = self else {
+            return false;
+        };
+        stats.separation_calls += 1;
+        let cuts = separate(cand);
+        stats.lazy_rows_added += cuts.len() as u64;
+        for cut in &cuts {
+            problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
+        }
+        !cuts.is_empty()
+    }
+}
+
+/// The one tree search behind [`solve_traced`] and [`solve_traced_lazy`].
+fn branch_and_bound(
+    mut master: Master<'_>,
+    int_vars: &[usize],
+    config: BnbConfig,
+) -> Result<(Solution, MilpStats), SolveError> {
     // Internally treat everything as minimization.
-    let sign = match problem.sense {
+    let sign = match master.problem().sense {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
 
+    let mut stats = MilpStats::default();
     let mut incumbent: Option<Solution> = None;
     let mut incumbent_cost = f64::INFINITY; // sign * objective
     let mut nodes = 0usize;
+    // DFS stack of nodes: the tightened bounds fully describe a node.
     struct Node {
         bounds: Vec<BoundOverride>,
     }
@@ -275,6 +307,14 @@ pub fn solve_traced_lazy(
     let mut batch: Vec<Node> = Vec::with_capacity(NODE_BATCH);
 
     while !stack.is_empty() {
+        // Pop a batch (stack order) and evaluate the relaxations in
+        // parallel, one workspace per worker thread. While the frontier is
+        // thin, pop a single node — that is exactly sequential DFS, which
+        // dives to an incumbent fast; only a frontier at least NODE_BATCH
+        // deep fans out, bounding how much the batch can speculate past a
+        // yet-undiscovered incumbent. The ramp rule depends only on the
+        // stack (search state), never the thread count, so determinism is
+        // preserved.
         batch.clear();
         let take = if stack.len() >= NODE_BATCH {
             NODE_BATCH
@@ -290,28 +330,25 @@ pub fn solve_traced_lazy(
         // Every relaxation in this batch is solved against the master as
         // of this row count; rows appended while processing earlier
         // batch-mates are re-checked explicitly below.
-        let rows_at_solve = problem.num_constraints();
+        let rows_at_solve = master.problem().num_constraints();
+        // Every node solves cold: its vertex (and hence the branching) is
+        // a function of the node alone. Warm starts live in the
+        // round-to-round scheduling flow ([`crate::warm`]), not inside
+        // the tree search.
         let evaluated: Vec<Result<Solution, SolveError>> = {
-            let prob: &Problem = problem;
+            let problem = master.problem();
             par_map_with(&batch, simplex::Workspace::new, |ws, node: &Node| {
-                // Cold per node: a reused workspace re-arms its own final
-                // basis after every solve, and honoring it here would make
-                // the relaxation's vertex (and hence branching) depend on
-                // which chunk-mate ran before — see `par_map_with`'s
-                // determinism caveat. Clearing keeps every node on the
-                // cold pivot path the node budgets were sized against;
-                // warm starts live in the round-to-round scheduling flow
-                // ([`crate::warm`]), not inside the tree search.
-                ws.set_warm(None);
-                simplex::solve_with(prob, &node.bounds, ws)
+                simplex::solve_with(problem, &node.bounds, ws)
             })
         };
 
-        // Process strictly in batch order (see [`solve_traced`]); the
-        // separation oracle runs here, sequentially, so the row pool grows
-        // in a thread-count-independent order.
+        // Process strictly in batch order: this loop is the only place
+        // search state (incumbent, node budget, stack, row pool) changes
+        // and the only place the oracle runs, so results do not depend on
+        // how the batch was scheduled over threads.
         for (node, relax) in batch.drain(..).zip(evaluated) {
             if nodes >= config.max_nodes {
+                // Out of budget: report the incumbent if we have one.
                 return incumbent
                     .map(|s| (s, stats))
                     .ok_or(SolveError::NodeLimit);
@@ -338,21 +375,9 @@ pub fn solve_traced_lazy(
             // directly; a violator is re-queued against the tightened
             // master (its stale objective is still a valid bound, so the
             // pruning test above stays exact).
-            if violates_rows_since(problem, rows_at_solve, &relax.values) {
-                stack.push(Node { bounds: node.bounds });
-                continue;
-            }
-
-            stats.separation_calls += 1;
-            let cuts = separate(&relax);
-            if !cuts.is_empty() {
-                stats.lazy_rows_added += cuts.len() as u64;
-                for cut in &cuts {
-                    problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
-                }
-                // Re-queue against the tightened master. Later batches
-                // re-prepare their workspaces against the grown row set
-                // automatically.
+            if violates_rows_since(master.problem(), rows_at_solve, &relax.values)
+                || master.separate(&relax, &mut stats)
+            {
                 stack.push(Node { bounds: node.bounds });
                 continue;
             }
@@ -360,7 +385,7 @@ pub fn solve_traced_lazy(
             // Most fractional integer variable.
             let mut branch_var = None;
             let mut best_frac = INT_EPS;
-            for &j in &int_vars {
+            for &j in int_vars {
                 let v = relax.values[j];
                 let frac = (v - v.round()).abs();
                 if frac > best_frac {
@@ -377,31 +402,25 @@ pub fn solve_traced_lazy(
                     // tolerance. Re-check the rounded point (mid-batch rows
                     // directly, the rest via the oracle) before accepting.
                     let mut vals = relax.values.clone();
-                    for &j in &int_vars {
+                    for &j in int_vars {
                         vals[j] = vals[j].round();
                     }
-                    let obj = problem.objective_value(&vals);
+                    let obj = master.problem().objective_value(&vals);
                     let cost = sign * obj;
                     if cost >= incumbent_cost {
-                        continue;
-                    }
-                    if violates_rows_since(problem, rows_at_solve, &vals) {
-                        stack.push(Node { bounds: node.bounds });
                         continue;
                     }
                     let cand = Solution {
                         objective: obj,
                         values: vals,
                         duals: None,
+                        // The incumbent inherits the kernel counters of
+                        // the node relaxation that produced it.
                         stats: relax.stats.clone(),
                     };
-                    stats.separation_calls += 1;
-                    let cuts = separate(&cand);
-                    if !cuts.is_empty() {
-                        stats.lazy_rows_added += cuts.len() as u64;
-                        for cut in &cuts {
-                            problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
-                        }
+                    if violates_rows_since(master.problem(), rows_at_solve, &cand.values)
+                        || master.separate(&cand, &mut stats)
+                    {
                         stack.push(Node { bounds: node.bounds });
                         continue;
                     }
@@ -415,6 +434,9 @@ pub fn solve_traced_lazy(
                 Some(j) => {
                     let v = relax.values[j];
                     let floor = v.floor();
+                    // Explore the "round toward relaxation" side last so it
+                    // pops first (DFS), which tends to find good incumbents
+                    // early.
                     let down: BoundOverride = (j, 0.0, floor);
                     let up: BoundOverride = (j, floor + 1.0, f64::INFINITY);
                     let (first, second) = if v - floor > 0.5 {
@@ -452,178 +474,6 @@ fn violates_rows_since(problem: &Problem, from: usize, values: &[f64]) -> bool {
             Relation::Eq => (lhs - c.rhs).abs() > tol,
         }
     })
-}
-
-/// [`solve`], additionally returning the search statistics — node count,
-/// maximum depth, aggregate LP work, and the incumbent trajectory. All
-/// accounting happens in the sequential batch-processing loop, so the
-/// stats are byte-identical across thread counts.
-pub fn solve_traced(
-    problem: &Problem,
-    config: BnbConfig,
-) -> Result<(Solution, MilpStats), SolveError> {
-    let int_vars: Vec<usize> = problem
-        .vars
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.kind == VarKind::Integer)
-        .map(|(i, _)| i)
-        .collect();
-    if int_vars.is_empty() {
-        let sol = simplex::solve_relaxation(problem, &[])?;
-        let stats = MilpStats {
-            nodes: 1,
-            max_depth: 0,
-            lp_iterations: sol.stats.iterations(),
-            lp_pivots: sol.stats.pivots,
-            incumbents: vec![IncumbentPoint {
-                node: 1,
-                objective: sol.objective,
-            }],
-            ..MilpStats::default()
-        };
-        return Ok((sol, stats));
-    }
-
-    // Internally treat everything as minimization.
-    let sign = match problem.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-
-    let mut incumbent: Option<Solution> = None;
-    let mut incumbent_cost = f64::INFINITY; // sign * objective
-    let mut nodes = 0usize;
-    let mut stats = MilpStats::default();
-    // DFS stack of nodes: the tightened bounds fully describe a node.
-    struct Node {
-        bounds: Vec<BoundOverride>,
-    }
-    let mut stack: Vec<Node> = vec![Node { bounds: Vec::new() }];
-    let mut batch: Vec<Node> = Vec::with_capacity(NODE_BATCH);
-
-    while !stack.is_empty() {
-        // Pop a batch (stack order) and evaluate the relaxations in
-        // parallel, one workspace per worker thread. While the frontier is
-        // thin, pop a single node — that is exactly sequential DFS, which
-        // dives to an incumbent fast; only a frontier at least NODE_BATCH
-        // deep fans out, bounding how much the batch can speculate past a
-        // yet-undiscovered incumbent. The ramp rule depends only on the
-        // stack (search state), never the thread count, so determinism is
-        // preserved.
-        batch.clear();
-        let take = if stack.len() >= NODE_BATCH {
-            NODE_BATCH
-        } else {
-            1
-        };
-        while batch.len() < take {
-            match stack.pop() {
-                Some(node) => batch.push(node),
-                None => break,
-            }
-        }
-        let evaluated: Vec<Result<Solution, SolveError>> = par_map_with(
-            &batch,
-            simplex::Workspace::new,
-            |ws, node: &Node| {
-                // Cold per node (matching [`solve_traced_lazy`]): clearing
-                // the workspace's re-armed basis keeps each relaxation's
-                // vertex a function of the node alone, never of which
-                // chunk-mate ran before it on this worker.
-                ws.set_warm(None);
-                simplex::solve_with(problem, &node.bounds, ws)
-            },
-        );
-
-        // Process strictly in batch order: this loop is the only place
-        // search state (incumbent, node budget, stack) changes, so results
-        // do not depend on how the batch was scheduled over threads.
-        for (node, relax) in batch.drain(..).zip(evaluated) {
-            if nodes >= config.max_nodes {
-                // Out of budget: report the incumbent if we have one.
-                return incumbent
-                    .map(|s| (s, stats))
-                    .ok_or(SolveError::NodeLimit);
-            }
-            nodes += 1;
-            stats.nodes = nodes as u64;
-            stats.max_depth = stats.max_depth.max(node.bounds.len() as u32);
-
-            let relax = match relax {
-                Ok(s) => s,
-                Err(SolveError::Infeasible) => continue,
-                Err(e) => return Err(e),
-            };
-            stats.lp_iterations += relax.stats.iterations();
-            stats.lp_pivots += relax.stats.pivots;
-            let relax_cost = sign * relax.objective;
-            if relax_cost >= incumbent_cost - config.gap {
-                continue; // cannot beat the incumbent
-            }
-
-            // Most fractional integer variable.
-            let mut branch_var = None;
-            let mut best_frac = INT_EPS;
-            for &j in &int_vars {
-                let v = relax.values[j];
-                let frac = (v - v.round()).abs();
-                if frac > best_frac {
-                    best_frac = frac;
-                    branch_var = Some(j);
-                }
-            }
-
-            match branch_var {
-                None => {
-                    // Integral: snap values exactly and accept as incumbent.
-                    let mut vals = relax.values.clone();
-                    for &j in &int_vars {
-                        vals[j] = vals[j].round();
-                    }
-                    let obj = problem.objective_value(&vals);
-                    let cost = sign * obj;
-                    if cost < incumbent_cost {
-                        incumbent_cost = cost;
-                        stats.incumbents.push(IncumbentPoint {
-                            node: nodes as u64,
-                            objective: obj,
-                        });
-                        incumbent = Some(Solution {
-                            objective: obj,
-                            values: vals,
-                            duals: None,
-                            // The incumbent inherits the kernel counters of
-                            // the node relaxation that produced it.
-                            stats: relax.stats.clone(),
-                        });
-                    }
-                }
-                Some(j) => {
-                    let v = relax.values[j];
-                    let floor = v.floor();
-                    // Explore the "round toward relaxation" side last so it
-                    // pops first (DFS), which tends to find good incumbents
-                    // early.
-                    let down: BoundOverride = (j, 0.0, floor);
-                    let up: BoundOverride = (j, floor + 1.0, f64::INFINITY);
-                    let (first, second) = if v - floor > 0.5 {
-                        (down, up)
-                    } else {
-                        (up, down)
-                    };
-                    let mut b1 = node.bounds.clone();
-                    b1.push(first);
-                    stack.push(Node { bounds: b1 });
-                    let mut b2 = node.bounds;
-                    b2.push(second);
-                    stack.push(Node { bounds: b2 });
-                }
-            }
-        }
-    }
-
-    incumbent.map(|s| (s, stats)).ok_or(SolveError::Infeasible)
 }
 
 #[cfg(test)]
@@ -742,8 +592,16 @@ mod tests {
             })
         };
         let (base, base_stats) = solve_at(1);
-        assert!(base_stats.nodes > 1, "instance must branch");
-        assert!(base_stats.max_depth > 0);
+        // The search as the eager loop ran it before it was folded into
+        // the shared one: same tree, and no oracle was ever asked.
+        let s = &base_stats;
+        assert_eq!(
+            (s.nodes, s.max_depth, s.lp_iterations, s.lp_pivots),
+            (155, 12, 319, 319)
+        );
+        let found_at: Vec<u64> = s.incumbents.iter().map(|i| i.node).collect();
+        assert_eq!(found_at, vec![85, 98, 144]);
+        assert_eq!((s.separation_calls, s.lazy_rows_added), (0, 0));
         assert_eq!(
             base_stats.incumbents.last().map(|i| i.objective),
             Some(base.objective),
@@ -987,72 +845,36 @@ mod tests {
     }
 
     #[test]
-    fn lazy_lp_verifies_a_clean_warm_pass_cold() {
+    fn lazy_lp_error_keeps_the_completed_rounds_booked() {
+        // Clean run: cold and cut, cold and clean.
         let (mut master, hidden) = one_cut_master();
         let mut log = LazyLpLog::default();
         let sol = solve_lp_lazy(&mut master, &mut log, oracle(hidden)).unwrap();
         approx(sol.objective, 2.0);
-        // Cold, cut; warm and clean — not accepted; cold again, clean.
-        assert_eq!(log.rows_per_round, vec![1, 0, 0]);
-        assert_eq!(log.cold_verifies, 1);
-        let warm: Vec<bool> = log.solves.iter().map(|(s, _)| s.warm_start).collect();
-        assert_eq!(warm, vec![false, true, false]);
-        assert!(!sol.stats.warm_start, "the accepted vertex is cold-solved");
+        assert_eq!(log.rows_per_round, vec![1, 0]);
+        assert!(log.solves.iter().all(|(s, _)| !s.warm_start));
         assert_eq!(master.num_constraints(), 2);
-    }
 
-    #[test]
-    fn lazy_lp_retries_a_failed_warm_solve_cold_once() {
-        // A master solver that fails `failures` times on a workspace that
-        // carries a warm basis, and after that whenever `then_always`.
-        let run = |mut failures: u32, then_always: bool| {
-            let (mut master, hidden) = one_cut_master();
-            let mut log = LazyLpLog::default();
-            let mut calls = Vec::new();
-            let res = lazy_lp_loop(
-                &mut master,
-                &mut log,
-                |p, ws| {
-                    let warm = ws.final_basis().is_some();
-                    calls.push(warm);
-                    if (warm && failures > 0) || (calls.len() > 1 && then_always) {
-                        failures = failures.saturating_sub(1);
-                        return Err(SolveError::IterationLimit);
-                    }
-                    simplex::solve_with(p, &[], ws)
-                },
-                oracle(hidden),
-            );
-            (res, log, calls)
-        };
-
-        // The warm round fails once: redone on a fresh workspace, and the
-        // retry's optimum, being cold, is accepted on its clean pass.
-        let (res, log, calls) = run(1, false);
-        approx(res.unwrap().objective, 2.0);
-        assert_eq!(calls, vec![false, true, false]);
-        assert_eq!(log.solves.len(), 2, "the retry is part of its round");
-        assert_eq!((log.cold_verifies, &log.rows_per_round[..]), (1, &[1, 0][..]));
-
-        // The retry fails too: that error is the answer, after one retry.
-        let (res, log, calls) = run(1, true);
-        assert_eq!(res.unwrap_err(), SolveError::IterationLimit);
-        assert_eq!(calls, vec![false, true, false]);
-        assert_eq!(log.solves.len(), 1, "the first round stays booked");
-
-        // An error on a cold solve is not retried.
+        // The second master solve fails: that error is the answer, it is
+        // not retried, and the first round stays booked with its cut.
         let (mut master, hidden) = one_cut_master();
+        let mut log = LazyLpLog::default();
         let mut calls = 0;
         let res = lazy_lp_loop(
             &mut master,
-            &mut LazyLpLog::default(),
-            |_, _| {
+            &mut log,
+            |p| {
                 calls += 1;
-                Err(SolveError::Infeasible)
+                if calls == 2 {
+                    return Err(SolveError::IterationLimit);
+                }
+                simplex::solve_relaxation(p, &[])
             },
             oracle(hidden),
         );
-        assert_eq!((res.unwrap_err(), calls), (SolveError::Infeasible, 1));
+        assert_eq!((res.unwrap_err(), calls), (SolveError::IterationLimit, 2));
+        assert_eq!((log.solves.len(), &log.rows_per_round[..]), (1, &[1][..]));
+        assert_eq!(master.num_constraints(), 2);
     }
 
     #[test]

@@ -43,13 +43,13 @@
 //!   a fresh `Vec<bool>` per iteration plus a `HashSet` in phase 2) is
 //!   tableau state maintained across pivots; pricing and pivot scratch
 //!   buffers live in the tableau and are reused.
-//! * **Warm starts** — a [`Workspace`] caches the prepared sparse rows and
+//! * **Buffer reuse** — a [`Workspace`] caches the prepared sparse rows and
 //!   every tableau buffer across solves of the same problem (only bound
-//!   overrides changing), and can reinstall a saved [`Basis`] to skip
-//!   phase 1 entirely. Branch-and-bound warm-starts each child node from
-//!   its parent's optimal basis. A [`crate::WarmState`] goes further and
-//!   keeps the final tableau itself, editing it in place between solves
-//!   (the `live` submodule has both).
+//!   overrides changing, the branch-and-bound access pattern). It carries
+//!   no basis: every [`solve_with`] is `build` → phase 1 → phase 2 from
+//!   the slack basis. The one warm start is a [`crate::WarmState`], which
+//!   keeps the final tableau itself and edits it in place between solves
+//!   (the `live` submodule).
 
 use crate::error::SolveError;
 use crate::problem::{Problem, Relation, Sense};
@@ -60,7 +60,6 @@ use std::sync::{Arc, OnceLock};
 
 mod live;
 
-use live::Install;
 pub(crate) use live::solve_live;
 
 /// Registry handles for the solver phase-attribution family
@@ -161,42 +160,24 @@ const TIME_SAMPLE: usize = 8;
 /// lower, upper)`.
 pub type BoundOverride = (usize, f64, f64);
 
-/// A snapshot of a simplex basis: which variable is basic in each row and
-/// which nonbasic columns rest at their upper bound. Opaque to callers;
-/// obtained from [`Workspace::final_basis`] and fed back through
-/// [`Workspace::set_warm`] to warm-start a related solve (same problem,
-/// different bound overrides).
-#[derive(Debug, Clone)]
-pub struct Basis {
-    rows: Vec<usize>,
-    at_upper: Vec<bool>,
-}
-
-/// Reusable solver state: prepared sparse problem rows, tableau buffers,
-/// and an optional warm-start basis.
+/// Reusable solver state: prepared sparse problem rows and tableau buffers.
 ///
 /// A workspace amortizes, across repeated solves of the *same* problem
 /// with different bound overrides (the branch-and-bound access pattern):
 ///
 /// * the sparse row preparation (constraint terms are cloned out of the
-///   [`Problem`] once, not per solve),
+///   [`Problem`] once, not per solve), and
 /// * every tableau allocation (the dense matrix, pricing buffers, pivot
-///   scratch — all reused), and
-/// * optionally phase 1, by reinstalling a saved basis on the rebuilt
-///   tableau (see [`Workspace::set_warm`]); if the saved basis is not
-///   primal feasible under the new bounds and cannot be repaired in
-///   place, the solve silently falls back to a cold start.
+///   scratch — all reused).
 ///
-/// After every successful solve the workspace re-arms its warm basis with
-/// that solve's final basis, so plain sequential re-solving warm-starts
-/// automatically. Callers that need schedule-independent determinism (the
-/// parallel branch-and-bound) override this via [`Workspace::set_warm`] /
-/// [`Workspace::clear_warm`] before each solve.
+/// It carries nothing of one solve's *answer* into the next [`solve_with`],
+/// so a result never depends on what the workspace solved before — the
+/// parallel branch-and-bound hands workspaces to worker threads on that
+/// footing.
 #[derive(Debug, Default)]
 pub struct Workspace {
     tab: Tableau,
     prepared: Option<Prepared>,
-    warm: Option<Basis>,
     /// Set while `tab` still holds the optimum of the last
     /// [`solve_live`]: the problem as the tableau has absorbed it.
     live: Option<live::Live>,
@@ -206,147 +187,6 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace::default()
     }
-
-    /// Install `basis` as the warm start for the next solve. `None` forces
-    /// the next solve cold.
-    pub fn set_warm(&mut self, basis: Option<Basis>) {
-        self.warm = basis;
-    }
-
-    /// Drop any warm-start state (next solve runs phase 1 from scratch).
-    pub fn clear_warm(&mut self) {
-        self.warm = None;
-    }
-
-    /// The final basis of the most recent successful solve, if any.
-    pub fn final_basis(&self) -> Option<Basis> {
-        self.warm.clone()
-    }
-
-    /// Extend the prepared row set with the constraints appended to
-    /// `problem` since this workspace last solved it — the incremental
-    /// mutation behind cutting-plane row generation.
-    ///
-    /// What this call itself costs is O(nnz of the appended rows) for the
-    /// sparse row clones plus O(rows) column-layout bookkeeping; nothing
-    /// about the existing *prepared rows* is redone. Slack columns extend
-    /// the existing slack block, so structural and pre-existing slack
-    /// indices are untouched and only the artificial block shifts up — the
-    /// saved warm **basis** is remapped in place under that shift, and
-    /// each appended row enters it with its own slack basic (artificial
-    /// for `Eq` rows).
-    ///
-    /// The tableau is another matter: the next [`solve_with`] `build`s it
-    /// afresh from the prepared rows and pivots it onto the remapped basis
-    /// (`Tableau::install_basis`: one pivot per basic that is not a
-    /// slack, counted in `SolveStats::install_pivots`) before anything
-    /// else. After that, appended rows the warm point already satisfies
-    /// cost nothing more, and violated ones are repaired by a short
-    /// phase 1 confined to their artificials instead of restarting from
-    /// the slack basis. Callers that re-solve one growing master many
-    /// times and want to skip the rebuild and the install as well hold a
-    /// [`crate::WarmState`], whose tableau stays live between solves.
-    ///
-    /// Returns `false` — leaving the workspace untouched, the caller just
-    /// solves cold and re-prepares — when the workspace holds no prepared
-    /// state for a prefix of `problem` (different variable count, fewer
-    /// constraints than prepared, or a mismatched prefix term count).
-    ///
-    /// ## Caller contract: append-only
-    ///
-    /// Between the solve that prepared this workspace and this call, the
-    /// caller must only have **appended** constraints to `problem` — never
-    /// edited an existing row's coefficients, relation, or rhs in place.
-    /// The prefix check above is a cheap fingerprint (variable count, row
-    /// count, total prefix term count), deliberately not a content hash:
-    /// an in-place mutation that preserves the term count passes it, and
-    /// the workspace would then silently solve against the stale prepared
-    /// copy of that row — an answer to the wrong problem. The one in-tree
-    /// caller ([`crate::milp::solve_lp_lazy`], the cutting-plane loop)
-    /// only ever appends; uphold the same contract or rebuild the
-    /// workspace.
-    pub fn append_rows(&mut self, problem: &Problem) -> bool {
-        let Some(prepared) = self.prepared.as_mut() else {
-            return false;
-        };
-        let (n, m_old, nnz_old) = prepared.fingerprint;
-        let m_new = problem.constraints.len();
-        if problem.num_vars() != n || m_new < m_old {
-            return false;
-        }
-        let prefix_terms: usize = problem.constraints[..m_old]
-            .iter()
-            .map(|c| c.terms.len())
-            .sum();
-        if prefix_terms != nnz_old {
-            return false;
-        }
-        if m_new == m_old {
-            return true; // nothing appended
-        }
-
-        let first_art_old = prepared.first_artificial;
-        let mut nnz_new = nnz_old;
-        let mut next_slack = first_art_old; // extend the slack block
-        for c in &problem.constraints[m_old..] {
-            nnz_new += c.terms.len();
-            prepared.terms.push(c.terms.clone());
-            prepared.relations.push(c.relation);
-            prepared.rhs.push(c.rhs);
-            if matches!(c.relation, Relation::Eq) {
-                prepared.slack_col.push(usize::MAX);
-            } else {
-                prepared.slack_col.push(next_slack);
-                next_slack += 1;
-            }
-        }
-        let added_slacks = next_slack - first_art_old;
-        let first_art_new = first_art_old + added_slacks;
-        prepared.first_artificial = first_art_new;
-        prepared.cols = first_art_new + m_new;
-        prepared.art_col.clear();
-        prepared.art_col.extend((0..m_new).map(|i| first_art_new + i));
-        prepared.fingerprint = (n, m_new, nnz_new);
-
-        // Remap the warm basis into the widened column layout: structural
-        // and old slack columns keep their indices; artificial columns
-        // shift up past the slacks inserted before them.
-        let mut keep = false;
-        if let Some(basis) = self.warm.as_mut() {
-            if basis.rows.len() == m_old && basis.at_upper.len() == first_art_old + m_old {
-                let remap = |c: usize| {
-                    if c < first_art_old {
-                        c
-                    } else {
-                        c + added_slacks
-                    }
-                };
-                for b in basis.rows.iter_mut() {
-                    *b = remap(*b);
-                }
-                let mut at_upper = vec![false; prepared.cols];
-                for (c, &up) in basis.at_upper.iter().enumerate() {
-                    if up {
-                        at_upper[remap(c)] = true;
-                    }
-                }
-                basis.at_upper = at_upper;
-                for i in m_old..m_new {
-                    let slack = prepared.slack_col[i];
-                    basis.rows.push(if slack != usize::MAX {
-                        slack
-                    } else {
-                        first_art_new + i
-                    });
-                }
-                keep = true;
-            }
-        }
-        if !keep {
-            self.warm = None; // basis from some other layout: solve cold
-        }
-        true
-    }
 }
 
 /// Problem structure shared by every solve in a workspace: sparse rows
@@ -354,8 +194,8 @@ impl Workspace {
 ///
 /// The layout assigns every row its slack/surplus column (non-`Eq` rows)
 /// and an artificial column (every row, used or not depending on the
-/// per-solve rhs normalization), so column indices — and therefore saved
-/// bases — stay valid when only bounds change between solves.
+/// per-solve rhs normalization), so column indices stay valid when only
+/// bounds change between solves.
 #[derive(Debug)]
 struct Prepared {
     /// Guards against a workspace being reused across different problems:
@@ -428,12 +268,11 @@ pub fn solve_relaxation(
     solve_with(problem, overrides, &mut ws)
 }
 
-/// Solve the LP relaxation reusing (and updating) `ws`.
+/// Solve the LP relaxation reusing the buffers of `ws`.
 ///
-/// Identical results to [`solve_relaxation`] on a fresh workspace; with a
-/// used workspace, buffer reuse changes no arithmetic and a warm basis is
-/// accepted only when primal feasible (otherwise the solve restarts cold),
-/// so objectives remain optimal either way.
+/// Identical results to [`solve_relaxation`] on a fresh workspace: buffer
+/// reuse changes no arithmetic, and every solve starts from the slack
+/// basis.
 pub fn solve_with(
     problem: &Problem,
     overrides: &[BoundOverride],
@@ -460,12 +299,7 @@ pub fn solve_with(
     }
 
     // (Re)prepare the sparse rows if this workspace saw a different
-    // problem. The warm basis deliberately survives: callers install one
-    // explicitly per solve (see `par_map_with`'s determinism contract),
-    // and a fresh workspace must treat it exactly like a used one or
-    // results become thread-assignment-dependent in the parallel
-    // branch-and-bound. A basis that does not fit the prepared layout is
-    // rejected by `install_basis`'s dimension check.
+    // problem.
     if !ws.prepared.as_ref().is_some_and(|p| p.matches(problem)) {
         ws.prepared = Some(Prepared::build(problem));
     }
@@ -474,86 +308,10 @@ pub fn solve_with(
     // Shift x = lo + y. Constraint rhs absorbs the shift.
     ws.tab.build(prepared, &lo, &hi);
     ws.tab.stats = fresh_stats(&ws.tab, false);
-    let mut install = Install::Reject;
-    if let Some(basis) = ws.warm.as_ref() {
-        install = ws.tab.install_basis(basis);
-        if install == Install::Reject {
-            // The install pivots mutated the tableau; rebuild for phase 1.
-            ws.tab.build(prepared, &lo, &hi);
-        }
-    }
-    // A basis was accepted — either immediately feasible or repaired
-    // into a short artificial-only phase 1 (the append_rows path).
-    ws.tab.stats.warm_start = install != Install::Reject;
     let solve_span = open_span(&ws.tab);
-    let traced = solve_span.is_some();
-    let run = (|| {
-        match install {
-            Install::Feasible => ws.tab.phase2(problem, false),
-            // Basics pushed outside their box by a bound/rhs edit: dual
-            // repair from the warm point, then the usual primal polish.
-            Install::NeedsDualRepair => ws.tab.phase2(problem, true),
-            _ => {
-                // Cold start, or a warm install that left artificials basic
-                // (phase1 early-returns when the slack basis is feasible).
-                ws.tab.phase1()?;
-                ws.tab.phase2(problem, false)
-            }
-        }
-    })();
-    if let Err(e) = run {
-        // Dual repair is best-effort: an exhausted or stuck repair says
-        // nothing about the problem itself, so retry once from a cold
-        // start before reporting an error (mirrors the caller-side cold
-        // retries around row generation). Genuine infeasibility from the
-        // cold path propagates as usual.
-        if install == Install::NeedsDualRepair {
-            note_fallback(traced, "dual_repair_failed");
-            ws.tab.build(prepared, &lo, &hi);
-            ws.tab.stats = fresh_stats(&ws.tab, false);
-            let retry = (|| {
-                ws.tab.phase1()?;
-                ws.tab.phase2(problem, false)
-            })();
-            if let Err(e2) = retry {
-                ws.warm = None;
-                return Err(e2);
-            }
-        } else {
-            ws.warm = None;
-            return Err(e);
-        }
-    }
-
-    let mut values = ws.tab.values(&lo, &hi);
-
-    // Backstop for every warm path: the repaired/polished point must
-    // actually satisfy the rows. A warm install starts from a tableau the
-    // saved basis reshaped, so any numerical damage along the repair
-    // (near-singular install pivot chains, dual-repair round-off) would
-    // otherwise surface as a silently wrong "optimum" — one cheap residual
-    // scan converts that into a cold re-solve instead.
-    if ws.tab.stats.warm_start && primal_violation(problem, &values) > 1e-6 {
-        note_fallback(traced, "residual_backstop");
-        ws.tab.build(prepared, &lo, &hi);
-        ws.tab.stats = after_wasted(&ws.tab.stats);
-        let redo = (|| {
-            ws.tab.phase1()?;
-            ws.tab.phase2(problem, false)
-        })();
-        if let Err(e) = redo {
-            ws.warm = None;
-            return Err(e);
-        }
-        values = ws.tab.values(&lo, &hi);
-    }
-
-    // Re-arm the warm basis with this solve's final basis.
-    ws.warm = Some(Basis {
-        rows: ws.tab.basis.clone(),
-        at_upper: ws.tab.at_upper.clone(),
-    });
-
+    ws.tab.phase1()?;
+    ws.tab.phase2(problem)?;
+    let values = ws.tab.values(&lo, &hi);
     Ok(finish(problem, &ws.tab, values, solve_span))
 }
 
@@ -572,20 +330,6 @@ fn fresh_stats(tab: &Tableau, warm_start: bool) -> SolveStats {
         rows: tab.rows as u32,
         cols: tab.cols as u32,
         warm_start,
-        ..SolveStats::default()
-    }
-}
-
-/// Counters for the cold redo of a warm solve whose answer the residual
-/// backstop refused: the wasted warm work stays on the books.
-fn after_wasted(warm: &SolveStats) -> SolveStats {
-    SolveStats {
-        rows: warm.rows,
-        cols: warm.cols,
-        pivots: warm.pivots,
-        dual_pivots: warm.dual_pivots,
-        bound_flips: warm.bound_flips,
-        install_pivots: warm.install_pivots,
         ..SolveStats::default()
     }
 }
@@ -759,8 +503,8 @@ struct Tableau {
     /// (degenerate optima are common in the scheduling LPs, and callers
     /// observe which vertex they get through the extracted allocation).
     partial: bool,
-    /// Kernel counters for the solve in progress (reset per solve by
-    /// [`solve_with`], attached to the returned [`Solution`]).
+    /// Kernel counters for the solve in progress (reset per solve,
+    /// attached to the returned [`Solution`]).
     stats: SolveStats,
 }
 
@@ -829,12 +573,11 @@ impl Tableau {
         let cols = prepared.cols;
 
         // Zero the matrix. When the workspace is rebuilt on the same
-        // layout (the warm-start paths: branch-and-bound bound overrides,
-        // hardening re-solves, rejected basis installs), the row files
-        // say exactly which cells can be nonzero, so zeroing those plus
-        // the rhs column is O(nnz) instead of a matrix-sized memset —
-        // at scheduling scale the memset alone costs as much as the
-        // whole pivot loop.
+        // layout (branch-and-bound bound overrides, hardening re-solves),
+        // the row files say exactly which cells can be nonzero, so zeroing
+        // those plus the rhs column is O(nnz) instead of a matrix-sized
+        // memset — at scheduling scale the memset alone costs as much as
+        // the whole pivot loop.
         let same_layout = self.track_cols
             && self.rows == m
             && self.cols == cols
@@ -894,7 +637,7 @@ impl Tableau {
         self.allowed.resize(cols, true);
         self.row_meta.clear();
         for list in self.col_rows.iter_mut() {
-            list.clear(); // keep inner allocations for warm rebuilds
+            list.clear(); // keep inner allocations for rebuilds
         }
         if self.col_rows.len() > cols {
             self.col_rows.truncate(cols);
@@ -1036,9 +779,9 @@ impl Tableau {
 
     /// Phase 2: optimize the real (internally minimized) objective from a
     /// basis whose reduced costs are not known yet.
-    fn phase2(&mut self, problem: &Problem, dual_repair: bool) -> Result<(), SolveError> {
+    fn phase2(&mut self, problem: &Problem) -> Result<(), SolveError> {
         self.price_out(problem);
-        self.optimize(dual_repair)
+        self.optimize(false)
     }
 
     /// Cost of column `c` in the internal minimization.
@@ -1629,12 +1372,6 @@ impl Tableau {
         self.col_rows[col].push(row as u32);
     }
 
-    /// Gauss-Jordan pivot restricted to the nonzero columns of the pivot
-    /// row (the folded rhs is maintained by the caller).
-    fn pivot_matrix(&mut self, row: usize, col: usize) {
-        self.pivot_matrix_ext(row, col, false);
-    }
-
     /// The main-loop pivot: Gauss-Jordan on the nonzero pivot-row columns,
     /// with the folded-rhs update (`xb -= α · step`) fused into the same
     /// row pass. Requires the entering column `col` to be gathered in
@@ -1642,7 +1379,7 @@ impl Tableau {
     /// lets rows with a zero elimination factor be skipped without
     /// touching the matrix at all — on block-sparse scheduling LPs that is
     /// most of them. Arithmetic on touched cells is identical to
-    /// `pivot_matrix` plus the caller-side rhs loop it replaces.
+    /// `pivot_matrix` plus a caller-side rhs loop.
     fn pivot_with_rhs_update(&mut self, row: usize, col: usize, step: f64, pk: usize) {
         let stride = self.stride;
         let base = row * stride;
@@ -1695,10 +1432,11 @@ impl Tableau {
         }
     }
 
-    /// Pivot implementation; `include_rhs` additionally transforms the rhs
-    /// column (wanted when the rhs holds `B⁻¹b` during basis installation,
-    /// NOT during the main loop where the caller maintains folded values).
-    fn pivot_matrix_ext(&mut self, row: usize, col: usize, include_rhs: bool) {
+    /// Gauss-Jordan pivot restricted to the nonzero columns of the pivot
+    /// row; the basic values are the caller's to maintain. Reads the
+    /// entering column with a strided scan — it only runs for the
+    /// artificial drive-out, never in the main pivot loop.
+    fn pivot_matrix(&mut self, row: usize, col: usize) {
         let stride = self.stride;
         let base = row * stride;
         let p = self.a[base + col];
@@ -1719,18 +1457,9 @@ impl Tableau {
             }
         }
         self.a[base + col] = 1.0;
-        let rhs = if include_rhs {
-            self.xb[row] *= inv;
-            self.xb[row]
-        } else {
-            0.0
-        };
 
         // Track which rows get eliminated so the per-column row files can
-        // record the fill-in afterwards (this path reads the entering
-        // column with a strided scan — it only runs during warm-start
-        // basis installation and artificial drive-out, never in the main
-        // pivot loop).
+        // record the fill-in afterwards.
         self.ecol_rows.clear();
         self.ecol_vals.clear();
         for r in 0..self.rows {
@@ -1745,9 +1474,6 @@ impl Tableau {
                     self.a[rbase + self.scratch[k]] -= f * self.scratch_val[k];
                 }
                 self.a[rbase + col] = 0.0;
-                if rhs != 0.0 {
-                    self.xb[r] -= f * rhs;
-                }
             }
         }
         self.eliminate_costs(col);
@@ -2108,15 +1834,15 @@ mod tests {
 
 #[cfg(test)]
 mod workspace_tests {
-    use super::{solve_with, Workspace};
+    use super::{solve_relaxation, solve_with, Workspace};
     use crate::{Problem, Relation, Sense};
 
     fn approx(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// A small scheduling-shaped LP with `>=` rows (so a cold solve needs
-    /// phase 1, making the warm path observable).
+    /// A small scheduling-shaped LP with `>=` rows (so a solve needs
+    /// phase 1).
     fn demo_problem() -> Problem {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var("x");
@@ -2131,35 +1857,33 @@ mod workspace_tests {
         p
     }
 
+    /// What a workspace solved before does not reach the next answer:
+    /// branch-and-bound-style tightenings through one workspace give the
+    /// vertex and the pivot counts of a fresh solve, bit for bit.
     #[test]
-    fn warm_resolve_matches_cold() {
+    fn reused_workspace_matches_fresh_bit_for_bit() {
         let p = demo_problem();
         let mut ws = Workspace::new();
-        let cold = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(ws.final_basis().is_some());
-        // Second solve warm-starts from the first solve's basis.
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        approx(cold.objective, warm.objective);
-        for (a, b) in cold.values.iter().zip(&warm.values) {
-            approx(*a, *b);
-        }
-    }
-
-    #[test]
-    fn warm_start_with_changed_bounds_matches_cold() {
-        let p = demo_problem();
-        let mut ws = Workspace::new();
-        solve_with(&p, &[], &mut ws).unwrap();
-        // Branch-and-bound-style tightenings, solved warm and cold.
         let tighten: &[&[super::BoundOverride]] = &[
+            &[],
+            &[],
             &[(0, 0.0, 3.0)],
             &[(1, 2.0, f64::INFINITY)],
             &[(0, 1.0, 6.0), (2, 0.0, 1.0)],
         ];
         for bounds in tighten {
-            let warm = solve_with(&p, bounds, &mut ws).unwrap();
-            let cold = super::solve_relaxation(&p, bounds).unwrap();
-            approx(warm.objective, cold.objective);
+            let reused = solve_with(&p, bounds, &mut ws).unwrap();
+            let fresh = solve_relaxation(&p, bounds).unwrap();
+            assert!(!reused.stats.warm_start);
+            assert_eq!(reused.objective.to_bits(), fresh.objective.to_bits());
+            for (a, b) in reused.values.iter().zip(&fresh.values) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{bounds:?}");
+            }
+            assert_eq!(
+                (reused.stats.iterations(), reused.stats.pivots),
+                (fresh.stats.iterations(), fresh.stats.pivots),
+                "{bounds:?}"
+            );
         }
     }
 
@@ -2173,7 +1897,7 @@ mod workspace_tests {
         assert!(solve_with(&p, &[(0, 5.0, 2.0)], &mut ws).is_err());
         // Workspace remains usable afterwards.
         let again = solve_with(&p, &[], &mut ws).unwrap();
-        let fresh = super::solve_relaxation(&p, &[]).unwrap();
+        let fresh = solve_relaxation(&p, &[]).unwrap();
         approx(again.objective, fresh.objective);
     }
 
@@ -2182,7 +1906,7 @@ mod workspace_tests {
         let p1 = demo_problem();
         let mut ws = Workspace::new();
         let a = solve_with(&p1, &[], &mut ws).unwrap();
-        approx(a.objective, super::solve_relaxation(&p1, &[]).unwrap().objective);
+        approx(a.objective, solve_relaxation(&p1, &[]).unwrap().objective);
 
         // A different problem through the same workspace must re-prepare.
         let mut p2 = Problem::new(Sense::Maximize);
@@ -2194,159 +1918,6 @@ mod workspace_tests {
         p2.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
         let b = solve_with(&p2, &[], &mut ws).unwrap();
         approx(b.objective, 12.0);
-    }
-
-    #[test]
-    fn append_rows_requires_prepared_prefix() {
-        let p = demo_problem();
-        let mut ws = Workspace::new();
-        // Nothing prepared yet: nothing to extend.
-        assert!(!ws.append_rows(&p));
-        solve_with(&p, &[], &mut ws).unwrap();
-        // No new rows is a (trivially successful) no-op.
-        assert!(ws.append_rows(&p));
-        // A different problem is not an extension.
-        let mut other = Problem::new(Sense::Minimize);
-        other.add_var("q");
-        assert!(!ws.append_rows(&other));
-        // The workspace still solves the original problem correctly.
-        let again = solve_with(&p, &[], &mut ws).unwrap();
-        approx(again.objective, super::solve_relaxation(&p, &[]).unwrap().objective);
-    }
-
-    #[test]
-    fn append_violated_row_matches_cold_extended_solve() {
-        // Solve, append a row the optimum violates, re-solve warm; the
-        // result must match a cold solve of the extended problem, and the
-        // install must count as a warm start (short phase 1, not a cold
-        // rebuild).
-        let mut p = demo_problem();
-        let x = crate::VarId(0);
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        // demo optimum has x = 7: cut it off.
-        assert!(first.values[0] > 5.0);
-        p.add_constraint(&[(x, 1.0)], Relation::Le, 5.0);
-        assert!(ws.append_rows(&p));
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(warm.stats.warm_start, "append re-solve should stay warm");
-        let cold = super::solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        for (a, b) in warm.values.iter().zip(&cold.values) {
-            approx(*a, *b);
-        }
-        assert!(p.is_feasible(&warm.values, 1e-6));
-    }
-
-    #[test]
-    fn converted_row_duals_match_cold() {
-        // An appended violated row is installed by sign-flipping it onto
-        // its artificial (convert_row_to_artificial). The flip must leave
-        // the row's reported dual identical to a cold solve — for both
-        // relations (the row-generation path only ever appends Le cuts,
-        // so the Ge case is otherwise uncovered).
-        for relation in [Relation::Le, Relation::Ge] {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x");
-            let y = p.add_var("y");
-            p.set_objective(x, 2.0);
-            p.set_objective(y, 3.0);
-            p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-            let mut ws = Workspace::new();
-            solve_with(&p, &[], &mut ws).unwrap(); // optimum x=10, y=0
-            match relation {
-                Relation::Le => p.add_constraint(&[(x, 1.0)], Relation::Le, 3.0),
-                _ => p.add_constraint(&[(y, 1.0)], Relation::Ge, 5.0),
-            };
-            assert!(ws.append_rows(&p));
-            let warm = solve_with(&p, &[], &mut ws).unwrap();
-            assert!(warm.stats.warm_start, "{relation:?} re-solve should stay warm");
-            let cold = super::solve_relaxation(&p, &[]).unwrap();
-            approx(warm.objective, cold.objective);
-            let wd = warm.duals.as_ref().unwrap();
-            let cd = cold.duals.as_ref().unwrap();
-            for (i, (a, b)) in wd.iter().zip(cd).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "{relation:?} dual {i}: warm {a} vs cold {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn append_satisfied_row_skips_phase1() {
-        let mut p = demo_problem();
-        let (x, y) = (crate::VarId(0), crate::VarId(1));
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        // A row the optimum already satisfies strictly.
-        p.add_constraint(
-            &[(x, 1.0), (y, 1.0)],
-            Relation::Le,
-            first.values[0] + first.values[1] + 100.0,
-        );
-        assert!(ws.append_rows(&p));
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(warm.stats.warm_start);
-        assert_eq!(warm.stats.phase1_iterations, 0);
-        approx(warm.objective, first.objective);
-    }
-
-    #[test]
-    fn append_rows_iterated_cutting_plane_loop() {
-        // A miniature cutting-plane loop: min x+y over x,y >= 0 with the
-        // cuts x + y >= k/4 (k = 1..=8) revealed one at a time. Each round
-        // appends the single most-violated row and re-solves warm; the
-        // final objective must equal the full formulation's.
-        let mut master = Problem::new(Sense::Minimize);
-        let x = master.add_var("x");
-        let y = master.add_var("y");
-        master.set_objective(x, 1.0);
-        master.set_objective(y, 1.0);
-        master.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 0.25);
-        let mut full = master.clone();
-        for k in 2..=8 {
-            full.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, k as f64 / 4.0);
-        }
-        let want = full.solve().unwrap().objective;
-
-        let mut ws = Workspace::new();
-        let mut sol = solve_with(&master, &[], &mut ws).unwrap();
-        let mut rounds = 0;
-        loop {
-            // Separation: most-violated of the hidden cuts.
-            let lhs = sol[x] + sol[y];
-            let viol = (2..=8)
-                .map(|k| k as f64 / 4.0)
-                .filter(|rhs| lhs < rhs - 1e-9)
-                .fold(None::<f64>, |acc, rhs| Some(acc.map_or(rhs, |a: f64| a.max(rhs))));
-            let Some(rhs) = viol else { break };
-            master.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, rhs);
-            assert!(ws.append_rows(&master));
-            sol = solve_with(&master, &[], &mut ws).unwrap();
-            rounds += 1;
-            assert!(rounds < 10, "cutting-plane loop failed to converge");
-        }
-        approx(sol.objective, want);
-        // Adding the deepest cut first converges in one round.
-        assert_eq!(rounds, 1);
-    }
-
-    #[test]
-    fn explicit_warm_basis_transfer() {
-        let p = demo_problem();
-        let mut ws1 = Workspace::new();
-        solve_with(&p, &[], &mut ws1).unwrap();
-        let basis = ws1.final_basis().unwrap();
-
-        // A second workspace warm-started from the first one's basis.
-        let mut ws2 = Workspace::new();
-        solve_with(&p, &[], &mut ws2).unwrap(); // prepare structures
-        ws2.set_warm(Some(basis));
-        let warm = solve_with(&p, &[(1, 0.5, f64::INFINITY)], &mut ws2).unwrap();
-        let cold = super::solve_relaxation(&p, &[(1, 0.5, f64::INFINITY)]).unwrap();
-        approx(warm.objective, cold.objective);
     }
 }
 
@@ -2456,228 +2027,5 @@ mod dual_tests {
         let eps = 1e-4;
         let fd = (base(-1.0 + eps) - base(-1.0)) / eps;
         assert!((duals[0] - fd).abs() < 1e-3, "{} vs {fd}", duals[0]);
-    }
-}
-
-#[cfg(test)]
-mod dual_repair_tests {
-    use super::{solve_relaxation, solve_with, Workspace};
-    use crate::{Problem, Relation, Sense, VarId};
-
-    fn approx(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-6, "{a} != {b}");
-    }
-
-    /// Shrinking a bound below the warm optimum forces the basic variable
-    /// out of its box; the repair must be dual pivots, not a cold restart.
-    #[test]
-    fn shrunk_upper_bound_repairs_dually() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 20.0);
-        let y = p.add_var("y");
-        p.set_objective(x, 1.0);
-        p.set_objective(y, 3.0);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        approx(first.values[0], 10.0); // cheap x carries everything
-        p.set_var_upper(x, 4.0);
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(warm.stats.warm_start, "bound edit should stay warm");
-        assert!(warm.stats.dual_pivots > 0, "expected dual repair pivots");
-        assert_eq!(warm.stats.phase2_iterations, 0, "repair should land optimal");
-        let cold = solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        approx(warm.values[0], 4.0);
-        approx(warm.values[1], 6.0);
-    }
-
-    /// Degenerate dual pivot: the entering column has a zero reduced cost
-    /// (alternative optima), so the repair pivot moves the basis without
-    /// changing the objective — the classic degenerate case the ratio
-    /// test must handle without stalling.
-    #[test]
-    fn degenerate_dual_pivot_terminates() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 20.0);
-        let y = p.add_var("y");
-        p.set_objective(x, 1.0);
-        p.set_objective(y, 1.0); // equal costs: z_y = 0 at the optimum
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        approx(first.objective, 10.0);
-        let x_at = first.values[0];
-        assert!(x_at > 1.0, "optimum should use x");
-        p.set_var_upper(x, x_at / 2.0);
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        assert!(warm.stats.warm_start);
-        assert!(warm.stats.dual_pivots > 0);
-        // Objective unchanged: the repair pivot was degenerate in cost.
-        approx(warm.objective, 10.0);
-        approx(warm.values[0] + warm.values[1], 10.0);
-        assert!(warm.values[0] <= x_at / 2.0 + 1e-9);
-    }
-
-    /// Retiring a variable in place (upper bound to zero) must evict it
-    /// from the basis and re-route — the demand-removal idiom.
-    #[test]
-    fn retire_variable_via_zero_bound() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 20.0);
-        let y = p.add_bounded_var("y", 20.0);
-        let z = p.add_var("z");
-        p.set_objective(x, 1.0);
-        p.set_objective(y, 2.0);
-        p.set_objective(z, 5.0);
-        p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Ge, 8.0);
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        approx(first.values[0], 8.0);
-        p.set_var_upper(x, 0.0);
-        let warm = solve_with(&p, &[], &mut ws).unwrap();
-        let cold = solve_relaxation(&p, &[]).unwrap();
-        approx(warm.objective, cold.objective);
-        approx(warm.values[0], 0.0);
-        approx(warm.values[1], 8.0);
-    }
-
-    /// A bound edit that makes the problem infeasible must be reported as
-    /// such (the dual repair finds no entering column, or the cold retry
-    /// confirms), and the workspace must stay usable.
-    #[test]
-    fn infeasible_after_bound_edit_is_detected() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 10.0);
-        let y = p.add_bounded_var("y", 10.0);
-        p.set_objective(x, 1.0);
-        p.set_objective(y, 1.0);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 12.0);
-        let mut ws = Workspace::new();
-        solve_with(&p, &[], &mut ws).unwrap();
-        p.set_var_upper(x, 1.0);
-        p.set_var_upper(y, 1.0);
-        assert!(solve_with(&p, &[], &mut ws).is_err());
-        // Relax again: the workspace recovers.
-        p.set_var_upper(x, 10.0);
-        p.set_var_upper(y, 10.0);
-        let again = solve_with(&p, &[], &mut ws).unwrap();
-        approx(again.objective, 12.0);
-    }
-
-    /// A repair whose cheapest entering column is too narrow to absorb the
-    /// violation must bound-flip it and continue, not overshoot its box.
-    /// max y + x/2 with x ∈ [0,1], x + y ≤ 5 optimizes to (0, 5); the
-    /// override y ≤ 2 forces a 3-unit repair whose best dual ratio is x
-    /// (width 1): one flip, then the slack absorbs the rest.
-    #[test]
-    fn dual_repair_flips_narrow_column() {
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 1.0);
-        let y = p.add_var("y");
-        p.set_objective(x, 0.5);
-        p.set_objective(y, 1.0);
-        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
-        let mut ws = Workspace::new();
-        let first = solve_with(&p, &[], &mut ws).unwrap();
-        approx(first.values[0], 0.0);
-        approx(first.values[1], 5.0);
-        let warm = solve_with(&p, &[(1, 0.0, 2.0)], &mut ws).unwrap();
-        assert!(warm.stats.warm_start, "override edit should stay warm");
-        assert!(warm.stats.bound_flips > 0, "expected a dual bound flip");
-        assert!(warm.stats.dual_pivots > 0, "expected a dual repair pivot");
-        let cold = solve_relaxation(&p, &[(1, 0.0, 2.0)]).unwrap();
-        approx(warm.objective, cold.objective);
-        approx(warm.objective, 2.5);
-        approx(warm.values[0], 1.0);
-        approx(warm.values[1], 2.0);
-    }
-
-    /// Randomized branch-and-bound-shaped chains: stack tightening
-    /// overrides (often pinning a variable, the binary-branching case)
-    /// while warm solving through one workspace, and compare every level
-    /// against a cold solve. This is the access pattern that exposed the
-    /// unclamped dual-repair overshoot: a diverging repair leaves the
-    /// tableau numerically inconsistent and the "optimum" off by whole
-    /// units, which any level's comparison here catches.
-    #[test]
-    fn chained_override_warm_matches_cold() {
-        // splitmix64: deterministic, dependency-free.
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        fn unit(state: &mut u64) -> f64 {
-            (next(state) >> 11) as f64 / (1u64 << 53) as f64
-        }
-        for seed in 0..400u64 {
-            let mut s = seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1;
-            let n = 3 + (next(&mut s) % 6) as usize;
-            let m = 2 + (next(&mut s) % 5) as usize;
-            let sense = if seed % 2 == 0 { Sense::Minimize } else { Sense::Maximize };
-            let mut p = Problem::new(sense);
-            let vars: Vec<VarId> = (0..n)
-                .map(|_| {
-                    let ub = if unit(&mut s) < 0.3 { f64::INFINITY } else { 0.5 + 3.0 * unit(&mut s) };
-                    p.add_bounded_var("v", ub)
-                })
-                .collect();
-            for &v in &vars {
-                p.set_objective(v, 2.0 * unit(&mut s) - 1.0);
-            }
-            for _ in 0..m {
-                let rel = match next(&mut s) % 3 {
-                    0 => Relation::Le,
-                    1 => Relation::Ge,
-                    _ => Relation::Eq,
-                };
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for _ in 0..1 + (next(&mut s) % 4) as usize {
-                    let v = vars[(next(&mut s) % n as u64) as usize];
-                    if !terms.iter().any(|&(w, _)| w == v) {
-                        terms.push((v, (2.0 * unit(&mut s) - 1.0) * 2.0));
-                    }
-                }
-                let rhs = match rel {
-                    Relation::Ge => unit(&mut s) * 1.5,
-                    _ => 0.5 + unit(&mut s) * 3.0,
-                };
-                p.add_constraint(&terms, rel, rhs);
-            }
-            let mut ws = Workspace::new();
-            if solve_with(&p, &[], &mut ws).is_err() {
-                continue;
-            }
-            let mut overrides: Vec<super::BoundOverride> = Vec::new();
-            for _level in 0..8 {
-                let j = (next(&mut s) % n as u64) as usize;
-                overrides.push(match next(&mut s) % 4 {
-                    0 => (j, 0.0, 0.0),
-                    1 => (j, 1.0, f64::INFINITY),
-                    2 => (j, 0.0, unit(&mut s) * 2.0),
-                    _ => (j, unit(&mut s) * 1.5, f64::INFINITY),
-                });
-                let warm = solve_with(&p, &overrides, &mut ws);
-                let cold = solve_relaxation(&p, &overrides);
-                match (&warm, &cold) {
-                    (Ok(w), Ok(c)) => {
-                        let d = (w.objective - c.objective).abs() / (1.0 + c.objective.abs());
-                        assert!(d <= 1e-6, "seed {seed}: warm {} vs cold {}", w.objective, c.objective);
-                    }
-                    (Err(we), Err(ce)) => assert_eq!(we, ce, "seed {seed}"),
-                    (w, c) => panic!(
-                        "seed {seed}: verdict mismatch warm {:?} cold {:?}",
-                        w.as_ref().map(|r| r.objective),
-                        c.as_ref().map(|r| r.objective)
-                    ),
-                }
-                if warm.is_err() {
-                    break; // subtree dead, as in branch-and-bound
-                }
-            }
-        }
     }
 }

@@ -1,43 +1,37 @@
-//! Warm starts: resuming the simplex from a point the tableau already
-//! describes instead of from the slack basis.
+//! The warm start: resuming the simplex from the point the tableau
+//! already describes instead of from the slack basis.
 //!
-//! There are two ways to get such a tableau, and one classification of
-//! what it needs before phase 2 can run ([`Tableau::classify`]):
+//! [`solve_live`] (behind [`crate::WarmState`]) keeps the final tableau of
+//! the previous solve and applies the caller's edits to it where it
+//! stands. The factored matrix `B⁻¹A`, the basic values, the reduced
+//! costs, the objective value and the at-upper rests are all still valid,
+//! so an edit costs its own nonzeros:
 //!
-//! * **Install** ([`Tableau::install_basis`]) — pivot a freshly built
-//!   tableau onto a saved [`Basis`], one pivot per non-slack basic. This is
-//!   what branch-and-bound does (each node re-`build`s under its own bound
-//!   overrides, which moves `lo` and therefore every rhs) and what the cold
-//!   row-generation loops do after [`Workspace::append_rows`].
-//! * **Live** ([`solve_live`], behind [`crate::WarmState`]) — keep the
-//!   final tableau of the previous solve and apply the caller's edits to
-//!   it where it stands. The factored matrix `B⁻¹A`, the basic values, the
-//!   reduced costs, the objective value and the at-upper rests are all
-//!   still valid, so an edit costs its own nonzeros:
+//! | edit | update |
+//! |---|---|
+//! | `set_rhs(i, b)` | `x_B += B⁻¹e_i · Δb`, read off row `i`'s marker column |
+//! | `set_var_upper(j, w)` | a nonbasic `j` resting at its upper bound moves with it: `x_B -= B⁻¹a_j · Δw` |
+//! | new variable `j` | `B⁻¹a_j = Σ_i a_ij · B⁻¹e_i`, reduced cost `c_j − yᵀa_j`, nonbasic at 0 |
+//! | new row | its basic terms are eliminated against the rows that hold them; its own slack (artificial for `Eq`) is basic |
 //!
-//!   | edit | update |
-//!   |---|---|
-//!   | `set_rhs(i, b)` | `x_B += B⁻¹e_i · Δb`, read off row `i`'s marker column |
-//!   | `set_var_upper(j, w)` | a nonbasic `j` resting at its upper bound moves with it: `x_B -= B⁻¹a_j · Δw` |
-//!   | new variable `j` | `B⁻¹a_j = Σ_i a_ij · B⁻¹e_i`, reduced cost `c_j − yᵀa_j`, nonbasic at 0 |
-//!   | new row | its basic terms are eliminated against the rows that hold them; its own slack (artificial for `Eq`) is basic |
+//! No `build`, no pricing-out of the reduced-cost row. `B⁻¹e_i` is never
+//! stored: row `i`'s slack (or artificial) started as `±e_i` and every
+//! pivot since has transformed it along with the rest, so the column *is*
+//! `±B⁻¹e_i` — with the same sign `row_meta` already keeps for reading the
+//! row's dual. [`Tableau::classify`] then says what the edited point needs
+//! before phase 2 can run from it.
 //!
-//!   No `build`, no install pivots, no pricing-out of the reduced-cost row.
-//!   `B⁻¹e_i` is never stored: row `i`'s slack (or artificial) started as
-//!   `±e_i` and every pivot since has transformed it along with the rest,
-//!   so the column *is* `±B⁻¹e_i` — with the same sign `row_meta` already
-//!   keeps for reading the row's dual.
-//!
-//! Both ways end in the same guards (`solve_with`'s and `solve_live`'s
-//! residual backstop, the caller's KKT gate), and every refusal — an edit
-//! outside the contract, a rejected classification, an error of the live
-//! run, a point that misses the rows — drops the live tableau and solves
-//! cold, which is also what bounds round-off drift: the tableau lives only
-//! as long as its answers keep passing.
+//! A cold answer is the reference; a live answer passes its guards
+//! (`solve_live`'s residual backstop, the caller's KKT gate) or is redone
+//! cold. Every refusal — an edit outside the contract, a rejected
+//! classification, an error of the live run, a point that misses the rows
+//! — drops the live tableau and solves cold, which is also what bounds
+//! round-off drift: the tableau lives only as long as its answers keep
+//! passing.
 
 use super::{
-    finish, fresh_stats, note_fallback, open_span, primal_violation, solve_with, Basis, Col,
-    Tableau, Workspace, PHASE1_TOL,
+    finish, fresh_stats, note_fallback, open_span, primal_violation, solve_with, Col, Tableau,
+    Workspace, PHASE1_TOL,
 };
 use crate::error::SolveError;
 use crate::problem::{Problem, Relation, Sense};
@@ -48,7 +42,7 @@ use crate::EPS;
 /// What a warm point needs before phase 2 can run from it (see
 /// [`Tableau::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Install {
+enum Install {
     /// The point is primal feasible; phase 1 is skipped.
     Feasible,
     /// Some rows were repaired into artificial-basic form (appended rows
@@ -66,72 +60,6 @@ pub(super) enum Install {
 }
 
 impl Tableau {
-    /// Pivot the freshly built tableau onto `saved` (transforming the rhs
-    /// to `B⁻¹b` along the way), fold nonbasic-at-upper contributions
-    /// back in, and [`classify`](Tableau::classify) the point. Costs one
-    /// full pivot per saved basic that is not already basic — on a
-    /// scheduling master, most of the rows. A layout mismatch or a
-    /// singular pivot is [`Install::Reject`], with the tableau left dirty.
-    pub(super) fn install_basis(&mut self, saved: &Basis) -> Install {
-        if saved.rows.len() != self.rows || saved.at_upper.len() != self.cols {
-            return Install::Reject;
-        }
-        // The solution point a basis describes depends only on the *set*
-        // of basic columns (plus the at-upper rests), not on which row
-        // each one is associated with — so the install realizes the set:
-        // wanted columns that are already basic stay where they are, and
-        // each remaining one is pivoted into the first row whose current
-        // basic is not wanted. This accepts saved bases whose row
-        // assignment got permuted by pivoting history (the strict
-        // row-by-row install rejected those and forced a cold restart).
-        let mut wanted = vec![false; self.cols];
-        for &j in &saved.rows {
-            if j >= self.cols || wanted[j] {
-                return Install::Reject;
-            }
-            wanted[j] = true;
-        }
-        for idx in 0..self.rows {
-            let j = saved.rows[idx];
-            if self.is_basic[j] {
-                continue; // already basic; keep in place
-            }
-            let mut target = None;
-            for r in 0..self.rows {
-                if !wanted[self.basis[r]] && self.at(r, j).abs() >= 1e-8 {
-                    target = Some(r);
-                    break;
-                }
-            }
-            let Some(r) = target else {
-                return Install::Reject; // singular: no admissible pivot row
-            };
-            let old = self.basis[r];
-            self.pivot_matrix_ext(r, j, true);
-            self.stats.install_pivots += 1;
-            self.is_basic[old] = false;
-            self.is_basic[j] = true;
-            self.basis[r] = j;
-        }
-        // Restore nonbasic-at-upper rests and fold their contribution into
-        // the rhs (which currently holds B⁻¹b).
-        for j in 0..self.cols {
-            self.at_upper[j] = false;
-            if saved.at_upper[j] && !self.is_basic[j] && self.ub[j].is_finite() && self.ub[j] > 0.0
-            {
-                self.at_upper[j] = true;
-                let w = self.ub[j];
-                for r in 0..self.rows {
-                    let alpha = self.at(r, j);
-                    if alpha != 0.0 {
-                        self.xb[r] -= alpha * w;
-                    }
-                }
-            }
-        }
-        self.classify()
-    }
-
     /// Inspect the primal feasibility of the current point and commit one
     /// repair strategy for the whole tableau:
     ///
@@ -270,7 +198,7 @@ impl Tableau {
     /// negates the marker column's coefficient along with the row, and the
     /// two cancel in the marker's reduced cost, keeping [`Tableau::duals`]
     /// exact for the final solve (verified against cold duals by
-    /// `converted_row_duals_match_cold` for both relations). For the same
+    /// `warm.rs`'s `violated_row_appends_match_cold_duals`). For the same
     /// reason the marker column keeps standing for `±B⁻¹e_r`: the flip is
     /// a row operation like any other.
     fn convert_row_to_artificial(&mut self, r: usize) -> bool {
@@ -608,8 +536,7 @@ impl Live {
 /// otherwise — and whenever a guard refuses the live answer — cold, from
 /// a fresh `build`, after which the tableau is live again.
 ///
-/// `stats.warm_start` on the answer says which happened, and a live solve
-/// reports `install_pivots == 0`: it re-realises nothing.
+/// `stats.warm_start` on the answer says which happened.
 pub(crate) fn solve_live(problem: &Problem, ws: &mut Workspace) -> Result<Solution, SolveError> {
     let mut wasted: Option<SolveStats> = None;
     'live: {
@@ -627,8 +554,8 @@ pub(crate) fn solve_live(problem: &Problem, ws: &mut Workspace) -> Result<Soluti
         tab.stats = fresh_stats(tab, true);
         let span = open_span(tab);
         if tab.resume(problem, install).is_err() {
-            // A stuck dual repair says nothing about the problem (as in
-            // `solve_with`), and an `Infeasible` or `IterationLimit` off a
+            // A stuck dual repair says nothing about the problem, and an
+            // `Infeasible` or `IterationLimit` off a
             // tableau that has absorbed many solves' pivots and edits says
             // less than one off a fresh build: every live error is redone
             // cold, and only the cold verdict is reported.
@@ -655,7 +582,6 @@ pub(crate) fn solve_live(problem: &Problem, ws: &mut Workspace) -> Result<Soluti
     // problem may survive: `prepared` is only a fingerprint match away
     // from being reused with a stale rhs.
     ws.prepared = None;
-    ws.warm = None;
     ws.tab.roomy = true;
     let mut sol = solve_with(problem, &[], ws)?;
     if let Some(w) = wasted {
@@ -694,7 +620,7 @@ mod tests {
 
         p.set_rhs(1, 6.0);
         let sol = solve_live(&p, &mut ws).unwrap();
-        assert!(sol.stats.warm_start && sol.stats.install_pivots == 0);
+        assert!(sol.stats.warm_start);
         assert!((sol.objective - 26.0).abs() < 1e-9, "{}", sol.objective);
     }
 }

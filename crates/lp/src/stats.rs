@@ -9,8 +9,8 @@
 
 /// Counters and timings from one simplex solve.
 ///
-/// All counts are deterministic for a given `(problem, overrides,
-/// warm-basis)` input; `phase1_secs` / `phase2_secs` are wall-clock and
+/// All counts are deterministic for a given `(problem, overrides)`
+/// input (for a live solve: the edit history since the last cold one); `phase1_secs` / `phase2_secs` are wall-clock and
 /// vary run to run. [`Solution`](crate::Solution) equality deliberately
 /// ignores this struct.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -20,7 +20,7 @@ pub struct SolveStats {
     /// Columns (structural + slack/surplus + artificial).
     pub cols: u32,
     /// Pivot-loop iterations spent driving artificials out (0 when the
-    /// slack basis or a warm basis was already feasible).
+    /// slack basis or the live point was already feasible).
     pub phase1_iterations: u64,
     /// Pivot-loop iterations optimizing the real objective.
     pub phase2_iterations: u64,
@@ -36,15 +36,12 @@ pub struct SolveStats {
     /// Iterations served from the partial-pricing candidate list without
     /// a full scan.
     pub candidate_hits: u64,
-    /// Whether a warm basis was installed and accepted as primal feasible.
+    /// Whether the solve resumed on the live tableau of an earlier one
+    /// (only [`WarmState`](crate::WarmState) solves can).
     pub warm_start: bool,
-    /// Dual-simplex repair pivots (warm bases left primal-infeasible by a
-    /// rhs/bound edit are repaired row-first instead of re-solved cold).
+    /// Dual-simplex repair pivots (a live point left primal-infeasible by
+    /// a rhs/bound edit is repaired row-first instead of re-solved cold).
     pub dual_pivots: u64,
-    /// Pivots spent re-realising a saved basis on a freshly built tableau
-    /// before the solve proper (0 for cold solves, and for warm solves
-    /// that resumed on the live tableau of the previous one).
-    pub install_pivots: u64,
     /// Wall-clock seconds in phase 1 (informational; nondeterministic).
     pub phase1_secs: f64,
     /// Wall-clock seconds in phase 2 (informational; nondeterministic).

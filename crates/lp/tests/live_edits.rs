@@ -253,7 +253,6 @@ fn edits_match_cold_at_every_step(family: &str, sense: Sense, wide: bool, sequen
                     }
                     solves += 1;
                     if w.stats.warm_start {
-                        assert_eq!(w.stats.install_pivots, 0, "{tag}: live solve installed");
                         live_solves += 1;
                     }
                 }
@@ -368,7 +367,6 @@ fn six_hundred_in_place_churn_rounds_stay_live_and_correct() {
             .solve()
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert!(sol.stats.warm_start, "round {round}: fell back cold");
-        assert_eq!(sol.stats.install_pivots, 0, "round {round}");
         assert!(
             quick_check(warm.problem(), &sol, 1e-6),
             "round {round}: KKT gate refused"

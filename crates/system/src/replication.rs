@@ -79,7 +79,7 @@ enum PaxosMsg {
     Accepted { ok: bool, promised: u64 },
     /// Anyone → acceptor: what do you believe is chosen?
     Query,
-    /// Acceptor → anyone.
+    /// Acceptor → anyone: the answer to `Query` and to `Chosen`.
     ChosenReply { value: Option<u64> },
     /// Proposer → acceptor after a successful round (learner broadcast).
     Chosen { value: u64 },
@@ -440,7 +440,8 @@ impl Replica {
                 }
             }
             if accepts >= majority {
-                // Learner broadcast (best effort).
+                // Learner broadcast (best effort: a lost acknowledgement
+                // costs `read_timeout` and is ignored).
                 for &addr in acceptors {
                     self.call(addr, &PaxosMsg::Chosen { value });
                 }
@@ -513,11 +514,7 @@ fn call_with(addr: SocketAddr, msg: &PaxosMsg, config: &ReplicaConfig) -> Option
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(config.read_timeout)).ok();
     write_frame(&mut stream, msg).ok()?;
-    match msg {
-        // One-way learner broadcast: no reply expected.
-        PaxosMsg::Chosen { .. } => Some(PaxosMsg::Query),
-        _ => read_frame(&mut stream).ok(),
-    }
+    read_frame(&mut stream).ok()
 }
 
 /// Acceptor protocol handler: one connection, sequential requests.
@@ -567,10 +564,13 @@ fn acceptor_loop(
                     }
                 }
                 PaxosMsg::Query => Some(PaxosMsg::ChosenReply { value: st.chosen }),
+                // Acknowledged like every other request: once the sender
+                // has the reply the value is stored, so a `Query` on any
+                // other connection cannot overtake it.
                 PaxosMsg::Chosen { value } => {
                     st.chosen = Some(value);
                     st.lease_expiry = clock.now() + lease;
-                    None
+                    Some(PaxosMsg::ChosenReply { value: st.chosen })
                 }
                 // Replies are never received by an acceptor.
                 _ => None,
@@ -603,6 +603,19 @@ mod tests {
         // Every acceptor learned the choice.
         for addr in &addrs {
             assert_eq!(Replica::query(*addr), Some(1));
+        }
+    }
+
+    /// A learner broadcast is stored by the time it is acknowledged: a
+    /// query on a fresh connection right after the ack reads the value.
+    #[test]
+    fn acknowledged_chosen_is_visible_to_the_next_connection() {
+        let acceptor = Replica::start(0).unwrap();
+        let config = ReplicaConfig::default();
+        for value in 0..200u64 {
+            let ack = call_with(acceptor.addr(), &PaxosMsg::Chosen { value }, &config);
+            assert_eq!(ack, Some(PaxosMsg::ChosenReply { value: Some(value) }));
+            assert_eq!(Replica::query(acceptor.addr()), Some(value));
         }
     }
 
