@@ -13,7 +13,9 @@
 //! cargo bench -p bate-bench --bench lp -- --emit-json
 //! ```
 
+use bate_bench::fuzz::{achieved_availability_walk, collapse_walk};
 use bate_core::incremental::{DemandDelta, IncrementalScheduler};
+use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, DemandId, TeContext};
 use bate_sim::churn;
@@ -25,6 +27,7 @@ use bate_obs::{NoopSubscriber, Registry, SystemClock};
 use bate_routing::{RoutingScheme, TunnelSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Build a scheduling LP with the multi-demand structure of the paper's
@@ -200,6 +203,23 @@ fn quartiles(xs: &mut [f64]) -> (f64, f64, f64) {
     xs.sort_by(f64::total_cmp);
     let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
     (at(0.25), at(0.5), at(0.75))
+}
+
+/// Quartiles, in ms, of `runs` timings of `walk` and of `shipped`, taken
+/// in alternating order after one untimed run of each.
+fn paired_ms(runs: usize, walk: &dyn Fn(), shipped: &dyn Fn()) -> [(f64, f64, f64); 2] {
+    let sides = [walk, shipped];
+    let mut ms = [Vec::new(), Vec::new()];
+    for run in 0..=runs {
+        for side in [run % 2, 1 - run % 2] {
+            let t = Instant::now();
+            sides[side]();
+            if run > 0 {
+                ms[side].push(t.elapsed().as_secs_f64() * 1e3);
+            }
+        }
+    }
+    ms.map(|mut xs| quartiles(&mut xs))
 }
 
 struct BenchRow {
@@ -443,6 +463,55 @@ fn main() {
         warm_ms.len(),
     );
 
+    // The two per-demand scenario sweeps of a TE round at the same shape
+    // (ATT, 1,597 scenarios, the first 250 demands of that stream and
+    // their cold LP optimum): collapsing every demand's profile, and the
+    // hard-availability check of every demand. Shipped code partitions
+    // the scenario set with bitset algebra (DESIGN.md §5); the
+    // scenario-by-scenario walk it replaced is the test oracle in
+    // `bate_bench::fuzz`. Acceptance: >= 5x on both medians.
+    let sweep_pool = &stream[..250];
+    let sweep_alloc = scheduling::schedule(&ctx, sweep_pool).unwrap().allocation;
+    let tracked = scenarios.most_probable_singles(scheduling::ROWGEN_SEED_SINGLES);
+    let sweep_runs = 15;
+    let [collapse_walk_q, collapse_q] = paired_ms(
+        sweep_runs,
+        &|| {
+            for d in sweep_pool {
+                black_box(collapse_walk(&ctx, d, &tracked));
+            }
+        },
+        &|| {
+            for d in sweep_pool {
+                black_box(MaskedProfile::collapse(&ctx, d, &tracked));
+            }
+        },
+    );
+    let [check_walk_q, check_q] = paired_ms(
+        sweep_runs,
+        &|| {
+            for d in sweep_pool {
+                black_box(achieved_availability_walk(&ctx, &sweep_alloc, d));
+            }
+        },
+        &|| {
+            for d in sweep_pool {
+                black_box(sweep_alloc.achieved_availability(&ctx, d));
+            }
+        },
+    );
+    let collapse_speedup = collapse_walk_q.1 / collapse_q.1;
+    let check_speedup = check_walk_q.1 / check_q.1;
+    println!(
+        "scenario_sweep       250 demands {num_scenarios} scenarios {sweep_runs} runs  collapse walk {:.3} ms  shipped {:.3} ms ({:.3}..{:.3})  {collapse_speedup:.1}x   hard check walk {:.3} ms  shipped {:.3} ms ({:.3}..{:.3})  {check_speedup:.1}x",
+        collapse_walk_q.1, collapse_q.1, collapse_q.0, collapse_q.2,
+        check_walk_q.1, check_q.1, check_q.0, check_q.2,
+    );
+    assert!(
+        collapse_speedup >= 5.0 && check_speedup >= 5.0,
+        "scenario_sweep: collapse {collapse_speedup:.1}x, hard check {check_speedup:.1}x; the bar is 5x on both"
+    );
+
     // Telemetry overhead on the largest scheduling LP: the bare sparse
     // solve (no active trace, so the in-solver phase attribution is
     // gated off) vs the same solve under an active trace root plus the
@@ -576,6 +645,13 @@ fn main() {
         json.push_str(&format!(
             "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}}},\n",
             warm_ms.len()
+        ));
+        let side = |(q1, median, q3): (f64, f64, f64)| {
+            format!("{{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}}}")
+        };
+        json.push_str(&format!(
+            "  \"scenario_sweep\": {{\"demands\": 250, \"scenarios\": {num_scenarios}, \"runs\": {sweep_runs}, \"collapse_ms\": {{\"walk\": {}, \"shipped\": {}, \"speedup\": {collapse_speedup:.2}}}, \"hard_check_ms\": {{\"walk\": {}, \"shipped\": {}, \"speedup\": {check_speedup:.2}}}}},\n",
+            side(collapse_walk_q), side(collapse_q), side(check_walk_q), side(check_q)
         ));
         json.push_str(&format!(
             "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"runs\": {overhead_reps}, \"base_median_secs\": {base_median:.9}, \"instrumented_median_secs\": {instrumented_median:.9}, \"overhead_pct\": {overhead_pct:.3}, \"overhead_q1_pct\": {overhead_q1:.3}, \"overhead_q3_pct\": {overhead_q3:.3}}}\n"

@@ -1,9 +1,18 @@
 //! Bandwidth allocations `{f_d^t}` and the satisfaction/availability
 //! calculus on top of them (§3.1).
+//!
+//! The hard-availability verdict ([`Allocation::achieved_availability`],
+//! what every install is certified by) does not visit scenarios one by one:
+//! it partitions the scenario set by the up/down pattern of the tunnels
+//! that carry the demand's flow ([`bate_net::ScenarioSet::partition`]),
+//! decides each class once, and adds `p_z` over the qualified classes in
+//! ascending scenario order — bit-identical to the scenario-by-scenario
+//! definition ([`Allocation::satisfied_under`] per scenario), which
+//! `bate_bench::fuzz` keeps as the test oracle.
 
 use crate::demand::{BaDemand, DemandId};
 use crate::TeContext;
-use bate_net::Scenario;
+use bate_net::{LinkSet, Scenario};
 use bate_routing::TunnelId;
 use std::collections::BTreeMap;
 
@@ -102,11 +111,25 @@ impl Allocation {
     /// the pruned set. The residual mass is conservatively unqualified, so
     /// this is a lower bound on the demand's true availability.
     pub fn achieved_availability(&self, ctx: &TeContext, demand: &BaDemand) -> f64 {
-        ctx.scenarios
-            .iter()
-            .filter(|z| self.satisfied_under(ctx, demand, z))
-            .map(|z| z.probability)
-            .sum()
+        let flows: Vec<(TunnelId, f64)> = self.flows_of(demand.id).collect();
+        let groups: Vec<_> = (flows.iter())
+            .map(|(t, _)| ctx.tunnels.path(*t).groups(ctx.topo))
+            .collect();
+        let part = ctx.scenarios.partition(&groups);
+        let mut qualified = LinkSet::new(ctx.scenarios.len());
+        for (c, members) in part.classes().iter().enumerate() {
+            // [`Self::delivered`] with the class's pattern for `v_t^z`.
+            let delivered = |pair| -> f64 {
+                let up = flows.iter().enumerate().filter(|(i, _)| part.is_up(c, *i));
+                let of_pair = up.filter(|(_, (t, _))| t.pair == pair);
+                of_pair.map(|(_, (_, f))| *f).sum()
+            };
+            let satisfied = |&(pair, b)| delivered(pair) >= b * (1.0 - SATISFY_TOL);
+            if demand.bandwidth.iter().all(satisfied) {
+                qualified.union_with(members);
+            }
+        }
+        ctx.scenarios.probability_of(&qualified)
     }
 
     /// Does the allocation meet the demand's BA target?

@@ -39,12 +39,11 @@ pub(crate) fn seed_scenarios(ctx: &TeContext) -> Vec<usize> {
     ctx.scenarios.most_probable_singles(ROWGEN_SEED_SINGLES)
 }
 
-/// Every demand's collapsed profile. Collapsing sweeps every enumerated
-/// scenario per demand; profiles are independent, so the sweep fans out
-/// (deterministic fork-join).
+/// Every demand's collapsed profile (microseconds each: not worth a fan-out).
 pub(crate) fn collapse_all(ctx: &TeContext, demands: &[BaDemand]) -> Vec<MaskedProfile> {
     let tracked = seed_scenarios(ctx);
-    bate_lp::par_map(demands, |d| MaskedProfile::collapse(ctx, d, &tracked))
+    let collapse = |d| MaskedProfile::collapse(ctx, d, &tracked);
+    demands.iter().map(collapse).collect()
 }
 
 /// Qualification rows of the full formulation, over all `demands`.

@@ -9,11 +9,18 @@
 //! A demand with 4 tunnels has at most 16 distinct states regardless of the
 //! scenario count, which is what keeps the LPs small. The collapse is exact
 //! — it changes nothing about the optimum, only the model size.
+//!
+//! The states are the classes of [`ScenarioSet::partition`] over all the
+//! demand's tunnels (bitset algebra over an inverted group → scenarios
+//! index, no per-scenario loop); a state's probability is its members'
+//! `p_z` added in ascending scenario order — the order a scenario-by-
+//! scenario walk adds them in, so every LP coefficient is bit-identical to
+//! that walk's (`bate_bench::fuzz` keeps the walk as the test oracle).
+//!
+//! [`ScenarioSet::partition`]: bate_net::ScenarioSet::partition
 
 use crate::demand::BaDemand;
 use crate::TeContext;
-use bate_net::LinkSet;
-use std::collections::HashMap;
 
 /// One collapsed failure state as seen by a single demand.
 #[derive(Debug, Clone)]
@@ -41,54 +48,26 @@ pub struct DemandProfile {
 }
 
 impl DemandProfile {
-    /// Collapse the context's scenario set against one demand.
+    /// Collapse the context's scenario set against one demand: the bool
+    /// view of [`MaskedProfile::collapse`] (and its panic contract).
     pub fn collapse(ctx: &TeContext, demand: &BaDemand) -> DemandProfile {
-        // Pre-compute the fate groups of each tunnel of each requested pair.
-        let groups_per_tunnel: Vec<Vec<LinkSet>> = demand
-            .bandwidth
-            .iter()
-            .map(|&(pair, _)| {
-                ctx.tunnels
-                    .tunnels(pair)
-                    .iter()
-                    .map(|path| {
-                        let mut set = LinkSet::new(ctx.topo.num_groups());
-                        for g in path.groups(ctx.topo) {
-                            set.insert(g.index());
-                        }
-                        set
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut index: HashMap<Vec<bool>, usize> = HashMap::new();
-        let mut states: Vec<ProfileState> = Vec::new();
-
-        for scenario in ctx.scenarios.iter() {
-            // Flattened availability mask over all (pair, tunnel).
-            let mut mask = Vec::new();
-            let mut avail = Vec::with_capacity(groups_per_tunnel.len());
-            for per_pair in &groups_per_tunnel {
-                let v: Vec<bool> = per_pair
-                    .iter()
-                    .map(|groups| !groups.intersects(&scenario.failed))
-                    .collect();
-                mask.extend_from_slice(&v);
-                avail.push(v);
-            }
-            match index.get(&mask) {
-                Some(&i) => states[i].probability += scenario.probability,
-                None => {
-                    index.insert(mask, states.len());
-                    states.push(ProfileState {
-                        avail,
-                        probability: scenario.probability,
-                    });
-                }
-            }
+        let masked = MaskedProfile::collapse(ctx, demand, &[]);
+        let avail = |si: usize, (ki, &(pair, _)): (usize, &(usize, f64))| {
+            let tunnels = ctx.tunnels.tunnels(pair).len();
+            (0..tunnels).map(|ti| masked.avail(si, ki, ti)).collect()
+        };
+        let state = |(si, s): (usize, &MaskedState)| ProfileState {
+            avail: demand
+                .bandwidth
+                .iter()
+                .enumerate()
+                .map(|k| avail(si, k))
+                .collect(),
+            probability: s.probability,
+        };
+        DemandProfile {
+            states: masked.states.iter().enumerate().map(state).collect(),
         }
-        DemandProfile { states }
     }
 
     /// Number of collapsed states.
@@ -118,12 +97,7 @@ pub struct MaskedState {
 
 /// Bitmask form of [`DemandProfile`], built for the row-generation path:
 /// the separation oracle evaluates a qualification row with one masked
-/// popcount-style sweep per pair instead of a bool-matrix walk, and the
-/// mask vectors double as the dedup keys during collapsing.
-///
-/// States appear in the same first-seen order as [`DemandProfile::collapse`]
-/// produces (the two collapse walks visit scenarios identically and the
-/// masks encode exactly the per-tunnel availability booleans), so state
+/// popcount-style sweep per pair instead of a bool-matrix walk. State
 /// indices are interchangeable between the two representations.
 #[derive(Debug, Clone)]
 pub struct MaskedProfile {
@@ -143,72 +117,39 @@ impl MaskedProfile {
     /// # Panics
     ///
     /// Panics if any requested pair has more than 64 tunnels (the paper's
-    /// routing uses KSP-4; the `u64` masks cap far above that).
+    /// routing uses KSP-4; the `u64` masks cap far above that), or if a
+    /// `tracked` index is not a scenario of the set.
     pub fn collapse(ctx: &TeContext, demand: &BaDemand, tracked: &[usize]) -> MaskedProfile {
-        let groups_per_tunnel: Vec<Vec<LinkSet>> = demand
-            .bandwidth
-            .iter()
-            .map(|&(pair, _)| {
-                let tunnels = ctx.tunnels.tunnels(pair);
-                assert!(
-                    tunnels.len() <= 64,
-                    "pair {pair} has {} tunnels; masks hold at most 64",
-                    tunnels.len()
-                );
-                tunnels
-                    .iter()
-                    .map(|path| {
-                        let mut set = LinkSet::new(ctx.topo.num_groups());
-                        for g in path.groups(ctx.topo) {
-                            set.insert(g.index());
-                        }
-                        set
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut states: Vec<MaskedState> = Vec::new();
-        let mut tracked_states = vec![0usize; tracked.len()];
-
-        for (zi, scenario) in ctx.scenarios.iter().enumerate() {
-            let masks: Vec<u64> = groups_per_tunnel
-                .iter()
-                .map(|per_pair| {
-                    let mut m = 0u64;
-                    for (t, groups) in per_pair.iter().enumerate() {
-                        if !groups.intersects(&scenario.failed) {
-                            m |= 1 << t;
-                        }
-                    }
-                    m
-                })
-                .collect();
-            let si = match index.get(&masks) {
-                Some(&i) => {
-                    states[i].probability += scenario.probability;
-                    i
-                }
-                None => {
-                    let i = states.len();
-                    index.insert(masks.clone(), i);
-                    states.push(MaskedState {
-                        masks,
-                        probability: scenario.probability,
-                    });
-                    i
-                }
-            };
-            for (pos, &tz) in tracked.iter().enumerate() {
-                if tz == zi {
-                    tracked_states[pos] = si;
-                }
-            }
+        // Every tunnel's fate groups in (pair, tunnel) order, and where each
+        // pair's tunnels sit in that list.
+        let mut groups = Vec::new();
+        let mut spans = Vec::with_capacity(demand.bandwidth.len());
+        for &(pair, _) in &demand.bandwidth {
+            let tunnels = ctx.tunnels.tunnels(pair);
+            assert!(
+                tunnels.len() <= 64,
+                "pair {pair} has {} tunnels; masks hold at most 64",
+                tunnels.len()
+            );
+            spans.push((groups.len(), tunnels.len()));
+            groups.extend(tunnels.iter().map(|path| path.groups(ctx.topo)));
         }
+        let part = ctx.scenarios.partition(&groups);
+        let mask = |c: usize, &(first, len): &(usize, usize)| {
+            let up = (0..len).filter(|&t| part.is_up(c, first + t));
+            up.fold(0u64, |m, t| m | 1 << t)
+        };
+        let state = |(c, members)| MaskedState {
+            masks: spans.iter().map(|span| mask(c, span)).collect(),
+            probability: ctx.scenarios.probability_of(members),
+        };
+        let state_of = |&z: &usize| {
+            let holder = part.classes().iter().position(|class| class.contains(z));
+            holder.expect("tracked index within the scenario set")
+        };
         MaskedProfile {
-            states,
-            tracked_states,
+            states: part.classes().iter().enumerate().map(state).collect(),
+            tracked_states: tracked.iter().map(state_of).collect(),
         }
     }
 
@@ -276,10 +217,54 @@ mod tests {
         assert!(profile.len() <= 4);
     }
 
+    /// Each requested pair's tunnel up/down bits under one scenario, read
+    /// off `Scenario::failed` directly — what a state's masks must equal
+    /// for every scenario that collapsed into it.
+    fn masks_under(ctx: &TeContext, demand: &BaDemand, scenario: &bate_net::Scenario) -> Vec<u64> {
+        let up =
+            |path: &bate_routing::Path| path.groups(ctx.topo).iter().all(|&g| scenario.group_up(g));
+        let mask = |&(pair, _): &(usize, f64)| {
+            let tunnels = ctx.tunnels.tunnels(pair).iter().enumerate();
+            tunnels.fold(0u64, |m, (t, path)| m | u64::from(up(path)) << t)
+        };
+        demand.bandwidth.iter().map(mask).collect()
+    }
+
+    /// The invariants of a collapse, checked scenario by scenario: states
+    /// are distinct, every scenario's own pattern is the masks of exactly
+    /// one state and the states' probabilities are those scenarios' mass,
+    /// scenario 0 is in state 0, tracked scenarios point at their state.
+    fn assert_collapse_invariants(ctx: &TeContext, demand: &BaDemand, tracked: &[usize]) {
+        let masked = MaskedProfile::collapse(ctx, demand, tracked);
+        assert_eq!(masked.tracked_states.len(), tracked.len());
+        let mut mass = vec![0.0; masked.len()];
+        for (z, scenario) in ctx.scenarios.iter().enumerate() {
+            let own = masks_under(ctx, demand, scenario);
+            let mut holders = (0..masked.len()).filter(|&si| masked.states[si].masks == own);
+            let si = holders
+                .next()
+                .expect("a scenario's pattern is some state's");
+            assert_eq!(
+                holders.next(),
+                None,
+                "states {si} and another share masks {own:?}"
+            );
+            assert!(z > 0 || si == 0, "scenario 0 landed in state {si}");
+            mass[si] += scenario.probability;
+            for pos in (0..tracked.len()).filter(|&pos| tracked[pos] == z) {
+                assert_eq!(masked.tracked_states[pos], si, "tracked scenario {z}");
+            }
+        }
+        for (state, mass) in masked.states.iter().zip(mass) {
+            assert!(mass > 0.0, "a state no scenario collapses to");
+            assert!((state.probability - mass).abs() < 1e-12);
+        }
+        let covered = ctx.scenarios.covered_probability();
+        assert!((masked.covered_probability() - covered).abs() < 1e-12);
+    }
+
     #[test]
-    fn masked_profile_matches_bool_profile() {
-        // The masked collapse must reproduce the bool collapse exactly:
-        // same states in the same order, bit-identical probabilities.
+    fn collapse_invariants_hold_scenario_by_scenario() {
         let topo = topologies::testbed6();
         let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
         let scenarios = ScenarioSet::enumerate(&topo, 2);
@@ -287,51 +272,53 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let p1 = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
         let p2 = tunnels.pair_index(n("DC2"), n("DC6")).unwrap();
-        let d = BaDemand {
-            id: crate::DemandId(3),
-            bandwidth: vec![(p1, 10.0), (p2, 20.0)],
-            beta: 0.95,
-            price: 30.0,
-            refund_ratio: 0.1,
-        };
-        let bools = DemandProfile::collapse(&ctx, &d);
-        let masked = MaskedProfile::collapse(&ctx, &d, &[]);
-        assert_eq!(bools.len(), masked.len());
-        for (si, (bs, ms)) in bools.states.iter().zip(&masked.states).enumerate() {
-            assert_eq!(bs.probability.to_bits(), ms.probability.to_bits());
-            for (ki, pair_avail) in bs.avail.iter().enumerate() {
-                for (ti, &up) in pair_avail.iter().enumerate() {
-                    assert_eq!(up, masked.avail(si, ki, ti), "state {si} pair {ki} tunnel {ti}");
-                }
-            }
-        }
+        let tracked = scenarios.most_probable_singles(3);
+        let mut d = BaDemand::single(3, p1, 10.0, 0.95);
+        assert_collapse_invariants(&ctx, &d, &tracked);
+        let all_up = u64::MAX >> (64 - tunnels.tunnels(p1).len());
+        assert_eq!(
+            MaskedProfile::collapse(&ctx, &d, &[]).states[0].masks,
+            [all_up]
+        );
+        d.bandwidth.push((p2, 20.0));
+        assert_collapse_invariants(&ctx, &d, &tracked);
+        d.bandwidth.clear();
+        assert_collapse_invariants(&ctx, &d, &tracked);
+    }
+
+    /// The first `pairs` pairs of ATT at KSP-`k` (they have more simple
+    /// paths than a mask has bits).
+    fn wide_att(k: usize, pairs: usize) -> (bate_net::Topology, TunnelSet) {
+        let topo = topologies::att();
+        let sd = &topo.sd_pairs()[..pairs];
+        let tunnels = TunnelSet::compute_for_pairs(&topo, sd, RoutingScheme::Ksp(k));
+        (topo, tunnels)
     }
 
     #[test]
-    fn masked_profile_tracks_seed_scenarios() {
-        let topo = topologies::toy4();
-        let tunnels = TunnelSet::compute(&topo, RoutingScheme::Ksp(2));
+    #[should_panic(expected = "masks hold at most 64")]
+    fn more_than_64_tunnels_on_one_pair_panics() {
+        let (topo, tunnels) = wide_att(65, 1);
+        assert_eq!(
+            tunnels.tunnels(0).len(),
+            65,
+            "ATT has 65 simple paths for pair 0"
+        );
+        let scenarios = ScenarioSet::enumerate(&topo, 1);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        MaskedProfile::collapse(&ctx, &BaDemand::single(1, 0, 10.0, 0.9), &[]);
+    }
+
+    #[test]
+    fn more_than_64_tunnels_over_several_pairs_still_collapse() {
+        let (topo, tunnels) = wide_att(30, 3);
         let scenarios = ScenarioSet::enumerate(&topo, 2);
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let n = |s: &str| topo.find_node(s).unwrap();
-        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        let d = BaDemand::single(1, pair, 100.0, 0.99);
-        let tracked = scenarios.most_probable_singles(3);
-        let masked = MaskedProfile::collapse(&ctx, &d, &tracked);
-        assert_eq!(masked.tracked_states.len(), tracked.len());
-        // Scenario 0 (all-up) always collapses to state 0; every tracked
-        // single-failure scenario must land on the state whose masks match
-        // its own availability pattern.
-        assert_eq!(masked.states[0].masks, vec![u64::MAX >> (64 - tunnels.tunnels(pair).len())]);
-        let bools = DemandProfile::collapse(&ctx, &d);
-        for (pos, &zi) in tracked.iter().enumerate() {
-            let si = masked.tracked_states[pos];
-            let scenario = &scenarios.scenarios[zi];
-            for (ti, _) in tunnels.tunnels(pair).iter().enumerate() {
-                let up_direct = bools.states[si].avail[0][ti];
-                assert_eq!(masked.avail(si, 0, ti), up_direct, "scenario {scenario:?}");
-            }
-        }
+        let mut d = BaDemand::single(1, 0, 10.0, 0.9);
+        d.bandwidth.extend([(1, 10.0), (2, 10.0)]);
+        let total: usize = (0..3).map(|p| tunnels.tunnels(p).len()).sum();
+        assert!(total > 64, "{total} tunnels");
+        assert_collapse_invariants(&ctx, &d, &scenarios.most_probable_singles(4));
     }
 
     #[test]

@@ -301,8 +301,10 @@ pub fn place_single_hard(
 /// In-place hardening pass (see [`schedule_hardened`]). Returns how many
 /// demands still violate their hard target afterwards.
 ///
-/// Parallelized speculatively while staying **deterministic for any thread
-/// count**: the violation scan and the single-demand re-placements (each an
+/// The violation scan is a plain loop (a hard-availability check costs
+/// microseconds; spawning workers for it cost more than the scan). The
+/// repair is parallelized speculatively while staying **deterministic for
+/// any thread count**: the single-demand re-placements (each an
 /// independent LP against the pre-hardening snapshot) fan out over
 /// [`bate_lp::par_map`] for *every* violating demand; adoption then walks
 /// the fixed order (highest β first) sequentially, revalidating each
@@ -320,16 +322,12 @@ pub fn harden(ctx: &TeContext, demands: &[BaDemand], result: &mut ScheduleResult
             .then_with(|| a.id.cmp(&b.id))
     });
 
-    // Parallel violation scan (read-only; a demand's hard availability
-    // depends only on its own flows, so adoption below cannot change
-    // another demand's violation status).
+    // Violation scan (a demand's hard availability depends only on its
+    // own flows, so adoption below cannot change another demand's
+    // violation status).
     let snapshot = &result.allocation;
-    let flags = bate_lp::par_map(&order, |demand| !snapshot.meets_target(ctx, demand));
-    let violating: Vec<&BaDemand> = order
-        .iter()
-        .zip(&flags)
-        .filter(|(_, &v)| v)
-        .map(|(&d, _)| d)
+    let violating: Vec<&BaDemand> = (order.into_iter())
+        .filter(|demand| !snapshot.meets_target(ctx, demand))
         .collect();
 
     // Speculative re-placement of every violating demand against the

@@ -3,7 +3,7 @@
 //! recovery bounds.
 
 use bate_core::admission::greedy::{best_effort_allocation, conjecture_with_allocation};
-use bate_core::profile::{DemandProfile, MaskedProfile};
+use bate_core::profile::MaskedProfile;
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::scheduling::{schedule, schedule_hardened, separate_demand};
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
@@ -145,11 +145,14 @@ proptest! {
         }
     }
 
-    /// The bitset separation oracle flags *exactly* the rows a brute-force
-    /// walk of the bool-profile qualification constraints flags, for
-    /// arbitrary candidate points — same set, same order, bit-identical
-    /// left-hand sides (the masked sweep consumes bits lowest-first, the
-    /// same accumulation order as the tunnel-index walk).
+    /// The collapsed states are the distinct tunnel up/down patterns of the
+    /// scenarios (read off `Scenario::failed` directly), in first-seen
+    /// order, carrying those scenarios' mass; and the bitset separation
+    /// oracle flags *exactly* the rows a brute-force walk of those
+    /// patterns' qualification constraints flags, for arbitrary candidate
+    /// points — same set, same order, bit-identical left-hand sides (the
+    /// masked sweep consumes bits lowest-first, the same accumulation
+    /// order as the tunnel-index walk).
     #[test]
     fn separation_oracle_matches_brute_force(
         bw in prop::collection::vec((0usize..30, 50.0f64..600.0), 1..=3),
@@ -167,9 +170,37 @@ proptest! {
             refund_ratio: 0.0,
         };
         let masked = MaskedProfile::collapse(&ctx, &demand, &[]);
-        let bools = DemandProfile::collapse(&ctx, &demand);
-        prop_assert_eq!(masked.len(), bools.len());
         let pairs = demand.bandwidth.len();
+
+        // `avail[si][ki][ti]` and each state's mass, scenario by scenario.
+        let mut avail: Vec<Vec<Vec<bool>>> = Vec::new();
+        let mut mass: Vec<f64> = Vec::new();
+        for scenario in scenarios.iter() {
+            let up = |path: &bate_routing::Path| path.groups(&topo).iter().all(|&g| scenario.group_up(g));
+            let pattern: Vec<Vec<bool>> = demand
+                .bandwidth
+                .iter()
+                .map(|&(pair, _)| tunnels.tunnels(pair).iter().map(up).collect())
+                .collect();
+            match avail.iter().position(|p| *p == pattern) {
+                Some(si) => mass[si] += scenario.probability,
+                None => {
+                    avail.push(pattern);
+                    mass.push(scenario.probability);
+                }
+            }
+        }
+        prop_assert_eq!(masked.len(), avail.len());
+        for (si, state) in masked.states.iter().enumerate() {
+            prop_assert!((state.probability - mass[si]).abs() < 1e-12);
+            for (ki, per_pair) in avail[si].iter().enumerate() {
+                for (ti, &up) in per_pair.iter().enumerate() {
+                    prop_assert_eq!(masked.avail(si, ki, ti), up, "state {} pair {} tunnel {}", si, ki, ti);
+                }
+            }
+        }
+        prop_assert!(avail[0].iter().flatten().all(|&up| up), "scenario 0 is state 0");
+        prop_assert!((masked.covered_probability() - scenarios.covered_probability()).abs() < 1e-12);
 
         // Random candidate point and random already-added row set, drawn
         // from fixed-size pools (sizes depend on the generated demand).
@@ -191,13 +222,13 @@ proptest! {
         let oracle = separate_demand(&demand, &masked, &f_vals, &b_vals, &added);
 
         let mut brute = Vec::new();
-        for (si, state) in bools.states.iter().enumerate() {
+        for (si, state) in avail.iter().enumerate() {
             for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
                 if added[si * pairs + ki] {
                     continue;
                 }
                 let mut flow = 0.0;
-                for (ti, &up) in state.avail[ki].iter().enumerate() {
+                for (ti, &up) in state[ki].iter().enumerate() {
                     if up {
                         flow += f_vals[ki][ti];
                     }

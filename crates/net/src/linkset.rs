@@ -1,5 +1,6 @@
 //! A compact bit-set over fate groups (or links), used to describe which
-//! parts of the network are down in a failure scenario.
+//! parts of the network are down in a failure scenario — and, over scenario
+//! indices, which scenarios of a set share a property (`scenario.rs`).
 
 /// Fixed-capacity bit set. The capacity is chosen at construction from the
 /// topology size; all set operations are O(words).
@@ -80,6 +81,23 @@ impl LinkSet {
     pub fn is_subset(&self, other: &LinkSet) -> bool {
         self.bits.iter().zip(&other.bits).all(|(a, b)| a & !b == 0)
     }
+
+    /// Add every element of `other` (a set of the same capacity).
+    pub fn union_with(&mut self, other: &LinkSet) {
+        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+            *a |= b;
+        }
+    }
+
+    /// `[self \ other, self ∩ other]`.
+    pub fn split(&self, other: &LinkSet) -> [LinkSet; 2] {
+        let mut parts = [self.clone(), self.clone()];
+        for (i, b) in other.bits.iter().enumerate() {
+            parts[0].bits[i] &= !b;
+            parts[1].bits[i] &= b;
+        }
+        parts
+    }
 }
 
 #[cfg(test)]
@@ -115,6 +133,16 @@ mod tests {
         assert!(!a.intersects(&LinkSet::from_indices(10, &[4])));
         assert!(a.is_subset(&c));
         assert!(!c.is_subset(&a));
+    }
+
+    #[test]
+    fn union_and_split() {
+        let mut a = LinkSet::from_indices(130, &[1, 64, 129]);
+        a.union_with(&LinkSet::from_indices(130, &[2, 64]));
+        assert_eq!(a, LinkSet::from_indices(130, &[1, 2, 64, 129]));
+        let [outside, inside] = a.split(&LinkSet::from_indices(130, &[2, 3, 129]));
+        assert_eq!(outside, LinkSet::from_indices(130, &[1, 64]));
+        assert_eq!(inside, LinkSet::from_indices(130, &[2, 129]));
     }
 
     #[test]

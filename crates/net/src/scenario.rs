@@ -9,6 +9,10 @@
 //! complement. The residual is treated as *never qualified*, which makes the
 //! pruned availability estimate a lower bound on the true availability — the
 //! scheduler can only over-provision, never silently under-provision.
+//!
+//! Consumers ask one question of the set — in which scenarios are these
+//! tunnels up? — and [`ScenarioSet::partition`] answers it for all scenarios
+//! at once, 64 per word, from an inverted index (group → scenarios it is down in).
 
 use crate::graph::{GroupId, LinkId, Topology};
 use crate::linkset::LinkSet;
@@ -96,6 +100,33 @@ pub struct ScenarioSet {
     pub residual_probability: f64,
     /// The pruning depth `y` used.
     pub max_failures: usize,
+    /// Inverted index: `down_in[g]` holds the indices of the scenarios in
+    /// which fate group `g` is down, `all` every index. Read off `failed`
+    /// at construction; editing a `failed` afterwards leaves it stale.
+    down_in: Vec<LinkSet>,
+    all: LinkSet,
+}
+
+/// A scenario set split into non-empty, disjoint classes of scenarios that
+/// leave the same subset of some tunnels up ([`ScenarioSet::partition`]).
+#[derive(Debug, Clone)]
+pub struct Partition {
+    /// Per tunnel, the scenarios in which it is down.
+    dead: Vec<LinkSet>,
+    classes: Vec<LinkSet>,
+}
+
+impl Partition {
+    /// The classes (sets of scenario indices), ordered by lowest member.
+    pub fn classes(&self) -> &[LinkSet] {
+        &self.classes
+    }
+
+    /// Is the `t`-th tunnel up in the scenarios of class `c`?
+    pub fn is_up(&self, c: usize, t: usize) -> bool {
+        let z = self.classes[c].iter().next().expect("non-empty class");
+        !self.dead[t].contains(z)
+    }
 }
 
 impl ScenarioSet {
@@ -138,13 +169,50 @@ impl ScenarioSet {
             &mut scenarios,
         );
 
+        ScenarioSet::from_scenarios(scenarios, max_failures)
+    }
+
+    /// A set over `scenarios` (all-up first): the residual is the mass they
+    /// leave uncovered, the inverted index is read off their `failed` sets.
+    pub(crate) fn from_scenarios(scenarios: Vec<Scenario>, max_failures: usize) -> ScenarioSet {
         let enumerated: f64 = scenarios.iter().map(|s| s.probability).sum();
-        let residual_probability = (1.0 - enumerated).max(0.0);
+        let mut all = LinkSet::new(scenarios.len());
+        let mut down_in = vec![all.clone(); scenarios[0].failed.capacity()];
+        for (z, s) in scenarios.iter().enumerate() {
+            all.insert(z);
+            s.failed.iter().for_each(|g| down_in[g].insert(z));
+        }
         ScenarioSet {
             scenarios,
-            residual_probability,
+            residual_probability: (1.0 - enumerated).max(0.0),
             max_failures,
+            down_in,
+            all,
         }
+    }
+
+    /// Split the set by which of `tunnels` (each the fate groups it
+    /// crosses) a scenario leaves up. A tunnel is down wherever one of its
+    /// groups is: an OR over the index; each tunnel halves the classes.
+    pub fn partition(&self, tunnels: &[Vec<GroupId>]) -> Partition {
+        let mut dead = Vec::with_capacity(tunnels.len());
+        let mut classes = vec![self.all.clone()];
+        for groups in tunnels {
+            let mut down = LinkSet::new(self.len());
+            for g in groups {
+                down.union_with(&self.down_in[g.index()]);
+            }
+            let halves = classes.iter().flat_map(|c| c.split(&down));
+            classes = halves.filter(|c| !c.is_empty()).collect();
+            dead.push(down);
+        }
+        classes.sort_by_key(|c| c.iter().next());
+        Partition { dead, classes }
+    }
+
+    /// `Σ p_z` over the scenario indices in `members`, added ascending.
+    pub fn probability_of(&self, members: &LinkSet) -> f64 {
+        members.iter().map(|z| self.scenarios[z].probability).sum()
     }
 
     /// Total probability mass of the enumerated scenarios.
@@ -362,6 +430,84 @@ mod tests {
         assert!(a_corr < beta, "correlated rejects: {a_corr}");
         // The gap is the conduit probability, not rounding noise.
         assert!(a_indep - a_corr > 0.009, "gap {}", a_indep - a_corr);
+    }
+
+    /// `n` scenarios over three fate groups: group 0 is down in none of
+    /// them, group 1 in all but scenario 0, group 2 in every third.
+    fn synthetic(n: usize) -> ScenarioSet {
+        let scenario = |z: usize| {
+            let down = [(z > 0, 1), (z % 3 == 1, 2)];
+            let down: Vec<usize> = down.iter().filter(|d| d.0).map(|d| d.1).collect();
+            Scenario {
+                failed: LinkSet::from_indices(3, &down),
+                probability: 1.0 / n as f64,
+            }
+        };
+        ScenarioSet::from_scenarios((0..n).map(scenario).collect(), 2)
+    }
+
+    #[test]
+    fn partition_classes_are_disjoint_ordered_and_cover_every_word_boundary() {
+        let tunnels = [
+            vec![GroupId(0)],
+            vec![GroupId(2), GroupId(2)],
+            vec![GroupId(1), GroupId(0)],
+        ];
+        for n in [1, 63, 64, 65, 128] {
+            let set = synthetic(n);
+            let part = set.partition(&tunnels);
+            let mut seen = vec![false; n];
+            let mut lowest = Vec::new();
+            for (c, class) in part.classes().iter().enumerate() {
+                lowest.push(class.iter().next().expect("non-empty"));
+                for z in class.iter() {
+                    assert!(z < n, "n={n}: member {z} beyond the set");
+                    assert!(
+                        !std::mem::replace(&mut seen[z], true),
+                        "n={n}: {z} in two classes"
+                    );
+                    for (t, groups) in tunnels.iter().enumerate() {
+                        let up = groups.iter().all(|&g| set.scenarios[z].group_up(g));
+                        assert_eq!(part.is_up(c, t), up, "n={n} scenario {z} tunnel {t}");
+                    }
+                }
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "n={n}: classes do not cover the set"
+            );
+            assert!(lowest.windows(2).all(|w| w[0] < w[1]), "n={n}: {lowest:?}");
+            // Patterns present: all up (z = 0), tunnel 2 down (z % 3 != 1),
+            // tunnels 1 and 2 down (z % 3 == 1).
+            assert_eq!(lowest, [0, 1, 2][..n.min(3)], "n={n}");
+            let total = set.probability_of(&set.all);
+            assert!((total - 1.0).abs() < 1e-12, "n={n}: {total}");
+        }
+    }
+
+    #[test]
+    fn partition_by_a_group_that_never_or_nearly_always_fails() {
+        for n in [1, 64, 65] {
+            let set = synthetic(n);
+            // No tunnels, or one over a group that is never down: one class.
+            for tunnels in [vec![], vec![vec![GroupId(0)]]] {
+                let part = set.partition(&tunnels);
+                assert_eq!(part.classes(), std::slice::from_ref(&set.all), "n={n}");
+                assert!(tunnels.is_empty() || part.is_up(0, 0));
+            }
+            // Down in all but scenario 0: {0} and the rest.
+            let part = set.partition(&[vec![GroupId(1)]]);
+            assert_eq!(part.classes()[0].iter().collect::<Vec<_>>(), [0], "n={n}");
+            assert!(part.is_up(0, 0));
+            assert_eq!(part.classes().len(), n.min(2), "n={n}");
+            if n > 1 {
+                assert_eq!(
+                    part.classes()[1].iter().collect::<Vec<_>>(),
+                    (1..n).collect::<Vec<_>>()
+                );
+                assert!(!part.is_up(1, 0));
+            }
+        }
     }
 
     #[test]

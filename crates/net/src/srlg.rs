@@ -298,13 +298,7 @@ impl SrlgSet {
         };
         walk.recurse(max_events, 0, all_up_p);
 
-        let enumerated: f64 = scenarios.iter().map(|s| s.probability).sum();
-        let residual_probability = (1.0 - enumerated).max(0.0);
-        ScenarioSet {
-            scenarios,
-            residual_probability,
-            max_failures: max_events,
-        }
+        ScenarioSet::from_scenarios(scenarios, max_events)
     }
 
     /// Seeded SRLG generator for the synthetic topologies (B4/IBM/ATT/…).

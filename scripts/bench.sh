@@ -46,6 +46,18 @@ else
     exit 1
 fi
 
+# Same for the scenario sweeps (DESIGN.md §5): the shipped bitset partition
+# against the scenario-by-scenario walk, ATT / 250 demands.
+echo "== scenario sweep gate (DESIGN.md §5) =="
+for SWEEP in collapse_ms hard_check_ms; do
+    SPEEDUP=$(sed -n "s/.*\"scenario_sweep\".*\"$SWEEP\": {[^}]*}[^}]*}, \"speedup\": \([0-9.]*\).*/\1/p" BENCH_lp.json)
+    if [[ -z "$SPEEDUP" ]] || ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5.0) }'; then
+        echo "FAILED: scenario_sweep $SWEEP speedup '${SPEEDUP}' is missing or below the 5x bar"
+        exit 1
+    fi
+    echo "scenario_sweep $SWEEP speedup ${SPEEDUP}x >= 5x: OK"
+done
+
 if [[ -n "$BASELINE" ]]; then
     echo "== diff vs $BASELINE =="
     diff -u "$BASELINE" BENCH_lp.json && echo "(no change)" || true

@@ -23,6 +23,9 @@ check "branch-and-bound loops in milp.rs" \
 check "state-mask bit walks outside profile.rs and model.rs" \
     "$(find crates/core/src -name '*.rs' ! -name profile.rs ! -name model.rs \
         -exec grep -hE 'masks\[.*>> *[a-z]+ *& *1|trailing_zeros' {} + | wc -l)" 0
+check "per-scenario loops in crates/core/src non-test code (relaxed_availability, which only tests call, keeps its walk; the others are bate_net::ScenarioSet::partition classes, DESIGN.md §5)" \
+    "$(find crates/core/src -name '*.rs' | while read -r f; do src "$f"; done | tr -d ' \n' \
+        | grep -oE 'scenarios\.iter\(\)|\.scenarios\.scenarios' | wc -l)" 1
 check "public schedule* functions in scheduling.rs" \
     "$(grep -c '^pub fn schedule' crates/core/src/scheduling.rs)" 3
 check "fields of ControllerConfig" \

@@ -43,6 +43,12 @@ fi
 # differenced and certificate-checked.
 run cargo test -q --offline -p bate-bench --test fuzz_campaign
 
+# The scenario sweeps (profile collapse, hard-availability check: bitset
+# algebra over ScenarioSet::partition) against the scenario-by-scenario
+# walk kept in bate_bench::fuzz, bit for bit, over seeded demands and
+# allocations on independent and SRLG scenario sets.
+run cargo test -q --offline -p bate-bench --test scenario_sweep
+
 # Random contract-edit sequences through one live WarmState tableau,
 # every answer differenced against a fresh cold solve (and certified while
 # the instance is small), plus 600 in-place churn rounds on one tableau.
