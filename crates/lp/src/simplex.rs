@@ -44,12 +44,14 @@
 //!   tableau state maintained across pivots; pricing and pivot scratch
 //!   buffers live in the tableau and are reused.
 //! * **Buffer reuse** — a [`Workspace`] caches the prepared sparse rows and
-//!   every tableau buffer across solves of the same problem (only bound
-//!   overrides changing, the branch-and-bound access pattern). It carries
-//!   no basis: every [`solve_with`] is `build` → phase 1 → phase 2 from
-//!   the slack basis. The one warm start is a [`crate::WarmState`], which
-//!   keeps the final tableau itself and edits it in place between solves
-//!   (the `live` submodule).
+//!   every tableau buffer across solves (branch-and-bound keeps one per
+//!   worker; [`solve_relaxation`] keeps one per thread). Its matrix is
+//!   all-zero whenever no solve is using it, restored by zeroing only the
+//!   cells the row files name, so a cold solve costs its nonzeros and not
+//!   a matrix of zero pages. It carries no basis: every [`solve_with`] is
+//!   `build` → phase 1 → phase 2 from the slack basis. The one warm start
+//!   is a [`crate::WarmState`], which keeps the final tableau itself and
+//!   edits it in place between solves (the `live` submodule).
 
 use crate::error::SolveError;
 use crate::problem::{Problem, Relation, Sense};
@@ -173,7 +175,11 @@ pub type BoundOverride = (usize, f64, f64);
 /// It carries nothing of one solve's *answer* into the next [`solve_with`],
 /// so a result never depends on what the workspace solved before — the
 /// parallel branch-and-bound hands workspaces to worker threads on that
-/// footing.
+/// footing. The prepared rows are reused only for a problem whose rows
+/// equal them bit for bit, and the matrix starts every solve all-zero:
+/// whoever dirtied it sweeps the cells it may have written (`O(nnz)`, not
+/// a matrix-sized memset) — [`solve_relaxation`] on its way out, an owner
+/// that calls [`solve_with`] again at the start of the next `build`.
 #[derive(Debug, Default)]
 pub struct Workspace {
     tab: Tableau,
@@ -198,9 +204,7 @@ impl Workspace {
 /// bounds change between solves.
 #[derive(Debug)]
 struct Prepared {
-    /// Guards against a workspace being reused across different problems:
-    /// (num_vars, num_constraints, total term count).
-    fingerprint: (usize, usize, usize),
+    num_vars: usize,
     terms: Vec<Vec<(usize, f64)>>,
     relations: Vec<Relation>,
     rhs: Vec<f64>,
@@ -220,9 +224,7 @@ impl Prepared {
         let mut terms = Vec::with_capacity(m);
         let mut relations = Vec::with_capacity(m);
         let mut rhs = Vec::with_capacity(m);
-        let mut total_terms = 0usize;
         for c in &problem.constraints {
-            total_terms += c.terms.len();
             terms.push(c.terms.clone());
             relations.push(c.relation);
             rhs.push(c.rhs);
@@ -238,7 +240,7 @@ impl Prepared {
         let first_artificial = next;
         let art_col: Vec<usize> = (0..m).map(|i| first_artificial + i).collect();
         Prepared {
-            fingerprint: (n, m, total_terms),
+            num_vars: n,
             terms,
             relations,
             rhs,
@@ -249,10 +251,31 @@ impl Prepared {
         }
     }
 
+    /// Whether these are `problem`'s rows, compared by content (bit for
+    /// bit; `O(nnz)`): a shape can be shared by a neighbour or survive a
+    /// `set_rhs`, and a workspace must never solve stale rows.
     fn matches(&self, problem: &Problem) -> bool {
-        let total: usize = problem.constraints.iter().map(|c| c.terms.len()).sum();
-        self.fingerprint == (problem.num_vars(), problem.constraints.len(), total)
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let is_row = |(i, c): (usize, &crate::problem::Constraint)| {
+            let mine = self.terms[i].iter();
+            c.relation == self.relations[i]
+                && same(c.rhs, self.rhs[i])
+                && c.terms.len() == mine.len()
+                && c.terms
+                    .iter()
+                    .zip(mine)
+                    .all(|(a, b)| a.0 == b.0 && same(a.1, b.1))
+        };
+        self.num_vars == problem.num_vars()
+            && self.terms.len() == problem.constraints.len()
+            && problem.constraints.iter().enumerate().all(is_row)
     }
+}
+
+thread_local! {
+    /// The calling thread's scratch [`Workspace`] for [`solve_relaxation`]:
+    /// buffers only, swept back to all-zero before the call returns.
+    static SCRATCH: std::cell::RefCell<Workspace> = std::cell::RefCell::default();
 }
 
 /// Solve the LP relaxation of `problem` with additional bound overrides.
@@ -260,12 +283,27 @@ impl Prepared {
 /// `overrides` tightens variable bounds (used by branch-and-bound); the
 /// effective bounds are the intersection of the problem's own bounds and all
 /// overrides for that variable.
+///
+/// The cold entry for callers without a [`Workspace`] of their own. It
+/// solves on a scratch workspace the calling thread keeps and sweeps it on
+/// the way out, `Ok` or `Err`, so a solve pays for the nonzeros it touches
+/// and not for mapping, faulting in and unmapping a zeroed matrix. What the
+/// thread keeps is one tableau of the largest `rows × stride` it has solved
+/// (touched pages only), and never an answer: the result is that of
+/// [`solve_with`] on a fresh workspace. A nested call on one thread gets a
+/// fresh workspace.
 pub fn solve_relaxation(
     problem: &Problem,
     overrides: &[BoundOverride],
 ) -> Result<Solution, SolveError> {
-    let mut ws = Workspace::new();
-    solve_with(problem, overrides, &mut ws)
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut ws) => {
+            let out = solve_with(problem, overrides, &mut ws);
+            ws.tab.sweep();
+            out
+        }
+        Err(_) => solve_with(problem, overrides, &mut Workspace::new()),
+    })
 }
 
 /// Solve the LP relaxation reusing the buffers of `ws`.
@@ -411,8 +449,12 @@ fn primal_violation(problem: &Problem, values: &[f64]) -> f64 {
 struct Tableau {
     /// Row-major, `rows x stride` with `stride >= cols`; cells past `cols`
     /// are zero, so an appended column (see [`live`]) is already in place.
+    /// The buffer keeps the largest length it has had; a solve uses the
+    /// `rows x stride` prefix and everything past it stays zero.
     a: Vec<f64>,
     stride: usize,
+    /// A solve has written to `a` since the last [`Tableau::sweep`].
+    dirty: bool,
     /// Leave half again of head-room in `stride` at the next `build`: set
     /// for tableaus that will be kept live and grown. A matrix that has
     /// to be allocated is taken as zero pages, so the head-room costs
@@ -572,41 +614,14 @@ impl Tableau {
         let m = prepared.relations.len();
         let cols = prepared.cols;
 
-        // Zero the matrix. When the workspace is rebuilt on the same
-        // layout (branch-and-bound bound overrides, hardening re-solves),
-        // the row files say exactly which cells can be nonzero, so zeroing
-        // those plus the rhs column is O(nnz) instead of a matrix-sized
-        // memset — at scheduling scale the memset alone costs as much as
-        // the whole pivot loop.
-        let same_layout = self.track_cols
-            && self.rows == m
-            && self.cols == cols
-            && self.a.len() == m * self.stride
-            && self.col_rows.len() == cols;
-        if same_layout {
-            let stride = self.stride;
-            for c in 0..cols {
-                if self.col_dense[c] {
-                    for r in 0..m {
-                        self.a[r * stride + c] = 0.0;
-                    }
-                } else {
-                    for &r in &self.col_rows[c] {
-                        self.a[r as usize * stride + c] = 0.0;
-                    }
-                }
-            }
-        } else {
-            self.stride = if self.roomy { cols + cols / 2 } else { cols };
-            let cells = m * self.stride;
-            if self.a.capacity() < cells {
-                // Fresh zero pages instead of a memset: cells that are
-                // never written are never faulted in.
-                self.a = vec![0.0; cells];
-            } else {
-                self.a.clear();
-                self.a.resize(cells, 0.0);
-            }
+        // The matrix is all-zero at rest and a solve uses a prefix of it,
+        // so only a buffer that is too small is replaced — by fresh zero
+        // pages: cells that are never written are never faulted in.
+        self.sweep();
+        self.dirty = true;
+        self.stride = if self.roomy { cols + cols / 2 } else { cols };
+        if self.a.len() < m * self.stride {
+            self.a = vec![0.0; m * self.stride];
         }
         self.xb.clear();
         self.xb.resize(m, 0.0);
@@ -636,12 +651,7 @@ impl Tableau {
         self.allowed.clear();
         self.allowed.resize(cols, true);
         self.row_meta.clear();
-        for list in self.col_rows.iter_mut() {
-            list.clear(); // keep inner allocations for rebuilds
-        }
-        if self.col_rows.len() > cols {
-            self.col_rows.truncate(cols);
-        } else {
+        if self.col_rows.len() < cols {
             self.col_rows.resize_with(cols, Vec::new);
         }
         self.col_dense.clear();
@@ -661,6 +671,10 @@ impl Tableau {
             }
         }
 
+        // The rows, and with them the phase-1 reduced-cost row (cost 1 on
+        // every artificial, minus each row whose artificial is basic) and
+        // objective: rows ascending, so every `obj` cell sees the
+        // subtractions `phase1_costs` would make, in its order.
         let track = self.track_cols;
         for i in 0..m {
             // Shifted rhs; a negative one flips the whole row so phase 1
@@ -671,22 +685,21 @@ impl Tableau {
                 .sum();
             let rhs = prepared.rhs[i] - shift;
             let (sign, flip) = if rhs < 0.0 { (-1.0, -1.0) } else { (1.0, 1.0) };
+            let relation = match prepared.relations[i] {
+                Relation::Le if sign < 0.0 => Relation::Ge,
+                Relation::Ge if sign < 0.0 => Relation::Le,
+                relation => relation,
+            };
             for &(j, coef) in &prepared.terms[i] {
                 self.set(i, j, sign * coef);
                 if track {
                     self.col_rows[j].push(i as u32);
                 }
+                if relation != Relation::Le && coef != 0.0 {
+                    self.obj[j] -= sign * coef;
+                }
             }
             self.xb[i] = sign * rhs;
-            let relation = if sign < 0.0 {
-                match prepared.relations[i] {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                }
-            } else {
-                prepared.relations[i]
-            };
             let slack = prepared.slack_col[i];
             let art = prepared.art_col[i];
             match relation {
@@ -700,12 +713,14 @@ impl Tableau {
                     self.row_meta.push((slack, -flip));
                     // This row's artificial column stays all-zero.
                     self.allowed[art] = false;
+                    self.obj[art] = 1.0;
                 }
                 Relation::Ge => {
                     self.set(i, slack, -1.0);
                     if track {
                         self.col_rows[slack].push(i as u32);
                     }
+                    self.obj[slack] = 1.0;
                     // d_surplus = +y_i.
                     self.row_meta.push((slack, flip));
                     self.set(i, art, 1.0);
@@ -724,31 +739,51 @@ impl Tableau {
                     self.row_meta.push((art, -flip));
                 }
             }
+            if relation != Relation::Le {
+                self.objval += self.xb[i];
+            }
             self.is_basic[self.basis[i]] = true;
         }
     }
 
-    /// Phase 1: minimize the sum of artificial variables.
+    /// Put the matrix back to all-zero, the state every `Workspace` rests
+    /// in: the cells the row files name, every row of a dense-flagged
+    /// column, or the whole `rows × stride` prefix of a tableau too small
+    /// to track files. The one routine that zeroes tableau cells in bulk.
+    fn sweep(&mut self) {
+        if !std::mem::take(&mut self.dirty) {
+            return;
+        }
+        let (rows, stride) = (self.rows, self.stride);
+        if !self.track_cols {
+            self.a[..rows * stride].fill(0.0);
+        } else {
+            for c in 0..self.cols {
+                if self.col_dense[c] {
+                    for r in 0..rows {
+                        self.a[r * stride + c] = 0.0;
+                    }
+                }
+                // Drained, not dropped: the files keep their allocations.
+                for r in self.col_rows[c].drain(..) {
+                    self.a[r as usize * stride + c] = 0.0;
+                }
+            }
+        }
+        // The prefix this solve used (the rest was clean before it), and a
+        // fixed-size sample of the rest: a check that costs what the solve
+        // did, not what the largest tableau ever seen would.
+        let (used, rest) = self.a.split_at(rows * stride);
+        let mut checked = used.iter().chain(rest.iter().step_by(rest.len() / 64 + 1));
+        debug_assert!(checked.all(|v| v.to_bits() == 0), "sweep left a cell");
+    }
+
+    /// Phase 1: minimize the sum of artificial variables, from the
+    /// reduced-cost row in `obj` (`build` wrote it; a live tableau's
+    /// `resume` has `phase1_costs` scan for it).
     fn phase1(&mut self) -> Result<(), SolveError> {
         if !self.basis.iter().any(|&b| self.is_artificial(b)) {
             return Ok(()); // slack basis is already feasible
-        }
-        // Reduced costs for cost e_{artificials}: basics must have zero
-        // reduced cost, so subtract each artificial-basic row.
-        for c in 0..self.cols {
-            self.obj[c] = if self.is_artificial(c) { 1.0 } else { 0.0 };
-        }
-        self.objval = 0.0;
-        for i in 0..self.rows {
-            if self.is_artificial(self.basis[i]) {
-                for c in 0..self.cols {
-                    let v = self.at(i, c);
-                    if v != 0.0 {
-                        self.obj[c] -= v;
-                    }
-                }
-                self.objval += self.xb[i];
-            }
         }
 
         self.reset_pricing();
@@ -775,6 +810,28 @@ impl Tableau {
             }
         }
         Ok(())
+    }
+
+    /// The phase-1 reduced-cost row and objective by a scan of the matrix
+    /// as it stands: what a live tableau, which `build` did not lay out,
+    /// needs (cost 1 on every artificial; basics must have zero reduced
+    /// cost, so subtract each artificial-basic row).
+    fn phase1_costs(&mut self) {
+        for c in 0..self.cols {
+            self.obj[c] = if self.is_artificial(c) { 1.0 } else { 0.0 };
+        }
+        self.objval = 0.0;
+        for i in 0..self.rows {
+            if self.is_artificial(self.basis[i]) {
+                for c in 0..self.cols {
+                    let v = self.at(i, c);
+                    if v != 0.0 {
+                        self.obj[c] -= v;
+                    }
+                }
+                self.objval += self.xb[i];
+            }
+        }
     }
 
     /// Phase 2: optimize the real (internally minimized) objective from a
@@ -1918,6 +1975,93 @@ mod workspace_tests {
         p2.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
         let b = solve_with(&p2, &[], &mut ws).unwrap();
         approx(b.objective, 12.0);
+    }
+
+    /// `min x + y` over `x + c·y >= rhs`: same variables, rows and term
+    /// count whatever `c` and `rhs` are.
+    fn same_shape(c: f64, rhs: f64) -> Problem {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        p.set_objective(x, 1.0);
+        p.set_objective(y, 1.0);
+        p.add_constraint(&[(x, 1.0), (y, c)], Relation::Ge, rhs);
+        p
+    }
+
+    /// Two problems of one shape, and one problem before and after a
+    /// `set_rhs`, back to back: each solve answers its own rows, through
+    /// one `Workspace` and through the thread's scratch alike.
+    #[test]
+    fn same_shaped_problems_get_their_own_optimum() {
+        let mut ws = Workspace::new();
+        let mut reused = |p: &Problem| solve_with(p, &[], &mut ws).unwrap().objective;
+        let mut scratch = |p: &Problem| solve_relaxation(p, &[]).unwrap().objective;
+        let through: [&mut dyn FnMut(&Problem) -> f64; 2] = [&mut scratch, &mut reused];
+        for solve in through {
+            approx(solve(&same_shape(2.0, 8.0)), 4.0); // y = 4
+            approx(solve(&same_shape(4.0, 8.0)), 2.0); // y = 2
+            let mut p = same_shape(2.0, 8.0);
+            approx(solve(&p), 4.0);
+            p.set_rhs(0, 3.0);
+            approx(solve(&p), 1.5);
+            p.set_rhs(0, 8.0);
+            approx(solve(&p), 4.0);
+        }
+    }
+
+    /// `build` hands phase 1 the reduced-cost row and objective the scan
+    /// of the matrix would compute, bit for bit: negative right-hand
+    /// sides (flipped rows), `Eq` rows, a shifted variable, a coefficient
+    /// that merged to zero.
+    #[test]
+    fn built_phase1_row_is_the_scanned_one() {
+        let mut p = demo_problem();
+        let (x, y, z) = (crate::VarId(0), crate::VarId(1), crate::VarId(2));
+        p.add_constraint(&[(x, 0.3), (y, -0.7)], Relation::Le, -0.1);
+        p.add_constraint(&[(x, 0.1), (z, 0.2), (x, -0.1)], Relation::Ge, -5.0);
+        p.add_constraint(&[(y, 1.7), (z, -0.9)], Relation::Eq, -0.4);
+        p.add_constraint(&[(x, 1.1), (y, 1.3), (z, 0.7)], Relation::Eq, 6.5);
+        let lo = [0.0, 1.25, 0.0];
+        let hi = [f64::INFINITY, f64::INFINITY, 2.0];
+        let mut tab = super::Tableau::default();
+        tab.build(&super::Prepared::build(&p), &lo, &hi);
+        let (built, built_val) = (tab.obj.clone(), tab.objval);
+        tab.phase1_costs();
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&built), bits(&tab.obj));
+        assert_eq!(built_val.to_bits(), tab.objval.to_bits());
+        assert!(built.iter().any(|&d| d < 0.0), "phase 1 has work to do");
+    }
+
+    /// The scratch is swept on the way out of a failed solve too: after
+    /// `build` has written the rows and phase 1 has pivoted on them, an
+    /// `Infeasible` leaves not one cell behind.
+    #[test]
+    fn failed_solve_leaves_the_scratch_clean() {
+        let mut p = demo_problem();
+        let (x, y) = (crate::VarId(0), crate::VarId(1));
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
+        assert!(solve_relaxation(&p, &[]).is_err());
+        super::SCRATCH.with(|scratch| {
+            let tab = &scratch.borrow().tab;
+            assert!(!tab.dirty && tab.a.len() >= tab.rows * tab.stride && tab.rows == 4);
+            assert!(tab.a.iter().all(|v| v.to_bits() == 0));
+            assert!(tab.col_rows.iter().all(Vec::is_empty));
+        });
+    }
+
+    /// A solve that starts while the thread's scratch is in use — none
+    /// does today — gets a workspace of its own instead of a panic.
+    #[test]
+    fn nested_solve_falls_back_to_a_fresh_workspace() {
+        let p = demo_problem();
+        let outer = solve_relaxation(&p, &[]).unwrap();
+        let nested = super::SCRATCH.with(|scratch| {
+            let _held = scratch.borrow_mut();
+            solve_relaxation(&p, &[]).unwrap()
+        });
+        assert_eq!(nested.objective.to_bits(), outer.objective.to_bits());
     }
 }
 

@@ -261,7 +261,9 @@ impl Tableau {
         // As `build` and `price_out` leave them: zero-width columns and
         // artificials never enter.
         self.allowed.push(kind != Col::Artificial && ub >= EPS);
-        self.col_rows.push(Vec::new());
+        if c == self.col_rows.len() {
+            self.col_rows.push(Vec::new()); // else an emptied file is there
+        }
         self.col_dense.push(!self.track_cols);
         c
     }
@@ -339,7 +341,9 @@ impl Tableau {
             (relation != Relation::Eq).then(|| self.push_col(Col::Slack, f64::INFINITY, 0.0));
         let art = self.push_col(Col::Artificial, f64::INFINITY, 0.0);
         let stride = self.stride;
-        self.a.resize((r + 1) * stride, 0.0);
+        if self.a.len() < (r + 1) * stride {
+            self.a.resize((r + 1) * stride, 0.0);
+        }
         self.rows += 1;
 
         // How far the current point is from the row.
@@ -401,6 +405,7 @@ impl Tableau {
             // Phase 1 takes over the cost row; the phase-2 reduced costs
             // ride along in `parked` and come back pivoted.
             self.parked.clone_from(&self.obj);
+            self.phase1_costs(); // no `build` laid this tableau out
             let run = self.phase1();
             std::mem::swap(&mut self.obj, &mut self.parked);
             self.parked.clear();
@@ -578,10 +583,7 @@ pub(crate) fn solve_live(problem: &Problem, ws: &mut Workspace) -> Result<Soluti
         return Ok(finish(problem, &ws.tab, values, span));
     }
 
-    // Cold, on a tableau built with room to grow. Nothing of the old
-    // problem may survive: `prepared` is only a fingerprint match away
-    // from being reused with a stale rhs.
-    ws.prepared = None;
+    // Cold, on a tableau built with room to grow.
     ws.tab.roomy = true;
     let mut sol = solve_with(problem, &[], ws)?;
     if let Some(w) = wasted {

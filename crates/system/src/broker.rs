@@ -160,6 +160,7 @@ impl Broker {
                     for entry in &entries {
                         e2.install(demand, entry.pair, entry.tunnel, entry.rate);
                     }
+                    drop((_sp, _adopted)); // in the flight ring before a waiter can wake
                     i2.set(demand, entries);
                 }
                 Message::RemoveAllocation { demand } => {
@@ -169,6 +170,7 @@ impl Broker {
                         .is_some()
                         .then(|| bate_obs::span!("broker.remove", demand = demand));
                     e2.remove_demand(demand);
+                    drop((_sp, _adopted));
                     i2.remove(demand);
                 }
                 Message::Ping { token } => {

@@ -58,6 +58,19 @@ for SWEEP in collapse_ms hard_check_ms; do
     echo "scenario_sweep $SWEEP speedup ${SPEEDUP}x >= 5x: OK"
 done
 
+# And for the cold set-up (DESIGN.md §5b item 4): a cold solve on the
+# thread's swept scratch workspace against one on a fresh workspace, the
+# ATT / 250-demand master, layouts alternated. Faults are absent off Linux.
+echo "== cold set-up gate (DESIGN.md §5b item 4) =="
+COLD=$(grep '"cold_setup"' BENCH_lp.json || true)
+COLD_SPEEDUP=$(sed -n 's/.*"solve_ms": {.*"speedup": \([0-9.]*\)}.*/\1/p' <<<"$COLD")
+COLD_FAULTS=$(sed -n 's/.*"minor_faults_per_solve": {[^}]*"scratch": \([0-9]*\)}.*/\1/p' <<<"$COLD")
+if [[ -z "$COLD_SPEEDUP" ]] || ! awk -v s="$COLD_SPEEDUP" -v f="${COLD_FAULTS:-0}" 'BEGIN { exit !(s >= 1.4 && f <= 500) }'; then
+    echo "FAILED: cold_setup speedup '${COLD_SPEEDUP}' (bar 1.4x) or scratch faults per solve '${COLD_FAULTS}' (bar 500) missing or off the bar"
+    exit 1
+fi
+echo "cold_setup speedup ${COLD_SPEEDUP}x >= 1.4x, ${COLD_FAULTS:-no count of} minor faults per scratch solve <= 500: OK"
+
 if [[ -n "$BASELINE" ]]; then
     echo "== diff vs $BASELINE =="
     diff -u "$BASELINE" BENCH_lp.json && echo "(no change)" || true

@@ -31,5 +31,19 @@ check "public schedule* functions in scheduling.rs" \
 check "fields of ControllerConfig" \
     "$(awk '/^pub struct ControllerConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' \
         crates/system/src/controller.rs)" 5
+# The all-zero-at-rest tableau (DESIGN.md §5b item 4): `Tableau::sweep` is
+# the one routine that zeroes tableau cells in bulk; the one other source of
+# zeros is `build` replacing a buffer that is too small.
+SIMPLEX="$(src crates/lp/src/simplex.rs)"
+check "matrix memsets or a layout special case in simplex.rs non-test code" \
+    "$(echo "$SIMPLEX" | grep -cE 'self\.a\.(resize|clear|fill)\(|same_layout')" 0
+check "sites that replace the matrix in simplex.rs non-test code (build, when the buffer must grow)" \
+    "$(echo "$SIMPLEX" | grep -c 'self\.a = ')" 1 1
+# No O(rows x cols) scan on the cold start path: the scan that prices
+# phase 1 off the matrix is called once, by a live tableau's `resume`.
+check "calls of the phase-1 matrix scan in lp non-test code" \
+    "$(find crates/lp/src -name '*.rs' | while read -r f; do src "$f"; done | grep -c 'phase1_costs()')" 1 1
+check "calls of the phase-1 matrix scan in simplex/live.rs" \
+    "$(src crates/lp/src/simplex/live.rs | grep -c 'phase1_costs()')" 1 1
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
