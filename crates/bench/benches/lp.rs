@@ -1,11 +1,11 @@
-//! Microbenchmarks for the LP kernels: the original dense tableau kernel
-//! (`bate_lp::dense_reference`) vs the sparse-aware pivot kernel
-//! (`bate_lp::simplex`) on three scheduling-LP sizes, plus a
-//! branch-and-bound admission instance solved end to end.
+//! Microbenchmarks for the LP kernel (`bate_lp::simplex`): cold solves of
+//! three scheduling-LP sizes and a branch-and-bound admission instance
+//! solved end to end, then the paths built on it (row generation, warm
+//! churn, scenario sweeps, cold set-up, telemetry overhead).
 //!
 //! Custom harness (no criterion): the driver needs machine-readable
 //! output, so `--emit-json` writes `BENCH_lp.json` at the repository root
-//! with per-instance wall-clock numbers and dense/sparse speedups.
+//! with per-instance wall-clock medians and quartiles.
 //!
 //! Run with:
 //!
@@ -19,7 +19,7 @@ use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, DemandId, TeContext};
 use bate_sim::churn;
-use bate_lp::dense_reference::solve_relaxation_dense;
+use bate_lp::exact::verify_certificate;
 use bate_lp::simplex::{solve_relaxation, solve_with, Workspace};
 use bate_lp::{milp, Problem, Relation, Sense};
 use bate_net::{topologies, traffic, ScenarioSet};
@@ -38,7 +38,7 @@ use std::time::Instant;
 /// own variables, and demands couple solely through shared link-capacity
 /// rows. That block structure — each row holds a handful of nonzeros out
 /// of hundreds of columns — is what the real `schedule()` LPs look like
-/// and what the sparse kernel targets.
+/// and what the kernel's sparse pivots target.
 fn scheduling_instance(seed: u64, demands: usize, states: usize, links: usize) -> Problem {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut p = Problem::new(Sense::Minimize);
@@ -185,17 +185,22 @@ fn rowgen_demands(
         .collect()
 }
 
-/// Best-of-N wall-clock of `f`, with one untimed warm-up run. Minimum (not
-/// mean) because scheduler noise only ever adds time.
-fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
+/// Wall-clock seconds of `n` runs of `f`, after one untimed warm-up run.
+fn timings<R>(n: usize, mut f: impl FnMut() -> R) -> Vec<f64> {
     f();
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+    (0..n)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .collect()
+}
+
+/// Best-of-N wall-clock of `f`. Minimum (not mean) because scheduler noise
+/// only ever adds time.
+fn best_of<R>(n: usize, f: impl FnMut() -> R) -> f64 {
+    timings(n, f).into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// `f` on a thread of its own: the thread's `solve_relaxation` scratch
@@ -247,63 +252,51 @@ struct BenchRow {
     name: &'static str,
     vars: usize,
     rows: usize,
-    dense_secs: Option<f64>,
-    sparse_secs: f64,
-}
-
-impl BenchRow {
-    fn speedup(&self) -> Option<f64> {
-        self.dense_secs.map(|d| d / self.sparse_secs)
-    }
+    runs: usize,
+    /// Lower quartile, median, upper quartile.
+    secs: (f64, f64, f64),
 }
 
 fn main() {
     let emit_json = std::env::args().any(|a| a == "--emit-json");
     let mut out = Vec::new();
 
-    // (name, demands, states per demand, links, timing reps): small sits
-    // below the partial-pricing gate (cols <= 256, pure Dantzig either
-    // way), large is deep inside candidate-list territory.
+    // (name, demands, states per demand, links, timed runs): small sits
+    // below the small-tableau switch (cols <= 256: no row files, pure
+    // Dantzig pricing), large is deep inside candidate-list territory.
     let sizes: [(&'static str, usize, usize, usize, usize); 3] = [
         ("scheduling_small", 4, 6, 12, 40),
-        ("scheduling_medium", 12, 16, 24, 10),
-        ("scheduling_large", 36, 40, 64, 3),
+        ("scheduling_medium", 12, 16, 24, 20),
+        ("scheduling_large", 36, 40, 64, 15),
     ];
-    for (name, demands, states, links, reps) in sizes {
+    for (name, demands, states, links, runs) in sizes {
         let p = scheduling_instance(7, demands, states, links);
-        let dense = best_of(reps, || solve_relaxation_dense(&p, &[]).unwrap());
-        // The sparse kernel is benchmarked the way branch-and-bound calls
-        // it: a long-lived workspace, so every rep is a full cold solve
-        // (phase 1 + phase 2) but buffer reuse lets the sparse-aware
-        // rebuild skip the matrix-sized allocation + memset.
+        // Benchmarked the way branch-and-bound calls the kernel: a
+        // long-lived workspace, so every run is a full cold solve (phase 1
+        // + phase 2) on reused buffers.
         let mut ws = Workspace::new();
-        let sparse = best_of(reps, || solve_with(&p, &[], &mut ws).unwrap());
-        let d_obj = solve_relaxation_dense(&p, &[]).unwrap().objective;
-        let s_obj = solve_relaxation(&p, &[]).unwrap().objective;
-        assert!(
-            (d_obj - s_obj).abs() < 1e-6 * (1.0 + d_obj.abs()),
-            "{name}: kernels disagree: dense {d_obj} vs sparse {s_obj}"
-        );
+        let secs = quartiles(&mut timings(runs, || solve_with(&p, &[], &mut ws).unwrap()));
+        verify_certificate(&p, &solve_relaxation(&p, &[]).unwrap())
+            .unwrap_or_else(|e| panic!("{name}: certificate rejected: {e}"));
         out.push(BenchRow {
             name,
             vars: p.num_vars(),
             rows: p.num_constraints(),
-            dense_secs: Some(dense),
-            sparse_secs: sparse,
+            runs,
+            secs,
         });
     }
 
-    // Branch-and-bound end to end (sparse kernel with warm starts; the
-    // dense kernel has no B&B driver, so no dense column here).
+    // Branch-and-bound end to end.
     let p = bnb_instance(11, 24, 10);
     let cfg = milp::BnbConfig::default();
-    let sparse = best_of(3, || milp::solve(&p, cfg).unwrap());
+    let runs = 9;
     out.push(BenchRow {
         name: "bnb_admission",
         vars: p.num_vars(),
         rows: p.num_constraints(),
-        dense_secs: None,
-        sparse_secs: sparse,
+        runs,
+        secs: quartiles(&mut timings(runs, || milp::solve(&p, cfg).unwrap())),
     });
 
     // Full formulation vs row generation on a real >= 1k-scenario
@@ -386,7 +379,7 @@ fn main() {
         .collect();
     let churn_cfg = churn::ChurnConfig::steady(live_pairs, 48, 8, 11);
     let workload = churn::generate(&churn_cfg);
-    // Like the kernel benches above, take best-of-N minimums of the
+    // Like the row-generation pair above, take best-of-N minimums of the
     // round totals on both sides — single runs are too noisy to gate on.
     let mut warm_secs = f64::INFINITY;
     let mut cold_secs = f64::INFINITY;
@@ -611,7 +604,7 @@ fn main() {
         "cold_setup: {cold_speedup:.2}x, faults per solve {cold_faults:?}; the bar is 1.4x and 500 on the scratch"
     );
 
-    // Telemetry overhead on the largest scheduling LP: the bare sparse
+    // Telemetry overhead on the largest scheduling LP: the bare
     // solve (no active trace, so the in-solver phase attribution is
     // gated off) vs the same solve under an active trace root plus the
     // per-solve telemetry cost the bate-core schedule path pays — one
@@ -695,41 +688,30 @@ fn main() {
     );
 
     for r in &out {
-        match (r.dense_secs, r.speedup()) {
-            (Some(d), Some(s)) => println!(
-                "{:<20} {:>4} vars {:>4} rows  dense {:>9.3} ms  sparse {:>9.3} ms  speedup {:>5.2}x",
-                r.name,
-                r.vars,
-                r.rows,
-                d * 1e3,
-                r.sparse_secs * 1e3,
-                s
-            ),
-            _ => println!(
-                "{:<20} {:>4} vars {:>4} rows  sparse {:>9.3} ms",
-                r.name,
-                r.vars,
-                r.rows,
-                r.sparse_secs * 1e3
-            ),
-        }
+        println!(
+            "{:<20} {:>4} vars {:>4} rows {:>2} runs  median {:>9.3} ms ({:.3}..{:.3})",
+            r.name,
+            r.vars,
+            r.rows,
+            r.runs,
+            r.secs.1 * 1e3,
+            r.secs.0 * 1e3,
+            r.secs.2 * 1e3,
+        );
     }
 
     if emit_json {
         let mut json = String::from("{\n  \"benches\": [\n");
         for (i, r) in out.iter().enumerate() {
-            // Dense-less rows (the B&B instance has no dense driver) omit
-            // the dense fields entirely rather than emitting JSON nulls —
-            // downstream tooling reads absence, never null.
-            let mut fields = format!(
-                "\"name\": \"{}\", \"vars\": {}, \"rows\": {}, \"sparse_secs\": {:.9}",
-                r.name, r.vars, r.rows, r.sparse_secs
-            );
-            if let (Some(d), Some(s)) = (r.dense_secs, r.speedup()) {
-                fields.push_str(&format!(", \"dense_secs\": {d:.9}, \"speedup\": {s:.3}"));
-            }
             json.push_str(&format!(
-                "    {{{fields}}}{}\n",
+                "    {{\"name\": \"{}\", \"vars\": {}, \"rows\": {}, \"runs\": {}, \"median_secs\": {:.9}, \"q1_secs\": {:.9}, \"q3_secs\": {:.9}}}{}\n",
+                r.name,
+                r.vars,
+                r.rows,
+                r.runs,
+                r.secs.1,
+                r.secs.0,
+                r.secs.2,
                 if i + 1 == out.len() { "" } else { "," }
             ));
         }

@@ -86,8 +86,6 @@ pub struct IncrementalStats {
     pub dual_pivots: u64,
     /// Warm answers that failed the KKT gate and were redone cold.
     pub cert_fallbacks: u64,
-    /// Warm solves that errored and were retried from a cold workspace.
-    pub cold_retries: u64,
     /// Full master rebuilds triggered by the dead-column threshold.
     pub compactions: u64,
 }
@@ -164,7 +162,6 @@ pub struct IncrementalScheduler {
     dead_cols: usize,
     stats: IncrementalStats,
     last_solution: Option<Solution>,
-    ever_solved: bool,
     force_cert_failure: bool,
 }
 
@@ -188,7 +185,6 @@ impl IncrementalScheduler {
             dead_cols: 0,
             stats: IncrementalStats::default(),
             last_solution: None,
-            ever_solved: false,
             force_cert_failure: false,
         }
     }
@@ -427,22 +423,6 @@ impl IncrementalScheduler {
 
     // --- the warm solve loop ------------------------------------------
 
-    /// One master solve, with the cold-retry pattern: a failed solve on an
-    /// armed workspace is retried once from scratch before the error
-    /// propagates (a warm install can degenerate-cycle into the simplex
-    /// guards on an LP that solves cleanly cold).
-    fn solve_master(&mut self) -> Result<Solution, SolveError> {
-        match self.warm.solve() {
-            Ok(sol) => Ok(sol),
-            Err(_) if self.ever_solved => {
-                self.stats.cold_retries += 1;
-                self.warm.rebuild_cold();
-                self.warm.solve()
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Gate a warm answer behind the float KKT certificate; fall back to
     /// a cold re-solve when it fails (or when the test hook forces it).
     fn certify(&mut self, sol: Solution) -> Result<Solution, SolveError> {
@@ -513,7 +493,9 @@ impl IncrementalScheduler {
         let mut rg = RowGenStats::default();
         let fallbacks_before = self.stats.cert_fallbacks;
         let sol = loop {
-            let sol = match self.solve_master().and_then(|s| self.certify(s)) {
+            // An `Err` here is already the verdict of a cold solve:
+            // `WarmState::solve` redoes every live error from a fresh build.
+            let sol = match self.warm.solve().and_then(|s| self.certify(s)) {
                 Ok(sol) => sol,
                 Err(e) => {
                     // A dirty master must not poison the next round: the
@@ -523,7 +505,6 @@ impl IncrementalScheduler {
                     return Err(e);
                 }
             };
-            self.ever_solved = true;
             rg.rounds += 1;
             if sol.stats.warm_start {
                 self.stats.warm_rounds += 1;

@@ -7,10 +7,9 @@
 //! The paper solves its models with Gurobi; the Rust ecosystem has no
 //! comparable offline solver, so this crate implements:
 //!
-//! * a **sparse-aware two-phase primal simplex** method with candidate-list
-//!   partial pricing and a Bland's-rule fallback for anti-cycling
-//!   ([`simplex`]; the original dense kernel is preserved in
-//!   [`dense_reference`] for golden tests and benchmarks),
+//! * one float simplex: a **sparse-aware two-phase primal simplex** with
+//!   candidate-list partial pricing and a Bland's-rule fallback for
+//!   anti-cycling ([`simplex`]),
 //! * one **warm start** on top of it: a [`WarmState`] keeps its master's
 //!   final tableau live and edits it in place between solves ([`warm`]);
 //!   every other solve — each branch-and-bound node, each round of the
@@ -23,7 +22,9 @@
 //!
 //! Both are exact methods, so optimization results match what the paper's
 //! solver would produce (up to numerical tolerance); only absolute solve
-//! times differ.
+//! times differ. One float simplex, one exact oracle: the reference every
+//! float answer is checked against is the rational simplex and KKT
+//! certificate layer in [`exact`].
 //!
 //! ## Example
 //!
@@ -43,7 +44,6 @@
 //! assert!((sol[x] - 4.0).abs() < 1e-6);
 //! ```
 
-pub mod dense_reference;
 pub mod error;
 pub mod exact;
 pub mod export;

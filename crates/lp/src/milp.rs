@@ -20,10 +20,10 @@
 //! up to `NODE_BATCH - 1` solves per improvement are wasted relative to pure
 //! sequential DFS.
 //!
-//! Each worker thread owns a [`simplex::Workspace`], so tableau buffers and
-//! the prepared sparse rows are reused across the nodes of its chunk. A
-//! workspace carries no basis from one solve to the next, so which
-//! chunk-mate ran before a node cannot reach its result.
+//! Each worker thread owns a [`simplex::Workspace`], so tableau buffers
+//! are reused across the nodes of its chunk. A workspace carries no rows
+//! and no basis from one solve to the next, so which chunk-mate ran before
+//! a node cannot reach its result.
 
 use crate::error::SolveError;
 use crate::par::par_map_with;

@@ -253,11 +253,10 @@ impl Problem {
         simplex::solve_relaxation(self, &[])
     }
 
-    /// Solve the LP relaxation reusing `ws` across calls: tableau buffers
-    /// and the prepared sparse rows are cached, and each solve warm-starts
-    /// from the previous solution's basis when it is still feasible. This
-    /// is the fast path for repeated re-solves of the same problem under
-    /// shifting bound overrides (branch-and-bound, hardening re-placement).
+    /// Solve the LP relaxation reusing the tableau buffers of `ws` across
+    /// calls; every solve is cold, from the slack basis. This is the path
+    /// for repeated re-solves under shifting bound overrides
+    /// (branch-and-bound, hardening re-placement).
     pub fn solve_relaxation_with(
         &self,
         overrides: &[simplex::BoundOverride],

@@ -220,7 +220,7 @@ impl Tableau {
         }
         if own == 0.0 {
             self.a[base + art] = 1.0;
-            if self.track_cols && !self.col_dense[art] {
+            if !self.small && !self.col_dense[art] {
                 self.col_rows[art].push(r as u32);
             }
         }
@@ -264,7 +264,7 @@ impl Tableau {
         if c == self.col_rows.len() {
             self.col_rows.push(Vec::new()); // else an emptied file is there
         }
-        self.col_dense.push(!self.track_cols);
+        self.col_dense.push(self.small);
         c
     }
 
@@ -385,7 +385,7 @@ impl Tableau {
         }
         let marker = slack.unwrap_or(art);
         row[marker] = 1.0;
-        if self.track_cols {
+        if !self.small {
             for (c, &v) in row[..self.cols].iter().enumerate() {
                 if v != 0.0 && !self.col_dense[c] {
                     self.col_rows[c].push(r as u32);

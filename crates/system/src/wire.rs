@@ -413,27 +413,54 @@ pub fn read_frame_bytes<S: Read + ?Sized>(stream: &mut S) -> Result<Bytes, WireE
 pub fn read_raw_frame<S: Read + ?Sized>(
     stream: &mut S,
 ) -> Result<(Option<FrameCtx>, Bytes), WireError> {
+    let out = read_frame_bytes_inner(stream);
+    note_frame_read(out.as_ref());
+    out
+}
+
+/// Book what a reader made of the stream in the `bate_wire_*` family: a
+/// frame received, or a damaged one.
+fn note_frame_read(out: Result<&(Option<FrameCtx>, Bytes), &WireError>) {
     let m = wire_metrics();
-    match read_frame_bytes_inner(stream) {
+    match out {
         Ok((ctx, payload)) => {
             m.frames_received.inc();
             // Header + optional ctx + payload, mirroring what the peer
             // counted as sent.
             let ctx_len = if ctx.is_some() { CTX_BYTES as u64 } else { 0 };
             m.bytes_received.add(8 + ctx_len + payload.len() as u64);
-            Ok((ctx, payload))
         }
-        Err(e) => {
-            match &e {
-                WireError::Corrupt { .. } => m.corrupt.inc(),
-                WireError::Malformed(_) => m.malformed.inc(),
-                // Io and Closed are connection-lifecycle outcomes, not
-                // frame damage; the retry layers count those.
-                _ => {}
-            }
-            Err(e)
-        }
+        Err(WireError::Corrupt { .. }) => m.corrupt.inc(),
+        Err(WireError::Malformed(_)) => m.malformed.inc(),
+        // Io and Closed are connection-lifecycle outcomes, not frame
+        // damage; the retry layers count those.
+        Err(_) => {}
     }
+}
+
+/// Decode the 8-byte header — length word (payload length, [`CTX_FLAG`]),
+/// CRC word over everything after the header — into `(has_ctx, len, crc)`.
+/// A length over [`MAX_FRAME`] is rejected before anything is allocated
+/// or buffered for it.
+fn parse_header(head: &[u8]) -> Result<(bool, usize, u32), WireError> {
+    let len_word = u32::from_be_bytes(head[0..4].try_into().unwrap());
+    let len = (len_word & !CTX_FLAG) as usize;
+    if len > MAX_FRAME {
+        return Err(WireError::Malformed(format!("frame of {len} bytes")));
+    }
+    let crc = u32::from_be_bytes(head[4..8].try_into().unwrap());
+    Ok((len_word & CTX_FLAG != 0, len, crc))
+}
+
+/// Check `body` — the context extension, if flagged, then the payload:
+/// exactly what the sender's CRC covered — and split the context off,
+/// leaving the payload.
+fn open_body(has_ctx: bool, crc: u32, body: &mut Bytes) -> Result<Option<FrameCtx>, WireError> {
+    let got = crc32(body);
+    if got != crc {
+        return Err(WireError::Corrupt { expected: crc, got });
+    }
+    Ok(has_ctx.then(|| FrameCtx::from_bytes(&body.split_to(CTX_BYTES))))
 }
 
 fn read_frame_bytes_inner<S: Read + ?Sized>(
@@ -468,15 +495,7 @@ fn read_frame_bytes_inner<S: Read + ?Sized>(
             Err(e) => return Err(e.into()),
         }
     }
-    let len_word = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
-    let expected_crc = u32::from_be_bytes([head[4], head[5], head[6], head[7]]);
-    let has_ctx = len_word & CTX_FLAG != 0;
-    let len = (len_word & !CTX_FLAG) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Malformed(format!("frame of {len} bytes")));
-    }
-    // Read ctx (if flagged) and payload in one buffer so the CRC check
-    // covers exactly what the sender covered.
+    let (has_ctx, len, crc) = parse_header(&head)?;
     let ctx_len = if has_ctx { CTX_BYTES } else { 0 };
     let mut body = vec![0u8; ctx_len + len];
     stream.read_exact(&mut body).map_err(|e| {
@@ -486,21 +505,8 @@ fn read_frame_bytes_inner<S: Read + ?Sized>(
             WireError::Io(e)
         }
     })?;
-    let got = crc32(&body);
-    if got != expected_crc {
-        return Err(WireError::Corrupt {
-            expected: expected_crc,
-            got,
-        });
-    }
     let mut body = Bytes::from(body);
-    let ctx = if has_ctx {
-        let cb = body.split_to(CTX_BYTES);
-        Some(FrameCtx::from_bytes(&cb))
-    } else {
-        None
-    };
-    Ok((ctx, body))
+    Ok((open_body(has_ctx, crc, &mut body)?, body))
 }
 
 /// Read one frame (blocking) and decode it. [`WireError::Closed`] on clean
@@ -547,12 +553,11 @@ pub(crate) fn note_frame_sent(frame_len: usize) {
 /// Incremental frame assembly for nonblocking readers: feed raw byte
 /// chunks in with [`FrameAssembler::push`], pull complete frames out with
 /// [`FrameAssembler::next_frame`]. This is the same wire grammar as
-/// [`read_raw_frame`] — length word (with [`CTX_FLAG`]), CRC word,
-/// optional context extension, payload — restated as a resumable state
-/// machine, so a connection that delivers one byte per poll wakeup costs
-/// buffer space, never a blocked thread. Metric accounting mirrors the
-/// blocking reader: completed frames count as received, damaged ones as
-/// corrupt/malformed.
+/// [`read_raw_frame`], decoded by the same two steps, behind a buffer
+/// instead of a blocking read, so a connection that delivers one byte per
+/// poll wakeup costs buffer space, never a blocked thread. Metric
+/// accounting is the blocking reader's: completed frames count as
+/// received, damaged ones as corrupt/malformed.
 #[derive(Default)]
 pub struct FrameAssembler {
     buf: BytesMut,
@@ -580,42 +585,20 @@ impl FrameAssembler {
     /// unsynchronized, exactly like the blocking reader: the caller must
     /// drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<(Option<FrameCtx>, Bytes)>, WireError> {
-        let m = wire_metrics();
         if self.buf.len() < 8 {
             return Ok(None);
         }
-        let len_word = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
-        let expected_crc = u32::from_be_bytes(self.buf[4..8].try_into().unwrap());
-        let has_ctx = len_word & CTX_FLAG != 0;
-        let len = (len_word & !CTX_FLAG) as usize;
-        if len > MAX_FRAME {
-            m.malformed.inc();
-            return Err(WireError::Malformed(format!("frame of {len} bytes")));
-        }
-        let ctx_len = if has_ctx { CTX_BYTES } else { 0 };
-        let total = 8 + ctx_len + len;
+        let header = parse_header(&self.buf[..8]);
+        let (has_ctx, len, crc) = header.inspect_err(|e| note_frame_read(Err(e)))?;
+        let total = 8 + len + if has_ctx { CTX_BYTES } else { 0 };
         if self.buf.len() < total {
             return Ok(None);
         }
         let mut body = self.buf.split_to(total).freeze();
         body.advance(8);
-        let got = crc32(&body);
-        if got != expected_crc {
-            m.corrupt.inc();
-            return Err(WireError::Corrupt {
-                expected: expected_crc,
-                got,
-            });
-        }
-        m.frames_received.inc();
-        m.bytes_received.add(total as u64);
-        let ctx = if has_ctx {
-            let cb = body.split_to(CTX_BYTES);
-            Some(FrameCtx::from_bytes(&cb))
-        } else {
-            None
-        };
-        Ok(Some((ctx, body)))
+        let frame = open_body(has_ctx, crc, &mut body).map(|ctx| (ctx, body));
+        note_frame_read(frame.as_ref());
+        frame.map(Some)
     }
 }
 
@@ -810,35 +793,6 @@ mod tests {
             "second"
         );
         assert_eq!(asm.buffered(), 0);
-    }
-
-    #[test]
-    fn assembler_reports_partial_frames_and_damage() {
-        let frame = encode_frame(&vec![9u64; 4]).unwrap();
-        let mut asm = FrameAssembler::new();
-        asm.push(&frame[..frame.len() - 1]);
-        assert!(asm.next_frame().unwrap().is_none(), "incomplete frame");
-        assert!(asm.buffered() > 0, "mid-frame bytes are visible");
-        asm.push(&frame[frame.len() - 1..]);
-        assert!(asm.next_frame().unwrap().is_some());
-        assert_eq!(asm.buffered(), 0);
-
-        // A corrupted payload surfaces as Corrupt, same as the blocking
-        // reader.
-        let mut bad = frame.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        let mut asm = FrameAssembler::new();
-        asm.push(&bad);
-        assert!(matches!(asm.next_frame(), Err(WireError::Corrupt { .. })));
-
-        // An oversized length header (64 MiB > MAX_FRAME, flag bit clear)
-        // is rejected before buffering it.
-        let mut asm = FrameAssembler::new();
-        let mut raw = (64u32 << 20).to_be_bytes().to_vec();
-        raw.extend_from_slice(&0u32.to_be_bytes());
-        asm.push(&raw);
-        assert!(matches!(asm.next_frame(), Err(WireError::Malformed(_))));
     }
 
     #[test]

@@ -33,17 +33,27 @@ check "fields of ControllerConfig" \
         crates/system/src/controller.rs)" 5
 # The all-zero-at-rest tableau (DESIGN.md §5b item 4): `Tableau::sweep` is
 # the one routine that zeroes tableau cells in bulk; the one other source of
-# zeros is `build` replacing a buffer that is too small.
-SIMPLEX="$(src crates/lp/src/simplex.rs)"
-check "matrix memsets or a layout special case in simplex.rs non-test code" \
-    "$(echo "$SIMPLEX" | grep -cE 'self\.a\.(resize|clear|fill)\(|same_layout')" 0
-check "sites that replace the matrix in simplex.rs non-test code (build, when the buffer must grow)" \
-    "$(echo "$SIMPLEX" | grep -c 'self\.a = ')" 1 1
+# zeros is `build` replacing a buffer that is too small. The cold kernel is
+# simplex.rs and its child modules; live.rs grows a tableau it keeps.
+KERNEL="$(for f in crates/lp/src/simplex.rs crates/lp/src/simplex/*.rs; do
+    [ "$f" = crates/lp/src/simplex/live.rs ] || src "$f"; done)"
+check "matrix memsets or a layout special case in the cold kernel's non-test code" \
+    "$(echo "$KERNEL" | grep -cE 'self\.a\.(resize|clear|fill)\(|same_layout')" 0
+check "sites that replace the matrix in the cold kernel's non-test code (build, when the buffer must grow)" \
+    "$(echo "$KERNEL" | grep -c 'self\.a = ')" 1 1
+LP_SRC="$(find crates/lp/src -name '*.rs' | while read -r f; do src "$f"; done)"
 # No O(rows x cols) scan on the cold start path: the scan that prices
 # phase 1 off the matrix is called once, by a live tableau's `resume`.
 check "calls of the phase-1 matrix scan in lp non-test code" \
-    "$(find crates/lp/src -name '*.rs' | while read -r f; do src "$f"; done | grep -c 'phase1_costs()')" 1 1
+    "$(echo "$LP_SRC" | grep -c 'phase1_costs()')" 1 1
 check "calls of the phase-1 matrix scan in simplex/live.rs" \
     "$(src crates/lp/src/simplex/live.rs | grep -c 'phase1_costs()')" 1 1
+# One float simplex, in files a newcomer can read (DESIGN.md §5b).
+check "names of the retired dense kernel under crates/" \
+    "$(grep -rhoE 'dense_reference|solve_relaxation_dense' crates | wc -l)" 0
+check "lines of the longest file under crates/lp/src" \
+    "$(find crates/lp/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -n | tail -1 | awk '{ print $1 }')" 900
+check "wall-clock deadlines in crates/lp/src non-test code (ROADMAP item 2 takes the last one out)" \
+    "$(echo "$LP_SRC" | grep -c 'Instant::now() + ')" 1
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
