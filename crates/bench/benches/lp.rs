@@ -1,7 +1,7 @@
 //! Microbenchmarks for the LP kernel (`bate_lp::simplex`): cold solves of
 //! three scheduling-LP sizes and a branch-and-bound admission instance
 //! solved end to end, then the paths built on it (row generation, warm
-//! churn, scenario sweeps, cold set-up, telemetry overhead).
+//! churn, scenario sweeps, cold set-up, idle columns, telemetry overhead).
 //!
 //! Custom harness (no criterion): the driver needs machine-readable
 //! output, so `--emit-json` writes `BENCH_lp.json` at the repository root
@@ -27,7 +27,7 @@ use bate_obs::{NoopSubscriber, Registry, SystemClock};
 use bate_routing::{RoutingScheme, TunnelSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -556,14 +556,24 @@ fn main() {
     let cold_runs = 15;
     let turn = Cell::new(0usize);
     let cold_faults = [Cell::new(0u64), Cell::new(0u64)];
+    // Where the product's own attribution (`SolveStats`, what
+    // `bate_solve_phase_*` exports) puts each scratch solve's time, in ms:
+    // pricing, pivot, phase 1.
+    let cold_split = RefCell::new([Vec::new(), Vec::new(), Vec::new()]);
     let cold_side = |side: usize, solve: &dyn Fn(&Problem) -> bate_lp::Solution| {
         turn.set(turn.get() + 1);
         let before = minor_faults();
-        let pivots = black_box(solve(&cold_lps[turn.get() % 2])).stats.pivots;
+        let stats = black_box(solve(&cold_lps[turn.get() % 2])).stats;
         if let (Some(before), Some(after)) = (before, minor_faults()) {
             cold_faults[side].set(cold_faults[side].get() + after - before);
         }
-        pivots
+        if side == 1 {
+            let secs = [stats.pricing_secs, stats.pivot_secs, stats.phase1_secs];
+            for (xs, s) in cold_split.borrow_mut().iter_mut().zip(secs) {
+                xs.push(s * 1e3);
+            }
+        }
+        stats.pivots
     };
     let fresh = |p: &Problem| solve_with(p, &[], &mut Workspace::new()).unwrap();
     let scratch = |p: &Problem| solve_relaxation(p, &[]).unwrap();
@@ -576,6 +586,7 @@ fn main() {
         );
     }
     cold_faults.iter().for_each(|f| f.set(0));
+    cold_split.borrow_mut().iter_mut().for_each(Vec::clear);
     let [cold_fresh_q, cold_scratch_q] = paired_ms(
         cold_runs,
         &|| {
@@ -592,8 +603,10 @@ fn main() {
             .each_ref()
             .map(|f| f.get() / (cold_runs as u64 + 1))
     });
+    let [cold_pricing_ms, cold_pivot_ms, cold_phase1_ms] =
+        cold_split.into_inner().map(|mut xs| quartiles(&mut xs).1);
     println!(
-        "cold_setup           {} vars {} rows {cold_runs} runs  fresh workspace {:.3} ms ({:.3}..{:.3})  scratch {:.3} ms ({:.3}..{:.3})  {cold_speedup:.2}x  minor faults per solve {cold_faults:?}",
+        "cold_setup           {} vars {} rows {cold_runs} runs  fresh workspace {:.3} ms ({:.3}..{:.3})  scratch {:.3} ms ({:.3}..{:.3})  {cold_speedup:.2}x  minor faults per solve {cold_faults:?}  scratch SolveStats medians: pricing {cold_pricing_ms:.3} ms  pivot {cold_pivot_ms:.3} ms  phase 1 {cold_phase1_ms:.3} ms",
         cold_lps[0].num_vars(),
         cold_lps[0].num_constraints(),
         cold_fresh_q.1, cold_fresh_q.0, cold_fresh_q.2,
@@ -602,6 +615,43 @@ fn main() {
     assert!(
         cold_speedup >= 1.4 && cold_faults.is_none_or(|f| f[1] <= 500),
         "cold_setup: {cold_speedup:.2}x, faults per solve {cold_faults:?}; the bar is 1.4x and 500 on the scratch"
+    );
+
+    // What a solve pays for columns it never uses: the first of those
+    // masters against a clone with three times as many extra variables that
+    // are in no row and carry no cost. Same pivots; what is left of the
+    // difference is the per-column work — `build`'s per-column vectors, the
+    // pricing scans, `price_out`'s cost row — and none of it should be a
+    // scan of tableau rows (DESIGN.md §5b). Acceptance: wide / master <= 1.6
+    // on the medians.
+    let master = &cold_lps[0];
+    let mut wide = master.clone();
+    for k in 0..3 * master.num_vars() {
+        wide.add_var(&format!("idle{k}"));
+    }
+    let wide_pivots = scratch(master).stats.pivots;
+    assert_eq!(wide_pivots, scratch(&wide).stats.pivots, "wide_master: pivots differ");
+    let [master_q, wide_q] = paired_ms(
+        cold_runs,
+        &|| {
+            black_box(scratch(master));
+        },
+        &|| {
+            black_box(scratch(&wide));
+        },
+    );
+    let wide_ratio = wide_q.1 / master_q.1;
+    println!(
+        "wide_master          {} vs {} vars {} rows {cold_runs} runs {wide_pivots} pivots  master {:.3} ms ({:.3}..{:.3})  wide {:.3} ms ({:.3}..{:.3})  ratio {wide_ratio:.2}",
+        master.num_vars(),
+        wide.num_vars(),
+        master.num_constraints(),
+        master_q.1, master_q.0, master_q.2,
+        wide_q.1, wide_q.0, wide_q.2,
+    );
+    assert!(
+        wide_ratio <= 1.6,
+        "wide_master: {wide_ratio:.2}x; the bar is 1.6x"
     );
 
     // Telemetry overhead on the largest scheduling LP: the bare
@@ -742,8 +792,12 @@ fn main() {
             format!(", \"minor_faults_per_solve\": {{\"fresh_workspace\": {fresh}, \"scratch\": {scratch}}}")
         });
         json.push_str(&format!(
-            "  \"cold_setup\": {{\"vars\": {}, \"rows\": {}, \"runs\": {cold_runs}, \"solve_ms\": {{\"fresh_workspace\": {}, \"scratch\": {}, \"speedup\": {cold_speedup:.2}}}{faults}}},\n",
+            "  \"cold_setup\": {{\"vars\": {}, \"rows\": {}, \"runs\": {cold_runs}, \"solve_ms\": {{\"fresh_workspace\": {}, \"scratch\": {}, \"speedup\": {cold_speedup:.2}}}{faults}, \"scratch_solve_stats_median_ms\": {{\"pricing\": {cold_pricing_ms:.3}, \"pivot\": {cold_pivot_ms:.3}, \"phase1\": {cold_phase1_ms:.3}}}}},\n",
             cold_lps[0].num_vars(), cold_lps[0].num_constraints(), side(cold_fresh_q), side(cold_scratch_q)
+        ));
+        json.push_str(&format!(
+            "  \"wide_master\": {{\"vars\": {}, \"wide_vars\": {}, \"rows\": {}, \"runs\": {cold_runs}, \"pivots\": {wide_pivots}, \"solve_ms\": {{\"master\": {}, \"wide\": {}}}, \"ratio\": {wide_ratio:.2}}},\n",
+            master.num_vars(), wide.num_vars(), master.num_constraints(), side(master_q), side(wide_q)
         ));
         json.push_str(&format!(
             "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"runs\": {overhead_reps}, \"base_median_secs\": {base_median:.9}, \"base_q1_secs\": {base_q1:.9}, \"base_q3_secs\": {base_q3:.9}, \"instrumented_median_secs\": {instrumented_median:.9}, \"instrumented_q1_secs\": {instrumented_q1:.9}, \"instrumented_q3_secs\": {instrumented_q3:.9}, \"overhead_pct\": {overhead_pct:.3}, \"overhead_q1_pct\": {overhead_q1:.3}, \"overhead_q3_pct\": {overhead_q3:.3}}}\n"

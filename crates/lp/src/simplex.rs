@@ -30,29 +30,39 @@
 //!   admission LPs are very sparse (each `B ≤ f/b` row touches a handful
 //!   of variables), so most pivots update a small fraction of the matrix.
 //!   Untouched columns would only ever have received `x -= f · 0`, so
-//!   skipping them is exact. Per-column *row files* confine the
-//!   entering-column gather, the ratio test and the elimination to the
-//!   rows where the column is nonzero.
+//!   skipping them is exact. Two indexes keep the *finding* of those
+//!   nonzeros off the matrix as well, both supersets that are compacted
+//!   when read: per-column *row files* confine the entering-column
+//!   gather, the ratio test and the elimination to the rows where the
+//!   column is nonzero, and per-row *occupancy bits* (one bit per cell,
+//!   fill-in OR-ed in by the elimination that causes it) let the one row
+//!   reader, `Tableau::gather_row`, visit a row's nonzeros in ascending
+//!   column order — the order of a scan of the row, so the arithmetic is
+//!   that of the scan — for the pivot row, `price_out` and every other
+//!   row scan.
 //! * **Candidate-list partial pricing** — a bounded candidate list of
 //!   attractive columns is priced instead of every column, with a
-//!   periodic (and on-exhaustion) full-scan refresh. Optimality is only
-//!   ever declared by a full scan, and Bland's anti-cycling fallback
-//!   always scans fully, so termination guarantees are those of Dantzig
-//!   pricing. All tie-breaks are index-ordered, keeping pivot sequences
-//!   deterministic.
+//!   periodic (and on-exhaustion) full-scan refresh, which looks for the
+//!   list's weakest slot again only after it has replaced it. Optimality
+//!   is only ever declared by a full scan, and Bland's anti-cycling
+//!   fallback always scans fully, so termination guarantees are those of
+//!   Dantzig pricing. All tie-breaks are index-ordered, keeping pivot
+//!   sequences deterministic.
 //! * **One small-tableau rule** — at or below
-//!   `SMALL_TABLEAU_MAX_COLS` columns a full scan beats both kinds of
-//!   bookkeeping, so a small tableau keeps no row files and prices with a
-//!   full Dantzig scan every iteration (`Tableau::small`).
+//!   `SMALL_TABLEAU_MAX_COLS` columns a full scan beats every kind of
+//!   bookkeeping, so a small tableau keeps no row files and no occupancy
+//!   bits, and prices with a full Dantzig scan every iteration
+//!   (`Tableau::small`).
 //! * **No per-iteration allocation** — the basic-column marker is tableau
 //!   state maintained across pivots; pricing and pivot scratch buffers
 //!   live in the tableau and are reused.
 //! * **Buffer reuse** — a [`Workspace`] keeps every tableau buffer across
 //!   solves (branch-and-bound keeps one per worker; [`solve_relaxation`]
 //!   keeps one per thread) and no rows: each solve reads them from its
-//!   [`Problem`]. Its matrix is all-zero whenever no solve is using it,
-//!   restored by zeroing only the cells the row files name, so a cold
-//!   solve costs its nonzeros and not a matrix of zero pages. It carries
+//!   [`Problem`]. Its matrix and occupancy bits are all-zero whenever no
+//!   solve is using it, restored by zeroing only the cells the row files
+//!   name, so a cold solve costs its nonzeros and not a matrix of zero
+//!   pages. It carries
 //!   no basis: every [`solve_with`] is `build` → phase 1 → phase 2 from the
 //!   slack basis. The one warm start is a [`crate::WarmState`], which
 //!   keeps the final tableau itself and edits it in place between solves.
@@ -64,8 +74,7 @@
 //! [`solve_with`]). The steps of a solve are `impl Tableau` blocks in child
 //! modules, which see the tableau's private fields:
 //!
-//! * `build` — `build` (problem → tableau) and `sweep` (back to all-zero);
-//!   ROADMAP item 4(a), per-solve artificial layout, edits it.
+//! * `build` — `build` (problem → tableau) and `sweep` (back to all-zero).
 //! * `phases` — phase 1 and its cost row, `price_out`, `optimize`, and
 //!   reading values and duals off the final tableau.
 //! * `primal` — the primal pivot loop: ratio test, stall detection, the
@@ -74,9 +83,8 @@
 //! * `dual` — the dual-simplex repair loop live tableaus use.
 //! * `pricing` — entering-column choice: candidate list, full Dantzig
 //!   scan, Bland.
-//! * `pivot` — entering-column gather, fused Gauss-Jordan pivot, fill-in
-//!   bookkeeping of the row files; ROADMAP item 4(b), the per-row nonzero
-//!   index, edits it.
+//! * `pivot` — entering-column gather, the row reader, fused Gauss-Jordan
+//!   pivot, fill-in bookkeeping of the row files and the occupancy bits.
 //! * `live` — the warm start: edits applied to a tableau that stays
 //!   live between solves, and `solve_live` behind [`crate::WarmState`].
 
@@ -385,7 +393,7 @@ fn primal_violation(problem: &Problem, values: &[f64]) -> f64 {
 /// values of the basic variables* (with nonbasic-at-upper contributions
 /// folded in), which is what the ratio test needs directly. Storage is
 /// dense row-major, but pivots only touch the nonzero columns of the pivot
-/// row (gathered once per pivot into `scratch`).
+/// row (gathered once per pivot into `scratch`, through `row_bits`).
 #[derive(Debug, Default)]
 struct Tableau {
     /// Row-major, `rows x stride` with `stride >= cols`; cells past `cols`
@@ -441,9 +449,10 @@ struct Tableau {
     /// live tableau (empty otherwise): every pivot eliminates this row
     /// too, so phase 2 resumes without pricing out from scratch.
     parked: Vec<f64>,
-    /// Pivot scratch: nonzero column indices of the current pivot row,
-    /// with the (scaled) values gathered into `scratch_val` so the
-    /// elimination inner loop reads them contiguously.
+    /// Row scratch, filled by [`Tableau::gather_row`]: nonzero column
+    /// indices of the row last read — during a pivot, the pivot row — with
+    /// the (scaled) values gathered into `scratch_val` so the elimination
+    /// inner loop reads them contiguously.
     scratch: Vec<usize>,
     scratch_val: Vec<f64>,
     /// Per-column row *files*: `col_rows[c]` is a superset of the rows
@@ -461,6 +470,17 @@ struct Tableau {
     /// Columns whose row list outgrew `rows / 2`: not worth tracking,
     /// fall back to a full column scan for these.
     col_dense: Vec<bool>,
+    /// Per-row occupancy bits, `stride.div_ceil(64)` words per row: bit
+    /// `(r, c)` is set wherever cell `(r, c)` may be nonzero (a superset,
+    /// like `col_rows`; [`Tableau::gather_row`] reads a row through them
+    /// and drops the stale ones). All-zero at rest like `a`, and swept from
+    /// the same column files: a set bit `(r, c)` always has `r` in
+    /// `col_rows[c]` or `c` dense-flagged. A `small` tableau keeps none.
+    row_bits: Vec<u64>,
+    /// The pivot row's occupancy minus the entering column, as `(word
+    /// index, bits)` of its nonzero words: what a pivot ORs into every
+    /// eliminated row, the fill-in.
+    fill_mask: Vec<(usize, u64)>,
     /// At most [`SMALL_TABLEAU_MAX_COLS`] columns when `build` laid it
     /// out: a full scan is cheap at that size and the bookkeeping that
     /// avoids one would only add overhead. A small tableau maintains no
@@ -514,6 +534,34 @@ impl Tableau {
     #[inline]
     fn is_artificial(&self, c: usize) -> bool {
         self.kind[c] == Col::Artificial
+    }
+
+    /// Words of `row_bits` per row.
+    #[inline]
+    fn words(&self) -> usize {
+        self.stride.div_ceil(64)
+    }
+
+    /// Cell `(r, c)` may be nonzero from here on.
+    #[inline]
+    fn set_bit(&mut self, r: usize, c: usize) {
+        if !self.small {
+            let w = r * self.words() + c / 64;
+            self.row_bits[w] |= 1 << (c % 64);
+        }
+    }
+
+    /// Cell `(r, c)` is zero and is leaving `col_rows[c]`. Tests first, so
+    /// that a column scan does not dirty the bit pages of rows it only
+    /// passes.
+    #[inline]
+    fn clear_bit(&mut self, r: usize, c: usize) {
+        if !self.small {
+            let w = r * self.words() + c / 64;
+            if self.row_bits[w] & (1 << (c % 64)) != 0 {
+                self.row_bits[w] &= !(1 << (c % 64));
+            }
+        }
     }
 }
 

@@ -1,7 +1,6 @@
 //! Laying a [`Problem`] out as a tableau, and taking the tableau back to
-//! all-zero afterwards: set-up and tear-down both cost the problem's
-//! nonzeros, not the matrix. ROADMAP item 4(a) (an artificial column only
-//! for a row that needs one) edits the layout `build` computes.
+//! all-zero afterwards — matrix and occupancy bits alike: set-up and
+//! tear-down both cost the problem's nonzeros, not the matrix.
 
 use super::{Col, Tableau, SMALL_TABLEAU_MAX_COLS};
 use crate::problem::{Problem, Relation};
@@ -30,6 +29,10 @@ impl Tableau {
         if self.a.len() < m * self.stride {
             self.a = vec![0.0; m * self.stride];
         }
+        self.small = cols <= SMALL_TABLEAU_MAX_COLS;
+        if !self.small && self.row_bits.len() < m * self.words() {
+            self.row_bits = vec![0; m * self.words()];
+        }
         self.xb.clear();
         self.xb.resize(m, 0.0);
 
@@ -44,7 +47,6 @@ impl Tableau {
         self.row_art.clear();
         self.row_art.extend(first_artificial..cols);
         self.parked.clear();
-        self.small = cols <= SMALL_TABLEAU_MAX_COLS;
 
         self.basis.clear();
         self.basis.resize(m, usize::MAX);
@@ -82,7 +84,6 @@ impl Tableau {
         // every artificial, minus each row whose artificial is basic) and
         // objective: rows ascending, so every `obj` cell sees the
         // subtractions `phase1_costs` would make, in its order.
-        let track = !self.small;
         let mut next_slack = n;
         for (i, c) in problem.constraints.iter().enumerate() {
             // Shifted rhs; a negative one flips the whole row so phase 1
@@ -96,10 +97,7 @@ impl Tableau {
                 relation => relation,
             };
             for &(j, coef) in &c.terms {
-                self.set(i, j, sign * coef);
-                if track {
-                    self.col_rows[j].push(i as u32);
-                }
+                self.put(i, j, sign * coef);
                 if relation != Relation::Le && coef != 0.0 {
                     self.obj[j] -= sign * coef;
                 }
@@ -113,10 +111,7 @@ impl Tableau {
             let art = first_artificial + i;
             match relation {
                 Relation::Le => {
-                    self.set(i, slack, 1.0);
-                    if track {
-                        self.col_rows[slack].push(i as u32);
-                    }
+                    self.put(i, slack, 1.0);
                     self.basis[i] = slack;
                     // d_slack = -y_i  →  y_i = -d_slack.
                     self.row_meta.push((slack, -flip));
@@ -125,24 +120,15 @@ impl Tableau {
                     self.obj[art] = 1.0;
                 }
                 Relation::Ge => {
-                    self.set(i, slack, -1.0);
-                    if track {
-                        self.col_rows[slack].push(i as u32);
-                    }
+                    self.put(i, slack, -1.0);
                     self.obj[slack] = 1.0;
                     // d_surplus = +y_i.
                     self.row_meta.push((slack, flip));
-                    self.set(i, art, 1.0);
-                    if track {
-                        self.col_rows[art].push(i as u32);
-                    }
+                    self.put(i, art, 1.0);
                     self.basis[i] = art;
                 }
                 Relation::Eq => {
-                    self.set(i, art, 1.0);
-                    if track {
-                        self.col_rows[art].push(i as u32);
-                    }
+                    self.put(i, art, 1.0);
                     self.basis[i] = art;
                     // d_artificial = c_art - y_i = -y_i in phase 2.
                     self.row_meta.push((art, -flip));
@@ -156,10 +142,21 @@ impl Tableau {
         debug_assert_eq!(next_slack, first_artificial);
     }
 
-    /// Put the matrix back to all-zero, the state every `Workspace` rests
-    /// in: the cells the row files name, every row of a dense-flagged
-    /// column, or the whole `rows × stride` prefix of a tableau too small
-    /// to track files. The one routine that zeroes tableau cells in bulk.
+    /// Write cell `(r, c)` of a tableau being laid out, recording it in the
+    /// column's row file and the row's occupancy bits.
+    fn put(&mut self, r: usize, c: usize, v: f64) {
+        self.set(r, c, v);
+        if !self.small {
+            self.col_rows[c].push(r as u32);
+            self.set_bit(r, c);
+        }
+    }
+
+    /// Put the matrix and the occupancy bits back to all-zero, the state
+    /// every `Workspace` rests in: the cells the row files name, every row
+    /// of a dense-flagged column, or the whole `rows × stride` prefix of a
+    /// tableau too small to track files (which set no bit). The one routine
+    /// that zeroes tableau cells in bulk.
     pub(super) fn sweep(&mut self) {
         if !std::mem::take(&mut self.dirty) {
             return;
@@ -172,12 +169,16 @@ impl Tableau {
                 if self.col_dense[c] {
                     for r in 0..rows {
                         self.a[r * stride + c] = 0.0;
+                        self.clear_bit(r, c);
                     }
                 }
-                // Drained, not dropped: the files keep their allocations.
-                for r in self.col_rows[c].drain(..) {
-                    self.a[r as usize * stride + c] = 0.0;
+                for k in 0..self.col_rows[c].len() {
+                    let r = self.col_rows[c][k] as usize;
+                    self.a[r * stride + c] = 0.0;
+                    self.clear_bit(r, c);
                 }
+                // Cleared, not dropped: the files keep their allocations.
+                self.col_rows[c].clear();
             }
         }
         // The prefix this solve used (the rest was clean before it), and a
@@ -186,5 +187,7 @@ impl Tableau {
         let (used, rest) = self.a.split_at(rows * stride);
         let mut checked = used.iter().chain(rest.iter().step_by(rest.len() / 64 + 1));
         debug_assert!(checked.all(|v| v.to_bits() == 0), "sweep left a cell");
+        let bits = if self.small { 0 } else { rows * self.words() };
+        debug_assert!(self.row_bits[..bits].iter().all(|&w| w == 0), "sweep left a bit");
     }
 }

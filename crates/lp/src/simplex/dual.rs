@@ -40,7 +40,6 @@ impl Tableau {
         /// abandoned rather than risk a `1/α` blow-up.
         const DUAL_PIVOT_TOL: f64 = 1e-7;
         let max_iters = 50 * self.rows + 1_000;
-        let stride = self.stride;
         let mut iters = 0u64;
         'outer: loop {
             if iters as usize >= max_iters {
@@ -64,7 +63,8 @@ impl Tableau {
             let Some((r, target, to_upper)) = leave else {
                 return Ok(iters); // every basic back inside its box
             };
-            let base = r * stride;
+            // Read once: the bound flips below leave the row as it is.
+            self.gather_row(r);
             // Inner loop: flip too-narrow candidates until one can absorb
             // the remaining violation, then pivot it in. Each flip strictly
             // shrinks `diff` and reverses the flipped column's admissible
@@ -84,11 +84,11 @@ impl Tableau {
                 // `target`), minimum dual ratio.
                 let mut best: Option<(usize, f64)> = None; // (col, alpha)
                 let mut best_ratio = f64::INFINITY;
-                for c in 0..self.cols {
+                for k in 0..self.scratch.len() {
+                    let (c, alpha) = (self.scratch[k], self.scratch_val[k]);
                     if self.is_basic[c] || !self.allowed[c] {
                         continue;
                     }
-                    let alpha = self.a[base + c];
                     if alpha.abs() <= DUAL_PIVOT_TOL {
                         continue;
                     }

@@ -210,16 +210,16 @@ impl Tableau {
         let base = r * self.stride;
         let own = self.a[base + art];
         // Flip the whole row, rhs included (xb[r] = v becomes -v > 0).
-        for v in &mut self.a[base..base + self.cols] {
-            if *v != 0.0 {
-                *v = -*v;
-            }
+        self.gather_row(r);
+        for k in 0..self.scratch.len() {
+            self.a[base + self.scratch[k]] = -self.scratch_val[k];
         }
         if self.xb[r] != 0.0 {
             self.xb[r] = -self.xb[r];
         }
         if own == 0.0 {
             self.a[base + art] = 1.0;
+            self.set_bit(r, art);
             if !self.small && !self.col_dense[art] {
                 self.col_rows[art].push(r as u32);
             }
@@ -249,6 +249,15 @@ impl Tableau {
                     .copy_from_slice(&self.a[r * self.stride..r * self.stride + c]);
             }
             self.a = a;
+            if !self.small {
+                let (old, new) = (self.words(), stride.div_ceil(64));
+                let mut bits = vec![0; self.rows * new];
+                for r in 0..self.rows {
+                    bits[r * new..r * new + old]
+                        .copy_from_slice(&self.row_bits[r * old..(r + 1) * old]);
+                }
+                self.row_bits = bits;
+            }
             self.stride = stride;
         }
         debug_assert!((0..self.rows).all(|r| self.at(r, c) == 0.0));
@@ -315,7 +324,9 @@ impl Tableau {
         for &(c, coef) in terms {
             let f = -sign * coef;
             for k in 0..self.ecol_rows.len() {
-                self.a[self.ecol_rows[k] as usize * self.stride + c] += f * self.ecol_vals[k];
+                let r = self.ecol_rows[k] as usize;
+                self.a[r * self.stride + c] += f * self.ecol_vals[k];
+                self.set_bit(r, c);
             }
             if !self.col_dense[c] {
                 self.col_rows[c].extend_from_slice(&self.ecol_rows);
@@ -344,6 +355,9 @@ impl Tableau {
         if self.a.len() < (r + 1) * stride {
             self.a.resize((r + 1) * stride, 0.0);
         }
+        if !self.small && self.row_bits.len() < (r + 1) * self.words() {
+            self.row_bits.resize((r + 1) * self.words(), 0);
+        }
         self.rows += 1;
 
         // How far the current point is from the row.
@@ -364,30 +378,33 @@ impl Tableau {
             Relation::Eq if resid < 0.0 => -1.0,
             Relation::Eq => 1.0,
         };
-        let (done, row) = self.a.split_at_mut(r * stride);
+        let base = r * stride;
         for &(c, coef) in terms {
-            row[c] = o * coef;
+            self.a[base + c] = o * coef;
+            self.set_bit(r, c);
         }
         // Express the row in the current nonbasic columns.
         for &(c, _) in terms {
-            let p = basic_row[c];
-            if p == u32::MAX || row[c] == 0.0 {
+            let (p, f) = (basic_row[c], self.a[base + c]);
+            if p == u32::MAX || f == 0.0 {
                 continue;
             }
-            let f = row[c];
-            let holder = &done[p as usize * stride..p as usize * stride + self.cols];
-            for (dst, &v) in row.iter_mut().zip(holder) {
-                if v != 0.0 {
-                    *dst -= f * v;
-                }
+            self.gather_row(p as usize);
+            for k in 0..self.scratch.len() {
+                self.a[base + self.scratch[k]] -= f * self.scratch_val[k];
+                self.set_bit(r, self.scratch[k]);
             }
-            row[c] = 0.0;
+            self.a[base + c] = 0.0;
         }
         let marker = slack.unwrap_or(art);
-        row[marker] = 1.0;
+        self.a[base + marker] = 1.0;
+        self.set_bit(r, marker);
         if !self.small {
-            for (c, &v) in row[..self.cols].iter().enumerate() {
-                if v != 0.0 && !self.col_dense[c] {
+            // What cancelled above loses its bit here and enters no file.
+            self.gather_row(r);
+            for k in 0..self.scratch.len() {
+                let c = self.scratch[k];
+                if !self.col_dense[c] {
                     self.col_rows[c].push(r as u32);
                 }
             }

@@ -29,10 +29,12 @@ impl Tableau {
         // this is a degenerate pivot).
         for r in 0..self.rows {
             if self.is_artificial(self.basis[r]) {
-                let col = (0..self.cols)
-                    .find(|&c| !self.is_artificial(c) && self.at(r, c).abs() > 1e-8);
-                if let Some(c) = col {
-                    self.degenerate_swap(r, c);
+                self.gather_row(r);
+                let col = (0..self.scratch.len()).find(|&k| {
+                    !self.is_artificial(self.scratch[k]) && self.scratch_val[k].abs() > 1e-8
+                });
+                if let Some(k) = col {
+                    self.degenerate_swap(r, self.scratch[k]);
                 }
                 // No pivot column: the row is redundant; the artificial
                 // stays basic at zero and its column is blocked in phase 2.
@@ -52,11 +54,9 @@ impl Tableau {
         self.objval = 0.0;
         for i in 0..self.rows {
             if self.is_artificial(self.basis[i]) {
-                for c in 0..self.cols {
-                    let v = self.at(i, c);
-                    if v != 0.0 {
-                        self.obj[c] -= v;
-                    }
+                self.gather_row(i);
+                for k in 0..self.scratch.len() {
+                    self.obj[self.scratch[k]] -= self.scratch_val[k];
                 }
                 self.objval += self.xb[i];
             }
@@ -92,11 +92,9 @@ impl Tableau {
         for i in 0..self.rows {
             let cb = self.cost(problem, self.basis[i]);
             if cb != 0.0 {
-                for c in 0..self.cols {
-                    let v = self.at(i, c);
-                    if v != 0.0 {
-                        self.obj[c] -= cb * v;
-                    }
+                self.gather_row(i);
+                for k in 0..self.scratch.len() {
+                    self.obj[self.scratch[k]] -= cb * self.scratch_val[k];
                 }
             }
         }

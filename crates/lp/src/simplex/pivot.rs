@@ -1,7 +1,9 @@
 //! One pivot's work on the matrix: gathering the entering column through
-//! its row file, the fused Gauss-Jordan elimination over the pivot row's
-//! nonzeros, and the row-file bookkeeping of the fill-in. ROADMAP item 4(b)
-//! (a per-row nonzero index for the pivot-row gather) edits this file.
+//! its row file and the pivot row through its occupancy bits, the fused
+//! Gauss-Jordan elimination over the pivot row's nonzeros, and the
+//! bookkeeping of the fill-in in both indexes. `gather_row` is the one row
+//! reader: every scan of a tableau row, here and in the other steps, goes
+//! through it.
 
 use super::Tableau;
 
@@ -60,6 +62,8 @@ impl Tableau {
                     if v != 0.0 {
                         self.ecol_rows.push(r);
                         self.ecol_vals.push(v);
+                    } else {
+                        self.clear_bit(r as usize, e); // leaves the file below
                     }
                 }
                 list.clear();
@@ -81,8 +85,90 @@ impl Tableau {
             if v != 0.0 {
                 self.ecol_rows.push(r as u32);
                 self.ecol_vals.push(v);
+            } else {
+                // A pivot on `e` un-flags it and resets its file to the
+                // pivot row: no bit may be left outside the gather.
+                self.clear_bit(r, e);
             }
         }
+    }
+
+    /// The one row reader: gather row `r`'s nonzero cells into `scratch`
+    /// (columns, ascending) and `scratch_val`. Walks the row's occupancy
+    /// bits — a superset of its nonzeros, so the cells met, and their
+    /// order, are those of a scan of the whole row — and drops the bits
+    /// whose cell reads zero. A small tableau keeps no bits and scans.
+    pub(super) fn gather_row(&mut self, r: usize) {
+        self.scratch.clear();
+        self.scratch_val.clear();
+        let base = r * self.stride;
+        if self.small {
+            for c in 0..self.cols {
+                let v = self.a[base + c];
+                if v != 0.0 {
+                    self.scratch.push(c);
+                    self.scratch_val.push(v);
+                }
+            }
+            return;
+        }
+        let wbase = r * self.words();
+        for w in 0..self.cols.div_ceil(64) {
+            let mut bits = self.row_bits[wbase + w];
+            while bits != 0 {
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                let v = self.a[base + c];
+                if v != 0.0 {
+                    self.scratch.push(c);
+                    self.scratch_val.push(v);
+                } else {
+                    self.row_bits[wbase + w] &= !(1 << (c % 64));
+                }
+                bits &= bits - 1;
+            }
+        }
+        debug_assert!(
+            (0..self.cols).filter(|&c| self.a[base + c] != 0.0).eq(self.scratch.iter().copied()),
+            "row {r} has a nonzero cell without its bit"
+        );
+    }
+
+    /// Scale pivot row `row` by `inv` in place (its cell in the entering
+    /// column `col` becomes exactly 1), leaving it gathered in `scratch` /
+    /// `scratch_val` and its occupancy outside `col` in `fill_mask`.
+    /// Scaling and all row eliminations touch only these columns:
+    /// untouched ones would only ever receive `x -= f * 0`.
+    fn scale_pivot_row(&mut self, row: usize, col: usize, inv: f64) {
+        self.gather_row(row);
+        self.fill_mask.clear();
+        let base = row * self.stride;
+        for k in 0..self.scratch.len() {
+            let c = self.scratch[k];
+            if c == col {
+                self.scratch_val[k] = 1.0;
+            } else {
+                self.scratch_val[k] *= inv;
+                if !self.small {
+                    match self.fill_mask.last_mut() {
+                        Some((w, bits)) if *w == c / 64 => *bits |= 1 << (c % 64),
+                        _ => self.fill_mask.push((c / 64, 1 << (c % 64))),
+                    }
+                }
+            }
+            self.a[base + c] = self.scratch_val[k];
+        }
+    }
+
+    /// Row `r` was just eliminated against the scaled pivot row: it may be
+    /// nonzero wherever that row is, and is zero in the entering column
+    /// `col`, whose file is about to become the pivot row alone.
+    #[inline]
+    fn fill_row_bits(&mut self, r: usize, col: usize) {
+        let wbase = r * self.words();
+        for &(w, bits) in &self.fill_mask {
+            self.row_bits[wbase + w] |= bits;
+        }
+        self.clear_bit(r, col);
     }
 
     /// Record the fill-in of a pivot at (`row`, `col`) in the per-column
@@ -134,22 +220,9 @@ impl Tableau {
     /// `pivot_matrix` plus a caller-side rhs loop.
     pub(super) fn pivot_with_rhs_update(&mut self, row: usize, col: usize, step: f64, pk: usize) {
         let stride = self.stride;
-        let base = row * stride;
         let p = self.ecol_vals[pk];
         debug_assert!(p.abs() > 1e-12, "pivot on (near-)zero element");
-        let inv = 1.0 / p;
-        self.scratch.clear();
-        self.scratch_val.clear();
-        for c in 0..self.cols {
-            let v = self.a[base + c];
-            if v != 0.0 {
-                let sv = if c == col { 1.0 } else { v * inv };
-                self.a[base + c] = sv;
-                self.scratch.push(c);
-                self.scratch_val.push(sv);
-            }
-        }
-        self.a[base + col] = 1.0;
+        self.scale_pivot_row(row, col, 1.0 / p);
 
         for k in 0..self.ecol_rows.len() {
             if k == pk {
@@ -163,6 +236,7 @@ impl Tableau {
                 self.a[rbase + self.scratch[k2]] -= f * self.scratch_val[k2];
             }
             self.a[rbase + col] = 0.0;
+            self.fill_row_bits(r, col);
         }
         self.eliminate_costs(col);
         self.note_fill_in(row, col);
@@ -190,25 +264,9 @@ impl Tableau {
     /// artificial drive-out, never in the main pivot loop.
     fn pivot_matrix(&mut self, row: usize, col: usize) {
         let stride = self.stride;
-        let base = row * stride;
-        let p = self.a[base + col];
+        let p = self.a[row * stride + col];
         debug_assert!(p.abs() > 1e-12, "pivot on (near-)zero element");
-        let inv = 1.0 / p;
-        // Gather the pivot row's nonzero columns once; scaling and all row
-        // eliminations below touch only these. Untouched columns would
-        // only ever receive `x -= f * 0`, so skipping them is exact.
-        self.scratch.clear();
-        self.scratch_val.clear();
-        for c in 0..self.cols {
-            let v = self.a[base + c];
-            if v != 0.0 {
-                let sv = v * inv;
-                self.a[base + c] = sv;
-                self.scratch.push(c);
-                self.scratch_val.push(sv);
-            }
-        }
-        self.a[base + col] = 1.0;
+        self.scale_pivot_row(row, col, 1.0 / p);
 
         // Track which rows get eliminated so the per-column row files can
         // record the fill-in afterwards.
@@ -226,6 +284,9 @@ impl Tableau {
                     self.a[rbase + self.scratch[k]] -= f * self.scratch_val[k];
                 }
                 self.a[rbase + col] = 0.0;
+                self.fill_row_bits(r, col);
+            } else {
+                self.clear_bit(r, col); // as in `gather_entering`'s scan
             }
         }
         self.eliminate_costs(col);

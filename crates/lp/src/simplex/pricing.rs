@@ -1,6 +1,9 @@
 //! Choosing the entering column: Dantzig pricing over a candidate list
 //! that a periodic full scan refills (a small tableau full-scans every
-//! time), first eligible index under Bland's rule.
+//! time), first eligible index under Bland's rule. The refill keeps the
+//! strongest `price_cap` columns and remembers which slot is the weakest
+//! between replacements, so it costs the columns plus one pass over the
+//! list per replacement, not one per eligible column.
 
 use super::{Tableau, PRICE_REFRESH};
 use crate::EPS;
@@ -84,6 +87,9 @@ impl Tableau {
         let cap = self.price_cap;
         let mut best: Option<usize> = None;
         let mut best_v = 0.0;
+        // Slot of the weakest cached candidate, while it is known: a
+        // replacement forgets it, a column too weak to replace it does not.
+        let mut weakest: Option<usize> = None;
         for c in 0..self.cols {
             let v = self.violation(c);
             if v <= 0.0 {
@@ -102,15 +108,13 @@ impl Tableau {
             } else {
                 // Replace the weakest cached candidate (first-min on ties,
                 // so the outcome is index-deterministic).
-                let mut mi = 0usize;
-                for k in 1..cap {
-                    if self.cand_v[k] < self.cand_v[mi] {
-                        mi = k;
-                    }
-                }
+                let mi = *weakest.get_or_insert_with(|| {
+                    (1..cap).fold(0, |mi, k| if self.cand_v[k] < self.cand_v[mi] { k } else { mi })
+                });
                 if v > self.cand_v[mi] {
                     self.candidates[mi] = c;
                     self.cand_v[mi] = v;
+                    weakest = None;
                 }
             }
         }

@@ -469,6 +469,180 @@ mod workspace_tests {
 }
 
 #[cfg(test)]
+mod occupancy_tests {
+    use super::{solve_with, Tableau, Workspace};
+    use crate::{Problem, Relation, Sense};
+
+    /// A non-small LP (419 columns) whose first two entering columns both
+    /// have row files longer than `rows / 2`, so the gather of each
+    /// dense-flags it, and both carry merged-to-zero coefficients (a bit
+    /// and a file entry over a zero cell from `build` on). Phase 1 pivots
+    /// `x` in through the main loop (row 0), bound-flips `z` to its upper
+    /// rest, pivots `v` in on the tie of rows 1 and 2 — which leaves row
+    /// 2's artificial basic at zero over `z - u`, with nothing to price —
+    /// and drives it out with `degenerate_swap(2, z)`.
+    fn dense_columns_lp() -> Problem {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x");
+        let z = p.add_bounded_var("z", 0.5);
+        let v = p.add_var("v");
+        let u = p.add_var("u");
+        p.set_objective(u, 1.0);
+        p.add_constraint(&[(x, 1.0)], Relation::Eq, 2.0);
+        p.add_constraint(&[(x, 1.0), (z, 1.0), (v, 1.0)], Relation::Eq, 3.0);
+        p.add_constraint(&[(x, 1.0), (z, 2.0), (v, 1.0), (u, -1.0)], Relation::Eq, 3.5);
+        for k in 0..104 {
+            let pad = p.add_var(&format!("p{k}"));
+            p.set_objective(pad, 0.1);
+            let mut terms = vec![(x, 1.0), (z, 1.0), (pad, 1.0)];
+            if k % 8 == 0 {
+                terms.extend([(x, -1.0), (z, -1.0)]); // both merge to 0.0
+            }
+            p.add_constraint(&terms, Relation::Le, 10.0);
+        }
+        p
+    }
+
+    fn assert_at_rest(tab: &Tableau) {
+        assert!(!tab.dirty);
+        assert!(tab.a.iter().all(|v| v.to_bits() == 0), "sweep left a cell");
+        assert!(tab.row_bits.iter().all(|&w| w == 0), "sweep left a bit");
+        assert!(tab.col_rows.iter().all(Vec::is_empty));
+    }
+
+    /// A dense-flagged column that is pivoted in loses its flag and gets
+    /// the pivot row as its whole file, so `sweep` no longer visits its
+    /// other rows: every bit it had there must be gone by then. Both ways
+    /// in: the main loop's fused pivot and phase 1's `degenerate_swap`.
+    #[test]
+    fn dense_flagged_columns_pivoted_in_leave_no_bit() {
+        let p = dense_columns_lp();
+        let (x, z) = (0, 1);
+        let lo = vec![0.0; p.num_vars()];
+        let hi: Vec<f64> = p.vars.iter().map(|v| v.upper).collect();
+        let mut tab = Tableau::default();
+        tab.build(&p, &lo, &hi);
+        assert!(!tab.small);
+        for c in [x, z] {
+            // The rule by which the first gather of `c` dense-flags it.
+            assert!(tab.col_rows[c].len() > tab.rows / 2);
+        }
+        tab.gather_entering(x); // as the first iteration is about to
+        assert!(tab.col_dense[x]);
+        tab.phase1().unwrap();
+        assert_eq!((tab.basis[0], tab.basis[2]), (x, z));
+        assert_eq!(tab.stats.bound_flips, 1, "z was gathered, so flagged, for its flip");
+        for (c, row) in [(x, 0), (z, 2)] {
+            assert!(!tab.col_dense[c]);
+            assert_eq!(tab.col_rows[c], [row]);
+        }
+        tab.sweep();
+        assert_at_rest(&tab);
+    }
+
+    /// Whole solves of the same LP through one `Workspace`: at rest after
+    /// each, and the second bit-equal to a solve on a fresh workspace.
+    #[test]
+    fn swept_workspace_solves_bit_equal_to_fresh() {
+        let p = dense_columns_lp();
+        let mut ws = Workspace::new();
+        let fresh = solve_with(&p, &[], &mut Workspace::new()).unwrap();
+        assert!((fresh.objective - 0.0).abs() < 1e-9 && (fresh.values[1] - 0.5).abs() < 1e-9);
+        for _ in 0..2 {
+            let sol = solve_with(&p, &[], &mut ws).unwrap();
+            ws.tab.sweep();
+            assert_at_rest(&ws.tab);
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sol.values), bits(&fresh.values));
+            assert_eq!(bits(sol.duals.as_ref().unwrap()), bits(fresh.duals.as_ref().unwrap()));
+            assert_eq!(sol.objective.to_bits(), fresh.objective.to_bits());
+            assert_eq!(
+                (sol.stats.iterations(), sol.stats.pivots, sol.stats.full_price_scans),
+                (fresh.stats.iterations(), fresh.stats.pivots, fresh.stats.full_price_scans)
+            );
+        }
+    }
+
+    /// `full_price` as it was before it remembered its weakest slot: the
+    /// whole list is rescanned for the first minimum at every eligible
+    /// column past the cap. Kept here as the reference.
+    fn full_price_reference(viol: &[f64], cap: usize) -> (Option<usize>, Vec<usize>, Vec<f64>) {
+        let (mut candidates, mut cand_v) = (Vec::new(), Vec::new());
+        let (mut best, mut best_v) = (None, 0.0);
+        for (c, &v) in viol.iter().enumerate() {
+            if v <= 0.0 {
+                continue;
+            }
+            if v > best_v {
+                best_v = v;
+                best = Some(c);
+            }
+            if candidates.len() < cap {
+                candidates.push(c);
+                cand_v.push(v);
+            } else {
+                let mut mi = 0usize;
+                for k in 1..cap {
+                    if cand_v[k] < cand_v[mi] {
+                        mi = k;
+                    }
+                }
+                if v > cand_v[mi] {
+                    candidates[mi] = c;
+                    cand_v[mi] = v;
+                }
+            }
+        }
+        (best, candidates, cand_v)
+    }
+
+    /// 200 seeded reduced-cost rows over 2,000 columns, half with
+    /// violations drawn from {1, 2, 3} (heavy ties, where only the
+    /// first-min rule decides the victim) and half from a continuous
+    /// range: the candidate list comes out element for element as the
+    /// reference's, and so does the entering column.
+    #[test]
+    fn full_price_fills_the_candidate_list_as_the_rescanning_loop_did() {
+        let cols = 2_000;
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            // splitmix64: deterministic, dependency-free.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut tab = Tableau {
+            cols,
+            price_cap: 256,
+            is_basic: vec![false; cols],
+            allowed: vec![true; cols],
+            at_upper: vec![false; cols],
+            ..Tableau::default()
+        };
+        for row in 0..200 {
+            // A third of the columns are not eligible (reduced cost >= 0).
+            let viol: Vec<f64> = (0..cols)
+                .map(|_| match (next() % 3, row % 2) {
+                    (0, _) => 0.0,
+                    (_, 0) => (1 + next() % 3) as f64,
+                    _ => (next() % 1_000_000) as f64 / 1e3 + 1.0,
+                })
+                .collect();
+            tab.obj = viol.iter().map(|v| -v).collect();
+            tab.reset_pricing();
+            let best = tab.choose_entering(false);
+            let (ref_best, ref_candidates, ref_v) = full_price_reference(&viol, tab.price_cap);
+            assert_eq!(best, ref_best, "row {row}");
+            assert_eq!(tab.candidates, ref_candidates, "row {row}");
+            assert_eq!(tab.cand_v, ref_v, "row {row}");
+            assert_eq!(tab.candidates.len(), tab.price_cap);
+        }
+    }
+}
+
+#[cfg(test)]
 mod dual_tests {
     use crate::{Problem, Relation, Sense};
 

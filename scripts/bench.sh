@@ -71,6 +71,18 @@ if [[ -z "$COLD_SPEEDUP" ]] || ! awk -v s="$COLD_SPEEDUP" -v f="${COLD_FAULTS:-0
 fi
 echo "cold_setup speedup ${COLD_SPEEDUP}x >= 1.4x, ${COLD_FAULTS:-no count of} minor faults per scratch solve <= 500: OK"
 
+# And for the columns a solve never uses (DESIGN.md §5b): the same master
+# with three times as many idle variables appended, same pivots. With a
+# pivot-row gather and a `price_out` that scan whole rows it reads 1.77
+# (EXPERIMENTS.md E31).
+echo "== idle-column gate (DESIGN.md §5b) =="
+WIDE_RATIO=$(sed -n 's/.*"wide_master".*"ratio": \([0-9.]*\)}.*/\1/p' BENCH_lp.json)
+if [[ -z "$WIDE_RATIO" ]] || ! awk -v s="$WIDE_RATIO" 'BEGIN { exit !(s <= 1.6) }'; then
+    echo "FAILED: wide_master ratio '${WIDE_RATIO}' is missing or above the 1.6x bar"
+    exit 1
+fi
+echo "wide_master ratio ${WIDE_RATIO}x <= 1.6x: OK"
+
 if [[ -n "$BASELINE" ]]; then
     echo "== diff vs $BASELINE =="
     diff -u "$BASELINE" BENCH_lp.json && echo "(no change)" || true
