@@ -20,7 +20,10 @@
 //!   zero and the demand's `≥` rows drop to a zero rhs. Rows stay in the
 //!   master (structurally unchanged ⇒ the live tableau survives); the dead
 //!   columns are reclaimed by a periodic compaction once they exceed
-//!   [`COMPACT_DEAD_FRACTION`] of the master.
+//!   [`COMPACT_DEAD_FRACTION`] of the master. Compaction rebuilds the
+//!   master in place: the live demands keep their profiles and cut pools,
+//!   the solver keeps its buffers, and only the basis is lost (the solve
+//!   after it is cold).
 //! * **Resize** — remove + re-add under the same id (the bandwidth `b`
 //!   appears as a *coefficient* of the qualification rows, which in-place
 //!   edits cannot touch).
@@ -35,7 +38,8 @@
 //! [`SchedulingSession`] is what a long-lived caller (the controller's
 //! event loop) holds: one master plus the deltas since its last optimum
 //! and that optimum before and after hardening, so a request for "the
-//! optimum of the live pool" costs what changed (DESIGN.md §6y).
+//! optimum of the live pool" — a batch, a TE round or a repair — costs
+//! what changed (DESIGN.md §6y).
 
 use crate::demand::{BaDemand, DemandId};
 use crate::model::{self, DemandCols, Form};
@@ -142,7 +146,10 @@ struct Slot {
     dirty: bool,
 }
 
-/// A row-generation scheduling master that survives demand churn.
+/// A row-generation scheduling master that survives demand churn. It
+/// keeps one [`WarmState`], and with it the tableau's pages, across
+/// compactions; only a warm answer the KKT gate refuses drops them
+/// ([`WarmState::rebuild_cold`]).
 ///
 /// All methods take the same [`TeContext`] the scheduler was created
 /// with; the context is borrowed per call because it borrows the
@@ -283,17 +290,18 @@ impl IncrementalScheduler {
 
     // --- delta application -------------------------------------------
 
-    /// `carry` is the previous incarnation's qualification bitmap (resize
-    /// and compaction): rows the separation oracle already paid to
-    /// discover are regenerated up front instead of being re-discovered
-    /// one master solve at a time. The collapse depends only on the
-    /// demand's pairs and the tracked set — both unchanged across a
-    /// resize/compaction — so the bitmap shape is guaranteed to match.
+    /// `carry` is the previous incarnation's profile and qualification
+    /// bitmap (resize and compaction): the profile is not collapsed again,
+    /// and rows the separation oracle already paid to discover are
+    /// regenerated up front instead of being re-discovered one master
+    /// solve at a time. The collapse depends only on the demand's pairs and
+    /// the tracked set — both unchanged across a resize/compaction — so
+    /// both are what a fresh collapse would give.
     fn add_demand(
         &mut self,
         ctx: &TeContext,
         demand: BaDemand,
-        carry: Option<Vec<bool>>,
+        carry: Option<(MaskedProfile, Vec<bool>)>,
     ) -> Result<(), SolveError> {
         assert!(
             !self
@@ -303,7 +311,10 @@ impl IncrementalScheduler {
             "demand {:?} is already admitted",
             demand.id
         );
-        let profile = MaskedProfile::collapse(ctx, &demand, &self.tracked);
+        let (profile, carry) = match carry {
+            Some((profile, added)) => (profile, Some(added)),
+            None => (MaskedProfile::collapse(ctx, &demand, &self.tracked), None),
+        };
         let p = self.warm.problem_mut();
 
         // Flow columns at objective 1.0 (minimize total bandwidth), Eq. 1,
@@ -381,7 +392,7 @@ impl IncrementalScheduler {
         // generated for the old incarnation carry over — which rows bind
         // depends on the availability patterns, not the magnitude of `b`.
         let mut demand = slot.demand.clone();
-        let carried = slot.cols.added.clone();
+        let carried = (slot.profile.clone(), slot.cols.added.clone());
         for (_, b) in &mut demand.bandwidth {
             *b *= factor;
         }
@@ -399,25 +410,23 @@ impl IncrementalScheduler {
             && (self.dead_cols as f64) > COMPACT_DEAD_FRACTION * (total as f64)
     }
 
-    /// Rebuild the master from the live demands only. Loses the basis
-    /// (the next solve is cold) but sheds every retired column and row.
+    /// Rebuild the master from the live demands only, in place. Each live
+    /// demand keeps its profile and its discovered cut pool; every retired
+    /// column and row is shed. The basis is lost — the master is replaced
+    /// wholesale, so the next solve is a cold `build` — but not the
+    /// workspace, whose pages are already faulted in.
     fn compact(&mut self, ctx: &TeContext) -> Result<(), SolveError> {
-        let live: Vec<(BaDemand, Vec<bool>)> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| (s.demand.clone(), s.cols.added.clone()))
-            .collect();
-        let mut fresh = IncrementalScheduler::with_capacities(ctx, self.capacities.clone());
-        for (d, added) in live {
-            // The discovered cut pool survives the rebuild; only the
-            // basis is lost (the next solve is cold).
-            fresh.add_demand(ctx, d, Some(added))?;
+        let slots = std::mem::take(&mut self.slots);
+        self.warm.replace_problem(bate_lp::Problem::new(Sense::Minimize));
+        self.capacity_row.fill(None);
+        self.dead_cols = 0;
+        self.last_solution = None;
+        for s in slots.into_iter().filter(|s| s.alive) {
+            // Cannot fail: each demand was added once already.
+            self.add_demand(ctx, s.demand, Some((s.profile, s.cols.added)))?;
         }
-        fresh.stats = self.stats;
-        fresh.stats.compactions += 1;
+        self.stats.compactions += 1;
         warm_metrics().compactions.inc();
-        *self = fresh;
         Ok(())
     }
 
@@ -625,15 +634,14 @@ struct History {
 /// with the pool itself in hand: un-hardened for a multi-submit batch
 /// ([`batch_optimum`](Self::batch_optimum), which is also what builds
 /// the master), hardened for a TE round
-/// ([`hardened_round`](Self::hardened_round)). A request costs what
-/// changed: nothing pending reuses the held optimum, pending deltas take
-/// one warm `apply`. A repair asks for [`cold_round`](Self::cold_round),
-/// which solves from scratch beside the history. The history is dropped
-/// — and a round solved by the cold [`schedule_hardened`] — when it is
-/// *stale* (more pending deltas than live demands: replaying them would
-/// cost more than starting over), when a master solve fails, or when the
-/// master's live ids are not the pool's, so correctness never rests on
-/// the caller's reports.
+/// ([`hardened_round`](Self::hardened_round)), which is also what a
+/// repair asks for. A request costs what changed: nothing pending reuses
+/// the held optimum, pending deltas take one warm `apply`. The history is
+/// dropped — and a round solved by the cold [`schedule_hardened`] — when
+/// it is *stale* (more pending deltas than live demands: replaying them
+/// would cost more than starting over), when a master solve fails, or
+/// when the master's live ids are not the pool's, so correctness never
+/// rests on the caller's reports.
 #[derive(Debug, Default)]
 pub struct SchedulingSession {
     history: Option<History>,
@@ -724,18 +732,6 @@ impl SchedulingSession {
             pending,
             result: held.clone(),
         })
-    }
-
-    /// The hardened optimum for `live` solved from scratch, whatever the
-    /// session holds: what a repair installs (see DESIGN.md §9 for why a
-    /// repair does not reuse the held optimum yet). The history and its
-    /// pending deltas stay for the next batch or round.
-    pub fn cold_round(
-        &mut self,
-        ctx: &TeContext,
-        live: &[BaDemand],
-    ) -> Result<SessionRound, SolveError> {
-        self.cold(ctx, live, self.pending())
     }
 
     fn cold(
@@ -973,20 +969,42 @@ mod tests {
 
         let mut inc = IncrementalScheduler::new(&ctx);
         let keeper = BaDemand::single(0, pair, 1000.0, 0.9);
+        let partner = BaDemand::single(100, pair, 2000.0, 0.95);
         inc.apply(&ctx, &[DemandDelta::Add(keeper.clone())]).unwrap();
+        inc.apply(&ctx, &[DemandDelta::Add(partner.clone())]).unwrap();
+        let both = cold_objective(&ctx, &[keeper, partner]);
         // Churn enough transient demands through to cross the dead-column
-        // threshold and trigger at least one compaction.
+        // threshold and trigger compactions.
+        let mut compacted = 0;
         for i in 1..=40u64 {
             let d = BaDemand::single(i, pair, 500.0, 0.9);
             inc.apply(&ctx, &[DemandDelta::Add(d)]).unwrap();
+            let before = inc.stats();
             let r = inc
                 .apply(&ctx, &[DemandDelta::Remove(DemandId(i))])
                 .unwrap();
-            approx(r.total_bandwidth, 1000.0);
+            approx(r.total_bandwidth, both);
+            if inc.stats().compactions == before.compactions {
+                continue;
+            }
+            // Compacted in place: only the live demands are left, their
+            // profiles are what a fresh collapse gives, and the apply's one
+            // cold solve — its first, on the replaced problem — landed on
+            // the cold optimum above.
+            compacted += 1;
+            assert_eq!(inc.slots.len(), 2);
+            for s in &inc.slots {
+                let fresh = MaskedProfile::collapse(&ctx, &s.demand, &inc.tracked);
+                assert_eq!(format!("{:?}", s.profile), format!("{fresh:?}"));
+            }
+            let rg = r.rowgen.unwrap();
+            assert_eq!(inc.stats().cold_rounds, before.cold_rounds + 1);
+            assert_eq!(rg.warm_rounds + 1, rg.rounds, "{rg:?}");
         }
-        assert!(inc.stats().compactions > 0, "{:?}", inc.stats());
+        assert!(compacted > 1, "{:?}", inc.stats());
         let r = inc.apply(&ctx, &[]).unwrap();
-        approx(r.total_bandwidth, cold_objective(&ctx, &[keeper]));
+        assert!(r.solve_stats.warm_start, "live again after the cold solve");
+        approx(r.total_bandwidth, both);
     }
 
     #[test]
@@ -1069,19 +1087,6 @@ mod tests {
         let sol = session.master().unwrap().last_solution().unwrap();
         bate_lp::exact::verify_certificate(session.master().unwrap().problem(), sol).unwrap();
 
-        // A repair's round is solved from scratch whatever is held, and
-        // the history (here one pending delta) survives it.
-        let d4 = BaDemand::single(4, pair, 500.0, 0.9);
-        session.note_add(&d4);
-        pool.push(d4);
-        let repair = session.cold_round(&ctx, &pool).unwrap();
-        assert_eq!((repair.path, repair.pending), (SessionPath::Cold, 1));
-        approx(
-            repair.result.total_bandwidth,
-            schedule_hardened(&ctx, &pool).unwrap().total_bandwidth,
-        );
-        assert!(session.master().is_some() && session.pending() == 1);
-
         // More pending deltas than live demands: stale, dropped, cold.
         for d in &pool {
             session.note_remove(d.id);
@@ -1095,7 +1100,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(
             (stats.reused_rounds, stats.warm_rounds, stats.cold_rounds),
-            (2, 1, 2)
+            (2, 1, 1)
         );
     }
 

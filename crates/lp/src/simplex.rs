@@ -226,6 +226,12 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace::default()
     }
+
+    /// Forget the live tableau and keep the buffers: the next
+    /// [`solve_live`] is a cold `build` on them.
+    pub(crate) fn forget_live(&mut self) {
+        self.live = None;
+    }
 }
 
 thread_local! {

@@ -169,10 +169,14 @@ impl Tableau {
         if self.is_basic[art] {
             return false;
         }
-        for r2 in 0..self.rows {
-            if r2 != r && self.at(r2, art) != 0.0 {
+        // The column's row file is a superset of its nonzero rows.
+        let elsewhere = |r2: usize| r2 != r && self.at(r2, art) != 0.0;
+        if self.col_dense[art] {
+            if (0..self.rows).any(elsewhere) {
                 return false;
             }
+        } else if self.col_rows[art].iter().any(|&r2| elsewhere(r2 as usize)) {
+            return false;
         }
         let own = self.at(r, art);
         own == 0.0 || own == -1.0

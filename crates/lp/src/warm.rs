@@ -104,8 +104,23 @@ impl WarmState {
 
     /// Drop all cached solver state; the next solve runs cold. The safety
     /// valve for certificate failures and out-of-contract mutations.
+    ///
+    /// It drops the buffers too, not only the live tableau: it is called
+    /// when a gate refused an answer, and a tableau that produced a
+    /// refused answer is suspect down to its buffers, so the cold solve
+    /// gets a fresh workspace. A problem replaced wholesale (the
+    /// incremental scheduler's compaction) is not suspect and goes through
+    /// [`WarmState::replace_problem`], which keeps them.
     pub fn rebuild_cold(&mut self) {
         self.ws = Workspace::new();
+    }
+
+    /// Replace the master problem wholesale. The next solve is cold — a
+    /// fresh `build`, whatever the new problem's shape — on the same
+    /// buffers, swept, whose pages are already faulted in.
+    pub fn replace_problem(&mut self, problem: Problem) {
+        self.problem = problem;
+        self.ws.forget_live();
     }
 
     /// Apply the edits since the last solve to the live tableau and

@@ -294,6 +294,61 @@ fn random_contract_edits_match_cold_on_wide_masters() {
     edits_match_cold_at_every_step("wide", Sense::Minimize, true, budget(60).div_ceil(4));
 }
 
+/// Compaction's pattern: a wide master grows live — to twice its rows,
+/// the matrix grown by `append_row`, and twice its columns, through
+/// `push_col`'s re-stride — and then has its problem replaced wholesale
+/// by a smaller one. The replacement solves cold on the grown, swept
+/// buffers, and bit for bit as a fresh `WarmState` solves it: values,
+/// duals, pivots; so does a live row append after it. (In debug builds
+/// `sweep` checks the grown tableau it clears.) A replacement is cold
+/// whatever its shape, even the problem the tableau already holds.
+#[test]
+fn grown_master_replaced_wholesale_solves_as_a_fresh_one() {
+    let mut rng = Rng(0xc0_4ac7);
+    let mut m = Master::new(&mut rng, Sense::Minimize, true);
+    // Tableau columns: variables, a slack per non-`Eq` row, an artificial
+    // per row.
+    let width = |m: &Master| {
+        let slacks = m.rows.iter().filter(|(_, rel)| *rel != Relation::Eq);
+        m.vars() + slacks.count() + m.rows.len()
+    };
+    let (rows0, cols0) = (m.rows.len(), width(&m));
+    m.warm.solve().unwrap();
+    while m.rows.len() <= rows0 * 2 || width(&m) <= cols0 * 2 {
+        for _ in 0..4 {
+            m.add_var(&mut rng);
+        }
+        m.add_row(&mut rng);
+        m.add_row(&mut rng);
+        m.warm.solve().unwrap();
+    }
+    assert_eq!(m.warm.stats().cold_solves, 1, "the growth stayed live");
+    let same = m.warm.problem().clone();
+    m.warm.replace_problem(same);
+    assert!(!m.warm.solve().unwrap().stats.warm_start);
+
+    let twin = Master::new(&mut Rng(0x5eed), Sense::Minimize, true);
+    let mut fresh = WarmState::new(twin.warm.problem().clone());
+    m.warm.replace_problem(twin.warm.problem().clone());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for round in 0..2 {
+        let (a, b) = (m.warm.solve().unwrap(), fresh.solve().unwrap());
+        assert_eq!(a.stats.warm_start, round == 1, "round {round}");
+        assert_eq!(a.stats.pivots, b.stats.pivots, "round {round}");
+        assert_eq!(bits(&a.values), bits(&b.values), "round {round}");
+        assert_eq!(
+            bits(a.duals.as_deref().unwrap()),
+            bits(b.duals.as_deref().unwrap()),
+            "round {round}"
+        );
+        // A row the hidden point keeps feasible.
+        let cap = [(twin.ids[0], 1.0)];
+        for warm in [&mut m.warm, &mut fresh] {
+            warm.problem_mut().add_constraint(&cap, Relation::Le, twin.at[0]);
+        }
+    }
+}
+
 /// Round-off drift: 600 churn rounds on ONE tableau. The master has a
 /// fixed structure (demand slots are retired and re-admitted in place at
 /// a new size: bounds to zero and back, rhs to zero and back), so nothing

@@ -10,9 +10,9 @@
 //! `bate_core::admission::admit_batch`), and then ONE warm solve of the
 //! loop's [`SchedulingSession`] re-optimizes the whole pool, amortizing
 //! the scheduling LP across the batch instead of paying a round per
-//! arrival. TE rounds ask the same session, so they cost what changed
-//! since its last optimum (a repair asks it for a solve from scratch,
-//! DESIGN.md §9). Batches of one take the exact legacy
+//! arrival. TE rounds and the repair after a link comes back ask the same
+//! session, so they cost what changed since its last optimum (DESIGN.md
+//! §6y). Batches of one take the exact legacy
 //! path, which is what pins the fault-suite goldens byte-identical across
 //! the concurrency-model change. Periodic rounds are a deadline of the
 //! same loop, so a running controller is one thread.
@@ -374,7 +374,7 @@ impl Controller {
     }
 
     /// How this controller's rounds and repairs were answered (reused,
-    /// warm, cold), as of the last one.
+    /// warm, cold), as of the last one; a repair counts as a round.
     pub fn session_stats(&self) -> SessionStats {
         *self.shared.session_stats.lock()
     }
@@ -961,19 +961,17 @@ fn handle_submit_locked(
 
 /// The session's hardened optimum for the live pool, installed in
 /// `state` and reported as the event a round or a repair emits. A repair
-/// is solved from scratch (DESIGN.md §9).
+/// is a round like any other: it reinstalls the held optimum, or takes
+/// one warm re-solve for the deltas admitted while the failure was in
+/// effect (DESIGN.md §6y).
 fn install_optimum(
     shared: &Shared,
     state: &mut CtrlState,
     session: &mut SchedulingSession,
     repair: bool,
 ) -> bool {
-    let ctx = shared.ctx();
-    let (event, round) = if repair {
-        ("ctrl.repair", session.cold_round(&ctx, &state.demands))
-    } else {
-        ("ctrl.schedule_round", session.hardened_round(&ctx, &state.demands))
-    };
+    let event = if repair { "ctrl.repair" } else { "ctrl.schedule_round" };
+    let round = session.hardened_round(&shared.ctx(), &state.demands);
     *shared.session_stats.lock() = session.stats();
     let Ok(SessionRound {
         path,

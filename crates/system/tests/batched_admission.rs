@@ -9,10 +9,10 @@
 //! by-construction claim: batching changes *when* the pool is
 //! re-optimized, never *what* is admitted.
 
-use bate_core::incremental::SessionStats;
+use bate_core::incremental::{SessionPath, SessionStats};
 use bate_core::scheduling::{schedule, schedule_hardened};
 use bate_core::{Allocation, BaDemand, DemandId, SchedulingSession, TeContext};
-use bate_net::{topologies, ScenarioSet};
+use bate_net::{topologies, ScenarioSet, Topology};
 use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
 use bate_system::client::DemandRequest;
 use bate_system::proto::Message;
@@ -239,62 +239,77 @@ fn rounds(s: SessionStats) -> (u64, u64, u64) {
     (s.reused_rounds, s.warm_rounds, s.cold_rounds)
 }
 
-/// Rounds ask the session the batch solve left warm: with nothing
-/// changed a round reinstalls its hardened optimum without a solve, after
-/// a withdrawal it takes one warm re-solve. A repair is solved from
-/// scratch and leaves the session's history alone. What each installs is
-/// what a cold `schedule_hardened` over the same pool guarantees.
+/// Submit `reqs` as one pipelined batch; the admitted ones.
+fn submit_batch(pipelined: &mut PipelinedClient, reqs: &[DemandRequest]) -> Vec<DemandRequest> {
+    for req in reqs {
+        pipelined.queue_submit(req).unwrap();
+    }
+    pipelined.flush().unwrap();
+    reqs.iter()
+        .filter(|_| pipelined.recv_verdict().unwrap().1)
+        .cloned()
+        .collect()
+}
+
+/// The controller's topology, tunnels and scenarios, for the oracle.
+fn testbed6_parts() -> (Topology, TunnelSet, ScenarioSet) {
+    let topo = topologies::testbed6();
+    let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+    let scenarios = ScenarioSet::enumerate(&topo, 2);
+    (topo, tunnels, scenarios)
+}
+
+fn pool_of(ctx: &TeContext, reqs: &[DemandRequest]) -> Vec<BaDemand> {
+    reqs.iter()
+        .map(|r| {
+            let s = ctx.topo.find_node(&r.src).unwrap();
+            let d = ctx.topo.find_node(&r.dst).unwrap();
+            BaDemand::single(r.id, ctx.tunnels.pair_index(s, d).unwrap(), r.bandwidth, r.beta)
+        })
+        .collect()
+}
+
+/// What a cold `schedule_hardened` over `pool` guarantees: its total,
+/// every demand at its target, capacity respected.
+fn check(ctx: &TeContext, alloc: &Allocation, pool: &[BaDemand]) {
+    let oracle = schedule_hardened(ctx, pool)
+        .expect("oracle solve")
+        .total_bandwidth;
+    let total = alloc.total_allocated();
+    assert!(
+        (total - oracle).abs() <= 1e-6 * oracle,
+        "installed total {total} != hardened oracle {oracle}"
+    );
+    assert!(pool.iter().all(|d| alloc.meets_target(ctx, d)));
+    assert!(alloc.respects_capacity(ctx, 1e-6));
+}
+
+/// Rounds and repairs ask the session the batch solve left warm: with
+/// nothing changed they reinstall its hardened optimum without a solve,
+/// after a withdrawal a round takes one warm re-solve. What each installs
+/// is what a cold `schedule_hardened` over the same pool guarantees.
 #[test]
 fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
     let ctrl = start_controller();
     let mut probe = Probe::register(&ctrl);
-    let reqs = seeded_demands(0xBA7E, 12, 3000);
     let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
-    for req in &reqs {
-        pipelined.queue_submit(req).unwrap();
-    }
-    pipelined.flush().unwrap();
-    let admitted: Vec<&DemandRequest> = reqs
-        .iter()
-        .filter(|_| pipelined.recv_verdict().unwrap().1)
-        .collect();
+    let admitted = submit_batch(&mut pipelined, &seeded_demands(0xBA7E, 12, 3000));
 
-    let topo = topologies::testbed6();
-    let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
-    let scenarios = ScenarioSet::enumerate(&topo, 2);
+    let (topo, tunnels, scenarios) = testbed6_parts();
     let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-    let mut pool: Vec<BaDemand> = admitted
-        .iter()
-        .map(|r| {
-            let s = topo.find_node(&r.src).unwrap();
-            let d = topo.find_node(&r.dst).unwrap();
-            BaDemand::single(r.id, tunnels.pair_index(s, d).unwrap(), r.bandwidth, r.beta)
-        })
-        .collect();
+    let mut pool = pool_of(&ctx, &admitted);
     assert!(pool.len() > 4);
-    let check = |alloc: &Allocation, pool: &[BaDemand]| {
-        let oracle = schedule_hardened(&ctx, pool)
-            .expect("oracle solve")
-            .total_bandwidth;
-        let total = alloc.total_allocated();
-        assert!(
-            (total - oracle).abs() <= 1e-6 * oracle,
-            "installed total {total} != hardened oracle {oracle}"
-        );
-        assert!(pool.iter().all(|d| alloc.meets_target(&ctx, d)));
-        assert!(alloc.respects_capacity(&ctx, 1e-6));
-    };
     probe.installed(); // the batch's own push
 
     // First round: nothing pending, so no solve; harden, install.
     ctrl.run_schedule_round();
     let (round, installs) = probe.installed();
     assert_eq!(installs, pool.len());
-    check(&round, &pool);
+    check(&ctx, &round, &pool);
     assert_eq!(rounds(ctrl.session_stats()), (1, 0, 0));
 
-    // Failure, then repair: the recovery allocation is replaced by a
-    // hardened optimum solved from scratch; the history survives it.
+    // Failure, then repair: the recovery allocation is replaced by the
+    // held hardened optimum, the round's, without a solve.
     probe.send(&Message::LinkReport {
         group: 0,
         up: false,
@@ -305,11 +320,12 @@ fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
     probe.send(&Message::LinkReport { group: 0, up: true });
     let (repair, installs) = probe.installed();
     assert_eq!(installs, pool.len());
-    check(&repair, &pool);
-    assert_eq!(rounds(ctrl.session_stats()), (1, 0, 1));
+    check(&ctx, &repair, &pool);
+    assert_eq!(flows(&repair, &pool), flows(&round, &pool));
+    assert_eq!(rounds(ctrl.session_stats()), (2, 0, 0));
     ctrl.run_schedule_round();
     assert_eq!(flows(&probe.installed().0, &pool), flows(&round, &pool));
-    assert_eq!(rounds(ctrl.session_stats()), (2, 0, 1));
+    assert_eq!(rounds(ctrl.session_stats()), (3, 0, 0));
 
     // One withdrawal: one delta against the pool, a warm re-solve.
     let gone = pool.remove(1);
@@ -319,12 +335,57 @@ fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
     ctrl.run_schedule_round();
     let (warm, installs) = probe.installed();
     assert_eq!(installs, pool.len());
-    check(&warm, &pool);
-    assert_eq!(rounds(ctrl.session_stats()), (2, 1, 1));
+    check(&ctx, &warm, &pool);
+    assert_eq!(rounds(ctrl.session_stats()), (3, 1, 0));
 
     // The LP optimum a session holds for this pool is exact.
     let mut session = SchedulingSession::default();
     session.batch_optimum(&ctx, &pool).expect("master builds");
+    let master = session.master().unwrap();
+    bate_lp::exact::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
+}
+
+/// A multi-submit batch admitted while a failure is in effect skips its
+/// batch solve, so its deltas stay pending in the session; the repair
+/// takes them in one warm re-solve and installs a guaranteed schedule for
+/// the whole pool. A session fed the same calls here lands on the same
+/// installs, and its master's optimum is exact.
+#[test]
+fn a_repair_takes_what_was_admitted_during_the_failure_warm() {
+    let ctrl = start_controller();
+    let mut probe = Probe::register(&ctrl);
+    let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
+    let (topo, tunnels, scenarios) = testbed6_parts();
+    let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+    let before = pool_of(&ctx, &submit_batch(&mut pipelined, &seeded_demands(0xBA7E, 8, 6000)));
+    probe.installed(); // the batch's own push
+
+    probe.send(&Message::LinkReport {
+        group: 0,
+        up: false,
+    });
+    probe.installed(); // the recovery allocation
+    let during = pool_of(&ctx, &submit_batch(&mut pipelined, &seeded_demands(0xFA11, 8, 7000)));
+    assert!(before.len() > 2 && during.len() > 2);
+    let (_, installs) = probe.installed();
+    assert_eq!(installs, during.len(), "no batch solve, so no pool-wide push");
+    assert_eq!(rounds(ctrl.session_stats()), (0, 0, 0));
+
+    probe.send(&Message::LinkReport { group: 0, up: true });
+    let (repair, installs) = probe.installed();
+    let pool: Vec<BaDemand> = before.iter().chain(&during).cloned().collect();
+    assert_eq!(installs, pool.len());
+    check(&ctx, &repair, &pool);
+    assert_eq!(rounds(ctrl.session_stats()), (0, 1, 0));
+
+    let mut session = SchedulingSession::default();
+    session.batch_optimum(&ctx, &before).expect("master builds");
+    for d in &during {
+        session.note_add(d);
+    }
+    let round = session.hardened_round(&ctx, &pool).unwrap();
+    assert_eq!((round.path, round.pending), (SessionPath::Warm, during.len()));
+    assert_eq!(flows(&repair, &pool), flows(&round.result.allocation, &pool));
     let master = session.master().unwrap();
     bate_lp::exact::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
 }

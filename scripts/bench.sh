@@ -71,6 +71,21 @@ if [[ -z "$COLD_SPEEDUP" ]] || ! awk -v s="$COLD_SPEEDUP" -v f="${COLD_FAULTS:-0
 fi
 echo "cold_setup speedup ${COLD_SPEEDUP}x >= 1.4x, ${COLD_FAULTS:-no count of} minor faults per scratch solve <= 500: OK"
 
+# And for the live master's memory (DESIGN.md §5e): a warm apply of the
+# 250-demand ATT churn writes into pages the master already faulted in,
+# across appended rows and compactions. Before this gate it read ~990 per
+# apply (a matrix `resize`d row by row, and a fresh workspace per
+# compaction; EXPERIMENTS.md E32). Faults are absent off Linux only.
+echo "== live-master faults gate (DESIGN.md §5e) =="
+POOL=$(grep '"churn_warm_pool250"' BENCH_lp.json || true)
+POOL_FAULTS=$(sed -n 's/.*"minor_faults_per_warm_apply": {"median": \([0-9.]*\),.*/\1/p' <<<"$POOL")
+if [[ -z "$POOL_FAULTS" && -r /proc/self/stat ]] \
+    || ! awk -v f="${POOL_FAULTS:-0}" 'BEGIN { exit !(f <= 100) }'; then
+    echo "FAILED: churn_warm_pool250 median minor faults per warm apply '${POOL_FAULTS}' missing or above the bar of 100"
+    exit 1
+fi
+echo "churn_warm_pool250 ${POOL_FAULTS:-no count of} minor faults per warm apply (median) <= 100: OK"
+
 # And for the columns a solve never uses (DESIGN.md §5b): the same master
 # with three times as many idle variables appended, same pivots. With a
 # pivot-row gather and a `price_out` that scan whole rows it reads 1.77
