@@ -2,9 +2,9 @@
 //!
 //! Each module under [`experiments`] reproduces one group of evaluation
 //! artifacts (§5 + Appendix E). The `figures` binary prints the same
-//! rows/series the paper plots; the Criterion benches under `benches/`
-//! measure the performance claims (admission speedup, pruning speedup,
-//! recovery speedup).
+//! rows/series the paper plots, including the series behind its
+//! performance claims (`fig12`, `fig16 fig17`, `fig19 fig21`).
+//! `benches/lp.rs` times the LP kernel and writes `BENCH_lp.json`.
 //!
 //! Scale note: the paper runs 100-day simulations on a server fleet with
 //! Gurobi. The reproduction keeps every *workload generator and parameter

@@ -16,12 +16,11 @@
 pub mod fixed;
 pub mod greedy;
 pub mod optimal;
-pub mod stats;
 
 use crate::allocation::Allocation;
 use crate::demand::BaDemand;
 use crate::TeContext;
-use bate_obs::{Counter, Histogram, Registry};
+use bate_obs::{Counter, Registry};
 use std::sync::{Arc, OnceLock};
 
 /// How a demand was admitted.
@@ -60,7 +59,6 @@ struct AdmissionMetrics {
     rejected: Arc<Counter>,
     via_fixed: Arc<Counter>,
     via_conjecture: Arc<Counter>,
-    latency_ms: Arc<Histogram>,
 }
 
 fn admission_metrics() -> &'static AdmissionMetrics {
@@ -73,7 +71,6 @@ fn admission_metrics() -> &'static AdmissionMetrics {
             rejected: r.counter("bate_admission_rejected_total"),
             via_fixed: r.counter("bate_admission_via_fixed_total"),
             via_conjecture: r.counter("bate_admission_via_conjecture_total"),
-            latency_ms: r.histogram("bate_admission_latency_ms"),
         }
     })
 }
@@ -94,10 +91,8 @@ pub fn admit(
     // untraced callers (sim loops) keep the legacy event-only shape.
     let traced = bate_obs::context::current().is_some();
     let _sp = traced.then(|| bate_obs::span!("admission.pipeline", demand = new.id.0));
-    let t0 = std::time::Instant::now();
     let outcome = admit_inner(ctx, admitted, current, new);
     m.checks.inc();
-    m.latency_ms.observe_ms(t0.elapsed());
     let verdict = match &outcome {
         AdmissionOutcome::Admitted {
             path: AdmitPath::Fixed,

@@ -69,15 +69,6 @@ impl BaDemand {
     pub fn profit_density(&self) -> f64 {
         self.price / self.total_bandwidth().max(f64::MIN_POSITIVE)
     }
-
-    /// Requested bandwidth on a pair (zero if the pair is not requested).
-    pub fn bandwidth_on(&self, pair: usize) -> f64 {
-        self.bandwidth
-            .iter()
-            .find(|(p, _)| *p == pair)
-            .map(|(_, b)| *b)
-            .unwrap_or(0.0)
-    }
 }
 
 /// The availability classes Google publishes for B4 services (Table 1).
@@ -104,17 +95,6 @@ impl AvailabilityClass {
             AvailabilityClass::Medium => 0.999,
             AvailabilityClass::Low => 0.99,
             AvailabilityClass::BestEffort => 0.0,
-        }
-    }
-
-    /// Example services in each class, from Table 1.
-    pub fn example_services(self) -> &'static str {
-        match self {
-            AvailabilityClass::Critical => "Search ads, DNS, WWW",
-            AvailabilityClass::High => "Photo service, backend, Email",
-            AvailabilityClass::Medium => "Ads database replication",
-            AvailabilityClass::Low => "Search index copies, logs",
-            AvailabilityClass::BestEffort => "Bulk transfer",
         }
     }
 
@@ -163,8 +143,6 @@ mod tests {
             refund_ratio: 0.25,
         };
         assert_eq!(d.total_bandwidth(), 40.0);
-        assert_eq!(d.bandwidth_on(3), 30.0);
-        assert_eq!(d.bandwidth_on(1), 0.0);
         assert!((d.profit_density() - 2.0).abs() < 1e-12);
     }
 

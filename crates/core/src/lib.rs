@@ -20,9 +20,7 @@
 //!   (Algorithm 2 / Appendix D), and proactive backup-allocation
 //!   precomputation (§3.4).
 //!
-//! Supporting models: [`reservation`] (the explicit time dimension of
-//! footnote 4: advance-reservation admission over windows),
-//! [`demand`] (BA demands, Table 1 availability classes),
+//! Supporting models: [`demand`] (BA demands, Table 1 availability classes),
 //! [`pricing`] (Azure-style SLA refund schedules), [`allocation`] (tunnel
 //! bandwidth assignments and their achieved availability), and
 //! [`profile`] (the per-demand scenario-collapsing device that keeps the
@@ -65,7 +63,6 @@ mod model;
 pub mod pricing;
 pub mod profile;
 pub mod recovery;
-pub mod reservation;
 pub mod scheduling;
 
 /// Time as a capability. The implementation moved to `bate-obs` (the

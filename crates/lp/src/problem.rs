@@ -224,11 +224,6 @@ impl Problem {
         self.constraints.len()
     }
 
-    /// Name of a variable (for diagnostics).
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
-
     /// True when at least one variable is integer-constrained.
     pub fn has_integers(&self) -> bool {
         self.vars.iter().any(|v| v.kind == VarKind::Integer)
@@ -251,18 +246,6 @@ impl Problem {
     /// comparing relaxation bounds against MILP optima.
     pub fn solve_relaxation(&self) -> Result<Solution, SolveError> {
         simplex::solve_relaxation(self, &[])
-    }
-
-    /// Solve the LP relaxation reusing the tableau buffers of `ws` across
-    /// calls; every solve is cold, from the slack basis. This is the path
-    /// for repeated re-solves under shifting bound overrides
-    /// (branch-and-bound, hardening re-placement).
-    pub fn solve_relaxation_with(
-        &self,
-        overrides: &[simplex::BoundOverride],
-        ws: &mut simplex::Workspace,
-    ) -> Result<Solution, SolveError> {
-        simplex::solve_with(self, overrides, ws)
     }
 
     /// Evaluate the objective at a candidate point (no feasibility check).

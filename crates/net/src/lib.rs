@@ -31,7 +31,6 @@ pub mod distributions;
 pub mod fileio;
 pub mod graph;
 pub mod linkset;
-pub mod metrics;
 pub mod scenario;
 pub mod srlg;
 pub mod topologies;

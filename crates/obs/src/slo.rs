@@ -49,16 +49,17 @@ pub struct SloSpec {
     pub kind: SloKind,
 }
 
-/// The standard BATE objectives: admission p99 latency, warm-hit rate,
+/// The standard BATE objectives: admission p99 latency (50 ms, read from
+/// the controller's per-demand histogram in microseconds), warm-hit rate,
 /// and the BA-guarantee rate (scheduling rounds without a hard
 /// placement violation).
 pub fn standard_specs() -> Vec<SloSpec> {
     let mut specs = vec![SloSpec {
         name: "admission_p99_ms",
         kind: SloKind::QuantileBelow {
-            metric: "bate_admission_latency_ms".into(),
+            metric: "bate_admission_latency_us".into(),
             q: 0.99,
-            bound: 50.0,
+            bound: 50_000.0,
             allowed: 0.05,
         },
     }];

@@ -67,16 +67,6 @@ impl Path {
         self.links.is_empty()
     }
 
-    /// Does the path traverse this directed link (`u_t^e`)?
-    pub fn uses_link(&self, l: LinkId) -> bool {
-        self.links.contains(&l)
-    }
-
-    /// Does the path traverse any link of this fate group?
-    pub fn uses_group(&self, topo: &Topology, g: GroupId) -> bool {
-        self.links.iter().any(|&l| topo.link(l).group == g)
-    }
-
     /// Fate groups traversed, deduplicated in traversal order.
     pub fn groups(&self, topo: &Topology) -> Vec<GroupId> {
         let mut out: Vec<GroupId> = Vec::with_capacity(self.links.len());
@@ -108,14 +98,6 @@ impl Path {
     /// Is the whole path up under a failure scenario (`v_t^z`)?
     pub fn available_under(&self, topo: &Topology, scenario: &Scenario) -> bool {
         self.links.iter().all(|&l| scenario.link_up(topo, l))
-    }
-
-    /// Bottleneck capacity along the path.
-    pub fn min_capacity(&self, topo: &Topology) -> f64 {
-        self.links
-            .iter()
-            .map(|&l| topo.link(l).capacity)
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Render as "DC1→DC2→DC4".
@@ -172,19 +154,6 @@ mod tests {
         let g = t.link(t.find_link(n("DC1"), n("DC2")).unwrap()).group;
         let down = Scenario::with_failures(&t, &[g]);
         assert!(!p.available_under(&t, &down));
-        assert!(p.uses_group(&t, g));
-    }
-
-    #[test]
-    fn min_capacity_is_bottleneck() {
-        let mut t = Topology::new("t");
-        let a = t.add_node("A");
-        let b = t.add_node("B");
-        let c = t.add_node("C");
-        let l1 = t.add_link(a, b, 10.0, 0.0);
-        let l2 = t.add_link(b, c, 3.0, 0.0);
-        let p = Path::new(&t, vec![l1, l2]);
-        assert_eq!(p.min_capacity(&t), 3.0);
     }
 
     #[test]
@@ -196,6 +165,4 @@ mod tests {
         let l2 = t.find_link(n("DC3"), n("DC4")).unwrap();
         Path::new(&t, vec![l1, l2]);
     }
-
-    use bate_net::Topology;
 }

@@ -4,7 +4,7 @@ use crate::disjoint::edge_disjoint_paths;
 use crate::ksp::k_shortest_paths;
 use crate::oblivious::oblivious_paths;
 use crate::path::Path;
-use bate_net::{NodeId, Scenario, Topology};
+use bate_net::{NodeId, Topology};
 use std::collections::HashMap;
 
 /// Which offline routing algorithm computes the tunnels (§4, Offline
@@ -109,14 +109,6 @@ impl TunnelSet {
         &self.tunnels[pair]
     }
 
-    /// Tunnels between two nodes (empty if the pair wasn't computed).
-    pub fn tunnels_between(&self, s: NodeId, d: NodeId) -> &[Path] {
-        match self.pair_index(s, d) {
-            Some(i) => &self.tunnels[i],
-            None => &[],
-        }
-    }
-
     /// The path behind a [`TunnelId`].
     pub fn path(&self, id: TunnelId) -> &Path {
         &self.tunnels[id.pair][id.tunnel]
@@ -150,19 +142,6 @@ impl TunnelSet {
         })
     }
 
-    /// `v_t^z` for every tunnel of a pair under a scenario.
-    pub fn availability_under(
-        &self,
-        topo: &Topology,
-        pair: usize,
-        scenario: &Scenario,
-    ) -> Vec<bool> {
-        self.tunnels[pair]
-            .iter()
-            .map(|p| p.available_under(topo, scenario))
-            .collect()
-    }
-
     /// Total number of tunnels across all pairs.
     pub fn total_tunnels(&self) -> usize {
         self.tunnels.iter().map(|t| t.len()).sum()
@@ -190,7 +169,6 @@ mod tests {
         let i = set.pair_index(n("DC1"), n("DC3")).unwrap();
         assert_eq!(set.pair(i), (n("DC1"), n("DC3")));
         assert_eq!(set.tunnels(i).len(), 4);
-        assert_eq!(set.tunnels_between(n("DC1"), n("DC3")).len(), 4);
     }
 
     #[test]
@@ -200,21 +178,7 @@ mod tests {
         let pairs = vec![(n("DC1"), n("DC4"))];
         let set = TunnelSet::compute_for_pairs(&t, &pairs, RoutingScheme::Ksp(3));
         assert_eq!(set.num_pairs(), 1);
-        assert!(set.tunnels_between(n("DC4"), n("DC1")).is_empty());
-    }
-
-    #[test]
-    fn availability_vector_matches_paths() {
-        let t = topologies::toy4();
-        let n = |s: &str| t.find_node(s).unwrap();
-        let set = TunnelSet::compute_for_pairs(&t, &[(n("DC1"), n("DC4"))], RoutingScheme::Ksp(2));
-        // Fail DC1-DC2: the path through DC2 dies, the one through DC3
-        // survives.
-        let g = t.link(t.find_link(n("DC1"), n("DC2")).unwrap()).group;
-        let sc = Scenario::with_failures(&t, &[g]);
-        let avail = set.availability_under(&t, 0, &sc);
-        assert_eq!(avail.len(), 2);
-        assert_eq!(avail.iter().filter(|&&b| b).count(), 1);
+        assert!(set.pair_index(n("DC4"), n("DC1")).is_none());
     }
 
     #[test]

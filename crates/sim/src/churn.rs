@@ -6,14 +6,12 @@
 //! generates that drift deterministically (a seeded stream of
 //! [`DemandDelta`] batches at a configurable churn fraction) and drives an
 //! [`IncrementalScheduler`] through it, recording per-round solve latency
-//! so the warm path's speedup over cold re-solves can be measured and
-//! plotted (the `solve_ms` CSV column).
+//! so the warm path's speedup over cold re-solves can be measured.
 
 use bate_core::incremental::{DemandDelta, IncrementalScheduler, IncrementalStats};
 use bate_core::{BaDemand, DemandId, TeContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Parameters of a churn workload.
@@ -167,17 +165,6 @@ pub struct ChurnReport {
     pub stats: IncrementalStats,
 }
 
-impl ChurnReport {
-    /// Mean `solve_ms` over the churn rounds (excludes the initial fill).
-    pub fn mean_round_ms(&self) -> f64 {
-        let churn: Vec<&ChurnRound> = self.rounds.iter().filter(|r| r.round > 0).collect();
-        if churn.is_empty() {
-            return 0.0;
-        }
-        churn.iter().map(|r| r.solve_ms).sum::<f64>() / churn.len() as f64
-    }
-}
-
 /// Drive an [`IncrementalScheduler`] through the workload: round 0 admits
 /// the initial pool, every later round applies one delta batch, and each
 /// round's solve latency is recorded.
@@ -217,20 +204,6 @@ pub fn run(
         rounds,
         stats: sched.stats(),
     })
-}
-
-/// Per-round records as CSV
-/// (`round,deltas,live,solve_ms,warm,dual_pivots,objective`).
-pub fn rounds_csv(report: &ChurnReport) -> String {
-    let mut out = String::from("round,deltas,live,solve_ms,warm,dual_pivots,objective\n");
-    for r in &report.rounds {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.3},{},{},{:.3}",
-            r.round, r.deltas, r.live, r.solve_ms, r.warm, r.dual_pivots, r.objective
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -291,22 +264,5 @@ mod tests {
             "churn rounds should warm-start: {:?}",
             report.stats
         );
-        assert!(report.mean_round_ms() >= 0.0);
-    }
-
-    #[test]
-    fn csv_has_solve_latency_column() {
-        let (topo, tunnels, scenarios) = ctx_parts();
-        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let cfg = ChurnConfig::steady(vec![0], 2, 3, 5);
-        let report = run(&ctx, &generate(&cfg)).unwrap();
-        let csv = rounds_csv(&report);
-        let mut lines = csv.lines();
-        let header = lines.next().unwrap();
-        assert_eq!(
-            header,
-            "round,deltas,live,solve_ms,warm,dual_pivots,objective"
-        );
-        assert_eq!(lines.count(), 4);
     }
 }

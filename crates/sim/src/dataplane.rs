@@ -38,11 +38,6 @@ impl Delivery {
             (got / b).min(1.0)
         }
     }
-
-    /// Fraction of demanded bandwidth lost (for Fig. 11).
-    pub fn loss_ratio(&self) -> f64 {
-        1.0 - self.ratio()
-    }
 }
 
 /// Compute deliveries for every demand under the current link state.
@@ -135,7 +130,6 @@ mod tests {
         let del = deliveries(&ctx, &a, &[d], &Scenario::all_up(&topo));
         assert!(del[0].satisfied());
         assert_eq!(del[0].ratio(), 1.0);
-        assert_eq!(del[0].loss_ratio(), 0.0);
     }
 
     #[test]

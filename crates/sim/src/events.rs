@@ -83,11 +83,6 @@ impl EventQueue {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }

@@ -67,11 +67,6 @@ impl FailureProcess {
         }
     }
 
-    /// Number of independent failure events (= groups + SRLGs).
-    pub fn num_events(&self) -> usize {
-        self.probs.len()
-    }
-
     /// Sample the number of seconds from now until `group`'s residual
     /// event next fires (geometric with parameter `x_i`, ≥ 1 second).
     pub fn sample_gap(&self, rng: &mut StdRng, group: GroupId) -> f64 {
@@ -223,7 +218,6 @@ mod tests {
         let mut srlgs = SrlgSet::new(&topo);
         srlgs.add("cut", 0.01, &[GroupId(1), GroupId(3)]);
         let mut fp = FailureProcess::with_srlgs(&topo, &srlgs, 3.0);
-        assert_eq!(fp.num_events(), 5);
 
         let srlg_event = topo.num_groups(); // first (only) SRLG
         assert!(fp.fail_event(srlg_event));

@@ -29,17 +29,16 @@
 //!   availability calculus.
 //! * [`churn`] — seeded demand-churn workloads (1–5% add/remove/resize per
 //!   round) driving the incremental warm-start scheduler, with per-round
-//!   solve-latency CSV export (DESIGN.md §5e).
+//!   solve latency (DESIGN.md §5e).
 //! * [`loadgen`] — mgen-style seeded submission schedules (steady +
-//!   bursty) for driving the real control plane over sockets: the fan-in
-//!   workload behind the `loadgen` bench and `scripts/loadcheck.sh`.
+//!   bursty) for driving the real control plane over sockets: the
+//!   open-loop arrivals of the benchmark's `open_light` workload.
 //! * [`storm`] — recovery storms: a region SRLG cut held across several
 //!   rounds of concurrent churn, with per-round Algorithm-2/exact-MILP
 //!   recovery deltas and latency (DESIGN.md §6x).
 
 pub mod analysis;
 pub mod churn;
-pub mod csv;
 pub mod dataplane;
 pub mod engine;
 pub mod events;

@@ -17,8 +17,8 @@
 //!
 //! The schedule is a pure function of the profile (seed included): no
 //! wall clock, no global RNG — the same profile always yields the same
-//! byte-for-byte schedule, which is what lets `scripts/loadcheck.sh` pin
-//! throughput floors against a known workload.
+//! byte-for-byte schedule, which is what lets the benchmark's `open_light`
+//! workload replay a known arrival process on every run.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -8,7 +8,6 @@
 //! batectl stats <addr> [--json [--prefix NAME_PREFIX]]
 //! batectl trace <addr> <trace-id>
 //! batectl slo <addr>
-//! batectl loadgen <addr> [--per-min N] [--secs S] [--seed N] [--live-cap N] [--topology T]
 //! ```
 //!
 //! `<topology>` is a builtin name (`toy4`, `testbed6`, `b4`, `ibm`, `att`,
@@ -23,7 +22,7 @@ use bate_net::{fileio, topologies, Topology};
 use bate_obs::{Level, StderrSubscriber, SystemClock};
 use bate_routing::RoutingScheme;
 use bate_system::client::DemandRequest;
-use bate_system::{Client, Controller, ControllerConfig, PipelinedClient};
+use bate_system::{Client, Controller, ControllerConfig};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -32,8 +31,7 @@ fn usage() -> ! {
          batectl submit <addr> --id N --src A --dst B --mbps F --beta F [--price F] [--refund F]\n  \
          batectl withdraw <addr> --id N\n  batectl ping <addr>\n  \
          batectl stats <addr> [--json [--prefix P]]\n  \
-         batectl trace <addr> <trace-id>\n  batectl slo <addr>\n  \
-         batectl loadgen <addr> [--per-min N] [--secs S] [--seed N] [--live-cap N] [--topology T]"
+         batectl trace <addr> <trace-id>\n  batectl slo <addr>"
     );
     std::process::exit(2)
 }
@@ -217,94 +215,8 @@ fn main() {
                 Err(e) => fail(&e.to_string()),
             }
         }
-        "loadgen" => {
-            let Some(addr) = args.get(1) else { usage() };
-            let flags = Flags::parse(&args[2..]);
-            run_loadgen(addr, &flags);
-        }
         _ => usage(),
     }
-}
-
-/// Drive a seeded steady+bursty submission schedule (the same 60/40 mix
-/// as the `loadgen` bench) at a running controller over one pipelined
-/// connection. Closed-loop waves: each wave's verdicts are collected
-/// before the next is queued, and admissions past `--live-cap` withdraw
-/// the oldest live demand, so the controller's pool stays bounded no
-/// matter how long the run.
-fn run_loadgen(addr: &str, flags: &Flags) {
-    use bate_sim::loadgen::{schedule, LoadProfile};
-
-    let per_min: f64 = flags.num("per-min").unwrap_or(6_000.0);
-    let secs: f64 = flags.num("secs").unwrap_or(10.0);
-    let seed: u64 = flags.num("seed").unwrap_or(7);
-    let cap: usize = flags.num("live-cap").unwrap_or(12);
-    let topo = load_topology(flags.get("topology").unwrap_or("testbed6"));
-    let pairs = LoadProfile::all_pairs(&topo);
-
-    let steady = LoadProfile::steady(per_min * 0.6, pairs.clone(), seed);
-    let bursty_base = per_min * 0.4
-        / LoadProfile::bursty(1.0, pairs.clone(), seed)
-            .pattern
-            .mean_per_min();
-    let bursty = LoadProfile::bursty(bursty_base, pairs, seed ^ 0xB0B5);
-    let mut events = schedule(&steady, secs, 1);
-    events.extend(schedule(&bursty, secs, 10_000_000));
-    events.sort_by(|a, b| a.offset_s.partial_cmp(&b.offset_s).unwrap());
-    let total = events.len();
-    if total == 0 {
-        fail("empty schedule: raise --per-min or --secs");
-    }
-
-    let sock = addr.parse().unwrap_or_else(|_| {
-        bate_obs::error!("batectl.address_error", msg = format!("bad address {addr}"));
-        std::process::exit(2)
-    });
-    let mut client =
-        PipelinedClient::connect(sock).unwrap_or_else(|e| fail(&e.to_string()));
-    let io = |e: std::io::Error| -> ! { fail(&e.to_string()) };
-
-    let (mut admitted, mut rejected) = (0u64, 0u64);
-    let mut live: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    let start = std::time::Instant::now();
-    let mut next = 0usize;
-    while next < total {
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut queued = 0usize;
-        while next < total && events[next].offset_s <= elapsed && queued < 32 {
-            let e = &events[next];
-            client
-                .queue_submit(&DemandRequest::new(e.id, &e.src, &e.dst, e.bandwidth, e.beta))
-                .unwrap_or_else(|e| io(e));
-            queued += 1;
-            next += 1;
-        }
-        if queued == 0 {
-            std::thread::sleep(Duration::from_micros(500));
-            continue;
-        }
-        client.flush().unwrap_or_else(|e| io(e));
-        for _ in 0..queued {
-            let (id, ok) = client.recv_verdict().unwrap_or_else(|e| io(e));
-            if ok {
-                admitted += 1;
-                live.push_back(id);
-            } else {
-                rejected += 1;
-            }
-            while live.len() > cap {
-                let old = live.pop_front().unwrap();
-                client.queue_withdraw(old).unwrap_or_else(|e| io(e));
-            }
-        }
-        client.flush().unwrap_or_else(|e| io(e));
-    }
-    let wall = start.elapsed().as_secs_f64();
-    println!(
-        "loadgen  {total} submissions in {wall:.3} s  ({:.0}/min, target {per_min:.0}/min)  \
-         admitted {admitted} rejected {rejected}",
-        total as f64 / wall * 60.0,
-    );
 }
 
 fn connect(addr: &str) -> Client {

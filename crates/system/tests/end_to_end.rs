@@ -268,3 +268,26 @@ fn periodic_scheduler_keeps_allocations_fresh() {
     assert!(broker.wait_for_rate(1, Duration::from_secs(2), |r| r >= 300.0 - 1e-6));
     assert_eq!(controller.admitted_count(), 1);
 }
+
+/// The `admission_p99_ms` SLO reads the histogram the controller
+/// observes per demand. A spec naming a family nobody observes would
+/// silently read empty, because `Registry::histogram` creates one on
+/// demand.
+#[test]
+fn controller_feeds_the_admission_slo() {
+    let controller = start_controller();
+    let mut client = Client::connect(controller.addr()).unwrap();
+    for id in 1..=3 {
+        assert!(client
+            .submit(&DemandRequest::new(id, "DC2", "DC6", 50.0, 0.9))
+            .unwrap());
+    }
+    let engine = bate_obs::SloEngine::global();
+    engine.record_sample(bate_obs::Registry::global());
+    let status = engine
+        .evaluate()
+        .into_iter()
+        .find(|s| s.name == "admission_p99_ms")
+        .expect("admission_p99_ms is a standard spec");
+    assert!(status.current > 0.0, "admission p99 read empty: {status:?}");
+}

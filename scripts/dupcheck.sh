@@ -55,5 +55,17 @@ check "lines of the longest file under crates/lp/src" \
     "$(find crates/lp/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -n | tail -1 | awk '{ print $1 }')" 900
 check "wall-clock deadlines in crates/lp/src non-test code (ROADMAP item 2 takes the last one out)" \
     "$(echo "$LP_SRC" | grep -c 'Instant::now() + ')" 1
+# Offline shims (compat/README.md). The benchmark resolves its dependency
+# graph through its own [patch.crates-io]; if a path there has no
+# Cargo.toml, the benchmark cannot resolve its dependencies and cannot run.
+check "benchmark/Cargo.toml [patch.crates-io] paths without a Cargo.toml" \
+    "$(awk '/^\[/ { on = ($0 == "[patch.crates-io]") } on && /path *=/' benchmark/Cargo.toml \
+        | sed -E 's/.*path *= *"([^"]*)".*/\1/' \
+        | while read -r p; do [ -f "benchmark/$p/Cargo.toml" ] || echo "$p"; done | wc -l)" 0
+check "criterion in a Cargo.toml outside comments (the criterion benches and their shim are gone)" \
+    "$(find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*' \
+        -exec grep -hv '^[[:space:]]*#' {} + | grep -c criterion)" 0
+check "[[bench]] targets of crates/bench (lp, the one scripts/bench.sh gates)" \
+    "$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" 1 1
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"

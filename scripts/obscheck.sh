@@ -90,8 +90,9 @@ for slo in warm_hit_rate ba_guarantee_rate; do
     fi
 done
 
-# METRICS.md drift: every metric the deterministic harness exports must
-# be documented in the inventory.
+# METRICS.md drift, both ways: every metric the deterministic harness
+# exports must be documented in the inventory, and every family in the
+# inventory's tables must be registered by a string literal in the code.
 if [ -f METRICS.md ]; then
     MISSING=0
     for metric in $(grep -o '"metric":"[a-z_]*"' "$OUT_DIR/metrics1.jsonl" \
@@ -102,7 +103,16 @@ if [ -f METRICS.md ]; then
         fi
     done
     [ $MISSING -eq 0 ] && echo "METRICS.md: inventory covers the exported snapshot"
-    STATUS=$((STATUS | MISSING))
+    STALE=0
+    DOCUMENTED=$(grep -oE '^\| `bate_[a-z0-9_]+`' METRICS.md | tr -d '|` ' | sort -u)
+    for family in $DOCUMENTED; do
+        if ! grep -rqF "\"$family\"" crates/*/src; then
+            echo "FAILED: $family documented in METRICS.md but registered nowhere under crates/*/src"
+            STALE=1
+        fi
+    done
+    [ $STALE -eq 0 ] && echo "METRICS.md: all $(echo "$DOCUMENTED" | wc -l) documented families are registered"
+    STATUS=$((STATUS | MISSING | STALE))
 else
     echo "FAILED: METRICS.md missing"
     STATUS=1
