@@ -1,9 +1,9 @@
 //! # faultline — deterministic fault injection for the BATE control plane
 //!
 //! The control plane (`bate-system`) speaks length-prefixed, CRC-protected
-//! frames over TCP between clients, the controller, per-DC brokers, and
-//! Paxos replicas. This crate injects faults *between* those endpoints and
-//! checks that the hardening holds:
+//! frames over TCP between clients, the controller and per-DC brokers.
+//! This crate injects faults *between* those endpoints and checks that the
+//! hardening holds:
 //!
 //! * [`plan`] — the `FaultPlan` DSL: `FaultPlan::seeded(42).drop(0.1)
 //!   .sever_after(3)`. Per-frame decisions are a pure function of

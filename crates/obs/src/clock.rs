@@ -1,11 +1,10 @@
 //! Time as a capability: the [`Clock`] trait and its real / simulated
 //! implementations.
 //!
-//! Everything time-dependent in the control plane — client retry backoff,
-//! broker wait deadlines, replication lease and election backoff, the
-//! controller's Online Scheduler period, the sim engine's compute-time
-//! accounting — takes a `&dyn Clock` (usually as an `Arc<dyn Clock>`)
-//! instead of calling `Instant::now()` / `thread::sleep` directly. Tests
+//! The control plane's time-dependent pieces — client retry backoff and
+//! broker wait deadlines — take a `&dyn Clock` (usually as an
+//! `Arc<dyn Clock>`) instead of calling `Instant::now()` /
+//! `thread::sleep` directly. Tests
 //! substitute [`SimClock`] and become deterministic and sleep-free; the
 //! default everywhere is [`SystemClock`].
 //!
@@ -28,10 +27,8 @@
 //!   20 ms). This keeps fault-injection tests with retry backoff loops
 //!   instant in real time while preserving a monotone, causally ordered
 //!   virtual timeline.
-//! * `advance(d)` lets a test driver inject time directly (lease expiry,
-//!   scheduler periods); `advance_to(t)` jumps to an absolute virtual
-//!   instant without ever moving backwards (the sim engine drives event
-//!   time this way).
+//! * `advance(d)` lets a test driver inject time directly (backoff
+//!   expiry, scheduler periods).
 //!
 //! The one behavior `SimClock` deliberately does not reproduce is "a sleep
 //! blocks until someone advances time": with real sockets in the loop there
@@ -114,23 +111,6 @@ impl SimClock {
         self.nanos
             .fetch_add(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::SeqCst);
     }
-
-    /// Jump to the absolute virtual instant `t`, never moving backwards.
-    /// Drivers replaying a timestamped event stream (the sim engine) call
-    /// this at each event so `now()` tracks event time monotonically.
-    pub fn advance_to(&self, t: Duration) {
-        let target = t.as_nanos().min(u64::MAX as u128) as u64;
-        let mut cur = self.nanos.load(Ordering::SeqCst);
-        while cur < target {
-            match self
-                .nanos
-                .compare_exchange(cur, target, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
 }
 
 impl Clock for SimClock {
@@ -204,17 +184,5 @@ mod tests {
         c.advance(Duration::from_secs(5));
         c.sleep(Duration::from_millis(1));
         assert!(c.now() >= Duration::from_secs(5));
-    }
-
-    #[test]
-    fn sim_clock_advance_to_is_monotone() {
-        let c = SimClock::new();
-        c.advance_to(Duration::from_secs(3));
-        assert_eq!(c.now(), Duration::from_secs(3));
-        // Backwards jumps are ignored.
-        c.advance_to(Duration::from_secs(1));
-        assert_eq!(c.now(), Duration::from_secs(3));
-        c.advance_to(Duration::from_secs(7));
-        assert_eq!(c.now(), Duration::from_secs(7));
     }
 }

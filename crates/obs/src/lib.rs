@@ -25,7 +25,7 @@
 //!   remote adoption for contexts carried across the wire.
 //! * [`flight`] — a bounded flight-recorder ring of recent events that
 //!   dumps deterministic, causally-sliced JSONL artifacts on triggers
-//!   (election loss, cert-gate cold fallback, storm latency breach).
+//!   (cert-gate cold fallback, storm latency breach).
 //! * [`slo`] — declarative SLO specs (admission p99, warm-hit rate,
 //!   BA-guarantee rate) evaluated over registry snapshots with
 //!   multi-window burn-rate alerting.

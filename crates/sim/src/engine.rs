@@ -10,14 +10,12 @@ use bate_core::admission::{self, optimal::optimal_feasible, AdmissionOutcome};
 use bate_core::recovery::backup::BackupPlan;
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::recovery::milp::optimal_recovery;
-use bate_core::clock::{Clock, SimClock, SystemClock};
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_net::GroupId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Which admission strategy the run uses (Fig. 7(a)/12 compare all three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +37,7 @@ pub enum RecoveryPolicy {
     /// Nothing until the next scheduling round (how the plain baselines
     /// behave).
     NextRound,
-    /// Run Algorithm 2 on the spot; its (measured) computation time is the
-    /// outage window.
+    /// Run Algorithm 2 on the spot, behind a fixed 50 ms outage window.
     Greedy,
     /// Use the backup allocation precomputed at the last scheduling round
     /// (§3.4); near-instant activation.
@@ -49,26 +46,10 @@ pub enum RecoveryPolicy {
     Optimal,
 }
 
-/// How computation delays (admission latency, recovery outage windows)
-/// enter the simulation.
-///
-/// `Measured` samples real wall-clock elapsed time around the solver
-/// calls — faithful to a live deployment, but it makes the *simulated
-/// event schedule* depend on host speed: the recovery outage window is
-/// pushed into the event queue, so a loaded machine simulates longer
-/// outages. `Fixed` charges deterministic costs instead, so the same
-/// seed yields the same event schedule (and byte-identical reports) on
-/// any machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimingMode {
-    /// Measure real elapsed wall-clock time (floored at 50 ms for
-    /// recovery, as the paper's testbed does).
-    Measured,
-    /// Charge fixed costs: `admission_ms` per admission decision (report
-    /// only) and `recovery_secs` per on-the-spot recovery computation
-    /// (drives the outage window).
-    Fixed { admission_ms: f64, recovery_secs: f64 },
-}
+/// The outage window charged for an on-the-spot recovery computation, in
+/// seconds: the paper's testbed floor of 50 ms. It is a constant, not a
+/// measurement, so the event schedule does not depend on host speed.
+const RECOVERY_OUTAGE_SECS: f64 = 0.05;
 
 /// Simulation parameters.
 #[derive(Debug, Clone)]
@@ -86,8 +67,6 @@ pub struct SimConfig {
     pub measure_false_rejections: bool,
     /// Seed for the failure process.
     pub seed: u64,
-    /// How solver computation time is charged (see [`TimingMode`]).
-    pub timing: TimingMode,
 }
 
 impl SimConfig {
@@ -101,14 +80,6 @@ impl SimConfig {
             recovery: RecoveryPolicy::Backup,
             measure_false_rejections: false,
             seed,
-            // Deterministic by default: the greedy solver's measured cost
-            // on the testbed topologies sits under the 50 ms floor anyway,
-            // so Fixed(50 ms) matches Measured's schedule while making it
-            // reproducible across hosts.
-            timing: TimingMode::Fixed {
-                admission_ms: 0.5,
-                recovery_secs: 0.05,
-            },
         }
     }
 }
@@ -142,12 +113,6 @@ struct State<'a> {
     /// Demand ids the current backup plan was computed for; arrivals after
     /// the last round make the plan stale.
     backup_for: Vec<u64>,
-    /// The engine's time source for solver-latency measurements
-    /// ([`TimingMode::Measured`] → system clock; `Fixed` → a [`SimClock`]
-    /// driven to event times, so measured deltas are exactly zero and the
-    /// charged constants are the whole delay — making
-    /// [`DemandRecord::admission_delay_ms`] a pure function of the seed).
-    clock: Arc<dyn Clock>,
 }
 
 impl<'a> State<'a> {
@@ -196,16 +161,6 @@ impl<'a> Simulation<'a> {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut queue = EventQueue::new();
-        // Internal time source: under Fixed timing a SimClock is driven to
-        // each event's time below, so the run never reads the wall clock.
-        let sim_clock: Option<Arc<SimClock>> = match cfg.timing {
-            TimingMode::Measured => None,
-            TimingMode::Fixed { .. } => Some(SimClock::shared()),
-        };
-        let clock: Arc<dyn Clock> = match &sim_clock {
-            Some(sc) => Arc::clone(sc) as Arc<dyn Clock>,
-            None => SystemClock::shared(),
-        };
         let mut st = State {
             ctx: self.ctx,
             active: Vec::new(),
@@ -226,7 +181,6 @@ impl<'a> Simulation<'a> {
             demand_integral: 0.0,
             backup: None,
             backup_for: Vec::new(),
-            clock,
         };
 
         // Seed events: arrivals, schedule rounds, first failure per group.
@@ -254,9 +208,6 @@ impl<'a> Simulation<'a> {
         while let Some((time, event)) = queue.pop() {
             if time > cfg.horizon_secs {
                 break;
-            }
-            if let Some(sc) = &sim_clock {
-                sc.advance_to(Duration::from_secs_f64(time));
             }
             st.accrue(time);
             match event {
@@ -313,18 +264,10 @@ impl<'a> Simulation<'a> {
         demand: BaDemand,
     ) {
         st.report.arrived += 1;
-        // Decision latency on the engine's clock: wall time under Measured,
-        // zero virtual elapsed plus the charged constant under Fixed (the
-        // SimClock only moves between events), so Fixed-mode records are
-        // identical across hosts and runs.
-        let started = st.clock.now();
-        let clock = Arc::clone(&st.clock);
-        let admission_cost_ms = move |started: Duration| match self.config.timing {
-            TimingMode::Measured => {
-                clock.now().saturating_sub(started).as_secs_f64() * 1000.0
-            }
-            TimingMode::Fixed { admission_ms, .. } => admission_ms,
-        };
+        // The decision's wall time goes to a report-level total that no
+        // event is scheduled on, so every record stays a function of the
+        // seed (Fig. 12(c) reads the total).
+        let started = Instant::now();
         let outcome = match self.config.admission {
             AdmissionStrategy::Fixed => {
                 match admission::fixed::fixed_admission(&st.ctx, &st.base_alloc, &demand) {
@@ -367,7 +310,7 @@ impl<'a> Simulation<'a> {
                 ),
             },
         };
-        let delay_ms = admission_cost_ms(started);
+        st.report.admission_wall_secs += started.elapsed().as_secs_f64();
 
         let g = meta.get(&demand.id.0).expect("workload metadata");
         let mut record = DemandRecord {
@@ -377,7 +320,6 @@ impl<'a> Simulation<'a> {
             schedule: g.schedule,
             bandwidth: demand.total_bandwidth(),
             admitted: false,
-            admission_delay_ms: delay_ms,
             total_secs: 0.0,
             satisfied_secs: 0.0,
         };
@@ -472,18 +414,6 @@ impl<'a> Simulation<'a> {
             return;
         }
         let scenario = st.fp.current_scenario(self.ctx.topo);
-        // The outage window charged for an on-the-spot recovery solve,
-        // measured on the engine's clock (zero virtual elapsed under Fixed
-        // timing, so the charged constant is the whole window).
-        let clock = Arc::clone(&st.clock);
-        let recovery_cost = move |started: Duration| match self.config.timing {
-            TimingMode::Measured => clock
-                .now()
-                .saturating_sub(started)
-                .as_secs_f64()
-                .max(0.05),
-            TimingMode::Fixed { recovery_secs, .. } => recovery_secs,
-        };
         let (outcome, compute_secs) = match self.config.recovery {
             RecoveryPolicy::NextRound => return,
             RecoveryPolicy::Backup => {
@@ -494,36 +424,24 @@ impl<'a> Simulation<'a> {
                     .active
                     .iter()
                     .all(|d| st.backup_for.contains(&d.id.0));
-                if let (Some(plan), true) = (&st.backup, fresh) {
-                    if let Some(out) = plan.lookup(&failed) {
-                        // Precomputed: activation is near-instant.
-                        (out.clone(), 0.1)
-                    } else {
-                        let started = st.clock.now();
-                        let out = greedy_recovery(&st.ctx, &st.active, &scenario);
-                        (out, recovery_cost(started))
-                    }
-                } else {
-                    let started = st.clock.now();
-                    let out = greedy_recovery(&st.ctx, &st.active, &scenario);
-                    (out, recovery_cost(started))
+                match st.backup.as_ref().filter(|_| fresh).and_then(|p| p.lookup(&failed)) {
+                    // Precomputed: activation is near-instant.
+                    Some(out) => (out.clone(), 0.1),
+                    None => (
+                        greedy_recovery(&st.ctx, &st.active, &scenario),
+                        RECOVERY_OUTAGE_SECS,
+                    ),
                 }
             }
-            RecoveryPolicy::Greedy => {
-                let started = st.clock.now();
-                let out = greedy_recovery(&st.ctx, &st.active, &scenario);
-                (out, recovery_cost(started))
-            }
-            RecoveryPolicy::Optimal => {
-                let started = st.clock.now();
-                match optimal_recovery(&st.ctx, &st.active, &scenario) {
-                    Ok(out) => (out, recovery_cost(started)),
-                    Err(_) => {
-                        let out = greedy_recovery(&st.ctx, &st.active, &scenario);
-                        (out, recovery_cost(started))
-                    }
-                }
-            }
+            RecoveryPolicy::Greedy => (
+                greedy_recovery(&st.ctx, &st.active, &scenario),
+                RECOVERY_OUTAGE_SECS,
+            ),
+            RecoveryPolicy::Optimal => (
+                optimal_recovery(&st.ctx, &st.active, &scenario)
+                    .unwrap_or_else(|_| greedy_recovery(&st.ctx, &st.active, &scenario)),
+                RECOVERY_OUTAGE_SECS,
+            ),
         };
         st.recovery_seq += 1;
         // Per-failure recovery convergence: how many demands survive the
@@ -611,12 +529,13 @@ mod tests {
         assert_eq!(rep.admitted, rep.arrived);
     }
 
-    /// With `TimingMode::Fixed` (the `testbed` default) the whole run is a
-    /// pure function of the seed: two runs must agree bitwise on every
-    /// counter, every per-demand record, and every integral — nothing in
-    /// the event schedule may depend on host speed.
+    /// A run is a pure function of the seed: two runs must agree bitwise on
+    /// every counter, every per-demand record, and every integral — nothing
+    /// in the event schedule may depend on host speed. The measured
+    /// admission wall time is the one field that differs, and it is not
+    /// compared.
     #[test]
-    fn fixed_timing_makes_runs_bitwise_deterministic() {
+    fn runs_are_bitwise_deterministic() {
         let a = run_small(AdmissionStrategy::Bate, RecoveryPolicy::Greedy, 11);
         let b = run_small(AdmissionStrategy::Bate, RecoveryPolicy::Greedy, 11);
         assert_eq!(a.arrived, b.arrived);
@@ -628,42 +547,16 @@ mod tests {
             a.mean_link_utilization.to_bits(),
             b.mean_link_utilization.to_bits()
         );
-        assert_eq!(a.demands.len(), b.demands.len());
-        for (x, y) in a.demands.iter().zip(&b.demands) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.admitted, y.admitted);
-            assert_eq!(x.admission_delay_ms.to_bits(), y.admission_delay_ms.to_bits());
-            assert_eq!(x.total_secs.to_bits(), y.total_secs.to_bits());
-            assert_eq!(x.satisfied_secs.to_bits(), y.satisfied_secs.to_bits());
-        }
-        assert_eq!(a.bw_ratio_samples.len(), b.bw_ratio_samples.len());
-    }
-
-    /// Satellite regression for the admission-latency fix: under
-    /// `TimingMode::Fixed` the per-demand records — including
-    /// `admission_delay_ms`, which used to read the host wall clock — are
-    /// identical between same-seed runs, and the delay is exactly the
-    /// charged constant.
-    #[test]
-    fn fixed_timing_admission_delay_is_deterministic() {
-        let a = run_small(AdmissionStrategy::Bate, RecoveryPolicy::Backup, 23);
-        let b = run_small(AdmissionStrategy::Bate, RecoveryPolicy::Backup, 23);
         assert_eq!(
             format!("{:?}", a.demands),
             format!("{:?}", b.demands),
-            "same-seed Fixed-timing runs must produce identical records"
+            "same-seed runs must produce identical records"
         );
-        let charged = match SimConfig::testbed(1.0, 0).timing {
-            TimingMode::Fixed { admission_ms, .. } => admission_ms,
-            TimingMode::Measured => unreachable!("testbed default is Fixed"),
-        };
-        for d in &a.demands {
-            assert_eq!(
-                d.admission_delay_ms.to_bits(),
-                charged.to_bits(),
-                "Fixed timing must charge exactly the configured constant"
-            );
-        }
+        assert_eq!(a.bw_ratio_samples.len(), b.bw_ratio_samples.len());
+        assert!(
+            a.mean_admission_delay_ms() > 0.0,
+            "every decision takes measurable wall time"
+        );
     }
 
     #[test]

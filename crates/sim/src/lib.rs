@@ -30,9 +30,9 @@
 //! * [`churn`] — seeded demand-churn workloads (1–5% add/remove/resize per
 //!   round) driving the incremental warm-start scheduler, with per-round
 //!   solve latency (DESIGN.md §5e).
-//! * [`loadgen`] — mgen-style seeded submission schedules (steady +
-//!   bursty) for driving the real control plane over sockets: the
-//!   open-loop arrivals of the benchmark's `open_light` workload.
+//! * [`loadgen`] — mgen-style seeded steady submission schedules for
+//!   driving the real control plane over sockets: the open-loop arrivals
+//!   of the benchmark's `open_light` workload.
 //! * [`storm`] — recovery storms: a region SRLG cut held across several
 //!   rounds of concurrent churn, with per-round Algorithm-2/exact-MILP
 //!   recovery deltas and latency (DESIGN.md §6x).
@@ -49,6 +49,6 @@ pub mod montecarlo;
 pub mod storm;
 pub mod workload;
 
-pub use engine::{AdmissionStrategy, RecoveryPolicy, SimConfig, Simulation, TimingMode};
+pub use engine::{AdmissionStrategy, RecoveryPolicy, SimConfig, Simulation};
 pub use metrics::SimReport;
 pub use workload::WorkloadConfig;

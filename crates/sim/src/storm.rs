@@ -13,9 +13,8 @@
 //! event fires ([`FailureProcess::fail_event`]) and stays active for
 //! `storm_rounds` of concurrent churn + recovery, then the conduit is
 //! repaired for `post_rounds` of churn. Everything is seeded; with
-//! `measure_time = false` (the [`TimingMode::Fixed`](crate::TimingMode)
-//! analogue) latencies are pinned to zero and a run is bitwise
-//! reproducible.
+//! `measure_time = false` latencies are pinned to zero and a run is
+//! bitwise reproducible.
 
 use crate::churn::{self, ChurnConfig};
 use bate_core::incremental::{DemandDelta, IncrementalScheduler};

@@ -2,9 +2,8 @@
 //! (solve_stats_golden.rs style): seeded runs are pinned bit-for-bit, so
 //! any drift in the RNG streams, the diurnal/flash shaping, the SRLG event
 //! model, or the storm timeline shows up as a diff, not a flake. All
-//! latencies are pinned to zero (`measure_time = false`, the
-//! `TimingMode::Fixed` analogue), which makes every pinned string a pure
-//! function of the seed.
+//! latencies are pinned to zero (`measure_time = false`), which makes
+//! every pinned string a pure function of the seed.
 //!
 //! To regenerate after an intentional change:
 //! `cargo test -p bate-sim --test golden_traces -- --ignored --nocapture`

@@ -113,7 +113,7 @@ fn main() {
             let prune = flags.num::<usize>("prune").unwrap_or(2);
             let topo = load_topology(spec);
             // The flight ring backs `batectl trace <addr> <id>` and the
-            // standing dump triggers (election loss, cert fallback);
+            // standing dump trigger (cert fallback);
             // without it TraceQuery always answers an empty ring.
             bate_obs::flight::enable(65_536);
             println!("starting controller for {topo}");

@@ -6,8 +6,9 @@
 //! thread-per-connection, no accept polling. Within a poll wakeup, all
 //! pending `SubmitDemand` frames form an *admission batch*: verdicts are
 //! decided by the same first-come-first-served pipeline fold the threaded
-//! plane ran (identical verdicts by construction — see
-//! `bate_core::admission::admit_batch`), and then ONE warm solve of the
+//! plane ran (identical verdicts by construction: each entry is one
+//! `bate_core::admission::admit_and_apply` step against the pool its
+//! predecessors left), and then ONE warm solve of the
 //! loop's [`SchedulingSession`] re-optimizes the whole pool, amortizing
 //! the scheduling LP across the batch instead of paying a round per
 //! arrival. TE rounds and the repair after a link comes back ask the same

@@ -18,8 +18,10 @@
 //!   switch-level meters (§4 "limits the actual traffic rate in each
 //!   tunnel in case something is wrong on the end hosts").
 //! * [`client`] — the user-facing API for submitting BA demands.
-//! * [`replication`] — master election among controller replicas by
-//!   single-decree Paxos (the paper's controller-HA story).
+//!
+//! There is one controller, and nothing it holds is durable: a restart
+//! forgets every admitted demand. The paper's fail-over (§4: replicas with
+//! a Paxos-elected master) is not reproduced; DESIGN.md §9 says why.
 //!
 //! What is *not* reproduced: the OpenFlow/VxLAN data plane (Floodlight,
 //! Open vSwitch, label-based forwarding). Its observable effect — delivered
@@ -34,11 +36,9 @@ pub mod enforcer;
 pub(crate) mod event;
 pub mod poller;
 pub mod proto;
-pub mod replication;
 pub mod wire;
 
 pub use broker::Broker;
 pub use client::{Client, Dialer, PipelinedClient, RetryPolicy};
 pub use controller::{Controller, ControllerConfig};
-pub use replication::{ElectError, Replica, ReplicaConfig};
 pub use wire::{Transport, WireError};

@@ -5,9 +5,9 @@
 //! amortized across the batch) must achieve the certified exact-LP
 //! objective for the admitted set.
 //!
-//! This is the system-level pin of `bate_core::admission::admit_batch`'s
-//! by-construction claim: batching changes *when* the pool is
-//! re-optimized, never *what* is admitted.
+//! This is the system-level pin of the controller's batch fold, one
+//! `bate_core::admission::admit_and_apply` step per entry: batching
+//! changes *when* the pool is re-optimized, never *what* is admitted.
 
 use bate_core::incremental::{SessionPath, SessionStats};
 use bate_core::scheduling::{schedule, schedule_hardened};

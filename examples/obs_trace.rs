@@ -21,8 +21,9 @@
 //!   so event `t_ns` stamps are constant; real timing lives in the events'
 //!   explicit `sim_time` fields, which come from the (seed-deterministic)
 //!   event queue;
-//! * the run uses `TimingMode::Fixed`, so the event schedule itself is a
-//!   pure function of the seed;
+//! * the simulator charges a fixed recovery outage window and keeps
+//!   measured admission time out of its event schedule, so the schedule
+//!   itself is a pure function of the seed;
 //! * the metrics snapshot keeps counters only — histograms hold wall-clock
 //!   latencies, the one thing that legitimately differs between runs.
 

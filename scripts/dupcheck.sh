@@ -31,6 +31,11 @@ check "public schedule* functions in scheduling.rs" \
 check "fields of ControllerConfig" \
     "$(awk '/^pub struct ControllerConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' \
         crates/system/src/controller.rs)" 5
+check "fields of SimConfig (the simulator charges a fixed outage window; there is no timing knob)" \
+    "$(awk '/^pub struct SimConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' \
+        crates/sim/src/engine.rs)" 7
+check "listener.accept() in crates/system/src non-test code (the controller's poll loop is the one server)" \
+    "$(find crates/system/src -name '*.rs' | while read -r f; do src "$f"; done | grep -c 'listener\.accept()')" 1 1
 # The all-zero-at-rest tableau (DESIGN.md §5b item 4): `Tableau::sweep` is
 # the one routine that zeroes tableau cells in bulk; the one other source of
 # zeros is `build` replacing a buffer that is too small. The cold kernel is
