@@ -8,15 +8,15 @@
 //! decided by the same first-come-first-served pipeline fold the threaded
 //! plane ran (identical verdicts by construction: each entry is one
 //! `bate_core::admission::admit_and_apply` step against the pool its
-//! predecessors left), and then ONE warm solve of the
-//! loop's [`SchedulingSession`] re-optimizes the whole pool, amortizing
-//! the scheduling LP across the batch instead of paying a round per
-//! arrival. TE rounds and the repair after a link comes back ask the same
-//! session, so they cost what changed since its last optimum (DESIGN.md
-//! §6y). Batches of one take the exact legacy
-//! path, which is what pins the fault-suite goldens byte-identical across
-//! the concurrency-model change. Periodic rounds are a deadline of the
-//! same loop, so a running controller is one thread.
+//! predecessors left); the verdicts are flushed at the fold, then ONE
+//! warm solve of the loop's [`SchedulingSession`] re-optimizes the whole
+//! pool, amortizing the scheduling LP across the batch instead of paying
+//! a round per arrival. TE rounds and the repair after a link comes back
+//! ask the same session, so they cost what changed since its last optimum
+//! (DESIGN.md §6y). Batches of one take the exact legacy path, which is
+//! what pins the fault-suite goldens byte-identical across the
+//! concurrency-model change. Periodic rounds are a deadline of the same
+//! loop, so a running controller is one thread.
 //!
 //! Hardened against lossy control channels: demand ids double as
 //! idempotency keys — including *within* a batch, where a duplicated
@@ -66,9 +66,10 @@ struct CtrlMetrics {
     /// `bate_admission_batch_size`; a size-1 batch is the legacy path).
     batches: Arc<bate_obs::Counter>,
     batch_size: Arc<bate_obs::Histogram>,
-    /// Controller-side admission latency per submit, µs: frame decode to
-    /// verdict (and any batch solve) queued for write. One observation
-    /// per demand, so quantiles are per-demand, not per-batch.
+    /// Controller-side admission latency per submit, µs: batch start to
+    /// verdict flushed (a batch of one: queued for the wakeup's sweep);
+    /// the batch solve is not in it. One observation per demand, so
+    /// quantiles are per-demand, not per-batch.
     admit_latency: Arc<bate_obs::Histogram>,
     /// Warm incremental solves amortized across multi-submit batches.
     batch_solves: Arc<bate_obs::Counter>,
@@ -375,8 +376,12 @@ impl Controller {
     }
 
     /// How this controller's rounds and repairs were answered (reused,
-    /// warm, cold), as of the last one; a repair counts as a round.
+    /// warm, cold), as of the last one; a repair counts as a round. It
+    /// observes every batch whose verdict the caller has read: a batch
+    /// flushes its verdicts before its solve, but holds the state lock
+    /// until the solve's counters are published.
     pub fn session_stats(&self) -> SessionStats {
+        let _state = self.shared.state.lock();
         *self.shared.session_stats.lock()
     }
 }
@@ -589,8 +594,9 @@ impl EventLoop {
 
     /// Decide one admission batch: FCFS pipeline fold for the verdicts
     /// (identical to sequential handling by construction), then — for
-    /// multi-submit batches — one warm incremental solve re-optimizing
-    /// the pool, and a single allocation push per live demand.
+    /// multi-submit batches — the verdicts flushed, one warm incremental
+    /// solve re-optimizing the pool, and a single allocation push per
+    /// live demand. The state lock is held throughout.
     fn flush_submit_batch(&mut self, batch: &mut Vec<PendingSubmit>) {
         if batch.is_empty() {
             return;
@@ -641,6 +647,29 @@ impl EventLoop {
             }
         }
         if defer_push {
+            // The verdicts are final at the fold (a fixed admit is
+            // hard-checked, a conjecture admit backed by Theorem 1), so
+            // they leave before the solve and the pool-wide push: one
+            // flush per submitting connection. What a socket does not
+            // take stays queued for `flush_and_sweep`, which also retires
+            // a connection whose write failed.
+            let mut tokens: Vec<u64> = batch.iter().map(|s| s.token).collect();
+            tokens.sort_unstable();
+            tokens.dedup();
+            for token in tokens {
+                if let Some(conn) = conns.get_mut(&token).filter(|c| !c.dead) {
+                    conn.flush();
+                }
+            }
+        }
+        // Each demand waited from batch start until its verdict left; a
+        // batch of one queues its reply for the sweep that ends this
+        // wakeup. The batch solve is timed by `bate_warm_*`.
+        let us = t0.elapsed().as_secs_f64() * 1e6;
+        for _ in 0..batch.len() {
+            m.admit_latency.observe(us);
+        }
+        if defer_push {
             let mut pushed_all = false;
             // One warm solve for the whole batch. Skipped while a failure
             // is in effect (the recovery allocation stays authoritative
@@ -670,12 +699,6 @@ impl EventLoop {
                     push_demand_allocation(&mut state, conns, id);
                 }
             }
-        }
-        // Every demand in the batch waited for the whole batch decision,
-        // so each inherits the batch's wall-clock latency.
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        for _ in 0..batch.len() {
-            m.admit_latency.observe(us);
         }
     }
 

@@ -12,7 +12,7 @@
 use bate_core::incremental::{SessionPath, SessionStats};
 use bate_core::scheduling::{schedule, schedule_hardened};
 use bate_core::{Allocation, BaDemand, DemandId, SchedulingSession, TeContext};
-use bate_net::{topologies, ScenarioSet, Topology};
+use bate_net::{topologies, NodeId, ScenarioSet, Topology};
 use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
 use bate_system::client::DemandRequest;
 use bate_system::proto::Message;
@@ -20,6 +20,7 @@ use bate_system::wire::{read_frame, write_frame};
 use bate_system::{Client, Controller, ControllerConfig, PipelinedClient};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -423,4 +424,53 @@ fn batch_after_many_single_flushes_solves_at_most_the_pool() {
     assert_eq!(ctrl.admitted_count(), 8);
     let fed = ctrl.session_stats().last_apply_deltas;
     assert!(fed <= 8, "the master was fed {fed} deltas for a pool of 8");
+}
+
+/// A multi-submit batch's verdicts leave at the fold, before its solve and
+/// its pool-wide push. The first batch on ATT builds the session's master
+/// cold (the first install follows the last verdict by about 25 ms in a
+/// release build, 10x that in debug), so when the client holds every
+/// verdict the broker's socket is still empty. The
+/// installs follow: one per pooled demand, within capacity.
+#[test]
+fn verdicts_leave_before_the_batch_solve() {
+    let topo = topologies::att();
+    let ctrl = Controller::start(ControllerConfig::manual(
+        topo.clone(),
+        RoutingScheme::default_ksp4(),
+        2,
+    ))
+    .expect("controller start");
+    let mut probe = Probe::register(&ctrl);
+    let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xA77);
+    let n = topo.num_nodes();
+    let reqs: Vec<DemandRequest> = (0..250u64)
+        .map(|i| {
+            let s = rng.gen_range(0..n);
+            let d = (s + rng.gen_range(1..n)) % n;
+            let beta = [0.9, 0.95, 0.99][rng.gen_range(0..3usize)];
+            let (src, dst) = (topo.node_name(NodeId(s)), topo.node_name(NodeId(d)));
+            DemandRequest::new(9000 + i, src, dst, rng.gen_range(10.0..50.0), beta)
+        })
+        .collect();
+    let admitted = submit_batch(&mut pipelined, &reqs);
+
+    probe.stream.set_nonblocking(true).unwrap();
+    let early = probe.stream.peek(&mut [0u8; 1]);
+    probe.stream.set_nonblocking(false).unwrap();
+    assert!(
+        matches!(&early, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+        "an install reached the broker before the client held every verdict: {early:?}"
+    );
+
+    assert!(admitted.len() >= 100, "only {} admitted", admitted.len());
+    // Holding the verdicts, the caller sees the solve they did not wait for.
+    assert_eq!(ctrl.session_stats().last_apply_deltas, admitted.len());
+    let (alloc, installs) = probe.installed();
+    assert_eq!(installs, admitted.len());
+    let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+    let scenarios = ScenarioSet::enumerate(&topo, 2);
+    let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+    assert!(alloc.respects_capacity(&ctx, 1e-6));
 }

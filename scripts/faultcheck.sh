@@ -39,6 +39,16 @@ for i in 1 2 3; do
         || { STATUS=$?; break; }
 done
 
+# The batched-admission suite reads verdicts on one socket and installs
+# or session counters on another, so it is where an ordering race
+# between sockets shows first. Three back-to-back runs under default
+# parallelism: no --test-threads=1.
+for i in 1 2 3; do
+    echo "== batched admission flake detector: run $i/3 =="
+    run cargo test -q --offline -p bate-system --test batched_admission \
+        || { STATUS=$?; break; }
+done
+
 if [[ "${1:-}" != "--fast" ]]; then
     run cargo test -q --offline --workspace || STATUS=$?
 fi
