@@ -16,7 +16,6 @@ use bate_core::profile::DemandProfile;
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_lp::{Problem, Relation, Sense, SolveError, VarId};
 use bate_net::ScenarioSet;
-use bate_routing::TunnelId;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Ffc {
@@ -86,42 +85,41 @@ impl TeAlgorithm for Ffc {
     }
 }
 
-/// The guaranteed (worst-case over ≤ l failures) bandwidth of an allocation
-/// for one demand-pair — useful for tests and the motivating-example
-/// figure.
-pub fn guaranteed_bandwidth(
-    ctx: &TeContext,
-    alloc: &Allocation,
-    demand: &BaDemand,
-    pair: usize,
-    max_failures: usize,
-) -> f64 {
-    let scenarios = ScenarioSet::enumerate(ctx.topo, max_failures);
-    scenarios
-        .iter()
-        .map(|z| {
-            alloc
-                .flows_of(demand.id)
-                .filter(|(t, _)| t.pair == pair)
-                .filter(|(t, _)| {
-                    ctx.tunnels
-                        .path(TunnelId {
-                            pair: t.pair,
-                            tunnel: t.tunnel,
-                        })
-                        .available_under(ctx.topo, z)
-                })
-                .map(|(_, f)| f)
-                .sum::<f64>()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bate_net::{topologies, ScenarioSet};
-    use bate_routing::{RoutingScheme, TunnelSet};
+    use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
+
+    /// The guaranteed (worst-case over ≤ l failures) bandwidth of an
+    /// allocation for one demand-pair.
+    fn guaranteed_bandwidth(
+        ctx: &TeContext,
+        alloc: &Allocation,
+        demand: &BaDemand,
+        pair: usize,
+        max_failures: usize,
+    ) -> f64 {
+        let scenarios = ScenarioSet::enumerate(ctx.topo, max_failures);
+        scenarios
+            .iter()
+            .map(|z| {
+                alloc
+                    .flows_of(demand.id)
+                    .filter(|(t, _)| t.pair == pair)
+                    .filter(|(t, _)| {
+                        ctx.tunnels
+                            .path(TunnelId {
+                                pair: t.pair,
+                                tunnel: t.tunnel,
+                            })
+                            .available_under(ctx.topo, z)
+                    })
+                    .map(|(_, f)| f)
+                    .sum::<f64>()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
 
     fn ctx_toy() -> (bate_net::Topology, TunnelSet, ScenarioSet) {
         let topo = topologies::toy4();

@@ -13,18 +13,17 @@
 //! cargo bench -p bate-bench --bench lp -- --emit-json
 //! ```
 
-use bate_bench::fuzz::{achieved_availability_walk, collapse_walk};
 use bate_core::incremental::{DemandDelta, IncrementalScheduler};
 use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, DemandId, TeContext};
-use bate_sim::churn;
-use bate_lp::exact::verify_certificate;
 use bate_lp::simplex::{solve_relaxation, solve_with, Workspace};
 use bate_lp::{milp, Problem, Relation, Sense};
 use bate_net::{topologies, traffic, ScenarioSet};
 use bate_obs::{NoopSubscriber, Registry, SystemClock};
+use bate_reference::{achieved_availability_walk, collapse_walk, verify_certificate};
 use bate_routing::{RoutingScheme, TunnelSet};
+use bate_sim::churn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
@@ -522,7 +521,7 @@ fn main() {
     // hard-availability check of every demand. Shipped code partitions
     // the scenario set with bitset algebra (DESIGN.md §5); the
     // scenario-by-scenario walk it replaced is the test oracle in
-    // `bate_bench::fuzz`. Acceptance: >= 5x on both medians.
+    // `bate_reference::walk`. Acceptance: >= 5x on both medians.
     let sweep_pool = &stream[..250];
     let sweep_alloc = scheduling::schedule(&ctx, sweep_pool).unwrap().allocation;
     let tracked = scenarios.most_probable_singles(scheduling::ROWGEN_SEED_SINGLES);

@@ -86,11 +86,6 @@ pub fn demand_snapshot(
         .collect()
 }
 
-/// Format a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
 /// Mean of a slice (0 for empty).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -123,7 +118,6 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert_eq!(pct(0.345), "34.5%");
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
     }

@@ -28,13 +28,13 @@ use bate_core::recovery::milp::{optimal_recovery, recovery_milp};
 use bate_core::recovery::RecoveryOutcome;
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, TeContext};
+use bate_lp::{milp, Relation, SolveError};
 use bate_net::{topologies, GroupId, ScenarioSet, SrlgSet};
-use bate_routing::{RoutingScheme, TunnelSet};
-use bate_sim::churn;
-use bate_lp::exact::{
+use bate_reference::{
     solve_exact, solve_exact_milp, verify_certificate, verify_exact, verify_milp_certificate,
 };
-use bate_lp::{milp, Relation, SolveError};
+use bate_routing::{RoutingScheme, TunnelSet};
+use bate_sim::churn;
 
 /// Documented differential tolerance: relative on the larger magnitude.
 const OBJ_TOL: f64 = 1e-6;

@@ -2,7 +2,7 @@
 //!
 //! `MaskedProfile::collapse` and `Allocation::achieved_availability` answer
 //! from bitset algebra over `ScenarioSet::partition`; their definitions are
-//! scenario-by-scenario walks, kept in `bate_bench::fuzz` as the oracle.
+//! scenario-by-scenario walks, kept in `bate_reference::walk` as the oracle.
 //! The two must agree **bit for bit** — every state probability is an LP
 //! coefficient and every availability decides an install, so "close" would
 //! move pivots and goldens. Each case is a seeded demand and allocation
@@ -10,10 +10,11 @@
 //! scenario set), which reproduces it. `FUZZ_BUDGET` sets the cases per
 //! family, as for the campaign in `fuzz_campaign.rs`.
 
-use bate_bench::fuzz::{achieved_availability_walk, collapse_walk, fuzz_budget, NetFixture};
+use bate_bench::fuzz::{fuzz_budget, NetFixture};
 use bate_core::profile::{DemandProfile, MaskedProfile};
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_net::{topologies, ScenarioSet, SrlgSet};
+use bate_reference::{achieved_availability_walk, collapse_walk};
 use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
 use rand::{Rng, SeedableRng, StdRng};
 

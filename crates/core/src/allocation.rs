@@ -8,7 +8,7 @@
 //! decides each class once, and adds `p_z` over the qualified classes in
 //! ascending scenario order — bit-identical to the scenario-by-scenario
 //! definition ([`Allocation::satisfied_under`] per scenario), which
-//! `bate_bench::fuzz` keeps as the test oracle.
+//! `bate_reference::walk` keeps as the test oracle.
 
 use crate::demand::{BaDemand, DemandId};
 use crate::TeContext;

@@ -264,30 +264,6 @@ impl IncrementalScheduler {
         result
     }
 
-    /// Incremental admission: tentatively add `demand` and re-solve. On
-    /// success the demand stays admitted and its schedule is returned; if
-    /// the pool cannot carry it the tentative add is rolled back (the
-    /// demand is retired in place) and `Ok(None)` comes back with the
-    /// previous pool intact.
-    pub fn try_admit(
-        &mut self,
-        ctx: &TeContext,
-        demand: &BaDemand,
-    ) -> Result<Option<ScheduleResult>, SolveError> {
-        let id = demand.id;
-        match self.apply(ctx, std::slice::from_ref(&DemandDelta::Add(demand.clone()))) {
-            Ok(res) => Ok(Some(res)),
-            Err(SolveError::Infeasible) => {
-                // Roll back: retire the newcomer and restore the pool's
-                // schedule (the pre-add master was feasible, so this
-                // re-solve succeeds unless the pool itself was broken).
-                self.apply(ctx, &[DemandDelta::Remove(id)])?;
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     // --- delta application -------------------------------------------
 
     /// `carry` is the previous incarnation's profile and qualification
@@ -913,26 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn try_admit_rolls_back_on_infeasible() {
-        let (topo, tunnels, scenarios) = ctx_parts();
-        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let n = |s: &str| topo.find_node(s).unwrap();
-        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        let d1 = BaDemand::single(1, pair, 4000.0, 0.9);
-        // 30 Gbps through a 20 Gbps cut — infeasible.
-        let hog = BaDemand::single(2, pair, 30_000.0, 0.5);
-        let d3 = BaDemand::single(3, pair, 2000.0, 0.9);
-
-        let mut inc = IncrementalScheduler::new(&ctx);
-        inc.apply(&ctx, &[DemandDelta::Add(d1.clone())]).unwrap();
-        assert!(inc.try_admit(&ctx, &hog).unwrap().is_none());
-        assert_eq!(inc.demands().len(), 1, "rejected demand must not linger");
-        // The pool still works after the rollback.
-        let r = inc.try_admit(&ctx, &d3).unwrap().unwrap();
-        approx(r.total_bandwidth, cold_objective(&ctx, &[d1, d3]));
-    }
-
-    #[test]
     fn forced_cert_failure_falls_back_cold_and_stays_correct() {
         let (topo, tunnels, scenarios) = ctx_parts();
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
@@ -1020,7 +976,7 @@ mod tests {
             .unwrap();
         assert!(inc.stats().warm_rounds > 0);
         let sol = inc.last_solution().unwrap();
-        bate_lp::exact::verify_certificate(inc.problem(), sol).unwrap();
+        bate_reference::verify_certificate(inc.problem(), sol).unwrap();
     }
 
     /// A session over toy4 with a master built from `pool`.
@@ -1085,7 +1041,7 @@ mod tests {
             assert!(warm.result.allocation.meets_target(&ctx, d));
         }
         let sol = session.master().unwrap().last_solution().unwrap();
-        bate_lp::exact::verify_certificate(session.master().unwrap().problem(), sol).unwrap();
+        bate_reference::verify_certificate(session.master().unwrap().problem(), sol).unwrap();
 
         // More pending deltas than live demands: stale, dropped, cold.
         for d in &pool {

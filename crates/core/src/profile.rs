@@ -15,7 +15,7 @@
 //! index, no per-scenario loop); a state's probability is its members'
 //! `p_z` added in ascending scenario order — the order a scenario-by-
 //! scenario walk adds them in, so every LP coefficient is bit-identical to
-//! that walk's (`bate_bench::fuzz` keeps the walk as the test oracle).
+//! that walk's (`bate_reference::walk` keeps the walk as the test oracle).
 //!
 //! [`ScenarioSet::partition`]: bate_net::ScenarioSet::partition
 

@@ -170,7 +170,7 @@ fn rowgen_matches_full_admission_verdicts() {
 /// instances the exact rational oracle must reproduce the objective.
 #[test]
 fn scheduling_lps_certify_and_match_exact_oracle() {
-    use bate_lp::exact::{solve_exact, verify_certificate};
+    use bate_reference::{solve_exact, verify_certificate};
     for (topo, routing, y, _, total) in instances() {
         let tunnels = TunnelSet::compute(&topo, routing);
         let scenarios = ScenarioSet::enumerate(&topo, y);
@@ -219,7 +219,7 @@ fn scheduling_lps_certify_and_match_exact_oracle() {
 #[test]
 fn admission_milps_certify_against_exact_relaxation_bounds() {
     use bate_core::admission::optimal::admission_milp;
-    use bate_lp::exact::{solve_exact, verify_milp_certificate};
+    use bate_reference::{solve_exact, verify_milp_certificate};
     for (topo, routing, y, _, total) in instances() {
         let small = (topo.name() == "toy4" && y == 2) || (topo.name() == "testbed6" && y == 1);
         if !small {

@@ -85,11 +85,9 @@ pub fn standard_suite() -> Vec<FaultPlan> {
 }
 
 /// Where a plan's pinned golden trace lives (checked in under the crate's
-/// `goldens/` directory, one JSONL file per plan seed). The goldens were
-/// captured from the pre-event-loop *threaded* controller plane; the
-/// event-driven plane must reproduce them byte-identically, which pins
-/// that the wire-visible behavior (frame counts, ordering per connection,
-/// verdicts, retries) survived the concurrency-model change.
+/// `goldens/` directory, one JSONL file per plan seed). The controller
+/// must reproduce them byte-identically, which pins its wire-visible
+/// behavior: frame counts, ordering per connection, verdicts, retries.
 pub fn trace_golden_path(plan: &FaultPlan) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("goldens")

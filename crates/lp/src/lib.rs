@@ -22,9 +22,10 @@
 //!
 //! Both are exact methods, so optimization results match what the paper's
 //! solver would produce (up to numerical tolerance); only absolute solve
-//! times differ. One float simplex, one exact oracle: the reference every
-//! float answer is checked against is the rational simplex and KKT
-//! certificate layer in [`exact`].
+//! times differ. This crate holds only what the controller runs: the
+//! reference every float answer is checked against — the rational simplex
+//! and KKT certificate layer — lives in `bate-reference`, which tests,
+//! the `lp` bench and the fuzz campaign link.
 //!
 //! ## Example
 //!
@@ -45,7 +46,6 @@
 //! ```
 
 pub mod error;
-pub mod exact;
 pub mod export;
 pub mod milp;
 pub mod par;

@@ -50,16 +50,18 @@ pub enum VarKind {
     Integer,
 }
 
+/// A variable's attributes, read through [`Problem::vars`].
 #[derive(Debug, Clone)]
-pub(crate) struct VarDef {
-    pub name: String,
+pub struct VarDef {
+    pub(crate) name: String,
     pub kind: VarKind,
     /// Upper bound; `f64::INFINITY` when unbounded above.
     pub upper: f64,
 }
 
+/// A constraint row, read through [`Problem::constraints`].
 #[derive(Debug, Clone)]
-pub(crate) struct Constraint {
+pub struct Constraint {
     /// Sparse row: `(variable, coefficient)` pairs.
     pub terms: Vec<(usize, f64)>,
     pub relation: Relation,
@@ -211,6 +213,27 @@ impl Problem {
             );
             c.terms.push((v.0, coef));
         }
+    }
+
+    /// Optimization direction.
+    pub fn sense(&self) -> Sense {
+        self.sense
+    }
+
+    /// Objective coefficients, indexed by variable.
+    pub fn objective(&self) -> &[f64] {
+        &self.objective
+    }
+
+    /// Every variable's kind and upper bound, indexed by variable.
+    pub fn vars(&self) -> &[VarDef] {
+        &self.vars
+    }
+
+    /// Every constraint row's terms, relation and right-hand side, in row
+    /// order.
+    pub fn constraints(&self) -> &[Constraint] {
+        &self.constraints
     }
 
     /// Number of decision variables.

@@ -17,9 +17,9 @@
 //! pivots, differenced against the exact oracle's objective, so the corpus
 //! guards the *answers*, not just agreement with a recording.
 
-use bate_lp::exact::{solve_exact, verify_certificate};
 use bate_lp::simplex::solve_relaxation;
 use bate_lp::{Problem, Relation, Sense, VarId};
+use bate_reference::{solve_exact, verify_certificate};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Build a scheduling-shaped LP: minimize provisioned tunnel bandwidth

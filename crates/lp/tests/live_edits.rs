@@ -6,8 +6,8 @@
 //! sequences (`scripts/fuzzcheck.sh` runs this file with the campaign's
 //! budget). A failure prints `live_edits:<family>:<seed> step <k>`.
 
-use bate_lp::exact::verify_certificate;
 use bate_lp::{quick_check, Problem, Relation, Sense, SolveError, VarId, WarmState};
+use bate_reference::verify_certificate;
 
 /// splitmix64: deterministic, dependency-free.
 struct Rng(u64);
@@ -435,4 +435,20 @@ fn six_hundred_in_place_churn_rounds_stay_live_and_correct() {
         );
     }
     assert_eq!(warm.stats().cold_solves, 1, "{:?}", warm.stats());
+}
+
+/// The float gate and the exact certificate agree on a maximize optimum
+/// (the certificate's duals are in the problem's own sense).
+#[test]
+fn quick_check_matches_exact_certificate_on_maximize() {
+    let mut p = Problem::new(Sense::Maximize);
+    let x = p.add_var("x");
+    let y = p.add_var("y");
+    p.set_objective(x, 3.0);
+    p.set_objective(y, 2.0);
+    p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+    p.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
+    let sol = p.solve().unwrap();
+    assert!(quick_check(&p, &sol, 1e-6));
+    verify_certificate(&p, &sol).unwrap();
 }

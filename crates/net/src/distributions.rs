@@ -106,11 +106,6 @@ impl FailureModel {
         let raw = weibull(rng, self.shape, self.scale);
         (raw * self.prob_scale).clamp(1e-7, 0.05)
     }
-
-    /// Sample `n` failure probabilities.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -118,6 +113,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl FailureModel {
+        /// Sample `n` failure probabilities.
+        fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
+            (0..n).map(|_| self.sample(rng)).collect()
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)

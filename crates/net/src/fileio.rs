@@ -101,53 +101,6 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
     Ok(topo)
 }
 
-/// Serialize a topology to the text form. Duplex pairs (two directed links
-/// sharing a fate group with mirrored endpoints) are written as one
-/// `duplex` line.
-pub fn format_topology(topo: &Topology) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "topology {}", topo.name());
-    for node in topo.nodes() {
-        let _ = writeln!(out, "node {}", topo.node_name(node));
-    }
-    for (gid, group) in topo.groups() {
-        let links = &group.links;
-        match links.as_slice() {
-            [a, b]
-                if topo.link(*a).src == topo.link(*b).dst
-                    && topo.link(*a).dst == topo.link(*b).src
-                    && topo.link(*a).capacity == topo.link(*b).capacity =>
-            {
-                let l = topo.link(*a);
-                let _ = writeln!(
-                    out,
-                    "duplex {} {} {} {}",
-                    topo.node_name(l.src),
-                    topo.node_name(l.dst),
-                    l.capacity,
-                    group.failure_prob
-                );
-            }
-            _ => {
-                for &lid in links {
-                    let l = topo.link(lid);
-                    let _ = writeln!(
-                        out,
-                        "link {} {} {} {}",
-                        topo.node_name(l.src),
-                        topo.node_name(l.dst),
-                        l.capacity,
-                        group.failure_prob
-                    );
-                }
-            }
-        }
-        let _ = gid;
-    }
-    out
-}
-
 /// Load a topology from a file path.
 pub fn load_topology(path: &std::path::Path) -> Result<Topology, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
@@ -158,6 +111,52 @@ pub fn load_topology(path: &std::path::Path) -> Result<Topology, Box<dyn std::er
 mod tests {
     use super::*;
     use crate::topologies;
+
+    /// Serialize a topology to the text form, for the round-trip tests.
+    /// Duplex pairs (two directed links sharing a fate group with mirrored
+    /// endpoints) are written as one `duplex` line.
+    fn format_topology(topo: &Topology) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(out, "topology {}", topo.name());
+        for node in topo.nodes() {
+            let _ = writeln!(out, "node {}", topo.node_name(node));
+        }
+        for (_, group) in topo.groups() {
+            let links = &group.links;
+            match links.as_slice() {
+                [a, b]
+                    if topo.link(*a).src == topo.link(*b).dst
+                        && topo.link(*a).dst == topo.link(*b).src
+                        && topo.link(*a).capacity == topo.link(*b).capacity =>
+                {
+                    let l = topo.link(*a);
+                    let _ = writeln!(
+                        out,
+                        "duplex {} {} {} {}",
+                        topo.node_name(l.src),
+                        topo.node_name(l.dst),
+                        l.capacity,
+                        group.failure_prob
+                    );
+                }
+                _ => {
+                    for &lid in links {
+                        let l = topo.link(lid);
+                        let _ = writeln!(
+                            out,
+                            "link {} {} {} {}",
+                            topo.node_name(l.src),
+                            topo.node_name(l.dst),
+                            l.capacity,
+                            group.failure_prob
+                        );
+                    }
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn parse_basic() {

@@ -29,11 +29,9 @@
 //! instances thus get their float answers certified without an exact
 //! re-solve, exactly as the differential harness needs.
 
-use super::rational::Rational;
-use super::simplex::{exact, ExactSolution};
-use crate::problem::Problem;
-use crate::solution::Solution;
-use crate::{Relation, Sense, VarKind};
+use crate::rational::Rational;
+use crate::simplex::{exact, ExactSolution};
+use bate_lp::{Problem, Relation, Sense, Solution, VarKind};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -167,8 +165,8 @@ pub fn verify_parts(
     dual: &[f64],
     tol: &CertTolerances,
 ) -> Result<(), CertificateError> {
-    let n = problem.vars.len();
-    let m = problem.constraints.len();
+    let n = problem.vars().len();
+    let m = problem.constraints().len();
     if primal.len() != n {
         return Err(CertificateError::WrongShape { expected: n, got: primal.len() });
     }
@@ -178,7 +176,7 @@ pub fn verify_parts(
     let x = rationalize(primal, "primal value")?;
     let y_rep = rationalize(dual, "dual value")?;
 
-    let sigma = match problem.sense {
+    let sigma = match problem.sense() {
         Sense::Minimize => Rational::ONE,
         Sense::Maximize => -Rational::ONE,
     };
@@ -192,7 +190,7 @@ pub fn verify_parts(
     check_primal(problem, &x, &t_feas)?;
 
     // Dual sign feasibility per relation (minimize form).
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         let ok = match c.relation {
             Relation::Le => y[i].cmp_ref(&t_feas_scale(&t_dual, &y[i])) != Ordering::Greater,
             Relation::Ge => (-&y[i]).cmp_ref(&t_feas_scale(&t_dual, &y[i])) != Ordering::Greater,
@@ -208,13 +206,13 @@ pub fn verify_parts(
     let mut z = Vec::with_capacity(n);
     let mut z_scale = Vec::with_capacity(n);
     let mut col_terms: Vec<Vec<(usize, Rational)>> = vec![Vec::new(); n];
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         for &(j, coeff) in &c.terms {
             col_terms[j].push((i, exact_or(coeff)?));
         }
     }
     for (j, terms) in col_terms.iter().enumerate() {
-        let cj = sigma.mul_ref(&exact_or(problem.objective[j])?);
+        let cj = sigma.mul_ref(&exact_or(problem.objective()[j])?);
         let mut zj = cj.clone();
         let mut scale = cj.abs();
         for (i, a) in terms {
@@ -228,7 +226,7 @@ pub fn verify_parts(
 
     // Dual feasibility for box-free variables: z_j ≥ −τ·(1 + scale).
     for j in 0..n {
-        if problem.vars[j].upper.is_finite() {
+        if problem.vars()[j].upper.is_finite() {
             continue;
         }
         let eps = t_dual.mul_ref(&Rational::ONE.add_ref(&z_scale[j]));
@@ -245,20 +243,20 @@ pub fn verify_parts(
     // ≥ −ε, and a valid bound treats the ε as part of the gap slack).
     let mut primal_obj = Rational::ZERO;
     for (j, xj) in x.iter().enumerate() {
-        let cj = sigma.mul_ref(&exact_or(problem.objective[j])?);
+        let cj = sigma.mul_ref(&exact_or(problem.objective()[j])?);
         if !cj.is_zero() {
             primal_obj = primal_obj.add_ref(&cj.mul_ref(xj));
         }
     }
     let mut dual_obj = Rational::ZERO;
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         if !y[i].is_zero() {
             dual_obj = dual_obj.add_ref(&y[i].mul_ref(&exact_or(c.rhs)?));
         }
     }
     for (j, zj) in z.iter().enumerate() {
-        if problem.vars[j].upper.is_finite() && zj.is_negative() {
-            let u = exact_or(problem.vars[j].upper)?;
+        if problem.vars()[j].upper.is_finite() && zj.is_negative() {
+            let u = exact_or(problem.vars()[j].upper)?;
             dual_obj = dual_obj.add_ref(&zj.mul_ref(&u));
         }
     }
@@ -276,8 +274,8 @@ pub fn verify_parts(
 /// Certify an exact solution against its own problem with zero
 /// tolerance — the oracle self-check the adversarial families pin.
 pub fn verify_exact(problem: &Problem, solution: &ExactSolution) -> Result<(), CertificateError> {
-    let n = problem.vars.len();
-    let m = problem.constraints.len();
+    let n = problem.vars().len();
+    let m = problem.constraints().len();
     if solution.values.len() != n {
         return Err(CertificateError::WrongShape { expected: n, got: solution.values.len() });
     }
@@ -293,12 +291,12 @@ fn verify_rational(
     y_rep: &[Rational],
 ) -> Result<(), CertificateError> {
     check_primal(problem, x, &Rational::ZERO)?;
-    let sigma = match problem.sense {
+    let sigma = match problem.sense() {
         Sense::Minimize => Rational::ONE,
         Sense::Maximize => -Rational::ONE,
     };
     let y: Vec<Rational> = y_rep.iter().map(|v| sigma.mul_ref(v)).collect();
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         let ok = match c.relation {
             Relation::Le => !y[i].is_positive(),
             Relation::Ge => !y[i].is_negative(),
@@ -308,12 +306,12 @@ fn verify_rational(
             return Err(CertificateError::DualSignViolation { row: i, dual: y_rep[i].to_f64() });
         }
     }
-    let n = problem.vars.len();
+    let n = problem.vars().len();
     let mut z: Vec<Rational> = Vec::with_capacity(n);
     for j in 0..n {
-        z.push(sigma.mul_ref(&exact_or(problem.objective[j])?));
+        z.push(sigma.mul_ref(&exact_or(problem.objective()[j])?));
     }
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         if y[i].is_zero() {
             continue;
         }
@@ -323,7 +321,7 @@ fn verify_rational(
         }
     }
     for (j, zj) in z.iter().enumerate() {
-        if !problem.vars[j].upper.is_finite() && zj.is_negative() {
+        if !problem.vars()[j].upper.is_finite() && zj.is_negative() {
             return Err(CertificateError::ReducedCostViolation {
                 var: j,
                 reduced_cost: zj.to_f64(),
@@ -332,20 +330,20 @@ fn verify_rational(
     }
     let mut primal_obj = Rational::ZERO;
     for (j, xj) in x.iter().enumerate() {
-        let cj = sigma.mul_ref(&exact_or(problem.objective[j])?);
+        let cj = sigma.mul_ref(&exact_or(problem.objective()[j])?);
         if !cj.is_zero() {
             primal_obj = primal_obj.add_ref(&cj.mul_ref(xj));
         }
     }
     let mut dual_obj = Rational::ZERO;
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         if !y[i].is_zero() {
             dual_obj = dual_obj.add_ref(&y[i].mul_ref(&exact_or(c.rhs)?));
         }
     }
     for (j, zj) in z.iter().enumerate() {
-        if problem.vars[j].upper.is_finite() && zj.is_negative() {
-            dual_obj = dual_obj.add_ref(&zj.mul_ref(&exact_or(problem.vars[j].upper)?));
+        if problem.vars()[j].upper.is_finite() && zj.is_negative() {
+            dual_obj = dual_obj.add_ref(&zj.mul_ref(&exact_or(problem.vars()[j].upper)?));
         }
     }
     if primal_obj != dual_obj {
@@ -361,7 +359,7 @@ fn verify_rational(
 /// consistency, and — when a relaxation bound is supplied — the
 /// branch-and-bound bound proof (`incumbent` cannot beat a valid
 /// relaxation bound). Pass the *exact* root relaxation objective (from
-/// [`super::simplex::solve_exact`]) for an airtight proof, or a float
+/// [`crate::simplex::solve_exact`]) for an airtight proof, or a float
 /// bound for big instances.
 pub fn verify_milp_certificate(
     problem: &Problem,
@@ -378,7 +376,7 @@ pub fn verify_milp_certificate_with(
     relaxation_bound: Option<f64>,
     tol: &CertTolerances,
 ) -> Result<(), CertificateError> {
-    let n = problem.vars.len();
+    let n = problem.vars().len();
     if solution.values.len() != n {
         return Err(CertificateError::WrongShape { expected: n, got: solution.values.len() });
     }
@@ -387,7 +385,7 @@ pub fn verify_milp_certificate_with(
     let t_int = Rational::from_f64(tol.int).expect("finite tolerance");
     check_primal(problem, &x, &t_feas)?;
 
-    for (j, v) in problem.vars.iter().enumerate() {
+    for (j, v) in problem.vars().iter().enumerate() {
         if v.kind != VarKind::Integer {
             continue;
         }
@@ -399,7 +397,7 @@ pub fn verify_milp_certificate_with(
 
     let mut computed = Rational::ZERO;
     for (j, xj) in x.iter().enumerate() {
-        let cj = exact_or(problem.objective[j])?;
+        let cj = exact_or(problem.objective()[j])?;
         if !cj.is_zero() {
             computed = computed.add_ref(&cj.mul_ref(xj));
         }
@@ -422,7 +420,7 @@ pub fn verify_milp_certificate_with(
         let slack = Rational::from_f64(tol.gap)
             .expect("finite tolerance")
             .mul_ref(&Rational::ONE.add_ref(&bound_q.abs()));
-        let ok = match problem.sense {
+        let ok = match problem.sense() {
             // Maximize: incumbent ≤ bound + slack.
             Sense::Maximize => {
                 computed.cmp_ref(&bound_q.add_ref(&slack)) != Ordering::Greater
@@ -467,7 +465,7 @@ fn check_primal(
     x: &[Rational],
     tol: &Rational,
 ) -> Result<(), CertificateError> {
-    for (j, v) in problem.vars.iter().enumerate() {
+    for (j, v) in problem.vars().iter().enumerate() {
         let lo_slack = tol.clone();
         if (-&x[j]).cmp_ref(&lo_slack) == Ordering::Greater {
             return Err(CertificateError::BoundViolation {
@@ -488,7 +486,7 @@ fn check_primal(
             }
         }
     }
-    for (i, c) in problem.constraints.iter().enumerate() {
+    for (i, c) in problem.constraints().iter().enumerate() {
         let mut lhs = Rational::ZERO;
         for &(j, coeff) in &c.terms {
             let q = exact_or(coeff)?;
@@ -513,9 +511,9 @@ fn check_primal(
 
 #[cfg(test)]
 mod tests {
-    use super::super::simplex::solve_exact;
     use super::*;
-    use crate::{milp, Problem, Relation, Sense};
+    use crate::simplex::solve_exact;
+    use bate_lp::{milp, Problem, Relation, Sense};
 
     fn scheduling_miniature() -> Problem {
         let mut p = Problem::new(Sense::Minimize);

@@ -9,11 +9,9 @@
 //! the harness generates, so the float-typed override channel shared with
 //! the float kernel loses nothing.
 
-use super::rational::Rational;
-use super::simplex::solve_exact_with;
-use crate::error::SolveError;
-use crate::problem::Problem;
-use crate::{Sense, VarKind};
+use crate::rational::Rational;
+use crate::simplex::solve_exact_with;
+use bate_lp::{Problem, Sense, SolveError, VarKind};
 use std::cmp::Ordering;
 
 /// An exactly-optimal MILP solution.
@@ -34,14 +32,14 @@ pub fn solve_exact_milp(
     max_nodes: usize,
 ) -> Result<ExactMilpSolution, SolveError> {
     let int_vars: Vec<usize> = problem
-        .vars
+        .vars()
         .iter()
         .enumerate()
         .filter(|(_, v)| v.kind == VarKind::Integer)
         .map(|(j, _)| j)
         .collect();
 
-    let better = |a: &Rational, b: &Rational| match problem.sense {
+    let better = |a: &Rational, b: &Rational| match problem.sense() {
         Sense::Maximize => a.cmp_ref(b) == Ordering::Greater,
         Sense::Minimize => a.cmp_ref(b) == Ordering::Less,
     };
@@ -91,7 +89,7 @@ pub fn solve_exact_milp(
                     .iter()
                     .find(|&&(v, _, _)| v == j)
                     .map(|&(_, l, h)| (l, h))
-                    .unwrap_or((0.0, problem.vars[j].upper));
+                    .unwrap_or((0.0, problem.vars()[j].upper));
                 let mut up = overrides.clone();
                 set_override(&mut up, j, floor + 1.0, cur_hi);
                 let mut down = overrides;
@@ -125,7 +123,7 @@ fn set_override(overrides: &mut Vec<(usize, f64, f64)>, var: usize, lo: f64, hi:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{milp, Problem, Relation, Sense, SolveError};
+    use bate_lp::{milp, Problem, Relation, Sense, SolveError};
 
     #[test]
     fn knapsack_matches_float_bnb() {
@@ -139,7 +137,7 @@ mod tests {
         p.set_objective(c, 3.0);
         p.add_constraint(&[(a, 2.0), (b, 3.0), (c, 1.0)], Relation::Le, 5.0);
         let ex = solve_exact_milp(&p, 1000).unwrap();
-        assert_eq!(ex.objective, super::super::rational::Rational::from_int(9));
+        assert_eq!(ex.objective, crate::rational::Rational::from_int(9));
         let fl = milp::solve(&p, milp::BnbConfig::default()).unwrap();
         assert!((fl.objective - ex.objective.to_f64()).abs() < 1e-9);
     }

@@ -9,7 +9,7 @@
 //! termination even on the degenerate families the fuzz fleet feeds it —
 //! speed is a non-goal; instances are kept small by the harness.
 //!
-//! Standard form mirrors the float kernel (`crate::simplex`): variables
+//! Standard form mirrors the float kernel (`bate_lp::simplex`): variables
 //! are shifted to `y = x - lo ∈ [0, u]`, every row gains a slack
 //! (`+1` for `Le`, `-1` for `Ge`, none for `Eq`) and an artificial whose
 //! sign matches the shifted rhs so the all-artificial basis is feasible.
@@ -19,10 +19,8 @@
 //! kernel: marginal change of the optimum per unit of rhs *in the
 //! problem's own sense*.
 
-use super::rational::Rational;
-use crate::error::SolveError;
-use crate::problem::Problem;
-use crate::{Relation, Sense};
+use crate::rational::Rational;
+use bate_lp::{Problem, Relation, Sense, SolveError};
 use std::cmp::Ordering;
 
 /// An exact LP optimum: objective in the problem's own sense, one value
@@ -94,12 +92,12 @@ struct Tableau {
 
 impl Tableau {
     fn build(problem: &Problem, overrides: &[(usize, f64, f64)]) -> Result<Tableau, SolveError> {
-        let n = problem.vars.len();
-        let m = problem.constraints.len();
+        let n = problem.vars().len();
+        let m = problem.constraints().len();
 
         let mut lo = vec![Rational::ZERO; n];
         let mut hi: Vec<Upper> = Vec::with_capacity(n);
-        for v in &problem.vars {
+        for v in problem.vars() {
             hi.push(if v.upper.is_finite() {
                 Upper::Finite(exact(v.upper)?)
             } else {
@@ -134,7 +132,7 @@ impl Tableau {
 
         // Columns: structural | slack per Le/Ge row | artificial per row.
         let num_slacks = problem
-            .constraints
+            .constraints()
             .iter()
             .filter(|c| c.relation != Relation::Eq)
             .count();
@@ -147,7 +145,7 @@ impl Tableau {
 
         let mut next_slack = n;
         let first_art = n + num_slacks;
-        for (i, c) in problem.constraints.iter().enumerate() {
+        for (i, c) in problem.constraints().iter().enumerate() {
             // Shifted rhs: b − Σ a_ij lo_j, accumulated exactly.
             let mut rhs = exact(c.rhs)?;
             for &(j, coeff) in &c.terms {
@@ -423,12 +421,12 @@ impl Tableau {
         for &c in &self.art_col {
             self.upper[c] = Upper::Finite(Rational::ZERO);
         }
-        let sigma = match problem.sense {
+        let sigma = match problem.sense() {
             Sense::Minimize => Rational::ONE,
             Sense::Maximize => -Rational::ONE,
         };
         let mut cost = vec![Rational::ZERO; self.cols];
-        for (j, &c) in problem.objective.iter().enumerate() {
+        for (j, &c) in problem.objective().iter().enumerate() {
             if c != 0.0 {
                 cost[j] = sigma.mul_ref(&exact(c)?);
             }
@@ -457,7 +455,7 @@ impl Tableau {
             }
         }
         let mut objective = Rational::ZERO;
-        for (j, &c) in problem.objective.iter().enumerate() {
+        for (j, &c) in problem.objective().iter().enumerate() {
             if c != 0.0 {
                 objective = objective.add_ref(&exact(c)?.mul_ref(&values[j]));
             }
@@ -487,7 +485,7 @@ pub(crate) fn exact(v: f64) -> Result<Rational, SolveError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Problem, Relation, Sense, SolveError};
+    use bate_lp::{Problem, Relation, Sense, SolveError};
 
     fn exactly(q: &Rational, v: f64) {
         assert_eq!(q, &Rational::from_f64(v).unwrap(), "{} != {v}", q.to_f64());

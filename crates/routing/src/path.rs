@@ -26,19 +26,6 @@ impl Path {
         Path { links }
     }
 
-    /// Build a path from a node sequence; every consecutive pair must be
-    /// directly linked.
-    pub fn from_nodes(topo: &Topology, nodes: &[NodeId]) -> Option<Path> {
-        if nodes.len() < 2 {
-            return None;
-        }
-        let mut links = Vec::with_capacity(nodes.len() - 1);
-        for w in nodes.windows(2) {
-            links.push(topo.find_link(w[0], w[1])?);
-        }
-        Some(Path { links })
-    }
-
     /// Source node.
     pub fn src(&self, topo: &Topology) -> NodeId {
         topo.link(self.links[0]).src
@@ -114,6 +101,21 @@ impl Path {
 mod tests {
     use super::*;
     use bate_net::topologies;
+
+    impl Path {
+        /// Build a path from a node sequence; every consecutive pair must be
+        /// directly linked.
+        fn from_nodes(topo: &Topology, nodes: &[NodeId]) -> Option<Path> {
+            if nodes.len() < 2 {
+                return None;
+            }
+            let mut links = Vec::with_capacity(nodes.len() - 1);
+            for w in nodes.windows(2) {
+                links.push(topo.find_link(w[0], w[1])?);
+            }
+            Some(Path { links })
+        }
+    }
 
     #[test]
     fn from_nodes_and_accessors() {

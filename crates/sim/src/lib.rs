@@ -25,8 +25,6 @@
 //! * [`analysis`] — the §5.2 "post-processing" methodology: evaluate an
 //!   allocation analytically against the scenario distribution instead of
 //!   rolling dice (used for Fig. 13/14/18).
-//! * [`montecarlo`] — raw-state sampling that cross-validates the analytic
-//!   availability calculus.
 //! * [`churn`] — seeded demand-churn workloads (1–5% add/remove/resize per
 //!   round) driving the incremental warm-start scheduler, with per-round
 //!   solve latency (DESIGN.md §5e).
@@ -45,7 +43,6 @@ pub mod events;
 pub mod failures;
 pub mod loadgen;
 pub mod metrics;
-pub mod montecarlo;
 pub mod storm;
 pub mod workload;
 

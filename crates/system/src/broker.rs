@@ -202,13 +202,6 @@ impl Broker {
             .map_err(|e| io::Error::other(e.to_string()))
     }
 
-    /// Report measured delivery statistics for a demand.
-    pub fn report_stats(&self, demand: u64, delivered: f64) -> io::Result<()> {
-        let mut w = self.writer.lock();
-        write_frame(&mut **w, &Message::StatsReport { demand, delivered })
-            .map_err(|e| io::Error::other(e.to_string()))
-    }
-
     /// The local bandwidth enforcer.
     pub fn enforcer(&self) -> &Enforcer {
         &self.enforcer

@@ -5,18 +5,18 @@
 //! connection as a [`crate::event::Conn`] state machine — no
 //! thread-per-connection, no accept polling. Within a poll wakeup, all
 //! pending `SubmitDemand` frames form an *admission batch*: verdicts are
-//! decided by the same first-come-first-served pipeline fold the threaded
-//! plane ran (identical verdicts by construction: each entry is one
+//! decided by a first-come-first-served pipeline fold (each entry is one
 //! `bate_core::admission::admit_and_apply` step against the pool its
-//! predecessors left); the verdicts are flushed at the fold, then ONE
+//! predecessors left, so a batch decides what the same submits would
+//! decide one at a time); the verdicts are flushed at the fold, then ONE
 //! warm solve of the loop's [`SchedulingSession`] re-optimizes the whole
 //! pool, amortizing the scheduling LP across the batch instead of paying
-//! a round per arrival. TE rounds and the repair after a link comes back
-//! ask the same session, so they cost what changed since its last optimum
-//! (DESIGN.md §6y). Batches of one take the exact legacy path, which is
-//! what pins the fault-suite goldens byte-identical across the
-//! concurrency-model change. Periodic rounds are a deadline of the same
-//! loop, so a running controller is one thread.
+//! a round per arrival. A batch of one skips that solve: the admitted
+//! demand's own allocation is pushed and its verdict queued inside the
+//! fold, and the next round re-optimizes the pool. TE rounds and the
+//! repair after a link comes back ask the same session, so they cost what
+//! changed since its last optimum (DESIGN.md §6y). Periodic rounds are a
+//! deadline of the same loop, so a running controller is one thread.
 //!
 //! Hardened against lossy control channels: demand ids double as
 //! idempotency keys — including *within* a batch, where a duplicated
@@ -41,7 +41,7 @@ use bate_core::admission;
 use bate_core::incremental::{SchedulingSession, SessionRound, SessionStats};
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
-use bate_net::{GroupId, LinkSet, Scenario, ScenarioSet, Topology};
+use bate_net::{LinkSet, Scenario, ScenarioSet, Topology};
 use bate_routing::{RoutingScheme, TunnelSet};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ struct CtrlMetrics {
     rounds: Arc<bate_obs::Counter>,
     stats_queries: Arc<bate_obs::Counter>,
     /// Admission batches drained from the poll loop (size distribution in
-    /// `bate_admission_batch_size`; a size-1 batch is the legacy path).
+    /// `bate_admission_batch_size`; a size-1 batch takes no warm solve).
     batches: Arc<bate_obs::Counter>,
     batch_size: Arc<bate_obs::Histogram>,
     /// Controller-side admission latency per submit, µs: batch start to
@@ -610,9 +610,9 @@ impl EventLoop {
         let ctx = shared.ctx();
         let conns = &mut self.conns;
         let session = &mut self.session;
-        // A batch of one is the legacy path: verdict, per-demand push,
-        // reply, all inside the adopted span — byte-identical wire
-        // behavior to the threaded plane (the fault-suite goldens).
+        // A batch of one pushes its demand's allocation and queues its
+        // reply inside the adopted span, and takes no warm solve; the
+        // fault suite's pinned traces record this per-demand order.
         let defer_push = batch.len() > 1;
         let mut state = shared.state.lock();
         let mut push_ids: Vec<DemandId> = Vec::new();
@@ -780,9 +780,6 @@ impl EventLoop {
                 let text = bate_obs::SloEngine::global().render_report();
                 queue_to(conns, token, &Message::StatsText { text }, None);
             }
-            // Stats are accepted and currently only acknowledged by
-            // silence; a production controller would aggregate them.
-            Message::StatsReport { .. } => {}
             // Messages a controller never receives.
             Message::SubmitDemand { .. }
             | Message::AdmissionReply { .. }
@@ -885,10 +882,13 @@ impl EventLoop {
     }
 }
 
-/// The submit fold step, identical in decision logic to the threaded
-/// plane's `handle_submit`. With `defer_push` (multi-submit batches) the
-/// allocation pushes are collected into `push_ids` instead of being sent
-/// per demand, so the batch can push once after its warm solve.
+/// One step of the submit fold: validate the submit, replay the verdict
+/// of a retried id, or decide it with `admit_and_apply` against the pool
+/// the batch's earlier entries left. A submit whose bandwidth, price or
+/// refund ratio is not finite is rejected before it reaches the fold. With
+/// `defer_push` (multi-submit batches) the allocation pushes are collected
+/// into `push_ids` instead of being sent per demand, so the batch can push
+/// once after its warm solve.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit_locked(
     shared: &Shared,
@@ -920,7 +920,10 @@ fn handle_submit_locked(
     let Some(pair) = shared.tunnels.pair_index(s, d) else {
         return false;
     };
-    if sub.bandwidth <= 0.0 || !(0.0..=1.0).contains(&sub.beta) {
+    let finite = [sub.bandwidth, sub.price, sub.refund_ratio]
+        .iter()
+        .all(|v| v.is_finite());
+    if !finite || sub.bandwidth <= 0.0 || !(0.0..=1.0).contains(&sub.beta) {
         return false;
     }
     let demand = BaDemand {
@@ -1129,9 +1132,4 @@ fn queue_to(conns: &mut HashMap<u64, Conn>, token: u64, msg: &Message, ctx: Opti
             conn.queue_frame(&frame);
         }
     }
-}
-
-/// Convenience: the failed fate groups a scenario encodes (used by demos).
-pub fn failed_groups_of(scenario: &Scenario) -> Vec<GroupId> {
-    scenario.failed.iter().map(GroupId).collect()
 }

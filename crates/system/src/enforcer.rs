@@ -97,15 +97,6 @@ impl Enforcer {
         }
     }
 
-    /// Current configured rate of a flow (0 if absent).
-    pub fn rate_of(&self, demand: u64, pair: u32, tunnel: u32) -> f64 {
-        self.buckets
-            .lock()
-            .get(&(demand, pair, tunnel))
-            .map(|b| b.rate())
-            .unwrap_or(0.0)
-    }
-
     /// Total configured rate of a demand across tunnels.
     pub fn demand_rate(&self, demand: u64) -> f64 {
         self.buckets
@@ -160,7 +151,7 @@ mod tests {
         e.install(2, 3, 0, 10.0);
         assert_eq!(e.len(), 3);
         assert_eq!(e.demand_rate(1), 100.0);
-        assert_eq!(e.rate_of(2, 3, 0), 10.0);
+        assert_eq!(e.demand_rate(2), 10.0);
         assert!(e.try_send(1, 0, 0, 30.0, 0.0));
         assert!(!e.try_send(9, 0, 0, 1.0, 0.0), "uninstalled flow drops");
         e.remove_demand(1);
@@ -174,6 +165,6 @@ mod tests {
         e.install(1, 0, 0, 60.0);
         e.install(1, 0, 0, 25.0);
         assert_eq!(e.len(), 1);
-        assert_eq!(e.rate_of(1, 0, 0), 25.0);
+        assert_eq!(e.demand_rate(1), 25.0);
     }
 }

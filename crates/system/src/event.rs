@@ -9,8 +9,8 @@
 //!
 //! A connection can be `eof` (peer finished sending; frames already
 //! received are still processed, queued replies still flushed) or `dead`
-//! (protocol damage or transport error; same terminal handling as the
-//! threaded plane's "drop the connection and let the peer redial").
+//! (protocol damage or transport error: the connection is dropped and the
+//! peer redials).
 
 use crate::proto::Message;
 use crate::wire::{decode_payload, FrameAssembler, FrameCtx};

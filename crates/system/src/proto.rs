@@ -79,11 +79,6 @@ pub enum Message {
         group: u32,
         up: bool,
     },
-    /// broker → controller: measured delivery for a demand (statistics).
-    StatsReport {
-        demand: u64,
-        delivered: f64,
-    },
     /// Liveness probe (either direction).
     Ping {
         token: u64,
@@ -123,7 +118,7 @@ const T_REGISTER: u8 = 4;
 const T_INSTALL: u8 = 5;
 const T_REMOVE: u8 = 6;
 const T_LINK: u8 = 7;
-const T_STATS: u8 = 8;
+// Tag 8 is unassigned.
 const T_PING: u8 = 9;
 const T_PONG: u8 = 10;
 const T_WITHDRAW_ACK: u8 = 11;
@@ -184,11 +179,6 @@ impl Encode for Message {
                 T_LINK.encode(buf);
                 group.encode(buf);
                 up.encode(buf);
-            }
-            Message::StatsReport { demand, delivered } => {
-                T_STATS.encode(buf);
-                demand.encode(buf);
-                delivered.encode(buf);
             }
             Message::Ping { token } => {
                 T_PING.encode(buf);
@@ -256,10 +246,6 @@ impl Decode for Message {
             T_LINK => Message::LinkReport {
                 group: u32::decode(buf)?,
                 up: bool::decode(buf)?,
-            },
-            T_STATS => Message::StatsReport {
-                demand: u64::decode(buf)?,
-                delivered: f64::decode(buf)?,
             },
             T_PING => Message::Ping {
                 token: u64::decode(buf)?,
@@ -333,10 +319,6 @@ mod tests {
         roundtrip(Message::LinkReport {
             group: 3,
             up: false,
-        });
-        roundtrip(Message::StatsReport {
-            demand: 7,
-            delivered: 98.6,
         });
         roundtrip(Message::Ping { token: 1 });
         roundtrip(Message::Pong { token: 1 });

@@ -401,13 +401,6 @@ pub fn write_frame_ctx<T: Encode, S: Write + ?Sized>(
     Ok(())
 }
 
-/// Read one raw frame payload (header-validated, CRC-checked),
-/// discarding any trace context. [`WireError::Closed`] on clean EOF at
-/// a frame boundary.
-pub fn read_frame_bytes<S: Read + ?Sized>(stream: &mut S) -> Result<Bytes, WireError> {
-    read_raw_frame(stream).map(|(_, payload)| payload)
-}
-
 /// Read one raw frame, preserving its trace context (what the fault
 /// proxy uses so re-framed traffic keeps end-to-end causality).
 pub fn read_raw_frame<S: Read + ?Sized>(

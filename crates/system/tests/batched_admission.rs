@@ -343,7 +343,7 @@ fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
     let mut session = SchedulingSession::default();
     session.batch_optimum(&ctx, &pool).expect("master builds");
     let master = session.master().unwrap();
-    bate_lp::exact::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
+    bate_reference::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
 }
 
 /// A multi-submit batch admitted while a failure is in effect skips its
@@ -388,7 +388,7 @@ fn a_repair_takes_what_was_admitted_during_the_failure_warm() {
     assert_eq!((round.path, round.pending), (SessionPath::Warm, during.len()));
     assert_eq!(flows(&repair, &pool), flows(&round.result.allocation, &pool));
     let master = session.master().unwrap();
-    bate_lp::exact::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
+    bate_reference::verify_certificate(master.problem(), master.last_solution().unwrap()).unwrap();
 }
 
 /// A multi-submit batch after a long run of batches of one must not feed

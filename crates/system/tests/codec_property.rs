@@ -39,8 +39,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_map(|(demand, entries)| Message::InstallAllocation { demand, entries }),
         any::<u64>().prop_map(|demand| Message::RemoveAllocation { demand }),
         (any::<u32>(), any::<bool>()).prop_map(|(group, up)| Message::LinkReport { group, up }),
-        (any::<u64>(), 0.0f64..1e9)
-            .prop_map(|(demand, delivered)| Message::StatsReport { demand, delivered }),
         any::<u64>().prop_map(|token| Message::Ping { token }),
         any::<u64>().prop_map(|token| Message::Pong { token }),
         any::<u64>().prop_map(|id| Message::WithdrawAck { id }),

@@ -9,6 +9,7 @@
 use bate_net::topologies;
 use bate_routing::RoutingScheme;
 use bate_system::client::DemandRequest;
+use bate_system::proto::FlowEntry;
 use bate_system::{Broker, Client, Controller, ControllerConfig};
 use std::time::Duration;
 
@@ -50,6 +51,57 @@ fn rejection_of_oversized_demand() {
     // Unknown node names are rejected, not crashed on.
     let bad = DemandRequest::new(2, "DC1", "Nowhere", 10.0, 0.5);
     assert!(!client.submit(&bad).unwrap());
+    // So are fields that are not finite: a NaN bandwidth would reach the
+    // allocation as a NaN flow, and a NaN price or refund ratio would
+    // poison the profit-density order of the next recovery.
+    let broker = Broker::connect(controller.addr(), "DC1").unwrap();
+    assert!(controller.wait_for_brokers(1, Duration::from_secs(2)));
+    let nan_bandwidth = DemandRequest::new(3, "DC1", "DC4", f64::NAN, 0.5);
+    assert!(!client.submit(&nan_bandwidth).unwrap());
+    let nan_price = DemandRequest {
+        price: f64::NAN,
+        ..DemandRequest::new(4, "DC1", "DC4", 100.0, 0.5)
+    };
+    assert!(!client.submit(&nan_price).unwrap());
+    let nan_refund = DemandRequest {
+        refund_ratio: f64::NAN,
+        ..DemandRequest::new(5, "DC1", "DC4", 100.0, 0.5)
+    };
+    assert!(!client.submit(&nan_refund).unwrap());
+    assert_eq!(controller.admitted_count(), 0);
+    // The controller is still alive: a well-formed demand is admitted and
+    // installed, it survives a link-down report through recovery, and a
+    // fresh client still gets a ping answered.
+    assert!(client
+        .submit(&DemandRequest::new(6, "DC1", "DC4", 100.0, 0.5))
+        .unwrap());
+    assert!(broker.wait_for_demand(6, Duration::from_secs(2)));
+    let topo = topologies::testbed6();
+    let n = |s: &str| topo.find_node(s).unwrap();
+    let tunnels = bate_routing::TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+    let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap() as u32;
+    // Tunnel 0 of the pair is the direct DC1-DC4 link; the demand rides it
+    // until the link fails, so the reroute shows the report was handled.
+    let direct_rate = |entries: &[FlowEntry]| -> f64 {
+        entries
+            .iter()
+            .filter(|e| e.pair == pair && e.tunnel == 0)
+            .map(|e| e.rate)
+            .sum()
+    };
+    assert!(direct_rate(&broker.entries(6)) > 0.0);
+    let direct = topo.find_link(n("DC1"), n("DC4")).unwrap();
+    broker
+        .report_link(topo.link(direct).group.index() as u32, false)
+        .unwrap();
+    assert!(
+        broker.wait_for_entries(6, Duration::from_secs(2), |entries| {
+            direct_rate(entries) <= 1e-6
+                && entries.iter().map(|e| e.rate).sum::<f64>() >= 100.0 - 1e-6
+        })
+    );
+    let mut fresh = Client::connect(controller.addr()).unwrap();
+    assert!(fresh.ping().unwrap() < Duration::from_secs(1));
 }
 
 /// A resubmitted id is an idempotent replay, not a refusal: the retried

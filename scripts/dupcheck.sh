@@ -72,5 +72,14 @@ check "criterion in a Cargo.toml outside comments (the criterion benches and the
         -exec grep -hv '^[[:space:]]*#' {} + | grep -c criterion)" 0
 check "[[bench]] targets of crates/bench (lp, the one scripts/bench.sh gates)" \
     "$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" 1 1
+# The references (exact oracle, scenario walks, Monte-Carlo) stay out of
+# what the controller and the benchmark link: those crates name
+# bate-reference only as a dev-dependency, so benchmark/Cargo.lock never
+# sees it, and the `bate` facade neither depends on it nor re-exports it.
+check "bate-reference outside [dev-dependencies] of lp, core, net, routing, obs, sim, baselines, system and the facade" \
+    "$(for f in crates/{lp,core,net,routing,obs,sim,baselines,system}/Cargo.toml Cargo.toml; do
+        awk '/^\[/ { sec = $0 } /^bate-reference/ && sec != "[dev-dependencies]" && sec != "[workspace.dependencies]"' "$f"
+    done | wc -l)" 0
+check "bate_reference in the facade's src/" "$(grep -rc 'bate_reference' src | awk -F: '{ n += $2 } END { print n + 0 }')" 0
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"

@@ -45,9 +45,14 @@ run cargo test -q --offline -p bate-bench --test fuzz_campaign
 
 # The scenario sweeps (profile collapse, hard-availability check: bitset
 # algebra over ScenarioSet::partition) against the scenario-by-scenario
-# walk kept in bate_bench::fuzz, bit for bit, over seeded demands and
+# walk kept in bate_reference::walk, bit for bit, over seeded demands and
 # allocations on independent and SRLG scenario sets.
 run cargo test -q --offline -p bate-bench --test scenario_sweep
+
+# The references themselves (crates/reference): exact rationals, the exact
+# simplex and branch-and-bound against the float kernel, the KKT
+# certificates, and the Monte-Carlo availability against the analytic one.
+run cargo test -q --offline -p bate-reference
 
 # Random contract-edit sequences through one live WarmState tableau,
 # every answer differenced against a fresh cold solve (and certified while
