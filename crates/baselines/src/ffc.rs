@@ -12,7 +12,7 @@
 
 use crate::swan::extract;
 use crate::traits::TeAlgorithm;
-use bate_core::profile::DemandProfile;
+use bate_core::profile::MaskedProfile;
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_lp::{Problem, Relation, Sense, SolveError, VarId};
 use bate_net::ScenarioSet;
@@ -61,16 +61,16 @@ impl TeAlgorithm for Ffc {
         }
 
         for (di, demand) in demands.iter().enumerate() {
-            let profile = DemandProfile::collapse(&ffc_ctx, demand);
+            let profile = MaskedProfile::collapse(&ffc_ctx, demand, &[]);
             for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
                 // Guaranteed bandwidth on this pair, capped at the demand.
                 let s = p.add_bounded_var(&format!("s[{}][{ki}]", demand.id.0), b);
                 p.set_objective(s, 1.0);
                 // For every ≤ l failure state: surviving flow covers s.
-                for state in &profile.states {
+                for si in 0..profile.len() {
                     let mut terms: Vec<(VarId, f64)> = vec![(s, -1.0)];
                     for (ti, &fv) in f_vars[di][ki].iter().enumerate() {
-                        if state.avail[ki][ti] {
+                        if profile.avail(si, ki, ti) {
                             terms.push((fv, 1.0));
                         }
                     }

@@ -11,7 +11,7 @@
 //!   (dual values), the hook for Pretium-style congestion pricing.
 
 use super::common::{demand_snapshot, Env};
-use bate_core::profile::DemandProfile;
+use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{harden, schedule};
 use bate_core::{AvailabilityClass, BaDemand, TeContext};
 use bate_lp::{Problem, Relation, Sense, SolveError, VarId};
@@ -124,7 +124,7 @@ pub fn collapse_ablation(max_failures: usize, seed: u64) -> CollapseAblation {
 
     let collapsed_states: usize = demands
         .iter()
-        .map(|d| DemandProfile::collapse(&ctx, d).len())
+        .map(|d| MaskedProfile::collapse(&ctx, d, &[]).len())
         .sum();
 
     let (objective_gap, naive_vars) = match (&collapsed, &naive) {

@@ -11,7 +11,7 @@
 //! family, as for the campaign in `fuzz_campaign.rs`.
 
 use bate_bench::fuzz::{fuzz_budget, NetFixture};
-use bate_core::profile::{DemandProfile, MaskedProfile};
+use bate_core::profile::MaskedProfile;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_net::{topologies, ScenarioSet, SrlgSet};
 use bate_reference::{achieved_availability_walk, collapse_walk};
@@ -121,9 +121,7 @@ fn check_case(tag: &str, fix: &NetFixture, rng: &mut StdRng) {
 
     let walk = collapse_walk(&ctx, &demand, &tracked);
     let masked = MaskedProfile::collapse(&ctx, &demand, &tracked);
-    let bools = DemandProfile::collapse(&ctx, &demand);
     assert_eq!(masked.len(), walk.len(), "{tag}: state count");
-    assert_eq!(bools.len(), walk.len(), "{tag}: bool state count");
     assert_eq!(
         masked.tracked_states, walk.tracked_states,
         "{tag}: tracked states"
@@ -137,18 +135,11 @@ fn check_case(tag: &str, fix: &NetFixture, rng: &mut StdRng) {
             got.probability,
             want.probability
         );
-        assert_eq!(
-            bools.states[si].probability.to_bits(),
-            want.probability.to_bits()
-        );
         for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {
-            let up: Vec<bool> = (0..fix.tunnels.tunnels(pair).len())
-                .map(|t| want.masks[ki] >> t & 1 == 1)
-                .collect();
-            assert_eq!(
-                bools.states[si].avail[ki], up,
-                "{tag}: bool view of state {si}"
-            );
+            for t in 0..fix.tunnels.tunnels(pair).len() {
+                let up = want.masks[ki] >> t & 1 == 1;
+                assert_eq!(masked.avail(si, ki, t), up, "{tag}: avail of state {si}");
+            }
         }
     }
 

@@ -22,69 +22,6 @@
 use crate::demand::BaDemand;
 use crate::TeContext;
 
-/// One collapsed failure state as seen by a single demand.
-#[derive(Debug, Clone)]
-pub struct ProfileState {
-    /// `avail[i][j]`: is tunnel `j` of the demand's `i`-th pair up?
-    /// Pairs are indexed in the order they appear in `demand.bandwidth`.
-    pub avail: Vec<Vec<bool>>,
-    /// Total probability of all scenarios collapsing to this state.
-    pub probability: f64,
-}
-
-impl ProfileState {
-    /// True if every tunnel of every pair is up.
-    pub fn all_up(&self) -> bool {
-        self.avail.iter().all(|pair| pair.iter().all(|&b| b))
-    }
-}
-
-/// The collapsed scenario profile of one demand.
-#[derive(Debug, Clone)]
-pub struct DemandProfile {
-    /// Distinct states, first-seen order (the all-up state of scenario 0 is
-    /// always index 0).
-    pub states: Vec<ProfileState>,
-}
-
-impl DemandProfile {
-    /// Collapse the context's scenario set against one demand: the bool
-    /// view of [`MaskedProfile::collapse`] (and its panic contract).
-    pub fn collapse(ctx: &TeContext, demand: &BaDemand) -> DemandProfile {
-        let masked = MaskedProfile::collapse(ctx, demand, &[]);
-        let avail = |si: usize, (ki, &(pair, _)): (usize, &(usize, f64))| {
-            let tunnels = ctx.tunnels.tunnels(pair).len();
-            (0..tunnels).map(|ti| masked.avail(si, ki, ti)).collect()
-        };
-        let state = |(si, s): (usize, &MaskedState)| ProfileState {
-            avail: demand
-                .bandwidth
-                .iter()
-                .enumerate()
-                .map(|k| avail(si, k))
-                .collect(),
-            probability: s.probability,
-        };
-        DemandProfile {
-            states: masked.states.iter().enumerate().map(state).collect(),
-        }
-    }
-
-    /// Number of collapsed states.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Total covered probability (equals the scenario set's coverage).
-    pub fn covered_probability(&self) -> f64 {
-        self.states.iter().map(|s| s.probability).sum()
-    }
-}
-
 /// One collapsed state in bitmask form: one `u64` of tunnel-availability
 /// bits per requested pair.
 #[derive(Debug, Clone)]
@@ -95,10 +32,10 @@ pub struct MaskedState {
     pub probability: f64,
 }
 
-/// Bitmask form of [`DemandProfile`], built for the row-generation path:
-/// the separation oracle evaluates a qualification row with one masked
-/// popcount-style sweep per pair instead of a bool-matrix walk. State
-/// indices are interchangeable between the two representations.
+/// The collapsed scenario profile of one demand, one bitmask per pair and
+/// state: the separation oracle evaluates a qualification row with one
+/// masked popcount-style sweep per pair, and every other reader asks
+/// [`MaskedProfile::avail`].
 #[derive(Debug, Clone)]
 pub struct MaskedProfile {
     /// Distinct states, first-seen order (scenario 0's all-up state is
@@ -188,13 +125,13 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let pair = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
         let d = BaDemand::single(1, pair, 100.0, 0.99);
-        let profile = DemandProfile::collapse(&ctx, &d);
+        let profile = MaskedProfile::collapse(&ctx, &d, &[]);
         assert!((profile.covered_probability() - scenarios.covered_probability()).abs() < 1e-12);
         // Collapsing must shrink the 37-scenario set dramatically: a pair
         // with 4 tunnels has at most 16 states.
         assert!(profile.len() <= 16, "{} states", profile.len());
         assert!(profile.len() < scenarios.len());
-        assert!(profile.states[0].all_up());
+        assert!((0..tunnels.tunnels(pair).len()).all(|ti| profile.avail(0, 0, ti)));
     }
 
     #[test]
@@ -206,12 +143,12 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
         let d = BaDemand::single(1, pair, 100.0, 0.99);
-        let profile = DemandProfile::collapse(&ctx, &d);
+        let profile = MaskedProfile::collapse(&ctx, &d, &[]);
         let mut seen = std::collections::HashSet::new();
-        for s in &profile.states {
-            let key: Vec<bool> = s.avail.iter().flatten().copied().collect();
+        for si in 0..profile.len() {
+            let key: Vec<bool> = (0..2).map(|ti| profile.avail(si, 0, ti)).collect();
             assert!(seen.insert(key), "duplicate state");
-            assert!(s.probability > 0.0);
+            assert!(profile.states[si].probability > 0.0);
         }
         // 2 tunnels -> at most 4 states.
         assert!(profile.len() <= 4);
@@ -337,11 +274,12 @@ mod tests {
             price: 30.0,
             refund_ratio: 0.1,
         };
-        let profile = DemandProfile::collapse(&ctx, &d);
+        let profile = MaskedProfile::collapse(&ctx, &d, &[]);
+        let (t1, t2) = (tunnels.tunnels(p1).len(), tunnels.tunnels(p2).len());
         for s in &profile.states {
-            assert_eq!(s.avail.len(), 2);
-            assert_eq!(s.avail[0].len(), tunnels.tunnels(p1).len());
-            assert_eq!(s.avail[1].len(), tunnels.tunnels(p2).len());
+            assert_eq!(s.masks.len(), 2);
+            assert_eq!(s.masks[0] >> t1, 0, "a bit past pair 1's tunnels");
+            assert_eq!(s.masks[1] >> t2, 0, "a bit past pair 2's tunnels");
         }
     }
 }

@@ -122,7 +122,7 @@ fn main() {
                 routing: RoutingScheme::default_ksp4(),
                 max_failures: prune,
                 schedule_interval: Some(Duration::from_secs_f64(interval)),
-                idle_timeout: Some(Duration::from_secs(30)),
+                idle_timeout: Duration::from_secs(30),
             })
             .expect("controller start");
             println!("listening on {}", controller.addr());

@@ -4,19 +4,26 @@
 //! **Event-driven plane.** One poll loop ([`crate::poller`]) owns every
 //! connection as a [`crate::event::Conn`] state machine — no
 //! thread-per-connection, no accept polling. Within a poll wakeup, all
-//! pending `SubmitDemand` frames form an *admission batch*: verdicts are
+//! pending `SubmitDemand` frames form an *admission batch*, and every
+//! batch, one submit or many, takes the same four steps: verdicts are
 //! decided by a first-come-first-served pipeline fold (each entry is one
 //! `bate_core::admission::admit_and_apply` step against the pool its
 //! predecessors left, so a batch decides what the same submits would
-//! decide one at a time); the verdicts are flushed at the fold, then ONE
-//! warm solve of the loop's [`SchedulingSession`] re-optimizes the whole
-//! pool, amortizing the scheduling LP across the batch instead of paying
-//! a round per arrival. A batch of one skips that solve: the admitted
-//! demand's own allocation is pushed and its verdict queued inside the
-//! fold, and the next round re-optimizes the pool. TE rounds and the
-//! repair after a link comes back ask the same session, so they cost what
-//! changed since its last optimum (DESIGN.md §6y). Periodic rounds are a
-//! deadline of the same loop, so a running controller is one thread.
+//! decide one at a time); the verdicts are flushed to their connections;
+//! a multi-submit batch that admitted a demand takes ONE warm solve of the
+//! [`SchedulingSession`], re-optimizing the whole pool and amortizing the
+//! scheduling LP across the batch instead of paying a round per arrival;
+//! then the installs are pushed — the whole pool after a solve, else each
+//! admitted or replayed demand's own allocation, and the next round
+//! re-optimizes the pool. TE rounds and the repair after a link comes back
+//! ask the same session, so they cost what changed since its last optimum
+//! (DESIGN.md §6y). Periodic rounds are a deadline of the same loop, so a
+//! running controller is one thread.
+//!
+//! The serving state — pool, allocation, failed links, idempotency
+//! records, brokers and the session — is one value behind one lock. Its
+//! methods decide (the fold step, a round, a withdrawal, a link report)
+//! and return what to install; only the poll loop writes to a connection.
 //!
 //! Hardened against lossy control channels: demand ids double as
 //! idempotency keys — including *within* a batch, where a duplicated
@@ -25,6 +32,7 @@
 //! admission verdict and re-pushes the allocation — it is never
 //! double-counted, and never spuriously refused the way the pre-hardening
 //! duplicate check refused it. Withdraws are acknowledged and idempotent,
+//! a link report that leaves the failed set as it was changes nothing,
 //! and a broker that re-registers after a severed connection is
 //! immediately re-synced with every live allocation.
 //!
@@ -49,6 +57,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,13 +72,14 @@ struct CtrlMetrics {
     rounds: Arc<bate_obs::Counter>,
     stats_queries: Arc<bate_obs::Counter>,
     /// Admission batches drained from the poll loop (size distribution in
-    /// `bate_admission_batch_size`; a size-1 batch takes no warm solve).
+    /// `bate_admission_batch_size`; only a multi-submit batch takes the
+    /// warm solve).
     batches: Arc<bate_obs::Counter>,
     batch_size: Arc<bate_obs::Histogram>,
     /// Controller-side admission latency per submit, µs: batch start to
-    /// verdict flushed (a batch of one: queued for the wakeup's sweep);
-    /// the batch solve is not in it. One observation per demand, so
-    /// quantiles are per-demand, not per-batch.
+    /// verdicts flushed, for every batch size; the batch solve is not in
+    /// it. One observation per demand, so quantiles are per-demand, not
+    /// per-batch.
     admit_latency: Arc<bate_obs::Histogram>,
     /// Warm incremental solves amortized across multi-submit batches.
     batch_solves: Arc<bate_obs::Counter>,
@@ -109,8 +119,8 @@ pub struct ControllerConfig {
     pub schedule_interval: Option<Duration>,
     /// How long a connection may sit *mid-frame* before it is reaped
     /// (slow-loris defense). Idle connections between frames are never
-    /// reaped. `None` disables reaping.
-    pub idle_timeout: Option<Duration>,
+    /// reaped.
+    pub idle_timeout: Duration,
 }
 
 impl ControllerConfig {
@@ -122,7 +132,7 @@ impl ControllerConfig {
             routing,
             max_failures,
             schedule_interval: None,
-            idle_timeout: Some(Duration::from_secs(30)),
+            idle_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -135,43 +145,6 @@ struct SubmitRecord {
     fingerprint: u64,
     admitted: bool,
     withdrawn: bool,
-}
-
-/// Work requests delivered to the poll loop from other threads
-/// (public-API callers), signaled through the waker.
-enum Cmd {
-    ScheduleRound(Arc<Gate>),
-}
-
-/// A one-shot completion latch for commands that callers wait on.
-struct Gate {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn open(&self) {
-        *self.done.lock() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) -> bool {
-        let mut done = self.done.lock();
-        let deadline = Instant::now() + timeout;
-        while !*done {
-            if self.cv.wait_until(&mut done, deadline).timed_out() {
-                return *done;
-            }
-        }
-        true
-    }
 }
 
 /// Per-connection progress snapshot, published by the poll loop after
@@ -192,16 +165,37 @@ struct Shared {
     /// Notified on broker (de)registration; pairs with `state`.
     broker_cv: Condvar,
     shutdown: AtomicBool,
-    commands: Mutex<Vec<Cmd>>,
+    /// Callers of [`Controller::run_schedule_round`] waiting on the loop:
+    /// one round each, answered when it is done; dropped at shutdown.
+    round_requests: Mutex<Vec<SyncSender<()>>>,
     waker: Waker,
     progress: Mutex<HashMap<u64, ConnProgress>>,
     /// This controller's share of `bate_ctrl_conns_reaped_total`.
     reaped: AtomicU64,
-    /// The loop's scheduling-session counters, published after each use.
-    session_stats: Mutex<SessionStats>,
-    idle_timeout: Option<Duration>,
+    idle_timeout: Duration,
 }
 
+impl Shared {
+    fn ctx(&self) -> TeContext<'_> {
+        TeContext::new(&self.topo, &self.tunnels, &self.scenarios)
+    }
+}
+
+/// What a decision installs at the brokers: each listed demand's current
+/// allocation, in order, under the trace context of what caused it.
+type Installs = Vec<(DemandId, Option<FrameCtx>)>;
+
+/// How the fold decided one submit.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Rejected,
+    /// A retried id: its recorded admission, replayed.
+    Replayed,
+    /// A new demand, admitted into the pool.
+    Admitted,
+}
+
+/// The controller's serving state, behind [`Shared::state`].
 struct CtrlState {
     demands: Vec<BaDemand>,
     allocation: Allocation,
@@ -210,16 +204,227 @@ struct CtrlState {
     /// their connection (writes go through that connection's buffer).
     brokers: HashMap<String, u64>,
     outcomes: HashMap<u64, SubmitRecord>,
+    /// The warm optimum of the live pool (DESIGN.md §6y): fed every pool
+    /// edit, asked by multi-submit batches, rounds and repairs.
+    session: SchedulingSession,
 }
 
-impl Shared {
-    fn ctx(&self) -> TeContext<'_> {
-        TeContext::new(&self.topo, &self.tunnels, &self.scenarios)
+impl CtrlState {
+    /// One step of the submit fold: validate the submit, replay the verdict
+    /// of a retried id, or decide it with `admit_and_apply` against the
+    /// pool the batch's earlier entries left. A submit whose bandwidth,
+    /// price or refund ratio is not finite is rejected before it reaches
+    /// the fold.
+    fn submit(&mut self, ctx: &TeContext, sub: &PendingSubmit) -> Verdict {
+        let fingerprint = submit_fingerprint(
+            &sub.src,
+            &sub.dst,
+            sub.bandwidth,
+            sub.beta,
+            sub.price,
+            sub.refund_ratio,
+        );
+        ctrl_metrics().submits.inc();
+
+        let (Some(s), Some(d)) = (ctx.topo.find_node(&sub.src), ctx.topo.find_node(&sub.dst))
+        else {
+            return Verdict::Rejected;
+        };
+        let Some(pair) = ctx.tunnels.pair_index(s, d) else {
+            return Verdict::Rejected;
+        };
+        let finite = [sub.bandwidth, sub.price, sub.refund_ratio]
+            .iter()
+            .all(|v| v.is_finite());
+        if !finite || sub.bandwidth <= 0.0 || !(0.0..=1.0).contains(&sub.beta) {
+            return Verdict::Rejected;
+        }
+        let demand = BaDemand {
+            id: DemandId(sub.id),
+            bandwidth: vec![(pair, sub.bandwidth)],
+            beta: sub.beta,
+            price: sub.price,
+            refund_ratio: sub.refund_ratio.clamp(0.0, 1.0),
+        };
+
+        if let Some(rec) = self.outcomes.get(&sub.id).copied() {
+            if rec.withdrawn || rec.fingerprint != fingerprint {
+                // A stale resubmit of a withdrawn demand, or an id
+                // collision: same id, different demand.
+                return Verdict::Rejected;
+            }
+            // Idempotent replay: same verdict, and the allocation pushed
+            // again in case the broker installs were lost alongside the
+            // reply.
+            ctrl_metrics().replay_hits.inc();
+            bate_obs::info!("ctrl.submit_replay", demand = sub.id, admitted = rec.admitted);
+            return if rec.admitted {
+                Verdict::Replayed
+            } else {
+                Verdict::Rejected
+            };
+        }
+
+        if !admission::admit_and_apply(ctx, &mut self.demands, &mut self.allocation, &demand) {
+            // Rejections are NOT recorded: admitting nothing has no side
+            // effect to protect, and the same id may legitimately be
+            // retried later once capacity frees up.
+            return Verdict::Rejected;
+        }
+        self.session.note_add(&demand);
+        self.outcomes.insert(
+            sub.id,
+            SubmitRecord {
+                fingerprint,
+                admitted: true,
+                withdrawn: false,
+            },
+        );
+        Verdict::Admitted
     }
 
-    fn enqueue(&self, cmd: Cmd) {
-        self.commands.lock().push(cmd);
-        self.waker.wake();
+    /// What a folded batch installs. A batch of more than one submit that
+    /// admitted a new demand while no failure is in effect takes one warm
+    /// solve and installs the whole pool; otherwise (one submit, a
+    /// pure-replay batch, an active failure — the recovery allocation stays
+    /// authoritative until repair — or a poisoned session) each demand the
+    /// fold admitted or replayed is installed once, in id order.
+    fn settle(&mut self, ctx: &TeContext, size: usize, fresh: usize, mut fold: Installs) -> Installs {
+        if size > 1 && fresh > 0 && self.failed.is_empty() {
+            if let Some(res) = self.session.batch_optimum(ctx, &self.demands) {
+                ctrl_metrics().batch_solves.inc();
+                bate_obs::info!(
+                    "ctrl.batch_solve",
+                    batch = size,
+                    admitted = fresh,
+                    pool = self.demands.len(),
+                );
+                self.allocation = res.allocation.clone();
+                return self.pool();
+            }
+        }
+        fold.sort_by_key(|&(id, _)| id.0);
+        fold.dedup_by_key(|&mut (id, _)| id.0);
+        fold
+    }
+
+    /// Withdraw a demand and tombstone its id, so a stale submit retry
+    /// arriving after the withdraw cannot re-admit it. Whether the demand
+    /// was live (then the brokers must remove it).
+    fn withdraw(&mut self, id: u64) -> bool {
+        ctrl_metrics().withdraws.inc();
+        let was_present = self.demands.iter().any(|d| d.id.0 == id);
+        self.demands.retain(|d| d.id.0 != id);
+        self.allocation.remove_demand(DemandId(id));
+        self.outcomes
+            .entry(id)
+            .and_modify(|r| r.withdrawn = true)
+            .or_insert(SubmitRecord {
+                fingerprint: 0,
+                admitted: false,
+                withdrawn: true,
+            });
+        if was_present {
+            self.session.note_remove(DemandId(id));
+        }
+        was_present
+    }
+
+    /// One Online Scheduler round: re-optimize every admitted demand and
+    /// install the pool. Skipped while a failure is in effect (the
+    /// recovery allocation stays authoritative until repair).
+    fn round(&mut self, ctx: &TeContext) -> Installs {
+        if self.demands.is_empty() || !self.failed.is_empty() {
+            return Installs::new();
+        }
+        let installs = if self.install_optimum(ctx, false) {
+            ctrl_metrics().rounds.inc();
+            self.pool()
+        } else {
+            Installs::new()
+        };
+        // One SLO sample per scheduling round: burn rates evolve at round
+        // granularity, matching the paper's per-round BA-guarantee framing.
+        bate_obs::SloEngine::global().record_sample(bate_obs::Registry::global());
+        installs
+    }
+
+    /// A broker's link report. A report that changes the failed set
+    /// reroutes the pool with Algorithm 2 while a failure is in effect,
+    /// and repairs it to a guaranteed schedule once every link is up; one
+    /// that leaves the failed set as it was changes nothing.
+    fn link_report(&mut self, ctx: &TeContext, group: usize, up: bool) -> Installs {
+        if group >= ctx.topo.num_groups() || self.failed.contains(group) != up {
+            return Installs::new();
+        }
+        if up {
+            self.failed.remove(group);
+        } else {
+            self.failed.insert(group);
+        }
+        if self.demands.is_empty() {
+            return Installs::new();
+        }
+        if self.failed.is_empty() {
+            self.install_optimum(ctx, true);
+        } else {
+            let scenario = Scenario {
+                failed: self.failed.clone(),
+                probability: 0.0,
+            };
+            self.allocation = greedy_recovery(ctx, &self.demands, &scenario).allocation;
+        }
+        self.pool()
+    }
+
+    /// The session's hardened optimum for the live pool, installed in the
+    /// allocation and reported as the event a round or a repair emits. A
+    /// repair is a round like any other: it reinstalls the held optimum,
+    /// or takes one warm re-solve for the deltas admitted while the
+    /// failure was in effect (DESIGN.md §6y).
+    fn install_optimum(&mut self, ctx: &TeContext, repair: bool) -> bool {
+        let event = if repair { "ctrl.repair" } else { "ctrl.schedule_round" };
+        let Ok(SessionRound {
+            path,
+            pending,
+            result,
+        }) = self.session.hardened_round(ctx, &self.demands)
+        else {
+            return false;
+        };
+        bate_obs::info!(
+            event,
+            demands = self.demands.len(),
+            lp_iterations = result.solve_stats.iterations(),
+            lp_pivots = result.solve_stats.pivots,
+            path = path.as_str(),
+            pending = pending,
+        );
+        self.allocation = result.allocation;
+        true
+    }
+
+    /// Every live demand, under the trace context of what is being handled.
+    fn pool(&self) -> Installs {
+        let cause = FrameCtx::current();
+        self.demands.iter().map(|d| (d.id, cause)).collect()
+    }
+
+    /// The InstallAllocation message carrying a demand's current entries.
+    fn install_message(&self, id: DemandId) -> Message {
+        let entries: Vec<FlowEntry> = self
+            .allocation
+            .flows_of(id)
+            .map(|(t, f)| FlowEntry {
+                pair: t.pair as u32,
+                tunnel: t.tunnel as u32,
+                rate: f,
+            })
+            .collect();
+        Message::InstallAllocation {
+            demand: id.0,
+            entries,
+        }
     }
 }
 
@@ -258,14 +463,14 @@ impl Controller {
                 failed,
                 brokers: HashMap::new(),
                 outcomes: HashMap::new(),
+                session: SchedulingSession::default(),
             }),
             broker_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            commands: Mutex::new(Vec::new()),
+            round_requests: Mutex::new(Vec::new()),
             waker: Waker::new()?,
             progress: Mutex::new(HashMap::new()),
             reaped: AtomicU64::new(0),
-            session_stats: Mutex::new(SessionStats::default()),
             idle_timeout: config.idle_timeout,
         });
 
@@ -350,9 +555,11 @@ impl Controller {
     /// poll loop and blocks until the round (and its broker pushes) are
     /// queued.
     pub fn run_schedule_round(&self) {
-        let gate = Gate::new();
-        self.shared.enqueue(Cmd::ScheduleRound(Arc::clone(&gate)));
-        gate.wait(Duration::from_secs(10));
+        let (done, finished) = mpsc::sync_channel(1);
+        self.shared.round_requests.lock().push(done);
+        self.shared.waker.wake();
+        // The loop answers after the round, or drops `done` at shutdown.
+        finished.recv_timeout(Duration::from_secs(10)).ok();
     }
 
     /// Snapshot of per-connection progress `(token, progress)` as of the
@@ -379,10 +586,9 @@ impl Controller {
     /// warm, cold), as of the last one; a repair counts as a round. It
     /// observes every batch whose verdict the caller has read: a batch
     /// flushes its verdicts before its solve, but holds the state lock
-    /// until the solve's counters are published.
+    /// until the solve is done.
     pub fn session_stats(&self) -> SessionStats {
-        let _state = self.shared.state.lock();
-        *self.shared.session_stats.lock()
+        self.shared.state.lock().session.stats()
     }
 }
 
@@ -439,9 +645,6 @@ struct EventLoop {
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// The warm optimum of the live pool (DESIGN.md §6y): fed every pool
-    /// edit, asked by multi-submit batches, rounds and repairs.
-    session: SchedulingSession,
     /// The Online Scheduler (§4): period of the automatic rounds and when
     /// the next one is due.
     round_timer: Option<(Duration, Instant)>,
@@ -460,7 +663,6 @@ impl EventLoop {
             poller,
             conns: HashMap::new(),
             next_token: TOK_FIRST_CONN,
-            session: SchedulingSession::default(),
             round_timer: schedule_interval.map(|period| (period, Instant::now() + period)),
         }
     }
@@ -493,19 +695,19 @@ impl EventLoop {
                 }
             }
             self.process_inbox(&mut inbox);
-            self.drain_commands(false);
+            self.run_requested_rounds();
             self.run_due_round();
             self.reap_overdue();
             self.flush_and_sweep();
             self.publish_progress();
         }
-        // Unblock any caller still waiting on a command.
-        self.drain_commands(true);
+        // Wake every caller still waiting on a round: its sender is gone.
+        self.shared.round_requests.lock().clear();
     }
 
     /// The poll timeout: short enough to honor the earliest deadline — a
     /// mid-frame reap or the next periodic round — long enough not to
-    /// spin (commands and shutdown arrive through the waker, not the
+    /// spin (round requests and shutdown arrive through the waker, not the
     /// timeout).
     fn next_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
@@ -518,6 +720,16 @@ impl EventLoop {
             .or(Some(Duration::from_millis(200)))
     }
 
+    /// One round per waiting [`Controller::run_schedule_round`] caller,
+    /// each answered once its round's installs are queued.
+    fn run_requested_rounds(&mut self) {
+        let requests = std::mem::take(&mut *self.shared.round_requests.lock());
+        for done in requests {
+            self.schedule_round();
+            done.send(()).ok();
+        }
+    }
+
     /// Run the periodic round once its deadline has passed. The next one
     /// is due a full period after this one finished, so rounds cannot
     /// pile up faster than the loop executes them.
@@ -526,9 +738,16 @@ impl EventLoop {
             return;
         };
         if Instant::now() >= due {
-            schedule_round(&self.shared, &mut self.conns, &mut self.session);
+            self.schedule_round();
             self.round_timer = Some((period, Instant::now() + period));
         }
+    }
+
+    fn schedule_round(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        let mut state = shared.state.lock();
+        let installs = state.round(&shared.ctx());
+        self.push(&mut state, &installs);
     }
 
     fn accept_ready(&mut self) {
@@ -592,11 +811,10 @@ impl EventLoop {
         self.flush_submit_batch(&mut batch);
     }
 
-    /// Decide one admission batch: FCFS pipeline fold for the verdicts
-    /// (identical to sequential handling by construction), then — for
-    /// multi-submit batches — the verdicts flushed, one warm incremental
-    /// solve re-optimizing the pool, and a single allocation push per
-    /// live demand. The state lock is held throughout.
+    /// Decide one admission batch of any size, holding the state lock
+    /// throughout: the FCFS pipeline fold (identical to sequential
+    /// handling by construction), the verdicts flushed, the batch settled
+    /// ([`CtrlState::settle`]), its installs pushed.
     fn flush_submit_batch(&mut self, batch: &mut Vec<PendingSubmit>) {
         if batch.is_empty() {
             return;
@@ -608,142 +826,76 @@ impl EventLoop {
         m.batch_size.observe(batch.len() as f64);
         let shared = Arc::clone(&self.shared);
         let ctx = shared.ctx();
-        let conns = &mut self.conns;
-        let session = &mut self.session;
-        // A batch of one pushes its demand's allocation and queues its
-        // reply inside the adopted span, and takes no warm solve; the
-        // fault suite's pinned traces record this per-demand order.
-        let defer_push = batch.len() > 1;
         let mut state = shared.state.lock();
-        let mut push_ids: Vec<DemandId> = Vec::new();
+        let mut fold = Installs::new();
         let mut fresh_admits = 0usize;
         for sub in &batch {
             // Adopt the client's span so the admission pipeline (and the
             // LP solve under it) parents on the submit that caused it —
             // this is what links client → controller → solver phases
-            // under one trace_id.
+            // under one trace_id. The reply and the demand's install
+            // carry it on.
             let _adopted = sub
                 .rctx
                 .map(|c| bate_obs::context::adopt("ctrl.submit", c.trace_id, c.span_id));
-            let admitted = handle_submit_locked(
-                &shared,
-                &ctx,
-                &mut state,
-                conns,
-                sub,
-                defer_push,
-                &mut push_ids,
-                session,
-                &mut fresh_admits,
-            );
+            let cause = FrameCtx::current();
+            let verdict = state.submit(&ctx, sub);
+            if verdict != Verdict::Rejected {
+                fold.push((DemandId(sub.id), cause));
+            }
+            fresh_admits += usize::from(verdict == Verdict::Admitted);
             let reply = Message::AdmissionReply {
                 id: sub.id,
-                admitted,
+                admitted: verdict != Verdict::Rejected,
             };
-            if let Ok(frame) = encode_frame_ctx(&reply, FrameCtx::current()) {
-                if let Some(conn) = conns.get_mut(&sub.token) {
-                    conn.queue_frame(&frame);
-                }
+            self.queue_to(sub.token, &reply, cause);
+        }
+        // The verdicts are final at the fold (a fixed admit is
+        // hard-checked, a conjecture admit backed by Theorem 1), so they
+        // leave before the solve and the push: one flush per submitting
+        // connection. What a socket does not take stays queued for
+        // `flush_and_sweep`, which also retires a connection whose write
+        // failed.
+        let mut tokens: Vec<u64> = batch.iter().map(|s| s.token).collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        for token in tokens {
+            if let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.dead) {
+                conn.flush();
             }
         }
-        if defer_push {
-            // The verdicts are final at the fold (a fixed admit is
-            // hard-checked, a conjecture admit backed by Theorem 1), so
-            // they leave before the solve and the pool-wide push: one
-            // flush per submitting connection. What a socket does not
-            // take stays queued for `flush_and_sweep`, which also retires
-            // a connection whose write failed.
-            let mut tokens: Vec<u64> = batch.iter().map(|s| s.token).collect();
-            tokens.sort_unstable();
-            tokens.dedup();
-            for token in tokens {
-                if let Some(conn) = conns.get_mut(&token).filter(|c| !c.dead) {
-                    conn.flush();
-                }
-            }
-        }
-        // Each demand waited from batch start until its verdict left; a
-        // batch of one queues its reply for the sweep that ends this
-        // wakeup. The batch solve is timed by `bate_warm_*`.
+        // Each demand waited from batch start until its verdict left. The
+        // batch solve is timed by `bate_warm_*`.
         let us = t0.elapsed().as_secs_f64() * 1e6;
         for _ in 0..batch.len() {
             m.admit_latency.observe(us);
         }
-        if defer_push {
-            let mut pushed_all = false;
-            // One warm solve for the whole batch. Skipped while a failure
-            // is in effect (the recovery allocation stays authoritative
-            // until repair, same as scheduling rounds).
-            if fresh_admits > 0 && state.failed.is_empty() {
-                if let Some(res) = session.batch_optimum(&ctx, &state.demands) {
-                    m.batch_solves.inc();
-                    bate_obs::info!(
-                        "ctrl.batch_solve",
-                        batch = batch.len(),
-                        admitted = fresh_admits,
-                        pool = state.demands.len(),
-                    );
-                    state.allocation = res.allocation.clone();
-                    push_all_allocations(&mut state, conns);
-                    pushed_all = true;
-                }
-                *shared.session_stats.lock() = session.stats();
-            }
-            if !pushed_all {
-                // No solve (pure-replay batch, active failure, or a
-                // poisoned session): push the fold's per-demand
-                // allocations, once per distinct id.
-                push_ids.sort_unstable_by_key(|d| d.0);
-                push_ids.dedup();
-                for id in push_ids {
-                    push_demand_allocation(&mut state, conns, id);
-                }
-            }
-        }
+        let installs = state.settle(&ctx, batch.len(), fresh_admits, fold);
+        self.push(&mut state, &installs);
     }
 
     fn handle_message(&mut self, token: u64, rctx: Option<FrameCtx>, msg: Message) {
         let shared = Arc::clone(&self.shared);
-        let conns = &mut self.conns;
         match msg {
             Message::WithdrawDemand { id } => {
                 let _adopted = rctx
                     .map(|c| bate_obs::context::adopt("ctrl.withdraw", c.trace_id, c.span_id));
-                {
-                    ctrl_metrics().withdraws.inc();
-                    let mut state = shared.state.lock();
-                    let was_present = state.demands.iter().any(|d| d.id.0 == id);
-                    state.demands.retain(|d| d.id.0 != id);
-                    state.allocation.remove_demand(DemandId(id));
-                    // Tombstone the id: a stale submit retry arriving after
-                    // the withdraw must not re-admit it.
-                    state
-                        .outcomes
-                        .entry(id)
-                        .and_modify(|r| r.withdrawn = true)
-                        .or_insert(SubmitRecord {
-                            fingerprint: 0,
-                            admitted: false,
-                            withdrawn: true,
-                        });
-                    if was_present {
-                        self.session.note_remove(DemandId(id));
-                        broadcast(&mut state, conns, &Message::RemoveAllocation { demand: id });
-                    }
+                let mut state = shared.state.lock();
+                if state.withdraw(id) {
+                    let removal = Message::RemoveAllocation { demand: id };
+                    self.broadcast(&mut state, &removal, FrameCtx::current());
                 }
-                queue_to(conns, token, &Message::WithdrawAck { id }, FrameCtx::current());
+                self.queue_to(token, &Message::WithdrawAck { id }, FrameCtx::current());
             }
             Message::RegisterBroker { dc } => {
                 let mut state = shared.state.lock();
                 state.brokers.insert(dc.clone(), token);
-                if let Some(conn) = conns.get_mut(&token) {
+                if let Some(conn) = self.conns.get_mut(&token) {
                     conn.broker_dc = Some(dc);
                     // Re-sync: a broker (re)connecting after a severed
                     // link must converge to the live allocation set.
-                    let ids: Vec<DemandId> = state.demands.iter().map(|d| d.id).collect();
-                    for id in ids {
-                        let msg = install_message(&state, id);
-                        if let Ok(frame) = encode_frame(&msg) {
+                    for d in &state.demands {
+                        if let Ok(frame) = encode_frame(&state.install_message(d.id)) {
                             conn.queue_frame(&frame);
                         }
                     }
@@ -753,32 +905,34 @@ impl EventLoop {
             Message::LinkReport { group, up } => {
                 ctrl_metrics().link_reports.inc();
                 bate_obs::warn!("ctrl.link_report", group = group, up = up);
-                handle_link_report(&shared, conns, &mut self.session, group as usize, up);
+                let mut state = shared.state.lock();
+                let installs = state.link_report(&shared.ctx(), group as usize, up);
+                self.push(&mut state, &installs);
             }
             Message::Ping { token: t } => {
-                queue_to(conns, token, &Message::Pong { token: t }, None);
+                self.queue_to(token, &Message::Pong { token: t }, None);
             }
             Message::StatsQuery => {
                 ctrl_metrics().stats_queries.inc();
                 let text = bate_obs::Registry::global().render_prometheus();
-                queue_to(conns, token, &Message::StatsText { text }, None);
+                self.queue_to(token, &Message::StatsText { text }, None);
             }
             Message::StatsJsonQuery { prefix } => {
                 ctrl_metrics().stats_queries.inc();
                 let text = bate_obs::Registry::global()
                     .snapshot_jsonl_filtered(|name, _| name.starts_with(prefix.as_str()));
-                queue_to(conns, token, &Message::StatsText { text }, None);
+                self.queue_to(token, &Message::StatsText { text }, None);
             }
             Message::TraceQuery { trace_id } => {
                 ctrl_metrics().stats_queries.inc();
                 let events = bate_obs::flight::ring_events();
                 let text = bate_obs::flight::render_tree(&events, trace_id);
-                queue_to(conns, token, &Message::StatsText { text }, None);
+                self.queue_to(token, &Message::StatsText { text }, None);
             }
             Message::SloQuery => {
                 ctrl_metrics().stats_queries.inc();
                 let text = bate_obs::SloEngine::global().render_report();
-                queue_to(conns, token, &Message::StatsText { text }, None);
+                self.queue_to(token, &Message::StatsText { text }, None);
             }
             // Messages a controller never receives.
             Message::SubmitDemand { .. }
@@ -791,24 +945,46 @@ impl EventLoop {
         }
     }
 
-    fn drain_commands(&mut self, shutting_down: bool) {
-        let cmds: Vec<Cmd> = std::mem::take(&mut *self.shared.commands.lock());
-        for cmd in cmds {
-            match cmd {
-                Cmd::ScheduleRound(gate) => {
-                    if !shutting_down {
-                        schedule_round(&self.shared, &mut self.conns, &mut self.session);
-                    }
-                    gate.open();
-                }
+    /// Send each listed demand's current allocation to every broker.
+    fn push(&mut self, state: &mut CtrlState, installs: &[(DemandId, Option<FrameCtx>)]) {
+        for &(id, cause) in installs {
+            let msg = state.install_message(id);
+            self.broadcast(state, &msg, cause);
+        }
+    }
+
+    /// Queue one frame on every broker's connection. Broker pushes carry
+    /// the causing span (a submit, withdraw, or link report being handled
+    /// on the loop), extending the trace through to enforcement; outside
+    /// any trace the frames are legacy.
+    fn broadcast(&mut self, state: &mut CtrlState, msg: &Message, cause: Option<FrameCtx>) {
+        let Ok(frame) = encode_frame_ctx(msg, cause) else {
+            return;
+        };
+        // A broker whose connection died is dropped here; write failures
+        // on a live fd surface at flush time and retire it through the
+        // sweep.
+        let conns = &mut self.conns;
+        state.brokers.retain(|_, token| match conns.get_mut(token) {
+            Some(conn) if !conn.dead => {
+                conn.queue_frame(&frame);
+                true
+            }
+            _ => false,
+        });
+    }
+
+    /// Queue an encoded reply frame on one connection (no-op if it died
+    /// earlier in the wakeup).
+    fn queue_to(&mut self, token: u64, msg: &Message, ctx: Option<FrameCtx>) {
+        if let Ok(frame) = encode_frame_ctx(msg, ctx) {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.queue_frame(&frame);
             }
         }
     }
 
     fn reap_overdue(&mut self) {
-        if self.shared.idle_timeout.is_none() {
-            return;
-        }
         let now = Instant::now();
         let overdue: Vec<u64> = self
             .conns
@@ -878,258 +1054,6 @@ impl EventLoop {
                     mid_frame: conn.mid_frame(),
                 },
             );
-        }
-    }
-}
-
-/// One step of the submit fold: validate the submit, replay the verdict
-/// of a retried id, or decide it with `admit_and_apply` against the pool
-/// the batch's earlier entries left. A submit whose bandwidth, price or
-/// refund ratio is not finite is rejected before it reaches the fold. With
-/// `defer_push` (multi-submit batches) the allocation pushes are collected
-/// into `push_ids` instead of being sent per demand, so the batch can push
-/// once after its warm solve.
-#[allow(clippy::too_many_arguments)]
-fn handle_submit_locked(
-    shared: &Shared,
-    ctx: &TeContext,
-    state: &mut CtrlState,
-    conns: &mut HashMap<u64, Conn>,
-    sub: &PendingSubmit,
-    defer_push: bool,
-    push_ids: &mut Vec<DemandId>,
-    session: &mut SchedulingSession,
-    fresh_admits: &mut usize,
-) -> bool {
-    let fingerprint = submit_fingerprint(
-        &sub.src,
-        &sub.dst,
-        sub.bandwidth,
-        sub.beta,
-        sub.price,
-        sub.refund_ratio,
-    );
-    ctrl_metrics().submits.inc();
-
-    let (Some(s), Some(d)) = (
-        shared.topo.find_node(&sub.src),
-        shared.topo.find_node(&sub.dst),
-    ) else {
-        return false;
-    };
-    let Some(pair) = shared.tunnels.pair_index(s, d) else {
-        return false;
-    };
-    let finite = [sub.bandwidth, sub.price, sub.refund_ratio]
-        .iter()
-        .all(|v| v.is_finite());
-    if !finite || sub.bandwidth <= 0.0 || !(0.0..=1.0).contains(&sub.beta) {
-        return false;
-    }
-    let demand = BaDemand {
-        id: DemandId(sub.id),
-        bandwidth: vec![(pair, sub.bandwidth)],
-        beta: sub.beta,
-        price: sub.price,
-        refund_ratio: sub.refund_ratio.clamp(0.0, 1.0),
-    };
-
-    if let Some(rec) = state.outcomes.get(&sub.id).copied() {
-        if rec.withdrawn {
-            return false; // stale resubmit of a withdrawn demand
-        }
-        if rec.fingerprint != fingerprint {
-            return false; // id collision: same id, different demand
-        }
-        // Idempotent replay: same verdict, and re-push the allocation in
-        // case the broker installs were lost alongside the reply.
-        ctrl_metrics().replay_hits.inc();
-        bate_obs::info!("ctrl.submit_replay", demand = sub.id, admitted = rec.admitted);
-        if rec.admitted {
-            if defer_push {
-                push_ids.push(DemandId(sub.id));
-            } else {
-                push_demand_allocation(state, conns, DemandId(sub.id));
-            }
-        }
-        return rec.admitted;
-    }
-
-    // Split-borrow the pool and allocation for the fold step.
-    let CtrlState {
-        demands,
-        allocation,
-        ..
-    } = state;
-    if admission::admit_and_apply(ctx, demands, allocation, &demand) {
-        session.note_add(&demand);
-        *fresh_admits += 1;
-        if defer_push {
-            push_ids.push(demand.id);
-        } else {
-            push_demand_allocation(state, conns, demand.id);
-        }
-        state.outcomes.insert(
-            sub.id,
-            SubmitRecord {
-                fingerprint,
-                admitted: true,
-                withdrawn: false,
-            },
-        );
-        true
-    } else {
-        // Rejections are NOT recorded: admitting nothing has no side
-        // effect to protect, and the same id may legitimately be retried
-        // later once capacity frees up.
-        false
-    }
-}
-
-/// The session's hardened optimum for the live pool, installed in
-/// `state` and reported as the event a round or a repair emits. A repair
-/// is a round like any other: it reinstalls the held optimum, or takes
-/// one warm re-solve for the deltas admitted while the failure was in
-/// effect (DESIGN.md §6y).
-fn install_optimum(
-    shared: &Shared,
-    state: &mut CtrlState,
-    session: &mut SchedulingSession,
-    repair: bool,
-) -> bool {
-    let event = if repair { "ctrl.repair" } else { "ctrl.schedule_round" };
-    let round = session.hardened_round(&shared.ctx(), &state.demands);
-    *shared.session_stats.lock() = session.stats();
-    let Ok(SessionRound {
-        path,
-        pending,
-        result,
-    }) = round
-    else {
-        return false;
-    };
-    bate_obs::info!(
-        event,
-        demands = state.demands.len(),
-        lp_iterations = result.solve_stats.iterations(),
-        lp_pivots = result.solve_stats.pivots,
-        path = path.as_str(),
-        pending = pending,
-    );
-    state.allocation = result.allocation;
-    true
-}
-
-/// One Online Scheduler round: re-optimize every admitted demand and push
-/// the fresh allocations to the brokers. Skipped while a failure is in
-/// effect (the recovery allocation stays authoritative until repair).
-fn schedule_round(
-    shared: &Arc<Shared>,
-    conns: &mut HashMap<u64, Conn>,
-    session: &mut SchedulingSession,
-) {
-    let mut state = shared.state.lock();
-    if state.demands.is_empty() || !state.failed.is_empty() {
-        return;
-    }
-    if install_optimum(shared, &mut state, session, false) {
-        ctrl_metrics().rounds.inc();
-        push_all_allocations(&mut state, conns);
-    }
-    // One SLO sample per scheduling round: burn rates evolve at round
-    // granularity, matching the paper's per-round BA-guarantee framing.
-    bate_obs::SloEngine::global().record_sample(bate_obs::Registry::global());
-}
-
-fn handle_link_report(
-    shared: &Arc<Shared>,
-    conns: &mut HashMap<u64, Conn>,
-    session: &mut SchedulingSession,
-    group: usize,
-    up: bool,
-) {
-    let mut state = shared.state.lock();
-    if group >= shared.topo.num_groups() {
-        return;
-    }
-    if up {
-        state.failed.remove(group);
-    } else {
-        state.failed.insert(group);
-    }
-    if state.demands.is_empty() {
-        return;
-    }
-    if state.failed.is_empty() {
-        // Everything healthy again: go back to a guaranteed schedule.
-        install_optimum(shared, &mut state, session, true);
-    } else {
-        // Failure in effect: reroute with Algorithm 2.
-        let scenario = Scenario {
-            failed: state.failed.clone(),
-            probability: 0.0,
-        };
-        let out = greedy_recovery(&shared.ctx(), &state.demands, &scenario);
-        state.allocation = out.allocation;
-    }
-    push_all_allocations(&mut state, conns);
-}
-
-/// The InstallAllocation message carrying a demand's current entries.
-fn install_message(state: &CtrlState, id: DemandId) -> Message {
-    let entries: Vec<FlowEntry> = state
-        .allocation
-        .flows_of(id)
-        .map(|(t, f)| FlowEntry {
-            pair: t.pair as u32,
-            tunnel: t.tunnel as u32,
-            rate: f,
-        })
-        .collect();
-    Message::InstallAllocation {
-        demand: id.0,
-        entries,
-    }
-}
-
-/// Send one demand's current allocation to every broker.
-fn push_demand_allocation(state: &mut CtrlState, conns: &mut HashMap<u64, Conn>, id: DemandId) {
-    let msg = install_message(state, id);
-    broadcast(state, conns, &msg);
-}
-
-fn push_all_allocations(state: &mut CtrlState, conns: &mut HashMap<u64, Conn>) {
-    let ids: Vec<DemandId> = state.demands.iter().map(|d| d.id).collect();
-    for id in ids {
-        push_demand_allocation(state, conns, id);
-    }
-}
-
-fn broadcast(state: &mut CtrlState, conns: &mut HashMap<u64, Conn>, msg: &Message) {
-    // Broker pushes inherit the causing span (a submit, withdraw, or
-    // link report being handled on the loop), extending the trace
-    // through to enforcement. Outside any trace the frames are legacy.
-    let ctx = FrameCtx::current();
-    let Ok(frame) = encode_frame_ctx(msg, ctx) else {
-        return;
-    };
-    // A broker whose connection died is dropped here; write failures on
-    // a live fd surface at flush time and retire it through the sweep.
-    state.brokers.retain(|_, token| match conns.get_mut(token) {
-        Some(conn) if !conn.dead => {
-            conn.queue_frame(&frame);
-            true
-        }
-        _ => false,
-    });
-}
-
-/// Queue an encoded reply frame on one connection (no-op if it died
-/// earlier in the wakeup).
-fn queue_to(conns: &mut HashMap<u64, Conn>, token: u64, msg: &Message, ctx: Option<FrameCtx>) {
-    if let Ok(frame) = encode_frame_ctx(msg, ctx) {
-        if let Some(conn) = conns.get_mut(&token) {
-            conn.queue_frame(&frame);
         }
     }
 }

@@ -67,7 +67,7 @@ impl Conn {
     /// dead (mirroring the blocking reader's `Malformed("eof after …")`).
     pub fn read_ready(
         &mut self,
-        frame_timeout: Option<Duration>,
+        frame_timeout: Duration,
         out: &mut Vec<(Option<FrameCtx>, Message)>,
     ) {
         let mut tmp = [0u8; 64 * 1024];
@@ -112,7 +112,7 @@ impl Conn {
             if self.eof {
                 self.dead = true; // severed mid-frame
             } else if self.frame_deadline.is_none() {
-                self.frame_deadline = frame_timeout.map(|t| Instant::now() + t);
+                self.frame_deadline = Some(Instant::now() + frame_timeout);
             }
         } else {
             self.frame_deadline = None;
@@ -199,7 +199,7 @@ mod tests {
         let mut out = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(2);
         while conn.bytes_in < 5 && Instant::now() < deadline {
-            conn.read_ready(Some(Duration::from_secs(1)), &mut out);
+            conn.read_ready(Duration::from_secs(1), &mut out);
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(out.is_empty());
@@ -211,7 +211,7 @@ mod tests {
         client.write_all(&frame[5..]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
         while out.is_empty() && Instant::now() < deadline {
-            conn.read_ready(Some(Duration::from_secs(1)), &mut out);
+            conn.read_ready(Duration::from_secs(1), &mut out);
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(matches!(out[0].1, Message::Ping { token: 1 }));
@@ -230,7 +230,7 @@ mod tests {
         let mut out = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(2);
         while !conn.dead && Instant::now() < deadline {
-            conn.read_ready(None, &mut out);
+            conn.read_ready(Duration::from_secs(1), &mut out);
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(conn.dead, "severed mid-frame must be terminal");
@@ -242,7 +242,7 @@ mod tests {
         let mut out = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(2);
         while !conn.eof && Instant::now() < deadline {
-            conn.read_ready(None, &mut out);
+            conn.read_ready(Duration::from_secs(1), &mut out);
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(out.len(), 1, "frame before the close is still delivered");

@@ -288,7 +288,8 @@ fn check(ctx: &TeContext, alloc: &Allocation, pool: &[BaDemand]) {
 /// Rounds and repairs ask the session the batch solve left warm: with
 /// nothing changed they reinstall its hardened optimum without a solve,
 /// after a withdrawal a round takes one warm re-solve. What each installs
-/// is what a cold `schedule_hardened` over the same pool guarantees.
+/// is what a cold `schedule_hardened` over the same pool guarantees. A
+/// repeated link report changes nothing.
 #[test]
 fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
     let ctrl = start_controller();
@@ -323,6 +324,11 @@ fn rounds_and_repairs_install_the_sessions_hardened_optimum() {
     assert_eq!(installs, pool.len());
     check(&ctx, &repair, &pool);
     assert_eq!(flows(&repair, &pool), flows(&round, &pool));
+    assert_eq!(rounds(ctrl.session_stats()), (2, 0, 0));
+    // The same report again leaves the failed set as it was: no round,
+    // no push.
+    probe.send(&Message::LinkReport { group: 0, up: true });
+    assert_eq!(probe.installed().1, 0);
     assert_eq!(rounds(ctrl.session_stats()), (2, 0, 0));
     ctrl.run_schedule_round();
     assert_eq!(flows(&probe.installed().0, &pool), flows(&round, &pool));

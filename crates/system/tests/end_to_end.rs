@@ -302,7 +302,7 @@ fn periodic_scheduler_keeps_allocations_fresh() {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: Some(Duration::from_millis(40)),
-        idle_timeout: Some(Duration::from_secs(30)),
+        idle_timeout: Duration::from_secs(30),
     })
     .unwrap();
     let broker = Broker::connect(controller.addr(), "DC1").unwrap();

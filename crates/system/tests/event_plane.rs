@@ -21,7 +21,7 @@ fn start_controller(idle_timeout: Duration) -> Controller {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: None,
-        idle_timeout: Some(idle_timeout),
+        idle_timeout,
     })
     .unwrap()
 }

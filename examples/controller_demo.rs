@@ -21,7 +21,7 @@ fn main() {
         routing: RoutingScheme::default_ksp4(),
         max_failures: 2,
         schedule_interval: Some(Duration::from_secs(2)),
-        idle_timeout: Some(Duration::from_secs(30)),
+        idle_timeout: Duration::from_secs(30),
     })
     .expect("controller start");
     println!("controller listening on {}", controller.addr());

@@ -164,7 +164,7 @@ fn causal_artifacts(
             routing: RoutingScheme::Ksp(3),
             max_failures: 2,
             schedule_interval: None,
-            idle_timeout: Some(Duration::from_secs(30)),
+            idle_timeout: Duration::from_secs(30),
         })
         .expect("controller start");
         let broker = Broker::connect(controller.addr(), "DC1").expect("broker connect");

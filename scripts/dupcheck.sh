@@ -81,5 +81,17 @@ check "bate-reference outside [dev-dependencies] of lp, core, net, routing, obs,
         awk '/^\[/ { sec = $0 } /^bate-reference/ && sec != "[dev-dependencies]" && sec != "[workspace.dependencies]"' "$f"
     done | wc -l)" 0
 check "bate_reference in the facade's src/" "$(grep -rc 'bate_reference' src | awk -F: '{ n += $2 } END { print n + 0 }')" 0
+# One admission path in the controller (DESIGN.md §6y): a batch of one is
+# the n = 1 case of the batch steps, the serving state decides and returns
+# what to install, and only the poll loop touches a connection.
+SYSTEM_SRC="$(find crates/system/src -name '*.rs' | while read -r f; do src "$f"; done)"
+check "defer_push or too_many_arguments in crates/system/src non-test code (one submit path)" \
+    "$(echo "$SYSTEM_SRC" | grep -oE 'defer_push|too_many_arguments' | wc -l)" 0
+check "HashMap<u64, Conn> in controller.rs non-test code (the poll loop's field; no other function takes the connection map)" \
+    "$(src crates/system/src/controller.rs | grep -c 'HashMap<u64, Conn>')" 1 1
+check "Mutex<SessionStats> in crates/system/src (the session is read under the state lock)" \
+    "$(grep -rho 'Mutex<SessionStats>' crates/system/src | wc -l)" 0
+check "DemandProfile under crates/ (MaskedProfile is the one collapsed-state type)" \
+    "$(grep -rho 'DemandProfile' crates | wc -l)" 0
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
