@@ -13,7 +13,7 @@
 //! cargo bench -p bate-bench --bench lp -- --emit-json
 //! ```
 
-use bate_core::incremental::{DemandDelta, IncrementalScheduler};
+use bate_core::incremental::{DemandDelta, IncrementalScheduler, SchedulingSession};
 use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, DemandId, TeContext};
@@ -457,7 +457,13 @@ fn main() {
     // page faults each takes (the master's matrix is kept across applies
     // and compactions, so a warm apply should fault in next to nothing;
     // acceptance: median <= 100), and the p90 of every apply, cold ones
-    // included, which is where the compaction tail shows.
+    // included, which is where the compaction tail shows. The master is a
+    // `SchedulingSession`'s, as in the controller, so each apply is timed
+    // through `batch_optimum`; after it, the TE round over that optimum is
+    // timed twice, in alternating order: the session's `hardened_round`,
+    // whose scan re-checks only the demands whose LP flows moved, and the
+    // same clone-harden-clone with an empty memo (every demand checked).
+    // Acceptance: the memoised round is >= 3x faster at the median.
     let pool250_rounds = 40;
     let mut pool250_cfg = churn::ChurnConfig::steady(
         churn_cfg.pairs.clone(),
@@ -467,31 +473,32 @@ fn main() {
     );
     pool250_cfg.availability_targets = vec![0.9, 0.95, 0.99];
     let stream = churn::generate(&pool250_cfg).initial;
-    let mut sched = IncrementalScheduler::new(&ctx);
-    let fill: Vec<DemandDelta> = stream[..250].iter().cloned().map(DemandDelta::Add).collect();
-    sched.apply(&ctx, &fill).unwrap();
+    let mut pool: Vec<BaDemand> = stream[..250].to_vec();
+    let mut session = SchedulingSession::default();
+    session.batch_optimum(&ctx, &pool).unwrap();
+    session.hardened_round(&ctx, &pool).unwrap();
+    let cold_rounds = |s: &SchedulingSession| s.master().unwrap().stats().cold_rounds;
     let mut warm_ms: Vec<f64> = Vec::new();
     let mut all_ms: Vec<f64> = Vec::new();
     let mut warm_faults: Vec<f64> = Vec::new();
     let mut pool250_cold = 0usize;
+    let mut round_ms = [Vec::new(), Vec::new()];
+    let mut scan_checks: Vec<f64> = Vec::new();
     for round in 0..pool250_rounds {
-        let batch: Vec<DemandDelta> = stream[8 * round..8 * round + 8]
-            .iter()
-            .map(|d| DemandDelta::Remove(d.id))
-            .chain(
-                stream[250 + 8 * round..258 + 8 * round]
-                    .iter()
-                    .cloned()
-                    .map(DemandDelta::Add),
-            )
-            .collect();
-        let cold_before = sched.stats().cold_rounds;
+        for d in pool.drain(..8) {
+            session.note_remove(d.id);
+        }
+        for d in &stream[250 + 8 * round..258 + 8 * round] {
+            session.note_add(d);
+            pool.push(d.clone());
+        }
+        let cold_before = cold_rounds(&session);
         let faults_before = minor_faults();
         let t = Instant::now();
-        sched.apply(&ctx, &batch).unwrap();
+        session.batch_optimum(&ctx, &pool).unwrap();
         let ms = t.elapsed().as_secs_f64() * 1e3;
         all_ms.push(ms);
-        if sched.stats().cold_rounds == cold_before {
+        if cold_rounds(&session) == cold_before {
             warm_ms.push(ms);
             if let (Some(before), Some(after)) = (faults_before, minor_faults()) {
                 warm_faults.push((after - before) as f64);
@@ -499,7 +506,23 @@ fn main() {
         } else {
             pool250_cold += 1;
         }
+        let lp = session.batch_optimum(&ctx, &pool).unwrap().clone();
+        for side in [round % 2, 1 - round % 2] {
+            let t = Instant::now();
+            if side == 0 {
+                black_box(session.hardened_round(&ctx, &pool).unwrap());
+            } else {
+                let mut full = lp.clone();
+                black_box(scheduling::harden(&ctx, &pool, &mut full));
+                black_box(full.clone());
+            }
+            round_ms[side].push(t.elapsed().as_secs_f64() * 1e3);
+        }
+        scan_checks.push(session.stats().last_scan_checks as f64);
     }
+    let [memo_round_q, full_round_q] = round_ms.map(|mut xs| quartiles(&mut xs));
+    let round_speedup = full_round_q.1 / memo_round_q.1;
+    let median_checks = quantile(&mut scan_checks, 0.5);
     let (pool250_q1, pool250_median, pool250_q3) = quartiles(&mut warm_ms);
     let pool250_min = warm_ms[0];
     let pool250_p90 = quantile(&mut all_ms, 0.9);
@@ -513,6 +536,14 @@ fn main() {
     assert!(
         pool250_faults.is_none_or(|(median, _)| median <= 100.0),
         "churn_warm_pool250: {pool250_faults:?} minor faults per warm apply; the bar is a median of 100"
+    );
+    println!(
+        "churn_warm_pool250   session round after each apply: memoised scan median {:.3} ms (quartiles {:.3}..{:.3}), full scan {:.3} ms ({:.3}..{:.3})  speedup {round_speedup:.2}x  demands checked (median) {median_checks}",
+        memo_round_q.1, memo_round_q.0, memo_round_q.2, full_round_q.1, full_round_q.0, full_round_q.2,
+    );
+    assert!(
+        round_speedup >= 3.0,
+        "churn_warm_pool250: memoised session round {round_speedup:.2}x faster than the full scan; the bar is 3x"
     );
 
     // The two per-demand scenario sweeps of a TE round at the same shape
@@ -802,13 +833,13 @@ fn main() {
         let faults = pool250_faults.map_or(String::new(), |(median, p90)| {
             format!(", \"minor_faults_per_warm_apply\": {{\"median\": {median}, \"p90\": {p90}}}")
         });
-        json.push_str(&format!(
-            "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}, \"apply_p90_ms\": {pool250_p90:.3}{faults}}},\n",
-            warm_ms.len()
-        ));
         let side = |(q1, median, q3): (f64, f64, f64)| {
             format!("{{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}}}")
         };
+        json.push_str(&format!(
+            "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}, \"apply_p90_ms\": {pool250_p90:.3}{faults}, \"session_round_ms\": {{\"memo\": {}, \"full_scan\": {}, \"speedup\": {round_speedup:.2}}}, \"scan_checks_median\": {median_checks}}},\n",
+            warm_ms.len(), side(memo_round_q), side(full_round_q)
+        ));
         json.push_str(&format!(
             "  \"scenario_sweep\": {{\"demands\": 250, \"scenarios\": {num_scenarios}, \"runs\": {sweep_runs}, \"collapse_ms\": {{\"walk\": {}, \"shipped\": {}, \"speedup\": {collapse_speedup:.2}}}, \"hard_check_ms\": {{\"walk\": {}, \"shipped\": {}, \"speedup\": {check_speedup:.2}}}}},\n",
             side(collapse_walk_q), side(collapse_q), side(check_walk_q), side(check_q)

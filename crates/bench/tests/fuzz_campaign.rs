@@ -22,7 +22,7 @@ use bate_bench::fuzz::{
 use bate_core::admission::optimal::{
     admission_milp, maximize_admissions_mode, optimal_feasible_mode,
 };
-use bate_core::incremental::{DemandDelta, IncrementalScheduler};
+use bate_core::incremental::{DemandDelta, IncrementalScheduler, SchedulingSession, SessionPath};
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::recovery::milp::{optimal_recovery, recovery_milp};
 use bate_core::recovery::RecoveryOutcome;
@@ -399,6 +399,101 @@ fn churn_sequences_match_cold_and_certify() {
             sched.stats()
         );
     }
+}
+
+/// Random churn sequences through a [`SchedulingSession`] (DESIGN.md
+/// §6y): every warm round's hardening scan reuses the verdicts of the
+/// demands whose LP flows did not move, and must be bit for bit what
+/// [`scheduling::harden`] gives on the same LP optimum with an empty
+/// memo: every demand's flows, the total, and the violators left. A
+/// `Resize` reaches the session as a withdraw and a re-add of the same
+/// id. Pools sit near testbed6's capacity, so the LP leaves demands
+/// short of their hard target and the re-placement runs under the memo.
+#[test]
+fn session_churn_hardens_like_the_full_scan() {
+    let fixtures = net_fixtures();
+    let fix = &fixtures[1]; // testbed6, KSP-4, single failures
+    let ctx = TeContext::new(&fix.topo, &fix.tunnels, &fix.scenarios);
+    let pairs: Vec<usize> = (0..fix.tunnels.num_pairs())
+        .filter(|&p| fix.tunnels.tunnels(p).len() >= 2)
+        .collect();
+    let (mut rounds_short, mut checks, mut checked_pool) = (0, 0, 0);
+    for seed in 0..fuzz_budget(8) as u64 {
+        let mut cfg = churn::ChurnConfig::steady(pairs.clone(), 16, 8, 3500 + seed);
+        cfg.bandwidth = (50.0, 250.0);
+        cfg.churn_fraction = 0.1 + 0.05 * (seed % 3) as f64;
+        let workload = churn::generate(&cfg);
+        let tag = format!("session_churn:{seed}");
+
+        let mut session = SchedulingSession::default();
+        let mut pool = workload.initial.clone();
+        for (round, batch) in std::iter::once(&Vec::new())
+            .chain(workload.rounds.iter())
+            .enumerate()
+        {
+            for delta in batch {
+                match delta {
+                    DemandDelta::Add(d) => {
+                        session.note_add(d);
+                        pool.push(d.clone());
+                    }
+                    DemandDelta::Remove(id) => {
+                        session.note_remove(*id);
+                        pool.retain(|d| d.id != *id);
+                    }
+                    DemandDelta::Resize { id, factor } => {
+                        session.note_remove(*id);
+                        for d in pool.iter_mut().filter(|d| d.id == *id) {
+                            for (_, b) in &mut d.bandwidth {
+                                *b *= factor;
+                            }
+                            d.price *= factor;
+                            session.note_add(d);
+                        }
+                    }
+                }
+            }
+            // The master (built on the first pass, rebuilt after a cold
+            // round) answers the round; the LP optimum it held is what the
+            // full scan hardens.
+            if session.batch_optimum(&ctx, &pool).is_none() {
+                assert!(
+                    scheduling::schedule_hardened(&ctx, &pool).is_err(),
+                    "{tag} round {round}: the master failed on a pool that schedules cold"
+                );
+                break;
+            }
+            let held = session
+                .hardened_round(&ctx, &pool)
+                .unwrap_or_else(|e| panic!("{tag} round {round}: session round failed: {e}"));
+            assert_eq!(held.path, SessionPath::Reused, "{tag} round {round}");
+            let mut full = session.batch_optimum(&ctx, &pool).unwrap().clone();
+            let short = pool.iter().filter(|d| !full.allocation.meets_target(&ctx, d)).count();
+            let violations = scheduling::harden(&ctx, &pool, &mut full);
+            assert_eq!(
+                held.result.total_bandwidth.to_bits(),
+                full.total_bandwidth.to_bits(),
+                "{tag} round {round}: total"
+            );
+            for d in &pool {
+                let bits = |r: &scheduling::ScheduleResult| -> Vec<_> {
+                    r.allocation.flows_of(d.id).map(|(t, f)| (t, f.to_bits())).collect()
+                };
+                assert_eq!(bits(&held.result), bits(&full), "{tag} round {round}: {:?}", d.id);
+            }
+            let left = (pool.iter())
+                .filter(|d| !held.result.allocation.meets_target(&ctx, d))
+                .count();
+            assert_eq!(left, violations, "{tag} round {round}: violators left");
+            rounds_short += usize::from(short > 0);
+            checks += session.stats().last_scan_checks;
+            checked_pool += pool.len();
+        }
+    }
+    // Non-vacuity: the re-placement ran, and the memo answered for part
+    // of the pools.
+    assert!(rounds_short > 0, "no round left a demand short of its target");
+    assert!(checks < checked_pool, "the memo never answered: {checks} of {checked_pool}");
 }
 
 /// The acceptance-criterion divergence case, certified end to end: a

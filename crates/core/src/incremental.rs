@@ -45,7 +45,7 @@ use crate::demand::{BaDemand, DemandId};
 use crate::model::{self, DemandCols, Form};
 use crate::profile::MaskedProfile;
 use crate::scheduling::{
-    count_round, harden, schedule_hardened, schedule_result, RowGenStats, ScheduleResult,
+    count_round, schedule_hardened, schedule_result, Hardener, RowGenStats, ScheduleResult,
 };
 use crate::TeContext;
 use bate_lp::{quick_check, Relation, Sense, Solution, SolveError, WarmState};
@@ -577,6 +577,10 @@ pub struct SessionStats {
     /// Deltas the most recent master solve was fed (a rebuild is fed the
     /// live pool).
     pub last_apply_deltas: usize,
+    /// Demands the most recent hardening scan checked; the others reused
+    /// the verdict the scan before gave their unmoved LP flows (a cold
+    /// round checks the whole pool).
+    pub last_scan_checks: usize,
 }
 
 /// A hardened optimum for the live pool, and how the session got it.
@@ -598,9 +602,13 @@ struct History {
     pending: Vec<DemandDelta>,
     /// The master's last LP optimum.
     lp: ScheduleResult,
-    /// `lp` after [`harden`] with the violations left, computed at most
+    /// `lp` after hardening with the violations left, computed at most
     /// once per `lp`.
     hardened: Option<(ScheduleResult, usize)>,
+    /// The hardening pass, with its memo of the last violation scan: a
+    /// round re-checks only the demands whose LP flows the warm solve
+    /// moved.
+    hardener: Hardener,
 }
 
 /// One warm scheduling session over a churning demand pool.
@@ -612,7 +620,9 @@ struct History {
 /// the master), hardened for a TE round
 /// ([`hardened_round`](Self::hardened_round)), which is also what a
 /// repair asks for. A request costs what changed: nothing pending reuses
-/// the held optimum, pending deltas take one warm `apply`. The history is
+/// the held optimum, pending deltas take one warm `apply`, and hardening
+/// the new optimum re-checks only the demands whose LP flows it moved
+/// (`scheduling::Hardener`). The history, and that memo with it, is
 /// dropped — and a round solved by the cold [`schedule_hardened`] — when
 /// it is *stale* (more pending deltas than live demands: replaying them
 /// would cost more than starting over), when a master solve fails, or
@@ -695,7 +705,8 @@ impl SchedulingSession {
         let h = self.history.as_mut().expect("advance kept the history");
         let (held, violations) = h.hardened.get_or_insert_with(|| {
             let mut result = h.lp.clone();
-            let violations = harden(ctx, live, &mut result);
+            let violations = h.hardener.run(ctx, live, &mut result);
+            self.stats.last_scan_checks = h.hardener.last_checks();
             (result, violations)
         });
         count_round(live.len(), *violations, held, t0);
@@ -718,6 +729,7 @@ impl SchedulingSession {
     ) -> Result<SessionRound, SolveError> {
         let result = schedule_hardened(ctx, live)?;
         self.stats.cold_rounds += 1;
+        self.stats.last_scan_checks = live.len();
         Ok(SessionRound {
             path: SessionPath::Cold,
             pending,
@@ -776,6 +788,7 @@ impl SchedulingSession {
                     pending: Vec::new(),
                     lp,
                     hardened: None,
+                    hardener: Hardener::default(),
                 });
                 true
             }
@@ -801,7 +814,7 @@ impl SchedulingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduling::{schedule_with_capacities_mode, SolveMode};
+    use crate::scheduling::{harden, schedule_with_capacities_mode, SolveMode};
     use bate_net::{topologies, ScenarioSet};
     use bate_routing::{RoutingScheme, TunnelSet};
 
@@ -1124,6 +1137,141 @@ mod tests {
         let mut session = session_over(&ctx, &[d1.clone(), d2.clone()]);
         let round = session.hardened_round(&ctx, &[d2, d1]).unwrap();
         assert_eq!(round.path, SessionPath::Reused);
+    }
+
+    /// A churned session's round, held to [`harden`] over a clone of the
+    /// same LP optimum with an empty memo: per-demand flow bits, the total's
+    /// bits and the violation count. Returns the demands the LP optimum
+    /// left short of their hard target (what the re-placement worked on).
+    fn round_is_the_full_scan(
+        session: &mut SchedulingSession,
+        ctx: &TeContext,
+        pool: &[BaDemand],
+        tag: &str,
+    ) -> usize {
+        let round = session.hardened_round(ctx, pool).unwrap();
+        let h = session.history.as_ref().expect("a warm session round");
+        let mut full = h.lp.clone();
+        let violations = harden(ctx, pool, &mut full);
+        assert_eq!(h.hardened.as_ref().unwrap().1, violations, "{tag}: violations");
+        assert_eq!(
+            round.result.total_bandwidth.to_bits(),
+            full.total_bandwidth.to_bits(),
+            "{tag}: total"
+        );
+        let bits = |r: &ScheduleResult, d: &BaDemand| -> Vec<(bate_routing::TunnelId, u64)> {
+            r.allocation.flows_of(d.id).map(|(t, f)| (t, f.to_bits())).collect()
+        };
+        for d in pool {
+            assert_eq!(bits(&round.result, d), bits(&full, d), "{tag}: flows of {:?}", d.id);
+        }
+        assert!(round.result.allocation.demands().eq(full.allocation.demands()), "{tag}");
+        pool.iter().filter(|d| !h.lp.allocation.meets_target(ctx, d)).count()
+    }
+
+    /// `n` single-pair demands from id `first` on, over the pairs with at
+    /// least two tunnels, bandwidth uniform in `mbps`, β cycling `betas`.
+    fn draw_demands(
+        tunnels: &TunnelSet,
+        first: u64,
+        n: usize,
+        mbps: (f64, f64),
+        betas: &[f64],
+        seed: u64,
+    ) -> Vec<BaDemand> {
+        use rand::{Rng, SeedableRng};
+        let pairs: Vec<usize> = (0..tunnels.num_pairs())
+            .filter(|&p| tunnels.tunnels(p).len() >= 2)
+            .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n as u64)
+            .map(|i| {
+                let pair = pairs[rng.gen_range(0..pairs.len())];
+                let b = rng.gen_range(mbps.0..=mbps.1);
+                BaDemand::single(first + i, pair, b, betas[i as usize % betas.len()])
+            })
+            .collect()
+    }
+
+    /// Churn `cycles` times: withdraw the `step` oldest demands of `pool`,
+    /// admit `step` from `stream`, and hold every round to the full scan.
+    /// Returns `(last_scan_checks, LP violators)` per round.
+    fn churn_rounds(
+        session: &mut SchedulingSession,
+        ctx: &TeContext,
+        pool: &mut Vec<BaDemand>,
+        stream: &mut impl Iterator<Item = BaDemand>,
+        cycles: usize,
+        step: usize,
+    ) -> Vec<(usize, usize)> {
+        (0..cycles)
+            .map(|cycle| {
+                for d in pool.drain(..step) {
+                    session.note_remove(d.id);
+                }
+                for d in stream.by_ref().take(step) {
+                    session.note_add(&d);
+                    pool.push(d);
+                }
+                let tag = format!("cycle {cycle}");
+                let short = round_is_the_full_scan(session, ctx, pool, &tag);
+                (session.stats().last_scan_checks, short)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoised_rounds_are_the_full_scan_on_a_churned_att_pool() {
+        let topo = topologies::att();
+        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+        let scenarios = ScenarioSet::enumerate(&topo, 2);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let cycles = 12;
+        let all = draw_demands(&tunnels, 1, 250 + 8 * cycles, (10.0, 50.0), &[0.9, 0.95, 0.99], 35);
+        let mut pool = all[..250].to_vec();
+        let mut stream = all[250..].iter().cloned();
+
+        let mut session = SchedulingSession::default();
+        session.batch_optimum(&ctx, &pool).expect("master builds");
+        round_is_the_full_scan(&mut session, &ctx, &pool, "first");
+        assert_eq!(session.stats().last_scan_checks, 250, "an empty memo checks all");
+        let rounds = churn_rounds(&mut session, &ctx, &mut pool, &mut stream, cycles, 8);
+        for (cycle, &(checks, _)) in rounds.iter().enumerate() {
+            assert!(checks >= 8, "cycle {cycle}: the admitted demands are new to the memo");
+            assert!(5 * checks < pool.len(), "cycle {cycle}: {checks} of {} checked", pool.len());
+        }
+
+        // Withdrawn and re-added under the same id at another rate: the
+        // demand is re-checked and the round is still the full scan.
+        let back = BaDemand { bandwidth: vec![(pool[0].bandwidth[0].0, 20.0)], ..pool[0].clone() };
+        session.note_remove(back.id);
+        session.note_add(&back);
+        pool[0] = back;
+        round_is_the_full_scan(&mut session, &ctx, &pool, "re-added");
+        assert!(session.stats().last_scan_checks >= 1);
+    }
+
+    #[test]
+    fn memoised_rounds_are_the_full_scan_while_testbed6_leaves_violators() {
+        let topo = topologies::testbed6();
+        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+        let scenarios = ScenarioSet::enumerate(&topo, 2);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let cycles = 12;
+        let all = draw_demands(&tunnels, 1, 20 + 4 * cycles, (100.0, 250.0), &[0.999, 0.99], 36);
+        let mut pool = all[..20].to_vec();
+        let mut stream = all[20..].iter().cloned();
+
+        let mut session = SchedulingSession::default();
+        session.batch_optimum(&ctx, &pool).expect("master builds");
+        round_is_the_full_scan(&mut session, &ctx, &pool, "first");
+        let rounds = churn_rounds(&mut session, &ctx, &mut pool, &mut stream, cycles, 4);
+        // Non-vacuity: the re-placement ran in most rounds, and in some of
+        // them the memo answered for part of the pool.
+        let short = rounds.iter().filter(|&&(_, short)| short > 0).count();
+        assert!(2 * short > cycles, "(checks, LP violators) per round: {rounds:?}");
+        let reused = rounds.iter().any(|&(checks, short)| short > 0 && checks < pool.len());
+        assert!(reused, "(checks, LP violators) per round: {rounds:?}");
     }
 
     #[test]

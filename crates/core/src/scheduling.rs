@@ -20,13 +20,14 @@
 //! pruned scenario fails the demand.
 
 use crate::allocation::Allocation;
-use crate::demand::BaDemand;
+use crate::demand::{BaDemand, DemandId};
 use crate::model::{self, DemandCols, Form};
 use crate::profile::MaskedProfile;
 use crate::TeContext;
 use bate_lp::{Problem, Relation, Sense, Solution, SolveError, SolveStats};
 use bate_obs::{Counter, Histogram, Registry};
 use bate_routing::TunnelId;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -301,96 +302,205 @@ pub fn place_single_hard(
 /// In-place hardening pass (see [`schedule_hardened`]). Returns how many
 /// demands still violate their hard target afterwards.
 ///
-/// The violation scan is a plain loop (a hard-availability check costs
-/// microseconds; spawning workers for it cost more than the scan). The
-/// repair is parallelized speculatively while staying **deterministic for
-/// any thread count**: the single-demand re-placements (each an
-/// independent LP against the pre-hardening snapshot) fan out over
-/// [`bate_lp::par_map`] for *every* violating demand; adoption then walks
-/// the fixed order (highest β first) sequentially, revalidating each
-/// speculative placement against the live residual capacity — an earlier
-/// adoption may have consumed capacity the speculation assumed — and
-/// re-solving inline only when the speculation no longer fits. Both the
-/// speculation set and every adoption decision are functions of the demand
-/// order alone, never of worker scheduling.
+/// This is the pass on an empty memo, so its violation scan checks every
+/// demand. A [`SchedulingSession`](crate::incremental::SchedulingSession)
+/// runs the same pass on the memo it keeps (`Hardener`), whose scan
+/// reuses the last verdict of every demand whose LP flows are
+/// bit-identical to those it was computed on. The result is the same bit
+/// for bit: a hard verdict is a function of the context, the demand's
+/// `bandwidth` and `beta`, and its own flows alone, so a verdict whose
+/// inputs are bit-identical is the one a fresh check returns, and the β
+/// order, re-placement and adoption that follow the scan are unchanged.
 pub fn harden(ctx: &TeContext, demands: &[BaDemand], result: &mut ScheduleResult) -> usize {
-    let mut order: Vec<&BaDemand> = demands.iter().collect();
-    order.sort_by(|a, b| {
-        b.beta
-            .partial_cmp(&a.beta)
-            .unwrap()
-            .then_with(|| a.id.cmp(&b.id))
-    });
+    Hardener::default().run(ctx, demands, result)
+}
 
-    // Violation scan (a demand's hard availability depends only on its
-    // own flows, so adoption below cannot change another demand's
-    // violation status).
-    let snapshot = &result.allocation;
-    let violating: Vec<&BaDemand> = (order.into_iter())
-        .filter(|demand| !snapshot.meets_target(ctx, demand))
-        .collect();
+/// The hard verdict of one demand at a scan, and where the bits it was
+/// computed from sit in its [`ScanMemo`].
+#[derive(Debug)]
+struct Verdict {
+    id: DemandId,
+    beta: u64,
+    bandwidth: Range<usize>,
+    /// The demand's LP flows, in [`Allocation::flows_of`] order.
+    flows: Range<usize>,
+    meets: bool,
+}
 
-    // Speculative re-placement of every violating demand against the
-    // snapshot residual (lift the demand out, place it alone). Inside a
-    // trace, each worker slot carries an explicit context handoff —
-    // derived on this (parent) thread, so span identities are functions
-    // of the slot index, never of worker scheduling; outside a trace the
-    // handoffs are inert and the workers stay silent.
-    let handoffs = bate_obs::context::fan_out(violating.len(), "harden.place");
-    let spec_inputs: Vec<(&BaDemand, bate_obs::Handoff)> =
-        violating.iter().copied().zip(handoffs).collect();
-    let speculative: Vec<Option<Allocation>> = bate_lp::par_map(&spec_inputs, |(demand, h)| {
-        let _g = h.enter();
-        let mut without = snapshot.clone();
-        without.remove_demand(demand.id);
-        let residual = without.residual_capacities(ctx);
-        place_single_hard(ctx, demand, &residual)
-    });
-    // Materialize each handoff span with one close-event, emitted *here*
-    // on the parent thread after the join — sequential slot order, so the
-    // trace stays deterministic while the tree stays connected (the
-    // workers' lp.solve spans parent on these).
-    for (slot, (demand, h)) in spec_inputs.iter().enumerate() {
-        if h.ctx().is_some() {
-            bate_obs::trace::emit_with_ctx(
-                bate_obs::trace::Level::Debug,
-                module_path!(),
-                "harden.place",
-                h.ctx(),
-                vec![
-                    ("slot", bate_obs::trace::Value::from(slot)),
-                    ("demand", bate_obs::trace::Value::from(demand.id.0)),
-                ],
-            );
-        }
+/// The verdicts of one scan, sorted by demand id, with the `bandwidth`
+/// and flow bits of all of them in two flat buffers.
+#[derive(Debug, Default)]
+struct ScanMemo {
+    verdicts: Vec<Verdict>,
+    bandwidth: Vec<(usize, u64)>,
+    flows: Vec<(TunnelId, u64)>,
+}
+
+impl ScanMemo {
+    fn clear(&mut self) {
+        self.verdicts.clear();
+        self.bandwidth.clear();
+        self.flows.clear();
+    }
+}
+
+/// The hardening pass with a memo of its violation scan: the verdict of
+/// every demand at the last [`run`](Self::run), keyed by its id, the bits
+/// of its `bandwidth` and `beta`, and its LP flows. A
+/// [`SchedulingSession`](crate::incremental::SchedulingSession) keeps one
+/// per master, so it serves one [`TeContext`].
+#[derive(Debug, Default)]
+pub(crate) struct Hardener {
+    last: ScanMemo,
+    /// The scan being taken; swapped with `last` when it ends, so the
+    /// buffers of both are kept.
+    next: ScanMemo,
+    checks: usize,
+}
+
+impl Hardener {
+    /// Demands the last scan checked; the others reused their verdict.
+    pub(crate) fn last_checks(&self) -> usize {
+        self.checks
     }
 
-    // Sequential fixed-order adoption with revalidation.
-    let mut violations = 0;
-    for (demand, spec) in violating.into_iter().zip(speculative) {
-        let mut without = result.allocation.clone();
-        without.remove_demand(demand.id);
-        let residual = without.residual_capacities(ctx);
-        // The hard-availability check inside `place_single_hard` is
-        // residual-independent, so a speculation that still fits the live
-        // residual is exactly what a fresh solve would be allowed to
-        // return; only the capacity side needs rechecking.
-        let chosen = match spec {
-            Some(single) if single.respects_capacity_with(ctx, &residual) => Some(single),
-            _ => place_single_hard(ctx, demand, &residual),
-        };
-        match chosen {
-            Some(single) => {
-                without.adopt_demand(demand.id, &single);
-                result.allocation = without;
+    /// `alloc.meets_target(ctx, demand)`, from the last scan's verdict
+    /// when its bits are the demand's now. Demands come in id order.
+    fn meets_target(&mut self, ctx: &TeContext, alloc: &Allocation, demand: &BaDemand) -> bool {
+        let (last, next) = (&self.last, &mut self.next);
+        let (b0, f0) = (next.bandwidth.len(), next.flows.len());
+        (next.bandwidth).extend(demand.bandwidth.iter().map(|&(pair, b)| (pair, b.to_bits())));
+        (next.flows).extend(alloc.flows_of(demand.id).map(|(t, f)| (t, f.to_bits())));
+        let (bandwidth, flows) = (b0..next.bandwidth.len(), f0..next.flows.len());
+        let beta = demand.beta.to_bits();
+        let held = (last.verdicts.binary_search_by_key(&demand.id, |v| v.id).ok())
+            .map(|i| &last.verdicts[i])
+            .filter(|v| {
+                v.beta == beta
+                    && last.bandwidth[v.bandwidth.clone()] == next.bandwidth[bandwidth.clone()]
+                    && last.flows[v.flows.clone()] == next.flows[flows.clone()]
+            })
+            .map(|v| v.meets);
+        let meets = held.unwrap_or_else(|| {
+            self.checks += 1;
+            alloc.meets_target(ctx, demand)
+        });
+        next.verdicts.push(Verdict {
+            id: demand.id,
+            beta,
+            bandwidth,
+            flows,
+            meets,
+        });
+        meets
+    }
+
+    /// The hardening pass of [`harden`] over `result`, scanning through
+    /// the memo. Returns how many demands still violate their hard
+    /// target afterwards.
+    ///
+    /// The violation scan is a plain loop (a hard-availability check
+    /// costs microseconds; spawning workers for it cost more than the
+    /// scan). The repair is parallelized speculatively while staying
+    /// **deterministic for any thread count**: the single-demand
+    /// re-placements (each an independent LP against the pre-hardening
+    /// snapshot) fan out over [`bate_lp::par_map`] for *every* violating
+    /// demand; adoption then walks the fixed order (highest β first)
+    /// sequentially, revalidating each speculative placement against the
+    /// live residual capacity — an earlier adoption may have consumed
+    /// capacity the speculation assumed — and re-solving inline only when
+    /// the speculation no longer fits. Both the speculation set and every
+    /// adoption decision are functions of the demand order alone, never
+    /// of worker scheduling.
+    pub(crate) fn run(
+        &mut self,
+        ctx: &TeContext,
+        demands: &[BaDemand],
+        result: &mut ScheduleResult,
+    ) -> usize {
+        // Violation scan (a demand's hard availability depends only on its
+        // own flows, so adoption below cannot change another demand's
+        // violation status, and a demand whose flows did not move keeps
+        // its verdict). It walks the pool in id order, the memo's order;
+        // the violators are then taken highest β first.
+        let mut by_id: Vec<&BaDemand> = demands.iter().collect();
+        by_id.sort_by_key(|d| d.id);
+        self.checks = 0;
+        self.next.verdicts.reserve(demands.len());
+        let snapshot = &result.allocation;
+        let mut violating: Vec<&BaDemand> = (by_id.into_iter())
+            .filter(|demand| !self.meets_target(ctx, snapshot, demand))
+            .collect();
+        std::mem::swap(&mut self.last, &mut self.next);
+        self.next.clear();
+        violating.sort_by(|a, b| {
+            b.beta
+                .partial_cmp(&a.beta)
+                .unwrap()
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        // Speculative re-placement of every violating demand against the
+        // snapshot residual (lift the demand out, place it alone). Inside a
+        // trace, each worker slot carries an explicit context handoff —
+        // derived on this (parent) thread, so span identities are functions
+        // of the slot index, never of worker scheduling; outside a trace the
+        // handoffs are inert and the workers stay silent.
+        let handoffs = bate_obs::context::fan_out(violating.len(), "harden.place");
+        let spec_inputs: Vec<(&BaDemand, bate_obs::Handoff)> =
+            violating.iter().copied().zip(handoffs).collect();
+        let speculative: Vec<Option<Allocation>> = bate_lp::par_map(&spec_inputs, |(demand, h)| {
+            let _g = h.enter();
+            let mut without = snapshot.clone();
+            without.remove_demand(demand.id);
+            let residual = without.residual_capacities(ctx);
+            place_single_hard(ctx, demand, &residual)
+        });
+        // Materialize each handoff span with one close-event, emitted *here*
+        // on the parent thread after the join — sequential slot order, so the
+        // trace stays deterministic while the tree stays connected (the
+        // workers' lp.solve spans parent on these).
+        for (slot, (demand, h)) in spec_inputs.iter().enumerate() {
+            if h.ctx().is_some() {
+                bate_obs::trace::emit_with_ctx(
+                    bate_obs::trace::Level::Debug,
+                    module_path!(),
+                    "harden.place",
+                    h.ctx(),
+                    vec![
+                        ("slot", bate_obs::trace::Value::from(slot)),
+                        ("demand", bate_obs::trace::Value::from(demand.id.0)),
+                    ],
+                );
             }
-            None => violations += 1,
         }
+
+        // Sequential fixed-order adoption with revalidation.
+        let mut violations = 0;
+        for (demand, spec) in violating.into_iter().zip(speculative) {
+            let mut without = result.allocation.clone();
+            without.remove_demand(demand.id);
+            let residual = without.residual_capacities(ctx);
+            // The hard-availability check inside `place_single_hard` is
+            // residual-independent, so a speculation that still fits the live
+            // residual is exactly what a fresh solve would be allowed to
+            // return; only the capacity side needs rechecking.
+            let chosen = match spec {
+                Some(single) if single.respects_capacity_with(ctx, &residual) => Some(single),
+                _ => place_single_hard(ctx, demand, &residual),
+            };
+            match chosen {
+                Some(single) => {
+                    without.adopt_demand(demand.id, &single);
+                    result.allocation = without;
+                }
+                None => violations += 1,
+            }
+        }
+        result.total_bandwidth = result.allocation.total_allocated();
+        // The repaired allocation is no longer the LP vertex the duals priced.
+        result.link_prices = vec![0.0; ctx.topo.num_links()];
+        violations
     }
-    result.total_bandwidth = result.allocation.total_allocated();
-    // The repaired allocation is no longer the LP vertex the duals priced.
-    result.link_prices = vec![0.0; ctx.topo.num_links()];
-    violations
 }
 
 /// Build the full scheduling LP of Eq. 1–7 without solving it.
@@ -585,7 +695,6 @@ impl Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::BaDemand;
     use bate_net::{topologies, ScenarioSet};
     use bate_routing::{RoutingScheme, TunnelSet};
 
@@ -793,6 +902,43 @@ mod tests {
                 .any(|e| e.name == "lp.solve" && place_ids.contains(&e.ctx.parent_span_id)),
             "speculative lp.solve spans must parent on handoff spans"
         );
+    }
+
+    #[test]
+    fn hardener_rechecks_a_demand_whose_request_or_flows_moved() {
+        let (topo, tunnels, scenarios) = ctx_toy4(4);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let n = |s: &str| topo.find_node(s).unwrap();
+        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
+        let d = BaDemand::single(1, pair, 4000.0, 0.9);
+        let lp = schedule(&ctx, std::slice::from_ref(&d)).unwrap();
+        // `run` on the memo against `harden` on an empty one, same LP
+        // optimum: checks taken, and the result bit for bit.
+        let mut hardener = Hardener::default();
+        let mut pass = |demands: &[BaDemand], lp: &ScheduleResult| {
+            let (mut memo, mut full) = (lp.clone(), lp.clone());
+            let violations = hardener.run(&ctx, demands, &mut memo);
+            assert_eq!(violations, harden(&ctx, demands, &mut full));
+            assert_eq!(memo.total_bandwidth.to_bits(), full.total_bandwidth.to_bits());
+            hardener.last_checks()
+        };
+        assert_eq!(pass(std::slice::from_ref(&d), &lp), 1);
+        assert_eq!(pass(std::slice::from_ref(&d), &lp), 0, "nothing moved");
+        // Same id and flows, another β, then another rate: each is
+        // re-checked, and the doubled rate is short on the flows the LP
+        // placed for the old one.
+        let stricter = BaDemand::single(1, pair, 4000.0, 0.95);
+        assert_eq!(pass(std::slice::from_ref(&stricter), &lp), 1);
+        let doubled = BaDemand::single(1, pair, 8000.0, 0.95);
+        assert!(!lp.allocation.meets_target(&ctx, &doubled));
+        assert_eq!(pass(std::slice::from_ref(&doubled), &lp), 1);
+        // Moved flows are re-checked; a demand that left is forgotten.
+        let mut moved = lp.clone();
+        let (t, f) = moved.allocation.flows_of(d.id).next().unwrap();
+        moved.allocation.set(d.id, t, f * 0.5);
+        assert_eq!(pass(std::slice::from_ref(&d), &moved), 1);
+        assert_eq!(pass(&[], &lp), 0);
+        assert_eq!(pass(std::slice::from_ref(&d), &lp), 1);
     }
 
     #[test]

@@ -291,6 +291,12 @@ impl CtrlState {
     /// fold admitted or replayed is installed once, in id order.
     fn settle(&mut self, ctx: &TeContext, size: usize, fresh: usize, mut fold: Installs) -> Installs {
         if size > 1 && fresh > 0 && self.failed.is_empty() {
+            // The batch's verdicts were flushed at the fold. Offer the CPU
+            // to the thread that reads them before the warm solve: when it
+            // shares this CPU, the kernel's wakeup preemption otherwise
+            // decides, by how much CPU this loop used lately, whether the
+            // verdicts are read now or after the solve (DESIGN.md §6y).
+            std::thread::yield_now();
             if let Some(res) = self.session.batch_optimum(ctx, &self.demands) {
                 ctrl_metrics().batch_solves.inc();
                 bate_obs::info!(

@@ -86,6 +86,18 @@ if [[ -z "$POOL_FAULTS" && -r /proc/self/stat ]] \
 fi
 echo "churn_warm_pool250 ${POOL_FAULTS:-no count of} minor faults per warm apply (median) <= 100: OK"
 
+# And for the TE round on that session (DESIGN.md §6y): after each warm
+# apply, the hardening scan re-checks only the demands whose LP flows moved.
+# The memoised round against the same round with an empty memo reads ~7x
+# on the scan alone; the bar is 3x at the median.
+echo "== memoised hardening gate (DESIGN.md §6y) =="
+ROUND_SPEEDUP=$(sed -n 's/.*"session_round_ms": {.*"speedup": \([0-9.]*\)}.*/\1/p' <<<"$POOL")
+if [[ -z "$ROUND_SPEEDUP" ]] || ! awk -v s="$ROUND_SPEEDUP" 'BEGIN { exit !(s >= 3.0) }'; then
+    echo "FAILED: churn_warm_pool250 memoised session round speedup '${ROUND_SPEEDUP}' is missing or below the 3x bar"
+    exit 1
+fi
+echo "churn_warm_pool250 memoised session round speedup ${ROUND_SPEEDUP}x >= 3x: OK"
+
 # And for the columns a solve never uses (DESIGN.md §5b): the same master
 # with three times as many idle variables appended, same pivots. With a
 # pivot-row gather and a `price_out` that scan whole rows it reads 1.77

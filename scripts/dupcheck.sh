@@ -93,5 +93,12 @@ check "Mutex<SessionStats> in crates/system/src (the session is read under the s
     "$(grep -rho 'Mutex<SessionStats>' crates/system/src | wc -l)" 0
 check "DemandProfile under crates/ (MaskedProfile is the one collapsed-state type)" \
     "$(grep -rho 'DemandProfile' crates | wc -l)" 0
+# One hardening scan (DESIGN.md §6y): `harden` is the session's memoised
+# pass on an empty memo, and there is no second scan beside it.
+check "fn harden, fn harden_* and empty-memo Hardener runs in crates/core/src non-test code (one fn harden, which is the one Hardener::default().run)" \
+    "$(find crates/core/src -name '*.rs' | while read -r f; do src "$f"; done \
+        | grep -oE 'fn harden(_[a-z0-9_]+)?\(|Hardener::default\(\)\.run\(' | wc -l)" 2 2
+check "yield_now in crates/system/src non-test code (the hand-off before a batch's warm solve in CtrlState::settle)" \
+    "$(echo "$SYSTEM_SRC" | grep -o 'yield_now' | wc -l)" 1 1
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
