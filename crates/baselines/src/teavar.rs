@@ -219,7 +219,7 @@ mod tests {
             .allocate(&ctx, &[user1.clone(), user2.clone()])
             .unwrap();
         // Both demands are fully allocated in the no-failure case...
-        let all_up = Scenario::all_up(&topo);
+        let all_up = Scenario::with_failures(&topo, &[]);
         assert!(alloc.delivered(&ctx, user1.id, pair, &all_up) >= 6000.0 - 1.0);
         assert!(alloc.delivered(&ctx, user2.id, pair, &all_up) >= 12_000.0 - 1.0);
         // ...but at least one of the two misses its own availability

@@ -38,7 +38,7 @@ proptest! {
         let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
         let scenarios = ScenarioSet::enumerate(&topo, 1);
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let all_up = Scenario::all_up(&topo);
+        let all_up = Scenario::with_failures(&topo, &[]);
 
         for algo in paper_baselines() {
             let Ok(alloc) = algo.allocate(&ctx, &demands) else {

@@ -536,10 +536,10 @@ mod tests {
     #[test]
     fn generators_are_deterministic_per_seed() {
         for (name, gen) in lp_families().into_iter().chain(milp_families()) {
-            let a = gen(42).problem.to_lp_format();
-            let b = gen(42).problem.to_lp_format();
+            let a = bate_reference::to_lp_format(&gen(42).problem);
+            let b = bate_reference::to_lp_format(&gen(42).problem);
             assert_eq!(a, b, "{name} not deterministic");
-            let c = gen(43).problem.to_lp_format();
+            let c = bate_reference::to_lp_format(&gen(43).problem);
             assert_ne!(a, c, "{name} ignores its seed");
         }
     }

@@ -46,12 +46,6 @@ pub enum AdmissionOutcome {
     Rejected,
 }
 
-impl AdmissionOutcome {
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmissionOutcome::Admitted { .. })
-    }
-}
-
 /// Registry handles for the admission metric family.
 struct AdmissionMetrics {
     checks: Arc<Counter>,

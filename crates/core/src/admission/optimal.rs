@@ -113,17 +113,9 @@ pub fn optimal_feasible_mode(
     }
 }
 
-/// The full Appendix-A objective: maximize the number of accepted demands.
-pub fn maximize_admissions(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-) -> Result<OptimalAdmission, SolveError> {
-    solve_admission(ctx, demands, false, SolveMode::Auto)
-}
-
-/// [`maximize_admissions`] with an explicit [`SolveMode`] — the direct
-/// MILP entry the row-generation goldens compare through (no LP fast
-/// paths in front).
+/// The full Appendix-A objective: maximize the number of accepted demands,
+/// solved in `mode` — the direct MILP entry the row-generation goldens
+/// compare through (no LP fast paths in front).
 pub fn maximize_admissions_mode(
     ctx: &TeContext,
     demands: &[BaDemand],
@@ -132,9 +124,9 @@ pub fn maximize_admissions_mode(
     solve_admission(ctx, demands, false, mode)
 }
 
-/// The branch-and-cut master of [`maximize_admissions`] as the search left
-/// it: seed rows, then the pooled cuts in order. What
-/// `model_text_golden.rs` pins.
+/// The branch-and-cut master of [`maximize_admissions_mode`] as a row
+/// generation search left it: seed rows, then the pooled cuts in order.
+/// What `model_text_golden.rs` pins.
 #[doc(hidden)]
 pub fn admission_lazy_master(ctx: &TeContext, demands: &[BaDemand]) -> Result<Problem, SolveError> {
     solve_admission_model(ctx, demands, false, SolveMode::RowGen).map(|(_, master)| master)
@@ -317,7 +309,7 @@ mod tests {
             .map(|i| BaDemand::single(i, pair, 9000.0, 0.5))
             .collect();
         assert!(!optimal_feasible(&ctx, &demands).unwrap());
-        let res = maximize_admissions(&ctx, &demands).unwrap();
+        let res = maximize_admissions_mode(&ctx, &demands, SolveMode::Auto).unwrap();
         let count = res.accepted.iter().filter(|&&a| a).count();
         assert_eq!(count, 2, "exactly two 9 Gbps demands fit");
     }

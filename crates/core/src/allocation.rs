@@ -137,27 +137,6 @@ impl Allocation {
         self.achieved_availability(ctx, demand) >= demand.beta - SATISFY_TOL
     }
 
-    /// The *relaxed* availability of Eq. 4: scenarios earn fractional
-    /// credit `min_k min(1, delivered/b)` instead of all-or-nothing
-    /// qualification. This is exactly what the scheduling LP guarantees to
-    /// be ≥ β (the paper explicitly relaxes the MILP, §3.3); the hard
-    /// [`Self::achieved_availability`] can be lower when flow is split.
-    pub fn relaxed_availability(&self, ctx: &TeContext, demand: &BaDemand) -> f64 {
-        ctx.scenarios
-            .iter()
-            .map(|z| {
-                let credit = demand
-                    .bandwidth
-                    .iter()
-                    .map(|&(pair, b)| {
-                        (self.delivered(ctx, demand.id, pair, z) / b).min(1.0)
-                    })
-                    .fold(1.0f64, f64::min);
-                z.probability * credit.max(0.0)
-            })
-            .sum()
-    }
-
     /// Aggregate load per directed link.
     pub fn link_loads(&self, ctx: &TeContext) -> Vec<f64> {
         let mut loads = vec![0.0f64; ctx.topo.num_links()];
@@ -248,7 +227,7 @@ mod tests {
         // Put everything on the first tunnel of the pair.
         a.set(d.id, TunnelId { pair, tunnel: 0 }, 6000.0);
 
-        let all_up = Scenario::all_up(&topo);
+        let all_up = Scenario::with_failures(&topo, &[]);
         assert!((a.delivered(&ctx, d.id, pair, &all_up) - 6000.0).abs() < 1e-9);
         assert!(a.satisfied_under(&ctx, &d, &all_up));
 

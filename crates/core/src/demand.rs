@@ -42,19 +42,6 @@ impl BaDemand {
         }
     }
 
-    /// Builder-style: set the charge `g_d`.
-    pub fn with_price(mut self, price: f64) -> BaDemand {
-        self.price = price;
-        self
-    }
-
-    /// Builder-style: set the refund fraction `μ_d`.
-    pub fn with_refund(mut self, refund_ratio: f64) -> BaDemand {
-        assert!((0.0..=1.0).contains(&refund_ratio));
-        self.refund_ratio = refund_ratio;
-        self
-    }
-
     /// Total requested bandwidth `Σ_k b_d^k`.
     pub fn total_bandwidth(&self) -> f64 {
         self.bandwidth.iter().map(|(_, b)| b).sum()

@@ -50,7 +50,7 @@
 //!
 //! // Admit, then schedule with a hard guarantee.
 //! let outcome = admission::admit(&ctx, &[], &Allocation::new(), &demand);
-//! assert!(outcome.is_admitted());
+//! assert!(matches!(outcome, admission::AdmissionOutcome::Admitted { .. }));
 //! let result = scheduling::schedule_hardened(&ctx, &[demand.clone()]).unwrap();
 //! assert!(result.allocation.meets_target(&ctx, &demand));
 //! ```

@@ -87,7 +87,8 @@ mod tests {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
         let p = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
-        let demands = vec![BaDemand::single(1, p, 500.0, 0.9).with_refund(0.2)];
+        let mut demands = vec![BaDemand::single(1, p, 500.0, 0.9)];
+        demands[0].refund_ratio = 0.2;
         let plan = BackupPlan::compute(&ctx, &demands);
         assert_eq!(plan.len(), topo.num_groups());
         for (g, _) in topo.groups() {
@@ -111,7 +112,8 @@ mod tests {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
         let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        let demands = vec![BaDemand::single(1, pair, 5000.0, 0.9).with_refund(0.5)];
+        let mut demands = vec![BaDemand::single(1, pair, 5000.0, 0.9)];
+        demands[0].refund_ratio = 0.5;
         let plan = BackupPlan::compute(&ctx, &demands);
         let g = topo.link(topo.find_link(n("DC2"), n("DC4")).unwrap()).group;
         let out = plan.lookup(&[g]).unwrap();

@@ -200,11 +200,13 @@ mod tests {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
         let p13 = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
-        let demands = vec![
-            BaDemand::single(1, p13, 300.0, 0.9).with_refund(0.25),
-            BaDemand::single(2, p13, 400.0, 0.9).with_refund(0.10),
+        let mut demands = vec![
+            BaDemand::single(1, p13, 300.0, 0.9),
+            BaDemand::single(2, p13, 400.0, 0.9),
         ];
-        let out = greedy_recovery(&ctx, &demands, &Scenario::all_up(&topo));
+        demands[0].refund_ratio = 0.25;
+        demands[1].refund_ratio = 0.10;
+        let out = greedy_recovery(&ctx, &demands, &Scenario::with_failures(&topo, &[]));
         assert_eq!(out.satisfied.len(), 2);
         assert!((out.profit - RecoveryOutcome::baseline_profit(&demands)).abs() < 1e-9);
         assert!(out.allocation.respects_capacity(&ctx, 1e-9));
@@ -219,10 +221,11 @@ mod tests {
         // Two 1500 Mbps demands DC1→DC4: with all links up, the cut allows
         // both (direct 1000 + detours). Fail the direct DC1-DC4 link (L8):
         // at most ~2000 Mbps survives, so one demand must take a refund.
-        let demands = vec![
-            BaDemand::single(1, p14, 1500.0, 0.9).with_refund(0.5),
-            BaDemand::single(2, p14, 1500.0, 0.9).with_refund(0.5),
+        let mut demands = vec![
+            BaDemand::single(1, p14, 1500.0, 0.9),
+            BaDemand::single(2, p14, 1500.0, 0.9),
         ];
+        demands.iter_mut().for_each(|d| d.refund_ratio = 0.5);
         let l8 = topo.find_link(n("DC1"), n("DC4")).unwrap();
         let sc = Scenario::with_failures(&topo, &[topo.link(l8).group]);
         let out = greedy_recovery(&ctx, &demands, &sc);
@@ -246,13 +249,12 @@ mod tests {
         // A cheap dense demand fills the pair first; the huge demand can't
         // fit beside it but is worth more than the packed set and fits the
         // empty network — Algorithm 2 must swap.
-        let cheap = BaDemand::single(1, p14, 800.0, 0.9)
-            .with_price(80.0)
-            .with_refund(1.0);
-        let whale = BaDemand::single(2, p14, 2500.0, 0.9)
-            .with_price(1000.0)
-            .with_refund(1.0);
-        let out = greedy_recovery(&ctx, &demands_vec(&cheap, &whale), &Scenario::all_up(&topo));
+        let mut cheap = BaDemand::single(1, p14, 800.0, 0.9);
+        (cheap.price, cheap.refund_ratio) = (80.0, 1.0);
+        let mut whale = BaDemand::single(2, p14, 2500.0, 0.9);
+        (whale.price, whale.refund_ratio) = (1000.0, 1.0);
+        let all_up = Scenario::with_failures(&topo, &[]);
+        let out = greedy_recovery(&ctx, &demands_vec(&cheap, &whale), &all_up);
         assert_eq!(out.satisfied, vec![whale.id]);
     }
 
@@ -270,16 +272,16 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let p = tunnels.pair_index(n("DC2"), n("DC6")).unwrap();
         let demands: Vec<BaDemand> = (0..5)
-            .map(|i| {
-                BaDemand::single(i, p, 400.0 + 100.0 * i as f64, 0.9)
-                    .with_refund(0.2 * (i % 3) as f64 / 2.0 + 0.1)
+            .map(|i| BaDemand {
+                refund_ratio: 0.2 * (i % 3) as f64 / 2.0 + 0.1,
+                ..BaDemand::single(i, p, 400.0 + 100.0 * i as f64, 0.9)
             })
             .collect();
         let floor: f64 = demands
             .iter()
             .map(|d| (1.0 - d.refund_ratio) * d.price)
             .sum();
-        let out = greedy_recovery(&ctx, &demands, &Scenario::all_up(&topo));
+        let out = greedy_recovery(&ctx, &demands, &Scenario::with_failures(&topo, &[]));
         assert!(out.profit >= floor - 1e-9);
     }
 }

@@ -166,11 +166,12 @@ mod tests {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
         let p13 = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
-        let demands = vec![
-            BaDemand::single(1, p13, 500.0, 0.9).with_refund(0.3),
-            BaDemand::single(2, p13, 600.0, 0.9).with_refund(0.3),
+        let mut demands = vec![
+            BaDemand::single(1, p13, 500.0, 0.9),
+            BaDemand::single(2, p13, 600.0, 0.9),
         ];
-        let out = optimal_recovery(&ctx, &demands, &Scenario::all_up(&topo)).unwrap();
+        demands.iter_mut().for_each(|d| d.refund_ratio = 0.3);
+        let out = optimal_recovery(&ctx, &demands, &Scenario::with_failures(&topo, &[])).unwrap();
         assert_eq!(out.satisfied.len(), 2);
         assert!(out.allocation.respects_capacity(&ctx, 1e-6));
     }
@@ -199,17 +200,18 @@ mod tests {
             let k = 2 + next() % 4;
             let demands: Vec<BaDemand> = (0..k)
                 .map(|i| {
-                    BaDemand::single(
+                    let mut d = BaDemand::single(
                         trial * 10 + i as u64,
                         pair,
                         200.0 + (next() % 10) as f64 * 150.0,
                         0.9,
-                    )
-                    .with_price(100.0 + (next() % 9) as f64 * 100.0)
+                    );
+                    d.price = 100.0 + (next() % 9) as f64 * 100.0;
                     // A uniform refund ratio keeps the density order g/b
                     // aligned with the objective gains (Lemma 2 argues in
                     // terms of g_i, i.e. implicitly uniform μ).
-                    .with_refund(0.5)
+                    d.refund_ratio = 0.5;
+                    d
                 })
                 .collect();
             let opt = optimal_recovery(&ctx, &demands, &sc).unwrap();
@@ -261,14 +263,15 @@ mod tests {
             let k = 2 + next() % 3;
             let demands: Vec<BaDemand> = (0..k)
                 .map(|i| {
-                    BaDemand::single(
+                    let mut d = BaDemand::single(
                         trial * 10 + i as u64,
                         pairs[next() % pairs.len()],
                         200.0 + (next() % 10) as f64 * 150.0,
                         0.9,
-                    )
-                    .with_price(100.0 + (next() % 9) as f64 * 100.0)
-                    .with_refund(0.1 + 0.2 * (next() % 4) as f64)
+                    );
+                    d.price = 100.0 + (next() % 9) as f64 * 100.0;
+                    d.refund_ratio = 0.1 + 0.2 * (next() % 4) as f64;
+                    d
                 })
                 .collect();
             let opt = optimal_recovery(&ctx, &demands, &sc).unwrap();
@@ -288,7 +291,8 @@ mod tests {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
         let p14 = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        let demands = vec![BaDemand::single(1, p14, 900.0, 0.9).with_refund(0.5)];
+        let mut demands = vec![BaDemand::single(1, p14, 900.0, 0.9)];
+        demands[0].refund_ratio = 0.5;
         let l8 = topo.find_link(n("DC1"), n("DC4")).unwrap();
         let sc = Scenario::with_failures(&topo, &[topo.link(l8).group]);
         let out = optimal_recovery(&ctx, &demands, &sc).unwrap();

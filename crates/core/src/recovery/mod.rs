@@ -99,10 +99,12 @@ mod tests {
 
     #[test]
     fn profit_accounting() {
-        let demands = vec![
-            BaDemand::single(1, 0, 100.0, 0.9).with_refund(0.25),
-            BaDemand::single(2, 0, 200.0, 0.9).with_refund(0.10),
+        let mut demands = vec![
+            BaDemand::single(1, 0, 100.0, 0.9),
+            BaDemand::single(2, 0, 200.0, 0.9),
         ];
+        demands[0].refund_ratio = 0.25;
+        demands[1].refund_ratio = 0.10;
         let profit = RecoveryOutcome::compute_profit(&demands, &[DemandId(1)]);
         // d1 full (100) + d2 refunded 10% (180).
         assert!((profit - 280.0).abs() < 1e-12);

@@ -25,8 +25,8 @@
 //! independent-marginal model admits, and a tampered joint probability is
 //! caught by the audit.
 
-use bate_core::admission::optimal::{maximize_admissions, optimal_feasible};
-use bate_core::scheduling::{harden, schedule};
+use bate_core::admission::optimal::{maximize_admissions_mode, optimal_feasible};
+use bate_core::scheduling::{harden, schedule, SolveMode};
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_net::{topologies, GroupId, Scenario, ScenarioSet, SrlgSet, Topology};
 use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
@@ -185,7 +185,7 @@ fn testbed6_admitted_demands_are_covered_depth1() {
         BaDemand::single(4, p13, 1e7, 0.999),
     ];
 
-    let res = maximize_admissions(&ctx, &demands).unwrap();
+    let res = maximize_admissions_mode(&ctx, &demands, SolveMode::Auto).unwrap();
     assert!(
         !res.accepted[3],
         "the 10 Tbps demand cannot be admitted on testbed6"

@@ -8,6 +8,7 @@ use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::scheduling::{schedule, schedule_hardened, separate_demand};
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_net::{topologies, GroupId, Scenario, ScenarioSet};
+use bate_reference::walk::relaxed_availability_walk;
 use bate_routing::{RoutingScheme, TunnelSet};
 use proptest::prelude::*;
 
@@ -78,7 +79,7 @@ proptest! {
             let demanded: f64 = demands.iter().map(|d| d.total_bandwidth()).sum();
             prop_assert!(res.total_bandwidth >= demanded - 1e-6);
             for d in &demands {
-                let relaxed = res.allocation.relaxed_availability(&ctx, d);
+                let relaxed = relaxed_availability_walk(&ctx, &res.allocation, d);
                 prop_assert!(relaxed >= d.beta - 1e-6,
                     "relaxed availability {relaxed} < {}", d.beta);
             }

@@ -77,6 +77,17 @@ fn recovery_table(topo: &Topology, demands: &[BaDemand], max_failures: usize) ->
     lines
 }
 
+/// Single-pair demands at β = 0.9 from `(id, pair, bandwidth, price,
+/// refund ratio)` rows.
+fn priced(rows: &[(u64, usize, f64, f64, f64)]) -> Vec<BaDemand> {
+    let row = |&(id, pair, bw, price, refund_ratio): &(u64, usize, f64, f64, f64)| BaDemand {
+        price,
+        refund_ratio,
+        ..BaDemand::single(id, pair, bw, 0.9)
+    };
+    rows.iter().map(row).collect()
+}
+
 fn assert_golden(actual: &[String], golden: &[&str], what: &str) {
     assert_eq!(
         actual,
@@ -97,17 +108,11 @@ fn toy4_golden_under_two_failures() {
     let n = |s: &str| topo.find_node(s).unwrap();
     let p14 = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
     let p24 = tunnels.pair_index(n("DC2"), n("DC4")).unwrap();
-    let demands = vec![
-        BaDemand::single(1, p14, 8000.0, 0.9)
-            .with_price(800.0)
-            .with_refund(0.5),
-        BaDemand::single(2, p14, 8000.0, 0.9)
-            .with_price(400.0)
-            .with_refund(0.5),
-        BaDemand::single(3, p24, 3000.0, 0.9)
-            .with_price(600.0)
-            .with_refund(0.25),
-    ];
+    let demands = priced(&[
+        (1, p14, 8000.0, 800.0, 0.5),
+        (2, p14, 8000.0, 400.0, 0.5),
+        (3, p24, 3000.0, 600.0, 0.25),
+    ]);
 
     let actual = recovery_table(&topo, &demands, 2);
     // Notable pins: under z=[0,1] (DC1-DC2 and DC2-DC4 both down, DC2
@@ -141,20 +146,12 @@ fn testbed6_golden_under_single_failures() {
     let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
     let n = |s: &str| topo.find_node(s).unwrap();
     let pair = |a: &str, b: &str| tunnels.pair_index(n(a), n(b)).unwrap();
-    let demands = vec![
-        BaDemand::single(1, pair("DC1", "DC3"), 800.0, 0.9)
-            .with_price(400.0)
-            .with_refund(0.5),
-        BaDemand::single(2, pair("DC1", "DC4"), 900.0, 0.9)
-            .with_price(350.0)
-            .with_refund(0.4),
-        BaDemand::single(3, pair("DC2", "DC6"), 700.0, 0.9)
-            .with_price(500.0)
-            .with_refund(0.2),
-        BaDemand::single(4, pair("DC4", "DC5"), 900.0, 0.9)
-            .with_price(300.0)
-            .with_refund(1.0),
-    ];
+    let demands = priced(&[
+        (1, pair("DC1", "DC3"), 800.0, 400.0, 0.5),
+        (2, pair("DC1", "DC4"), 900.0, 350.0, 0.4),
+        (3, pair("DC2", "DC6"), 700.0, 500.0, 0.2),
+        (4, pair("DC4", "DC5"), 900.0, 300.0, 1.0),
+    ]);
 
     let actual = recovery_table(&topo, &demands, 1);
     let golden = [

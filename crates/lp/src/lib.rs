@@ -46,7 +46,6 @@
 //! ```
 
 pub mod error;
-pub mod export;
 pub mod milp;
 pub mod par;
 pub mod problem;
@@ -56,7 +55,6 @@ pub mod stats;
 pub mod warm;
 
 pub use error::SolveError;
-pub use export::LpParseError;
 pub use par::{par_map, par_map_with, thread_count};
 pub use problem::{Problem, Relation, Sense, VarId, VarKind};
 pub use milp::{solve_lazy, solve_lp_lazy, solve_traced_lazy, LazyLpLog, LazyRow};

@@ -59,6 +59,13 @@ pub struct VarDef {
     pub upper: f64,
 }
 
+impl VarDef {
+    /// The name the variable was added under.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+}
+
 /// A constraint row, read through [`Problem::constraints`].
 #[derive(Debug, Clone)]
 pub struct Constraint {
@@ -127,11 +134,6 @@ impl Problem {
         self.objective[var.0] = coeff;
     }
 
-    /// Add `coeff` to the objective coefficient of `var`.
-    pub fn add_objective(&mut self, var: VarId, coeff: f64) {
-        self.objective[var.0] += coeff;
-    }
-
     /// Add a linear constraint `Σ coeff·var  (relation)  rhs`.
     ///
     /// Duplicate variables in `terms` are accumulated. Returns the
@@ -185,11 +187,6 @@ impl Problem {
     pub fn set_var_upper(&mut self, var: VarId, upper: f64) {
         assert!(upper >= 0.0, "upper bound must be non-negative");
         self.vars[var.0].upper = upper;
-    }
-
-    /// Upper bound of `var`.
-    pub fn var_upper(&self, var: VarId) -> f64 {
-        self.vars[var.0].upper
     }
 
     /// Append extra terms to an existing constraint row.

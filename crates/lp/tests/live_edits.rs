@@ -198,7 +198,7 @@ impl Master {
             _ => {
                 let j = rng.below(self.vars());
                 let v = self.ids[j];
-                let now = self.warm.problem().var_upper(v);
+                let now = self.warm.problem().vars()[v.index()].upper;
                 let next = if now == 0.0 {
                     self.width[j]
                 } else if rng.unit() < 0.5 {

@@ -81,15 +81,6 @@ pub struct FailureModel {
 }
 
 impl FailureModel {
-    /// The §5.2 parameters: Weibull(8, 0.6) scaled by 1e-3.
-    pub fn paper() -> Self {
-        FailureModel {
-            shape: 8.0,
-            scale: 0.6,
-            prob_scale: 1e-3,
-        }
-    }
-
     /// A heavy-tailed variant (shape < 1) matching the *qualitative* claim
     /// of §2.1 that a small fraction of links contributes most failures and
     /// failure rates vary by over two orders of magnitude.
@@ -115,6 +106,15 @@ mod tests {
     use rand::SeedableRng;
 
     impl FailureModel {
+        /// The §5.2 parameters: Weibull(8, 0.6) scaled by 1e-3.
+        fn paper() -> Self {
+            FailureModel {
+                shape: 8.0,
+                scale: 0.6,
+                prob_scale: 1e-3,
+            }
+        }
+
         /// Sample `n` failure probabilities.
         fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
             (0..n).map(|_| self.sample(rng)).collect()

@@ -223,22 +223,6 @@ impl Topology {
         self.groups[g.0].failure_prob = p;
     }
 
-    /// Availability (`1 - x_i`) of a link's fate group.
-    pub fn link_availability(&self, id: LinkId) -> f64 {
-        1.0 - self.groups[self.links[id.0].group.0].failure_prob
-    }
-
-    /// Failure probability of a link's fate group.
-    pub fn link_failure_prob(&self, id: LinkId) -> f64 {
-        self.groups[self.links[id.0].group.0].failure_prob
-    }
-
-    /// Probability that *no* failure is present anywhere in the network
-    /// (`Π_i (1 - x_i)` over fate groups).
-    pub fn all_up_probability(&self) -> f64 {
-        self.groups.iter().map(|g| 1.0 - g.failure_prob).product()
-    }
-
     /// All ordered source-destination pairs `K` (§3.1).
     pub fn sd_pairs(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
@@ -250,38 +234,6 @@ impl Topology {
             }
         }
         out
-    }
-
-    /// Check that every node can reach every other node (over up links).
-    pub fn is_strongly_connected(&self) -> bool {
-        let n = self.num_nodes();
-        if n == 0 {
-            return true;
-        }
-        // BFS from node 0 forward and backward.
-        let reach_fwd = self.bfs_reach(NodeId(0), false);
-        let reach_bwd = self.bfs_reach(NodeId(0), true);
-        reach_fwd.iter().all(|&r| r) && reach_bwd.iter().all(|&r| r)
-    }
-
-    fn bfs_reach(&self, start: NodeId, reverse: bool) -> Vec<bool> {
-        let mut seen = vec![false; self.num_nodes()];
-        let mut queue = vec![start];
-        seen[start.0] = true;
-        while let Some(u) = queue.pop() {
-            for (_, l) in self.links() {
-                let (from, to) = if reverse {
-                    (l.dst, l.src)
-                } else {
-                    (l.src, l.dst)
-                };
-                if from == u && !seen[to.0] {
-                    seen[to.0] = true;
-                    queue.push(to);
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -301,6 +253,50 @@ impl fmt::Display for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// Availability (`1 - x_i`) of a link's fate group.
+        pub(crate) fn link_availability(&self, id: LinkId) -> f64 {
+            1.0 - self.groups[self.links[id.0].group.0].failure_prob
+        }
+
+        /// Failure probability of a link's fate group.
+        pub(crate) fn link_failure_prob(&self, id: LinkId) -> f64 {
+            self.groups[self.links[id.0].group.0].failure_prob
+        }
+
+        /// Check that every node can reach every other node (over up links).
+        pub(crate) fn is_strongly_connected(&self) -> bool {
+            let n = self.num_nodes();
+            if n == 0 {
+                return true;
+            }
+            // BFS from node 0 forward and backward.
+            let reach_fwd = self.bfs_reach(NodeId(0), false);
+            let reach_bwd = self.bfs_reach(NodeId(0), true);
+            reach_fwd.iter().all(|&r| r) && reach_bwd.iter().all(|&r| r)
+        }
+
+        fn bfs_reach(&self, start: NodeId, reverse: bool) -> Vec<bool> {
+            let mut seen = vec![false; self.num_nodes()];
+            let mut queue = vec![start];
+            seen[start.0] = true;
+            while let Some(u) = queue.pop() {
+                for (_, l) in self.links() {
+                    let (from, to) = if reverse {
+                        (l.dst, l.src)
+                    } else {
+                        (l.src, l.dst)
+                    };
+                    if from == u && !seen[to.0] {
+                        seen[to.0] = true;
+                        queue.push(to);
+                    }
+                }
+            }
+            seen
+        }
+    }
 
     fn two_node() -> (Topology, NodeId, NodeId) {
         let mut t = Topology::new("t");
@@ -346,7 +342,8 @@ mod tests {
         let (mut t, a, b) = two_node();
         let (f, _) = t.add_duplex_link(a, b, 1.0, 0.04);
         assert!((t.link_availability(f) - 0.96).abs() < 1e-12);
-        assert!((t.all_up_probability() - 0.96).abs() < 1e-12);
+        let all_up = crate::Scenario::with_failures(&t, &[]);
+        assert!((all_up.probability - 0.96).abs() < 1e-12);
     }
 
     #[test]

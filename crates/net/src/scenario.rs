@@ -27,14 +27,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The no-failure scenario for `topo`.
-    pub fn all_up(topo: &Topology) -> Scenario {
-        Scenario {
-            failed: LinkSet::new(topo.num_groups()),
-            probability: topo.all_up_probability(),
-        }
-    }
-
     /// Scenario with exactly the given fate groups failed, probability
     /// computed from the topology's per-group failure probabilities
     /// **under independence**. When links share risk (fiber conduits), use

@@ -123,14 +123,6 @@ impl SrlgSet {
         self.srlgs.iter().enumerate().map(|(i, s)| (SrlgId(i), s))
     }
 
-    /// SRLGs whose cover contains the fate group.
-    pub fn covering(&self, g: GroupId) -> Vec<SrlgId> {
-        (0..self.srlgs.len())
-            .filter(|&j| self.srlgs[j].groups.contains(g.index()))
-            .map(SrlgId)
-            .collect()
-    }
-
     /// The full independent-event list: residual per-group events first
     /// (probabilities from `topo`), then one event per SRLG.
     pub fn events(&self, topo: &Topology) -> Vec<FailureEvent> {
@@ -151,12 +143,6 @@ impl SrlgSet {
             cover: s.groups.clone(),
         }));
         out
-    }
-
-    /// Probability that *no* event fires anywhere (`Π_e (1 - q_e)`). Equals
-    /// [`Topology::all_up_probability`] when the set is empty.
-    pub fn all_up_probability(&self, topo: &Topology) -> f64 {
-        self.events(topo).iter().map(|e| 1.0 - e.prob).product()
     }
 
     /// Marginal failure probability of one fate group:
@@ -183,19 +169,6 @@ impl SrlgSet {
             t.set_group_failure_prob(g, self.marginal_failure_prob(topo, g));
         }
         t
-    }
-
-    /// The fate groups taken down by a set of fired events (union of their
-    /// covers). A group is down iff some fired event covers it.
-    pub fn down_groups(&self, topo: &Topology, fired: &[usize]) -> LinkSet {
-        let events = self.events(topo);
-        let mut down = LinkSet::new(self.num_groups);
-        for &e in fired {
-            for g in events[e].cover.iter() {
-                down.insert(g);
-            }
-        }
-        down
     }
 
     /// Exact probability that the down-set is *exactly* `failed`: every
@@ -589,13 +562,15 @@ mod tests {
     }
 
     #[test]
-    fn down_groups_is_union_of_covers() {
+    fn events_are_residuals_then_srlgs() {
         let t = topologies::toy4();
         let mut set = SrlgSet::new(&t);
         set.add("cut", 0.01, &[GroupId(0), GroupId(2)]);
-        // Residual event 1 + SRLG event 4 (= num_groups + 0).
-        let down = set.down_groups(&t, &[1, 4]);
-        let want: Vec<usize> = vec![0, 1, 2];
-        assert_eq!(down.iter().collect::<Vec<_>>(), want);
+        // Residual event 1 covers group 1; SRLG event 4 (= num_groups + 0)
+        // covers the cut's groups.
+        let events = set.events(&t);
+        assert_eq!(events.len(), t.num_groups() + 1);
+        assert_eq!(events[1].cover.iter().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(events[4].cover.iter().collect::<Vec<_>>(), vec![0, 2]);
     }
 }

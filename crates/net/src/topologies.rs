@@ -78,11 +78,6 @@ pub fn fiti() -> Topology {
     synthetic("FITI", 14, 16, 104)
 }
 
-/// All four simulation topologies of Table 4, in paper order.
-pub fn simulation_topologies() -> Vec<Topology> {
-    vec![b4(), ibm(), att(), fiti()]
-}
-
 /// Deterministic synthetic WAN: a ring (guaranteeing strong connectivity)
 /// plus seeded random chords up to `physical_links` total, capacities from
 /// {1000, 2000, 4000} Mbps, failure probabilities from the paper's Weibull
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn synthetic_failure_probs_within_model_range() {
-        for topo in simulation_topologies() {
+        for topo in [b4(), ibm(), att(), fiti()] {
             for (_, g) in topo.groups() {
                 assert!((1e-7..=0.05).contains(&g.failure_prob));
             }

@@ -1,6 +1,6 @@
 //! Property-based validation of the scenario model and samplers.
 
-use bate_net::{scenario, GroupId, LinkSet, Scenario, ScenarioSet, SrlgSet, Topology};
+use bate_net::{scenario, LinkSet, Scenario, ScenarioSet, SrlgSet, Topology};
 use proptest::prelude::*;
 
 /// Build a random connected topology from a ring plus extra chords, with
@@ -179,12 +179,9 @@ proptest! {
             }
         }
         // Firing one SRLG takes down exactly its covered groups.
+        let events = srlgs.events(&topo);
         for (id, srlg) in srlgs.iter() {
-            let fired = srlgs.down_groups(&topo, &[topo.num_groups() + id.index()]);
-            prop_assert_eq!(&fired, &srlg.groups);
-            for g in srlg.groups.iter() {
-                prop_assert!(srlgs.covering(GroupId(g)).contains(&id));
-            }
+            prop_assert_eq!(&events[topo.num_groups() + id.index()].cover, &srlg.groups);
         }
     }
 

@@ -488,15 +488,10 @@ impl Registry {
         out
     }
 
-    /// Deterministic JSONL snapshot: one JSON object per metric, sorted by
-    /// name. See the module docs for which families are reproducible.
-    pub fn snapshot_jsonl(&self) -> String {
-        self.snapshot_jsonl_filtered(|_, _| true)
-    }
-
-    /// JSONL snapshot restricted to metrics where `keep(name, kind)` —
-    /// the obscheck gate keeps counters/gauges and drops wall-clock
-    /// timing histograms.
+    /// Deterministic JSONL snapshot of the metrics where `keep(name, kind)`:
+    /// one JSON object per metric, sorted by name. See the module docs for
+    /// which families are reproducible; the obscheck gate keeps
+    /// counters/gauges and drops wall-clock timing histograms.
     pub fn snapshot_jsonl_filtered(&self, keep: impl Fn(&str, MetricKind) -> bool) -> String {
         let mut out = String::new();
         for (name, metric) in self.sorted() {

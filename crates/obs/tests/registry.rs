@@ -158,8 +158,8 @@ fn exposition_is_stable_ordered_regardless_of_registration_order() {
     assert_eq!(metric_lines, sorted, "metric lines must be name-sorted");
 
     // Same stability holds for the JSONL snapshot, including filtering.
-    let ja = forward.snapshot_jsonl();
-    let jb = reverse.snapshot_jsonl();
+    let ja = forward.snapshot_jsonl_filtered(|_, _| true);
+    let jb = reverse.snapshot_jsonl_filtered(|_, _| true);
     assert_eq!(ja, jb);
     let filtered = forward.snapshot_jsonl_filtered(|name, kind| {
         kind == MetricKind::Counter && name.contains("wire")

@@ -14,6 +14,9 @@
 //! * [`certificate`] — KKT certificates evaluated exactly on float
 //!   solver output, so instances too big to re-solve exactly still get
 //!   their answers *certified* against documented tolerances.
+//! * [`lp_text`] — the CPLEX LP text format: a writer and a parser that
+//!   never panics, for debugging a model, handing it to an external
+//!   solver, and the goldens that pin a formulation byte for byte.
 //! * [`walk`] — the scenario-by-scenario definitions of the profile
 //!   collapse and the achieved availability that `bate-core` answers from
 //!   bitset algebra.
@@ -21,6 +24,7 @@
 //!   analytic availability calculus.
 
 pub mod certificate;
+pub mod lp_text;
 pub mod milp;
 pub mod montecarlo;
 pub mod rational;
@@ -31,6 +35,7 @@ pub use certificate::{
     verify_certificate, verify_certificate_with, verify_exact, verify_milp_certificate,
     verify_milp_certificate_with, verify_parts, CertTolerances, CertificateError,
 };
+pub use lp_text::{from_lp_format, to_lp_format, LpParseError};
 pub use milp::{solve_exact_milp, ExactMilpSolution};
 pub use rational::Rational;
 pub use simplex::{solve_exact, solve_exact_with, ExactSolution};

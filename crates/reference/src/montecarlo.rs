@@ -97,7 +97,7 @@ mod tests {
             }
         }
         let freq = up as f64 / n as f64;
-        let expected = topo.all_up_probability();
+        let expected = bate_net::Scenario::with_failures(&topo, &[]).probability;
         assert!((freq - expected).abs() < 1e-3, "{freq} vs {expected}");
     }
 }

@@ -7,7 +7,9 @@
 //! bitset algebra over `ScenarioSet::partition`;
 //! `crates/bench/tests/scenario_sweep.rs` holds them to these walks bit for
 //! bit, and the `scenario_sweep` entry of the `lp` bench times one against
-//! the other.
+//! the other. [`relaxed_availability_walk`] is Eq. 4's fractional credit,
+//! which nothing shipped computes: the scheduling LP's postcondition test
+//! holds each allocation to it.
 
 use bate_core::profile::{MaskedProfile, MaskedState};
 use bate_core::{Allocation, BaDemand, TeContext};
@@ -89,5 +91,24 @@ pub fn achieved_availability_walk(ctx: &TeContext, alloc: &Allocation, demand: &
         .iter()
         .filter(|z| alloc.satisfied_under(ctx, demand, z))
         .map(|z| z.probability)
+        .sum()
+}
+
+/// The *relaxed* availability of Eq. 4: scenarios earn fractional credit
+/// `min_k min(1, delivered/b)` instead of all-or-nothing qualification.
+/// This is exactly what the scheduling LP guarantees to be ≥ β (the paper
+/// explicitly relaxes the MILP, §3.3); the hard
+/// `Allocation::achieved_availability` can be lower when flow is split.
+pub fn relaxed_availability_walk(ctx: &TeContext, alloc: &Allocation, demand: &BaDemand) -> f64 {
+    ctx.scenarios
+        .iter()
+        .map(|z| {
+            let credit = demand
+                .bandwidth
+                .iter()
+                .map(|&(pair, b)| (alloc.delivered(ctx, demand.id, pair, z) / b).min(1.0))
+                .fold(1.0f64, f64::min);
+            z.probability * credit.max(0.0)
+        })
         .sum()
 }

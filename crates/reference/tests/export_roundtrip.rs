@@ -1,5 +1,5 @@
-//! Round-trip and mutation-fuzz tests for the LP-format exporter/parser
-//! (`crates/lp/src/export.rs`).
+//! Round-trip and mutation-fuzz tests for the LP-format writer and parser
+//! (`crates/reference/src/lp_text.rs`).
 //!
 //! Two campaigns:
 //!
@@ -10,7 +10,7 @@
 //!   objective.
 //! * **One-byte mutations** — a single byte of valid LP text is
 //!   replaced, inserted, or deleted; the parser must return `Ok` or a
-//!   typed [`bate_lp::LpParseError`], never panic.
+//!   typed [`bate_reference::LpParseError`], never panic.
 //!
 //! Both honor the `FUZZ_BUDGET` environment variable (cases per
 //! campaign; small default keeps tier-1 fast, nightly runs set it
@@ -19,6 +19,7 @@
 //! `REGRESSION_SEEDS` and replayed first, deterministically.
 
 use bate_lp::{Problem, Relation, Sense};
+use bate_reference::{from_lp_format, to_lp_format};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -104,37 +105,40 @@ fn random_problem(seed: u64) -> Problem {
 /// The round-trip property for one seed; shared by the regression
 /// replay and the random campaign.
 fn check_roundtrip(seed: u64) -> Result<(), String> {
-    let p = random_problem(seed);
-    let text = p.to_lp_format();
-    let q = Problem::from_lp_format(&text)
-        .map_err(|e| format!("seed {seed}: reparse failed: {e}\n{text}"))?;
-    let again = q.to_lp_format();
+    check_problem(&random_problem(seed), &format!("seed {seed}"))
+}
+
+/// The round-trip property for one problem, `seed` naming it in failures.
+fn check_problem(p: &Problem, seed: &str) -> Result<(), String> {
+    let text = to_lp_format(p);
+    let q = from_lp_format(&text).map_err(|e| format!("{seed}: reparse failed: {e}\n{text}"))?;
+    let again = to_lp_format(&q);
     if again != text {
         return Err(format!(
-            "seed {seed}: export→parse→export not a fixed point\n--- first ---\n{text}\n--- second ---\n{again}"
+            "{seed}: export→parse→export not a fixed point\n--- first ---\n{text}\n--- second ---\n{again}"
         ));
     }
     if q.num_vars() != p.num_vars() || q.num_constraints() != p.num_constraints() {
-        return Err(format!("seed {seed}: shape changed on round trip"));
+        return Err(format!("{seed}: shape changed on round trip"));
     }
     // Semantics survive, not just syntax: both models optimize alike.
     match (p.solve(), q.solve()) {
         (Ok(a), Ok(b)) => {
             if (a.objective - b.objective).abs() > 1e-9 * (1.0 + a.objective.abs()) {
                 return Err(format!(
-                    "seed {seed}: objectives diverged {} vs {}",
+                    "{seed}: objectives diverged {} vs {}",
                     a.objective, b.objective
                 ));
             }
         }
         (Err(a), Err(b)) => {
             if a != b {
-                return Err(format!("seed {seed}: solve errors diverged {a:?} vs {b:?}"));
+                return Err(format!("{seed}: solve errors diverged {a:?} vs {b:?}"));
             }
         }
         (a, b) => {
             return Err(format!(
-                "seed {seed}: one model solved, the other did not: {a:?} vs {b:?}"
+                "{seed}: one model solved, the other did not: {a:?} vs {b:?}"
             ))
         }
     }
@@ -147,6 +151,29 @@ fn regression_seeds_round_trip() {
         if let Err(msg) = check_roundtrip(seed) {
             panic!("{msg}");
         }
+    }
+}
+
+/// Names that sanitize alike (`"a b"` and `"a_b"` both to `a_b`, and a
+/// leading digit's `x{index}_` prefix landing on a name already taken)
+/// are still written as distinct columns, so the text reparses.
+#[test]
+fn names_that_sanitize_alike_round_trip() {
+    let mut p = Problem::new(Sense::Maximize);
+    let a = p.add_bounded_var("a b", 1.0);
+    let b = p.add_bounded_var("a_b", 2.0);
+    let c = p.add_bounded_var("x3_1c", 4.0);
+    let d = p.add_bounded_var("1c", 8.0);
+    for (i, v) in [a, b, c, d].into_iter().enumerate() {
+        p.set_objective(v, (i + 1) as f64);
+    }
+    p.add_constraint(
+        &[(a, 1.0), (b, 1.0), (c, 1.0), (d, 1.0)],
+        Relation::Le,
+        10.0,
+    );
+    if let Err(msg) = check_problem(&p, "colliding names") {
+        panic!("{msg}");
     }
 }
 
@@ -167,7 +194,7 @@ fn one_byte_mutations_yield_typed_errors_not_panics() {
     let mut rng = StdRng::seed_from_u64(0xBA7E_F022);
     for case in 0..budget {
         let p = random_problem(0x5EED ^ (case as u64).wrapping_mul(0x9E37_79B9));
-        let text = p.to_lp_format();
+        let text = to_lp_format(&p);
         let mut bytes = text.clone().into_bytes();
         let pos = rng.gen_range(0usize..bytes.len());
         match case % 3 {
@@ -182,7 +209,7 @@ fn one_byte_mutations_yield_typed_errors_not_panics() {
         if let Ok(s) = std::str::from_utf8(&bytes) {
             // Returning Ok (benign mutation, e.g. whitespace) or any
             // typed LpParseError is fine; a panic fails the test.
-            let _ = Problem::from_lp_format(s);
+            let _ = from_lp_format(s);
         }
     }
 }

@@ -66,13 +66,6 @@ impl Path {
         out
     }
 
-    /// No repeated nodes?
-    pub fn is_simple(&self, topo: &Topology) -> bool {
-        let nodes = self.nodes(topo);
-        let mut seen = std::collections::HashSet::new();
-        nodes.iter().all(|n| seen.insert(*n))
-    }
-
     /// Steady-state availability `p_t = Π (1 - x_i)` over traversed fate
     /// groups (§2.2 computes exactly this for the two DC1→DC4 paths).
     pub fn availability(&self, topo: &Topology) -> f64 {
@@ -103,6 +96,13 @@ mod tests {
     use bate_net::topologies;
 
     impl Path {
+        /// No repeated nodes?
+        pub(crate) fn is_simple(&self, topo: &Topology) -> bool {
+            let nodes = self.nodes(topo);
+            let mut seen = std::collections::HashSet::new();
+            nodes.iter().all(|n| seen.insert(*n))
+        }
+
         /// Build a path from a node sequence; every consecutive pair must be
         /// directly linked.
         fn from_nodes(topo: &Topology, nodes: &[NodeId]) -> Option<Path> {
@@ -151,7 +151,7 @@ mod tests {
         let t = topologies::toy4();
         let n = |s: &str| t.find_node(s).unwrap();
         let p = Path::from_nodes(&t, &[n("DC1"), n("DC2"), n("DC4")]).unwrap();
-        let all_up = Scenario::all_up(&t);
+        let all_up = Scenario::with_failures(&t, &[]);
         assert!(p.available_under(&t, &all_up));
         let g = t.link(t.find_link(n("DC1"), n("DC2")).unwrap()).group;
         let down = Scenario::with_failures(&t, &[g]);

@@ -132,12 +132,11 @@ mod tests {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
         let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        let d = BaDemand::single(1, pair, 6000.0, 0.9)
-            .with_price(100.0)
-            .with_refund(0.25);
+        let mut d = BaDemand::single(1, pair, 6000.0, 0.9);
+        (d.price, d.refund_ratio) = (100.0, 0.25);
         let mut alloc = Allocation::new();
         alloc.set(d.id, bate_routing::TunnelId { pair, tunnel: 0 }, 6000.0);
-        let all_up = Scenario::all_up(&topo);
+        let all_up = Scenario::with_failures(&topo, &[]);
         assert_eq!(
             profit_under_scenario(&ctx, &alloc, std::slice::from_ref(&d), &all_up),
             100.0

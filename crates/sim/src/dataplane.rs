@@ -127,7 +127,7 @@ mod tests {
         let d = BaDemand::single(1, pair, 5000.0, 0.9);
         let mut a = Allocation::new();
         a.set(d.id, TunnelId { pair, tunnel: 0 }, 5000.0);
-        let del = deliveries(&ctx, &a, &[d], &Scenario::all_up(&topo));
+        let del = deliveries(&ctx, &a, &[d], &Scenario::with_failures(&topo, &[]));
         assert!(del[0].satisfied());
         assert_eq!(del[0].ratio(), 1.0);
     }
@@ -169,7 +169,8 @@ mod tests {
         let mut alloc = Allocation::new();
         alloc.set(d1.id, TunnelId { pair, tunnel: 0 }, 1000.0);
         alloc.set(d2.id, TunnelId { pair, tunnel: 0 }, 1000.0);
-        let del = deliveries(&ctx, &alloc, &[d1, d2], &Scenario::all_up(&topo));
+        let all_up = Scenario::with_failures(&topo, &[]);
+        let del = deliveries(&ctx, &alloc, &[d1, d2], &all_up);
         for d in &del {
             assert!((d.ratio() - 0.5).abs() < 1e-9, "{}", d.ratio());
             assert!(!d.satisfied());

@@ -113,13 +113,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// The testbed workload under the exp2 diurnal + flash-crowd shape.
-    pub fn diurnal_flash(pairs: Vec<usize>, seed: u64) -> WorkloadConfig {
-        let mut cfg = WorkloadConfig::testbed(pairs, seed);
-        cfg.shape = RateShape::exp2();
-        cfg
-    }
-
     /// The §5.2 simulation workload (arrival rate swept 1–6/min).
     pub fn simulation(pairs: Vec<usize>, arrivals_per_min: f64, seed: u64) -> WorkloadConfig {
         WorkloadConfig {
@@ -317,7 +310,10 @@ mod tests {
         let (_topo, tunnels) = tunnels();
         let horizon = 600.0 * 60.0;
         let flat = generate(&WorkloadConfig::testbed(vec![0, 1], 7), &tunnels, horizon);
-        let cfg = WorkloadConfig::diurnal_flash(vec![0, 1], 7);
+        let cfg = WorkloadConfig {
+            shape: RateShape::exp2(),
+            ..WorkloadConfig::testbed(vec![0, 1], 7)
+        };
         let shaped = generate(&cfg, &tunnels, horizon);
         // Flash windows (~2/15 of the time at 6x) push the mean rate well
         // above the flat profile; the sinusoid averages out.
@@ -339,7 +335,10 @@ mod tests {
     #[test]
     fn flash_windows_cluster_arrivals() {
         let (_topo, tunnels) = tunnels();
-        let cfg = WorkloadConfig::diurnal_flash(vec![0], 19);
+        let cfg = WorkloadConfig {
+            shape: RateShape::exp2(),
+            ..WorkloadConfig::testbed(vec![0], 19)
+        };
         let horizon = 300.0 * 60.0;
         let arrivals = generate(&cfg, &tunnels, horizon);
         // Busiest minute should far exceed the base 2/min rate.

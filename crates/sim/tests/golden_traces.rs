@@ -11,15 +11,18 @@
 use bate_core::TeContext;
 use bate_net::{topologies, GroupId, ScenarioSet, Topology};
 use bate_routing::{RoutingScheme, TunnelSet};
-use bate_sim::storm::{self, StormConfig};
-use bate_sim::workload::{self, WorkloadConfig};
+use bate_sim::storm::{self, StormConfig, StormReport};
+use bate_sim::workload::{self, RateShape, WorkloadConfig};
 use std::fmt::Write as _;
 
 /// First arrivals of the seeded diurnal/flash workload, one line per
 /// demand: `t=<s> pair=<p> bw=<Mbps> beta=<target> dur=<s>`.
 fn demand_trace(topo: &Topology, seed: u64, minutes: usize, take: usize) -> String {
     let tunnels = TunnelSet::compute(topo, RoutingScheme::Ksp(2));
-    let cfg = WorkloadConfig::diurnal_flash(vec![0, 1, 2], seed);
+    let cfg = WorkloadConfig {
+        shape: RateShape::exp2(),
+        ..WorkloadConfig::testbed(vec![0, 1, 2], seed)
+    };
     let arrivals = workload::generate(&cfg, &tunnels, minutes as f64 * 60.0);
     let mut out = String::new();
     let _ = writeln!(out, "arrivals={}", arrivals.len());
@@ -44,7 +47,39 @@ fn storm_timeline(topo: &Topology, y: usize, groups: Vec<GroupId>, seed: u64) ->
         .collect();
     let cfg = StormConfig::regional(pairs, 6, groups, seed);
     let report = storm::run(&ctx, &cfg).unwrap();
-    storm::timeline_csv(&report)
+    timeline_csv(&report)
+}
+
+/// The storm timeline as CSV (`round,phase,deltas,live,warm,objective,`
+/// `baseline_profit,greedy_satisfied,greedy_profit,greedy_ms,`
+/// `milp_satisfied,milp_profit,milp_ms`).
+fn timeline_csv(report: &StormReport) -> String {
+    let mut out = String::from(
+        "round,phase,deltas,live,warm,objective,baseline_profit,\
+         greedy_satisfied,greedy_profit,greedy_ms,milp_satisfied,milp_profit,milp_ms\n",
+    );
+    for r in &report.rounds {
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{},{},{:.3}",
+            r.round,
+            format!("{:?}", r.phase).to_lowercase(),
+            r.deltas,
+            r.live,
+            r.warm,
+            r.objective,
+            r.baseline_profit,
+            r.greedy_satisfied,
+            r.greedy_profit,
+            r.greedy_ms,
+            r.milp_satisfied
+                .map_or_else(|| "-".to_string(), |v| v.to_string()),
+            r.milp_profit
+                .map_or_else(|| "-".to_string(), |v| format!("{v:.3}")),
+            r.milp_ms
+        );
+    }
+    out
 }
 
 const TOY4_DEMAND_TRACE: &str = "arrivals=161\n\

@@ -332,101 +332,3 @@ impl Client {
         Ok(self.clock.now().saturating_sub(start))
     }
 }
-
-/// A pipelined client: queue many requests locally, flush them in one
-/// write, then drain the replies — no per-request round-trip wait. This
-/// is what the load generator drives (fan-in throughput is bounded by
-/// the controller's batch processing, not by N × RTT) and what the
-/// batched-admission tests use to land many `SubmitDemand` frames in a
-/// single controller wakeup.
-///
-/// Unlike [`Client`] there is no retry policy: the pipelined surface is
-/// for controlled harnesses where the channel is reliable and
-/// back-to-back framing is the point.
-pub struct PipelinedClient {
-    stream: TcpStream,
-    wbuf: Vec<u8>,
-}
-
-impl PipelinedClient {
-    pub fn connect(addr: SocketAddr) -> io::Result<PipelinedClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(PipelinedClient {
-            stream,
-            wbuf: Vec::new(),
-        })
-    }
-
-    /// Queue a submission locally (nothing is sent until
-    /// [`PipelinedClient::flush`]). Stamped with the same deterministic
-    /// per-demand trace root as [`Client::submit`], so controller-side
-    /// spans still attribute to the demand that caused them.
-    pub fn queue_submit(&mut self, req: &DemandRequest) -> io::Result<()> {
-        let _root = bate_obs::context::root("submit", req.id);
-        let _sp = bate_obs::span!("client.submit", demand = req.id);
-        let msg = Message::SubmitDemand {
-            id: req.id,
-            src: req.src.clone(),
-            dst: req.dst.clone(),
-            bandwidth: req.bandwidth,
-            beta: req.beta,
-            price: req.price,
-            refund_ratio: req.refund_ratio,
-        };
-        let frame = crate::wire::encode_frame_ctx(&msg, FrameCtx::current())
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        self.wbuf.extend_from_slice(&frame);
-        Ok(())
-    }
-
-    /// Queue a withdrawal locally.
-    pub fn queue_withdraw(&mut self, id: u64) -> io::Result<()> {
-        let _root = bate_obs::context::root("withdraw", id);
-        let _sp = bate_obs::span!("client.withdraw", demand = id);
-        let frame =
-            crate::wire::encode_frame_ctx(&Message::WithdrawDemand { id }, FrameCtx::current())
-                .map_err(|e| io::Error::other(e.to_string()))?;
-        self.wbuf.extend_from_slice(&frame);
-        Ok(())
-    }
-
-    /// Send everything queued in one write (one TCP segment when it
-    /// fits, which is what lands a whole batch in one controller
-    /// wakeup).
-    pub fn flush(&mut self) -> io::Result<()> {
-        use io::Write as _;
-        self.stream.write_all(&self.wbuf)?;
-        self.stream.flush()?;
-        self.wbuf.clear();
-        Ok(())
-    }
-
-    /// Block for the next `AdmissionReply`, returning `(id, admitted)`.
-    /// Replies arrive in submission order (the controller folds batches
-    /// FCFS and the wire preserves per-connection order).
-    pub fn recv_verdict(&mut self) -> io::Result<(u64, bool)> {
-        loop {
-            match read_frame::<Message, _>(&mut self.stream)
-                .map_err(|e| io::Error::other(e.to_string()))?
-            {
-                Message::AdmissionReply { id, admitted } => return Ok((id, admitted)),
-                // Skip interleaved non-reply traffic (acks of pipelined
-                // withdraws being drained out of order by the caller).
-                _ => continue,
-            }
-        }
-    }
-
-    /// Block for the next `WithdrawAck`, returning the acked id.
-    pub fn recv_withdraw_ack(&mut self) -> io::Result<u64> {
-        loop {
-            match read_frame::<Message, _>(&mut self.stream)
-                .map_err(|e| io::Error::other(e.to_string()))?
-            {
-                Message::WithdrawAck { id } => return Ok(id),
-                _ => continue,
-            }
-        }
-    }
-}

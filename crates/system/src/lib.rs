@@ -39,6 +39,6 @@ pub mod proto;
 pub mod wire;
 
 pub use broker::Broker;
-pub use client::{Client, Dialer, PipelinedClient, RetryPolicy};
+pub use client::{Client, Dialer, RetryPolicy};
 pub use controller::{Controller, ControllerConfig};
 pub use wire::{Transport, WireError};

@@ -57,8 +57,8 @@ fn main() {
         report.rejection_ratio() * 100.0
     );
     println!(
-        "admission latency:  {:.2} ms mean",
-        report.mean_admission_delay_ms()
+        "admission latency:  {:.2} ms median",
+        report.median_admission_delay_ms()
     );
     println!(
         "satisfaction:       {:.1}% of admitted demands met their BA target",

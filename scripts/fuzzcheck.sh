@@ -51,7 +51,9 @@ run cargo test -q --offline -p bate-bench --test scenario_sweep
 
 # The references themselves (crates/reference): exact rationals, the exact
 # simplex and branch-and-bound against the float kernel, the KKT
-# certificates, and the Monte-Carlo availability against the analytic one.
+# certificates, the Monte-Carlo availability against the analytic one, and
+# the LP text format (tests/export_roundtrip.rs: the export→parse→export
+# round-trip property and the one-byte mutation fuzz of the parser).
 run cargo test -q --offline -p bate-reference
 
 # Random contract-edit sequences through one live WarmState tableau,
@@ -64,9 +66,6 @@ run cargo test -q --offline -p bate-lp --test live_edits
 # golden traces (budget-independent, bitwise).
 run cargo test -q --offline -p bate-net --test property
 run cargo test -q --offline -p bate-sim --test golden_traces
-
-# LP text round-trip property + one-byte mutation fuzzing.
-run cargo test -q --offline -p bate-lp --test export_roundtrip
 
 # Certificate-bearing golden corpora (budget-independent, pinned).
 run cargo test -q --offline -p bate-lp --test golden

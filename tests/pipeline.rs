@@ -20,34 +20,42 @@ fn full_lifecycle() {
 
     // 2. Admission of a demand stream.
     let requests: Vec<BaDemand> = vec![
-        BaDemand::single(
-            1,
-            tunnels.pair_index(n("DC1"), n("DC3")).unwrap(),
-            400.0,
-            0.999,
-        )
-        .with_refund(0.25),
-        BaDemand::single(
-            2,
-            tunnels.pair_index(n("DC1"), n("DC4")).unwrap(),
-            300.0,
-            0.99,
-        )
-        .with_refund(0.10),
-        BaDemand::single(
-            3,
-            tunnels.pair_index(n("DC2"), n("DC6")).unwrap(),
-            500.0,
-            0.95,
-        )
-        .with_refund(0.10),
-        BaDemand::single(
-            4,
-            tunnels.pair_index(n("DC1"), n("DC3")).unwrap(),
-            350.0,
-            0.99,
-        )
-        .with_refund(0.25),
+        BaDemand {
+            refund_ratio: 0.25,
+            ..BaDemand::single(
+                1,
+                tunnels.pair_index(n("DC1"), n("DC3")).unwrap(),
+                400.0,
+                0.999,
+            )
+        },
+        BaDemand {
+            refund_ratio: 0.10,
+            ..BaDemand::single(
+                2,
+                tunnels.pair_index(n("DC1"), n("DC4")).unwrap(),
+                300.0,
+                0.99,
+            )
+        },
+        BaDemand {
+            refund_ratio: 0.10,
+            ..BaDemand::single(
+                3,
+                tunnels.pair_index(n("DC2"), n("DC6")).unwrap(),
+                500.0,
+                0.95,
+            )
+        },
+        BaDemand {
+            refund_ratio: 0.25,
+            ..BaDemand::single(
+                4,
+                tunnels.pair_index(n("DC1"), n("DC3")).unwrap(),
+                350.0,
+                0.99,
+            )
+        },
     ];
     let mut admitted = Vec::new();
     let mut current = Allocation::new();
