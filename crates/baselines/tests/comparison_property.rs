@@ -75,7 +75,7 @@ proptest! {
         let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
         let scenarios = ScenarioSet::enumerate(&topo, 3);
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        if bate_core::admission::greedy::conjecture(&ctx, &demands) {
+        if bate_core::admission::greedy::conjecture_with_allocation(&ctx, &demands).is_some() {
             if let Ok(alloc) = Bate.allocate(&ctx, &demands) {
                 for d in &demands {
                     prop_assert!(

@@ -1,7 +1,8 @@
 //! Microbenchmarks for the LP kernel (`bate_lp::simplex`): cold solves of
 //! three scheduling-LP sizes and a branch-and-bound admission instance
 //! solved end to end, then the paths built on it (row generation, warm
-//! churn, scenario sweeps, cold set-up, idle columns, telemetry overhead).
+//! churn, scenario sweeps, the fixed admission check, cold set-up, idle
+//! columns, telemetry overhead).
 //!
 //! Custom harness (no criterion): the driver needs machine-readable
 //! output, so `--emit-json` writes `BENCH_lp.json` at the repository root
@@ -13,6 +14,7 @@
 //! cargo bench -p bate-bench --bench lp -- --emit-json
 //! ```
 
+use bate_core::admission::fixed::fixed_admission;
 use bate_core::incremental::{DemandDelta, IncrementalScheduler, SchedulingSession};
 use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
@@ -561,12 +563,12 @@ fn main() {
         sweep_runs,
         &|| {
             for d in sweep_pool {
-                black_box(collapse_walk(&ctx, d, &tracked));
+                black_box(collapse_walk(&ctx, d, tracked));
             }
         },
         &|| {
             for d in sweep_pool {
-                black_box(MaskedProfile::collapse(&ctx, d, &tracked));
+                black_box(MaskedProfile::collapse(&ctx, d, tracked));
             }
         },
     );
@@ -593,6 +595,54 @@ fn main() {
     assert!(
         collapse_speedup >= 5.0 && check_speedup >= 5.0,
         "scenario_sweep: collapse {collapse_speedup:.1}x, hard check {check_speedup:.1}x; the bar is 5x on both"
+    );
+
+    // The fixed admission check (§3.2 step 1) at the same shape: 400
+    // newcomers of a steady stream, each checked alone against the
+    // hardened allocation of the 250 demands before them, once on a
+    // scenario set whose class cache is cold (a fresh clone per check,
+    // cloned untimed) and once on the set the rounds above warmed, in
+    // alternating order. Warm, a check pays only for the newcomer: its
+    // pair's classes come from the cache (DESIGN.md §5). Both sides must
+    // place the newcomer bit for bit alike. Acceptance: cold / warm >= 1.3
+    // on the medians.
+    let mut check_cfg = churn::ChurnConfig::steady(churn_cfg.pairs.clone(), 650, 0, 250);
+    check_cfg.availability_targets = vec![0.9, 0.95, 0.99];
+    let check_stream = churn::generate(&check_cfg).initial;
+    let (check_pool, newcomers) = check_stream.split_at(250);
+    let check_alloc = scheduling::schedule_hardened(&ctx, check_pool).unwrap().allocation;
+    let check = |set: &ScenarioSet, d: &BaDemand| {
+        let ctx = TeContext::new(&topo, &tunnels, set);
+        let t = Instant::now();
+        let placed = fixed_admission(&ctx, &check_alloc, d);
+        let us = t.elapsed().as_secs_f64() * 1e6;
+        let flows = placed.map(|a| a.flows_of(d.id).map(|(t, f)| (t, f.to_bits())).collect::<Vec<_>>());
+        (us, flows)
+    };
+    let mut check_us = [Vec::new(), Vec::new()];
+    let mut check_admits = 0;
+    for (i, d) in newcomers.iter().enumerate() {
+        let cold = scenarios.clone();
+        let mut placed = [None, None];
+        for side in [i % 2, 1 - i % 2] {
+            let (us, flows) = check(if side == 0 { &cold } else { &scenarios }, d);
+            check_us[side].push(us);
+            placed[side] = Some(flows);
+        }
+        assert_eq!(placed[0], placed[1], "fixed_check: demand {:?} placed differently", d.id);
+        check_admits += usize::from(matches!(placed[1], Some(Some(_))));
+    }
+    let [check_cold_q, check_warm_q] = check_us.map(|mut xs| quartiles(&mut xs));
+    let check_ratio = check_cold_q.1 / check_warm_q.1;
+    println!(
+        "fixed_check          250 demands {} newcomers ({check_admits} admitted)  cold cache {:.2} us ({:.2}..{:.2})  warm {:.2} us ({:.2}..{:.2})  ratio {check_ratio:.2}",
+        newcomers.len(),
+        check_cold_q.1, check_cold_q.0, check_cold_q.2,
+        check_warm_q.1, check_warm_q.0, check_warm_q.2,
+    );
+    assert!(
+        check_ratio >= 1.3,
+        "fixed_check: cold / warm {check_ratio:.2}x; the bar is 1.3x"
     );
 
     // What a cold solve costs besides its pivots, on the row-generation
@@ -854,6 +904,10 @@ fn main() {
         json.push_str(&format!(
             "  \"wide_master\": {{\"vars\": {}, \"wide_vars\": {}, \"rows\": {}, \"runs\": {cold_runs}, \"pivots\": {wide_pivots}, \"solve_ms\": {{\"master\": {}, \"wide\": {}}}, \"ratio\": {wide_ratio:.2}}},\n",
             master.num_vars(), wide.num_vars(), master.num_constraints(), side(master_q), side(wide_q)
+        ));
+        json.push_str(&format!(
+            "  \"fixed_check\": {{\"demands\": 250, \"newcomers\": {}, \"admitted\": {check_admits}, \"check_us\": {{\"cold\": {}, \"warm\": {}}}, \"ratio\": {check_ratio:.2}}},\n",
+            newcomers.len(), side(check_cold_q), side(check_warm_q)
         ));
         json.push_str(&format!(
             "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"runs\": {overhead_reps}, \"base_median_secs\": {base_median:.9}, \"base_q1_secs\": {base_q1:.9}, \"base_q3_secs\": {base_q3:.9}, \"instrumented_median_secs\": {instrumented_median:.9}, \"instrumented_q1_secs\": {instrumented_q1:.9}, \"instrumented_q3_secs\": {instrumented_q3:.9}, \"overhead_pct\": {overhead_pct:.3}, \"overhead_q1_pct\": {overhead_q1:.3}, \"overhead_q3_pct\": {overhead_q3:.3}}}\n"

@@ -115,7 +115,7 @@ fn allocation(rng: &mut StdRng, fix: &NetFixture, demand: &BaDemand) -> Allocati
 fn check_case(tag: &str, fix: &NetFixture, rng: &mut StdRng) {
     let ctx = TeContext::new(&fix.topo, &fix.tunnels, &fix.scenarios);
     let demand = demand(rng, fix);
-    let mut tracked = fix.scenarios.most_probable_singles(4);
+    let mut tracked = fix.scenarios.most_probable_singles(4).to_vec();
     tracked.push(0);
     tracked.push(rng.gen_range(0..fix.scenarios.len()));
 

@@ -19,21 +19,25 @@ use crate::demand::BaDemand;
 use crate::TeContext;
 use bate_routing::TunnelId;
 
-/// Algorithm 1: can all of `demands` be satisfied simultaneously?
-pub fn conjecture(ctx: &TeContext, demands: &[BaDemand]) -> bool {
-    conjecture_with_allocation(ctx, demands).is_some()
+/// Algorithm 1: can the admitted `pool` and the newcomer `new` all be
+/// satisfied simultaneously?
+pub fn conjecture(ctx: &TeContext, pool: &[BaDemand], new: &BaDemand) -> bool {
+    conjecture_with_allocation(ctx, pool.iter().chain([new])).is_some()
 }
 
 /// Algorithm 1, additionally returning the allocation it constructed while
 /// conjecturing. The allocation is a *witness*: callers can verify it
 /// against the scenario set (e.g. the optimal-admission fast path does) to
 /// upgrade the conjecture into an exact feasibility certificate.
-pub fn conjecture_with_allocation(ctx: &TeContext, demands: &[BaDemand]) -> Option<Allocation> {
+pub fn conjecture_with_allocation<'a>(
+    ctx: &TeContext,
+    demands: impl IntoIterator<Item = &'a BaDemand>,
+) -> Option<Allocation> {
     let mut residual: Vec<f64> = ctx.topo.links().map(|(_, l)| l.capacity).collect();
     let mut alloc = Allocation::new();
 
     // Process demands by ascending admission key (line 2).
-    let mut order: Vec<&BaDemand> = demands.iter().collect();
+    let mut order: Vec<&BaDemand> = demands.into_iter().collect();
     order.sort_by(|a, b| {
         a.admission_key()
             .partial_cmp(&b.admission_key())
@@ -153,11 +157,9 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let p13 = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
         let p14 = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        let demands = vec![
-            BaDemand::single(1, p13, 300.0, 0.95),
-            BaDemand::single(2, p14, 200.0, 0.95),
-        ];
-        assert!(conjecture(&ctx, &demands));
+        let pool = [BaDemand::single(1, p13, 300.0, 0.95)];
+        let new = BaDemand::single(2, p14, 200.0, 0.95);
+        assert!(conjecture(&ctx, &pool, &new));
     }
 
     /// Algorithm 1 is deliberately conservative: it burns the worst
@@ -174,7 +176,7 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let p14 = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
         let d = BaDemand::single(1, p14, 200.0, 0.99);
-        assert!(!conjecture(&ctx, std::slice::from_ref(&d)), "worst tunnel crosses L4");
+        assert!(!conjecture(&ctx, &[], &d), "worst tunnel crosses L4");
         // ... but the LP schedules it fine — a false rejection.
         assert!(schedule(&ctx, &[d]).is_ok());
     }
@@ -187,7 +189,7 @@ mod tests {
         let pair = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
         // Way beyond the DC1 egress cut (3 links × 1000).
         let d = BaDemand::single(1, pair, 10_000.0, 0.5);
-        assert!(!conjecture(&ctx, &[d]));
+        assert!(!conjecture(&ctx, &[], &d));
     }
 
     #[test]
@@ -200,7 +202,7 @@ mod tests {
         // availabilities: a 2.5 Gbps demand over ~1 Gbps tunnels needs at
         // least 3 tunnels, and Π p_t cannot reach 0.99999 on this topology.
         let d = BaDemand::single(1, pair, 2500.0, 0.99999);
-        assert!(!conjecture(&ctx, &[d]));
+        assert!(!conjecture(&ctx, &[], &d));
     }
 
     /// Theorem 1 (no false positives), checked constructively: whenever the
@@ -241,7 +243,8 @@ mod tests {
                     )
                 })
                 .collect();
-            if conjecture(&ctx, &demands) {
+            let (new, pool) = demands.split_last().unwrap();
+            if conjecture(&ctx, pool, new) {
                 checked += 1;
                 let res = schedule(&ctx, &demands)
                     .unwrap_or_else(|e| panic!("Theorem 1 violated: {e} for {demands:?}"));

@@ -79,13 +79,25 @@ pub fn admit(
     current: &Allocation,
     new: &BaDemand,
 ) -> AdmissionOutcome {
+    let residual = current.residual_capacities(ctx);
+    decide(ctx, admitted, current, new, &residual)
+}
+
+/// [`admit`], given `current`'s residual capacities.
+fn decide(
+    ctx: &TeContext,
+    admitted: &[BaDemand],
+    current: &Allocation,
+    new: &BaDemand,
+    residual: &[f64],
+) -> AdmissionOutcome {
     let m = admission_metrics();
     // Inside an active trace (a controller handling a submit), the whole
     // pipeline gets a span so the LP solves under it parent correctly;
     // untraced callers (sim loops) keep the legacy event-only shape.
     let traced = bate_obs::context::current().is_some();
     let _sp = traced.then(|| bate_obs::span!("admission.pipeline", demand = new.id.0));
-    let outcome = admit_inner(ctx, admitted, current, new);
+    let outcome = admit_inner(ctx, admitted, current, new, residual);
     m.checks.inc();
     let verdict = match &outcome {
         AdmissionOutcome::Admitted {
@@ -121,26 +133,58 @@ pub fn admit(
     outcome
 }
 
-/// One FCFS fold step over an evolving pool: run the pipeline for
-/// `new` and, on admission, apply its flows to `current` and append it
-/// to `admitted`. The controller folds an admission batch with this, one
-/// entry at a time, so a batch's verdicts are by construction those of
-/// the same demands submitted one by one.
+/// One FCFS fold step over an evolving pool, on fresh link loads: see
+/// [`PoolLoads::admit_and_apply`].
 pub fn admit_and_apply(
     ctx: &TeContext,
     admitted: &mut Vec<BaDemand>,
     current: &mut Allocation,
     new: &BaDemand,
 ) -> bool {
-    match admit(ctx, admitted, current, new) {
-        AdmissionOutcome::Admitted { allocation, .. } => {
-            for (t, f) in allocation.flows_of(new.id) {
-                current.set(new.id, t, f);
-            }
-            admitted.push(new.clone());
-            true
+    PoolLoads::default().admit_and_apply(ctx, admitted, current, new)
+}
+
+/// The link loads of the pool an admission batch folds into, carried from
+/// one [`PoolLoads::admit_and_apply`] to the next over an allocation that
+/// nothing else edits meanwhile. [`Allocation::link_loads`] adds flows in
+/// demand-id order, so adding a newcomer's flows whose id sorts after
+/// every other is bit-identical to a recompute; any other admit drops the
+/// carried loads, and the next step recomputes them.
+#[derive(Debug, Default)]
+pub struct PoolLoads(Option<Vec<f64>>);
+
+impl PoolLoads {
+    /// One FCFS fold step: run the pipeline for `new` and, on admission,
+    /// apply its flows to `current` and append it to `admitted`. A batch
+    /// folded one entry at a time decides what one-by-one submits would.
+    pub fn admit_and_apply(
+        &mut self,
+        ctx: &TeContext,
+        admitted: &mut Vec<BaDemand>,
+        current: &mut Allocation,
+        new: &BaDemand,
+    ) -> bool {
+        let loads = self.0.get_or_insert_with(|| current.link_loads(ctx));
+        let residual = crate::allocation::residual_of(ctx, loads);
+        let outcome = decide(ctx, admitted, current, new, &residual);
+        let AdmissionOutcome::Admitted { allocation, .. } = outcome else {
+            return false;
+        };
+        let last = current.demands().next_back().is_none_or(|id| id < new.id);
+        for (t, f) in allocation.flows_of(new.id) {
+            current.set(new.id, t, f);
         }
-        AdmissionOutcome::Rejected => false,
+        if let Some(loads) = self.0.as_mut().filter(|_| last) {
+            for (t, f) in current.flows_of(new.id) {
+                for l in &ctx.tunnels.path(t).links {
+                    loads[l.index()] += f;
+                }
+            }
+        } else {
+            self.0 = None;
+        }
+        admitted.push(new.clone());
+        true
     }
 }
 
@@ -149,18 +193,17 @@ fn admit_inner(
     admitted: &[BaDemand],
     current: &Allocation,
     new: &BaDemand,
+    residual: &[f64],
 ) -> AdmissionOutcome {
-    // Step 1: fixed check.
-    if let Some(allocation) = fixed::fixed_admission(ctx, current, new) {
+    // Step 1: fixed check (`fixed::fixed_admission` on the given residual).
+    if let Some(allocation) = crate::scheduling::place_single_hard(ctx, new, residual) {
         return AdmissionOutcome::Admitted {
             path: AdmitPath::Fixed,
             allocation,
         };
     }
     // Step 2: greedy conjecture over everyone.
-    let mut all: Vec<BaDemand> = admitted.to_vec();
-    all.push(new.clone());
-    if greedy::conjecture(ctx, &all) {
+    if greedy::conjecture(ctx, admitted, new) {
         let allocation = greedy::best_effort_allocation(ctx, current, new);
         return AdmissionOutcome::Admitted {
             path: AdmitPath::Conjecture,
@@ -211,5 +254,51 @@ mod tests {
         for d in &admitted {
             assert!(current.meets_target(&ctx, d), "demand {:?}", d.id);
         }
+    }
+
+    /// A fold on carried loads decides and installs what a fold on fresh
+    /// loads does, and whenever it holds loads they are a recompute's, bit
+    /// for bit, whether or not a newcomer's id sorts after the pool's.
+    #[test]
+    fn carried_loads_are_a_recompute_bit_for_bit() {
+        let topo = topologies::b4();
+        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+        let scenarios = ScenarioSet::enumerate(&topo, 2);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let pairs: Vec<usize> = (0..tunnels.num_pairs())
+            .filter(|&p| !tunnels.tunnels(p).is_empty())
+            .collect();
+        let cap = topo.links().map(|(_, l)| l.capacity).fold(0.0, f64::max);
+        let flows = |a: &Allocation| -> Vec<(crate::DemandId, bate_routing::TunnelId, u64)> {
+            let of = |d| a.flows_of(d).map(move |(t, f)| (d, t, f.to_bits()));
+            a.demands().flat_map(of).collect()
+        };
+        let (mut pool, mut alloc) = (Vec::new(), Allocation::new());
+        let (mut fresh_pool, mut fresh_alloc) = (Vec::new(), Allocation::new());
+        let mut loads = PoolLoads::default();
+        let (mut admits, mut dropped) = (0, 0);
+        for i in 0..80u64 {
+            // Every fifth id sorts before every admitted one.
+            let id = if i % 5 == 4 { i } else { 1000 + i };
+            let pair = pairs[(i as usize * 7) % pairs.len()];
+            let beta = [0.9, 0.99, 0.999][i as usize % 3];
+            // Irregular sizes, so that adding them in another order moves bits.
+            let size = cap * (0.02 + 0.05 * (i as f64 * 0.618034).fract());
+            let d = BaDemand::single(id, pair, size, beta);
+            let carried = loads.admit_and_apply(&ctx, &mut pool, &mut alloc, &d);
+            let fresh = admit_and_apply(&ctx, &mut fresh_pool, &mut fresh_alloc, &d);
+            assert_eq!(carried, fresh, "demand {id}");
+            assert_eq!(flows(&alloc), flows(&fresh_alloc), "demand {id}");
+            admits += usize::from(carried);
+            match &loads.0 {
+                Some(held) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(held), bits(&alloc.link_loads(&ctx)), "demand {id}");
+                }
+                None => dropped += 1,
+            }
+        }
+        assert!(admits > 10 && admits < 80, "{admits} of 80 admitted");
+        assert!(dropped > 0, "no admit dropped the carried loads");
     }
 }

@@ -328,7 +328,7 @@ mod tests {
             BaDemand::single(1, pair, 500.0, 0.99),
             BaDemand::single(2, pair, 400.0, 0.95),
         ];
-        if crate::admission::greedy::conjecture(&ctx, &demands) {
+        if crate::admission::greedy::conjecture(&ctx, &demands[..1], &demands[1]) {
             assert!(optimal_feasible(&ctx, &demands).unwrap());
         }
     }

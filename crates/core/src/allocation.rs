@@ -67,8 +67,8 @@ impl Allocation {
             .flat_map(|per| per.iter().map(|(&t, &f)| (t, f)))
     }
 
-    /// Demands with any allocation.
-    pub fn demands(&self) -> impl Iterator<Item = DemandId> + '_ {
+    /// Demands with any allocation, in id order.
+    pub fn demands(&self) -> impl DoubleEndedIterator<Item = DemandId> + '_ {
         self.flows.keys().copied()
     }
 
@@ -152,11 +152,7 @@ impl Allocation {
 
     /// Residual capacity per directed link after this allocation.
     pub fn residual_capacities(&self, ctx: &TeContext) -> Vec<f64> {
-        let loads = self.link_loads(ctx);
-        ctx.topo
-            .links()
-            .map(|(l, def)| (def.capacity - loads[l.index()]).max(0.0))
-            .collect()
+        residual_of(ctx, &self.link_loads(ctx))
     }
 
     /// Does every link load fit its capacity (within `tol` relative slack)?
@@ -182,6 +178,14 @@ impl Allocation {
             total / n as f64
         }
     }
+}
+
+/// Residual capacity per directed link under the link loads `loads`.
+pub(crate) fn residual_of(ctx: &TeContext, loads: &[f64]) -> Vec<f64> {
+    ctx.topo
+        .links()
+        .map(|(l, def)| (def.capacity - loads[l.index()]).max(0.0))
+        .collect()
 }
 
 #[cfg(test)]

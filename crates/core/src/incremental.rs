@@ -181,7 +181,7 @@ impl IncrementalScheduler {
     /// Empty scheduler over explicit per-link capacities.
     pub fn with_capacities(ctx: &TeContext, capacities: Vec<f64>) -> Self {
         assert_eq!(capacities.len(), ctx.topo.num_links());
-        let tracked = model::seed_scenarios(ctx);
+        let tracked = model::seed_scenarios(ctx).to_vec();
         let capacity_row = vec![None; ctx.topo.num_links()];
         IncrementalScheduler {
             warm: WarmState::new(bate_lp::Problem::new(Sense::Minimize)),

@@ -35,14 +35,14 @@ use bate_routing::TunnelId;
 pub const ROWGEN_SEED_SINGLES: usize = 4;
 
 /// The scenario indices whose collapsed states seed a lazy master.
-pub(crate) fn seed_scenarios(ctx: &TeContext) -> Vec<usize> {
+pub(crate) fn seed_scenarios<'a>(ctx: &TeContext<'a>) -> &'a [usize] {
     ctx.scenarios.most_probable_singles(ROWGEN_SEED_SINGLES)
 }
 
 /// Every demand's collapsed profile (microseconds each: not worth a fan-out).
 pub(crate) fn collapse_all(ctx: &TeContext, demands: &[BaDemand]) -> Vec<MaskedProfile> {
     let tracked = seed_scenarios(ctx);
-    let collapse = |d| MaskedProfile::collapse(ctx, d, &tracked);
+    let collapse = |d| MaskedProfile::collapse(ctx, d, tracked);
     demands.iter().map(collapse).collect()
 }
 

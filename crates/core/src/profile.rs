@@ -16,8 +16,11 @@
 //! `p_z` added in ascending scenario order — the order a scenario-by-
 //! scenario walk adds them in, so every LP coefficient is bit-identical to
 //! that walk's (`bate_reference::walk` keeps the walk as the test oracle).
+//! The classes and their probabilities come from the set's class cache
+//! ([`ScenarioSet::classes`]): a pair is partitioned once per set.
 //!
 //! [`ScenarioSet::partition`]: bate_net::ScenarioSet::partition
+//! [`ScenarioSet::classes`]: bate_net::ScenarioSet::classes
 
 use crate::demand::BaDemand;
 use crate::TeContext;
@@ -71,21 +74,22 @@ impl MaskedProfile {
             spans.push((groups.len(), tunnels.len()));
             groups.extend(tunnels.iter().map(|path| path.groups(ctx.topo)));
         }
-        let part = ctx.scenarios.partition(&groups);
+        let classes = ctx.scenarios.classes(&groups);
         let mask = |c: usize, &(first, len): &(usize, usize)| {
-            let up = (0..len).filter(|&t| part.is_up(c, first + t));
+            let up = (0..len).filter(|&t| classes.is_up(c, first + t));
             up.fold(0u64, |m, t| m | 1 << t)
         };
-        let state = |(c, members)| MaskedState {
+        let state = |(c, &probability)| MaskedState {
             masks: spans.iter().map(|span| mask(c, span)).collect(),
-            probability: ctx.scenarios.probability_of(members),
+            probability,
         };
         let state_of = |&z: &usize| {
-            let holder = part.classes().iter().position(|class| class.contains(z));
-            holder.expect("tracked index within the scenario set")
+            assert!(z < ctx.scenarios.len(), "tracked index {z} out of range");
+            classes.class_of(z)
         };
+        let probabilities = classes.probabilities.iter().enumerate();
         MaskedProfile {
-            states: part.classes().iter().enumerate().map(state).collect(),
+            states: probabilities.map(state).collect(),
             tracked_states: tracked.iter().map(state_of).collect(),
         }
     }
@@ -211,16 +215,16 @@ mod tests {
         let p2 = tunnels.pair_index(n("DC2"), n("DC6")).unwrap();
         let tracked = scenarios.most_probable_singles(3);
         let mut d = BaDemand::single(3, p1, 10.0, 0.95);
-        assert_collapse_invariants(&ctx, &d, &tracked);
+        assert_collapse_invariants(&ctx, &d, tracked);
         let all_up = u64::MAX >> (64 - tunnels.tunnels(p1).len());
         assert_eq!(
             MaskedProfile::collapse(&ctx, &d, &[]).states[0].masks,
             [all_up]
         );
         d.bandwidth.push((p2, 20.0));
-        assert_collapse_invariants(&ctx, &d, &tracked);
+        assert_collapse_invariants(&ctx, &d, tracked);
         d.bandwidth.clear();
-        assert_collapse_invariants(&ctx, &d, &tracked);
+        assert_collapse_invariants(&ctx, &d, tracked);
     }
 
     /// The first `pairs` pairs of ATT at KSP-`k` (they have more simple
@@ -255,7 +259,7 @@ mod tests {
         d.bandwidth.extend([(1, 10.0), (2, 10.0)]);
         let total: usize = (0..3).map(|p| tunnels.tunnels(p).len()).sum();
         assert!(total > 64, "{total} tunnels");
-        assert_collapse_invariants(&ctx, &d, &scenarios.most_probable_singles(4));
+        assert_collapse_invariants(&ctx, &d, scenarios.most_probable_singles(4));
     }
 
     #[test]

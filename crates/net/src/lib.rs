@@ -38,6 +38,6 @@ pub mod traffic;
 
 pub use graph::{GroupId, Link, LinkId, NodeId, Topology};
 pub use linkset::LinkSet;
-pub use scenario::{Partition, Scenario, ScenarioSet};
+pub use scenario::{Classes, Partition, Scenario, ScenarioSet};
 pub use srlg::{Srlg, SrlgId, SrlgSet};
 pub use traffic::TrafficMatrix;

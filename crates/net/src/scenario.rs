@@ -16,6 +16,8 @@
 
 use crate::graph::{GroupId, LinkId, Topology};
 use crate::linkset::LinkSet;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One enumerated failure scenario.
 #[derive(Debug, Clone)]
@@ -97,6 +99,46 @@ pub struct ScenarioSet {
     /// at construction; editing a `failed` afterwards leaves it stale.
     down_in: Vec<LinkSet>,
     all: LinkSet,
+    /// [`ScenarioSet::most_probable_singles`] hands out prefixes of this.
+    singles: Vec<usize>,
+    cache: ClassCache,
+}
+
+/// The class cache of [`ScenarioSet::classes`], keyed by each tunnel's fate
+/// groups (what a partition reads). A clone starts empty.
+#[derive(Debug, Default)]
+struct ClassCache(Mutex<HashMap<Vec<Vec<GroupId>>, Arc<Classes>>>);
+
+impl Clone for ClassCache {
+    fn clone(&self) -> Self {
+        ClassCache::default()
+    }
+}
+
+/// A [`Partition`] as [`ScenarioSet::classes`] keeps it: each class by its
+/// lowest member (not its KB-sized member set) and its probability.
+#[derive(Debug)]
+pub struct Classes {
+    /// Per tunnel, the scenarios in which it is down.
+    dead: Vec<LinkSet>,
+    /// Each class's lowest member, ascending.
+    first: Vec<usize>,
+    /// [`ScenarioSet::probability_of`] each class, in class order.
+    pub probabilities: Vec<f64>,
+}
+
+impl Classes {
+    /// Is the `t`-th tunnel up in the scenarios of class `c`?
+    pub fn is_up(&self, c: usize, t: usize) -> bool {
+        !self.dead[t].contains(self.first[c])
+    }
+
+    /// The class of scenario `z` of the set: its tunnels are up where `z`'s are.
+    pub fn class_of(&self, z: usize) -> usize {
+        let same = |&c: &usize| self.dead.iter().all(|d| d.contains(z) == d.contains(c));
+        let class = self.first.iter().position(same);
+        class.expect("every scenario of the set is in a class")
+    }
 }
 
 /// A scenario set split into non-empty, disjoint classes of scenarios that
@@ -174,12 +216,20 @@ impl ScenarioSet {
             all.insert(z);
             s.failed.iter().for_each(|g| down_in[g].insert(z));
         }
+        let mut singles: Vec<usize> = (0..scenarios.len())
+            .filter(|&i| scenarios[i].num_failures() == 1)
+            .collect();
+        let p = |i: usize| scenarios[i].probability;
+        let by_p = |a: usize, b: usize| p(b).partial_cmp(&p(a)).expect("probabilities are numbers");
+        singles.sort_by(|&a, &b| by_p(a, b).then(a.cmp(&b)));
         ScenarioSet {
             scenarios,
             residual_probability: (1.0 - enumerated).max(0.0),
             max_failures,
             down_in,
             all,
+            singles,
+            cache: ClassCache::default(),
         }
     }
 
@@ -200,6 +250,24 @@ impl ScenarioSet {
         }
         classes.sort_by_key(|c| c.iter().next());
         Partition { dead, classes }
+    }
+
+    /// [`Self::partition`] of `tunnels` from the set's class cache. An entry
+    /// never goes stale: it is a function of its key and of the scenarios,
+    /// which do not change after the set is built.
+    pub fn classes(&self, tunnels: &[Vec<GroupId>]) -> Arc<Classes> {
+        // Each insert leaves the map valid, so a poisoned lock is still usable.
+        let cache = || self.cache.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = cache().get(tunnels) {
+            return Arc::clone(hit);
+        }
+        let Partition { dead, classes } = self.partition(tunnels);
+        let fresh = Classes {
+            dead,
+            first: classes.iter().flat_map(|c| c.iter().next()).collect(),
+            probabilities: classes.iter().map(|c| self.probability_of(c)).collect(),
+        };
+        Arc::clone(cache().entry(tunnels.to_vec()).or_insert(Arc::new(fresh)))
     }
 
     /// `Σ p_z` over the scenario indices in `members`, added ascending.
@@ -230,19 +298,8 @@ impl ScenarioSet {
     /// probable first (ties broken by enumeration index so the selection
     /// is deterministic). Used to seed the row-generation master LP with
     /// the failure states most likely to bind.
-    pub fn most_probable_singles(&self, k: usize) -> Vec<usize> {
-        let mut singles: Vec<usize> = (0..self.scenarios.len())
-            .filter(|&i| self.scenarios[i].num_failures() == 1)
-            .collect();
-        singles.sort_by(|&a, &b| {
-            self.scenarios[b]
-                .probability
-                .partial_cmp(&self.scenarios[a].probability)
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        singles.truncate(k);
-        singles
+    pub fn most_probable_singles(&self, k: usize) -> &[usize] {
+        &self.singles[..k.min(self.singles.len())]
     }
 }
 

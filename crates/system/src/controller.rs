@@ -7,18 +7,18 @@
 //! pending `SubmitDemand` frames form an *admission batch*, and every
 //! batch, one submit or many, takes the same four steps: verdicts are
 //! decided by a first-come-first-served pipeline fold (each entry is one
-//! `bate_core::admission::admit_and_apply` step against the pool its
-//! predecessors left, so a batch decides what the same submits would
-//! decide one at a time); the verdicts are flushed to their connections;
-//! a multi-submit batch that admitted a demand takes ONE warm solve of the
-//! [`SchedulingSession`], re-optimizing the whole pool and amortizing the
-//! scheduling LP across the batch instead of paying a round per arrival;
-//! then the installs are pushed — the whole pool after a solve, else each
-//! admitted or replayed demand's own allocation, and the next round
-//! re-optimizes the pool. TE rounds and the repair after a link comes back
-//! ask the same session, so they cost what changed since its last optimum
-//! (DESIGN.md §6y). Periodic rounds are a deadline of the same loop, so a
-//! running controller is one thread.
+//! `bate_core::admission::PoolLoads::admit_and_apply` step against the
+//! pool its predecessors left, so a batch decides what the same submits
+//! would decide one at a time); the verdicts are flushed to their
+//! connections; a multi-submit batch that admitted a demand takes ONE warm
+//! solve of the [`SchedulingSession`], re-optimizing the whole pool and
+//! amortizing the scheduling LP across the batch instead of paying a round
+//! per arrival; then the installs are pushed — the whole pool after a
+//! solve, else each admitted or replayed demand's own allocation, and the
+//! next round re-optimizes the pool. TE rounds and the repair after a link
+//! comes back ask the same session, so they cost what changed since its
+//! last optimum (DESIGN.md §6y). Periodic rounds are a deadline of the
+//! same loop, so a running controller is one thread.
 //!
 //! The serving state — pool, allocation, failed links, idempotency
 //! records, brokers and the session — is one value behind one lock. Its
@@ -45,7 +45,7 @@ use crate::event::Conn;
 use crate::poller::{Poller, Waker};
 use crate::proto::{FlowEntry, Message};
 use crate::wire::{encode_frame, encode_frame_ctx, FrameCtx};
-use bate_core::admission;
+use bate_core::admission::PoolLoads;
 use bate_core::incremental::{SchedulingSession, SessionRound, SessionStats};
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
@@ -212,10 +212,10 @@ struct CtrlState {
 impl CtrlState {
     /// One step of the submit fold: validate the submit, replay the verdict
     /// of a retried id, or decide it with `admit_and_apply` against the
-    /// pool the batch's earlier entries left. A submit whose bandwidth,
-    /// price or refund ratio is not finite is rejected before it reaches
-    /// the fold.
-    fn submit(&mut self, ctx: &TeContext, sub: &PendingSubmit) -> Verdict {
+    /// pool the batch's earlier entries left, on the batch's carried link
+    /// `loads`. A submit whose bandwidth, price or refund ratio is not
+    /// finite is rejected before it reaches the fold.
+    fn submit(&mut self, ctx: &TeContext, sub: &PendingSubmit, loads: &mut PoolLoads) -> Verdict {
         let fingerprint = submit_fingerprint(
             &sub.src,
             &sub.dst,
@@ -265,7 +265,7 @@ impl CtrlState {
             };
         }
 
-        if !admission::admit_and_apply(ctx, &mut self.demands, &mut self.allocation, &demand) {
+        if !loads.admit_and_apply(ctx, &mut self.demands, &mut self.allocation, &demand) {
             // Rejections are NOT recorded: admitting nothing has no side
             // effect to protect, and the same id may legitimately be
             // retried later once capacity frees up.
@@ -835,6 +835,8 @@ impl EventLoop {
         let mut state = shared.state.lock();
         let mut fold = Installs::new();
         let mut fresh_admits = 0usize;
+        // Only the fold edits the pool until `settle`: its loads carry.
+        let mut loads = PoolLoads::default();
         for sub in &batch {
             // Adopt the client's span so the admission pipeline (and the
             // LP solve under it) parents on the submit that caused it —
@@ -845,7 +847,7 @@ impl EventLoop {
                 .rctx
                 .map(|c| bate_obs::context::adopt("ctrl.submit", c.trace_id, c.span_id));
             let cause = FrameCtx::current();
-            let verdict = state.submit(&ctx, sub);
+            let verdict = state.submit(&ctx, sub, &mut loads);
             if verdict != Verdict::Rejected {
                 fold.push((DemandId(sub.id), cause));
             }

@@ -110,6 +110,18 @@ if [[ -z "$WIDE_RATIO" ]] || ! awk -v s="$WIDE_RATIO" 'BEGIN { exit !(s <= 1.6) 
 fi
 echo "wide_master ratio ${WIDE_RATIO}x <= 1.6x: OK"
 
+# And for the fixed admission check (DESIGN.md §5): 400 newcomers against
+# a hardened ATT pool of 250, on a scenario set whose class cache is cold
+# (a fresh clone per check) and on a warm one. A check that re-partitions
+# its pair's scenarios every time reads ~1.0.
+echo "== fixed-check class cache gate (DESIGN.md §5) =="
+CHECK_RATIO=$(sed -n 's/.*"fixed_check".*"ratio": \([0-9.]*\)}.*/\1/p' BENCH_lp.json)
+if [[ -z "$CHECK_RATIO" ]] || ! awk -v s="$CHECK_RATIO" 'BEGIN { exit !(s >= 1.3) }'; then
+    echo "FAILED: fixed_check cold / warm ratio '${CHECK_RATIO}' is missing or below the 1.3x bar"
+    exit 1
+fi
+echo "fixed_check cold / warm ${CHECK_RATIO}x >= 1.3x: OK"
+
 if [[ -n "$BASELINE" ]]; then
     echo "== diff vs $BASELINE =="
     diff -u "$BASELINE" BENCH_lp.json && echo "(no change)" || true

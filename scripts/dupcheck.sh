@@ -26,6 +26,15 @@ check "state-mask bit walks outside profile.rs and model.rs" \
 check "per-scenario loops in crates/core/src non-test code (the sweeps are bate_net::ScenarioSet::partition classes, DESIGN.md §5; the walks are in bate_reference::walk)" \
     "$(find crates/core/src -name '*.rs' | while read -r f; do src "$f"; done | tr -d ' \n' \
         | grep -oE 'scenarios\.iter\(\)|\.scenarios\.scenarios' | wc -l)" 0
+# One home for what a scenario set's partitions cost (DESIGN.md §5): the
+# set's own class cache, no process-wide or per-thread memo beside it.
+CORE_NET_SRC="$(find crates/core/src crates/net/src -name '*.rs' | while read -r f; do src "$f"; done)"
+check "thread_local! or static items in crates/core/src and crates/net/src non-test code other than the metric OnceLocks (the class cache is ScenarioSet's field)" \
+    "$(echo "$CORE_NET_SRC" | grep -E 'thread_local!|^ *(pub(\([a-z]+\))? )?static [A-Z_]+ *:' \
+        | grep -cvE 'static M: (std::sync::)?OnceLock<[A-Za-z]+Metrics>')" 0
+check ".partition( call sites in crates/core/src non-test code (the hard check's; a collapse reads ScenarioSet::classes)" \
+    "$(find crates/core/src -name '*.rs' | while read -r f; do src "$f"; done \
+        | grep -v '^ *//' | grep -o '\.partition(' | wc -l)" 1 1
 check "public schedule* functions in scheduling.rs" \
     "$(grep -c '^pub fn schedule' crates/core/src/scheduling.rs)" 3
 check "fields of ControllerConfig" \
