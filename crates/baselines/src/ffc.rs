@@ -49,8 +49,8 @@ impl TeAlgorithm for Ffc {
             let mut per = Vec::new();
             for &(pair, _) in &demand.bandwidth {
                 let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
-                    .map(|t| {
-                        let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
+                    .map(|_| {
+                        let v = p.add_var();
                         p.set_objective(v, -flow_penalty);
                         v
                     })
@@ -64,7 +64,7 @@ impl TeAlgorithm for Ffc {
             let profile = MaskedProfile::collapse(&ffc_ctx, demand, &[]);
             for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
                 // Guaranteed bandwidth on this pair, capped at the demand.
-                let s = p.add_bounded_var(&format!("s[{}][{ki}]", demand.id.0), b);
+                let s = p.add_bounded_var(b);
                 p.set_objective(s, 1.0);
                 // For every ≤ l failure state: surviving flow covers s.
                 for si in 0..profile.len() {
@@ -81,7 +81,7 @@ impl TeAlgorithm for Ffc {
 
         crate::swan::add_capacity_rows(ctx, demands, &f_vars, &mut p, 1.0);
         let sol = p.solve()?;
-        Ok(extract(ctx, demands, &f_vars, &sol))
+        Ok(extract(demands, &f_vars, &sol))
     }
 }
 

@@ -9,7 +9,7 @@
 //! matches the paper's SMORE configuration (Fig. 18 studies the path-set
 //! half separately).
 
-use crate::swan::{add_capacity_rows, extract};
+use crate::swan::{add_capacity_rows, capped_flow_columns, extract};
 use crate::traits::TeAlgorithm;
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_lp::{Problem, Relation, Sense, SolveError, VarId};
@@ -31,32 +31,14 @@ impl TeAlgorithm for Smore {
 
     fn allocate(&self, ctx: &TeContext, demands: &[BaDemand]) -> Result<Allocation, SolveError> {
         let mut p = Problem::new(Sense::Maximize);
-        let mut f_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(demands.len());
-        for demand in demands {
-            let mut per = Vec::new();
-            for &(pair, b) in &demand.bandwidth {
-                let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
-                    .map(|t| {
-                        let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
-                        p.set_objective(v, 1.0);
-                        v
-                    })
-                    .collect();
-                let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                if !terms.is_empty() {
-                    p.add_constraint(&terms, Relation::Le, b);
-                }
-                per.push(vars);
-            }
-            f_vars.push(per);
-        }
+        let f_vars = capped_flow_columns(ctx, demands, &mut p, 1.0);
         add_capacity_rows(ctx, demands, &f_vars, &mut p, 1.0);
 
         // Load balancing: U >= load_e / c_e for every link; subtract a
         // small multiple of U from the objective. The weight is small
         // relative to one unit of throughput so throughput stays lexically
         // first, but enough to break ties toward spread-out allocations.
-        let u = p.add_var("max_utilization");
+        let u = p.add_var();
         let balance_weight = 0.001
             * demands
                 .iter()
@@ -85,7 +67,7 @@ impl TeAlgorithm for Smore {
         }
 
         let sol = p.solve()?;
-        Ok(extract(ctx, demands, &f_vars, &sol))
+        Ok(extract(demands, &f_vars, &sol))
     }
 }
 

@@ -27,30 +27,43 @@ impl TeAlgorithm for Swan {
 
     fn allocate(&self, ctx: &TeContext, demands: &[BaDemand]) -> Result<Allocation, SolveError> {
         let mut p = Problem::new(Sense::Maximize);
-        let mut f_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(demands.len());
-        for demand in demands {
-            let mut per = Vec::new();
-            for &(pair, b) in &demand.bandwidth {
-                let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
-                    .map(|t| {
-                        let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
-                        p.set_objective(v, 1.0);
-                        v
-                    })
-                    .collect();
-                // Never allocate beyond the demanded rate.
-                let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                if !terms.is_empty() {
-                    p.add_constraint(&terms, Relation::Le, b);
-                }
-                per.push(vars);
-            }
-            f_vars.push(per);
-        }
+        let f_vars = capped_flow_columns(ctx, demands, &mut p, 1.0);
         add_capacity_rows(ctx, demands, &f_vars, &mut p, 1.0);
         let sol = p.solve()?;
-        Ok(extract(ctx, demands, &f_vars, &sol))
+        Ok(extract(demands, &f_vars, &sol))
     }
+}
+
+/// Shared helper: per demand and requested pair, one flow column per
+/// tunnel at objective `cost`, then a row that never allocates beyond the
+/// demanded rate (Σf ≤ b; none for a pair without tunnels). Returns the
+/// columns as `f[demand][pair][tunnel]`.
+pub(crate) fn capped_flow_columns(
+    ctx: &TeContext,
+    demands: &[BaDemand],
+    p: &mut Problem,
+    cost: f64,
+) -> Vec<Vec<Vec<VarId>>> {
+    let mut f_vars = Vec::with_capacity(demands.len());
+    for demand in demands {
+        let mut per = Vec::with_capacity(demand.bandwidth.len());
+        for &(pair, b) in &demand.bandwidth {
+            let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
+                .map(|_| {
+                    let v = p.add_var();
+                    p.set_objective(v, cost);
+                    v
+                })
+                .collect();
+            if !vars.is_empty() {
+                let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+                p.add_constraint(&terms, Relation::Le, b);
+            }
+            per.push(vars);
+        }
+        f_vars.push(per);
+    }
+    f_vars
 }
 
 /// Shared helper: add one capacity row per used link, scaled by `headroom`
@@ -82,12 +95,10 @@ pub(crate) fn add_capacity_rows(
 
 /// Shared helper: read flows out of a solution.
 pub(crate) fn extract(
-    ctx: &TeContext,
     demands: &[BaDemand],
     f_vars: &[Vec<Vec<VarId>>],
     sol: &bate_lp::Solution,
 ) -> Allocation {
-    let _ = ctx;
     let mut alloc = Allocation::new();
     for (di, demand) in demands.iter().enumerate() {
         for (ki, &(pair, _)) in demand.bandwidth.iter().enumerate() {

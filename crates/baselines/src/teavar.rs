@@ -20,7 +20,7 @@
 //! instead scenarios are collapsed *globally* by the joint availability
 //! mask of every demand's tunnels, which is equally exact.
 
-use crate::swan::{add_capacity_rows, extract};
+use crate::swan::{add_capacity_rows, capped_flow_columns, extract};
 use crate::traits::TeAlgorithm;
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_lp::{Problem, Relation, Sense, SolveError, VarId};
@@ -51,25 +51,7 @@ impl TeAlgorithm for Teavar {
         // Flow variables; each pair is capped at its demanded rate, and a
         // small reward pushes toward serving demands fully even in the
         // no-risk corner cases.
-        let mut f_vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(demands.len());
-        for demand in demands {
-            let mut per = Vec::new();
-            for &(pair, b) in &demand.bandwidth {
-                let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
-                    .map(|t| {
-                        let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
-                        p.set_objective(v, -1e-7);
-                        v
-                    })
-                    .collect();
-                let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-                if !terms.is_empty() {
-                    p.add_constraint(&terms, Relation::Le, b);
-                }
-                per.push(vars);
-            }
-            f_vars.push(per);
-        }
+        let f_vars = capped_flow_columns(ctx, demands, &mut p, -1e-7);
         add_capacity_rows(ctx, demands, &f_vars, &mut p, 1.0);
 
         // Global scenario collapse: joint tunnel-availability mask.
@@ -117,12 +99,12 @@ impl TeAlgorithm for Teavar {
 
         // CVaR machinery. Demand weights: bandwidth share.
         let total_bw: f64 = demands.iter().map(|d| d.total_bandwidth()).sum();
-        let alpha = p.add_var("alpha");
+        let alpha = p.add_var();
         p.set_objective(alpha, 1.0);
         let tail = 1.0 / (1.0 - self.beta);
 
-        for (si, (mask, prob)) in states.iter().enumerate() {
-            let s_z = p.add_var(&format!("s[{si}]"));
+        for (mask, prob) in &states {
+            let s_z = p.add_var();
             p.set_objective(s_z, tail * prob);
 
             // loss_z = Σ_d w_d u_{d,si};  s_z + α - loss_z >= 0.
@@ -130,7 +112,7 @@ impl TeAlgorithm for Teavar {
             let mut flat = 0usize;
             for (di, demand) in demands.iter().enumerate() {
                 let w = demand.total_bandwidth() / total_bw.max(1e-12);
-                let u = p.add_var(&format!("u[{}][{si}]", demand.id.0));
+                let u = p.add_var();
                 for (ki, &(_, b)) in demand.bandwidth.iter().enumerate() {
                     // u >= 1 - Σ f v / b  ⇔  b·u + Σ f v >= b.
                     let mut terms: Vec<(VarId, f64)> = vec![(u, b)];
@@ -148,7 +130,7 @@ impl TeAlgorithm for Teavar {
         }
 
         let sol = p.solve()?;
-        Ok(extract(ctx, demands, &f_vars, &sol))
+        Ok(extract(demands, &f_vars, &sol))
     }
 }
 

@@ -46,11 +46,11 @@ fn scheduling_instance(seed: u64, demands: usize, states: usize, links: usize) -
     let k = 4; // tunnels per demand (the paper's KSP-4)
 
     let mut link_terms: Vec<Vec<(bate_lp::VarId, f64)>> = vec![Vec::new(); links];
-    for d in 0..demands {
+    for _ in 0..demands {
         let demand = rng.gen_range(5.0..20.0);
         let f: Vec<_> = (0..k)
-            .map(|t| {
-                let v = p.add_var(&format!("f{d}_{t}"));
+            .map(|_| {
+                let v = p.add_var();
                 p.set_objective(v, rng.gen_range(1.0..3.0));
                 // Each tunnel crosses ~3 shared links.
                 for _ in 0..3 {
@@ -72,7 +72,7 @@ fn scheduling_instance(seed: u64, demands: usize, states: usize, links: usize) -
         let mut avail_terms = Vec::with_capacity(states);
         let mut prob_left = 1.0f64;
         for s in 0..states {
-            let b = p.add_bounded_var(&format!("B{d}_{s}"), 1.0);
+            let b = p.add_bounded_var(1.0);
             let mut terms = vec![(b, demand)];
             let mut any = false;
             for &fv in &f {
@@ -114,8 +114,8 @@ fn bnb_instance(seed: u64, demands: usize, links: usize) -> Problem {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut p = Problem::new(Sense::Maximize);
     let x: Vec<_> = (0..demands)
-        .map(|d| {
-            let v = p.add_binary_var(&format!("x{d}"));
+        .map(|_| {
+            let v = p.add_binary_var();
             p.set_objective(v, rng.gen_range(0.5..5.0));
             v
         })
@@ -729,8 +729,8 @@ fn main() {
     // on the medians.
     let master = &cold_lps[0];
     let mut wide = master.clone();
-    for k in 0..3 * master.num_vars() {
-        wide.add_var(&format!("idle{k}"));
+    for _ in 0..3 * master.num_vars() {
+        wide.add_var();
     }
     let wide_pivots = scratch(master).stats.pivots;
     assert_eq!(wide_pivots, scratch(&wide).stats.pivots, "wide_master: pivots differ");

@@ -31,8 +31,8 @@ pub fn schedule_naive(
         let mut per = Vec::new();
         for &(pair, _) in &demand.bandwidth {
             let vars: Vec<VarId> = (0..ctx.tunnels.tunnels(pair).len())
-                .map(|t| {
-                    let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
+                .map(|_| {
+                    let v = p.add_var();
                     p.set_objective(v, 1.0);
                     v
                 })
@@ -49,8 +49,8 @@ pub fn schedule_naive(
         }
         // One B per raw scenario — no collapsing.
         let mut avail_terms = Vec::new();
-        for (zi, z) in ctx.scenarios.iter().enumerate() {
-            let bv = p.add_bounded_var(&format!("B[{}][{zi}]", demand.id.0), 1.0);
+        for z in ctx.scenarios.iter() {
+            let bv = p.add_bounded_var(1.0);
             for (ki, &(pair, b)) in demand.bandwidth.iter().enumerate() {
                 let mut terms: Vec<(VarId, f64)> = vec![(bv, b)];
                 for (ti, &fv) in f_vars[di][ki].iter().enumerate() {

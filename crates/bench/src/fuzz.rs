@@ -131,11 +131,11 @@ pub fn random_lp(seed: u64) -> FuzzInstance {
     let mut p = Problem::new(sense);
     let n = rng.gen_range(2usize..=7);
     let vars: Vec<VarId> = (0..n)
-        .map(|i| {
+        .map(|_| {
             if rng.gen_bool(0.5) {
-                p.add_bounded_var(&format!("x{i}"), rng.gen_range(1i32..=10) as f64)
+                p.add_bounded_var(rng.gen_range(1i32..=10) as f64)
             } else {
-                p.add_var(&format!("x{i}"))
+                p.add_var()
             }
         })
         .collect();
@@ -174,10 +174,10 @@ pub fn degenerate_lp(seed: u64) -> FuzzInstance {
     let mut p = Problem::new(Sense::Minimize);
     // Tied costs: only two distinct values, many ties.
     let x: Vec<Vec<VarId>> = (0..m)
-        .map(|i| {
+        .map(|_| {
             (0..n)
-                .map(|j| {
-                    let v = p.add_var(&format!("x{i}{j}"));
+                .map(|_| {
+                    let v = p.add_var();
                     p.set_objective(v, if rng.gen_bool(0.5) { 1.0 } else { 2.0 });
                     v
                 })
@@ -225,7 +225,7 @@ pub fn ill_conditioned_lp(seed: u64) -> FuzzInstance {
     let scales = [1e-4, 1e-2, 1.0, 1e2, 1e5];
     let vars: Vec<VarId> = (0..n)
         .map(|i| {
-            let v = p.add_bounded_var(&format!("x{i}"), rng.gen_range(1.0..1e4));
+            let v = p.add_bounded_var(rng.gen_range(1.0..1e4));
             p.set_objective(v, rng.gen_range(0.1..4.0) * scales[i % scales.len()]);
             v
         })
@@ -270,14 +270,14 @@ pub fn recovery_shaped_lp(seed: u64) -> FuzzInstance {
     let mut p = Problem::new(Sense::Minimize);
     let mut per_link: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); links];
     let mut total_b = 0.0;
-    for d in 0..demands {
+    for _ in 0..demands {
         let tunnels = rng.gen_range(2usize..=4);
         let b = rng.gen_range(1i32..=9) as f64;
         total_b += b;
         let mut cover = Vec::with_capacity(tunnels);
-        for t in 0..tunnels {
+        for _ in 0..tunnels {
             // A surviving tunnel crosses 1–3 random links.
-            let v = p.add_var(&format!("f{d}_{t}"));
+            let v = p.add_var();
             p.set_objective(v, 1.0);
             cover.push((v, 1.0));
             for _ in 0..rng.gen_range(1usize..=3) {
@@ -306,8 +306,8 @@ pub fn tie_fan_lp(seed: u64) -> FuzzInstance {
     let fan = rng.gen_range(4usize..=8);
     let mut p = Problem::new(Sense::Minimize);
     let vars: Vec<VarId> = (0..fan)
-        .map(|i| {
-            let v = p.add_bounded_var(&format!("x{i}"), 1.0);
+        .map(|_| {
+            let v = p.add_bounded_var(1.0);
             p.set_objective(v, 1.0); // all costs identical
             v
         })
@@ -341,13 +341,13 @@ pub fn random_milp(seed: u64) -> FuzzInstance {
     let n = rng.gen_range(3usize..=6);
     let mut p = Problem::new(Sense::Maximize);
     let mut weights = Vec::with_capacity(n + 1);
-    for i in 0..n {
-        let v = p.add_binary_var(&format!("x{i}"));
+    for _ in 0..n {
+        let v = p.add_binary_var();
         p.set_objective(v, rng.gen_range(1i32..=9) as f64);
         weights.push((v, rng.gen_range(1i32..=9) as f64));
     }
     if rng.gen_bool(0.4) {
-        let v = p.add_integer_var("g", rng.gen_range(2i32..=4) as f64);
+        let v = p.add_integer_var(rng.gen_range(2i32..=4) as f64);
         p.set_objective(v, rng.gen_range(1i32..=5) as f64);
         weights.push((v, rng.gen_range(1i32..=5) as f64));
     }
@@ -445,17 +445,17 @@ pub fn stale_batch_mates_gadget(
     with_hidden: bool,
 ) -> (FuzzInstance, LeRows) {
     let mut p = Problem::new(Sense::Maximize);
-    for k in 0..nj {
-        let j = p.add_binary_var(&format!("j{k}"));
-        let jp = p.add_bounded_var(&format!("jp{k}"), 1.0);
+    for _ in 0..nj {
+        let j = p.add_binary_var();
+        let jp = p.add_bounded_var(1.0);
         p.set_objective(jp, 1.0);
         p.add_constraint(&[(jp, 1.0), (j, -1.0)], Relation::Le, 0.0);
         p.add_constraint(&[(jp, 1.0), (j, 1.0)], Relation::Le, 1.0);
     }
-    let z = p.add_binary_var("z");
-    let r = p.add_bounded_var("r", 1.0);
-    let a = p.add_binary_var("a");
-    let b = p.add_binary_var("b");
+    let z = p.add_binary_var();
+    let r = p.add_bounded_var(1.0);
+    let a = p.add_binary_var();
+    let b = p.add_binary_var();
     p.set_objective(r, 15.0);
     p.set_objective(a, 10.0);
     p.set_objective(b, 10.0);

@@ -101,10 +101,12 @@ pub fn conjecture_with_allocation<'a>(
 /// The temporary allocation given to a newly conjectured-in demand
 /// (step 2's "temporary bandwidth allocation ... using the remaining
 /// network capacity as far as needed", footnote 5): best-effort greedy fill
-/// on residual capacity, highest-availability tunnels first. May fall short
-/// of the demanded bandwidth; the next scheduling round fixes that.
-pub fn best_effort_allocation(ctx: &TeContext, current: &Allocation, new: &BaDemand) -> Allocation {
-    let mut residual = current.residual_capacities(ctx);
+/// on `residual`, the pool's per-link residual capacity
+/// ([`Allocation::residual_capacities`]), highest-availability tunnels
+/// first. May fall short of the demanded bandwidth; the next scheduling
+/// round fixes that.
+pub fn best_effort_allocation(ctx: &TeContext, residual: &[f64], new: &BaDemand) -> Allocation {
+    let mut residual = residual.to_vec();
     let mut alloc = Allocation::new();
     for &(pair, b) in &new.bandwidth {
         let tunnels = ctx.tunnels.tunnels(pair);
@@ -269,7 +271,7 @@ mod tests {
         let n = |s: &str| topo.find_node(s).unwrap();
         let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
         let d = BaDemand::single(1, pair, 1500.0, 0.9);
-        let alloc = best_effort_allocation(&ctx, &Allocation::new(), &d);
+        let alloc = best_effort_allocation(&ctx, &Allocation::new().residual_capacities(&ctx), &d);
         assert!(alloc.respects_capacity(&ctx, 1e-9));
         let total: f64 = alloc.flows_of(d.id).map(|(_, f)| f).sum();
         assert!(total > 0.0 && total <= 1500.0 + 1e-9);

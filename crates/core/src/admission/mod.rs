@@ -80,14 +80,13 @@ pub fn admit(
     new: &BaDemand,
 ) -> AdmissionOutcome {
     let residual = current.residual_capacities(ctx);
-    decide(ctx, admitted, current, new, &residual)
+    decide(ctx, admitted, new, &residual)
 }
 
-/// [`admit`], given `current`'s residual capacities.
+/// [`admit`], given the current allocation's residual capacities.
 fn decide(
     ctx: &TeContext,
     admitted: &[BaDemand],
-    current: &Allocation,
     new: &BaDemand,
     residual: &[f64],
 ) -> AdmissionOutcome {
@@ -97,7 +96,7 @@ fn decide(
     // untraced callers (sim loops) keep the legacy event-only shape.
     let traced = bate_obs::context::current().is_some();
     let _sp = traced.then(|| bate_obs::span!("admission.pipeline", demand = new.id.0));
-    let outcome = admit_inner(ctx, admitted, current, new, residual);
+    let outcome = admit_inner(ctx, admitted, new, residual);
     m.checks.inc();
     let verdict = match &outcome {
         AdmissionOutcome::Admitted {
@@ -166,7 +165,7 @@ impl PoolLoads {
     ) -> bool {
         let loads = self.0.get_or_insert_with(|| current.link_loads(ctx));
         let residual = crate::allocation::residual_of(ctx, loads);
-        let outcome = decide(ctx, admitted, current, new, &residual);
+        let outcome = decide(ctx, admitted, new, &residual);
         let AdmissionOutcome::Admitted { allocation, .. } = outcome else {
             return false;
         };
@@ -191,7 +190,6 @@ impl PoolLoads {
 fn admit_inner(
     ctx: &TeContext,
     admitted: &[BaDemand],
-    current: &Allocation,
     new: &BaDemand,
     residual: &[f64],
 ) -> AdmissionOutcome {
@@ -204,7 +202,7 @@ fn admit_inner(
     }
     // Step 2: greedy conjecture over everyone.
     if greedy::conjecture(ctx, admitted, new) {
-        let allocation = greedy::best_effort_allocation(ctx, current, new);
+        let allocation = greedy::best_effort_allocation(ctx, residual, new);
         return AdmissionOutcome::Admitted {
             path: AdmitPath::Conjecture,
             allocation,
@@ -300,5 +298,67 @@ mod tests {
         }
         assert!(admits > 10 && admits < 80, "{admits} of 80 admitted");
         assert!(dropped > 0, "no admit dropped the carried loads");
+    }
+
+    /// A conjecture admit installs what `best_effort_allocation` makes of
+    /// a recomputed residual, bit for bit, whether the fold carries its
+    /// loads or sums them afresh. The pool replicates three demands on
+    /// every tunnel of their pair, so the newcomers fill what is left
+    /// through step 1 and then get in only through the conjecture: the
+    /// first of those on what residual is left, the rest on none.
+    #[test]
+    fn conjecture_admit_installs_best_effort_on_the_residual() {
+        let topo = topologies::testbed6();
+        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+        let scenarios = ScenarioSet::enumerate(&topo, 2);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let n = |s: &str| topo.find_node(s).unwrap();
+        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
+        let mut pool = Vec::new();
+        let mut alloc = Allocation::new();
+        for id in 1..=3 {
+            let d = BaDemand::single(id, pair, 150.0, 0.9);
+            for tunnel in 0..tunnels.tunnels(pair).len() {
+                alloc.set(d.id, bate_routing::TunnelId { pair, tunnel }, 150.0);
+            }
+            pool.push(d);
+        }
+        let (mut fresh_pool, mut fresh_alloc) = (pool.clone(), alloc.clone());
+        let mut loads = PoolLoads::default();
+        let (mut paths, mut filled) = (String::new(), 0);
+        for id in 100..108 {
+            let d = BaDemand::single(id, pair, 200.0, 0.9);
+            let want = match admit(&ctx, &pool, &alloc, &d) {
+                AdmissionOutcome::Admitted {
+                    path: AdmitPath::Fixed,
+                    ..
+                } => {
+                    paths.push('F');
+                    None
+                }
+                AdmissionOutcome::Admitted {
+                    path: AdmitPath::Conjecture,
+                    ..
+                } => {
+                    paths.push('C');
+                    let residual = alloc.residual_capacities(&ctx);
+                    Some(greedy::best_effort_allocation(&ctx, &residual, &d))
+                }
+                AdmissionOutcome::Rejected => panic!("demand {id} rejected"),
+            };
+            assert!(loads.admit_and_apply(&ctx, &mut pool, &mut alloc, &d));
+            assert!(admit_and_apply(&ctx, &mut fresh_pool, &mut fresh_alloc, &d));
+            if let Some(want) = want {
+                let bits = |a: &Allocation| -> Vec<_> {
+                    a.flows_of(d.id).map(|(t, f)| (t, f.to_bits())).collect()
+                };
+                filled += usize::from(!bits(&want).is_empty());
+                assert_eq!(bits(&alloc), bits(&want), "carried loads, demand {id}");
+                assert_eq!(bits(&fresh_alloc), bits(&want), "fresh loads, demand {id}");
+            }
+        }
+        assert_eq!(paths, "FFFCCCCC");
+        assert_eq!(filled, 1);
+        assert!(loads.0.is_some(), "the fold carried its loads throughout");
     }
 }

@@ -177,7 +177,7 @@ fn build_admission_milp(
     let mut a_vars: Vec<Option<VarId>> = Vec::with_capacity(demands.len());
     let mut cols: Vec<DemandCols> = Vec::with_capacity(demands.len());
     for ((demand, profile), f) in demands.iter().zip(profiles).zip(flows) {
-        let mut c = DemandCols::new(&mut p, Form::Admission, demand, profile, f);
+        let mut c = DemandCols::new(&mut p, Form::Admission, profile, f);
         c.add_rows(&mut p, demand, profile, lazy, None);
 
         // Achieved availability s_d = Σ q p (Eq. 15), linked to acceptance.
@@ -186,7 +186,7 @@ fn build_admission_milp(
             p.add_constraint(&s_terms, Relation::Ge, demand.beta);
             a_vars.push(None);
         } else {
-            let a = p.add_binary_var(&format!("a[{}]", demand.id.0));
+            let a = p.add_binary_var();
             p.set_objective(a, 1.0);
             // s_d >= β a_d (Eq. 16 lower linkage).
             s_terms.push((a, -demand.beta));

@@ -298,7 +298,7 @@ impl IncrementalScheduler {
         // the seed states and of whatever `carry` already discovered.
         let f = model::flow_columns(p, ctx, &demand, 1.0)?;
         let eq1_rows = model::coverage_rows(p, &demand, &f);
-        let mut cols = DemandCols::new(p, Form::Scheduling, &demand, &profile, f);
+        let mut cols = DemandCols::new(p, Form::Scheduling, &profile, f);
         cols.add_rows(p, &demand, &profile, true, carry.as_deref());
         let avail_row =
             p.add_constraint(&cols.availability_terms(&profile), Relation::Ge, demand.beta);

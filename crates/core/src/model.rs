@@ -83,8 +83,8 @@ pub(crate) fn flow_columns(
             )));
         }
         let vars: Vec<VarId> = (0..tunnels)
-            .map(|t| {
-                let v = p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0));
+            .map(|_| {
+                let v = p.add_var();
                 p.set_objective(v, cost);
                 v
             })
@@ -143,15 +143,13 @@ impl DemandCols {
     pub(crate) fn new(
         p: &mut Problem,
         form: Form,
-        demand: &BaDemand,
         profile: &MaskedProfile,
         f: Vec<Vec<VarId>>,
     ) -> DemandCols {
-        let id = demand.id.0;
         let ind: Vec<VarId> = (0..profile.len())
-            .map(|s| match form {
-                Form::Scheduling => p.add_bounded_var(&format!("B[{id}][{s}]"), 1.0),
-                Form::Admission => p.add_binary_var(&format!("q[{id}][{s}]")),
+            .map(|_| match form {
+                Form::Scheduling => p.add_bounded_var(1.0),
+                Form::Admission => p.add_binary_var(),
             })
             .collect();
         DemandCols {

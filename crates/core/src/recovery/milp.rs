@@ -85,7 +85,7 @@ fn build_model(ctx: &TeContext, demands: &[BaDemand], scenario: &Scenario) -> Re
     let mut y_vars: Vec<VarId> = Vec::with_capacity(demands.len());
 
     for demand in demands {
-        let y = p.add_binary_var(&format!("y[{}]", demand.id.0));
+        let y = p.add_binary_var();
         // Objective: g_d μ_d y_d (the refund saved by satisfying d).
         p.set_objective(y, demand.price * demand.refund_ratio);
         y_vars.push(y);
@@ -97,10 +97,9 @@ fn build_model(ctx: &TeContext, demands: &[BaDemand], scenario: &Scenario) -> Re
             // can't deliver anything).
             let vars: Vec<Option<VarId>> = tunnels
                 .iter()
-                .enumerate()
-                .map(|(t, path)| {
+                .map(|path| {
                     if path.available_under(ctx.topo, scenario) {
-                        Some(p.add_var(&format!("f[{}][{pair}][{t}]", demand.id.0)))
+                        Some(p.add_var())
                     } else {
                         None
                     }

@@ -560,7 +560,7 @@ fn build_lp(
     let mut cols: Vec<DemandCols> = Vec::with_capacity(demands.len());
     for ((demand, profile), f) in demands.iter().zip(profiles).zip(flows) {
         model::coverage_rows(&mut p, demand, &f);
-        let mut c = DemandCols::new(&mut p, Form::Scheduling, demand, profile, f);
+        let mut c = DemandCols::new(&mut p, Form::Scheduling, profile, f);
         c.add_rows(&mut p, demand, profile, lazy, None);
         p.add_constraint(&c.availability_terms(profile), Relation::Ge, demand.beta);
         cols.push(c);

@@ -1,27 +1,36 @@
 //! Model-text goldens: every `Problem` the BATE formulation is built into,
-//! pinned as a hash of its LP-format text (variable names, row order,
+//! pinned as a hash of its LP-format text (column order, row order,
 //! coefficients and bounds, all exact — `bate_reference::to_lp_format`
-//! prints shortest round-trip floats).
+//! names column `j` as `x{j}` and prints shortest round-trip floats). Each
+//! pinned text also reparses, with `bate_reference::from_lp_format`, into
+//! a problem that writes the same text.
 //!
 //! The scheduling LP (Eq. 1–7), its row-generation master, the Appendix-A
 //! admission MILP with its branch-and-cut master, and the incremental
-//! scheduler's churned master all share one constraint family. These
-//! hashes were taken before that family was moved behind
-//! `bate_core::model`; a refactor of the builders must leave every one of
-//! them unchanged, because a moved row or a reordered term changes pivots,
-//! and every other golden in the tree with them.
+//! scheduler's churned master all share one constraint family
+//! (`bate_core::model`). A refactor of the builders must leave every hash
+//! unchanged, because a moved row or a reordered term changes pivots, and
+//! every other golden in the tree with them.
 
 use bate_core::admission::optimal::{admission_lazy_master, admission_milp};
 use bate_core::scheduling::{rowgen_master, scheduling_lp};
 use bate_core::{BaDemand, DemandDelta, DemandId, IncrementalScheduler, TeContext};
 use bate_lp::Problem;
 use bate_net::{topologies, traffic, ScenarioSet, Topology};
+use bate_reference::{from_lp_format, to_lp_format};
 use bate_routing::{RoutingScheme, TunnelSet};
 
-/// FNV-1a over the model text.
+/// FNV-1a over the model text, once the text is shown to reparse into a
+/// problem that writes it again byte for byte.
 fn text_hash(p: &Problem) -> u64 {
+    let text = to_lp_format(p);
+    let again = from_lp_format(&text).unwrap_or_else(|e| panic!("reparse failed: {e}"));
+    assert!(
+        to_lp_format(&again) == text,
+        "export→parse→export moved the text"
+    );
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bate_reference::to_lp_format(p).as_bytes() {
+    for &b in text.as_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -58,8 +67,8 @@ struct Pinned {
     admission_milp: u64,
     admission_lazy_master: (u64, usize),
     /// After add-all / remove / resize / churn-to-compaction. A resize
-    /// re-adds the demand's columns under the names its retired columns
-    /// keep, so that text writes the new ones with an `x{index}_` prefix.
+    /// retires the demand's columns (zero upper bound) and appends new
+    /// ones, so that text holds both.
     incremental: [u64; 4],
 }
 
@@ -124,15 +133,15 @@ fn toy4_y2_model_text() {
         RoutingScheme::Ksp(2),
         36_000.0,
         Pinned {
-            scheduling_lp: 15776744854534240207,
-            rowgen_master: (548108008021554017, 38),
-            admission_milp: 17125809754507725122,
-            admission_lazy_master: (4932341412795369665, 27),
+            scheduling_lp: 14729983652670550275,
+            rowgen_master: (2660226331500831460, 38),
+            admission_milp: 11894495049032072422,
+            admission_lazy_master: (8775833434479779698, 27),
             incremental: [
-                14558441326485246625,
-                8054800645706023154,
-                1242006562364514692,
-                10045873547287234167,
+                6915620148730186049,
+                6915134840069970820,
+                3696658531582715134,
+                5000478906163465144,
             ],
         },
     );
@@ -145,15 +154,15 @@ fn testbed6_y2_model_text() {
         RoutingScheme::default_ksp4(),
         6000.0,
         Pinned {
-            scheduling_lp: 7302706256890999225,
-            rowgen_master: (14719930464134257596, 58),
-            admission_milp: 16098257093313090320,
-            admission_lazy_master: (14638055802980421524, 68),
+            scheduling_lp: 6833472578489609144,
+            rowgen_master: (7954922028421240801, 58),
+            admission_milp: 15346797876929823223,
+            admission_lazy_master: (12872321045958833073, 68),
             incremental: [
-                2235734547151631776,
-                3172368957351503262,
-                7972353542101364631,
-                16699433775085884166,
+                6043577007447656894,
+                16428853281155250740,
+                904338283737205027,
+                12224036634664382506,
             ],
         },
     );
@@ -166,15 +175,15 @@ fn b4_y2_model_text() {
         RoutingScheme::default_ksp4(),
         4000.0,
         Pinned {
-            scheduling_lp: 6978818451373422584,
-            rowgen_master: (12380373526841041331, 61),
-            admission_milp: 11232186016144911259,
-            admission_lazy_master: (1859557446731078537, 35),
+            scheduling_lp: 9729938067181552336,
+            rowgen_master: (2978713823195762704, 61),
+            admission_milp: 18109699532015529013,
+            admission_lazy_master: (3956817268343309736, 35),
             incremental: [
-                14660920470040137620,
-                10432826486303014966,
-                15532293850354409873,
-                1229390718059978295,
+                12766084293749117930,
+                7166133102460026774,
+                14515047782456033247,
+                17165698177890447831,
             ],
         },
     );

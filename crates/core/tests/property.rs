@@ -136,7 +136,7 @@ proptest! {
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let mut current = Allocation::new();
         for d in &demands {
-            let extra = best_effort_allocation(&ctx, &current, d);
+            let extra = best_effort_allocation(&ctx, &current.residual_capacities(&ctx), d);
             let got: f64 = extra.flows_of(d.id).map(|(_, f)| f).sum();
             prop_assert!(got <= d.total_bandwidth() + 1e-9);
             for (t, f) in extra.flows_of(d.id) {

@@ -34,8 +34,8 @@
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x,y >= 0
 //! let mut p = Problem::new(Sense::Maximize);
-//! let x = p.add_var("x");
-//! let y = p.add_var("y");
+//! let x = p.add_var();
+//! let y = p.add_var();
 //! p.set_objective(x, 3.0);
 //! p.set_objective(y, 2.0);
 //! p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);

@@ -491,9 +491,9 @@ mod tests {
         // vs b+c (20)? b+c weight 6 value 20. Check: a+c weight 5 value 17;
         // b+c weight 6 value 20 -> optimal 20.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_binary_var("a");
-        let b = p.add_binary_var("b");
-        let c = p.add_binary_var("c");
+        let a = p.add_binary_var();
+        let b = p.add_binary_var();
+        let c = p.add_binary_var();
         p.set_objective(a, 10.0);
         p.set_objective(b, 13.0);
         p.set_objective(c, 7.0);
@@ -509,8 +509,8 @@ mod tests {
     fn integer_rounding_matters() {
         // max x + y, 2x + 2y <= 5, integers -> LP gives 2.5, MILP gives 2.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_integer_var("x", f64::INFINITY);
-        let y = p.add_integer_var("y", f64::INFINITY);
+        let x = p.add_integer_var(f64::INFINITY);
+        let y = p.add_integer_var(f64::INFINITY);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 2.0), (y, 2.0)], Relation::Le, 5.0);
@@ -525,8 +525,8 @@ mod tests {
         // max 2x + 3z with x integer, z continuous <= 1.2, x + z <= 4.8.
         // Candidates: x=3, z=1.2 (obj 9.6) vs x=4, z=0.8 (obj 10.4).
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_integer_var("x", f64::INFINITY);
-        let z = p.add_bounded_var("z", 1.2);
+        let x = p.add_integer_var(f64::INFINITY);
+        let z = p.add_bounded_var(1.2);
         p.set_objective(x, 2.0);
         p.set_objective(z, 3.0);
         p.add_constraint(&[(x, 1.0), (z, 1.0)], Relation::Le, 4.8);
@@ -538,7 +538,7 @@ mod tests {
     #[test]
     fn infeasible_milp() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_binary_var("x");
+        let x = p.add_binary_var();
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 2.0)], Relation::Eq, 1.0); // x = 0.5 impossible
         assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
@@ -551,8 +551,8 @@ mod tests {
         // If R can reach 1, profit prefers y = 1.
         let m = 100.0;
         let mut p = Problem::new(Sense::Maximize);
-        let y = p.add_binary_var("y");
-        let r = p.add_bounded_var("r", 2.0);
+        let y = p.add_binary_var();
+        let r = p.add_bounded_var(2.0);
         p.set_objective(y, 10.0);
         p.add_constraint(&[(r, 1.0), (y, -1.0)], Relation::Ge, 0.0);
         p.add_constraint(&[(r, 1.0), (y, -(m - 1.0))], Relation::Le, 1.0);
@@ -568,7 +568,7 @@ mod tests {
         // objective and values (node evaluation is batch-synchronous and
         // every relaxation solves cold, independent of worker chunking).
         let mut p = Problem::new(Sense::Maximize);
-        let items: Vec<_> = (0..12).map(|i| p.add_binary_var(&format!("x{i}"))).collect();
+        let items: Vec<_> = (0..12).map(|_| p.add_binary_var()).collect();
         for (i, &x) in items.iter().enumerate() {
             p.set_objective(x, 3.0 + (i as f64 * 1.7).sin().abs() * 9.0);
             p.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
@@ -630,7 +630,7 @@ mod tests {
         // Branch-and-cut must land on the same optimum as the full solve.
         let build = |with_w2: bool| {
             let mut p = Problem::new(Sense::Maximize);
-            let items: Vec<_> = (0..12).map(|i| p.add_binary_var(&format!("x{i}"))).collect();
+            let items: Vec<_> = (0..12).map(|_| p.add_binary_var()).collect();
             for (i, &x) in items.iter().enumerate() {
                 p.set_objective(x, 3.0 + (i as f64 * 1.7).sin().abs() * 9.0);
                 p.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
@@ -739,17 +739,17 @@ mod tests {
         let nj = 8;
         let build = |with_hidden: bool| {
             let mut p = Problem::new(Sense::Maximize);
-            for k in 0..nj {
-                let j = p.add_binary_var(&format!("j{k}"));
-                let jp = p.add_bounded_var(&format!("jp{k}"), 1.0);
+            for _ in 0..nj {
+                let j = p.add_binary_var();
+                let jp = p.add_bounded_var(1.0);
                 p.set_objective(jp, 1.0);
                 p.add_constraint(&[(jp, 1.0), (j, -1.0)], Relation::Le, 0.0);
                 p.add_constraint(&[(jp, 1.0), (j, 1.0)], Relation::Le, 1.0);
             }
-            let z = p.add_binary_var("z");
-            let r = p.add_bounded_var("r", 1.0);
-            let a = p.add_binary_var("a");
-            let b = p.add_binary_var("b");
+            let z = p.add_binary_var();
+            let r = p.add_bounded_var(1.0);
+            let a = p.add_binary_var();
+            let b = p.add_binary_var();
             p.set_objective(r, 15.0);
             p.set_objective(a, 10.0);
             p.set_objective(b, 10.0);
@@ -819,8 +819,8 @@ mod tests {
     /// cut, then a clean pass.
     fn one_cut_master() -> (Problem, LazyRow) {
         let mut master = Problem::new(Sense::Minimize);
-        let x = master.add_var("x");
-        let y = master.add_var("y");
+        let x = master.add_var();
+        let y = master.add_var();
         master.set_objective(x, 1.0);
         master.set_objective(y, 1.0);
         master.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 0.25);
@@ -880,7 +880,7 @@ mod tests {
     #[test]
     fn node_limit_reports_error_without_incumbent() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_integer_var("x", 10.0);
+        let x = p.add_integer_var(10.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 2.0)], Relation::Le, 9.0);
         let cfg = BnbConfig {

@@ -50,20 +50,14 @@ pub enum VarKind {
     Integer,
 }
 
-/// A variable's attributes, read through [`Problem::vars`].
+/// A variable's attributes, read through [`Problem::vars`]. A variable is
+/// its index ([`VarId`]) and has no name: the solver reads coefficients,
+/// bounds and rows, nothing else.
 #[derive(Debug, Clone)]
 pub struct VarDef {
-    pub(crate) name: String,
     pub kind: VarKind,
     /// Upper bound; `f64::INFINITY` when unbounded above.
     pub upper: f64,
-}
-
-impl VarDef {
-    /// The name the variable was added under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 /// A constraint row, read through [`Problem::constraints`].
@@ -97,34 +91,30 @@ impl Problem {
     }
 
     /// Add a continuous variable `>= 0` with no upper bound.
-    pub fn add_var(&mut self, name: &str) -> VarId {
-        self.add_var_full(name, VarKind::Continuous, f64::INFINITY)
+    pub fn add_var(&mut self) -> VarId {
+        self.add_var_full(VarKind::Continuous, f64::INFINITY)
     }
 
     /// Add a continuous variable `0 <= x <= upper`.
-    pub fn add_bounded_var(&mut self, name: &str, upper: f64) -> VarId {
-        self.add_var_full(name, VarKind::Continuous, upper)
+    pub fn add_bounded_var(&mut self, upper: f64) -> VarId {
+        self.add_var_full(VarKind::Continuous, upper)
     }
 
     /// Add a binary variable (`x ∈ {0, 1}`).
-    pub fn add_binary_var(&mut self, name: &str) -> VarId {
-        self.add_var_full(name, VarKind::Integer, 1.0)
+    pub fn add_binary_var(&mut self) -> VarId {
+        self.add_var_full(VarKind::Integer, 1.0)
     }
 
     /// Add an integer variable `0 <= x <= upper` (use `f64::INFINITY` for no
     /// upper bound).
-    pub fn add_integer_var(&mut self, name: &str, upper: f64) -> VarId {
-        self.add_var_full(name, VarKind::Integer, upper)
+    pub fn add_integer_var(&mut self, upper: f64) -> VarId {
+        self.add_var_full(VarKind::Integer, upper)
     }
 
-    fn add_var_full(&mut self, name: &str, kind: VarKind, upper: f64) -> VarId {
+    fn add_var_full(&mut self, kind: VarKind, upper: f64) -> VarId {
         assert!(upper >= 0.0, "upper bound must be non-negative");
         let id = VarId(self.vars.len());
-        self.vars.push(VarDef {
-            name: name.to_string(),
-            kind,
-            upper,
-        });
+        self.vars.push(VarDef { kind, upper });
         self.objective.push(0.0);
         id
     }
@@ -306,7 +296,7 @@ mod tests {
     #[test]
     fn builder_accumulates_duplicate_terms() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.add_constraint(&[(x, 1.0), (x, 2.0)], Relation::Le, 5.0);
         assert_eq!(p.constraints[0].terms, vec![(0, 3.0)]);
     }
@@ -314,8 +304,8 @@ mod tests {
     #[test]
     fn builder_drops_zero_coefficients() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.add_constraint(&[(x, 0.0), (y, 1.0)], Relation::Ge, 1.0);
         assert_eq!(p.constraints[0].terms, vec![(1, 1.0)]);
     }
@@ -323,7 +313,7 @@ mod tests {
     #[test]
     fn feasibility_check_respects_bounds() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 2.0);
+        let x = p.add_bounded_var(2.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.0);
         assert!(p.is_feasible(&[1.5], 1e-9));
         assert!(!p.is_feasible(&[2.5], 1e-9)); // violates upper bound
@@ -334,8 +324,8 @@ mod tests {
     #[test]
     fn objective_value_is_dot_product() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 2.0);
         p.set_objective(y, -1.0);
         assert_eq!(p.objective_value(&[3.0, 4.0]), 2.0);

@@ -627,8 +627,8 @@ mod tests {
     #[test]
     fn live_error_is_redone_cold() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);

@@ -12,8 +12,8 @@ mod solve_tests {
     #[test]
     fn solve_emits_phase_span_only_inside_a_trace() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 3.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -47,8 +47,8 @@ mod solve_tests {
     fn textbook_maximize() {
         // max 3x+2y, x+y<=4, x+3y<=6 -> x=4, y=0, obj=12.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 3.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -63,8 +63,8 @@ mod solve_tests {
     fn minimize_with_ge_rows_needs_phase1() {
         // min 2x+3y, x+y>=10, x>=2, y>=3 -> x=7,y=3 obj=23.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -80,8 +80,8 @@ mod solve_tests {
     fn equality_constraints() {
         // min x+y, x+2y=4, x-y=1 -> x=2, y=1, obj=3.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
@@ -95,7 +95,7 @@ mod solve_tests {
     #[test]
     fn detects_infeasible() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
@@ -104,7 +104,7 @@ mod solve_tests {
     #[test]
     fn detects_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 0.0);
         assert_eq!(p.solve().unwrap_err(), SolveError::Unbounded);
@@ -113,7 +113,7 @@ mod solve_tests {
     #[test]
     fn upper_bounds_respected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 2.5);
+        let x = p.add_bounded_var(2.5);
         p.set_objective(x, 1.0);
         let s = p.solve().unwrap();
         approx(s.objective, 2.5);
@@ -123,8 +123,8 @@ mod solve_tests {
     fn bounded_vars_without_any_rows() {
         // Pure box problem: max x + 2y with x<=3, y<=4 and no constraints.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 3.0);
-        let y = p.add_bounded_var("y", 4.0);
+        let x = p.add_bounded_var(3.0);
+        let y = p.add_bounded_var(4.0);
         p.set_objective(x, 1.0);
         p.set_objective(y, 2.0);
         let s = p.solve().unwrap();
@@ -137,8 +137,8 @@ mod solve_tests {
     fn bound_flip_interacts_with_rows() {
         // max x + y, x <= 1 (bound), y <= 1 (bound), x + y <= 1.5.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 1.0);
-        let y = p.add_bounded_var("y", 1.0);
+        let x = p.add_bounded_var(1.0);
+        let y = p.add_bounded_var(1.0);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.5);
@@ -151,8 +151,8 @@ mod solve_tests {
         // min -x  s.t.  x - y <= 0, y <= 2 (bound), x <= 5 (bound).
         // Optimal: y = 2, x = 2.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 5.0);
-        let y = p.add_bounded_var("y", 2.0);
+        let x = p.add_bounded_var(5.0);
+        let y = p.add_bounded_var(2.0);
         p.set_objective(x, -1.0);
         p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, 0.0);
         let s = p.solve().unwrap();
@@ -164,8 +164,8 @@ mod solve_tests {
     fn negative_rhs_is_normalized() {
         // x - y <= -1 with min x+y means y >= x+1; optimum x=0, y=1.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, -1.0);
@@ -179,10 +179,10 @@ mod solve_tests {
         // Classic degenerate LP (Beale-like); require termination and the
         // correct optimum.
         let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var("x1");
-        let x2 = p.add_var("x2");
-        let x3 = p.add_var("x3");
-        let x4 = p.add_var("x4");
+        let x1 = p.add_var();
+        let x2 = p.add_var();
+        let x3 = p.add_var();
+        let x4 = p.add_var();
         p.set_objective(x1, -0.75);
         p.set_objective(x2, 150.0);
         p.set_objective(x3, -0.02);
@@ -205,8 +205,8 @@ mod solve_tests {
     #[test]
     fn redundant_equalities_are_handled() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
@@ -227,8 +227,8 @@ mod solve_tests {
     #[test]
     fn fixed_variable_via_bounds() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 0.0); // fixed to 0
-        let y = p.add_bounded_var("y", 1.0);
+        let x = p.add_bounded_var(0.0); // fixed to 0
+        let y = p.add_bounded_var(1.0);
         p.set_objective(x, 100.0);
         p.set_objective(y, 1.0);
         let s = p.solve().unwrap();
@@ -241,7 +241,7 @@ mod solve_tests {
         // min u (bounded [0,1]) s.t. u >= 0.6 — phase 1 must place a
         // bounded variable correctly.
         let mut p = Problem::new(Sense::Minimize);
-        let u = p.add_bounded_var("u", 1.0);
+        let u = p.add_bounded_var(1.0);
         p.set_objective(u, 1.0);
         p.add_constraint(&[(u, 1.0)], Relation::Ge, 0.6);
         let s = p.solve().unwrap();
@@ -252,7 +252,7 @@ mod solve_tests {
     fn infeasible_due_to_upper_bounds() {
         // x <= 1 (bound) but x >= 2 (row): phase 1 must fail.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 1.0);
+        let x = p.add_bounded_var(1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
     }
@@ -263,16 +263,16 @@ mod solve_tests {
         // bounded B variables tied by B <= f/b rows and an availability
         // row Σ p B >= β.
         let mut p = Problem::new(Sense::Minimize);
-        let f1 = p.add_var("f1");
-        let f2 = p.add_var("f2");
+        let f1 = p.add_var();
+        let f2 = p.add_var();
         p.set_objective(f1, 1.0);
         p.set_objective(f2, 1.0);
         let b = 10.0;
         p.add_constraint(&[(f1, 1.0), (f2, 1.0)], Relation::Ge, b);
         let states = [(0.9f64, true, true), (0.06, false, true), (0.03, true, false)];
         let mut avail = Vec::new();
-        for (i, &(prob, v1, v2)) in states.iter().enumerate() {
-            let bv = p.add_bounded_var(&format!("B{i}"), 1.0);
+        for &(prob, v1, v2) in &states {
+            let bv = p.add_bounded_var(1.0);
             let mut terms = vec![(bv, b)];
             if v1 {
                 terms.push((f1, -1.0));
@@ -304,9 +304,9 @@ mod workspace_tests {
     /// phase 1).
     fn demo_problem() -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        let z = p.add_bounded_var("z", 2.0);
+        let x = p.add_var();
+        let y = p.add_var();
+        let z = p.add_bounded_var(2.0);
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.set_objective(z, 1.0);
@@ -370,8 +370,8 @@ mod workspace_tests {
         // A different problem through the same workspace is solved on its
         // own rows.
         let mut p2 = Problem::new(Sense::Maximize);
-        let x = p2.add_var("x");
-        let y = p2.add_var("y");
+        let x = p2.add_var();
+        let y = p2.add_var();
         p2.set_objective(x, 3.0);
         p2.set_objective(y, 2.0);
         p2.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -384,8 +384,8 @@ mod workspace_tests {
     /// count whatever `c` and `rhs` are.
     fn same_shape(c: f64, rhs: f64) -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, c)], Relation::Ge, rhs);
@@ -483,16 +483,16 @@ mod occupancy_tests {
     /// and drives it out with `degenerate_swap(2, z)`.
     fn dense_columns_lp() -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let z = p.add_bounded_var("z", 0.5);
-        let v = p.add_var("v");
-        let u = p.add_var("u");
+        let x = p.add_var();
+        let z = p.add_bounded_var(0.5);
+        let v = p.add_var();
+        let u = p.add_var();
         p.set_objective(u, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Eq, 2.0);
         p.add_constraint(&[(x, 1.0), (z, 1.0), (v, 1.0)], Relation::Eq, 3.0);
         p.add_constraint(&[(x, 1.0), (z, 2.0), (v, 1.0), (u, -1.0)], Relation::Eq, 3.5);
         for k in 0..104 {
-            let pad = p.add_var(&format!("p{k}"));
+            let pad = p.add_var();
             p.set_objective(pad, 0.1);
             let mut terms = vec![(x, 1.0), (z, 1.0), (pad, 1.0)];
             if k % 8 == 0 {
@@ -656,8 +656,8 @@ mod dual_tests {
         // row 1 slack). Dual of row 0 = 3 (relaxing the cut admits more x),
         // dual of row 1 = 0.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 3.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -674,8 +674,8 @@ mod dual_tests {
         // against the reported dual.
         let base = |r0: f64, r1: f64| -> f64 {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x");
-            let y = p.add_var("y");
+            let x = p.add_var();
+            let y = p.add_var();
             p.set_objective(x, 2.0);
             p.set_objective(y, 3.0);
             p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, r0);
@@ -683,8 +683,8 @@ mod dual_tests {
             p.solve().unwrap().objective
         };
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -703,8 +703,8 @@ mod dual_tests {
         // min x + y, x + 2y = 4, x - y = 1: duals via finite differences.
         let base = |r0: f64| -> f64 {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x");
-            let y = p.add_var("y");
+            let x = p.add_var();
+            let y = p.add_var();
             p.set_objective(x, 1.0);
             p.set_objective(y, 1.0);
             p.add_constraint(&[(x, 1.0), (y, 2.0)], Relation::Eq, r0);
@@ -712,8 +712,8 @@ mod dual_tests {
             p.solve().unwrap().objective
         };
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
@@ -730,16 +730,16 @@ mod dual_tests {
         // min x + y with x - y <= -1 (row gets normalized internally).
         let base = |r: f64| -> f64 {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x");
-            let y = p.add_var("y");
+            let x = p.add_var();
+            let y = p.add_var();
             p.set_objective(x, 1.0);
             p.set_objective(y, 1.0);
             p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, r);
             p.solve().unwrap().objective
         };
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, -1.0);

@@ -60,7 +60,7 @@ mod tests {
     #[test]
     fn indexing_and_rounding() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         let s = Solution {
             objective: 1.0,
             values: vec![0.999_999_9],

@@ -244,9 +244,9 @@ mod tests {
 
     fn demo() -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        let z = p.add_bounded_var("z", 2.0);
+        let x = p.add_var();
+        let y = p.add_var();
+        let z = p.add_bounded_var(2.0);
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.set_objective(z, 1.0);
@@ -293,8 +293,8 @@ mod tests {
     #[test]
     fn shrunk_upper_bound_repairs_dually() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 20.0);
-        let y = p.add_var("y");
+        let x = p.add_bounded_var(20.0);
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -320,8 +320,8 @@ mod tests {
     #[test]
     fn degenerate_dual_pivot_terminates() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 20.0);
-        let y = p.add_var("y");
+        let x = p.add_bounded_var(20.0);
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0); // equal costs: z_y = 0 at the optimum
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -345,9 +345,9 @@ mod tests {
     #[test]
     fn retire_variable_via_zero_bound() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 20.0);
-        let y = p.add_bounded_var("y", 20.0);
-        let z = p.add_var("z");
+        let x = p.add_bounded_var(20.0);
+        let y = p.add_bounded_var(20.0);
+        let z = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 2.0);
         p.set_objective(z, 5.0);
@@ -372,8 +372,8 @@ mod tests {
     #[test]
     fn dual_repair_flips_narrow_column() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 1.0);
-        let y = p.add_var("y");
+        let x = p.add_bounded_var(1.0);
+        let y = p.add_var();
         p.set_objective(x, 0.5);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
@@ -431,7 +431,7 @@ mod tests {
                     } else {
                         0.5 + 3.0 * unit(&mut s)
                     };
-                    p.add_bounded_var("v", ub)
+                    p.add_bounded_var(ub)
                 })
                 .collect();
             for &v in &vars {
@@ -508,7 +508,7 @@ mod tests {
         let mut warm = WarmState::new(demo());
         let first = warm.solve().unwrap();
         // A cheaper route: new variable entering row 0 with cost 0.5.
-        let w = warm.problem_mut().add_var("w");
+        let w = warm.problem_mut().add_var();
         warm.problem_mut().set_objective(w, 0.5);
         warm.problem_mut().extend_constraint(0, &[(w, 1.0)]);
         let sol = warm.solve().unwrap();
@@ -526,7 +526,7 @@ mod tests {
         let mut warm = WarmState::new(demo());
         warm.solve().unwrap();
         let p = warm.problem_mut();
-        let w = p.add_bounded_var("w", 5.0);
+        let w = p.add_bounded_var(5.0);
         p.set_objective(w, 0.25);
         p.extend_constraint(0, &[(w, 1.0)]);
         p.add_constraint(&[(w, 1.0), (VarId(0), 1.0)], Relation::Ge, 2.0);
@@ -546,8 +546,8 @@ mod tests {
     fn violated_row_appends_match_cold_duals() {
         for relation in [Relation::Le, Relation::Ge, Relation::Eq] {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x");
-            let y = p.add_var("y");
+            let x = p.add_var();
+            let y = p.add_var();
             p.set_objective(x, 2.0);
             p.set_objective(y, 3.0);
             p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -578,8 +578,8 @@ mod tests {
     #[test]
     fn rhs_tightening_matches_cold() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn repair_battery_matches_cold_across_edits() {
         let mut p = Problem::new(Sense::Minimize);
-        let vars: Vec<VarId> = (0..6).map(|i| p.add_bounded_var(&format!("v{i}"), 10.0)).collect();
+        let vars: Vec<VarId> = (0..6).map(|_| p.add_bounded_var(10.0)).collect();
         for (i, &v) in vars.iter().enumerate() {
             p.set_objective(v, 1.0 + i as f64 * 0.37);
         }
@@ -645,7 +645,7 @@ mod tests {
         approx(sol.objective, warm.problem().clone().solve().unwrap().objective);
         // A different (smaller) problem altogether.
         let mut other = Problem::new(Sense::Minimize);
-        let q = other.add_var("q");
+        let q = other.add_var();
         other.set_objective(q, 1.0);
         other.add_constraint(&[(q, 1.0)], Relation::Ge, 1.0);
         *warm.problem_mut() = other;
@@ -660,8 +660,8 @@ mod tests {
     #[test]
     fn infeasible_edit_is_detected_and_recovered_from() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_bounded_var("x", 10.0);
-        let y = p.add_bounded_var("y", 10.0);
+        let x = p.add_bounded_var(10.0);
+        let y = p.add_bounded_var(10.0);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 12.0);

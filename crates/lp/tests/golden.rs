@@ -40,8 +40,8 @@ fn scheduling_instance_and_flows(
     let demand = rng.gen_range(5.0..20.0);
 
     let f: Vec<_> = (0..tunnels)
-        .map(|t| {
-            let v = p.add_var(&format!("f{t}"));
+        .map(|_| {
+            let v = p.add_var();
             // Distinct random costs keep the optimum unique.
             p.set_objective(v, rng.gen_range(1.0..3.0));
             v
@@ -62,7 +62,7 @@ fn scheduling_instance_and_flows(
     let mut avail_terms = Vec::with_capacity(scenarios);
     let mut prob_left = 1.0f64;
     for s in 0..scenarios {
-        let b = p.add_bounded_var(&format!("B{s}"), 1.0);
+        let b = p.add_bounded_var(1.0);
         // Scenario survival sets: each tunnel independently alive, with
         // jittered per-tunnel delivery efficiency (general position again).
         let mut terms = vec![(b, demand)];
@@ -97,8 +97,8 @@ fn admission_instance(seed: u64, demands: usize, links: usize) -> Problem {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut p = Problem::new(Sense::Maximize);
     let x: Vec<_> = (0..demands)
-        .map(|d| {
-            let v = p.add_bounded_var(&format!("x{d}"), 1.0);
+        .map(|_| {
+            let v = p.add_bounded_var(1.0);
             p.set_objective(v, rng.gen_range(0.5..5.0));
             v
         })

@@ -102,7 +102,7 @@ impl Master {
             f64::INFINITY
         };
         let p = self.warm.problem_mut();
-        let v = p.add_bounded_var("v", width);
+        let v = p.add_bounded_var(width);
         let cost = if boxed {
             rng.range(-1.0, 3.0)
         } else {
@@ -369,7 +369,7 @@ fn six_hundred_in_place_churn_rounds_stay_live_and_correct() {
     for _ in 0..SLOTS {
         let f: Vec<VarId> = (0..TUNNELS)
             .map(|_| {
-                let v = p.add_var("f");
+                let v = p.add_var();
                 p.set_objective(v, rng.range(1.0, 2.0));
                 for _ in 0..2 {
                     link_terms[rng.below(LINKS)].push((v, 1.0));
@@ -377,7 +377,7 @@ fn six_hundred_in_place_churn_rounds_stay_live_and_correct() {
                 v
             })
             .collect();
-        let b = p.add_bounded_var("B", 1.0);
+        let b = p.add_bounded_var(1.0);
         let demand = rng.range(5.0, 20.0);
         let cover: Vec<_> = f.iter().map(|&v| (v, 1.0)).collect();
         let demand_row = p.add_constraint(&cover, Relation::Ge, demand);
@@ -442,8 +442,8 @@ fn six_hundred_in_place_churn_rounds_stay_live_and_correct() {
 #[test]
 fn quick_check_matches_exact_certificate_on_maximize() {
     let mut p = Problem::new(Sense::Maximize);
-    let x = p.add_var("x");
-    let y = p.add_var("y");
+    let x = p.add_var();
+    let y = p.add_var();
     p.set_objective(x, 3.0);
     p.set_objective(y, 2.0);
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);

@@ -49,9 +49,9 @@ fn build(lp: &RandomLp, integral: bool) -> (Problem, Vec<bate_lp::VarId>) {
     let vars: Vec<_> = (0..lp.nvars)
         .map(|i| {
             if integral {
-                p.add_integer_var(&format!("x{i}"), lp.upper[i].floor().max(0.0))
+                p.add_integer_var(lp.upper[i].floor().max(0.0))
             } else {
-                p.add_bounded_var(&format!("x{i}"), lp.upper[i])
+                p.add_bounded_var(lp.upper[i])
             }
         })
         .collect();

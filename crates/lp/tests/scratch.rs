@@ -28,7 +28,7 @@ fn feasible(rng: &mut StdRng, vars: usize, rows: usize, hub: bool) -> (Problem, 
     let mut p = Problem::new(sense);
     let mut at = Vec::new();
     let ids: Vec<VarId> = (0..vars)
-        .map(|j| {
+        .map(|_| {
             let bounded = rng.gen_bool(0.4);
             let width = rng.gen_range(0.5..4.0);
             at.push(if rng.gen_bool(0.3) {
@@ -37,9 +37,9 @@ fn feasible(rng: &mut StdRng, vars: usize, rows: usize, hub: bool) -> (Problem, 
                 rng.gen_range(0.0..width)
             });
             let v = if bounded {
-                p.add_bounded_var(&format!("x{j}"), width)
+                p.add_bounded_var(width)
             } else {
-                p.add_var(&format!("x{j}"))
+                p.add_var()
             };
             p.set_objective(v, sign * rng.gen_range(0.1..3.0));
             v
@@ -105,7 +105,7 @@ fn instance(seed: u64, i: usize) -> (Problem, Vec<BoundOverride>) {
         4 => {
             // Unbounded in phase 2.
             let (mut p, _, attractive) = feasible(&mut rng, 10 + i % 300, 5 + i % 30, false);
-            let free = p.add_var("free");
+            let free = p.add_var();
             p.set_objective(free, attractive);
             p
         }

@@ -517,16 +517,16 @@ mod tests {
 
     fn scheduling_miniature() -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let f1 = p.add_var("f1");
-        let f2 = p.add_var("f2");
+        let f1 = p.add_var();
+        let f2 = p.add_var();
         p.set_objective(f1, 1.0);
         p.set_objective(f2, 1.0);
         let b = 10.0;
         p.add_constraint(&[(f1, 1.0), (f2, 1.0)], Relation::Ge, b);
         let states = [(0.9f64, true, true), (0.06, false, true), (0.03, true, false)];
         let mut avail = Vec::new();
-        for (i, &(prob, v1, v2)) in states.iter().enumerate() {
-            let bv = p.add_bounded_var(&format!("B{i}"), 1.0);
+        for &(prob, v1, v2) in &states {
+            let bv = p.add_bounded_var(1.0);
             let mut terms = vec![(bv, b)];
             if v1 {
                 terms.push((f1, -1.0));
@@ -595,9 +595,9 @@ mod tests {
     #[test]
     fn milp_incumbent_certifies_with_exact_bound() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_binary_var("a");
-        let b = p.add_binary_var("b");
-        let c = p.add_binary_var("c");
+        let a = p.add_binary_var();
+        let b = p.add_binary_var();
+        let c = p.add_binary_var();
         p.set_objective(a, 5.0);
         p.set_objective(b, 4.0);
         p.set_objective(c, 3.0);
@@ -616,7 +616,7 @@ mod tests {
     #[test]
     fn milp_fractional_incumbent_rejected() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_binary_var("a");
+        let a = p.add_binary_var();
         p.set_objective(a, 1.0);
         p.add_constraint(&[(a, 1.0)], Relation::Le, 1.0);
         let mut sol = milp::solve(&p, milp::BnbConfig::default()).unwrap();

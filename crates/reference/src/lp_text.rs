@@ -13,40 +13,15 @@
 //! harness in `crates/reference/tests/export_roundtrip.rs` exercises byte
 //! by byte.
 //!
-//! Round-trip caveat: variable names are sanitized on export (characters
-//! outside `[A-Za-z0-9_]` become `_`), and a name that an earlier variable
-//! already took gets an `x{index}_` prefix, so every written name is
-//! unique. The reparsed problem carries the written names, which the writer
-//! leaves as they are, hence `export → parse → export` is a fixed point
-//! after one trip.
+//! A column of a `Problem` is its index and carries no name: the writer
+//! names column `j` as `x{j}`. The parser takes any name the dialect
+//! allows and numbers the columns in `Bounds` order, so `export → parse →
+//! export` is a fixed point on the first trip.
 
 use bate_lp::{Problem, Relation, Sense, VarId, VarKind};
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
-/// The written name of every variable: its name with each character
-/// outside `[A-Za-z0-9_]` mapped to `_`, prefixed with `x{index}_` when
-/// that is empty or starts with a digit, and again while an earlier
-/// variable holds it.
-fn written_names(p: &Problem) -> Vec<String> {
-    let mut taken = HashSet::new();
-    let mut names = Vec::with_capacity(p.num_vars());
-    for (i, v) in p.vars().iter().enumerate() {
-        let mut name: String = (v.name().chars())
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
-            name = format!("x{i}_{name}");
-        }
-        while !taken.insert(name.clone()) {
-            name = format!("x{i}_{name}");
-        }
-        names.push(name);
-    }
-    names
-}
-
-fn write_terms(buf: &mut String, terms: &[(usize, f64)], names: &[String]) {
+fn write_terms(buf: &mut String, terms: &[(usize, f64)]) {
     let mut first = true;
     for &(j, c) in terms {
         if c == 0.0 {
@@ -64,9 +39,9 @@ fn write_terms(buf: &mut String, terms: &[(usize, f64)], names: &[String]) {
         }
         let a = c.abs();
         if (a - 1.0).abs() < 1e-15 {
-            let _ = write!(buf, "{}", names[j]);
+            let _ = write!(buf, "x{j}");
         } else {
-            let _ = write!(buf, "{a} {}", names[j]);
+            let _ = write!(buf, "{a} x{j}");
         }
     }
     if first {
@@ -76,8 +51,6 @@ fn write_terms(buf: &mut String, terms: &[(usize, f64)], names: &[String]) {
 
 /// Render the model in CPLEX LP format.
 pub fn to_lp_format(p: &Problem) -> String {
-    let names = written_names(p);
-
     let mut out = String::new();
     out.push_str(match p.sense() {
         Sense::Minimize => "Minimize\n obj: ",
@@ -90,11 +63,11 @@ pub fn to_lp_format(p: &Problem) -> String {
         .filter(|(_, &c)| c != 0.0)
         .map(|(j, &c)| (j, c))
         .collect();
-    write_terms(&mut out, &obj_terms, &names);
+    write_terms(&mut out, &obj_terms);
     out.push_str("\nSubject To\n");
     for (i, c) in p.constraints().iter().enumerate() {
         let _ = write!(out, " c{i}: ");
-        write_terms(&mut out, &c.terms, &names);
+        write_terms(&mut out, &c.terms);
         let op = match c.relation {
             Relation::Le => "<=",
             Relation::Ge => ">=",
@@ -105,22 +78,17 @@ pub fn to_lp_format(p: &Problem) -> String {
     out.push_str("Bounds\n");
     for (j, v) in p.vars().iter().enumerate() {
         if v.upper.is_finite() {
-            let _ = writeln!(out, " 0 <= {} <= {}", names[j], v.upper);
+            let _ = writeln!(out, " 0 <= x{j} <= {}", v.upper);
         } else {
-            let _ = writeln!(out, " 0 <= {}", names[j]);
+            let _ = writeln!(out, " 0 <= x{j}");
         }
     }
-    let integers: Vec<&String> = p
-        .vars()
-        .iter()
-        .zip(&names)
-        .filter(|(v, _)| v.kind == VarKind::Integer)
-        .map(|(_, n)| n)
-        .collect();
-    if !integers.is_empty() {
+    if p.has_integers() {
         out.push_str("General\n");
-        for n in integers {
-            let _ = writeln!(out, " {n}");
+        for (j, v) in p.vars().iter().enumerate() {
+            if v.kind == VarKind::Integer {
+                let _ = writeln!(out, " x{j}");
+            }
         }
     }
     out.push_str("End\n");
@@ -452,9 +420,9 @@ pub fn from_lp_format(text: &str) -> Result<Problem, LpParseError> {
     let mut ids = Vec::with_capacity(bounds.len());
     for (name, upper) in &bounds {
         let id = if integers.iter().any(|n| n == name) {
-            problem.add_integer_var(name, *upper)
+            problem.add_integer_var(*upper)
         } else {
-            problem.add_bounded_var(name, *upper)
+            problem.add_bounded_var(*upper)
         };
         ids.push(id);
     }
@@ -522,9 +490,9 @@ mod tests {
     #[test]
     fn renders_and_round_trips_a_mixed_model() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
-        let y = p.add_bounded_var("f[1][2]", 5.0);
-        let z = p.add_binary_var("q");
+        let x = p.add_var();
+        let y = p.add_bounded_var(5.0);
+        let z = p.add_binary_var();
         p.set_objective(x, 3.0);
         p.set_objective(y, -2.0);
         p.set_objective(z, 1.0);
@@ -533,12 +501,12 @@ mod tests {
         p.add_constraint(&[(y, 1.0)], Relation::Eq, 2.0);
         let text = to_lp_format(&p);
         assert!(text.starts_with("Maximize"));
-        assert!(text.contains("3 x - 2 f_1__2_ + q"));
-        assert!(text.contains("c0: x + f_1__2_ <= 4"));
-        assert!(text.contains("c1: - x + 2.5 q >= -1"));
-        assert!(text.contains("c2: f_1__2_ = 2"));
-        assert!(text.contains("0 <= f_1__2_ <= 5"));
-        assert!(text.contains("General\n q"));
+        assert!(text.contains("obj: 3 x0 - 2 x1 + x2\n"));
+        assert!(text.contains("c0: x0 + x1 <= 4"));
+        assert!(text.contains("c1: - x0 + 2.5 x2 >= -1"));
+        assert!(text.contains("c2: x1 = 2"));
+        assert!(text.contains("0 <= x1 <= 5"));
+        assert!(text.contains("General\n x2"));
         assert!(text.ends_with("End\n"));
         let q = from_lp_format(&text).unwrap();
         // Exporting the reparse reproduces the text byte for byte: the
@@ -556,7 +524,7 @@ mod tests {
     #[test]
     fn empty_objective_and_empty_rows_round_trip() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.add_constraint(&[(x, 0.0)], Relation::Le, 1.0); // renders as `0 <= 1`
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.0);
         let text = to_lp_format(&p);
@@ -566,13 +534,15 @@ mod tests {
     }
 
     #[test]
-    fn numeric_leading_names_are_fixed() {
-        let mut p = Problem::new(Sense::Minimize);
-        let v = p.add_var("1bad");
-        p.set_objective(v, 1.0);
-        let text = to_lp_format(&p);
-        assert!(!text.contains(" 1bad"), "{text}");
-        assert!(text.contains("x0_1bad"));
+    fn foreign_names_map_to_columns_in_bounds_order() {
+        let text = "Maximize\n obj: 2 f[1] + b\nSubject To\n c0: b + f[1] <= 3\n\
+                    Bounds\n 0 <= b <= 1\n 0 <= f[1]\nGeneral\n b\nEnd\n";
+        let p = from_lp_format(text).unwrap();
+        assert_eq!(
+            to_lp_format(&p),
+            "Maximize\n obj: x0 + 2 x1\nSubject To\n c0: x0 + x1 <= 3\n\
+             Bounds\n 0 <= x0 <= 1\n 0 <= x1\nGeneral\n x0\nEnd\n"
+        );
     }
 
     #[test]

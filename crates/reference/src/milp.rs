@@ -129,9 +129,9 @@ mod tests {
     fn knapsack_matches_float_bnb() {
         // max 5a + 4b + 3c, 2a + 3b + c <= 5, binaries.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_binary_var("a");
-        let b = p.add_binary_var("b");
-        let c = p.add_binary_var("c");
+        let a = p.add_binary_var();
+        let b = p.add_binary_var();
+        let c = p.add_binary_var();
         p.set_objective(a, 5.0);
         p.set_objective(b, 4.0);
         p.set_objective(c, 3.0);
@@ -146,8 +146,8 @@ mod tests {
     fn general_integers_and_infeasibility() {
         // min x + y, 2x + 2y >= 7, integers -> 4 (x+y must reach 4).
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_integer_var("x", f64::INFINITY);
-        let y = p.add_integer_var("y", f64::INFINITY);
+        let x = p.add_integer_var(f64::INFINITY);
+        let y = p.add_integer_var(f64::INFINITY);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 2.0), (y, 2.0)], Relation::Ge, 7.0);
@@ -155,7 +155,7 @@ mod tests {
         assert_eq!(ex.objective.to_f64(), 4.0);
 
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_binary_var("x");
+        let x = p.add_binary_var();
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 2.0)], Relation::Ge, 1.0);
         p.add_constraint(&[(x, 2.0)], Relation::Le, 1.0);
@@ -166,8 +166,8 @@ mod tests {
     fn node_limit_reports() {
         let mut p = Problem::new(Sense::Maximize);
         let mut terms = Vec::new();
-        for i in 0..6 {
-            let v = p.add_binary_var(&format!("x{i}"));
+        for _ in 0..6 {
+            let v = p.add_binary_var();
             p.set_objective(v, 1.0);
             terms.push((v, 1.0));
         }

@@ -494,8 +494,8 @@ mod tests {
     #[test]
     fn textbook_maximize() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 3.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -512,8 +512,8 @@ mod tests {
     #[test]
     fn two_phase_with_ge_rows() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
@@ -528,8 +528,8 @@ mod tests {
     #[test]
     fn equality_and_negative_rhs() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
+        let x = p.add_var();
+        let y = p.add_var();
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
@@ -541,13 +541,13 @@ mod tests {
     #[test]
     fn infeasible_and_unbounded() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(solve_exact(&p).unwrap_err(), SolveError::Infeasible);
 
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 0.0);
         assert_eq!(solve_exact(&p).unwrap_err(), SolveError::Unbounded);
@@ -556,8 +556,8 @@ mod tests {
     #[test]
     fn bounded_variables_and_bound_flips() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 1.0);
-        let y = p.add_bounded_var("y", 1.0);
+        let x = p.add_bounded_var(1.0);
+        let y = p.add_bounded_var(1.0);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.5);
@@ -566,8 +566,8 @@ mod tests {
 
         // Pure box problem, no rows at all.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_bounded_var("x", 3.0);
-        let y = p.add_bounded_var("y", 4.0);
+        let x = p.add_bounded_var(3.0);
+        let y = p.add_bounded_var(4.0);
         p.set_objective(x, 1.0);
         p.set_objective(y, 2.0);
         let s = solve_exact(&p).unwrap();
@@ -577,10 +577,10 @@ mod tests {
     #[test]
     fn degenerate_beale_terminates_via_bland() {
         let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var("x1");
-        let x2 = p.add_var("x2");
-        let x3 = p.add_var("x3");
-        let x4 = p.add_var("x4");
+        let x1 = p.add_var();
+        let x2 = p.add_var();
+        let x3 = p.add_var();
+        let x4 = p.add_var();
         p.set_objective(x1, -0.75);
         p.set_objective(x2, 150.0);
         p.set_objective(x3, -0.02);
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn bound_overrides_shift_the_box() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x");
+        let x = p.add_var();
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 10.0);
         let s = solve_exact_with(&p, &[(0, 3.0, 10.0)]).unwrap();
@@ -622,8 +622,8 @@ mod tests {
         // A scheduling-shaped miniature; duals must match the float
         // kernel's reported convention.
         let mut p = Problem::new(Sense::Minimize);
-        let f1 = p.add_var("f1");
-        let f2 = p.add_var("f2");
+        let f1 = p.add_var();
+        let f2 = p.add_var();
         p.set_objective(f1, 1.0);
         p.set_objective(f2, 1.0);
         p.add_constraint(&[(f1, 1.0), (f2, 1.0)], Relation::Ge, 10.0);

@@ -305,7 +305,7 @@ impl<'a> Simulation<'a> {
                 // newcomer right away on whatever capacity remains).
                 allocation: admission::greedy::best_effort_allocation(
                     &st.ctx,
-                    &st.base_alloc,
+                    &st.base_alloc.residual_capacities(&st.ctx),
                     &demand,
                 ),
             },

@@ -112,5 +112,13 @@ check "fn harden, fn harden_* and empty-memo Hardener runs in crates/core/src no
         | grep -oE 'fn harden(_[a-z0-9_]+)?\(|Hardener::default\(\)\.run\(' | wc -l)" 2 2
 check "yield_now in crates/system/src non-test code (the hand-off before a batch's warm solve in CtrlState::settle)" \
     "$(echo "$SYSTEM_SRC" | grep -o 'yield_now' | wc -l)" 1 1
+# A column is its index (DESIGN.md §5d): the simplex never reads a name, so
+# no builder takes one and VarDef holds none; the LP text names column j x{j}.
+check "&str parameters of Problem's add_*var builders and name fields in crates/lp/src/problem.rs non-test code" \
+    "$(src crates/lp/src/problem.rs | grep -cE 'fn add_[a-z_]*var\(.*&str|^ *(pub(\([a-z]+\))? )?name *:')" 0
+# One capped flow-column builder in the baselines: swan::capped_flow_columns
+# (a column per tunnel, then the row Σf <= b of each requested pair).
+check "capped flow-column loops (a Σf <= b row) in crates/baselines/src non-test code" \
+    "$(find crates/baselines/src -name '*.rs' | while read -r f; do src "$f"; done | grep -c 'Relation::Le, b)')" 1 1
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
