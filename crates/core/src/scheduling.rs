@@ -211,8 +211,8 @@ pub fn schedule_hardened(
 /// the cold [`schedule`] above or from the warm session
 /// ([`crate::incremental::SchedulingSession`], which may also reinstall a
 /// held result): `bate_sched_rounds_total`,
-/// `bate_sched_hard_violations_total` (the `ba_guarantee_rate` SLO reads
-/// both), `bate_sched_round_ms` since `t0`, and the `sched.round` event.
+/// `bate_sched_hard_violations_total`, `bate_sched_round_ms` since `t0`,
+/// and the `sched.round` event.
 pub fn count_round(demands: usize, violations: usize, result: &ScheduleResult, t0: Instant) {
     let m = sched_metrics();
     m.rounds.inc();

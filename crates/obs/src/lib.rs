@@ -2,7 +2,7 @@
 //!
 //! The bottom of the workspace dependency graph: every other crate can
 //! (and most do) depend on this one, so it is deliberately std-only.
-//! Three pieces:
+//! Five pieces:
 //!
 //! * [`clock`] — the `Clock` capability trait with real
 //!   ([`SystemClock`]) and virtual ([`SimClock`]) implementations.
@@ -26,9 +26,6 @@
 //! * [`flight`] — a bounded flight-recorder ring of recent events that
 //!   dumps deterministic, causally-sliced JSONL artifacts on triggers
 //!   (cert-gate cold fallback, storm latency breach).
-//! * [`slo`] — declarative SLO specs (admission p99, warm-hit rate,
-//!   BA-guarantee rate) evaluated over registry snapshots with
-//!   multi-window burn-rate alerting.
 //!
 //! ## Quick use
 //!
@@ -52,14 +49,12 @@ pub mod clock;
 pub mod context;
 pub mod flight;
 pub mod metrics;
-pub mod slo;
 pub mod trace;
 
 pub use clock::{Clock, SimClock, SystemClock};
 pub use context::{CtxGuard, Handoff, SpanCtx};
 pub use flight::FlightDump;
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
-pub use slo::{SloEngine, SloKind, SloSpec, SloStatus};
 pub use trace::{
     Event, JsonlSubscriber, Level, NoopSubscriber, RingBufferSubscriber, SpanGuard,
     StderrSubscriber, Subscriber, Value,

@@ -7,7 +7,6 @@
 //! batectl ping <addr>
 //! batectl stats <addr> [--json [--prefix NAME_PREFIX]]
 //! batectl trace <addr> <trace-id>
-//! batectl slo <addr>
 //! ```
 //!
 //! `<topology>` is a builtin name (`toy4`, `testbed6`, `b4`, `ibm`, `att`,
@@ -31,7 +30,7 @@ fn usage() -> ! {
          batectl submit <addr> --id N --src A --dst B --mbps F --beta F [--price F] [--refund F]\n  \
          batectl withdraw <addr> --id N\n  batectl ping <addr>\n  \
          batectl stats <addr> [--json [--prefix P]]\n  \
-         batectl trace <addr> <trace-id>\n  batectl slo <addr>"
+         batectl trace <addr> <trace-id>"
     );
     std::process::exit(2)
 }
@@ -203,14 +202,6 @@ fn main() {
             };
             let mut client = connect(addr);
             match client.trace_tree(trace_id) {
-                Ok(text) => print!("{text}"),
-                Err(e) => fail(&e.to_string()),
-            }
-        }
-        "slo" => {
-            let Some(addr) = args.get(1) else { usage() };
-            let mut client = connect(addr);
-            match client.slo_report() {
                 Ok(text) => print!("{text}"),
                 Err(e) => fail(&e.to_string()),
             }

@@ -310,15 +310,6 @@ impl Client {
         }
     }
 
-    /// Fetch the controller's SLO burn-rate report (what `batectl slo`
-    /// prints).
-    pub fn slo_report(&mut self) -> io::Result<String> {
-        match self.request(&Message::SloQuery, |m| matches!(m, Message::StatsText { .. }))? {
-            Message::StatsText { text } => Ok(text),
-            other => Err(io::Error::other(format!("unexpected reply: {other:?}"))),
-        }
-    }
-
     /// Round-trip liveness probe; returns the measured RTT (on the
     /// injected clock).
     pub fn ping(&mut self) -> io::Result<Duration> {

@@ -343,16 +343,12 @@ impl CtrlState {
         if self.demands.is_empty() || !self.failed.is_empty() {
             return Installs::new();
         }
-        let installs = if self.install_optimum(ctx, false) {
+        if self.install_optimum(ctx, false) {
             ctrl_metrics().rounds.inc();
             self.pool()
         } else {
             Installs::new()
-        };
-        // One SLO sample per scheduling round: burn rates evolve at round
-        // granularity, matching the paper's per-round BA-guarantee framing.
-        bate_obs::SloEngine::global().record_sample(bate_obs::Registry::global());
-        installs
+        }
     }
 
     /// A broker's link report. A report that changes the failed set
@@ -935,11 +931,6 @@ impl EventLoop {
                 ctrl_metrics().stats_queries.inc();
                 let events = bate_obs::flight::ring_events();
                 let text = bate_obs::flight::render_tree(&events, trace_id);
-                self.queue_to(token, &Message::StatsText { text }, None);
-            }
-            Message::SloQuery => {
-                ctrl_metrics().stats_queries.inc();
-                let text = bate_obs::SloEngine::global().render_report();
                 self.queue_to(token, &Message::StatsText { text }, None);
             }
             // Messages a controller never receives.

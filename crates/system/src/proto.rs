@@ -105,9 +105,6 @@ pub enum Message {
     TraceQuery {
         trace_id: u64,
     },
-    /// client → controller: render the controller's SLO burn-rate report.
-    /// Answered with [`Message::StatsText`].
-    SloQuery,
 }
 
 // Message tags.
@@ -118,7 +115,7 @@ const T_REGISTER: u8 = 4;
 const T_INSTALL: u8 = 5;
 const T_REMOVE: u8 = 6;
 const T_LINK: u8 = 7;
-// Tag 8 is unassigned.
+// Tags 8 and 16 are unassigned.
 const T_PING: u8 = 9;
 const T_PONG: u8 = 10;
 const T_WITHDRAW_ACK: u8 = 11;
@@ -126,7 +123,6 @@ const T_STATS_QUERY: u8 = 12;
 const T_STATS_TEXT: u8 = 13;
 const T_STATS_JSON_QUERY: u8 = 14;
 const T_TRACE_QUERY: u8 = 15;
-const T_SLO_QUERY: u8 = 16;
 
 impl Encode for Message {
     fn encode(&self, buf: &mut BytesMut) {
@@ -203,9 +199,6 @@ impl Encode for Message {
                 T_TRACE_QUERY.encode(buf);
                 trace_id.encode(buf);
             }
-            Message::SloQuery => {
-                T_SLO_QUERY.encode(buf);
-            }
         }
     }
 }
@@ -263,7 +256,6 @@ impl Decode for Message {
             T_TRACE_QUERY => Message::TraceQuery {
                 trace_id: u64::decode(buf)?,
             },
-            T_SLO_QUERY => Message::SloQuery,
             other => return Err(WireError::Malformed(format!("unknown tag {other}"))),
         })
     }
@@ -334,16 +326,19 @@ mod tests {
         roundtrip(Message::TraceQuery {
             trace_id: 0xDEAD_BEEF_0BAD_F00D,
         });
-        roundtrip(Message::SloQuery);
     }
 
+    /// An unassigned tag, a retired one (16 carried the deleted SLO
+    /// query) included, is a typed error.
     #[test]
     fn unknown_tag_is_rejected() {
-        let mut bytes = Bytes::from_static(&[99]);
-        assert!(matches!(
-            Message::decode(&mut bytes),
-            Err(WireError::Malformed(_))
-        ));
+        for tag in [99u8, 16] {
+            let mut bytes = Bytes::from(vec![tag]);
+            assert!(matches!(
+                Message::decode(&mut bytes),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     /// Negative inputs (truncated, oversized-length, garbage) return typed

@@ -5,16 +5,15 @@
 //!
 //! ```text
 //! cargo run --release --example obs_trace -- <trace_out> <metrics_out> \
-//!     [seed] [e2e_out] [flight_out] [slo_out]
+//!     [seed] [e2e_out] [flight_out]
 //! ```
 //!
-//! The three optional outputs exercise the causal-tracing layer:
+//! The two optional outputs exercise the causal-tracing layer:
 //! * `e2e_out` — the canonical causal slice of one admission flow driven
 //!   through real sockets (client → controller → LP solve → broker push),
 //!   all under the single deterministic trace id of `("submit", 7)`;
 //! * `flight_out` — the flight-recorder artifact dumped by a forced
-//!   cert-gate cold fallback, causally sliced on the triggering trace;
-//! * `slo_out` — the deterministic-spec SLO burn-rate report.
+//!   cert-gate cold fallback, causally sliced on the triggering trace.
 //!
 //! Determinism contract:
 //! * the installed trace clock is a [`SimClock`] that is never advanced,
@@ -114,11 +113,9 @@ fn main() {
         .snapshot_jsonl_filtered(|_, kind| kind == MetricKind::Counter);
     std::fs::write(metrics_out, snapshot).expect("write metrics snapshot");
 
-    // --- Causal-tracing artifacts (optional outputs 4–6) ---------------
-    if let (Some(e2e_out), Some(flight_out), Some(slo_out)) =
-        (args.get(3), args.get(4), args.get(5))
-    {
-        causal_artifacts(&topo, e2e_out, flight_out, slo_out, seed);
+    // --- Causal-tracing artifacts (optional outputs 4–5) ---------------
+    if let (Some(e2e_out), Some(flight_out)) = (args.get(3), args.get(4)) {
+        causal_artifacts(&topo, e2e_out, flight_out, seed);
     }
 
     println!(
@@ -134,7 +131,7 @@ fn main() {
     );
 }
 
-/// Produce the three causal-tracing artifacts. Runs under a fresh
+/// Produce the two causal-tracing artifacts. Runs under a fresh
 /// [`RingBufferSubscriber`] on a pinned [`SimClock`], so every event's
 /// `t_ns` and `dur_ns` are constant and the outputs are byte-identical
 /// across same-seed runs.
@@ -142,12 +139,11 @@ fn causal_artifacts(
     topo: &bate_net::Topology,
     e2e_out: &str,
     flight_out: &str,
-    slo_out: &str,
     seed: u64,
 ) {
     use bate_core::incremental::{DemandDelta, IncrementalScheduler};
     use bate_core::BaDemand;
-    use bate_obs::{flight, RingBufferSubscriber, SloEngine};
+    use bate_obs::{flight, RingBufferSubscriber};
     use bate_system::client::DemandRequest;
     use bate_system::{Broker, Client, Controller, ControllerConfig};
     use std::time::Duration;
@@ -205,7 +201,6 @@ fn causal_artifacts(
     // single-threaded (deterministic) event stream.
     flight::enable(8192);
     flight::set_dump_dir(None);
-    let slo = SloEngine::new(bate_obs::slo::deterministic_specs());
     {
         let tunnels = TunnelSet::compute(topo, RoutingScheme::Ksp(2));
         let scenarios = ScenarioSet::enumerate(topo, 1);
@@ -223,16 +218,14 @@ fn causal_artifacts(
             .map(|(i, &p)| DemandDelta::Add(BaDemand::single(i as u64, p, 120.0, 0.9)))
             .collect();
         sched.apply(&ctx, &fill).expect("initial fill");
-        slo.record_sample(Registry::global());
 
-        // A few warm churn rounds feed the SLO history...
+        // A few warm churn rounds...
         for round in 0..4u64 {
             let delta = DemandDelta::Resize {
                 id: bate_core::DemandId(round % pairs.len() as u64),
                 factor: 1.05,
             };
             sched.apply(&ctx, &[delta]).expect("churn round");
-            slo.record_sample(Registry::global());
         }
         // ...then the gate is forced open: the next warm answer fails
         // certification, falls back cold, and trips the flight trigger
@@ -243,7 +236,6 @@ fn causal_artifacts(
             factor: 1.1,
         };
         sched.apply(&ctx, &[delta]).expect("forced-fallback round");
-        slo.record_sample(Registry::global());
     }
     let dumps = flight::take_dumps();
     let dump = dumps
@@ -257,9 +249,6 @@ fn causal_artifacts(
     );
     std::fs::write(flight_out, dump.render_jsonl()).expect("write flight artifact");
     flight::disable();
-
-    // --- SLO burn-rate report (deterministic counter-ratio specs) -----
-    std::fs::write(slo_out, slo.render_report()).expect("write slo report");
 
     bate_obs::trace::uninstall();
 }

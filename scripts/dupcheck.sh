@@ -120,5 +120,11 @@ check "&str parameters of Problem's add_*var builders and name fields in crates/
 # (a column per tunnel, then the row Σf <= b of each requested pair).
 check "capped flow-column loops (a Σf <= b row) in crates/baselines/src non-test code" \
     "$(find crates/baselines/src -name '*.rs' | while read -r f; do src "$f"; done | grep -c 'Relation::Le, b)')" 1 1
+# The SLO engine is deleted (METRICS.md lists the counters it read; a
+# scraper derives a ratio or a quantile from them): no type, message or
+# call of it anywhere in the code or the scripts.
+check "names of the deleted SLO engine in crates/, src/, examples/ and scripts/" \
+    "$(grep -rhoE 'SloEngine|SloSpec|SloKind|SloStatus|SloQuery|slo_report|record_sample' \
+        crates src examples scripts --exclude=dupcheck.sh | wc -l)" 0
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
