@@ -611,18 +611,38 @@ struct History {
     hardener: Hardener,
 }
 
+impl History {
+    /// `lp` hardened for `live`, with the violations left: the memo, or
+    /// one hardening pass that fills it and records its checks in `stats`.
+    fn hardened(
+        &mut self,
+        ctx: &TeContext,
+        live: &[BaDemand],
+        stats: &mut SessionStats,
+    ) -> &(ScheduleResult, usize) {
+        let (lp, hardener) = (&self.lp, &mut self.hardener);
+        self.hardened.get_or_insert_with(|| {
+            let mut result = lp.clone();
+            let violations = hardener.run(ctx, live, &mut result);
+            stats.last_scan_checks = hardener.last_checks();
+            (result, violations)
+        })
+    }
+}
+
 /// One warm scheduling session over a churning demand pool.
 ///
 /// The caller reports every pool edit ([`note_add`](Self::note_add),
-/// [`note_remove`](Self::note_remove)) and asks for the pool's optimum
-/// with the pool itself in hand: un-hardened for a multi-submit batch
+/// [`note_remove`](Self::note_remove)) and asks for the pool's hardened
+/// optimum with the pool itself in hand: for a multi-submit batch
 /// ([`batch_optimum`](Self::batch_optimum), which is also what builds
-/// the master), hardened for a TE round
+/// the master), and for a TE round
 /// ([`hardened_round`](Self::hardened_round)), which is also what a
-/// repair asks for. A request costs what changed: nothing pending reuses
-/// the held optimum, pending deltas take one warm `apply`, and hardening
-/// the new optimum re-checks only the demands whose LP flows it moved
-/// (`scheduling::Hardener`). The history, and that memo with it, is
+/// repair asks for and the only request booked as a round. A request
+/// costs what changed: nothing pending reuses the held optimum, pending
+/// deltas take one warm `apply`, and hardening the new optimum re-checks
+/// only the demands whose LP flows it moved (`scheduling::Hardener`), so
+/// a round right after a batch is a pure reuse. The history, and that memo with it, is
 /// dropped — and a round solved by the cold [`schedule_hardened`] — when
 /// it is *stale* (more pending deltas than live demands: replaying them
 /// would cost more than starting over), when a master solve fails, or
@@ -679,15 +699,17 @@ impl SchedulingSession {
         }
     }
 
-    /// The LP optimum for `live` (not hardened), building or rebuilding
-    /// the master from `live` when there is no usable history. `None`:
-    /// the master solve failed, or the poison guard is holding rebuilds
-    /// off; the caller keeps the allocation it has.
+    /// The hardened optimum for `live`, building or rebuilding the master
+    /// from `live` when there is no usable history. It is the result the
+    /// next [`hardened_round`](Self::hardened_round) reuses, but it books
+    /// no round. `None`: the master solve failed, or the poison guard is
+    /// holding rebuilds off; the caller keeps the allocation it has.
     pub fn batch_optimum(&mut self, ctx: &TeContext, live: &[BaDemand]) -> Option<&ScheduleResult> {
         if self.advance(ctx, live).is_none() && !self.rebuild(ctx, live) {
             return None;
         }
-        self.history.as_ref().map(|h| &h.lp)
+        let h = self.history.as_mut()?;
+        Some(&h.hardened(ctx, live, &mut self.stats).0)
     }
 
     /// The hardened optimum for `live`, booked as one scheduling round
@@ -703,12 +725,7 @@ impl SchedulingSession {
             return self.cold(ctx, live, pending);
         };
         let h = self.history.as_mut().expect("advance kept the history");
-        let (held, violations) = h.hardened.get_or_insert_with(|| {
-            let mut result = h.lp.clone();
-            let violations = h.hardener.run(ctx, live, &mut result);
-            self.stats.last_scan_checks = h.hardener.last_checks();
-            (result, violations)
-        });
+        let (held, violations) = h.hardened(ctx, live, &mut self.stats);
         count_round(live.len(), *violations, held, t0);
         match path {
             SessionPath::Warm => self.stats.warm_rounds += 1,

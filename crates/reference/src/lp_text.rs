@@ -19,6 +19,7 @@
 //! export` is a fixed point on the first trip.
 
 use bate_lp::{Problem, Relation, Sense, VarId, VarKind};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 fn write_terms(buf: &mut String, terms: &[(usize, f64)]) {
@@ -289,7 +290,9 @@ pub fn from_lp_format(text: &str) -> Result<Problem, LpParseError> {
     // Bounds section defines *after* the rows appear in the file.
     let mut obj_lines: Vec<(usize, String)> = Vec::new();
     let mut row_lines: Vec<(usize, String)> = Vec::new();
-    let mut bounds: Vec<(String, f64)> = Vec::new();
+    // Each column's upper bound, in `Bounds` order, and its index by name.
+    let mut uppers: Vec<f64> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
     let mut integers: Vec<String> = Vec::new();
     let mut last_line = 0usize;
 
@@ -375,13 +378,14 @@ pub fn from_lp_format(text: &str) -> Result<Problem, LpParseError> {
                             })
                         }
                     };
-                    if bounds.iter().any(|(n, _)| *n == name) {
+                    if index.contains_key(&name) {
                         return Err(LpParseError::DuplicateVariable {
                             line: line_no,
                             name,
                         });
                     }
-                    bounds.push((name, upper));
+                    index.insert(name, uppers.len());
+                    uppers.push(upper);
                 }
             },
             Section::General => match line {
@@ -407,26 +411,30 @@ pub fn from_lp_format(text: &str) -> Result<Problem, LpParseError> {
     }
 
     // Every General entry must name a declared variable.
-    for n in &integers {
-        if !bounds.iter().any(|(b, _)| b == n) {
-            return Err(LpParseError::UnknownVariable {
-                line: last_line,
-                name: n.clone(),
-            });
+    let mut integer = vec![false; uppers.len()];
+    for n in integers {
+        match index.get(&n) {
+            Some(&j) => integer[j] = true,
+            None => {
+                return Err(LpParseError::UnknownVariable {
+                    line: last_line,
+                    name: n,
+                })
+            }
         }
     }
 
     let mut problem = Problem::new(sense);
-    let mut ids = Vec::with_capacity(bounds.len());
-    for (name, upper) in &bounds {
-        let id = if integers.iter().any(|n| n == name) {
-            problem.add_integer_var(*upper)
-        } else {
-            problem.add_bounded_var(*upper)
-        };
-        ids.push(id);
-    }
-    let lookup = |n: &str| bounds.iter().position(|(b, _)| b == n);
+    let ids: Vec<VarId> = (uppers.iter().zip(integer))
+        .map(|(&upper, integer)| {
+            if integer {
+                problem.add_integer_var(upper)
+            } else {
+                problem.add_bounded_var(upper)
+            }
+        })
+        .collect();
+    let lookup = |n: &str| index.get(n).copied();
 
     // Objective: all lines between the sense header and Subject To
     // form one term list (the exporter emits exactly one line).

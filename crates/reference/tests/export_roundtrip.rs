@@ -1,7 +1,8 @@
 //! Round-trip and mutation-fuzz tests for the LP-format writer and parser
 //! (`crates/reference/src/lp_text.rs`).
 //!
-//! Two campaigns:
+//! Two campaigns, after a fixed ATT scheduling LP of 3,598 columns
+//! round-trips byte for byte:
 //!
 //! * **Round trip** — random `Problem`s are exported, reparsed, and
 //!   re-exported; the re-export must reproduce the original text byte
@@ -18,8 +19,11 @@
 //! persistence, so seeds that ever failed are checked in below in
 //! `REGRESSION_SEEDS` and replayed first, deterministically.
 
+use bate_core::scheduling::scheduling_lp;
+use bate_core::{BaDemand, TeContext};
 use bate_lp::{Problem, Relation, Sense};
 use bate_reference::{from_lp_format, to_lp_format};
+use bate_routing::{RoutingScheme, TunnelSet};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -135,6 +139,29 @@ fn check_roundtrip(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// An ATT scheduling LP (k = 4 tunnels, y = 2) over 202 seeded
+/// single-pair demands: 3,598 columns, the scale of a paper-topology model.
+fn att_scheduling_lp() -> Problem {
+    let topo = bate_net::topologies::att();
+    let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+    let scenarios = bate_net::ScenarioSet::enumerate(&topo, 2);
+    let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+    let pairs: Vec<usize> = (0..tunnels.num_pairs())
+        .filter(|&p| tunnels.tunnels(p).len() >= 2)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(41);
+    let demands: Vec<BaDemand> = (0..202u64)
+        .map(|i| {
+            let pair = pairs[rng.gen_range(0..pairs.len())];
+            let beta = [0.9, 0.95, 0.99][i as usize % 3];
+            BaDemand::single(i, pair, rng.gen_range(10.0..=50.0), beta)
+        })
+        .collect();
+    scheduling_lp(&ctx, &demands, &ctx.link_capacities()).expect("ATT model builds")
+}
+
+/// Fixed inputs, checked on every run: the regression seeds' round-trip
+/// property, and export → parse → export of a paper-scale model.
 #[test]
 fn regression_seeds_round_trip() {
     for &seed in REGRESSION_SEEDS {
@@ -142,6 +169,11 @@ fn regression_seeds_round_trip() {
             panic!("{msg}");
         }
     }
+    let att = att_scheduling_lp();
+    assert!(att.num_vars() >= 3_000, "{} columns", att.num_vars());
+    let text = to_lp_format(&att);
+    let again = from_lp_format(&text).unwrap_or_else(|e| panic!("ATT reparse failed: {e}"));
+    assert!(to_lp_format(&again) == text, "ATT export→parse→export is not a fixed point");
 }
 
 proptest! {

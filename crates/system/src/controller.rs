@@ -13,7 +13,7 @@
 //! connections; a multi-submit batch that admitted a demand takes ONE warm
 //! solve of the [`SchedulingSession`], re-optimizing the whole pool and
 //! amortizing the scheduling LP across the batch instead of paying a round
-//! per arrival; then the installs are pushed — the whole pool after a
+//! per arrival, and installs that optimum hardened; then the installs are pushed — the whole pool after a
 //! solve, else each admitted or replayed demand's own allocation, and the
 //! next round re-optimizes the pool. TE rounds and the repair after a link
 //! comes back ask the same session, so they cost what changed since its
@@ -285,7 +285,8 @@ impl CtrlState {
 
     /// What a folded batch installs. A batch of more than one submit that
     /// admitted a new demand while no failure is in effect takes one warm
-    /// solve and installs the whole pool; otherwise (one submit, a
+    /// solve and installs the session's hardened optimum for the whole
+    /// pool, which the next round reuses; otherwise (one submit, a
     /// pure-replay batch, an active failure — the recovery allocation stays
     /// authoritative until repair — or a poisoned session) each demand the
     /// fold admitted or replayed is installed once, in id order.

@@ -9,10 +9,12 @@
 //! `bate_core::admission::admit_and_apply` step per entry: batching
 //! changes *when* the pool is re-optimized, never *what* is admitted.
 
-use bate_core::incremental::{SessionPath, SessionStats};
-use bate_core::scheduling::{schedule, schedule_hardened};
+use bate_core::incremental::{DemandDelta, IncrementalScheduler, SessionPath, SessionStats};
+use bate_core::scheduling::{harden, schedule, schedule_hardened};
+use bate_core::allocation::SATISFY_TOL;
 use bate_core::{Allocation, BaDemand, DemandId, SchedulingSession, TeContext};
 use bate_net::{topologies, NodeId, ScenarioSet, Topology};
+use bate_reference::walk::achieved_availability_walk;
 use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
 use bate_system::client::DemandRequest;
 use bate_system::proto::Message;
@@ -542,17 +544,7 @@ fn verdicts_leave_before_the_batch_solve() {
     .expect("controller start");
     let mut probe = Probe::register(&ctrl);
     let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
-    let mut rng = StdRng::seed_from_u64(0xA77);
-    let n = topo.num_nodes();
-    let reqs: Vec<DemandRequest> = (0..250u64)
-        .map(|i| {
-            let s = rng.gen_range(0..n);
-            let d = (s + rng.gen_range(1..n)) % n;
-            let beta = [0.9, 0.95, 0.99][rng.gen_range(0..3usize)];
-            let (src, dst) = (topo.node_name(NodeId(s)), topo.node_name(NodeId(d)));
-            DemandRequest::new(9000 + i, src, dst, rng.gen_range(10.0..50.0), beta)
-        })
-        .collect();
+    let reqs = random_requests(&topo, 0xA77, 9000, 250, (10.0, 50.0), &[0.9, 0.95, 0.99]);
     let admitted = submit_batch(&mut pipelined, &reqs);
 
     probe.stream.set_nonblocking(true).unwrap();
@@ -572,4 +564,130 @@ fn verdicts_leave_before_the_batch_solve() {
     let scenarios = ScenarioSet::enumerate(&topo, 2);
     let ctx = TeContext::new(&topo, &tunnels, &scenarios);
     assert!(alloc.respects_capacity(&ctx, 1e-6));
+}
+
+/// `n` submits between random distinct nodes of `topo`, ids from
+/// `id_base`, rates uniform in `mbps`, targets drawn from `betas`.
+fn random_requests(
+    topo: &Topology,
+    seed: u64,
+    id_base: u64,
+    n: u64,
+    mbps: (f64, f64),
+    betas: &[f64],
+) -> Vec<DemandRequest> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let nodes = topo.num_nodes();
+    (0..n)
+        .map(|i| {
+            let s = rng.gen_range(0..nodes);
+            let d = (s + rng.gen_range(1..nodes)) % nodes;
+            let beta = betas[rng.gen_range(0..betas.len())];
+            let (src, dst) = (topo.node_name(NodeId(s)), topo.node_name(NodeId(d)));
+            DemandRequest::new(id_base + i, src, dst, rng.gen_range(mbps.0..mbps.1), beta)
+        })
+        .collect()
+}
+
+/// Submit each of `batches` as one pipelined batch to a controller on
+/// `topo` (four shortest tunnels per pair, y = 2). After each batch,
+/// rebuild from the probe broker's installs the allocation it holds, and
+/// require `meets` of every admitted demand and capacity of the whole.
+/// Beside it, a master fed the same adds as the session's replays the
+/// batch's LP optimum: `harden` must repair every demand it leaves short
+/// (what makes the pool a fair test), and the count of those is returned
+/// per batch.
+fn batch_installs_meet_their_targets(
+    topo: Topology,
+    batches: &[Vec<DemandRequest>],
+    meets: impl Fn(&TeContext, &Allocation, &BaDemand) -> bool,
+) -> Vec<usize> {
+    let ctrl = Controller::start(ControllerConfig::manual(
+        topo.clone(),
+        RoutingScheme::default_ksp4(),
+        2,
+    ))
+    .expect("controller start");
+    let mut probe = Probe::register(&ctrl);
+    let mut pipelined = PipelinedClient::connect(ctrl.addr()).unwrap();
+    let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+    let scenarios = ScenarioSet::enumerate(&topo, 2);
+    let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+    let mut master = IncrementalScheduler::new(&ctx);
+    let (mut at_broker, mut pool, mut lp_short) = (Allocation::new(), Vec::new(), Vec::new());
+    for (b, batch) in batches.iter().enumerate() {
+        let admitted = pool_of(&ctx, &submit_batch(&mut pipelined, batch));
+        assert!(admitted.len() > 1, "batch {b}: {} admitted", admitted.len());
+        let adds: Vec<DemandDelta> = admitted.iter().cloned().map(DemandDelta::Add).collect();
+        pool.extend(admitted);
+
+        let (pushed, _) = probe.installed();
+        for id in pushed.demands() {
+            at_broker.remove_demand(id);
+            at_broker.adopt_demand(id, &pushed);
+        }
+        for d in &pool {
+            assert!(meets(&ctx, &at_broker, d), "batch {b}: {:?} below {}", d.id, d.beta);
+        }
+        assert!(at_broker.respects_capacity(&ctx, 1e-6), "batch {b}");
+
+        let mut lp = master.apply(&ctx, &adds).expect("replayed master solve");
+        lp_short.push(pool.iter().filter(|d| !lp.allocation.meets_target(&ctx, d)).count());
+        assert_eq!(harden(&ctx, &pool, &mut lp), 0, "batch {b}: harden leaves violators");
+    }
+    lp_short
+}
+
+/// The scenario-by-scenario walk's hard availability reaches β.
+fn walk_meets(ctx: &TeContext, alloc: &Allocation, d: &BaDemand) -> bool {
+    achieved_availability_walk(ctx, alloc, d) >= d.beta - SATISFY_TOL
+}
+
+/// Every multi-submit batch installs the hardened optimum: after each
+/// batch, every admitted demand's allocation at the broker meets its β
+/// by the walk. testbed6, four batches of 8 submits (seeds 70–73, ids
+/// from 0, 100, 200, 300; 100–300 Mbps; β ∈ {0.95, 0.99}): the batches'
+/// LP optima leave 1, 2, 3 and 5 demands short, and `harden` repairs
+/// them all.
+#[test]
+fn testbed6_batches_install_hard_allocations() {
+    let topo = topologies::testbed6();
+    let batches: Vec<Vec<DemandRequest>> = (0..4)
+        .map(|b| random_requests(&topo, 70 + b, 100 * b, 8, (100.0, 300.0), &[0.95, 0.99]))
+        .collect();
+    let short = batch_installs_meet_their_targets(topo, &batches, walk_meets);
+    assert!(short.iter().all(|&s| s > 0), "LP optima short per batch: {short:?}");
+}
+
+/// The same on B4: three batches of 12 submits (seeds 0–2, ids from 0,
+/// 100, 200; 200–800 Mbps; β ∈ {0.99, 0.999}), whose LP optima leave 2,
+/// 3 and 8 demands short.
+#[test]
+fn b4_batches_install_hard_allocations() {
+    let topo = topologies::b4();
+    let batches: Vec<Vec<DemandRequest>> = (0..3)
+        .map(|b| random_requests(&topo, b, 100 * b, 12, (200.0, 800.0), &[0.99, 0.999]))
+        .collect();
+    let short = batch_installs_meet_their_targets(topo, &batches, walk_meets);
+    assert!(short.iter().all(|&s| s > 0), "LP optima short per batch: {short:?}");
+}
+
+/// The same on ATT, checked with `meets_target` (the walk over 1,597
+/// scenarios is the slow path): a batch of 250 submits (seed 0, ids from
+/// 0), then two of 16 (seeds 1 and 2, ids from 1000 and 2000); 10–50
+/// Mbps, β ∈ {0.99, 0.999}. The LP optima leave 72, 75 and 80 demands
+/// short.
+#[test]
+fn att_batches_install_hard_allocations() {
+    let topo = topologies::att();
+    let batches: Vec<Vec<DemandRequest>> = (0..3)
+        .map(|b| {
+            let n = if b == 0 { 250 } else { 16 };
+            random_requests(&topo, b, 1000 * b, n, (10.0, 50.0), &[0.99, 0.999])
+        })
+        .collect();
+    let short = batch_installs_meet_their_targets(topo, &batches, |ctx, alloc, d| {
+        alloc.meets_target(ctx, d)
+    });
+    assert!(short.iter().all(|&s| s > 0), "LP optima short per batch: {short:?}");
 }
