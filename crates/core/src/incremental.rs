@@ -642,12 +642,12 @@ impl History {
 /// costs what changed: nothing pending reuses the held optimum, pending
 /// deltas take one warm `apply`, and hardening the new optimum re-checks
 /// only the demands whose LP flows it moved (`scheduling::Hardener`), so
-/// a round right after a batch is a pure reuse. The history, and that memo with it, is
-/// dropped — and a round solved by the cold [`schedule_hardened`] — when
-/// it is *stale* (more pending deltas than live demands: replaying them
-/// would cost more than starting over), when a master solve fails, or
-/// when the master's live ids are not the pool's, so correctness never
-/// rests on the caller's reports.
+/// a round right after a batch is a pure reuse. The history, and that
+/// memo with it, is dropped — and a round solved by the cold
+/// [`schedule_hardened`] — when it is *stale* (more pending deltas than
+/// live demands: replaying them would cost more than starting over), when
+/// a master solve fails, or when the master's live ids are not the pool's,
+/// so correctness never rests on the caller's reports.
 #[derive(Debug, Default)]
 pub struct SchedulingSession {
     history: Option<History>,

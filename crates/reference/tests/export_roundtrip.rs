@@ -173,7 +173,10 @@ fn regression_seeds_round_trip() {
     assert!(att.num_vars() >= 3_000, "{} columns", att.num_vars());
     let text = to_lp_format(&att);
     let again = from_lp_format(&text).unwrap_or_else(|e| panic!("ATT reparse failed: {e}"));
-    assert!(to_lp_format(&again) == text, "ATT export→parse→export is not a fixed point");
+    assert!(
+        to_lp_format(&again) == text,
+        "ATT export→parse→export moved"
+    );
 }
 
 proptest! {

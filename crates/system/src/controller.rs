@@ -13,9 +13,9 @@
 //! connections; a multi-submit batch that admitted a demand takes ONE warm
 //! solve of the [`SchedulingSession`], re-optimizing the whole pool and
 //! amortizing the scheduling LP across the batch instead of paying a round
-//! per arrival, and installs that optimum hardened; then the installs are pushed — the whole pool after a
-//! solve, else each admitted or replayed demand's own allocation, and the
-//! next round re-optimizes the pool. TE rounds and the repair after a link
+//! per arrival; then the installs are pushed — the whole pool, hardened,
+//! after a solve, else each admitted or replayed demand's own allocation,
+//! and the next round re-optimizes the pool. TE rounds and the repair after a link
 //! comes back ask the same session, so they cost what changed since its
 //! last optimum (DESIGN.md §6y). Periodic rounds are a deadline of the
 //! same loop, so a running controller is one thread.

@@ -328,8 +328,8 @@ mod tests {
         });
     }
 
-    /// An unassigned tag, a retired one (16 carried the deleted SLO
-    /// query) included, is a typed error.
+    /// An unassigned tag is a typed error, retired ones included: 16 is
+    /// what a peer built before its retirement may still send.
     #[test]
     fn unknown_tag_is_rejected() {
         for tag in [99u8, 16] {

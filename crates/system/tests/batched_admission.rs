@@ -9,9 +9,9 @@
 //! `bate_core::admission::admit_and_apply` step per entry: batching
 //! changes *when* the pool is re-optimized, never *what* is admitted.
 
+use bate_core::allocation::SATISFY_TOL;
 use bate_core::incremental::{DemandDelta, IncrementalScheduler, SessionPath, SessionStats};
 use bate_core::scheduling::{harden, schedule, schedule_hardened};
-use bate_core::allocation::SATISFY_TOL;
 use bate_core::{Allocation, BaDemand, DemandId, SchedulingSession, TeContext};
 use bate_net::{topologies, NodeId, ScenarioSet, Topology};
 use bate_reference::walk::achieved_availability_walk;
@@ -594,14 +594,14 @@ fn random_requests(
 /// rebuild from the probe broker's installs the allocation it holds, and
 /// require `meets` of every admitted demand and capacity of the whole.
 /// Beside it, a master fed the same adds as the session's replays the
-/// batch's LP optimum: `harden` must repair every demand it leaves short
-/// (what makes the pool a fair test), and the count of those is returned
-/// per batch.
+/// batch's LP optimum, which must leave some demand short of its hard
+/// target (else the batch tests nothing) and which `harden` must repair
+/// in full (else no install could pass).
 fn batch_installs_meet_their_targets(
     topo: Topology,
     batches: &[Vec<DemandRequest>],
     meets: impl Fn(&TeContext, &Allocation, &BaDemand) -> bool,
-) -> Vec<usize> {
+) {
     let ctrl = Controller::start(ControllerConfig::manual(
         topo.clone(),
         RoutingScheme::default_ksp4(),
@@ -614,7 +614,7 @@ fn batch_installs_meet_their_targets(
     let scenarios = ScenarioSet::enumerate(&topo, 2);
     let ctx = TeContext::new(&topo, &tunnels, &scenarios);
     let mut master = IncrementalScheduler::new(&ctx);
-    let (mut at_broker, mut pool, mut lp_short) = (Allocation::new(), Vec::new(), Vec::new());
+    let (mut at_broker, mut pool) = (Allocation::new(), Vec::new());
     for (b, batch) in batches.iter().enumerate() {
         let admitted = pool_of(&ctx, &submit_batch(&mut pipelined, batch));
         assert!(admitted.len() > 1, "batch {b}: {} admitted", admitted.len());
@@ -627,67 +627,51 @@ fn batch_installs_meet_their_targets(
             at_broker.adopt_demand(id, &pushed);
         }
         for d in &pool {
-            assert!(meets(&ctx, &at_broker, d), "batch {b}: {:?} below {}", d.id, d.beta);
+            let (id, beta) = (d.id, d.beta);
+            assert!(meets(&ctx, &at_broker, d), "batch {b}: {id:?} below {beta}");
         }
         assert!(at_broker.respects_capacity(&ctx, 1e-6), "batch {b}");
 
         let mut lp = master.apply(&ctx, &adds).expect("replayed master solve");
-        lp_short.push(pool.iter().filter(|d| !lp.allocation.meets_target(&ctx, d)).count());
-        assert_eq!(harden(&ctx, &pool, &mut lp), 0, "batch {b}: harden leaves violators");
+        let short = pool.iter().filter(|d| !lp.allocation.meets_target(&ctx, d));
+        assert!(
+            short.count() > 0,
+            "batch {b}: the LP optimum leaves none short"
+        );
+        let left = harden(&ctx, &pool, &mut lp);
+        assert_eq!(left, 0, "batch {b}: harden leaves violators");
     }
-    lp_short
-}
-
-/// The scenario-by-scenario walk's hard availability reaches β.
-fn walk_meets(ctx: &TeContext, alloc: &Allocation, d: &BaDemand) -> bool {
-    achieved_availability_walk(ctx, alloc, d) >= d.beta - SATISFY_TOL
 }
 
 /// Every multi-submit batch installs the hardened optimum: after each
-/// batch, every admitted demand's allocation at the broker meets its β
-/// by the walk. testbed6, four batches of 8 submits (seeds 70–73, ids
-/// from 0, 100, 200, 300; 100–300 Mbps; β ∈ {0.95, 0.99}): the batches'
-/// LP optima leave 1, 2, 3 and 5 demands short, and `harden` repairs
-/// them all.
+/// batch, every admitted demand's allocation at the broker meets its β.
+/// Batch b of a pool is `random_requests` with seed `seed + b` and ids
+/// from `ids × b`. The pools are chosen so that every batch's LP optimum
+/// leaves demands short and `harden` repairs them all:
+/// * testbed6, four batches of 8 (seed 70, ids 100, 100–300 Mbps, β ∈
+///   {0.95, 0.99}): 1, 2, 3 and 5 demands short; checked by the walk;
+/// * B4, three batches of 12 (seed 0, ids 100, 200–800 Mbps, β ∈ {0.99,
+///   0.999}): 2, 3 and 8 short; checked by the walk;
+/// * ATT, a batch of 250 then two of 16 (seed 0, ids 1000, 10–50 Mbps,
+///   β ∈ {0.99, 0.999}): 72, 75 and 80 short; checked with
+///   `meets_target`, as the walk over 1,597 scenarios is the slow path.
 #[test]
-fn testbed6_batches_install_hard_allocations() {
+fn every_batch_installs_allocations_that_meet_their_targets() {
+    let batches = |topo: &Topology, seed: u64, ids: u64, sizes: &[u64], mbps, betas: &[f64]| {
+        (0..sizes.len() as u64)
+            .map(|b| random_requests(topo, seed + b, ids * b, sizes[b as usize], mbps, betas))
+            .collect::<Vec<_>>()
+    };
+    let walk = |ctx: &TeContext, alloc: &Allocation, d: &BaDemand| {
+        achieved_availability_walk(ctx, alloc, d) >= d.beta - SATISFY_TOL
+    };
     let topo = topologies::testbed6();
-    let batches: Vec<Vec<DemandRequest>> = (0..4)
-        .map(|b| random_requests(&topo, 70 + b, 100 * b, 8, (100.0, 300.0), &[0.95, 0.99]))
-        .collect();
-    let short = batch_installs_meet_their_targets(topo, &batches, walk_meets);
-    assert!(short.iter().all(|&s| s > 0), "LP optima short per batch: {short:?}");
-}
-
-/// The same on B4: three batches of 12 submits (seeds 0–2, ids from 0,
-/// 100, 200; 200–800 Mbps; β ∈ {0.99, 0.999}), whose LP optima leave 2,
-/// 3 and 8 demands short.
-#[test]
-fn b4_batches_install_hard_allocations() {
+    let pool = batches(&topo, 70, 100, &[8, 8, 8, 8], (100.0, 300.0), &[0.95, 0.99]);
+    batch_installs_meet_their_targets(topo, &pool, walk);
     let topo = topologies::b4();
-    let batches: Vec<Vec<DemandRequest>> = (0..3)
-        .map(|b| random_requests(&topo, b, 100 * b, 12, (200.0, 800.0), &[0.99, 0.999]))
-        .collect();
-    let short = batch_installs_meet_their_targets(topo, &batches, walk_meets);
-    assert!(short.iter().all(|&s| s > 0), "LP optima short per batch: {short:?}");
-}
-
-/// The same on ATT, checked with `meets_target` (the walk over 1,597
-/// scenarios is the slow path): a batch of 250 submits (seed 0, ids from
-/// 0), then two of 16 (seeds 1 and 2, ids from 1000 and 2000); 10–50
-/// Mbps, β ∈ {0.99, 0.999}. The LP optima leave 72, 75 and 80 demands
-/// short.
-#[test]
-fn att_batches_install_hard_allocations() {
+    let pool = batches(&topo, 0, 100, &[12, 12, 12], (200.0, 800.0), &[0.99, 0.999]);
+    batch_installs_meet_their_targets(topo, &pool, walk);
     let topo = topologies::att();
-    let batches: Vec<Vec<DemandRequest>> = (0..3)
-        .map(|b| {
-            let n = if b == 0 { 250 } else { 16 };
-            random_requests(&topo, b, 1000 * b, n, (10.0, 50.0), &[0.99, 0.999])
-        })
-        .collect();
-    let short = batch_installs_meet_their_targets(topo, &batches, |ctx, alloc, d| {
-        alloc.meets_target(ctx, d)
-    });
-    assert!(short.iter().all(|&s| s > 0), "LP optima short per batch: {short:?}");
+    let pool = batches(&topo, 0, 1000, &[250, 16, 16], (10.0, 50.0), &[0.99, 0.999]);
+    batch_installs_meet_their_targets(topo, &pool, |ctx, alloc, d| alloc.meets_target(ctx, d));
 }

@@ -343,5 +343,5 @@ fn every_submit_observes_the_admission_latency() {
     // answered on a later pass of the same loop.
     client.ping().unwrap();
     let risen = latency.count() - before;
-    assert!(risen >= n, "{n} submits, {risen} admission-latency observations");
+    assert!(risen >= n, "{n} submits, {risen} latency observations");
 }
