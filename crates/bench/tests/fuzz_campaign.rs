@@ -27,7 +27,7 @@ use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::recovery::milp::{optimal_recovery, recovery_milp};
 use bate_core::recovery::RecoveryOutcome;
 use bate_core::scheduling::{self, SolveMode};
-use bate_core::{BaDemand, TeContext};
+use bate_core::{BaDemand, DemandId, TeContext};
 use bate_lp::{milp, Relation, SolveError};
 use bate_net::{topologies, GroupId, ScenarioSet, SrlgSet};
 use bate_reference::{
@@ -407,8 +407,11 @@ fn churn_sequences_match_cold_and_certify() {
 /// [`scheduling::harden`] gives on the same LP optimum with an empty
 /// memo: every demand's flows, the total, and the violators left. A
 /// `Resize` reaches the session as a withdraw and a re-add of the same
-/// id. Pools sit near testbed6's capacity, so the LP leaves demands
-/// short of their hard target and the re-placement runs under the memo.
+/// id. The LP optimum comes from a second master fed what the session's
+/// is fed: the first pool, then each round's edits with an `Add` dropped
+/// by a `Remove` of its id, as `note_remove` drops it. Pools sit near
+/// testbed6's capacity, so the LP leaves demands short of their hard
+/// target and the re-placement runs under the memo.
 #[test]
 fn session_churn_hardens_like_the_full_scan() {
     let fixtures = net_fixtures();
@@ -427,6 +430,17 @@ fn session_churn_hardens_like_the_full_scan() {
 
         let mut session = SchedulingSession::default();
         let mut pool = workload.initial.clone();
+        let (mut shadow, mut fed): (Option<IncrementalScheduler>, Vec<DemandDelta>) = (None, vec![]);
+        let mut lp = None;
+        let remove = |fed: &mut Vec<DemandDelta>, id: DemandId| {
+            let added = fed.iter().rposition(|d| matches!(d, DemandDelta::Add(a) if a.id == id));
+            match added {
+                Some(i) => {
+                    fed.remove(i);
+                }
+                None => fed.push(DemandDelta::Remove(id)),
+            }
+        };
         for (round, batch) in std::iter::once(&Vec::new())
             .chain(workload.rounds.iter())
             .enumerate()
@@ -435,26 +449,30 @@ fn session_churn_hardens_like_the_full_scan() {
                 match delta {
                     DemandDelta::Add(d) => {
                         session.note_add(d);
+                        fed.push(DemandDelta::Add(d.clone()));
                         pool.push(d.clone());
                     }
                     DemandDelta::Remove(id) => {
                         session.note_remove(*id);
+                        remove(&mut fed, *id);
                         pool.retain(|d| d.id != *id);
                     }
                     DemandDelta::Resize { id, factor } => {
                         session.note_remove(*id);
+                        remove(&mut fed, *id);
                         for d in pool.iter_mut().filter(|d| d.id == *id) {
                             for (_, b) in &mut d.bandwidth {
                                 *b *= factor;
                             }
                             d.price *= factor;
                             session.note_add(d);
+                            fed.push(DemandDelta::Add(d.clone()));
                         }
                     }
                 }
             }
-            // The master (built on the first pass, rebuilt after a cold
-            // round) answers the round; the LP optimum it held is what the
+            // The session's master (built on the first pass) answers with
+            // its hardened optimum; the shadow's LP optimum is what the
             // full scan hardens.
             if session.batch_optimum(&ctx, &pool).is_none() {
                 assert!(
@@ -463,11 +481,20 @@ fn session_churn_hardens_like_the_full_scan() {
                 );
                 break;
             }
+            let master = shadow.get_or_insert_with(|| {
+                fed = pool.iter().cloned().map(DemandDelta::Add).collect();
+                IncrementalScheduler::new(&ctx)
+            });
+            if !fed.is_empty() {
+                assert_eq!(session.stats().last_apply_deltas, fed.len(), "{tag} round {round}");
+                let deltas = std::mem::take(&mut fed);
+                lp = Some(master.apply(&ctx, &deltas).expect("the shadow master solves"));
+            }
             let held = session
                 .hardened_round(&ctx, &pool)
                 .unwrap_or_else(|e| panic!("{tag} round {round}: session round failed: {e}"));
             assert_eq!(held.path, SessionPath::Reused, "{tag} round {round}");
-            let mut full = session.batch_optimum(&ctx, &pool).unwrap().clone();
+            let mut full = lp.clone().expect("the shadow holds an optimum");
             let short = pool.iter().filter(|d| !full.allocation.meets_target(&ctx, d)).count();
             let violations = scheduling::harden(&ctx, &pool, &mut full);
             assert_eq!(

@@ -348,9 +348,9 @@ impl ScanMemo {
 /// every demand at the last [`run`](Self::run), keyed by its id, the bits
 /// of its `bandwidth` and `beta`, and its LP flows. A
 /// [`SchedulingSession`](crate::incremental::SchedulingSession) keeps one
-/// per master, so it serves one [`TeContext`].
+/// per master, so it serves one [`TeContext`]; a fresh one is [`harden`].
 #[derive(Debug, Default)]
-pub(crate) struct Hardener {
+pub struct Hardener {
     last: ScanMemo,
     /// The scan being taken; swapped with `last` when it ends, so the
     /// buffers of both are kept.
@@ -360,7 +360,7 @@ pub(crate) struct Hardener {
 
 impl Hardener {
     /// Demands the last scan checked; the others reused their verdict.
-    pub(crate) fn last_checks(&self) -> usize {
+    pub fn last_checks(&self) -> usize {
         self.checks
     }
 
@@ -412,7 +412,7 @@ impl Hardener {
     /// the speculation no longer fits. Both the speculation set and every
     /// adoption decision are functions of the demand order alone, never
     /// of worker scheduling.
-    pub(crate) fn run(
+    pub fn run(
         &mut self,
         ctx: &TeContext,
         demands: &[BaDemand],
