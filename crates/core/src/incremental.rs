@@ -175,12 +175,7 @@ pub struct IncrementalScheduler {
 impl IncrementalScheduler {
     /// Empty scheduler over the full link capacities.
     pub fn new(ctx: &TeContext) -> Self {
-        Self::with_capacities(ctx, ctx.link_capacities())
-    }
-
-    /// Empty scheduler over explicit per-link capacities.
-    pub fn with_capacities(ctx: &TeContext, capacities: Vec<f64>) -> Self {
-        assert_eq!(capacities.len(), ctx.topo.num_links());
+        let capacities = ctx.link_capacities();
         let tracked = model::seed_scenarios(ctx).to_vec();
         let capacity_row = vec![None; ctx.topo.num_links()];
         IncrementalScheduler {

@@ -9,8 +9,8 @@
 //!   Moved here from `bate-core` so telemetry timestamps share the
 //!   components' time source; `bate_core::clock` re-exports it, so
 //!   existing imports are unchanged.
-//! * [`metrics`] — a lock-sharded registry of counters, gauges, and
-//!   log-linear histograms with Prometheus text exposition
+//! * [`metrics`] — a lock-sharded registry of counters and log-linear
+//!   histograms with Prometheus text exposition
 //!   ([`Registry::render_prometheus`]) and deterministic JSONL
 //!   snapshots ([`Registry::snapshot_jsonl_filtered`]).
 //! * [`trace`] — `event!`/`span!` structured tracing over a pluggable
@@ -54,7 +54,7 @@ pub mod trace;
 pub use clock::{Clock, SimClock, SystemClock};
 pub use context::{CtxGuard, Handoff, SpanCtx};
 pub use flight::FlightDump;
-pub use metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
+pub use metrics::{Counter, Histogram, MetricKind, Registry};
 pub use trace::{
     Event, JsonlSubscriber, Level, NoopSubscriber, RingBufferSubscriber, SpanGuard,
     StderrSubscriber, Subscriber, Value,

@@ -1,6 +1,5 @@
-//! Lock-sharded metrics registry: counters, gauges, and log-linear
-//! histograms with Prometheus text exposition and deterministic JSONL
-//! snapshots.
+//! Lock-sharded metrics registry: counters and log-linear histograms
+//! with Prometheus text exposition and deterministic JSONL snapshots.
 //!
 //! ## Design
 //!
@@ -22,7 +21,7 @@
 //!
 //! ## Determinism
 //!
-//! Counter and gauge state is exactly reproducible whenever the observed
+//! Counter state is exactly reproducible whenever the observed
 //! program is (atomic adds commute). Histogram *sums* accumulate f64 in
 //! arrival order and wall-clock *timing* histograms are inherently
 //! nondeterministic; deterministic snapshots therefore go through
@@ -63,44 +62,6 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins f64 gauge (stored as bits in an `AtomicU64`).
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-}
-
-impl Gauge {
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn add(&self, delta: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -315,14 +276,12 @@ impl Histogram {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     Counter,
-    Gauge,
     Histogram,
 }
 
 #[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -330,7 +289,6 @@ impl Metric {
     fn kind(&self) -> MetricKind {
         match self {
             Metric::Counter(_) => MetricKind::Counter,
-            Metric::Gauge(_) => MetricKind::Gauge,
             Metric::Histogram(_) => MetricKind::Histogram,
         }
     }
@@ -388,20 +346,6 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())));
         match m {
             Metric::Counter(c) => Arc::clone(c),
-            other => panic!("metric {name:?} already registered as {:?}", other.kind()),
-        }
-    }
-
-    /// Get or register a gauge (same kind-collision rules as [`counter`]).
-    ///
-    /// [`counter`]: Registry::counter
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name).lock().unwrap();
-        let m = shard
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())));
-        match m {
-            Metric::Gauge(g) => Arc::clone(g),
             other => panic!("metric {name:?} already registered as {:?}", other.kind()),
         }
     }
@@ -465,12 +409,6 @@ impl Registry {
                 Metric::Counter(c) => {
                     out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
                 }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!(
-                        "# TYPE {name} gauge\n{name} {}\n",
-                        fmt_f64(g.get())
-                    ));
-                }
                 Metric::Histogram(h) => {
                     out.push_str(&format!("# TYPE {name} histogram\n"));
                     for (ub, cum) in h.cumulative_octave_points() {
@@ -491,7 +429,7 @@ impl Registry {
     /// Deterministic JSONL snapshot of the metrics where `keep(name, kind)`:
     /// one JSON object per metric, sorted by name. See the module docs for
     /// which families are reproducible; the obscheck gate keeps
-    /// counters/gauges and drops wall-clock timing histograms.
+    /// counters and drops wall-clock timing histograms.
     pub fn snapshot_jsonl_filtered(&self, keep: impl Fn(&str, MetricKind) -> bool) -> String {
         let mut out = String::new();
         for (name, metric) in self.sorted() {
@@ -503,12 +441,6 @@ impl Registry {
                     out.push_str(&format!(
                         "{{\"metric\":\"{name}\",\"type\":\"counter\",\"value\":{}}}\n",
                         c.get()
-                    ));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!(
-                        "{{\"metric\":\"{name}\",\"type\":\"gauge\",\"value\":{}}}\n",
-                        json_f64(g.get())
                     ));
                 }
                 Metric::Histogram(h) => {
@@ -549,7 +481,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let r = Registry::new();
         let c = r.counter("c_total");
         c.inc();
@@ -557,10 +489,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name returns the same underlying counter.
         assert_eq!(r.counter("c_total").get(), 5);
-        let g = r.gauge("g");
-        g.set(2.5);
-        g.add(-1.0);
-        assert!((g.get() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -568,7 +496,7 @@ mod tests {
     fn kind_collision_panics() {
         let r = Registry::new();
         r.counter("m");
-        r.gauge("m");
+        r.histogram("m");
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! last optimum (DESIGN.md §6y). Periodic rounds are a deadline of the
 //! same loop, so a running controller is one thread.
 //!
-//! The serving state — pool, allocation, failed links, idempotency
-//! records, brokers and the session — is one value behind one lock. Its
-//! methods decide (the fold step, a round, a withdrawal, a link report)
-//! and return what to install; only the poll loop writes to a connection.
+//! The poll loop owns the serving state — pool, allocation, failed links,
+//! idempotency records and the session — beside its connections and the
+//! broker map. The state's methods decide (the fold step, a round, a
+//! withdrawal, a link report) and return what to install; only the loop
+//! writes to a connection. A [`Controller`] shares no state with the loop:
+//! it sends commands, which the loop runs after each wakeup's messages.
 //!
 //! Hardened against lossy control channels: demand ids double as
 //! idempotency keys — including *within* a batch, where a duplicated
@@ -51,13 +53,11 @@ use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_net::{LinkSet, Scenario, ScenarioSet, Topology};
 use bate_routing::{RoutingScheme, TunnelSet};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -147,8 +147,7 @@ struct SubmitRecord {
     withdrawn: bool,
 }
 
-/// Per-connection progress snapshot, published by the poll loop after
-/// every wakeup (what the slow-loris tests assert against).
+/// One connection's read progress (the slow-loris tests assert on it).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConnProgress {
     pub bytes_in: u64,
@@ -157,25 +156,14 @@ pub struct ConnProgress {
     pub mid_frame: bool,
 }
 
-struct Shared {
+/// What every decision reads and none changes, computed at start.
+struct Net {
     topo: Topology,
     tunnels: TunnelSet,
     scenarios: ScenarioSet,
-    state: Mutex<CtrlState>,
-    /// Notified on broker (de)registration; pairs with `state`.
-    broker_cv: Condvar,
-    shutdown: AtomicBool,
-    /// Callers of [`Controller::run_schedule_round`] waiting on the loop:
-    /// one round each, answered when it is done; dropped at shutdown.
-    round_requests: Mutex<Vec<SyncSender<()>>>,
-    waker: Waker,
-    progress: Mutex<HashMap<u64, ConnProgress>>,
-    /// This controller's share of `bate_ctrl_conns_reaped_total`.
-    reaped: AtomicU64,
-    idle_timeout: Duration,
 }
 
-impl Shared {
+impl Net {
     fn ctx(&self) -> TeContext<'_> {
         TeContext::new(&self.topo, &self.tunnels, &self.scenarios)
     }
@@ -195,14 +183,11 @@ enum Verdict {
     Admitted,
 }
 
-/// The controller's serving state, behind [`Shared::state`].
+/// The controller's serving state, a field of the poll loop.
 struct CtrlState {
     demands: Vec<BaDemand>,
     allocation: Allocation,
     failed: LinkSet,
-    /// Registered brokers, by DC name, mapped to the poll-loop token of
-    /// their connection (writes go through that connection's buffer).
-    brokers: HashMap<String, u64>,
     outcomes: HashMap<u64, SubmitRecord>,
     /// The warm optimum of the live pool (DESIGN.md §6y): fed every pool
     /// edit, asked by multi-submit batches, rounds and repairs.
@@ -216,14 +201,7 @@ impl CtrlState {
     /// `loads`. A submit whose bandwidth, price or refund ratio is not
     /// finite is rejected before it reaches the fold.
     fn submit(&mut self, ctx: &TeContext, sub: &PendingSubmit, loads: &mut PoolLoads) -> Verdict {
-        let fingerprint = submit_fingerprint(
-            &sub.src,
-            &sub.dst,
-            sub.bandwidth,
-            sub.beta,
-            sub.price,
-            sub.refund_ratio,
-        );
+        let fingerprint = sub.fingerprint();
         ctrl_metrics().submits.inc();
 
         let (Some(s), Some(d)) = (ctx.topo.find_node(&sub.src), ctx.topo.find_node(&sub.dst))
@@ -431,11 +409,16 @@ impl CtrlState {
     }
 }
 
+/// A command for the poll loop, run after a wakeup's messages.
+type Command = Box<dyn FnOnce(&mut EventLoop) + Send>;
+
 /// A running controller. Shuts down when dropped.
 pub struct Controller {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    loop_thread: Option<JoinHandle<()>>,
+    waker: Arc<Waker>,
+    /// The command sender and the loop's thread; the loop serves until
+    /// the sender is dropped.
+    serving: Option<(Sender<Command>, JoinHandle<()>)>,
 }
 
 impl Controller {
@@ -453,49 +436,75 @@ impl Controller {
         // storms are driven by the sim workload, but the controller owns
         // the exposition surface, so the family must render at zero here.
         bate_core::recovery::register_storm_metrics();
+        let state = CtrlState {
+            demands: Vec::new(),
+            allocation: Allocation::new(),
+            failed: LinkSet::new(config.topo.num_groups()),
+            outcomes: HashMap::new(),
+            session: SchedulingSession::default(),
+        };
         let tunnels = TunnelSet::compute(&config.topo, config.routing);
         let scenarios = ScenarioSet::enumerate(&config.topo, config.max_failures);
-        let failed = LinkSet::new(config.topo.num_groups());
-        let shared = Arc::new(Shared {
-            topo: config.topo,
-            tunnels,
-            scenarios,
-            state: Mutex::new(CtrlState {
-                demands: Vec::new(),
-                allocation: Allocation::new(),
-                failed,
-                brokers: HashMap::new(),
-                outcomes: HashMap::new(),
-                session: SchedulingSession::default(),
-            }),
-            broker_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            round_requests: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-            progress: Mutex::new(HashMap::new()),
-            reaped: AtomicU64::new(0),
-            idle_timeout: config.idle_timeout,
-        });
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
+        let waker = Arc::new(Waker::new()?);
         let poller = Poller::new()?;
         poller.add(listener.as_raw_fd(), TOK_LISTENER, true, false)?;
-        poller.add(shared.waker.fd(), TOK_WAKER, true, false)?;
+        poller.add(waker.fd(), TOK_WAKER, true, false)?;
 
-        let loop_shared = Arc::clone(&shared);
-        let interval = config.schedule_interval;
-        let loop_thread = std::thread::spawn(move || {
-            EventLoop::new(loop_shared, listener, poller, interval).run();
-        });
+        let (commands, received) = mpsc::channel();
+        let event_loop = EventLoop {
+            net: Arc::new(Net {
+                topo: config.topo,
+                tunnels,
+                scenarios,
+            }),
+            state,
+            commands: received,
+            waker: Arc::clone(&waker),
+            listener,
+            poller,
+            conns: HashMap::new(),
+            brokers: HashMap::new(),
+            broker_waiters: Vec::new(),
+            next_token: TOK_FIRST_CONN,
+            round_timer: config.schedule_interval.map(|period| (period, Instant::now() + period)),
+            idle_timeout: config.idle_timeout,
+            reaped: 0,
+        };
+        let loop_thread = std::thread::spawn(move || event_loop.run());
 
         Ok(Controller {
             addr,
-            shared,
-            loop_thread: Some(loop_thread),
+            waker,
+            serving: Some((commands, loop_thread)),
         })
+    }
+
+    /// Queue `f` for the poll loop with the sender of its answer. If the
+    /// loop exits before it runs `f`, `f` drops the sender unanswered.
+    fn command<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut EventLoop, SyncSender<T>) + Send + 'static,
+    ) -> Receiver<T> {
+        let (answer, answered) = mpsc::sync_channel(1);
+        let command: Command = Box::new(move |el| f(el, answer));
+        if self.serving.as_ref().is_some_and(|(c, _)| c.send(command).is_ok()) {
+            self.waker.wake();
+        }
+        answered
+    }
+
+    /// `f`'s answer from the live state, or the empty value once the loop
+    /// has exited.
+    fn query<T: Default + Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut EventLoop) -> T + Send + 'static,
+    ) -> T {
+        self.command(|el, answer| drop(answer.send(f(el)))).recv().unwrap_or_default()
     }
 
     /// Address clients and brokers connect to.
@@ -505,52 +514,38 @@ impl Controller {
 
     /// Number of currently admitted demands.
     pub fn admitted_count(&self) -> usize {
-        self.shared.state.lock().demands.len()
+        self.query(|el| el.state.demands.len())
     }
 
     /// Number of registered brokers.
     pub fn broker_count(&self) -> usize {
-        self.shared.state.lock().brokers.len()
+        self.query(|el| el.brokers.len())
     }
 
-    /// Block until at least `n` brokers are registered. Condvar-notified
-    /// by the poll loop on registration — no polling loop, no blind
-    /// sleeps. Returns false on timeout.
+    /// Block until at least `n` brokers are registered. The loop answers
+    /// at once if they are, else on the registration that brings the
+    /// count to `n` — no polling loop, no blind sleeps. Returns false on
+    /// timeout.
     pub fn wait_for_brokers(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        while state.brokers.len() < n {
-            if self
-                .shared
-                .broker_cv
-                .wait_until(&mut state, deadline)
-                .timed_out()
-            {
-                return state.brokers.len() >= n;
+        let ready = self.command(move |el, ready| {
+            if el.brokers.len() >= n {
+                ready.send(()).ok();
+            } else {
+                el.broker_waiters.push((n, ready));
             }
-        }
-        true
+        });
+        ready.recv_timeout(timeout).is_ok()
     }
 
     /// Total rate currently allocated to a demand.
     pub fn allocated_rate(&self, id: u64) -> f64 {
-        let state = self.shared.state.lock();
-        state
-            .allocation
-            .flows_of(DemandId(id))
-            .map(|(_, f)| f)
-            .sum()
+        self.query(move |el| el.state.allocation.flows_of(DemandId(id)).map(|(_, f)| f).sum())
     }
 
     /// Whether a demand id was admitted, per the idempotency record
     /// (`None` if the id was never decided).
     pub fn admission_verdict(&self, id: u64) -> Option<bool> {
-        self.shared
-            .state
-            .lock()
-            .outcomes
-            .get(&id)
-            .map(|r| r.admitted && !r.withdrawn)
+        self.query(move |el| el.state.outcomes.get(&id).map(|r| r.admitted && !r.withdrawn))
     }
 
     /// Run a scheduling round now (the poll loop also does this
@@ -558,71 +553,53 @@ impl Controller {
     /// poll loop and blocks until the round (and its broker pushes) are
     /// queued.
     pub fn run_schedule_round(&self) {
-        let (done, finished) = mpsc::sync_channel(1);
-        self.shared.round_requests.lock().push(done);
-        self.shared.waker.wake();
-        // The loop answers after the round, or drops `done` at shutdown.
-        finished.recv_timeout(Duration::from_secs(10)).ok();
+        let done = self.command(|el, done| {
+            el.schedule_round();
+            done.send(()).ok();
+        });
+        done.recv_timeout(Duration::from_secs(10)).ok();
     }
 
-    /// Snapshot of per-connection progress `(token, progress)` as of the
-    /// last poll wakeup. Tokens are stable for a connection's lifetime;
-    /// entries disappear when the connection closes or is reaped.
+    /// Progress `(token, progress)` of every connection the poll loop
+    /// holds when it answers. Tokens are stable for a connection's
+    /// lifetime; a connection that closes or is reaped leaves the list in
+    /// the sweep that ends the wakeup retiring it.
     pub fn connection_progress(&self) -> Vec<(u64, ConnProgress)> {
-        let mut v: Vec<(u64, ConnProgress)> = self
-            .shared
-            .progress
-            .lock()
-            .iter()
-            .map(|(&t, &p)| (t, p))
-            .collect();
-        v.sort_unstable_by_key(|&(t, _)| t);
-        v
+        self.query(|el| {
+            let progress = |c: &Conn| ConnProgress {
+                bytes_in: c.bytes_in,
+                frames_in: c.frames_in,
+                mid_frame: c.mid_frame(),
+            };
+            let mut v: Vec<_> = el.conns.iter().map(|(&t, c)| (t, progress(c))).collect();
+            v.sort_unstable_by_key(|&(t, _)| t);
+            v
+        })
     }
 
     /// Connections this controller reaped for stalling mid-frame.
     pub fn reaped(&self) -> u64 {
-        self.shared.reaped.load(Ordering::Relaxed)
+        self.query(|el| el.reaped)
     }
 
     /// How this controller's rounds and repairs were answered (reused,
     /// warm, cold), as of the last one; a repair counts as a round. It
     /// observes every batch whose verdict the caller has read: a batch
-    /// flushes its verdicts before its solve, but holds the state lock
-    /// until the solve is done.
+    /// flushes its verdicts before its solve, and the loop runs commands
+    /// after the wakeup's batches are settled.
     pub fn session_stats(&self) -> SessionStats {
-        self.shared.state.lock().session.stats()
+        self.query(|el| el.state.session.stats())
     }
 }
 
 impl Drop for Controller {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.waker.wake();
-        if let Some(t) = self.loop_thread.take() {
-            t.join().ok();
+        if let Some((commands, loop_thread)) = self.serving.take() {
+            drop(commands);
+            self.waker.wake();
+            loop_thread.join().ok();
         }
     }
-}
-
-/// Stable fingerprint of a submission's content, so a retried id can be
-/// told apart from an id collision (FNV-1a over the encoded fields).
-fn submit_fingerprint(src: &str, dst: &str, bandwidth: f64, beta: f64, price: f64, refund: f64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(src.as_bytes());
-    eat(&[0xFF]);
-    eat(dst.as_bytes());
-    eat(&bandwidth.to_bits().to_be_bytes());
-    eat(&beta.to_bits().to_be_bytes());
-    eat(&price.to_bits().to_be_bytes());
-    eat(&refund.to_bits().to_be_bytes());
-    h
 }
 
 const TOK_LISTENER: u64 = 0;
@@ -642,52 +619,72 @@ struct PendingSubmit {
     refund_ratio: f64,
 }
 
+impl PendingSubmit {
+    /// Stable fingerprint of the submitted fields, so a retried id can be
+    /// told apart from an id collision (FNV-1a over the encoded fields).
+    fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        eat(self.src.as_bytes());
+        eat(&[0xFF]);
+        eat(self.dst.as_bytes());
+        for v in [self.bandwidth, self.beta, self.price, self.refund_ratio] {
+            eat(&v.to_bits().to_be_bytes());
+        }
+        h
+    }
+}
+
 struct EventLoop {
-    shared: Arc<Shared>,
+    net: Arc<Net>,
+    state: CtrlState,
+    commands: Receiver<Command>,
+    waker: Arc<Waker>,
     listener: TcpListener,
     poller: Poller,
     conns: HashMap<u64, Conn>,
+    /// Registered brokers, by DC name, mapped to the token of their
+    /// connection (writes go through that connection's buffer).
+    brokers: HashMap<String, u64>,
+    /// [`Controller::wait_for_brokers`] callers: the broker count each
+    /// waits for, answered by the registration that reaches it.
+    broker_waiters: Vec<(usize, SyncSender<()>)>,
     next_token: u64,
     /// The Online Scheduler (§4): period of the automatic rounds and when
     /// the next one is due.
     round_timer: Option<(Duration, Instant)>,
+    idle_timeout: Duration,
+    /// This controller's share of `bate_ctrl_conns_reaped_total`.
+    reaped: u64,
 }
 
 impl EventLoop {
-    fn new(
-        shared: Arc<Shared>,
-        listener: TcpListener,
-        poller: Poller,
-        schedule_interval: Option<Duration>,
-    ) -> EventLoop {
-        EventLoop {
-            shared,
-            listener,
-            poller,
-            conns: HashMap::new(),
-            next_token: TOK_FIRST_CONN,
-            round_timer: schedule_interval.map(|period| (period, Instant::now() + period)),
-        }
-    }
-
+    /// Serve until the [`Controller`] is dropped: the wakeup that finds the
+    /// command channel disconnected is the last, and still flushes. The
+    /// waiters' senders drop with the loop, which answers them at once.
     fn run(mut self) {
         let mut events = Vec::with_capacity(128);
         let mut inbox: Vec<(u64, Option<FrameCtx>, Message)> = Vec::new();
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
+        let mut serving = true;
+        while serving {
             let timeout = self.next_timeout();
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
-            inbox.clear();
             for ev in &events {
                 match ev.token {
                     TOK_LISTENER => self.accept_ready(),
-                    TOK_WAKER => self.shared.waker.drain(),
+                    TOK_WAKER => self.waker.drain(),
                     token => {
                         if let Some(conn) = self.conns.get_mut(&token) {
                             if ev.readable || ev.hangup {
                                 let mut msgs = Vec::new();
-                                conn.read_ready(self.shared.idle_timeout, &mut msgs);
+                                conn.read_ready(self.idle_timeout, &mut msgs);
                                 inbox.extend(msgs.into_iter().map(|(c, m)| (token, c, m)));
                             }
                             if ev.writable {
@@ -698,19 +695,15 @@ impl EventLoop {
                 }
             }
             self.process_inbox(&mut inbox);
-            self.run_requested_rounds();
+            serving = self.run_commands();
             self.run_due_round();
-            self.reap_overdue();
-            self.flush_and_sweep();
-            self.publish_progress();
+            self.reap_and_sweep();
         }
-        // Wake every caller still waiting on a round: its sender is gone.
-        self.shared.round_requests.lock().clear();
     }
 
     /// The poll timeout: short enough to honor the earliest deadline — a
     /// mid-frame reap or the next periodic round — long enough not to
-    /// spin (round requests and shutdown arrive through the waker, not the
+    /// spin (commands and shutdown arrive through the waker, not the
     /// timeout).
     fn next_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
@@ -723,13 +716,16 @@ impl EventLoop {
             .or(Some(Duration::from_millis(200)))
     }
 
-    /// One round per waiting [`Controller::run_schedule_round`] caller,
-    /// each answered once its round's installs are queued.
-    fn run_requested_rounds(&mut self) {
-        let requests = std::mem::take(&mut *self.shared.round_requests.lock());
-        for done in requests {
-            self.schedule_round();
-            done.send(()).ok();
+    /// Run the queued commands in order: after the wakeup's messages, so
+    /// they read what those decided, and before its flush, so a requested
+    /// round's installs leave in this wakeup. False once the
+    /// [`Controller`] is gone.
+    fn run_commands(&mut self) -> bool {
+        loop {
+            match self.commands.try_recv() {
+                Ok(command) => command(self),
+                Err(e) => return e == TryRecvError::Empty,
+            }
         }
     }
 
@@ -747,10 +743,8 @@ impl EventLoop {
     }
 
     fn schedule_round(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let mut state = shared.state.lock();
-        let installs = state.round(&shared.ctx());
-        self.push(&mut state, &installs);
+        let installs = self.state.round(&self.net.ctx());
+        self.push(&installs);
     }
 
     fn accept_ready(&mut self) {
@@ -806,30 +800,28 @@ impl EventLoop {
                     refund_ratio,
                 }),
                 other => {
-                    self.flush_submit_batch(&mut batch);
+                    self.flush_submit_batch(std::mem::take(&mut batch));
                     self.handle_message(token, rctx, other);
                 }
             }
         }
-        self.flush_submit_batch(&mut batch);
+        self.flush_submit_batch(batch);
     }
 
-    /// Decide one admission batch of any size, holding the state lock
-    /// throughout: the FCFS pipeline fold (identical to sequential
-    /// handling by construction), the verdicts flushed, the batch settled
-    /// ([`CtrlState::settle`]), its installs pushed.
-    fn flush_submit_batch(&mut self, batch: &mut Vec<PendingSubmit>) {
+    /// Decide one admission batch of any size: the FCFS pipeline fold
+    /// (identical to sequential handling by construction), the verdicts
+    /// flushed, the batch settled ([`CtrlState::settle`]), its installs
+    /// pushed.
+    fn flush_submit_batch(&mut self, batch: Vec<PendingSubmit>) {
         if batch.is_empty() {
             return;
         }
-        let batch: Vec<PendingSubmit> = std::mem::take(batch);
         let t0 = Instant::now();
         let m = ctrl_metrics();
         m.batches.inc();
         m.batch_size.observe(batch.len() as f64);
-        let shared = Arc::clone(&self.shared);
-        let ctx = shared.ctx();
-        let mut state = shared.state.lock();
+        let net = Arc::clone(&self.net);
+        let ctx = net.ctx();
         let mut fold = Installs::new();
         let mut fresh_admits = 0usize;
         // Only the fold edits the pool until `settle`: its loads carry.
@@ -844,15 +836,13 @@ impl EventLoop {
                 .rctx
                 .map(|c| bate_obs::context::adopt("ctrl.submit", c.trace_id, c.span_id));
             let cause = FrameCtx::current();
-            let verdict = state.submit(&ctx, sub, &mut loads);
-            if verdict != Verdict::Rejected {
+            let verdict = self.state.submit(&ctx, sub, &mut loads);
+            let admitted = verdict != Verdict::Rejected;
+            if admitted {
                 fold.push((DemandId(sub.id), cause));
             }
             fresh_admits += usize::from(verdict == Verdict::Admitted);
-            let reply = Message::AdmissionReply {
-                id: sub.id,
-                admitted: verdict != Verdict::Rejected,
-            };
+            let reply = Message::AdmissionReply { id: sub.id, admitted };
             self.queue_to(sub.token, &reply, cause);
         }
         // The verdicts are final at the fold (a fixed admit is
@@ -875,44 +865,43 @@ impl EventLoop {
         for _ in 0..batch.len() {
             m.admit_latency.observe(us);
         }
-        let installs = state.settle(&ctx, batch.len(), fresh_admits, fold);
-        self.push(&mut state, &installs);
+        let installs = self.state.settle(&ctx, batch.len(), fresh_admits, fold);
+        self.push(&installs);
     }
 
     fn handle_message(&mut self, token: u64, rctx: Option<FrameCtx>, msg: Message) {
-        let shared = Arc::clone(&self.shared);
         match msg {
             Message::WithdrawDemand { id } => {
                 let _adopted = rctx
                     .map(|c| bate_obs::context::adopt("ctrl.withdraw", c.trace_id, c.span_id));
-                let mut state = shared.state.lock();
-                if state.withdraw(id) {
+                if self.state.withdraw(id) {
                     let removal = Message::RemoveAllocation { demand: id };
-                    self.broadcast(&mut state, &removal, FrameCtx::current());
+                    self.broadcast(&removal, FrameCtx::current());
                 }
                 self.queue_to(token, &Message::WithdrawAck { id }, FrameCtx::current());
             }
             Message::RegisterBroker { dc } => {
-                let mut state = shared.state.lock();
-                state.brokers.insert(dc.clone(), token);
+                self.brokers.insert(dc.clone(), token);
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.broker_dc = Some(dc);
                     // Re-sync: a broker (re)connecting after a severed
                     // link must converge to the live allocation set.
-                    for d in &state.demands {
-                        if let Ok(frame) = encode_frame(&state.install_message(d.id)) {
+                    for d in &self.state.demands {
+                        if let Ok(frame) = encode_frame(&self.state.install_message(d.id)) {
                             conn.queue_frame(&frame);
                         }
                     }
                 }
-                shared.broker_cv.notify_all();
+                let count = self.brokers.len();
+                for (_, ready) in self.broker_waiters.extract_if(.., |(n, _)| *n <= count) {
+                    ready.send(()).ok();
+                }
             }
             Message::LinkReport { group, up } => {
                 ctrl_metrics().link_reports.inc();
                 bate_obs::warn!("ctrl.link_report", group = group, up = up);
-                let mut state = shared.state.lock();
-                let installs = state.link_report(&shared.ctx(), group as usize, up);
-                self.push(&mut state, &installs);
+                let installs = self.state.link_report(&self.net.ctx(), group as usize, up);
+                self.push(&installs);
             }
             Message::Ping { token: t } => {
                 self.queue_to(token, &Message::Pong { token: t }, None);
@@ -946,10 +935,10 @@ impl EventLoop {
     }
 
     /// Send each listed demand's current allocation to every broker.
-    fn push(&mut self, state: &mut CtrlState, installs: &[(DemandId, Option<FrameCtx>)]) {
+    fn push(&mut self, installs: &[(DemandId, Option<FrameCtx>)]) {
         for &(id, cause) in installs {
-            let msg = state.install_message(id);
-            self.broadcast(state, &msg, cause);
+            let msg = self.state.install_message(id);
+            self.broadcast(&msg, cause);
         }
     }
 
@@ -957,7 +946,7 @@ impl EventLoop {
     /// the causing span (a submit, withdraw, or link report being handled
     /// on the loop), extending the trace through to enforcement; outside
     /// any trace the frames are legacy.
-    fn broadcast(&mut self, state: &mut CtrlState, msg: &Message, cause: Option<FrameCtx>) {
+    fn broadcast(&mut self, msg: &Message, cause: Option<FrameCtx>) {
         let Ok(frame) = encode_frame_ctx(msg, cause) else {
             return;
         };
@@ -965,7 +954,7 @@ impl EventLoop {
         // on a live fd surface at flush time and retire it through the
         // sweep.
         let conns = &mut self.conns;
-        state.brokers.retain(|_, token| match conns.get_mut(token) {
+        self.brokers.retain(|_, token| match conns.get_mut(token) {
             Some(conn) if !conn.dead => {
                 conn.queue_frame(&frame);
                 true
@@ -984,33 +973,24 @@ impl EventLoop {
         }
     }
 
-    fn reap_overdue(&mut self) {
+    /// Reap connections overdue mid-frame, flush pending writes, retire
+    /// dead/EOF connections, and reconcile `EPOLLOUT` interest with actual
+    /// buffered bytes.
+    fn reap_and_sweep(&mut self) {
         let now = Instant::now();
-        let overdue: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.overdue(now))
-            .map(|(&t, _)| t)
-            .collect();
-        for token in overdue {
-            ctrl_metrics().conns_reaped.inc();
-            self.shared.reaped.fetch_add(1, Ordering::Relaxed);
-            bate_obs::warn!("ctrl.conn_reaped", token = token);
-            self.close_conn(token);
-        }
-    }
-
-    /// Flush pending writes, retire dead/EOF connections, and reconcile
-    /// `EPOLLOUT` interest with actual buffered bytes.
-    fn flush_and_sweep(&mut self) {
         let mut dead: Vec<u64> = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
-            if !conn.dead && conn.wants_write() {
+            let overdue = conn.overdue(now);
+            if overdue {
+                ctrl_metrics().conns_reaped.inc();
+                self.reaped += 1;
+                bate_obs::warn!("ctrl.conn_reaped", token = token);
+            } else if !conn.dead && conn.wants_write() {
                 conn.flush();
             }
             // EOF peers: everything they sent was processed this wakeup
             // and replies were flushed above; the socket is done.
-            if conn.dead || conn.eof {
+            if overdue || conn.dead || conn.eof {
                 dead.push(token);
             }
         }
@@ -1031,29 +1011,9 @@ impl EventLoop {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             self.poller.delete(conn.stream.as_raw_fd()).ok();
-            if let Some(dc) = &conn.broker_dc {
-                let mut state = self.shared.state.lock();
-                if state.brokers.get(dc) == Some(&token) {
-                    state.brokers.remove(dc);
-                    self.shared.broker_cv.notify_all();
-                }
+            if let Some(dc) = conn.broker_dc.filter(|dc| self.brokers.get(dc) == Some(&token)) {
+                self.brokers.remove(&dc);
             }
-            self.shared.progress.lock().remove(&token);
-        }
-    }
-
-    fn publish_progress(&self) {
-        let mut progress = self.shared.progress.lock();
-        progress.clear();
-        for (&token, conn) in &self.conns {
-            progress.insert(
-                token,
-                ConnProgress {
-                    bytes_in: conn.bytes_in,
-                    frames_in: conn.frames_in,
-                    mid_frame: conn.mid_frame(),
-                },
-            );
         }
     }
 }

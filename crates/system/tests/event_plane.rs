@@ -1,14 +1,15 @@
 //! Event-plane liveness under adversarial peers: a connection that
 //! dribbles one byte at a time or stalls mid-frame must neither block
 //! other connections (the poller keeps every other state machine
-//! progressing) nor leak — the frame-assembly deadline reaps it.
+//! progressing) nor leak — the frame-assembly deadline reaps it. A caller
+//! waiting for brokers is answered by the loop, not by polling.
 
 use bate_net::topologies;
 use bate_routing::RoutingScheme;
 use bate_system::client::DemandRequest;
 use bate_system::proto::Message;
 use bate_system::wire::encode_frame;
-use bate_system::{Client, Controller, ControllerConfig};
+use bate_system::{Broker, Client, Controller, ControllerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -101,8 +102,8 @@ fn dribbler_does_not_block_other_connections_and_is_reaped() {
 
     // Progress accounting: the dribbler's connection shows partial-frame
     // bytes but zero completed frames; the client's shows completed
-    // frames. (Snapshots publish at the end of each poll wakeup, so the
-    // one right after the reply may lag a beat — poll for it.)
+    // frames. (The loop reads progress live; poll anyway, since the
+    // dribbler's bytes arrive on their own schedule.)
     assert!(
         poll_until(Duration::from_secs(2), || {
             let progress = controller.connection_progress();
@@ -159,4 +160,33 @@ fn mid_frame_staller_is_reaped_but_idle_connections_are_not() {
     std::thread::sleep(Duration::from_millis(400));
     assert!(idle.ping().unwrap() < Duration::from_secs(1));
     assert_eq!(controller.reaped(), 1);
+}
+
+#[test]
+fn broker_waiter_times_out_or_is_answered_by_the_registration_that_reaches_it() {
+    let controller = start_controller(Duration::from_secs(30));
+
+    // No broker: the waiter is answered by its timeout, and not before.
+    let t0 = Instant::now();
+    assert!(!controller.wait_for_brokers(1, Duration::from_millis(300)));
+    assert!(t0.elapsed() >= Duration::from_millis(300));
+
+    // A waiter for two brokers, queued before either connects: the second
+    // registration answers it, well inside its timeout. The brokers'
+    // delay only makes that order the likely one; a waiter queued after
+    // them is answered at once, and every assertion holds either way.
+    let addr = controller.addr();
+    let t0 = Instant::now();
+    let brokers = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        let first = Broker::connect(addr, "DC1").unwrap();
+        let second = Broker::connect(addr, "DC2").unwrap();
+        (first, second)
+    });
+    assert!(controller.wait_for_brokers(2, Duration::from_secs(20)));
+    let waited = t0.elapsed();
+    assert!(waited >= Duration::from_millis(200), "answered before a broker connected");
+    assert!(waited < Duration::from_secs(5), "answered {waited:?} after the wait began");
+    let _brokers = brokers.join().unwrap();
+    assert_eq!(controller.broker_count(), 2);
 }

@@ -101,8 +101,14 @@ check "defer_push or too_many_arguments in crates/system/src non-test code (one 
     "$(echo "$SYSTEM_SRC" | grep -oE 'defer_push|too_many_arguments' | wc -l)" 0
 check "HashMap<u64, Conn> in controller.rs non-test code (the poll loop's field; no other function takes the connection map)" \
     "$(src crates/system/src/controller.rs | grep -c 'HashMap<u64, Conn>')" 1 1
-check "Mutex<SessionStats> in crates/system/src (the session is read under the state lock)" \
+check "Mutex<SessionStats> in crates/system/src (the session is read on the poll loop)" \
     "$(grep -rho 'Mutex<SessionStats>' crates/system/src | wc -l)" 0
+# One owner of the serving state (DESIGN.md §6y): the poll loop holds it as
+# a field, and a Controller reaches it only through the command channel.
+check "lines naming Mutex, Condvar, RwLock or an atomic type in controller.rs non-test code (the poll loop owns the serving state)" \
+    "$(src crates/system/src/controller.rs | grep -cE '\b(Mutex|Condvar|RwLock|Atomic[A-Za-z0-9]+)\b')" 0
+check ".lock() calls in controller.rs non-test code (a Controller sends the loop commands)" \
+    "$(src crates/system/src/controller.rs | grep -o '\.lock()' | wc -l)" 0
 check "DemandProfile under crates/ (MaskedProfile is the one collapsed-state type)" \
     "$(grep -rho 'DemandProfile' crates | wc -l)" 0
 # One hardening scan (DESIGN.md §6y): `harden` is the session's memoised
