@@ -18,7 +18,7 @@ use bate_core::admission::fixed::fixed_admission;
 use bate_core::incremental::{DemandDelta, IncrementalScheduler, SchedulingSession};
 use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
-use bate_core::{BaDemand, DemandId, TeContext};
+use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_lp::simplex::{solve_relaxation, solve_with, Workspace};
 use bate_lp::{milp, Problem, Relation, Sense};
 use bate_net::{topologies, traffic, ScenarioSet};
@@ -662,6 +662,94 @@ fn main() {
         "fixed_check: cold / warm {check_ratio:.2}x; the bar is 1.3x"
     );
 
+    // The check against the LP step it replaced (DESIGN.md §9): each
+    // newcomer on its pool's residual, `place_single_hard` (the up-set
+    // search, warm cache) vs the single-demand `schedule_with_capacities_mode`
+    // + `meets_target` (Eq. 4's relaxation, checked hard), five times each
+    // in alternating order; on the ATT newcomers above, and on testbed6
+    // pools shaped like the benchmark's `burst_batched` (25 hardened pools
+    // of 40, 16 newcomers each, 10-50 Mbps, β ∈ {0.9, 0.95, 0.99}). Every
+    // newcomer the LP step admits, the search admits. Acceptance: LP /
+    // search >= 1.5 on the ATT medians, and on testbed6 the search's p90 no
+    // higher than the LP step's.
+    let versus = |ctx: &TeContext,
+                  alloc: &Allocation,
+                  newcomers: &[BaDemand],
+                  us: &mut [Vec<f64>; 2]| {
+        let residual = alloc.residual_capacities(ctx);
+        let search = |d: &BaDemand| scheduling::place_single_hard(ctx, d, &residual).is_some();
+        let lp = |d: &BaDemand| {
+            let alone = std::slice::from_ref(d);
+            let res =
+                scheduling::schedule_with_capacities_mode(ctx, alone, &residual, SolveMode::Auto);
+            res.is_ok_and(|r| r.allocation.meets_target(ctx, d))
+        };
+        let mut admits = [0, 0];
+        for (i, d) in newcomers.iter().enumerate() {
+            let mut admit = [false; 2];
+            for rep in 0..5 {
+                for side in [(i + rep) % 2, 1 - (i + rep) % 2] {
+                    let t = Instant::now();
+                    admit[side] = black_box(if side == 0 { search(d) } else { lp(d) });
+                    us[side].push(t.elapsed().as_secs_f64() * 1e6);
+                }
+            }
+            assert!(
+                admit[0] || !admit[1],
+                "fixed_vs_lp: the LP step admits {:?}, the search not",
+                d.id
+            );
+            admits = [0, 1].map(|side| admits[side] + usize::from(admit[side]));
+        }
+        admits
+    };
+    let spread = |xs: &mut Vec<f64>| {
+        let (q1, median, q3) = quartiles(xs);
+        (q1, median, q3, quantile(xs, 0.9))
+    };
+    let mut att_us = [Vec::new(), Vec::new()];
+    let att_admits = versus(&ctx, &check_alloc, newcomers, &mut att_us);
+    let [att_search, att_lp] = att_us.map(|mut xs| spread(&mut xs));
+    let att_ratio = att_lp.1 / att_search.1;
+
+    let tb6 = topologies::testbed6();
+    let tb6_tunnels = TunnelSet::compute(&tb6, RoutingScheme::default_ksp4());
+    let tb6_scenarios = ScenarioSet::enumerate(&tb6, 2);
+    let tb6_ctx = TeContext::new(&tb6, &tb6_tunnels, &tb6_scenarios);
+    let tb6_pairs: Vec<usize> = (0..tb6_tunnels.num_pairs())
+        .filter(|&p| !tb6_tunnels.tunnels(p).is_empty())
+        .collect();
+    let (mut tb6_us, mut tb6_admits) = ([Vec::new(), Vec::new()], [0, 0]);
+    for seed in 0..25 {
+        let mut cfg = churn::ChurnConfig::steady(tb6_pairs.clone(), 56, 0, seed);
+        cfg.availability_targets = vec![0.9, 0.95, 0.99];
+        let stream = churn::generate(&cfg).initial;
+        let (pool, arrivals) = stream.split_at(40);
+        let alloc = scheduling::schedule_hardened(&tb6_ctx, pool)
+            .unwrap()
+            .allocation;
+        let admits = versus(&tb6_ctx, &alloc, arrivals, &mut tb6_us);
+        tb6_admits = [0, 1].map(|side| tb6_admits[side] + admits[side]);
+    }
+    let tb6_checks = tb6_us[0].len() / 5;
+    let [tb6_search, tb6_lp] = tb6_us.map(|mut xs| spread(&mut xs));
+    for (name, checks, admits, search, lp) in [
+        ("att", newcomers.len(), att_admits, att_search, att_lp),
+        ("testbed6", tb6_checks, tb6_admits, tb6_search, tb6_lp),
+    ] {
+        println!(
+            "fixed_vs_lp          {name:<8} {checks} newcomers x 5  search {:.2} us ({:.2}..{:.2}, p90 {:.2}) {} admitted  LP step {:.2} us ({:.2}..{:.2}, p90 {:.2}) {} admitted  ratio {:.2}",
+            search.1, search.0, search.2, search.3, admits[0],
+            lp.1, lp.0, lp.2, lp.3, admits[1], lp.1 / search.1,
+        );
+    }
+    assert!(
+        att_ratio >= 1.5 && tb6_search.3 <= tb6_lp.3,
+        "fixed_vs_lp: ATT LP / search {att_ratio:.2}x (bar 1.5x), testbed6 p90 {:.2} vs {:.2} us",
+        tb6_search.3,
+        tb6_lp.3
+    );
+
     // What a cold solve costs besides its pivots, on the row-generation
     // masters of two 250-demand pools of that stream (the LP `schedule`
     // solves: about 1,000 rows x 6,500 columns, different layouts), taken
@@ -925,6 +1013,16 @@ fn main() {
         json.push_str(&format!(
             "  \"fixed_check\": {{\"demands\": 250, \"newcomers\": {}, \"admitted\": {check_admits}, \"check_us\": {{\"cold\": {}, \"warm\": {}}}, \"ratio\": {check_ratio:.2}}},\n",
             newcomers.len(), side(check_cold_q), side(check_warm_q)
+        ));
+        let spread = |(q1, median, q3, p90): (f64, f64, f64, f64)| {
+            format!(
+                "{{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}, \"p90\": {p90:.3}}}"
+            )
+        };
+        json.push_str(&format!(
+            "  \"fixed_vs_lp\": {{\"att\": {{\"newcomers\": {}, \"admitted\": {{\"search\": {}, \"lp\": {}}}, \"search_us\": {}, \"lp_us\": {}, \"ratio\": {att_ratio:.2}}}, \"testbed6\": {{\"newcomers\": {tb6_checks}, \"admitted\": {{\"search\": {}, \"lp\": {}}}, \"search_us\": {}, \"lp_us\": {}}}}},\n",
+            newcomers.len(), att_admits[0], att_admits[1], spread(att_search), spread(att_lp),
+            tb6_admits[0], tb6_admits[1], spread(tb6_search), spread(tb6_lp)
         ));
         json.push_str(&format!(
             "  \"telemetry_overhead\": {{\"name\": \"{name}\", \"runs\": {overhead_reps}, \"base_median_secs\": {base_median:.9}, \"base_q1_secs\": {base_q1:.9}, \"base_q3_secs\": {base_q3:.9}, \"instrumented_median_secs\": {instrumented_median:.9}, \"instrumented_q1_secs\": {instrumented_q1:.9}, \"instrumented_q3_secs\": {instrumented_q3:.9}, \"overhead_pct\": {overhead_pct:.3}, \"overhead_q1_pct\": {overhead_q1:.3}, \"overhead_q3_pct\": {overhead_q3:.3}}}\n"

@@ -2,10 +2,10 @@
 //!
 //! Keep the bandwidth allocation of every admitted demand fixed and ask
 //! whether the newcomer alone can be scheduled on the remaining capacity
-//! with its availability target met. This is cheap (one small LP over one
-//! demand) but conservative — the paper's "Fixed" baseline in Fig. 7(a)
-//! and Fig. 12 runs *only* this step, which is why it rejects 10–20 % more
-//! demands than BATE.
+//! with its availability target met. This is cheap (for one pair, a
+//! covering LP of at most four columns per minimal qualifying up-set) but
+//! conservative — the paper's "Fixed" baseline in Fig. 7(a) and Fig. 12
+//! runs *only* this step, which is why it rejects 10–20 % more demands.
 
 use crate::allocation::Allocation;
 use crate::demand::BaDemand;
@@ -14,11 +14,13 @@ use crate::TeContext;
 /// Try to admit `new` without touching existing allocations. Returns the
 /// newcomer's allocation on success.
 ///
-/// The scheduling LP relaxes availability (continuous `B` variables), so a
-/// feasible LP does not by itself prove the *hard* target is reachable; the
-/// check therefore verifies the returned allocation against the scenario
-/// set before admitting ("check whether d can be satisfied by the remaining
-/// network capacity and failure probability", §3.2 step 1).
+/// "Check whether d can be satisfied by the remaining network capacity and
+/// failure probability" (§3.2 step 1): for one pair, [`place_single_hard`]
+/// answers the hard question, not Eq. 4's relaxation, so it admits iff a
+/// hard placement fits the residual; a multi-pair demand solves the
+/// relaxation and checks its vertex hard.
+///
+/// [`place_single_hard`]: crate::scheduling::place_single_hard
 pub fn fixed_admission(
     ctx: &TeContext,
     current: &Allocation,

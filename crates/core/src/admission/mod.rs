@@ -4,7 +4,8 @@
 //! demand arrives, BATE runs a three-step strategy:
 //!
 //! 1. [`fixed`] — keep every admitted demand's allocation untouched and try
-//!    to schedule only the newcomer on the residual capacity.
+//!    to schedule only the newcomer on the residual capacity (for one pair,
+//!    exactly: it admits iff a hard placement on the residual exists).
 //! 2. [`greedy`] — Algorithm 1: a fast conjecture on whether *rescheduling
 //!    everyone* could accommodate the newcomer. No false positives
 //!    (Theorem 1): a conjectured "yes" always has a witnessing allocation.

@@ -125,6 +125,8 @@ pub struct Classes {
     first: Vec<usize>,
     /// [`ScenarioSet::probability_of`] each class, in class order.
     pub probabilities: Vec<f64>,
+    /// [`Classes::minimal_upsets`] by its threshold's bits.
+    upsets: Mutex<HashMap<u64, Arc<[Vec<u64>]>>>,
 }
 
 impl Classes {
@@ -138,6 +140,49 @@ impl Classes {
         let same = |&c: &usize| self.dead.iter().all(|d| d.contains(z) == d.contains(c));
         let class = self.first.iter().position(same);
         class.expect("every scenario of the set is in a class")
+    }
+
+    /// The minimal up-sets of classes (each class with more tunnels up than
+    /// a member is a member) that hold class 0, the all-up one, and no class
+    /// with every tunnel down, whose probability added in class order
+    /// reaches `threshold`: each as its minimal classes' up-tunnel masks, in
+    /// a fixed order, kept by `threshold`'s bits. At most 64 tunnels and
+    /// classes; the search is exponential in them.
+    pub fn minimal_upsets(&self, threshold: f64) -> Arc<[Vec<u64>]> {
+        let memo = || self.upsets.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = memo().get(&threshold.to_bits()) {
+            return Arc::clone(hit);
+        }
+        assert!(self.first.len() <= 64, "{} classes", self.first.len());
+        let up = |c| (0..self.dead.len()).filter(move |&t| self.is_up(c, t));
+        let masks: Vec<u64> = (0..self.first.len())
+            .map(|c| up(c).fold(0, |m, t| m | 1 << t))
+            .collect();
+        let members = |set: u64| (0..masks.len()).filter(move |&c| set >> c & 1 == 1);
+        let p = |set: u64| -> f64 { members(set).map(|c| self.probabilities[c]).sum() };
+        // `d` has fewer tunnels up than `c`.
+        let below = |c: usize, d: usize| c != d && masks[d] & masks[c] == masks[d];
+        // Supersets first, so a class is decided after every class above it;
+        // a branch ends at the first set that reaches the threshold.
+        let mut order: Vec<usize> = (1..masks.len()).filter(|&c| masks[c] != 0).collect();
+        order.sort_by_key(|&c| std::cmp::Reverse(masks[c].count_ones()));
+        let (mut found, mut stack) = (Vec::new(), vec![(0, 1u64)]);
+        while let Some((at, set)) = stack.pop() {
+            if p(set) >= threshold {
+                let minimal = members(set).filter(|&c| !members(set).any(|d| below(c, d)));
+                let minimal: Vec<usize> = minimal.collect();
+                let needed = |&c: &usize| c == 0 || p(set & !(1 << c)) < threshold;
+                if minimal.iter().all(needed) {
+                    found.push(minimal.iter().map(|&c| masks[c]).collect());
+                }
+            } else if let Some(&c) = order.get(at) {
+                stack.push((at + 1, set));
+                if members(!set).all(|d| !below(d, c)) {
+                    stack.push((at + 1, set | 1 << c));
+                }
+            }
+        }
+        Arc::clone(memo().entry(threshold.to_bits()).or_insert(found.into()))
     }
 }
 
@@ -266,6 +311,7 @@ impl ScenarioSet {
             dead,
             first: classes.iter().flat_map(|c| c.iter().next()).collect(),
             probabilities: classes.iter().map(|c| self.probability_of(c)).collect(),
+            upsets: Mutex::default(),
         };
         Arc::clone(cache().entry(tunnels.to_vec()).or_insert(Arc::new(fresh)))
     }

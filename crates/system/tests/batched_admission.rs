@@ -650,6 +650,9 @@ fn batch_installs_meet_their_targets(
 /// leaves demands short and `harden` repairs them all:
 /// * testbed6, four batches of 8 (seed 70, ids 100, 100–300 Mbps, β ∈
 ///   {0.95, 0.99}): 1, 2, 3 and 5 demands short; checked by the walk;
+/// * testbed6, three batches of 8 (seed 10, ids 100, 100–300 Mbps, β ∈
+///   {0.95, 0.99}): the third batch leaves demand 204 short on the warm
+///   vertex unless `harden` re-places it exactly; checked by the walk;
 /// * B4, three batches of 12 (seed 0, ids 100, 200–800 Mbps, β ∈ {0.99,
 ///   0.999}): 2, 3 and 8 short; checked by the walk;
 /// * ATT, a batch of 250 then two of 16 (seed 0, ids 1000, 10–50 Mbps,
@@ -667,6 +670,9 @@ fn every_batch_installs_allocations_that_meet_their_targets() {
     };
     let topo = topologies::testbed6();
     let pool = batches(&topo, 70, 100, &[8, 8, 8, 8], (100.0, 300.0), &[0.95, 0.99]);
+    batch_installs_meet_their_targets(topo, &pool, walk);
+    let topo = topologies::testbed6();
+    let pool = batches(&topo, 10, 100, &[8, 8, 8], (100.0, 300.0), &[0.95, 0.99]);
     batch_installs_meet_their_targets(topo, &pool, walk);
     let topo = topologies::b4();
     let pool = batches(&topo, 0, 100, &[12, 12, 12], (200.0, 800.0), &[0.99, 0.999]);

@@ -122,6 +122,23 @@ if [[ -z "$CHECK_RATIO" ]] || ! awk -v s="$CHECK_RATIO" 'BEGIN { exit !(s >= 1.3
 fi
 echo "fixed_check cold / warm ${CHECK_RATIO}x >= 1.3x: OK"
 
+# And for the search that replaced the fixed check's LP (DESIGN.md §5,
+# Admission): `place_single_hard` against the single-demand LP +
+# `meets_target` on the same newcomers and residuals. On ATT the medians;
+# on testbed6 pools shaped like `burst_batched` the p90, which an uncached
+# search reads above the LP step's.
+echo "== fixed-check search gate (DESIGN.md §5) =="
+VERSUS=$(grep '"fixed_vs_lp"' BENCH_lp.json || true)
+VS_RATIO=$(sed -n 's/.*"att": {.*"ratio": \([0-9.]*\)}, "testbed6".*/\1/p' <<<"$VERSUS")
+SEARCH_P90=$(sed -n 's/.*"testbed6": {.*"search_us": {[^}]*"p90": \([0-9.]*\)}.*/\1/p' <<<"$VERSUS")
+LP_P90=$(sed -n 's/.*"testbed6": {.*"lp_us": {[^}]*"p90": \([0-9.]*\)}.*/\1/p' <<<"$VERSUS")
+if [[ -z "$VS_RATIO" || -z "$SEARCH_P90" || -z "$LP_P90" ]] \
+    || ! awk -v r="$VS_RATIO" -v s="$SEARCH_P90" -v l="$LP_P90" 'BEGIN { exit !(r >= 1.5 && s <= l) }'; then
+    echo "FAILED: fixed_vs_lp ATT LP / search '${VS_RATIO}' (bar 1.5x) or testbed6 p90 search '${SEARCH_P90}' vs LP '${LP_P90}' us missing or off the bar"
+    exit 1
+fi
+echo "fixed_vs_lp ATT LP / search ${VS_RATIO}x >= 1.5x, testbed6 p90 ${SEARCH_P90} <= ${LP_P90} us: OK"
+
 if [[ -n "$BASELINE" ]]; then
     echo "== diff vs $BASELINE =="
     diff -u "$BASELINE" BENCH_lp.json && echo "(no change)" || true
