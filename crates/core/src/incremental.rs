@@ -436,19 +436,9 @@ impl IncrementalScheduler {
     /// delta touched (the fast path); the certifying pass that ends every
     /// round always covers the full live set.
     fn separate(&self, sol: &Solution, dirty_only: bool) -> Vec<(usize, Vec<(usize, usize)>)> {
-        let idx: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
+        (self.slots.iter().enumerate())
             .filter(|(_, s)| s.alive && (!dirty_only || s.dirty))
-            .map(|(i, _)| i)
-            .collect();
-        let hits: Vec<Vec<(usize, usize)>> = bate_lp::par_map(&idx, |&i| {
-            let slot = &self.slots[i];
-            slot.cols.violated(&slot.demand, &slot.profile, sol)
-        });
-        idx.into_iter()
-            .zip(hits)
+            .map(|(i, s)| (i, s.cols.violated(&s.demand, &s.profile, sol)))
             .filter(|(_, v)| !v.is_empty())
             .collect()
     }

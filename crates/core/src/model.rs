@@ -295,17 +295,16 @@ pub fn separate_demand(
     out
 }
 
-/// One separation sweep over a whole model, fanned out per demand.
+/// One separation sweep over a whole model, demand by demand.
 pub(crate) fn sweep(
     demands: &[BaDemand],
     profiles: &[MaskedProfile],
     cols: &[DemandCols],
     sol: &Solution,
 ) -> Vec<Vec<(usize, usize)>> {
-    let order: Vec<usize> = (0..demands.len()).collect();
-    bate_lp::par_map(&order, |&di| {
-        cols[di].violated(&demands[di], &profiles[di], sol)
-    })
+    (demands.iter().zip(profiles).zip(cols))
+        .map(|((demand, profile), c)| c.violated(demand, profile, sol))
+        .collect()
 }
 
 /// What [`sweep`] found, as cuts in demand order, marked held.

@@ -126,8 +126,7 @@ pub struct ScheduleResult {
 }
 
 /// Registry handles for the solver/scheduling metric family, registered
-/// once and shared by every solve (including parallel hardening
-/// speculation — counter adds commute, so totals stay deterministic).
+/// once and shared by every solve, hardening re-placements included.
 struct SchedMetrics {
     solves: Arc<Counter>,
     solve_errors: Arc<Counter>,
@@ -198,7 +197,7 @@ pub fn schedule_hardened(
     demands: &[BaDemand],
 ) -> Result<ScheduleResult, SolveError> {
     // Traced rounds get a span so the master solve and the hardening
-    // sweep's fan-out solves all parent under one node.
+    // pass's re-placements all parent under one node.
     let traced = bate_obs::context::current().is_some();
     let _sp = traced.then(|| bate_obs::span!("sched.harden", demands = demands.len()));
     let t0 = Instant::now();
@@ -220,8 +219,7 @@ pub fn count_round(demands: usize, violations: usize, result: &ScheduleResult, t
     m.round_violations.add(violations as u64);
     m.round_ms.observe_ms(t0.elapsed());
     // Trace contract: this event fires from the caller's (sequential)
-    // context; the parallel hardening internals record only to the
-    // registry. Fields carry deterministic values only.
+    // context. Fields carry deterministic values only.
     bate_obs::info!(
         "sched.round",
         demands = demands,
@@ -450,19 +448,15 @@ impl Hardener {
     /// the memo. Returns how many demands still violate their hard
     /// target afterwards.
     ///
-    /// The violation scan is a plain loop (a hard-availability check
-    /// costs microseconds; spawning workers for it cost more than the
-    /// scan). The repair is parallelized speculatively while staying
-    /// **deterministic for any thread count**: the single-demand
-    /// re-placements (each an independent LP against the pre-hardening
-    /// snapshot) fan out over [`bate_lp::par_map`] for *every* violating
-    /// demand; adoption then walks the fixed order (highest β first)
-    /// sequentially, revalidating each speculative placement against the
-    /// live residual capacity — an earlier adoption may have consumed
-    /// capacity the speculation assumed — and re-solving inline only when
-    /// the speculation no longer fits. Both the speculation set and every
-    /// adoption decision are functions of the demand order alone, never
-    /// of worker scheduling.
+    /// Both steps are plain loops on the caller's thread (a hard check
+    /// costs microseconds, a single-demand re-placement tens of them;
+    /// spawning workers for either cost more than the work). The scan
+    /// finds the violators; they are then taken once each, highest β
+    /// first: lifted out of the live allocation, placed alone by
+    /// [`place_single_hard`] on the residual that allocation leaves them,
+    /// and the placement adopted, or the violation counted. Each
+    /// re-placement therefore sees the capacity every earlier adoption
+    /// took. Placing the violators jointly (ROADMAP item 1(c)) is open.
     pub fn run(
         &mut self,
         ctx: &TeContext,
@@ -478,9 +472,8 @@ impl Hardener {
         by_id.sort_by_key(|d| d.id);
         self.checks = 0;
         self.next.verdicts.reserve(demands.len());
-        let snapshot = &result.allocation;
         let mut violating: Vec<&BaDemand> = (by_id.into_iter())
-            .filter(|demand| !self.meets_target(ctx, snapshot, demand))
+            .filter(|demand| !self.meets_target(ctx, &result.allocation, demand))
             .collect();
         std::mem::swap(&mut self.last, &mut self.next);
         self.next.clear();
@@ -490,56 +483,17 @@ impl Hardener {
                 .unwrap()
                 .then_with(|| a.id.cmp(&b.id))
         });
-        // Speculative re-placement of every violating demand against the
-        // snapshot residual (lift the demand out, place it alone). Inside a
-        // trace, each worker slot carries an explicit context handoff —
-        // derived on this (parent) thread, so span identities are functions
-        // of the slot index, never of worker scheduling; outside a trace the
-        // handoffs are inert and the workers stay silent.
-        let handoffs = bate_obs::context::fan_out(violating.len(), "harden.place");
-        let spec_inputs: Vec<(&BaDemand, bate_obs::Handoff)> =
-            violating.iter().copied().zip(handoffs).collect();
-        let speculative: Vec<Option<Allocation>> = bate_lp::par_map(&spec_inputs, |(demand, h)| {
-            let _g = h.enter();
-            let mut without = snapshot.clone();
-            without.remove_demand(demand.id);
-            let residual = without.residual_capacities(ctx);
-            place_single_hard(ctx, demand, &residual)
-        });
-        // Materialize each handoff span with one close-event, emitted *here*
-        // on the parent thread after the join — sequential slot order, so the
-        // trace stays deterministic while the tree stays connected (the
-        // workers' lp.solve spans parent on these).
-        for (slot, (demand, h)) in spec_inputs.iter().enumerate() {
-            if h.ctx().is_some() {
-                bate_obs::trace::emit_with_ctx(
-                    bate_obs::trace::Level::Debug,
-                    module_path!(),
-                    "harden.place",
-                    h.ctx(),
-                    vec![
-                        ("slot", bate_obs::trace::Value::from(slot)),
-                        ("demand", bate_obs::trace::Value::from(demand.id.0)),
-                    ],
-                );
-            }
-        }
-
-        // Sequential fixed-order adoption with revalidation.
+        // Inside a trace, each re-placement is a span under the caller's
+        // (`sched.harden` in `schedule_hardened`), and its solves parent
+        // on it.
+        let traced = bate_obs::context::current().is_some();
         let mut violations = 0;
-        for (demand, spec) in violating.into_iter().zip(speculative) {
+        for demand in violating {
+            let _sp = traced.then(|| bate_obs::span!("harden.place", demand = demand.id.0));
             let mut without = result.allocation.clone();
             without.remove_demand(demand.id);
             let residual = without.residual_capacities(ctx);
-            // The hard-availability check inside `place_single_hard` is
-            // residual-independent, so a speculation that still fits the live
-            // residual is exactly what a fresh solve would be allowed to
-            // return; only the capacity side needs rechecking.
-            let chosen = match spec {
-                Some(single) if single.respects_capacity_with(ctx, &residual) => Some(single),
-                _ => place_single_hard(ctx, demand, &residual),
-            };
-            match chosen {
+            match place_single_hard(ctx, demand, &residual) {
                 Some(single) => {
                     without.adopt_demand(demand.id, &single);
                     result.allocation = without;
@@ -730,19 +684,6 @@ pub(crate) fn schedule_result<'a>(
     }
 }
 
-impl Allocation {
-    /// Capacity check against explicit capacities. Used by the hardening
-    /// pass to revalidate speculative placements against the live residual,
-    /// and by tests of the residual-capacity scheduling path.
-    pub fn respects_capacity_with(&self, ctx: &TeContext, capacities: &[f64]) -> bool {
-        let loads = self.link_loads(ctx);
-        loads
-            .iter()
-            .zip(capacities)
-            .all(|(load, cap)| *load <= cap + 1e-6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn harden_is_deterministic_across_thread_counts() {
+    fn harden_places_produce_a_well_formed_span_tree() {
         let (topo, tunnels, scenarios) = ctx_toy4(4);
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
         let n = |s: &str| topo.find_node(s).unwrap();
@@ -852,59 +793,11 @@ mod tests {
             BaDemand::single(1, pair, 12_000.0, 0.99),
             BaDemand::single(2, pair, 6_000.0, 0.95),
         ];
-
-        // Non-vacuity: at least one demand must violate pre-harden, or
-        // this test would not exercise the speculative parallel path.
         let pre = schedule(&ctx, &demands).unwrap();
         assert!(
             demands.iter().any(|d| !pre.allocation.meets_target(&ctx, d)),
             "test instance no longer triggers hardening"
         );
-
-        let run = |threads: usize| {
-            bate_lp::par::with_thread_count(threads, || {
-                let mut result = schedule(&ctx, &demands).unwrap();
-                let violations = harden(&ctx, &demands, &mut result);
-                (violations, result)
-            })
-        };
-        let (v1, r1) = run(1);
-        for threads in [2, 3, 8] {
-            let (v, r) = run(threads);
-            assert_eq!(v1, v, "violation count differs at {threads} threads");
-            assert_eq!(
-                r1.total_bandwidth.to_bits(),
-                r.total_bandwidth.to_bits(),
-                "total bandwidth differs at {threads} threads"
-            );
-            for d in &demands {
-                let a: Vec<_> = r1.allocation.flows_of(d.id).collect();
-                let b: Vec<_> = r.allocation.flows_of(d.id).collect();
-                assert_eq!(a.len(), b.len(), "flow count differs at {threads} threads");
-                for ((ta, fa), (tb, fb)) in a.iter().zip(&b) {
-                    assert_eq!(ta, tb, "tunnel differs at {threads} threads");
-                    assert_eq!(
-                        fa.to_bits(),
-                        fb.to_bits(),
-                        "flow differs at {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn harden_fan_out_produces_a_well_formed_span_tree() {
-        let (topo, tunnels, scenarios) = ctx_toy4(4);
-        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let n = |s: &str| topo.find_node(s).unwrap();
-        let pair = tunnels.pair_index(n("DC1"), n("DC4")).unwrap();
-        // Same violating instance as the determinism test: hardening has
-        // real speculative fan-out work to do.
-        let demands = vec![
-            BaDemand::single(1, pair, 12_000.0, 0.99),
-            BaDemand::single(2, pair, 6_000.0, 0.95),
-        ];
 
         let ring = bate_obs::trace::RingBufferSubscriber::new(4096);
         bate_obs::trace::install(ring.clone(), bate_obs::SimClock::shared());
@@ -933,25 +826,22 @@ mod tests {
             .expect("sched.harden span closed");
         let places: Vec<&bate_obs::Event> =
             events.iter().filter(|e| e.name == "harden.place").collect();
-        assert!(!places.is_empty(), "fan-out must materialize handoff spans");
+        assert!(!places.is_empty(), "a violator's re-placement opens a span");
         for p in &places {
             assert_eq!(
                 p.ctx.parent_span_id, harden_span.ctx.span_id,
-                "every handoff span parents on sched.harden"
+                "every harden.place span parents on sched.harden"
             );
         }
-        // Slot identities are distinct: no cross-thread leakage between
-        // worker slots.
         let place_ids: std::collections::BTreeSet<u64> =
             places.iter().map(|e| e.ctx.span_id).collect();
-        assert_eq!(place_ids.len(), places.len(), "handoff span ids collide");
-        // The workers' speculative solves parent on their own slot's
-        // handoff span (cross-thread propagation via Handoff::enter).
+        assert_eq!(place_ids.len(), places.len(), "harden.place span ids collide");
+        // A re-placement's solves parent on its own span.
         assert!(
             events
                 .iter()
                 .any(|e| e.name == "lp.solve" && place_ids.contains(&e.ctx.parent_span_id)),
-            "speculative lp.solve spans must parent on handoff spans"
+            "re-placement lp.solve spans must parent on harden.place spans"
         );
     }
 
@@ -1005,7 +895,8 @@ mod tests {
         let res =
             schedule_with_capacities_mode(&ctx, std::slice::from_ref(&d), &caps, SolveMode::Auto)
                 .unwrap();
-        assert!(res.allocation.respects_capacity_with(&ctx, &caps));
+        let loads = res.allocation.link_loads(&ctx);
+        assert!(loads.iter().zip(&caps).all(|(load, cap)| *load <= cap + 1e-6));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! pruning depths 2 and 4, testbed6 at 1 and 2, B4 at 2 — across five
 //! gravity-model traffic seeds and compare the two paths end to end.
 //!
-//! The rowgen path is additionally required to be byte-identical across
-//! thread counts (the separation fan-out is a deterministic fork-join, so
-//! worker scheduling must never leak into results).
+//! The rowgen path is additionally required to be byte-identical under
+//! any worker-count setting (its separation sweeps are plain loops on the
+//! caller's thread; no worker count may leak into results).
 
 use bate_core::admission::optimal::{maximize_admissions_mode, optimal_feasible_mode};
 use bate_core::scheduling::{self, SolveMode};

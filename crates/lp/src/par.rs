@@ -6,14 +6,19 @@
 //! of the output, and the merge is positional — no channels, no
 //! completion-order dependence. Because each result depends only on its
 //! input (never on scheduling), output is byte-identical for any thread
-//! count, which is what lets `schedule_hardened`, branch-and-bound, and
-//! the experiment sweeps parallelize without giving up reproducibility.
+//! count, which is what lets branch-and-bound node batches and the
+//! experiment sweeps parallelize without giving up reproducibility. Each
+//! item there is a whole solve or a whole run; the serving path's
+//! microsecond steps (hardening, separation sweeps) run on their caller's
+//! thread instead.
 //!
 //! The worker count comes from the `BATE_THREADS` environment variable
 //! when set (a value of `1` disables threading entirely), otherwise from
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`]; either is read once per
+//! process.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-thread override installed by [`with_thread_count`]; takes
@@ -26,14 +31,15 @@ pub fn thread_count() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
         return n.max(1);
     }
-    if let Ok(v) = std::env::var("BATE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
+    // `available_parallelism` reads the cgroup files (~20 µs a call).
+    static PROCESS: OnceLock<usize> = OnceLock::new();
+    *PROCESS.get_or_init(|| {
+        let env = std::env::var("BATE_THREADS").ok();
+        match env.and_then(|v| v.trim().parse::<usize>().ok()) {
+            Some(n) => n.max(1),
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    })
 }
 
 /// Run `f` with [`thread_count`] pinned to `n` on the current thread.

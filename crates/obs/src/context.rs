@@ -1,6 +1,6 @@
 //! Deterministic causal trace contexts: `trace_id`/`span_id`/
 //! `parent_span_id` identity for spans and events, carried on a
-//! thread-local stack and across threads/processes by explicit handoff.
+//! thread-local stack and across processes on the wire.
 //!
 //! ## Identity derivation
 //!
@@ -18,16 +18,17 @@
 //!   macro) derives a child of the current top-of-stack context and
 //!   pushes it for its scope; `event!` stamps the current context onto
 //!   every event.
-//! * **Across scoped threads:** [`fan_out`] pre-derives one child context
-//!   per worker slot *on the parent thread* (so ids depend on slot index,
-//!   not scheduling) and each worker enters its [`Handoff`] explicitly.
+//! * **Across threads:** none. Every traced step of the serving path
+//!   runs on the thread that asked for it, so a child's id is a function
+//!   of its nesting order alone. Work on another thread (a
+//!   branch-and-bound batch, a figure sweep) carries no context and
+//!   emits nothing.
 //! * **Across processes:** the wire framing carries `(trace_id, span_id)`
 //!   (see `bate-system`'s `wire` module); the receiver calls [`adopt`] to
 //!   parent its local spans on the sender's span.
 //!
 //! With no context on the stack, spans and events carry id 0 ("untraced")
-//! and behave exactly as before this layer existed — in particular the
-//! parallel solver fan-outs emit nothing unless a handoff was entered.
+//! and behave exactly as before this layer existed.
 
 use std::cell::RefCell;
 
@@ -131,7 +132,7 @@ pub(crate) fn next_child(name: &str) -> Option<SpanCtx> {
 }
 
 /// Scope guard that holds a context on this thread's stack; popping on
-/// drop. Constructed by [`root`], [`adopt`], and [`Handoff::enter`].
+/// drop. Constructed by [`root`], [`adopt`] and [`enter`].
 pub struct CtxGuard {
     /// The context this guard pushed (for callers that need to put it on
     /// the wire or into an artifact).
@@ -178,59 +179,6 @@ pub fn enter(ctx: SpanCtx) -> CtxGuard {
     CtxGuard { ctx }
 }
 
-/// A pre-derived child context for one worker slot of a scoped-thread
-/// fan-out. Derived on the *parent* thread so the id depends only on the
-/// slot index, never on worker scheduling.
-#[derive(Debug, Clone, Copy)]
-pub struct Handoff {
-    ctx: SpanCtx,
-}
-
-impl Handoff {
-    /// Enter the handed-off context on the current (worker) thread.
-    /// Returns `None` when the fan-out happened outside any trace — the
-    /// worker then emits nothing, preserving the determinism contract
-    /// for untraced parallel regions.
-    pub fn enter(&self) -> Option<CtxGuard> {
-        if self.ctx.is_some() {
-            push(self.ctx);
-            Some(CtxGuard { ctx: self.ctx })
-        } else {
-            None
-        }
-    }
-
-    /// The handed-off context (NONE outside a trace).
-    pub fn ctx(&self) -> SpanCtx {
-        self.ctx
-    }
-}
-
-/// Derive `n` sibling child contexts of the current span, one per worker
-/// slot, named `name`. Must be called on the thread that owns the parent
-/// span, *before* spawning workers.
-pub fn fan_out(n: usize, name: &'static str) -> Vec<Handoff> {
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        match stack.last_mut() {
-            Some(top) => (0..n)
-                .map(|_| {
-                    let idx = top.children;
-                    top.children += 1;
-                    Handoff {
-                        ctx: SpanCtx {
-                            trace_id: top.ctx.trace_id,
-                            span_id: span_id(top.ctx.span_id, idx, name),
-                            parent_span_id: top.ctx.span_id,
-                        },
-                    }
-                })
-                .collect(),
-            None => vec![Handoff { ctx: SpanCtx::NONE }; n],
-        }
-    })
-}
-
 /// Render an id as the fixed-width hex used in artifacts (16 lowercase
 /// hex digits; id 0 renders as all zeros but is never emitted).
 pub fn hex(id: u64) -> String {
@@ -274,23 +222,6 @@ mod tests {
         drop(g);
         assert!(!current().is_some());
         assert!(next_child("x").is_none());
-    }
-
-    #[test]
-    fn fan_out_derives_slot_stable_ids() {
-        let g = root("sweep", 9);
-        let hs = fan_out(3, "worker");
-        let ids: Vec<u64> = hs.iter().map(|h| h.ctx().span_id).collect();
-        assert_eq!(ids.len(), 3);
-        assert!(ids.iter().all(|&i| i != 0));
-        assert!(hs.iter().all(|h| h.ctx().parent_span_id == g.ctx.span_id));
-        // Same derivation again yields the *next* indices, not the same.
-        let hs2 = fan_out(3, "worker");
-        assert!(hs2.iter().zip(&hs).all(|(a, b)| a.ctx().span_id != b.ctx().span_id));
-        drop(g);
-        // Outside a trace the handoffs are inert.
-        let none = fan_out(2, "worker");
-        assert!(none.iter().all(|h| h.enter().is_none()));
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!   contract in the module docs.
 //! * [`context`] — deterministic causal trace contexts
 //!   (`trace_id`/`span_id`/`parent_span_id`, derived from request ids —
-//!   never randomness), a thread-local span stack, explicit
-//!   [`Handoff`](context::Handoff) for scoped-thread fan-outs, and
-//!   remote adoption for contexts carried across the wire.
+//!   never randomness), a thread-local span stack, and remote adoption
+//!   for contexts carried across the wire.
 //! * [`flight`] — a bounded flight-recorder ring of recent events that
 //!   dumps deterministic, causally-sliced JSONL artifacts on triggers
 //!   (cert-gate cold fallback, storm latency breach).
@@ -52,7 +51,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use clock::{Clock, SimClock, SystemClock};
-pub use context::{CtxGuard, Handoff, SpanCtx};
+pub use context::{CtxGuard, SpanCtx};
 pub use flight::FlightDump;
 pub use metrics::{Counter, Histogram, MetricKind, Registry};
 pub use trace::{

@@ -21,9 +21,10 @@
 //! ## Determinism contract
 //!
 //! Traces are bitwise-deterministic when three rules hold:
-//! 1. events are emitted only from *sequential* code (never inside
-//!    `par_map` regions — the parallel sections record to the metrics
-//!    registry instead, whose atomic adds commute);
+//! 1. events are emitted only from *sequential* code: the serving path
+//!    runs on its caller's thread, and the `par_map` regions that remain
+//!    (branch-and-bound node batches, figure sweeps) carry no context and
+//!    record to the metrics registry instead, whose atomic adds commute;
 //! 2. event fields carry only deterministic values (counts, verdicts,
 //!    virtual-time stamps — never wall-clock durations or addresses);
 //! 3. the installed clock is a [`SimClock`](crate::clock::SimClock)
