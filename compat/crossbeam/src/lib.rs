@@ -2,8 +2,8 @@
 //!
 //! Scoped threads have been in `std` since Rust 1.63, so the only piece of
 //! crossbeam this workspace's manifests reference is re-exported from the
-//! standard library. Parallel fan-out inside the workspace goes through
-//! `bate_lp::par`, which builds on these scoped threads.
+//! standard library. The one parallel fan-out inside the workspace, the
+//! figure sweeps of `bate-bench`, uses `std::thread::scope` directly.
 
 pub mod thread {
     pub use std::thread::{scope, Scope, ScopedJoinHandle};

@@ -204,6 +204,13 @@ fn best_of<R>(n: usize, f: impl FnMut() -> R) -> f64 {
     timings(n, f).into_iter().fold(f64::INFINITY, f64::min)
 }
 
+/// Sorts `xs` (seconds); returns its minimum, which a speedup gate reads,
+/// and its quartiles in ms, which BENCH_lp.json records beside it.
+fn min_and_quartiles_ms(xs: &mut [f64]) -> (f64, (f64, f64, f64)) {
+    let (q1, median, q3) = quartiles(xs);
+    (xs[0], (q1 * 1e3, median * 1e3, q3 * 1e3))
+}
+
 /// `f` on a thread of its own: the thread's `solve_relaxation` scratch
 /// starts empty and dies with it.
 fn on_own_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
@@ -334,8 +341,15 @@ fn main() {
     let solve = |pool: &[BaDemand], mode| {
         scheduling::schedule_with_capacities_mode(&ctx, pool, &caps, mode).unwrap()
     };
-    let full_secs = best_of(2, || on_own_thread(|| solve(&demands, SolveMode::Full)));
-    let rowgen_secs = best_of(2, || on_own_thread(|| solve(&demands, rowgen_mode)));
+    // The gate reads the minimum of RUNS timings per side; the quartiles
+    // are recorded beside it.
+    const RUNS: usize = 5;
+    let (full_secs, full_q) = min_and_quartiles_ms(&mut timings(RUNS, || {
+        on_own_thread(|| solve(&demands, SolveMode::Full))
+    }));
+    let (rowgen_secs, rowgen_q) = min_and_quartiles_ms(&mut timings(RUNS, || {
+        on_own_thread(|| solve(&demands, rowgen_mode))
+    }));
     // One thread for the repeated solves, so the 11.5k-row tableau goes
     // with it and is not the main thread's scratch for the rest of the run.
     let (full_warm_secs, rowgen_warm_secs, res_full, res_rg) = on_own_thread(|| {
@@ -357,10 +371,12 @@ fn main() {
     let rowgen_speedup = full_secs / rowgen_secs;
     let rowgen_warm_speedup = full_warm_secs / rowgen_warm_secs;
     println!(
-        "scheduling_rowgen    {num_scenarios} scenarios  full {:>9.3} ms ({} rows)  rowgen {:>9.3} ms ({} rows, {} rounds)  speedup {rowgen_speedup:>5.2}x  repeated on one thread: full {:>9.3} ms  rowgen {:>9.3} ms  {rowgen_warm_speedup:>5.2}x",
+        "scheduling_rowgen    {num_scenarios} scenarios {RUNS} runs  full min {:>9.3} ms median {:.3} ({} rows)  rowgen min {:>9.3} ms median {:.3} ({} rows, {} rounds)  speedup {rowgen_speedup:>5.2}x  repeated on one thread: full {:>9.3} ms  rowgen {:>9.3} ms  {rowgen_warm_speedup:>5.2}x",
         full_secs * 1e3,
+        full_q.1,
         rg.full_rows,
         rowgen_secs * 1e3,
+        rowgen_q.1,
         rg.master_rows,
         rg.rounds,
         full_warm_secs * 1e3,
@@ -384,13 +400,13 @@ fn main() {
         .collect();
     let churn_cfg = churn::ChurnConfig::steady(live_pairs, 48, 8, 11);
     let workload = churn::generate(&churn_cfg);
-    // Like the row-generation pair above, take best-of-N minimums of the
-    // round totals on both sides — single runs are too noisy to gate on.
-    let mut warm_secs = f64::INFINITY;
-    let mut cold_secs = f64::INFINITY;
+    // Like the row-generation pair above, the gate reads the minimum of
+    // RUNS round totals per side — single runs are too noisy to gate on.
+    let mut warm_runs = Vec::with_capacity(RUNS);
+    let mut cold_runs = Vec::with_capacity(RUNS);
     let mut churn_stats = Default::default();
     let mut pool_len = 0;
-    for _rep in 0..3 {
+    for _rep in 0..RUNS {
         let mut sched = IncrementalScheduler::new(&ctx);
         let fill: Vec<DemandDelta> = workload
             .initial
@@ -430,18 +446,22 @@ fn main() {
                 cold_res.total_bandwidth
             );
         }
-        warm_secs = warm_secs.min(warm_total);
-        cold_secs = cold_secs.min(cold_total);
+        warm_runs.push(warm_total);
+        cold_runs.push(cold_total);
         churn_stats = sched.stats();
         pool_len = pool.len();
     }
+    let (warm_secs, warm_q) = min_and_quartiles_ms(&mut warm_runs);
+    let (cold_secs, cold_q) = min_and_quartiles_ms(&mut cold_runs);
     let churn_speedup = cold_secs / warm_secs;
     let churn_rounds = workload.rounds.len();
     println!(
-        "churn_warm           {} demands {churn_rounds} rounds  cold {:>9.3} ms  warm {:>9.3} ms  speedup {churn_speedup:>5.2}x  ({} warm rounds, {} dual pivots, {} cert fallbacks)",
+        "churn_warm           {} demands {churn_rounds} rounds {RUNS} runs  cold min {:>9.3} ms median {:.3}  warm min {:>9.3} ms median {:.3}  speedup {churn_speedup:>5.2}x  ({} warm rounds, {} dual pivots, {} cert fallbacks)",
         pool_len,
         cold_secs * 1e3,
+        cold_q.1,
         warm_secs * 1e3,
+        warm_q.1,
         churn_stats.warm_rounds,
         churn_stats.dual_pivots,
         churn_stats.cert_fallbacks,
@@ -974,13 +994,18 @@ fn main() {
             ));
         }
         json.push_str("  ],\n");
+        let side = |(q1, median, q3): (f64, f64, f64)| {
+            format!("{{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}}}")
+        };
         json.push_str(&format!(
-            "  \"scheduling_rowgen\": {{\"scenarios\": {num_scenarios}, \"full_secs\": {full_secs:.9}, \"rowgen_secs\": {rowgen_secs:.9}, \"speedup\": {rowgen_speedup:.3}, \"full_warm_secs\": {full_warm_secs:.9}, \"rowgen_warm_secs\": {rowgen_warm_secs:.9}, \"speedup_warm\": {rowgen_warm_speedup:.3}, \"full_rows\": {}, \"master_rows\": {}, \"rounds\": {}, \"rows_added\": {}}},\n",
-            rg.full_rows, rg.master_rows, rg.rounds, rg.rows_added
+            "  \"scheduling_rowgen\": {{\"scenarios\": {num_scenarios}, \"runs\": {RUNS}, \"full_secs\": {full_secs:.9}, \"rowgen_secs\": {rowgen_secs:.9}, \"full_ms\": {}, \"rowgen_ms\": {}, \"speedup\": {rowgen_speedup:.3}, \"full_warm_secs\": {full_warm_secs:.9}, \"rowgen_warm_secs\": {rowgen_warm_secs:.9}, \"speedup_warm\": {rowgen_warm_speedup:.3}, \"full_rows\": {}, \"master_rows\": {}, \"rounds\": {}, \"rows_added\": {}}},\n",
+            side(full_q), side(rowgen_q), rg.full_rows, rg.master_rows, rg.rounds, rg.rows_added
         ));
         json.push_str(&format!(
-            "  \"churn_warm\": {{\"demands\": {}, \"rounds\": {churn_rounds}, \"cold_secs\": {cold_secs:.9}, \"warm_secs\": {warm_secs:.9}, \"speedup\": {churn_speedup:.3}, \"warm_rounds\": {}, \"dual_pivots\": {}, \"cert_fallbacks\": {}}},\n",
+            "  \"churn_warm\": {{\"demands\": {}, \"rounds\": {churn_rounds}, \"runs\": {RUNS}, \"cold_secs\": {cold_secs:.9}, \"warm_secs\": {warm_secs:.9}, \"cold_ms\": {}, \"warm_ms\": {}, \"speedup\": {churn_speedup:.3}, \"warm_rounds\": {}, \"dual_pivots\": {}, \"cert_fallbacks\": {}}},\n",
             pool_len,
+            side(cold_q),
+            side(warm_q),
             churn_stats.warm_rounds,
             churn_stats.dual_pivots,
             churn_stats.cert_fallbacks
@@ -988,9 +1013,6 @@ fn main() {
         let faults = pool250_faults.map_or(String::new(), |(median, p90)| {
             format!(", \"minor_faults_per_warm_apply\": {{\"median\": {median}, \"p90\": {p90}}}")
         });
-        let side = |(q1, median, q3): (f64, f64, f64)| {
-            format!("{{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}}}")
-        };
         json.push_str(&format!(
             "  \"churn_warm_pool250\": {{\"demands\": 250, \"rounds\": {pool250_rounds}, \"runs\": {}, \"cold_rounds\": {pool250_cold}, \"warm_apply_min_ms\": {pool250_min:.3}, \"warm_apply_median_ms\": {pool250_median:.3}, \"warm_apply_q1_ms\": {pool250_q1:.3}, \"warm_apply_q3_ms\": {pool250_q3:.3}, \"apply_p90_ms\": {pool250_p90:.3}{faults}, \"session_round_ms\": {{\"memo\": {}, \"full_scan\": {}, \"speedup\": {round_speedup:.2}}}, \"scan_checks_median\": {median_checks}}},\n",
             warm_ms.len(), side(memo_round_q), side(full_round_q)

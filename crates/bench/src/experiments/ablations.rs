@@ -155,7 +155,7 @@ pub fn harden_ablation(seeds: &[u64]) -> HardenAblation {
     let targets = AvailabilityClass::testbed_targets();
     // Per-seed rounds (a schedule plus a hardening pass each) fan out;
     // the sums below are order-independent integer counts.
-    let per_seed: Vec<(usize, usize, usize)> = bate_lp::par_map(seeds, |&seed| {
+    let per_seed: Vec<(usize, usize, usize)> = crate::par::par_map(seeds, |&seed| {
         let demands = demand_snapshot(&env, 10, (100.0, 400.0), &targets, seed);
         match schedule(&ctx, &demands) {
             Ok(mut res) => {

@@ -50,7 +50,7 @@ pub fn fig7a(horizon_min: f64, seeds: &[u64]) -> Vec<Fig7aRow> {
         .map(|&size| {
             // Seeds fan out in parallel (three simulations each); the merge
             // below keeps seed order.
-            let per_seed: Vec<[f64; 3]> = bate_lp::par_map(seeds, |&seed| {
+            let per_seed: Vec<[f64; 3]> = crate::par::par_map(seeds, |&seed| {
                 let mut wl = WorkloadConfig::testbed(pairs.clone(), seed);
                 // Demands concentrated around `size`, arrival rate scaled
                 // up so the network saturates (the paper's x-axis sweeps

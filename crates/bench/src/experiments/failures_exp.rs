@@ -66,7 +66,7 @@ pub fn fig11(runs: usize, run_min: f64) -> Vec<(&'static str, Vec<f64>)> {
         .iter()
         .map(|(te, admission, recovery)| {
             // Independent runs fan out; the collected losses keep seed order.
-            let losses: Vec<f64> = bate_lp::par_map(&run_seeds, |&seed| {
+            let losses: Vec<f64> = crate::par::par_map(&run_seeds, |&seed| {
                     let mut wl = WorkloadConfig::testbed(pairs.clone(), seed);
                 // The paper's testbed spreads 2/min over a full mesh; the
                 // reproduction's 6 pairs get the same pressure via more,
@@ -114,7 +114,7 @@ pub fn fig20(repair_times: &[f64], horizon_min: f64, seeds: &[u64]) -> Vec<Fig20
         .map(|&rt| {
             // Per-seed trials (a workload plus three simulations each) fan
             // out; merge preserves seed order.
-            let per_seed: Vec<[f64; 3]> = bate_lp::par_map(seeds, |&seed| {
+            let per_seed: Vec<[f64; 3]> = crate::par::par_map(seeds, |&seed| {
                 let mut wl = WorkloadConfig::testbed(pairs.clone(), seed);
                 // The paper's testbed spreads 2/min over a full mesh; the
                 // reproduction's 6 pairs get the same pressure via more,

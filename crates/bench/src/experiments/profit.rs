@@ -48,7 +48,7 @@ pub fn fig7cd(horizon_min: f64, seeds: &[u64]) -> Vec<Fig7cdCell> {
     for (aname, admission) in admissions {
         for (tname, te, recovery) in tes {
             // Per-seed simulations fan out; the mean is seed-order stable.
-            let gains: Vec<f64> = bate_lp::par_map(seeds, |&seed| {
+            let gains: Vec<f64> = crate::par::par_map(seeds, |&seed| {
                 let mut wl = WorkloadConfig::testbed(pairs.clone(), seed);
                 wl.refund_pool = pool.clone();
                 let horizon = horizon_min * 60.0;
@@ -98,7 +98,7 @@ pub fn fig15(rates: &[usize], seeds: &[u64]) -> Vec<Fig15Row> {
         .map(|&rate| {
             // Seeds fan out in parallel, each producing one gain value per
             // algorithm; the merge below is in seed order.
-            let per_seed: Vec<Vec<f64>> = bate_lp::par_map(seeds, |&seed| {
+            let per_seed: Vec<Vec<f64>> = crate::par::par_map(seeds, |&seed| {
                 let demands = demand_snapshot(&env, rate * 4, (100.0, 500.0), &targets, seed);
                 let baseline: f64 = demands.iter().map(|d| d.price).sum();
                 // Failure scenarios: every single fate-group failure,

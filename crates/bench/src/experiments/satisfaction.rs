@@ -28,7 +28,7 @@ pub fn fig7b(horizon_min: f64, seeds: &[u64]) -> Vec<Fig7bRow> {
     // Each seed is an independent workload plus three simulations, so the
     // seed sweep fans out in parallel; results come back in seed order and
     // the merge below is sequential, so output is thread-count independent.
-    let per_seed: Vec<[[f64; 3]; 3]> = bate_lp::par_map(seeds, |&seed| {
+    let per_seed: Vec<[[f64; 3]; 3]> = crate::par::par_map(seeds, |&seed| {
         let mut wl = WorkloadConfig::testbed(pairs.clone(), seed);
         // The paper's testbed spreads 2/min over a full mesh; the
         // reproduction's 6 pairs get the same pressure via more,
@@ -172,7 +172,7 @@ fn satisfaction_sweep(
     for rate in 1..=max_rate {
         // Seeds are independent trials: fan the sweep out, collect one
         // value per algorithm per seed, and merge in seed order.
-        let per_seed: Vec<Vec<f64>> = bate_lp::par_map(seeds, |&seed| {
+        let per_seed: Vec<Vec<f64>> = crate::par::par_map(seeds, |&seed| {
             // rate r/min with 5-min lifetimes gives ~5r active demands in the
             // paper; we use 3r demands at ~2x bandwidth for the same pressure.
             let all = demand_snapshot(&env, rate * 4, (100.0, 500.0), &targets, seed);
@@ -254,7 +254,7 @@ pub fn fig18(max_rate: usize, seeds: &[u64]) -> Vec<SatisfactionSeries> {
             let points = (1..=max_rate)
                 .map(|rate| {
                     // Per-seed trials fan out; mean over seed order.
-                    let vals: Vec<f64> = bate_lp::par_map(seeds, |&seed| {
+                    let vals: Vec<f64> = crate::par::par_map(seeds, |&seed| {
                             let all =
                                 demand_snapshot(&env, rate * 4, (100.0, 500.0), &targets, seed);
                             // BATE serves admitted demands (as in Fig. 13).

@@ -14,5 +14,6 @@
 
 pub mod experiments;
 pub mod fuzz;
+mod par;
 
 pub use experiments::common;

@@ -79,11 +79,14 @@ fn cached_collapse_equals_the_walk_bit_for_bit() {
             walk,
             "{name}: clone"
         );
+        // Two threads fill one cold cache at once, as the figure sweeps'
+        // workers share a set.
         let shared = set.clone();
-        let racing = bate_lp::par::with_thread_count(2, || {
-            bate_lp::par_map(&[0, 1], |_| {
-                collapse_all(&topo, &tunnels, &shared, &tracked)
-            })
+        let racing: Vec<Vec<Bits>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| collapse_all(&topo, &tunnels, &shared, &tracked)))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         for (thread, profiles) in racing.iter().enumerate() {
             assert_eq!(profiles, &walk, "{name}: thread {thread}");

@@ -17,8 +17,8 @@
 //!   warm one must pass its gate against or be redone as, and
 //! * a **branch-and-bound** MILP solver ([`milp`]): one tree search,
 //!   over a fixed problem or a master that a separation oracle grows,
-//!   supporting binary and general integer variables, with deterministic
-//!   batch-parallel node evaluation ([`par`]).
+//!   supporting binary and general integer variables, run on its caller's
+//!   thread in a fixed batch order.
 //!
 //! Both are exact methods, so optimization results match what the paper's
 //! solver would produce (up to numerical tolerance); only absolute solve
@@ -47,7 +47,6 @@
 
 pub mod error;
 pub mod milp;
-pub mod par;
 pub mod problem;
 pub mod simplex;
 pub mod solution;
@@ -55,7 +54,6 @@ pub mod stats;
 pub mod warm;
 
 pub use error::SolveError;
-pub use par::{par_map, par_map_with, thread_count};
 pub use problem::{Problem, Relation, Sense, VarId, VarKind};
 pub use milp::{solve_lazy, solve_lp_lazy, solve_traced_lazy, LazyLpLog, LazyRow};
 pub use simplex::{register_phase_metrics, Workspace};

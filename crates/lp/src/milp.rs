@@ -5,28 +5,30 @@
 //! root problem. Branching picks the integer variable whose relaxation value
 //! is most fractional.
 //!
-//! ## Parallel node evaluation
+//! ## Node order
 //!
-//! Relaxations are evaluated in **fixed-size batches** ([`NODE_BATCH`] nodes
-//! popped per round, independent of thread count) fanned out over
-//! [`crate::par::par_map_with`], then processed strictly in batch order:
-//! node accounting, incumbent updates, pruning, and branching all happen
-//! sequentially. Because each node's relaxation depends only on the problem
-//! and its bound overrides (properties of the search tree, never of worker
-//! scheduling — every node solves cold), the solver returns
-//! **byte-identical results for any thread count** — including 1. The cost
-//! is bounded speculation: an incumbent found at position `i` of a batch
-//! cannot cancel the (already evaluated) relaxations at positions `> i`, so
-//! up to `NODE_BATCH - 1` solves per improvement are wasted relative to pure
-//! sequential DFS.
+//! The search runs on its caller's thread. Nodes leave the stack in
+//! **batches**: while the frontier is thinner than [`NODE_BATCH`] one node
+//! at a time (plain DFS, which dives to an incumbent fast), otherwise
+//! [`NODE_BATCH`] at once (the ramp rule). Every relaxation of a batch is solved against
+//! the master as it stood when the batch was popped, in stack order, and
+//! only then are the nodes processed in that order: node accounting,
+//! incumbent updates, pruning, separation and branching. An incumbent
+//! found at position `i` of a batch therefore cannot cancel the
+//! relaxations at positions `> i`; up to `NODE_BATCH - 1` solves per
+//! improvement are spent past it.
 //!
-//! Each worker thread owns a [`simplex::Workspace`], so tableau buffers
-//! are reused across the nodes of its chunk. A workspace carries no rows
-//! and no basis from one solve to the next, so which chunk-mate ran before
-//! a node cannot reach its result.
+//! The batches are not a speed device. They fix the node order, and with
+//! it the node counts, incumbent trajectories and `NodeLimit` outcomes,
+//! that every pinned MILP result in the workspace was produced under. A
+//! search that pops one node at a time, or solves each batch-mate against
+//! the master as the earlier ones grew it, visits a different tree.
+//!
+//! Every node solves cold on one [`simplex::Workspace`] the search owns,
+//! which carries no rows and no basis from one solve to the next, so a
+//! node's vertex is a function of the node alone.
 
 use crate::error::SolveError;
-use crate::par::par_map_with;
 use crate::problem::{Problem, Relation, Sense, VarId, VarKind};
 use crate::simplex::{self, BoundOverride};
 use crate::solution::Solution;
@@ -34,8 +36,7 @@ use crate::stats::{IncumbentPoint, MilpStats, SolveStats};
 use crate::INT_EPS;
 use std::time::{Duration, Instant};
 
-/// Nodes evaluated per parallel batch. Fixed (not derived from the thread
-/// count) so search behavior is reproducible on any machine.
+/// Nodes popped per batch once the frontier is this deep (module doc).
 const NODE_BATCH: usize = 8;
 
 /// Search limits for branch-and-bound.
@@ -158,9 +159,9 @@ fn lazy_lp_loop(
 /// that makes the search exactly equivalent to branch-and-bound on the
 /// full problem: same optimal objective, same feasible/infeasible
 /// verdict. `separate` must be deterministic (a pure function of the
-/// candidate solution and the rows appended so far) for solves to stay
-/// byte-identical across thread counts; it is only ever called from the
-/// sequential batch-processing loop.
+/// candidate solution and the rows appended so far) for solves to be
+/// reproducible; it is called while a batch is processed, never between
+/// the solves of one.
 ///
 /// Two guards close gaps in that argument that `separate` alone cannot:
 ///
@@ -215,9 +216,8 @@ pub fn solve_traced_lazy(
 }
 
 /// [`solve`], additionally returning the search statistics — node count,
-/// maximum depth, aggregate LP work, and the incumbent trajectory. All
-/// accounting happens in the sequential batch-processing loop, so the
-/// stats are byte-identical across thread counts.
+/// maximum depth, aggregate LP work, and the incumbent trajectory, booked
+/// as each batch is processed in node order.
 pub fn solve_traced(
     problem: &Problem,
     config: BnbConfig,
@@ -267,8 +267,7 @@ impl Master<'_> {
 
     /// Ask the oracle about `cand` and append what it reports. True when
     /// rows were appended: the caller re-queues its node against the
-    /// tightened master (later batches re-prepare their workspaces
-    /// against the grown row set by themselves).
+    /// tightened master (later batches solve against the grown row set).
     fn separate(&mut self, cand: &Solution, stats: &mut MilpStats) -> bool {
         let Master::Lazy(problem, separate) = self else {
             return false;
@@ -305,16 +304,10 @@ fn branch_and_bound(
     }
     let mut stack: Vec<Node> = vec![Node { bounds: Vec::new() }];
     let mut batch: Vec<Node> = Vec::with_capacity(NODE_BATCH);
+    let mut ws = simplex::Workspace::new();
 
     while !stack.is_empty() {
-        // Pop a batch (stack order) and evaluate the relaxations in
-        // parallel, one workspace per worker thread. While the frontier is
-        // thin, pop a single node — that is exactly sequential DFS, which
-        // dives to an incumbent fast; only a frontier at least NODE_BATCH
-        // deep fans out, bounding how much the batch can speculate past a
-        // yet-undiscovered incumbent. The ramp rule depends only on the
-        // stack (search state), never the thread count, so determinism is
-        // preserved.
+        // Pop a batch in stack order (the ramp rule of the module doc).
         batch.clear();
         let take = if stack.len() >= NODE_BATCH {
             NODE_BATCH
@@ -335,17 +328,14 @@ fn branch_and_bound(
         // a function of the node alone. Warm starts live in the
         // round-to-round scheduling flow ([`crate::warm`]), not inside
         // the tree search.
-        let evaluated: Vec<Result<Solution, SolveError>> = {
-            let problem = master.problem();
-            par_map_with(&batch, simplex::Workspace::new, |ws, node: &Node| {
-                simplex::solve_with(problem, &node.bounds, ws)
-            })
-        };
+        let evaluated: Vec<Result<Solution, SolveError>> = batch
+            .iter()
+            .map(|node| simplex::solve_with(master.problem(), &node.bounds, &mut ws))
+            .collect();
 
-        // Process strictly in batch order: this loop is the only place
-        // search state (incumbent, node budget, stack, row pool) changes
-        // and the only place the oracle runs, so results do not depend on
-        // how the batch was scheduled over threads.
+        // Process in batch order: this loop is the only place search
+        // state (incumbent, node budget, stack, row pool) changes and the
+        // only place the oracle runs.
         for (node, relax) in batch.drain(..).zip(evaluated) {
             if nodes >= config.max_nodes {
                 // Out of budget: report the incumbent if we have one.
@@ -562,11 +552,11 @@ mod tests {
     }
 
     #[test]
-    fn byte_identical_across_thread_counts() {
+    fn double_knapsack_search_tree_is_pinned() {
         // A MILP big enough to branch repeatedly: a 12-item knapsack with
-        // two capacity rows. Every thread count must produce bit-identical
-        // objective and values (node evaluation is batch-synchronous and
-        // every relaxation solves cold, independent of worker chunking).
+        // two capacity rows. The node order (batches, ramp rule, cold
+        // relaxations) fixes the tree, its LP work and the nodes at which
+        // each incumbent was found.
         let mut p = Problem::new(Sense::Maximize);
         let items: Vec<_> = (0..12).map(|_| p.add_binary_var()).collect();
         for (i, &x) in items.iter().enumerate() {
@@ -586,12 +576,7 @@ mod tests {
         p.add_constraint(&w1, Relation::Le, 14.0);
         p.add_constraint(&w2, Relation::Le, 11.0);
 
-        let solve_at = |threads: usize| {
-            crate::par::with_thread_count(threads, || {
-                solve_traced(&p, BnbConfig::default()).unwrap()
-            })
-        };
-        let (base, base_stats) = solve_at(1);
+        let (base, base_stats) = solve_traced(&p, BnbConfig::default()).unwrap();
         // The search as the eager loop ran it before it was folded into
         // the shared one: same tree, and no oracle was ever asked.
         let s = &base_stats;
@@ -607,25 +592,11 @@ mod tests {
             Some(base.objective),
             "the incumbent trajectory must end at the returned optimum"
         );
-        for threads in [2, 3, 8] {
-            let (s, stats) = solve_at(threads);
-            assert_eq!(
-                base.objective.to_bits(),
-                s.objective.to_bits(),
-                "objective differs at {threads} threads"
-            );
-            assert_eq!(base.values.len(), s.values.len());
-            for (a, b) in base.values.iter().zip(&s.values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "values differ at {threads} threads");
-            }
-            // Node accounting is sequential, so stats are identical too.
-            assert_eq!(base_stats, stats, "search stats differ at {threads} threads");
-        }
     }
 
     #[test]
     fn lazy_rows_match_full_formulation() {
-        // The 12-item double-knapsack from the determinism test, but with
+        // The 12-item double-knapsack of the pinned-tree test, but with
         // the second capacity row revealed lazily by a separation oracle.
         // Branch-and-cut must land on the same optimum as the full solve.
         let build = |with_w2: bool| {
@@ -676,37 +647,6 @@ mod tests {
         // The hidden row matters for this instance, so it must have been
         // pulled in (otherwise the LP bound would overshoot the optimum).
         assert_eq!(stats.lazy_rows_added, 1);
-
-        // Determinism across thread counts, oracle included.
-        let solve_at = |threads: usize| {
-            crate::par::with_thread_count(threads, || {
-                let (mut master, w2) = build(false);
-                let mut appended = false;
-                solve_traced_lazy(&mut master, BnbConfig::default(), |cand| {
-                    let lhs: f64 = w2.iter().map(|&(x, c)| c * cand[x]).sum();
-                    if !appended && lhs > 11.0 + 1e-9 {
-                        appended = true;
-                        vec![LazyRow {
-                            terms: w2.clone(),
-                            relation: Relation::Le,
-                            rhs: 11.0,
-                        }]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .unwrap()
-            })
-        };
-        let (base, base_stats) = solve_at(1);
-        for threads in [2, 3, 8] {
-            let (s, stats) = solve_at(threads);
-            assert_eq!(base.objective.to_bits(), s.objective.to_bits());
-            for (a, b) in base.values.iter().zip(&s.values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "values differ at {threads} threads");
-            }
-            assert_eq!(base_stats, stats, "stats differ at {threads} threads");
-        }
     }
 
     #[test]
@@ -724,7 +664,7 @@ mod tests {
         // * `nj` junk gadgets — binary `j`, continuous `j' <= min(j, 1-j)`
         //   with reward on `j'` — each relax at j = j' = 0.5, and both
         //   branches of `j` stay feasible, so the DFS frontier grows past
-        //   NODE_BATCH and batches genuinely fan out.
+        //   NODE_BATCH and nodes leave the stack in batches.
         // * a z-gadget — `r <= 2z`, `r <= 2 - 2z`, and the reward on `r`
         //   (15) exceeding the combined a/b reward slack — pins z = 0.5
         //   and r = 1 in every relaxation, which through the shared gate
@@ -769,50 +709,33 @@ mod tests {
         let want = solve(&full, BnbConfig::default()).unwrap();
         approx(want.objective, 10.0);
 
-        let solve_at = |threads: usize| {
-            crate::par::with_thread_count(threads, || {
-                let (mut master, hidden) = build(false);
-                let mut added = vec![false; hidden.len()];
-                solve_traced_lazy(&mut master, BnbConfig::default(), |cand| {
-                    let mut cuts = Vec::new();
-                    for (ri, (terms, rhs)) in hidden.iter().enumerate() {
-                        if added[ri] {
-                            continue; // "the LP enforces it already"
-                        }
-                        let lhs: f64 = terms.iter().map(|&(x, c)| c * cand[x]).sum();
-                        if lhs > rhs + 1e-9 {
-                            added[ri] = true;
-                            cuts.push(LazyRow {
-                                terms: terms.clone(),
-                                relation: Relation::Le,
-                                rhs: *rhs,
-                            });
-                        }
-                    }
-                    cuts
-                })
-                .unwrap()
-            })
-        };
-        let (base, base_stats) = solve_at(1);
-        approx(base.objective, want.objective);
+        let (mut master, hidden) = build(false);
+        let mut added = vec![false; hidden.len()];
+        let (sol, stats) = solve_traced_lazy(&mut master, BnbConfig::default(), |cand| {
+            let mut cuts = Vec::new();
+            for (ri, (terms, rhs)) in hidden.iter().enumerate() {
+                if added[ri] {
+                    continue; // "the LP enforces it already"
+                }
+                let lhs: f64 = terms.iter().map(|&(x, c)| c * cand[x]).sum();
+                if lhs > rhs + 1e-9 {
+                    added[ri] = true;
+                    cuts.push(LazyRow {
+                        terms: terms.clone(),
+                        relation: Relation::Le,
+                        rhs: *rhs,
+                    });
+                }
+            }
+            cuts
+        })
+        .unwrap();
+        approx(sol.objective, want.objective);
         assert!(
-            full.is_feasible(&base.values, 1e-6),
+            full.is_feasible(&sol.values, 1e-6),
             "lazy incumbent violates the hidden row"
         );
-        assert_eq!(base_stats.lazy_rows_added, 1);
-        for threads in [2, 4, 8] {
-            let (s, stats) = solve_at(threads);
-            assert_eq!(
-                base.objective.to_bits(),
-                s.objective.to_bits(),
-                "objective differs at {threads} threads"
-            );
-            for (va, vb) in base.values.iter().zip(&s.values) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "values differ at {threads} threads");
-            }
-            assert_eq!(base_stats, stats, "stats differ at {threads} threads");
-        }
+        assert_eq!(stats.lazy_rows_added, 1);
     }
 
     /// `min x + y` over `x + y >= 1/4`, with `x + y >= 2` held back: one

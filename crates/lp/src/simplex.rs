@@ -208,12 +208,11 @@ pub type BoundOverride = (usize, f64, f64);
 /// them from the [`Problem`] it is given.
 ///
 /// It carries nothing of one solve's *answer* into the next [`solve_with`],
-/// so a result never depends on what the workspace solved before — the
-/// parallel branch-and-bound hands workspaces to worker threads on that
-/// footing. The matrix starts every solve all-zero: whoever dirtied it
-/// sweeps the cells it may have written (`O(nnz)`, not a matrix-sized
-/// memset) — [`solve_relaxation`] on its way out, an owner that calls
-/// [`solve_with`] again at the start of the next `build`.
+/// so a result never depends on what the workspace solved before. The
+/// matrix starts every solve all-zero: whoever dirtied it sweeps the cells
+/// it may have written (`O(nnz)`, not a matrix-sized memset) —
+/// [`solve_relaxation`] on its way out, an owner that calls [`solve_with`]
+/// again (a branch-and-bound search) at the start of the next `build`.
 #[derive(Debug, Default)]
 pub struct Workspace {
     tab: Tableau,
@@ -328,10 +327,9 @@ fn fresh_stats(tab: &Tableau, warm_start: bool) -> SolveStats {
 }
 
 /// Open the `lp.solve` span for a solve about to run on `tab`. Only
-/// solves inside an active trace get one: the parallel hardening sweep
-/// calls in here from `par_map` workers with no context, and emitting from
-/// those threads would interleave nondeterministically (see the
-/// determinism contract in `bate_obs`).
+/// solves inside an active trace get one: a solve outside every trace
+/// root (a figure sweep's worker, a bench loop) stays silent rather than
+/// open a root of its own.
 fn open_span(tab: &Tableau) -> Option<bate_obs::trace::SpanGuard> {
     bate_obs::context::current().is_some().then(|| {
         bate_obs::span!(

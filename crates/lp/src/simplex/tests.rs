@@ -22,7 +22,7 @@ mod solve_tests {
         let ring = bate_obs::trace::RingBufferSubscriber::new(64);
         bate_obs::trace::install(ring.clone(), bate_obs::SimClock::shared());
         // Untraced solve: no context on this thread, so the solver stays
-        // silent (the par_map determinism contract).
+        // silent (rule 1 of the bate_obs determinism contract).
         p.solve().unwrap();
         assert!(ring.events().is_empty());
         // Traced solve: one lp.solve close-event, parented on the root

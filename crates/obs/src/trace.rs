@@ -21,10 +21,11 @@
 //! ## Determinism contract
 //!
 //! Traces are bitwise-deterministic when three rules hold:
-//! 1. events are emitted only from *sequential* code: the serving path
-//!    runs on its caller's thread, and the `par_map` regions that remain
-//!    (branch-and-bound node batches, figure sweeps) carry no context and
-//!    record to the metrics registry instead, whose atomic adds commute;
+//! 1. events are emitted only from *sequential* code: every library crate
+//!    (the serving path, the solver, branch-and-bound included) runs on
+//!    its caller's thread, and the one fan-out left, the figure sweeps'
+//!    workers, carries no context and records to the metrics registry
+//!    instead, whose atomic adds commute;
 //! 2. event fields carry only deterministic values (counts, verdicts,
 //!    virtual-time stamps — never wall-clock durations or addresses);
 //! 3. the installed clock is a [`SimClock`](crate::clock::SimClock)

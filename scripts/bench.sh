@@ -24,6 +24,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tier-1: tests =="
 cargo test -q --offline
 
+# The figure sweeps are the workspace's one parallel fan-out (DESIGN.md
+# §5b): a sweep's rows must not depend on its worker count.
+echo "== sweep determinism (DESIGN.md §5b) =="
+FIG11_ONE=$(BATE_THREADS=1 cargo run -q --release --offline -p bate-bench --bin figures quick fig11)
+FIG11_FOUR=$(BATE_THREADS=4 cargo run -q --release --offline -p bate-bench --bin figures quick fig11)
+if [[ -z "$FIG11_ONE" ]] || ! diff <(echo "$FIG11_ONE") <(echo "$FIG11_FOUR"); then
+    echo "FAILED: figures quick fig11 is empty or differs between 1 and 4 sweep workers"
+    exit 1
+fi
+echo "figures quick fig11 identical at 1 and 4 sweep workers: OK"
+
 echo "== lp kernel benchmarks =="
 cargo bench -q --offline -p bate-bench --bench lp -- --emit-json
 

@@ -132,13 +132,15 @@ check "capped flow-column loops (a Σf <= b row) in crates/baselines/src non-tes
 check "names of the deleted SLO engine in crates/, src/, examples/ and scripts/" \
     "$(grep -rhoE 'SloEngine|SloSpec|SloKind|SloStatus|SloQuery|slo_report|record_sample' \
         crates src examples scripts --exclude=dupcheck.sh | wc -l)" 0
-# The serving path runs on its caller's thread (DESIGN.md §5b): no worker
-# fan-out, and no worker-count read, in core or the controller; par_map is
-# for branch-and-bound node batches and the figure sweeps. Nothing hands a
-# trace context to another thread.
-check "par_map, par_map_with or thread_count in crates/core/src and crates/system/src non-test code" \
-    "$(find crates/core/src crates/system/src -name '*.rs' | while read -r f; do src "$f"; done \
-        | grep -oE 'par_map(_with)?|thread_count' | wc -l)" 0
+# The library runs on its caller's thread (DESIGN.md §5b): no worker
+# fan-out, no thread spawned and no worker-count read in the non-test code
+# of the solver, the models, the network and routing layers or the
+# simulator. The one fan-out, the figure sweeps, is bate-bench's private
+# par module. Nothing hands a trace context to another thread.
+check "par_map, par_map_with, thread_count, with_thread_count, thread::scope, thread::spawn or BATE_THREADS in crates/{lp,core,net,routing,sim}/src non-test code" \
+    "$(find crates/lp/src crates/core/src crates/net/src crates/routing/src crates/sim/src -name '*.rs' \
+        | while read -r f; do src "$f"; done \
+        | grep -oE 'par_map(_with)?|(with_)?thread_count|thread::(scope|spawn)|BATE_THREADS' | wc -l)" 0
 check "fan_out or Handoff under crates/ (trace contexts stay on their thread)" \
     "$(grep -rhoE 'fan_out|Handoff' crates | wc -l)" 0
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
