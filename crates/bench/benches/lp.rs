@@ -1,8 +1,9 @@
 //! Microbenchmarks for the LP kernel (`bate_lp::simplex`): cold solves of
 //! three scheduling-LP sizes and a branch-and-bound admission instance
-//! solved end to end, then the paths built on it (row generation, warm
-//! churn, scenario sweeps, the fixed admission check, cold set-up, idle
-//! columns, telemetry overhead).
+//! solved end to end, then the paths built on it (OPT's up-set search
+//! against the admission MILP, row generation, warm churn, scenario
+//! sweeps, the fixed admission check, cold set-up, idle columns,
+//! telemetry overhead).
 //!
 //! Custom harness (no criterion): the driver needs machine-readable
 //! output, so `--emit-json` writes `BENCH_lp.json` at the repository root
@@ -14,7 +15,9 @@
 //! cargo bench -p bate-bench --bench lp -- --emit-json
 //! ```
 
+use bate_bench::common::Env;
 use bate_core::admission::fixed::fixed_admission;
+use bate_core::admission::optimal::{admission_milp, optimal_feasible, upset_search};
 use bate_core::incremental::{DemandDelta, IncrementalScheduler, SchedulingSession};
 use bate_core::profile::MaskedProfile;
 use bate_core::scheduling::{self, SolveMode};
@@ -26,6 +29,7 @@ use bate_obs::{NoopSubscriber, Registry, SystemClock};
 use bate_reference::{achieved_availability_walk, collapse_walk, verify_certificate};
 use bate_routing::{RoutingScheme, TunnelSet};
 use bate_sim::churn;
+use bate_sim::workload::{generate, BandwidthModel, GeneratedDemand, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
@@ -260,6 +264,37 @@ fn minor_faults() -> Option<u64> {
         .ok()
 }
 
+/// The pool OPT decides when `newcomer` arrives in a run of the
+/// simulator's Optimal strategy over `workload`: arrivals before `horizon`
+/// in time order, each earlier one admitted iff `optimal_feasible` says so
+/// and leaving `duration` after it arrived; the admitted demands still
+/// present, in admission order, then the newcomer.
+fn opt_pool(
+    ctx: &TeContext,
+    workload: &[GeneratedDemand],
+    horizon: f64,
+    newcomer: u64,
+) -> Vec<BaDemand> {
+    let mut arrivals: Vec<&GeneratedDemand> = workload
+        .iter()
+        .filter(|g| g.arrival_time < horizon)
+        .collect();
+    arrivals.sort_by(|a, b| a.arrival_time.total_cmp(&b.arrival_time));
+    let mut active: Vec<(f64, BaDemand)> = Vec::new();
+    for g in arrivals {
+        active.retain(|(leaves, _)| *leaves > g.arrival_time);
+        let mut pool: Vec<BaDemand> = active.iter().map(|(_, d)| d.clone()).collect();
+        pool.push(g.demand.clone());
+        if g.demand.id.0 == newcomer {
+            return pool;
+        }
+        if optimal_feasible(ctx, &pool).unwrap() {
+            active.push((g.arrival_time + g.duration, g.demand.clone()));
+        }
+    }
+    panic!("no arrival {newcomer} before {horizon} s");
+}
+
 struct BenchRow {
     name: &'static str,
     vars: usize,
@@ -310,6 +345,63 @@ fn main() {
         runs,
         secs: quartiles(&mut timings(runs, || milp::solve(&p, cfg).unwrap())),
     });
+
+    // OPT (DESIGN.md §9) on two pools the figures decide: the up-set
+    // search (`upset_search`) against the full Appendix-A feasibility MILP
+    // at the production budget of 400 nodes, 5 runs per side in
+    // alternating order. `fig12`: B4 at y = 1, 4 arrivals/min, seed 1, the
+    // 10-min horizon of `figures quick fig12`, the pool newcomer 17 meets,
+    // which the MILP decides. `fig7a_50`: the testbed at 50 Mbps, seed 1,
+    // the 3-min horizon of `fig7a_shapes`, the pool newcomer 13 meets,
+    // where the MILP stops at `NodeLimit` (EXPERIMENTS.md E45). The search
+    // must admit both, with a witness that meets every target. Acceptance
+    // (scripts/bench.sh): the search's median no higher than the MILP's
+    // on `fig12`.
+    let b4_env = Env::new(topologies::b4(), RoutingScheme::default_ksp4(), 1);
+    let mut wl = WorkloadConfig::simulation(b4_env.demand_pairs(6, 7), 4.0, 1);
+    wl.bandwidth = BandwidthModel::Uniform {
+        lo: 10.0 * 8.0,
+        hi: 50.0 * 8.0,
+    };
+    let fig12_workload = generate(&wl, &b4_env.tunnels, 600.0);
+    let tb_env = Env::testbed();
+    let mut wl = WorkloadConfig::testbed(tb_env.demand_pairs(6, 99), 1);
+    wl.arrivals_per_min = 6.0;
+    wl.bandwidth = BandwidthModel::Uniform {
+        lo: 50.0 * 0.8 * 5.0,
+        hi: 50.0 * 1.2 * 5.0,
+    };
+    let fig7a_workload = generate(&wl, &tb_env.tunnels, 180.0);
+    let mut opt_rows = Vec::new();
+    for (name, env, workload, horizon, newcomer) in [
+        ("fig12", &b4_env, &fig12_workload, 600.0, 17),
+        ("fig7a_50", &tb_env, &fig7a_workload, 180.0, 13),
+    ] {
+        let ctx = env.ctx();
+        let pool = opt_pool(&ctx, workload, horizon, newcomer);
+        let found = upset_search(&ctx, &pool).unwrap();
+        let witness = found.witness.as_ref().expect("OPT admits the pool");
+        assert!(pool.iter().all(|d| witness.meets_target(&ctx, d)), "{name}");
+        let milp_p = admission_milp(&ctx, &pool, true).unwrap();
+        let cfg = milp::BnbConfig {
+            max_nodes: 400,
+            gap: 1e-6,
+        };
+        let outcome = match milp::solve(&milp_p, cfg) {
+            Ok(_) => "feasible".to_string(),
+            Err(e) => format!("{e:?}"),
+        };
+        let [search_q, milp_q] = paired_ms(
+            5,
+            &|| _ = black_box(upset_search(&ctx, &pool)),
+            &|| _ = black_box(milp::solve(&milp_p, cfg)),
+        );
+        println!(
+            "opt_search           {name:<8} {} demands  search {:.3} ms ({:.3}..{:.3}) {} nodes  MILP {:.3} ms ({:.3}..{:.3}) {outcome}",
+            pool.len(), search_q.1, search_q.0, search_q.2, found.nodes, milp_q.1, milp_q.0, milp_q.2,
+        );
+        opt_rows.push((name, pool.len(), found.nodes, outcome, search_q, milp_q));
+    }
 
     // Full formulation vs row generation on a real >= 1k-scenario
     // instance: ATT (25 sites, 56 physical links) pruned at y = 2 gives
@@ -1036,6 +1128,16 @@ fn main() {
             "  \"fixed_check\": {{\"demands\": 250, \"newcomers\": {}, \"admitted\": {check_admits}, \"check_us\": {{\"cold\": {}, \"warm\": {}}}, \"ratio\": {check_ratio:.2}}},\n",
             newcomers.len(), side(check_cold_q), side(check_warm_q)
         ));
+        let opt: Vec<String> = (opt_rows.iter())
+            .map(|(name, demands, nodes, outcome, search_q, milp_q)| {
+                format!(
+                    "\"{name}\": {{\"demands\": {demands}, \"runs\": 5, \"search_nodes\": {nodes}, \"milp_outcome\": \"{outcome}\", \"search_ms\": {}, \"milp_ms\": {}}}",
+                    side(*search_q),
+                    side(*milp_q)
+                )
+            })
+            .collect();
+        json.push_str(&format!("  \"opt_search\": {{{}}},\n", opt.join(", ")));
         let spread = |(q1, median, q3, p90): (f64, f64, f64, f64)| {
             format!(
                 "{{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}, \"p90\": {p90:.3}}}"

@@ -69,6 +69,15 @@ fn case_studies(cases: &[motivating::CaseStudy]) {
     }
 }
 
+/// A row's note of the OPT checks a limit decided (booked as rejections),
+/// when there are any.
+fn undecided(count: usize) -> String {
+    match count {
+        0 => String::new(),
+        n => format!("  (OPT undecided: {n})"),
+    }
+}
+
 fn print_cdf(name: &str, samples: &[f64]) {
     if samples.is_empty() {
         println!("  {name:<8}  (no samples)");
@@ -122,11 +131,12 @@ fn main() {
                 );
                 for r in admission_exp::fig7a(effort.horizon_min, &effort.seeds) {
                     println!(
-                        "  {:>6.0}  {:>7.1}%  {:>7.1}%  {:>7.1}%",
+                        "  {:>6.0}  {:>7.1}%  {:>7.1}%  {:>7.1}%{}",
                         r.demand_mbps,
                         r.fixed * 100.0,
                         r.bate * 100.0,
-                        r.optimal * 100.0
+                        r.optimal * 100.0,
+                        undecided(r.opt_undecided)
                     );
                 }
             }
@@ -192,7 +202,7 @@ fn main() {
                 );
                 for r in admission_exp::fig12(effort.max_rate.min(4), effort.horizon_min, 1) {
                     println!(
-                        "  {:>4.0}  {:>6.1}%/{:>5.1}%/{:>5.1}%  {:>6.1}%/{:>5.1}%/{:>5.1}%  {:>8.2}/{:>7.2}/{:>7.2}  {:>5.1}%/{:>5.1}%",
+                        "  {:>4.0}  {:>6.1}%/{:>5.1}%/{:>5.1}%  {:>6.1}%/{:>5.1}%/{:>5.1}%  {:>8.2}/{:>7.2}/{:>7.2}  {:>5.1}%/{:>5.1}%{}",
                         r.arrivals_per_min,
                         r.rejection[0] * 100.0,
                         r.rejection[1] * 100.0,
@@ -205,6 +215,7 @@ fn main() {
                         r.delay_ms[2],
                         r.conjecture_error[0] * 100.0,
                         r.conjecture_error[1] * 100.0,
+                        undecided(r.opt_undecided),
                     );
                 }
             }

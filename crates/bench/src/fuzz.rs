@@ -34,13 +34,14 @@
 //! * [`srlg_admission_milp`] — oversubscribed Appendix-A admission MILPs
 //!   over the same correlated fixtures, forcing rejections whose
 //!   accept/reject split the exact oracle must reproduce.
-//! * [`stale_batch_mates_gadget`] — the PR-4 branch-and-cut regression
-//!   gadget (junk-gadget fan-out, z/r pin, hidden row), exposed here so
-//!   the campaign certifies it against the exact oracle.
+//! * [`stale_batch_mates_gadget`] — a MILP whose DFS frontier fans out
+//!   past the node batch (junk gadgets, a z/r pin, a side row), exposed
+//!   here so the campaign certifies it against the exact oracle.
 //!
 //! Network-model instances (gravity demands over bate-net topologies,
-//! fed to the real scheduling/admission builders across all
-//! `SolveMode`s) come from [`net_fixture`] + [`gravity_demands`].
+//! fed to the real scheduling builders across all `SolveMode`s and to
+//! the admission search and MILP) come from [`net_fixture`] +
+//! [`gravity_demands`].
 //!
 //! ## Seed-corpus policy
 //!
@@ -85,9 +86,6 @@ pub struct FuzzInstance {
 
 /// A named seeded generator: `(family name, constructor)`.
 pub type Family = (&'static str, fn(u64) -> FuzzInstance);
-
-/// `Le` rows as `(terms, rhs)` pairs, for driving lazy-oracle solves.
-pub type LeRows = Vec<(Vec<(VarId, f64)>, f64)>;
 
 /// The LP generator fleet as `(family name, generator)` pairs.
 pub fn lp_families() -> Vec<Family> {
@@ -432,18 +430,11 @@ pub fn srlg_admission_milp(seed: u64) -> FuzzInstance {
     }
 }
 
-/// The PR-4 branch-and-cut regression gadget (`stale_batch_mates` in
-/// `bate-lp`'s MILP tests): `nj` junk gadgets fan the DFS frontier out
-/// past the node batch, a z/r gadget pins every relaxation to r = 1,
-/// and the hidden row `a + b <= 1` is what the lazy oracle must append
-/// before any incumbent is accepted. With the hidden row built in
-/// (`with_hidden`), the true optimum is 10; without it, 20 (a = b = 1
-/// is the bogus incumbent PR-4's fix rejects). Returns the problem plus
-/// the hidden row for driving `solve_lazy` oracles.
-pub fn stale_batch_mates_gadget(
-    nj: usize,
-    with_hidden: bool,
-) -> (FuzzInstance, LeRows) {
+/// A MILP that once exposed a branch-and-cut hole: `nj` junk gadgets fan
+/// the DFS frontier out past the node batch, a z/r gadget pins every
+/// relaxation to r = 1, and the side row `a + b <= 1` holds the true
+/// optimum at 10 (without it, a = b = 1 would reach 20).
+pub fn stale_batch_mates_gadget(nj: usize) -> FuzzInstance {
     let mut p = Problem::new(Sense::Maximize);
     for _ in 0..nj {
         let j = p.add_binary_var();
@@ -462,20 +453,11 @@ pub fn stale_batch_mates_gadget(
     p.add_constraint(&[(r, 1.0), (z, -2.0)], Relation::Le, 0.0);
     p.add_constraint(&[(r, 1.0), (z, 2.0)], Relation::Le, 2.0);
     p.add_constraint(&[(a, 1.0), (b, 1.0), (r, 1.0)], Relation::Le, 2.0);
-    let hidden = vec![(vec![(a, 1.0), (b, 1.0)], 1.0)];
-    if with_hidden {
-        for (t, rhs) in &hidden {
-            p.add_constraint(t, Relation::Le, *rhs);
-        }
+    p.add_constraint(&[(a, 1.0), (b, 1.0)], Relation::Le, 1.0);
+    FuzzInstance {
+        name: format!("stale_batch_mates[nj={nj}]"),
+        problem: p,
     }
-    let tag = if with_hidden { "full" } else { "lazy" };
-    (
-        FuzzInstance {
-            name: format!("stale_batch_mates[nj={nj},{tag}]"),
-            problem: p,
-        },
-        hidden,
-    )
 }
 
 /// A topology + tunnels + pruned scenarios bundle for the network-model
@@ -546,11 +528,7 @@ mod tests {
 
     #[test]
     fn gadget_optima_are_pinned() {
-        let (full, _) = stale_batch_mates_gadget(2, true);
-        let sol = full.problem.solve().unwrap();
+        let sol = stale_batch_mates_gadget(2).problem.solve().unwrap();
         assert!((sol.objective - 10.0).abs() < 1e-9, "{}", sol.objective);
-        let (lazy, _) = stale_batch_mates_gadget(2, false);
-        let sol = lazy.problem.solve().unwrap();
-        assert!((sol.objective - 20.0).abs() < 1e-9, "{}", sol.objective);
     }
 }

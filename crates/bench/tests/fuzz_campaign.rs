@@ -5,8 +5,9 @@
 //! agree: identical verdicts (Optimal/Infeasible/Unbounded), objectives
 //! within the documented tolerance, and every float solution must pass
 //! the exact KKT certificate. Network-model instances additionally run
-//! the real scheduling/admission builders across all `SolveMode`s
-//! (Full, RowGen, Auto) and require mode-equivalent answers.
+//! the real scheduling builders across all `SolveMode`s (Full, RowGen,
+//! Auto) and require mode-equivalent answers, and OPT's up-set search
+//! against the full admission MILP.
 //!
 //! Default budgets total ≥ 500 instances (420 synthetic LPs + 80
 //! synthetic MILPs + the model-based sweeps); `FUZZ_BUDGET=n` rescales
@@ -20,7 +21,7 @@ use bate_bench::fuzz::{
     stale_batch_mates_gadget, FuzzInstance,
 };
 use bate_core::admission::optimal::{
-    admission_milp, maximize_admissions_mode, optimal_feasible_mode,
+    admission_milp, maximize_admissions, optimal_feasible, upset_search,
 };
 use bate_core::incremental::{DemandDelta, IncrementalScheduler, SchedulingSession, SessionPath};
 use bate_core::recovery::greedy::greedy_recovery;
@@ -28,7 +29,7 @@ use bate_core::recovery::milp::{optimal_recovery, recovery_milp};
 use bate_core::recovery::RecoveryOutcome;
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, DemandId, TeContext};
-use bate_lp::{milp, Relation, SolveError};
+use bate_lp::{milp, SolveError};
 use bate_net::{topologies, GroupId, ScenarioSet, SrlgSet};
 use bate_reference::{
     solve_exact, solve_exact_milp, verify_certificate, verify_exact, verify_milp_certificate,
@@ -191,14 +192,12 @@ fn tie_fan_family_certifies_exactly() {
     }
 }
 
-/// The PR-4 `stale_batch_mates` gadget, certified exactly: the exact
-/// oracle reproduces the true optimum of the full model, and a lazy
-/// branch-and-cut drive (the acceptance path PR-4 fixed) produces an
-/// incumbent the exact certificate validates against the full model.
+/// The stale batch-mate gadget (`bate_bench::fuzz`), certified exactly:
+/// the exact oracle reproduces the true optimum of the full model, and the
+/// float branch-and-bound agrees with it under the exact certificate.
 #[test]
 fn stale_batch_mates_gadget_certifies_exactly() {
-    // Small variant: exact branch-and-bound is the ground truth.
-    let (full_small, _) = stale_batch_mates_gadget(2, true);
+    let full_small = stale_batch_mates_gadget(2);
     let e = solve_exact_milp(&full_small.problem, 50_000).unwrap();
     assert!(
         (e.objective.to_f64() - 10.0).abs() < 1e-12,
@@ -206,39 +205,6 @@ fn stale_batch_mates_gadget_certifies_exactly() {
         e.objective.to_f64()
     );
     diff_milp(&full_small);
-
-    // Full-size variant (nj = 8, the PR-4 shape): drive the lazy
-    // branch-and-cut exactly as production does, then certify the
-    // incumbent against the FULL model (hidden row included) using the
-    // exact relaxation root as the bound proof.
-    let (full, _) = stale_batch_mates_gadget(8, true);
-    let (lazy, hidden) = stale_batch_mates_gadget(8, false);
-    let mut p = lazy.problem;
-    let mut added = false;
-    let sol = milp::solve_lazy(&mut p, milp::BnbConfig::default(), |cand| {
-        let mut cuts = Vec::new();
-        for (terms, rhs) in &hidden {
-            let lhs: f64 = terms.iter().map(|&(v, c)| c * cand.values[v.index()]).sum();
-            if !added && lhs > rhs + 1e-9 {
-                added = true;
-                cuts.push(milp::LazyRow {
-                    terms: terms.clone(),
-                    relation: Relation::Le,
-                    rhs: *rhs,
-                });
-            }
-        }
-        cuts
-    })
-    .unwrap();
-    assert!(
-        (sol.objective - 10.0).abs() < 1e-9,
-        "lazy branch-and-cut must land on the true optimum 10, got {}",
-        sol.objective
-    );
-    let root = solve_exact(&full.problem).unwrap();
-    verify_milp_certificate(&full.problem, &sol, Some(root.objective.to_f64()))
-        .unwrap_or_else(|err| panic!("gadget incumbent rejected by exact certificate: {err}"));
 }
 
 /// Scheduling LPs from gravity traffic across all three SolveModes:
@@ -645,12 +611,13 @@ fn storm_recovery_milps_certify_against_the_exact_oracle() {
     }
 }
 
-/// Admission MILPs across modes: identical accepted counts Full vs
-/// RowGen vs Auto, matching feasibility verdicts, and the exact MILP
-/// certificate (with the exact relaxation root as bound proof) on the
-/// Appendix-A model of every instance.
+/// Admission pools: OPT's up-set search and `optimal_feasible` return the
+/// full MILP's feasibility verdict, the Appendix-A objective's admitted
+/// count is the MILP optimum, and the exact MILP certificate (with the
+/// exact relaxation root as bound proof) holds on the Appendix-A model of
+/// every instance.
 #[test]
-fn admission_instances_agree_across_modes_and_certify() {
+fn admission_search_agrees_with_full_milp_and_certifies() {
     let fixtures = net_fixtures();
     for (fi, fix) in fixtures.iter().enumerate() {
         let ctx = TeContext::new(&fix.topo, &fix.tunnels, &fix.scenarios);
@@ -660,24 +627,18 @@ fn admission_instances_agree_across_modes_and_certify() {
             let demands = gravity_demands(fix, 4, mean_total, seed + 200);
             let tag = format!("adm[{}]:{}", fix.topo.name(), seed);
 
-            let ff = optimal_feasible_mode(&ctx, &demands, SolveMode::Full).unwrap();
-            let fl = optimal_feasible_mode(&ctx, &demands, rowgen_mode()).unwrap();
-            assert_eq!(ff, fl, "{tag}: feasibility verdict differs across modes");
+            let full = match admission_milp(&ctx, &demands, true).unwrap().solve() {
+                Ok(_) => true,
+                Err(SolveError::Infeasible) => false,
+                Err(e) => panic!("{tag}: feasibility MILP failed: {e}"),
+            };
+            let search = upset_search(&ctx, &demands).unwrap();
+            assert_eq!(search.witness.is_some(), full, "{tag}: search verdict differs");
+            assert_eq!(optimal_feasible(&ctx, &demands).unwrap(), full, "{tag}");
 
-            let mf = maximize_admissions_mode(&ctx, &demands, SolveMode::Full).unwrap();
-            let ml = maximize_admissions_mode(&ctx, &demands, rowgen_mode()).unwrap();
-            let ma = maximize_admissions_mode(&ctx, &demands, SolveMode::Auto).unwrap();
+            let mf = maximize_admissions(&ctx, &demands).unwrap();
             let count = |a: &[bool]| a.iter().filter(|&&x| x).count();
-            assert_eq!(
-                count(&mf.accepted),
-                count(&ml.accepted),
-                "{tag}: admission count differs Full vs RowGen"
-            );
-            assert_eq!(
-                count(&mf.accepted),
-                count(&ma.accepted),
-                "{tag}: admission count differs Full vs Auto"
-            );
+            assert_eq!(count(&mf.accepted) == demands.len(), full, "{tag}");
 
             let p = admission_milp(&ctx, &demands, false).unwrap();
             match p.solve() {

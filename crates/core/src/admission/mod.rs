@@ -11,8 +11,10 @@
 //!    (Theorem 1): a conjectured "yes" always has a witnessing allocation.
 //! 3. Reject.
 //!
-//! [`optimal`] implements the Appendix-A MILP the paper uses as the
-//! admission baseline ("OPT" in Fig. 7(a)/12).
+//! [`optimal`] is the admission baseline the paper solves as the
+//! Appendix-A MILP ("OPT" in Fig. 7(a)/12): an exact search over each
+//! demand's minimal qualifying up-sets for a pool of single-pair demands,
+//! the MILP for any other pool.
 
 pub mod fixed;
 pub mod greedy;

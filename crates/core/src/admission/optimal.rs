@@ -1,10 +1,18 @@
-//! The optimal admission baseline — the 0-1 MILP of Appendix A.
+//! The optimal admission baseline ("OPT" of Fig. 7(a) and Fig. 12): can
+//! every demand of a pool be satisfied at once?
 //!
-//! The paper proves this problem NP-hard (reduction from all-or-nothing
-//! multicommodity flow) and uses it, solved exactly, as the "OPT" baseline
-//! that BATE's greedy admission is compared against (Fig. 7(a), Fig. 12).
+//! The paper answers with the 0-1 MILP of Appendix A, solved exactly, and
+//! proves the problem NP-hard (reduction from all-or-nothing
+//! multicommodity flow). A pool of single-pair demands on at most four
+//! tunnels each, which is every demand the repository's generators build,
+//! is decided here by an exact search instead ([`upset_search`]). Since
+//! `f ≥ 0`, the classes a placement qualifies form an up-set of its pair's
+//! tunnel lattice. So the pool is feasible iff some choice of one minimal
+//! qualifying up-set per demand makes the joint covering LP
+//! ([`crate::model::CoveringLp`]) feasible. Any other pool goes to the
+//! MILP, which is also the oracle the search is tested against.
 //!
-//! Two model simplifications that preserve the optimum:
+//! Two model simplifications of the MILP that preserve the optimum:
 //!
 //! * Scenarios are collapsed per demand ([`crate::profile`]), making the
 //!   binary count `Σ_d (#states of d)` instead of `|D| · |Z|`.
@@ -14,13 +22,14 @@
 //!   0 when it could be 1, so the lower linkages (`R ≥ q`-style) suffice
 //!   and the model needs no M constant at all.
 
-use crate::allocation::Allocation;
+use crate::allocation::{Allocation, SATISFY_TOL};
 use crate::demand::BaDemand;
-use crate::model::{self, DemandCols, Form};
+use crate::model::{self, CoveringLp, DemandCols, Form};
 use crate::profile::MaskedProfile;
-use crate::scheduling::SolveMode;
+use crate::scheduling::{on_upsets, place_single_hard, qualifying_upsets, schedule};
 use crate::TeContext;
 use bate_lp::{milp, Problem, Relation, Sense, SolveError, VarId};
+use std::cmp::Ordering;
 
 /// Result of the optimal admission MILP.
 #[derive(Debug, Clone)]
@@ -36,115 +45,166 @@ pub struct OptimalAdmission {
 /// demand (admitted demands are committed, so the newcomer is accepted iff
 /// all of them remain satisfiable together).
 ///
-/// Two exact fast paths keep this tractable online:
+/// Two exact fast paths come first:
 ///
-/// 1. If the scheduling LP (the `B ∈ [0,1]` relaxation) is infeasible, the
-///    MILP is too — reject without branching.
-/// 2. If Algorithm 1's witness allocation verifiably meets every target
-///    against the scenario set, the MILP is feasible — accept without
-///    branching.
+/// 1. If the scheduling LP (the `B ∈ [0,1]` relaxation) is infeasible, no
+///    placement is — reject.
+/// 2. If hard-placing each demand on the residual the previous ones left
+///    (highest β first, [`place_single_hard`]) places them all, that is a
+///    witness — accept.
 ///
-/// Only the gray zone between them runs branch-and-bound.
+/// Then a pool that [`upset_search`] can decide goes to it, and any other
+/// pool to the Appendix-A MILP. Neither path turns a limit into a verdict:
+/// the MILP's `NodeLimit` and a simplex `IterationLimit` come back as
+/// errors, for the caller to book.
 pub fn optimal_feasible(ctx: &TeContext, demands: &[BaDemand]) -> Result<bool, SolveError> {
-    optimal_feasible_mode(ctx, demands, SolveMode::Auto)
-}
-
-/// [`optimal_feasible`] with an explicit [`SolveMode`] for the MILP stage
-/// (the LP fast paths always use their own Auto gate). Goldens pin
-/// Full-vs-RowGen verdict equivalence through this.
-pub fn optimal_feasible_mode(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    mode: SolveMode,
-) -> Result<bool, SolveError> {
-    // Fast reject: the continuous relaxation can't even cover everyone.
-    match crate::scheduling::schedule(ctx, demands) {
+    match schedule(ctx, demands) {
         Err(SolveError::Infeasible) => return Ok(false),
         Err(e) => return Err(e),
-        Ok(res) => {
-            // Fast accept: the LP allocation itself may already be a hard
-            // witness (B variables at extreme points often are).
-            if demands.iter().all(|d| res.allocation.meets_target(ctx, d)) {
-                return Ok(true);
-            }
-        }
+        Ok(_) => {}
     }
-    // Fast accept via the Algorithm-1 witness.
-    if let Some(witness) = crate::admission::greedy::conjecture_with_allocation(ctx, demands) {
-        if demands.iter().all(|d| witness.meets_target(ctx, d)) {
-            return Ok(true);
-        }
+    let mut order: Vec<&BaDemand> = demands.iter().collect();
+    order.sort_by(|a, b| by_beta(a, b));
+    let mut acc = Allocation::new();
+    let placed = order.iter().all(|d| {
+        let residual = acc.residual_capacities(ctx);
+        let placed = place_single_hard(ctx, d, &residual);
+        placed.map(|p| acc.adopt_demand(d.id, &p)).is_some()
+    });
+    if placed {
+        return Ok(true);
     }
-    // Fast accept via sequential constructive placement: hard-place each
-    // demand (highest β first) on the residual left by the previous ones;
-    // success is a feasibility certificate.
-    {
-        let mut order: Vec<&BaDemand> = demands.iter().collect();
-        order.sort_by(|a, b| {
-            b.beta
-                .partial_cmp(&a.beta)
-                .unwrap()
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        let mut acc = Allocation::new();
-        let mut all_placed = true;
-        for d in order {
-            let residual = acc.residual_capacities(ctx);
-            match crate::scheduling::place_single_hard(ctx, d, &residual) {
-                Some(placed) => acc.adopt_demand(d.id, &placed),
-                None => {
-                    all_placed = false;
-                    break;
-                }
-            }
-        }
-        if all_placed {
-            return Ok(true);
-        }
+    if demands.iter().all(|d| on_upsets(ctx, d)) {
+        return upset_search(ctx, demands).map(|s| s.witness.is_some());
     }
-    match solve_admission(ctx, demands, true, mode) {
+    match solve_admission(ctx, demands, true) {
         Ok(res) => Ok(res.accepted.iter().all(|&a| a)),
         Err(SolveError::Infeasible) => Ok(false),
-        // A blown node budget means we could not *prove* feasibility;
-        // treat as a (conservative) rejection rather than an error so long
-        // online runs keep going.
-        Err(SolveError::NodeLimit) => Ok(false),
         Err(e) => Err(e),
     }
 }
 
-/// The full Appendix-A objective: maximize the number of accepted demands,
-/// solved in `mode` — the direct MILP entry the row-generation goldens
-/// compare through (no LP fast paths in front).
-pub fn maximize_admissions_mode(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    mode: SolveMode,
-) -> Result<OptimalAdmission, SolveError> {
-    solve_admission(ctx, demands, false, mode)
+/// Highest β first, then by id: the order OPT places and chooses in.
+fn by_beta(a: &BaDemand, b: &BaDemand) -> Ordering {
+    b.beta.total_cmp(&a.beta).then_with(|| a.id.cmp(&b.id))
 }
 
-/// The branch-and-cut master of [`maximize_admissions_mode`] as a row
-/// generation search left it: seed rows, then the pooled cuts in order.
-/// What `model_text_golden.rs` pins.
-#[doc(hidden)]
-pub fn admission_lazy_master(ctx: &TeContext, demands: &[BaDemand]) -> Result<Problem, SolveError> {
-    solve_admission_model(ctx, demands, false, SolveMode::RowGen).map(|(_, master)| master)
+/// What [`upset_search`] found.
+#[derive(Debug, Clone)]
+pub struct UpsetSearch {
+    /// An allocation within the link capacities that meets every demand's
+    /// target, when the pool is feasible.
+    pub witness: Option<Allocation>,
+    /// Joint covering LPs the depth-first search solved (the single-demand
+    /// LPs that order each demand's candidates are not counted).
+    pub nodes: u64,
+}
+
+/// Exact feasibility of a pool of single-pair demands, each on at most four
+/// tunnels: a depth-first search over each demand's choice of one minimal
+/// qualifying up-set ([`qualifying_upsets`]).
+///
+/// Demands are chosen highest β first, then by id. A demand's candidates
+/// are tried cheapest first, by the optimum of its covering LP alone on
+/// the full link capacities (ties in [`qualifying_upsets`] order); a
+/// candidate that does not fit alone is dropped. A demand whose `β` is
+/// within `SATISFY_TOL` of 0 needs no flow: its one candidate is the empty
+/// up-set, as the MILP's `q = 0` (the fixed check still places such a
+/// demand in the all-up class). A node is the joint covering LP
+/// ([`CoveringLp`]) over the demands chosen so far, solved cold. An
+/// infeasible node prunes its subtree: a deeper node adds covering rows,
+/// and columns `f ≥ 0` that only add load to the capacity rows. A feasible
+/// leaf's allocation is the witness once every demand's `meets_target`
+/// holds on it. There is no node limit: the problem is NP-hard, so the
+/// search is exponential in the pool's size in the worst case.
+pub fn upset_search(ctx: &TeContext, demands: &[BaDemand]) -> Result<UpsetSearch, SolveError> {
+    let caps = ctx.link_capacities();
+    let mut order: Vec<&BaDemand> = demands.iter().collect();
+    order.sort_by(|a, b| by_beta(a, b));
+    let mut nodes = 0;
+    let found = |witness, nodes| Ok(UpsetSearch { witness, nodes });
+    if order.is_empty() {
+        return found(Some(Allocation::new()), nodes);
+    }
+    // Per demand, in `order`: its candidates' minimal classes, cheapest first.
+    let mut candidates: Vec<Vec<Vec<u64>>> = Vec::with_capacity(order.len());
+    for d in &order {
+        if d.beta - SATISFY_TOL <= 0.0 {
+            candidates.push(vec![Vec::new()]);
+            continue;
+        }
+        let mut alone = CoveringLp::new(ctx, [*d], &caps);
+        let mut costed = Vec::new();
+        for upset in qualifying_upsets(ctx, d).iter() {
+            match alone.solve_covered([(0, &upset[..])]) {
+                Ok(sol) => costed.push((sol.objective, upset.clone())),
+                Err(SolveError::Infeasible) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if costed.is_empty() {
+            return found(None, nodes);
+        }
+        costed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        candidates.push(costed.into_iter().map(|(_, upset)| upset).collect());
+    }
+    // `chosen[k]` is the candidate of `order[k]`; `next` is the candidate
+    // to try next at depth `chosen.len()`.
+    let mut chosen: Vec<usize> = Vec::with_capacity(order.len());
+    let mut next = 0;
+    loop {
+        let depth = chosen.len();
+        if next == candidates[depth].len() {
+            match chosen.pop() {
+                Some(c) => next = c + 1,
+                None => return found(None, nodes),
+            }
+            continue;
+        }
+        chosen.push(next);
+        nodes += 1;
+        let mut lp = CoveringLp::new(ctx, order[..=depth].iter().copied(), &caps);
+        let node = chosen.iter().enumerate().map(|(k, &c)| (k, &candidates[k][c][..]));
+        match lp.solve_covered(node) {
+            Ok(_) if chosen.len() < order.len() => {
+                next = 0;
+                continue;
+            }
+            Ok(sol) => {
+                let witness = lp.allocation(&sol);
+                if order.iter().all(|d| witness.meets_target(ctx, d)) {
+                    return found(Some(witness), nodes);
+                }
+            }
+            Err(SolveError::Infeasible) => {}
+            Err(e) => return Err(e),
+        }
+        // A dead end: its next sibling.
+        next = chosen.pop().expect("a node was just chosen") + 1;
+    }
+}
+
+/// The full Appendix-A objective: maximize the number of accepted demands
+/// with the MILP (no fast path in front).
+pub fn maximize_admissions(
+    ctx: &TeContext,
+    demands: &[BaDemand],
+) -> Result<OptimalAdmission, SolveError> {
+    solve_admission(ctx, demands, false)
 }
 
 /// Build the full Appendix-A admission MILP without solving it.
 ///
 /// Like [`crate::scheduling::scheduling_lp`], this is the entry point for
 /// the exact certifying oracle and differential harness (DESIGN.md §5d):
-/// the model is the one `SolveMode::Full` solves (every qualification row
-/// present), built by the same code path as the production solve.
+/// the model the production solve builds, by the same code path.
 pub fn admission_milp(
     ctx: &TeContext,
     demands: &[BaDemand],
     force_all: bool,
 ) -> Result<Problem, SolveError> {
     let profiles = model::collapse_all(ctx, demands);
-    Ok(build_admission_milp(ctx, demands, &profiles, force_all, false)?.p)
+    Ok(build_admission_milp(ctx, demands, &profiles, force_all)?.p)
 }
 
 /// The admission MILP under construction, with the handles the solve
@@ -158,15 +218,13 @@ struct BuiltMilp {
 }
 
 /// Build the Appendix-A MILP: every flow column, then per demand its `q`
-/// binaries, Eq. 14 rows and Eq. 15–16 row, then the capacity rows.
-/// `lazy` keeps only the seed states' Eq. 14 rows — the branch-and-cut
-/// master; otherwise every one is emitted.
+/// binaries, every Eq. 14 row and its Eq. 15–16 row, then the capacity
+/// rows.
 fn build_admission_milp(
     ctx: &TeContext,
     demands: &[BaDemand],
     profiles: &[MaskedProfile],
     force_all: bool,
-    lazy: bool,
 ) -> Result<BuiltMilp, SolveError> {
     let mut p = Problem::new(Sense::Maximize);
     let flows = demands
@@ -178,7 +236,7 @@ fn build_admission_milp(
     let mut cols: Vec<DemandCols> = Vec::with_capacity(demands.len());
     for ((demand, profile), f) in demands.iter().zip(profiles).zip(flows) {
         let mut c = DemandCols::new(&mut p, Form::Admission, profile, f);
-        c.add_rows(&mut p, demand, profile, lazy, None);
+        c.add_rows(&mut p, demand, profile, false, None);
 
         // Achieved availability s_d = Σ q p (Eq. 15), linked to acceptance.
         let mut s_terms = c.availability_terms(profile);
@@ -203,62 +261,24 @@ fn build_admission_milp(
 }
 
 /// Build and solve the Appendix-A MILP.
-///
-/// Under [`SolveMode::RowGen`] (or Auto above the threshold) the
-/// per-(state, pair) qualification rows of Eq. 14 are generated lazily by
-/// branch-and-cut ([`milp::solve_lazy`]): the master starts with the
-/// seeded states' rows, the separation sweep checks every candidate
-/// relaxation against all collapsed states, and violated rows join a
-/// global row pool every node inherits. Exactness argument mirrors the
-/// scheduling LP's: node relaxations are row-subset relaxations (pruning
-/// stays valid) and incumbents are only accepted after clean separation.
 fn solve_admission(
     ctx: &TeContext,
     demands: &[BaDemand],
     force_all: bool,
-    mode: SolveMode,
 ) -> Result<OptimalAdmission, SolveError> {
-    solve_admission_model(ctx, demands, force_all, mode).map(|(res, _)| res)
-}
-
-fn solve_admission_model(
-    ctx: &TeContext,
-    demands: &[BaDemand],
-    force_all: bool,
-    mode: SolveMode,
-) -> Result<(OptimalAdmission, Problem), SolveError> {
     let profiles = model::collapse_all(ctx, demands);
-    let lazy = mode.lazy(model::full_qualification_rows(demands, &profiles));
-    let BuiltMilp {
-        mut p,
-        mut cols,
-        a_vars,
-    } = build_admission_milp(ctx, demands, &profiles, force_all, lazy)?;
+    let BuiltMilp { p, cols, a_vars } =
+        build_admission_milp(ctx, demands, &profiles, force_all)?;
 
-    // Each node costs a simplex solve; the fast paths above mean the MILP
-    // only sees genuinely ambiguous instances, where a moderate budget
-    // almost always suffices (NodeLimit is treated as a rejection by
-    // `optimal_feasible`). The budget counts every relaxation the search
-    // solves, including those a batch spends past a fresh incumbent
-    // (`bate_lp::milp`'s node order), and it is part of every pinned OPT
-    // verdict: a budget run out decides some of Fig. 7(a)'s rejects
-    // (EXPERIMENTS.md E45), so it stays at 400 until single-pair OPT
-    // leaves the MILP (ROADMAP item 25).
+    // Each node costs a simplex solve. The budget counts every relaxation
+    // the search solves, including those a batch spends past a fresh
+    // incumbent (`bate_lp::milp`'s node order); run out without an
+    // incumbent, it is a `NodeLimit` error, never a verdict.
     let cfg = milp::BnbConfig {
         max_nodes: 400,
         gap: 1e-6,
     };
-    let sol = if lazy {
-        // Branch-and-cut: the sweep covers every collapsed state of every
-        // demand — exactly the full Eq. 14 row set — and skips the rows
-        // the master holds, so no row is ever generated twice.
-        milp::solve_lazy(&mut p, cfg, |relax| {
-            let violated = model::sweep(demands, &profiles, &cols, relax);
-            model::cuts(demands, &profiles, &mut cols, &violated)
-        })?
-    } else {
-        milp::solve(&p, cfg)?
-    };
+    let sol = milp::solve(&p, cfg)?;
 
     let accepted = a_vars
         .iter()
@@ -267,11 +287,10 @@ fn solve_admission_model(
             None => true,
         })
         .collect();
-    let res = OptimalAdmission {
+    Ok(OptimalAdmission {
         accepted,
         allocation: model::read_allocation(demands.iter().zip(&cols), &sol),
-    };
-    Ok((res, p))
+    })
 }
 
 #[cfg(test)]
@@ -311,7 +330,7 @@ mod tests {
             .map(|i| BaDemand::single(i, pair, 9000.0, 0.5))
             .collect();
         assert!(!optimal_feasible(&ctx, &demands).unwrap());
-        let res = maximize_admissions_mode(&ctx, &demands, SolveMode::Auto).unwrap();
+        let res = maximize_admissions(&ctx, &demands).unwrap();
         let count = res.accepted.iter().filter(|&&a| a).count();
         assert_eq!(count, 2, "exactly two 9 Gbps demands fit");
     }

@@ -22,13 +22,19 @@
 //! [`crate::admission::optimal`]) only decide the *order* in which the
 //! pieces enter their `Problem`. That order is pinned by
 //! `tests/model_text_golden.rs`: it fixes every pivot downstream.
+//!
+//! A fourth model, the joint covering LP ([`CoveringLp`]), decides single-
+//! pair demands exactly without indicators: the fixed check places one
+//! demand with it, and OPT searches over it for a whole pool.
 
 use crate::allocation::Allocation;
-use crate::demand::BaDemand;
+use crate::demand::{BaDemand, DemandId};
 use crate::profile::MaskedProfile;
 use crate::TeContext;
-use bate_lp::{LazyRow, Problem, Relation, Solution, SolveError, VarId};
+use bate_lp::{LazyRow, Problem, Relation, Sense, Solution, SolveError, VarId};
 use bate_routing::TunnelId;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// How many of the most probable single-failure scenarios seed a
 /// row-generation master, next to the all-up state.
@@ -387,4 +393,250 @@ pub(crate) fn link_prices(sol: &Solution, capacity_row: &[Option<usize>]) -> Vec
             _ => 0.0,
         })
         .collect()
+}
+
+/// The joint covering LP of single-pair demands, each over its pair's
+/// tunnels: minimise `Σ f` subject to `Σ_{t up in c} f_d^t ≥ b_d` for each
+/// chosen class `c` of each demand `d` ([`CoveringLp::solve_covered`]) and the
+/// link capacities. Since `f ≥ 0`, the classes a placement qualifies form
+/// an up-set of its pair's tunnel lattice, so covering an up-set's minimal
+/// classes qualifies all of it.
+///
+/// The capacity rows come first: one per distinct set of flow columns that
+/// crosses a link, at the least residual among the links it crosses, in
+/// the order of those sets read as binary numbers over the columns. The
+/// covering rows follow, demand by demand, class by class.
+#[derive(Debug)]
+pub(crate) struct CoveringLp {
+    /// The columns and the capacity rows.
+    p: Problem,
+    /// Per demand: its id, pair, rate and its flow columns' range in `cols`.
+    members: Vec<(DemandId, usize, f64, Range<usize>)>,
+    /// One flow column per tunnel of each demand's pair, in demand order.
+    cols: Vec<VarId>,
+}
+
+impl CoveringLp {
+    /// Columns at cost 1 for each demand's tunnels, in order, and the
+    /// capacity rows over them against `capacities`.
+    pub(crate) fn new<'a>(
+        ctx: &TeContext,
+        demands: impl IntoIterator<Item = &'a BaDemand>,
+        capacities: &[f64],
+    ) -> CoveringLp {
+        let mut p = Problem::new(Sense::Minimize);
+        let (mut members, mut cols) = (Vec::new(), Vec::new());
+        for d in demands {
+            let (pair, b) = d.bandwidth[0];
+            let tunnels = ctx.tunnels.tunnels(pair).len();
+            members.push((d.id, pair, b, cols.len()..cols.len() + tunnels));
+            for _ in 0..tunnels {
+                let v = p.add_var();
+                p.set_objective(v, 1.0);
+                cols.push(v);
+            }
+        }
+        let paths = || members.iter().flat_map(|m| ctx.tunnels.tunnels(m.1));
+        let words = cols.len().div_ceil(64);
+        let mut caps: BTreeMap<ColumnSet, f64> = BTreeMap::new();
+        for l in paths().flat_map(|path| &path.links) {
+            let on = paths().enumerate().filter(|(_, path)| path.links.contains(l));
+            let least = caps.entry(ColumnSet::of(words, on.map(|(c, _)| c)));
+            let least = least.or_insert(f64::INFINITY);
+            *least = least.min(capacities[l.index()]);
+        }
+        for (set, &cap) in &caps {
+            let on = (0..cols.len()).filter(|&c| set.has(c));
+            let terms: Vec<(VarId, f64)> = on.map(|c| (cols[c], 1.0)).collect();
+            p.add_constraint(&terms, Relation::Le, cap);
+        }
+        CoveringLp { p, members, cols }
+    }
+
+    /// For each `(i, classes)`, the `i`-th demand delivers its rate in each
+    /// class of `classes`, given as up-tunnel masks: one row `Σ_{t up in c}
+    /// f_t ≥ b` each, appended in order.
+    fn cover<'c>(&mut self, chosen: impl IntoIterator<Item = (usize, &'c [u64])>) {
+        for (i, classes) in chosen {
+            let (_, _, b, ref range) = self.members[i];
+            let f = &self.cols[range.clone()];
+            for &m in classes {
+                let up = (0..f.len()).filter(|t| m >> t & 1 == 1);
+                let terms: Vec<(VarId, f64)> = up.map(|t| (f[t], 1.0)).collect();
+                self.p.add_constraint(&terms, Relation::Ge, b);
+            }
+        }
+    }
+
+    /// Solve the LP with `chosen`'s covering rows ([`CoveringLp::cover`]),
+    /// then take them back, so that the next call starts from the capacity
+    /// rows again.
+    pub(crate) fn solve_covered<'c>(
+        &mut self,
+        chosen: impl IntoIterator<Item = (usize, &'c [u64])>,
+    ) -> Result<Solution, SolveError> {
+        let capacity_rows = self.p.num_constraints();
+        self.cover(chosen);
+        let sol = self.p.solve();
+        self.p.truncate_constraints(capacity_rows);
+        sol
+    }
+
+    /// The allocation `sol` gives every demand: each tunnel's flow, clipped
+    /// at 0.
+    pub(crate) fn allocation(&self, sol: &Solution) -> Allocation {
+        let mut alloc = Allocation::new();
+        for (id, pair, _, range) in &self.members {
+            for (tunnel, &v) in self.cols[range.clone()].iter().enumerate() {
+                alloc.set(*id, TunnelId { pair: *pair, tunnel }, sol[v].max(0.0));
+            }
+        }
+        alloc
+    }
+}
+
+/// A set of columns as the binary number it is, ordered as one: one word
+/// while a model has at most 64 columns (every single demand), otherwise
+/// its words, most significant first. One model uses one variant.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum ColumnSet {
+    Word(u64),
+    Words(Vec<u64>),
+}
+
+impl ColumnSet {
+    /// The set of columns `on` out of a model with `words` bit words.
+    fn of(words: usize, on: impl Iterator<Item = usize>) -> ColumnSet {
+        if words <= 1 {
+            return ColumnSet::Word(on.fold(0, |m, c| m | 1 << c));
+        }
+        let mut set = vec![0u64; words];
+        on.for_each(|c| set[words - 1 - c / 64] |= 1 << (c % 64));
+        ColumnSet::Words(set)
+    }
+
+    fn has(&self, c: usize) -> bool {
+        match self {
+            ColumnSet::Word(m) => m >> c & 1 == 1,
+            ColumnSet::Words(w) => w[w.len() - 1 - c / 64] >> (c % 64) & 1 == 1,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduling::qualifying_upsets;
+    use bate_net::{topologies, ScenarioSet};
+    use bate_routing::{RoutingScheme, TunnelSet};
+
+    /// The single-pair LP as `place_on_upsets` built it before the joint
+    /// covering builder: the columns, one capacity row per set of tunnels
+    /// that share a link (keyed by the set's bitmask, at the least
+    /// residual), then one covering row per class of `covered`.
+    fn single_pair_lp(ctx: &TeContext, d: &BaDemand, caps: &[f64], covered: &[u64]) -> Problem {
+        let (pair, b) = d.bandwidth[0];
+        let tunnels = ctx.tunnels.tunnels(pair);
+        let mut p = Problem::new(Sense::Minimize);
+        let f: Vec<_> = tunnels.iter().map(|_| p.add_var()).collect();
+        f.iter().for_each(|&v| p.set_objective(v, 1.0));
+        let terms = |m: u64| -> Vec<_> {
+            let up = (0..f.len()).filter(|t| m >> t & 1 == 1);
+            up.map(|t| (f[t], 1.0)).collect()
+        };
+        let mut least: std::collections::BTreeMap<u64, f64> = Default::default();
+        for l in tunnels.iter().flat_map(|path| &path.links) {
+            let on = (0..tunnels.len()).filter(|&t| tunnels[t].links.contains(l));
+            let cap = least.entry(on.fold(0, |m, t| m | 1 << t));
+            let cap = cap.or_insert(f64::INFINITY);
+            *cap = cap.min(caps[l.index()]);
+        }
+        for (&m, &cap) in &least {
+            p.add_constraint(&terms(m), Relation::Le, cap);
+        }
+        for &m in covered {
+            p.add_constraint(&terms(m), Relation::Ge, b);
+        }
+        p
+    }
+
+    #[test]
+    fn one_demand_covering_lp_is_the_single_pair_lp() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut lps = 0;
+        for topo in [topologies::toy4(), topologies::testbed6(), topologies::b4()] {
+            let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+            let scenarios = ScenarioSet::enumerate(&topo, 2);
+            let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+            for pair in (0..tunnels.num_pairs()).filter(|&p| !tunnels.tunnels(p).is_empty()) {
+                let caps: Vec<f64> = (0..topo.num_links())
+                    .map(|_| rng.gen_range(0.0..2000.0))
+                    .collect();
+                let beta = [0.9, 0.99, 0.999][rng.gen_range(0..3usize)];
+                let d = BaDemand::single(1, pair, rng.gen_range(50.0..1000.0), beta);
+                let mut lp = CoveringLp::new(&ctx, [&d], &caps);
+                let capacity_rows = lp.p.num_constraints();
+                for covered in qualifying_upsets(&ctx, &d).iter() {
+                    lp.cover([(0, &covered[..])]);
+                    let want = single_pair_lp(&ctx, &d, &caps, covered);
+                    assert_eq!(format!("{:?}", lp.p), format!("{want:?}"), "pair {pair}");
+                    lp.p.truncate_constraints(capacity_rows);
+                    lps += 1;
+                }
+            }
+        }
+        assert!(lps > 100, "{lps}");
+    }
+
+    #[test]
+    fn joint_covering_lp_merges_links_by_their_column_sets() {
+        // 24 demands on testbed6 (up to 96 columns, two bit words): one
+        // capacity row per distinct set of columns crossing a link, at the
+        // least capacity among its links, the sets in increasing binary
+        // order (which is the lexicographic order of their columns listed
+        // from the highest down), then the covering rows.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let topo = topologies::testbed6();
+        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+        let scenarios = ScenarioSet::enumerate(&topo, 2);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let pairs: Vec<usize> = (0..tunnels.num_pairs())
+            .filter(|&p| !tunnels.tunnels(p).is_empty())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(26);
+        let caps: Vec<f64> = (0..topo.num_links())
+            .map(|_| rng.gen_range(0.0..2000.0))
+            .collect();
+        let demands: Vec<BaDemand> = (0..24)
+            .map(|i| BaDemand::single(i, pairs[rng.gen_range(0..pairs.len())], 100.0, 0.99))
+            .collect();
+        let paths: Vec<_> = (demands.iter())
+            .flat_map(|d| tunnels.tunnels(d.bandwidth[0].0))
+            .collect();
+        assert!(paths.len() > 64, "{} columns", paths.len());
+        let mut want: std::collections::BTreeMap<Vec<usize>, f64> = Default::default();
+        for (l, &cap) in caps.iter().enumerate() {
+            let on: Vec<usize> = (0..paths.len())
+                .rev()
+                .filter(|&c| paths[c].links.iter().any(|x| x.index() == l))
+                .collect();
+            if !on.is_empty() {
+                let least = want.entry(on).or_insert(f64::INFINITY);
+                *least = least.min(cap);
+            }
+        }
+        let mut lp = CoveringLp::new(&ctx, &demands, &caps);
+        let upsets: Vec<_> = demands.iter().map(|d| qualifying_upsets(&ctx, d)).collect();
+        lp.cover(upsets.iter().enumerate().map(|(i, u)| (i, &u[0][..])));
+        let rows = lp.p.constraints();
+        let got: Vec<(Vec<usize>, f64)> = (rows.iter())
+            .take_while(|r| r.relation == Relation::Le)
+            .map(|r| (r.terms.iter().rev().map(|&(c, _)| c).collect(), r.rhs))
+            .collect();
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        let covering: usize = upsets.iter().map(|u| u[0].len()).sum();
+        assert_eq!(rows.len(), got.len() + covering);
+        assert!(rows[got.len()..].iter().all(|r| r.relation == Relation::Ge));
+    }
 }

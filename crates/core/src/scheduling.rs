@@ -24,10 +24,9 @@ use crate::demand::{BaDemand, DemandId};
 use crate::model::{self, DemandCols, Form};
 use crate::profile::MaskedProfile;
 use crate::TeContext;
-use bate_lp::{Problem, Relation, Sense, Solution, SolveError, SolveStats, VarId};
+use bate_lp::{Problem, Relation, Sense, Solution, SolveError, SolveStats};
 use bate_obs::{Counter, Histogram, Registry};
 use bate_routing::TunnelId;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -245,7 +244,7 @@ pub fn place_single_hard(
     demand: &BaDemand,
     capacities: &[f64],
 ) -> Option<Allocation> {
-    if demand.bandwidth.len() == 1 && ctx.tunnels.tunnels(demand.bandwidth[0].0).len() <= 4 {
+    if on_upsets(ctx, demand) {
         return place_on_upsets(ctx, demand, capacities);
     }
     let alone = std::slice::from_ref(demand);
@@ -301,51 +300,36 @@ pub fn place_single_hard(
     None
 }
 
-/// [`place_single_hard`] for one pair, exact. Since `f ≥ 0`, the classes a
-/// placement qualifies form an up-set of the pair's tunnel lattice, so one
-/// exists iff it covers one of the minimal up-sets with `P ≥ β −
-/// SATISFY_TOL` ([`bate_net::Classes::minimal_upsets`]): `Σ_{t up in c} f_t
-/// ≥ b` for each of its minimal classes `c`, each set of tunnels that share
-/// links within the least residual among those links. One LP of at most
-/// four columns per candidate minimises `Σ f`; the first of the cheapest
-/// is checked with `meets_target`.
-fn place_on_upsets(ctx: &TeContext, demand: &BaDemand, capacities: &[f64]) -> Option<Allocation> {
-    let (pair, b) = demand.bandwidth[0];
-    let tunnels = ctx.tunnels.tunnels(pair);
+/// Is `demand` one pair of at most four tunnels, which
+/// [`place_single_hard`] places and OPT decides exactly by its minimal
+/// qualifying up-sets ([`qualifying_upsets`])?
+pub(crate) fn on_upsets(ctx: &TeContext, demand: &BaDemand) -> bool {
+    demand.bandwidth.len() == 1 && ctx.tunnels.tunnels(demand.bandwidth[0].0).len() <= 4
+}
+
+/// The minimal up-sets of classes of `demand`'s one pair with `P ≥ β −
+/// SATISFY_TOL` ([`bate_net::Classes::minimal_upsets`]), each as its
+/// minimal classes' up-tunnel masks. Since `f ≥ 0`, the classes a
+/// placement qualifies form an up-set, so it meets the target iff it
+/// covers one of these.
+pub(crate) fn qualifying_upsets(ctx: &TeContext, demand: &BaDemand) -> Arc<[Vec<u64>]> {
+    let tunnels = ctx.tunnels.tunnels(demand.bandwidth[0].0);
     let groups: Vec<_> = tunnels.iter().map(|path| path.groups(ctx.topo)).collect();
     let classes = ctx.scenarios.classes(&groups);
-    let upsets = classes.minimal_upsets(demand.beta - SATISFY_TOL);
-    let mut base = Problem::new(Sense::Minimize);
-    let f: Vec<VarId> = tunnels.iter().map(|_| base.add_var()).collect();
-    f.iter().for_each(|&v| base.set_objective(v, 1.0));
-    let terms = |m: u64| -> Vec<(VarId, f64)> {
-        let up = (0..f.len()).filter(|t| m >> t & 1 == 1);
-        up.map(|t| (f[t], 1.0)).collect()
-    };
-    let mut caps: BTreeMap<u64, f64> = BTreeMap::new();
-    for l in tunnels.iter().flat_map(|path| &path.links) {
-        let on = (0..tunnels.len()).filter(|&t| tunnels[t].links.contains(l));
-        let least = caps.entry(on.fold(0, |m, t| m | 1 << t));
-        let least = least.or_insert(f64::INFINITY);
-        *least = least.min(capacities[l.index()]);
-    }
-    for (&m, &cap) in &caps {
-        base.add_constraint(&terms(m), Relation::Le, cap);
-    }
-    let solve = |covered: &Vec<u64>| {
-        let mut p = base.clone();
-        for &m in covered {
-            p.add_constraint(&terms(m), Relation::Ge, b);
-        }
-        p.solve().ok()
-    };
+    classes.minimal_upsets(demand.beta - SATISFY_TOL)
+}
+
+/// [`place_single_hard`] for one pair, exact: the joint covering LP
+/// ([`model::CoveringLp`]) of this one demand, one per qualifying up-set
+/// (at most four columns each), minimises `Σ f`; the first of the
+/// cheapest is checked with `meets_target`.
+fn place_on_upsets(ctx: &TeContext, demand: &BaDemand, capacities: &[f64]) -> Option<Allocation> {
+    let mut lp = model::CoveringLp::new(ctx, [demand], capacities);
+    let upsets = qualifying_upsets(ctx, demand);
+    let solve = |upset: &Vec<u64>| lp.solve_covered([(0, &upset[..])]).ok();
     let solutions = upsets.iter().filter_map(solve);
     let best = solutions.reduce(|k, s| if s.objective < k.objective { s } else { k })?;
-    let mut alloc = Allocation::new();
-    for (tunnel, &x) in best.values.iter().enumerate() {
-        alloc.set(demand.id, TunnelId { pair, tunnel }, x.max(0.0));
-    }
-    Some(alloc).filter(|alloc| alloc.meets_target(ctx, demand))
+    Some(lp.allocation(&best)).filter(|alloc| alloc.meets_target(ctx, demand))
 }
 
 /// In-place hardening pass (see [`schedule_hardened`]). Returns how many

@@ -9,8 +9,9 @@
 //!
 //! * the plain scheduling LP guarantees the *relaxed* credit of Eq. 4
 //!   (`Σ_z p_z · min_k min(1, delivered/b) ≥ β`),
-//! * the hardened schedule and the admission MILP guarantee the hard
-//!   all-or-nothing form (`Σ_{z qualified} p_z ≥ β`),
+//! * the hardened schedule, the admission MILP and the witness of OPT's
+//!   up-set search guarantee the hard all-or-nothing form
+//!   (`Σ_{z qualified} p_z ≥ β`),
 //!
 //! on toy4 with pruning depth y = 2 and testbed6 with y = 1. A final
 //! test corrupts a passing allocation and shows the checker rejects it,
@@ -25,8 +26,8 @@
 //! independent-marginal model admits, and a tampered joint probability is
 //! caught by the audit.
 
-use bate_core::admission::optimal::{maximize_admissions_mode, optimal_feasible};
-use bate_core::scheduling::{harden, schedule, SolveMode};
+use bate_core::admission::optimal::{maximize_admissions, optimal_feasible, upset_search};
+use bate_core::scheduling::{harden, schedule};
 use bate_core::{Allocation, BaDemand, TeContext};
 use bate_net::{topologies, GroupId, Scenario, ScenarioSet, SrlgSet, Topology};
 use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
@@ -185,7 +186,7 @@ fn testbed6_admitted_demands_are_covered_depth1() {
         BaDemand::single(4, p13, 1e7, 0.999),
     ];
 
-    let res = maximize_admissions_mode(&ctx, &demands, SolveMode::Auto).unwrap();
+    let res = maximize_admissions(&ctx, &demands).unwrap();
     assert!(
         !res.accepted[3],
         "the 10 Tbps demand cannot be admitted on testbed6"
@@ -208,6 +209,47 @@ fn testbed6_admitted_demands_are_covered_depth1() {
             d.beta
         );
     }
+}
+
+#[test]
+fn upset_search_witnesses_are_covered() {
+    // Seeded pools of 3–6 single-pair demands on toy4 (y = 2) and
+    // testbed6 (y = 1), sized so that about half are feasible: every
+    // accept's witness must fit the links and give every demand its hard
+    // coverage under the brute-force walk.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(25);
+    let mut accepts = 0;
+    for (topo, y) in [(topologies::toy4(), 2), (topologies::testbed6(), 1)] {
+        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
+        let scenarios = ScenarioSet::enumerate(&topo, y);
+        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
+        let pairs: Vec<usize> = (0..tunnels.num_pairs())
+            .filter(|&p| !tunnels.tunnels(p).is_empty())
+            .collect();
+        let caps = ctx.link_capacities();
+        let mean_cap = caps.iter().sum::<f64>() / caps.len() as f64;
+        for pool in 0..30 {
+            let demands: Vec<BaDemand> = (0..rng.gen_range(3..=6u64))
+                .map(|i| {
+                    let pair = pairs[rng.gen_range(0..pairs.len())];
+                    let beta = [0.0, 0.9, 0.99, 0.999][rng.gen_range(0..4usize)];
+                    BaDemand::single(i + 1, pair, rng.gen_range(0.1..0.8) * mean_cap, beta)
+                })
+                .collect();
+            let Some(w) = upset_search(&ctx, &demands).unwrap().witness else {
+                continue;
+            };
+            accepts += 1;
+            let tag = format!("{} pool {pool}", topo.name());
+            assert!(respects_capacity_brute(&ctx, &w, &demands), "{tag}");
+            for d in &demands {
+                let cov = hard_coverage(&ctx, &w, d);
+                assert!(cov >= d.beta - TOL, "{tag}: demand {} covers {cov}", d.id.0);
+            }
+        }
+    }
+    assert!(accepts >= 20, "{accepts} accepts");
 }
 
 /// The correlated event model of toy4 plus one fiber-cut SRLG over the

@@ -6,13 +6,13 @@
 //! a problem that writes the same text.
 //!
 //! The scheduling LP (Eq. 1–7), its row-generation master, the Appendix-A
-//! admission MILP with its branch-and-cut master, and the incremental
+//! admission MILP, and the incremental
 //! scheduler's churned master all share one constraint family
 //! (`bate_core::model`). A refactor of the builders must leave every hash
 //! unchanged, because a moved row or a reordered term changes pivots, and
 //! every other golden in the tree with them.
 
-use bate_core::admission::optimal::{admission_lazy_master, admission_milp};
+use bate_core::admission::optimal::admission_milp;
 use bate_core::scheduling::{rowgen_master, scheduling_lp};
 use bate_core::{BaDemand, DemandDelta, DemandId, IncrementalScheduler, TeContext};
 use bate_lp::Problem;
@@ -57,15 +57,13 @@ fn gravity_demands(topo: &Topology, tunnels: &TunnelSet, n: usize, total: f64) -
 }
 
 /// What one instance pins. The loads are picked so the cut paths are in
-/// the text: B4's scheduling master ends 5 cuts past its seed rows, and
-/// every lazy admission master carries pooled cuts (3, 28 and 5 rows).
+/// the text: B4's scheduling master ends 5 cuts past its seed rows.
 #[derive(Debug, PartialEq)]
 struct Pinned {
     scheduling_lp: u64,
     /// Hash and row count: the count shows the cuts are in the text.
     rowgen_master: (u64, usize),
     admission_milp: u64,
-    admission_lazy_master: (u64, usize),
     /// After add-all / remove / resize / churn-to-compaction. A resize
     /// retires the demand's columns (zero upper bound) and appends new
     /// ones, so that text holds both.
@@ -86,10 +84,7 @@ fn check(topo: Topology, routing: RoutingScheme, total: f64, want: Pinned) {
         "the master is a row subset of the full LP"
     );
 
-    // Four demands keep branch-and-cut far from its node budget.
     let milp = admission_milp(&ctx, &demands[..4], false).unwrap();
-    let lazy = admission_lazy_master(&ctx, &demands[..4]).unwrap();
-    assert!(lazy.num_constraints() <= milp.num_constraints());
 
     let mut inc = IncrementalScheduler::new(&ctx);
     let adds: Vec<DemandDelta> = demands.iter().cloned().map(DemandDelta::Add).collect();
@@ -120,7 +115,6 @@ fn check(topo: Topology, routing: RoutingScheme, total: f64, want: Pinned) {
         scheduling_lp: text_hash(&lp),
         rowgen_master: (text_hash(&master), master.num_constraints()),
         admission_milp: text_hash(&milp),
-        admission_lazy_master: (text_hash(&lazy), lazy.num_constraints()),
         incremental: [added, removed, resized, text_hash(inc.problem())],
     };
     assert_eq!(got, want, "{}", topo.name());
@@ -136,7 +130,6 @@ fn toy4_y2_model_text() {
             scheduling_lp: 14729983652670550275,
             rowgen_master: (2660226331500831460, 38),
             admission_milp: 11894495049032072422,
-            admission_lazy_master: (8775833434479779698, 27),
             incremental: [
                 6915620148730186049,
                 6915134840069970820,
@@ -157,7 +150,6 @@ fn testbed6_y2_model_text() {
             scheduling_lp: 6833472578489609144,
             rowgen_master: (7954922028421240801, 58),
             admission_milp: 15346797876929823223,
-            admission_lazy_master: (12872321045958833073, 68),
             incremental: [
                 6043577007447656894,
                 16428853281155250740,
@@ -178,7 +170,6 @@ fn b4_y2_model_text() {
             scheduling_lp: 9729938067181552336,
             rowgen_master: (2978713823195762704, 61),
             admission_milp: 18109699532015529013,
-            admission_lazy_master: (3956817268343309736, 35),
             incremental: [
                 12766084293749117930,
                 7166133102460026774,

@@ -7,11 +7,10 @@
 //! pruning depths 2 and 4, testbed6 at 1 and 2, B4 at 2 — across five
 //! gravity-model traffic seeds and compare the two paths end to end.
 //!
-//! The rowgen path is additionally required to be byte-identical under
-//! any worker-count setting (its separation sweeps are plain loops on the
-//! caller's thread; no worker count may leak into results).
+//! On the same instances, OPT's up-set search must return the verdict of
+//! the full Appendix-A MILP.
 
-use bate_core::admission::optimal::{maximize_admissions_mode, optimal_feasible_mode};
+use bate_core::admission::optimal::{admission_milp, optimal_feasible, upset_search};
 use bate_core::scheduling::{self, SolveMode};
 use bate_core::{BaDemand, TeContext};
 use bate_lp::SolveError;
@@ -139,29 +138,37 @@ fn rowgen_matches_full_objective_and_hardening() {
 }
 
 #[test]
-fn rowgen_matches_full_admission_verdicts() {
-    // MILP instances kept small (4 demands) so branch-and-bound stays far
-    // from the node budget on both paths — a NodeLimit hit on one path
-    // only would be a budget artifact, not an equivalence failure.
+fn search_matches_full_admission_verdicts() {
+    // Four demands per pool, as the admission MILP goldens below use; the
+    // MILP must finish on every one (a limit would be no verdict).
+    let (mut accepts, mut rejects) = (0, 0);
     for (topo, routing, y, _, total) in instances() {
         let tunnels = TunnelSet::compute(&topo, routing);
         let scenarios = ScenarioSet::enumerate(&topo, y);
         let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        for seed in SEEDS {
-            let demands = gravity_demands(&topo, &tunnels, 4, total, seed);
-            let tag = format!("{} y={y} seed={seed}", topo.name());
+        // The pinned loads, and four times them so that some pools fail.
+        for (seed, scale) in SEEDS.iter().flat_map(|&s| [(s, 1.0), (s, 4.0)]) {
+            let demands = gravity_demands(&topo, &tunnels, 4, scale * total, seed);
+            let tag = format!("{} y={y} seed={seed} x{scale}", topo.name());
 
-            let vf = optimal_feasible_mode(&ctx, &demands, SolveMode::Full).unwrap();
-            let vl = optimal_feasible_mode(&ctx, &demands, rowgen_mode()).unwrap();
-            assert_eq!(vf, vl, "{tag}: optimal_feasible verdicts differ");
-
-            let mf = maximize_admissions_mode(&ctx, &demands, SolveMode::Full).unwrap();
-            let ml = maximize_admissions_mode(&ctx, &demands, rowgen_mode()).unwrap();
-            let cf = mf.accepted.iter().filter(|&&a| a).count();
-            let cl = ml.accepted.iter().filter(|&&a| a).count();
-            assert_eq!(cf, cl, "{tag}: maximize_admissions counts differ");
+            let full = match admission_milp(&ctx, &demands, true).unwrap().solve() {
+                Ok(_) => true,
+                Err(SolveError::Infeasible) => false,
+                Err(e) => panic!("{tag}: the full MILP did not finish: {e}"),
+            };
+            let search = upset_search(&ctx, &demands).unwrap();
+            assert_eq!(search.witness.is_some(), full, "{tag}: verdicts differ");
+            let opt = optimal_feasible(&ctx, &demands).unwrap();
+            assert_eq!(opt, full, "{tag}: optimal_feasible differs");
+            if let Some(w) = &search.witness {
+                assert!(demands.iter().all(|d| w.meets_target(&ctx, d)), "{tag}");
+                assert!(w.respects_capacity(&ctx, 1e-9), "{tag}");
+            }
+            *if full { &mut accepts } else { &mut rejects } += 1;
         }
     }
+    // Both verdicts occur, so neither side can pass by answering one way.
+    assert!(accepts > 0 && rejects > 0, "{accepts} accepts, {rejects} rejects");
 }
 
 /// The pinned instances' scheduling LPs, re-derived through the public
@@ -218,7 +225,6 @@ fn scheduling_lps_certify_and_match_exact_oracle() {
 /// branch-and-bound optimality proof `incumbent ≤ exact root bound`.
 #[test]
 fn admission_milps_certify_against_exact_relaxation_bounds() {
-    use bate_core::admission::optimal::admission_milp;
     use bate_reference::{solve_exact, verify_milp_certificate};
     for (topo, routing, y, _, total) in instances() {
         let small = (topo.name() == "toy4" && y == 2) || (topo.name() == "testbed6" && y == 1);

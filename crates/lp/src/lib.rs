@@ -16,9 +16,9 @@
 //!   cutting-plane loop — runs cold, and a cold answer is the reference a
 //!   warm one must pass its gate against or be redone as, and
 //! * a **branch-and-bound** MILP solver ([`milp`]): one tree search,
-//!   over a fixed problem or a master that a separation oracle grows,
 //!   supporting binary and general integer variables, run on its caller's
-//!   thread in a fixed batch order.
+//!   thread in a fixed batch order, beside the LP cutting-plane loop
+//!   ([`solve_lp_lazy`]) that row generation runs.
 //!
 //! Both are exact methods, so optimization results match what the paper's
 //! solver would produce (up to numerical tolerance); only absolute solve
@@ -55,7 +55,7 @@ pub mod warm;
 
 pub use error::SolveError;
 pub use problem::{Problem, Relation, Sense, VarId, VarKind};
-pub use milp::{solve_lazy, solve_lp_lazy, solve_traced_lazy, LazyLpLog, LazyRow};
+pub use milp::{solve_lp_lazy, LazyLpLog, LazyRow};
 pub use simplex::{register_phase_metrics, Workspace};
 pub use solution::Solution;
 pub use stats::{IncumbentPoint, MilpStats, SolveStats};

@@ -10,19 +10,18 @@
 //! The search runs on its caller's thread. Nodes leave the stack in
 //! **batches**: while the frontier is thinner than [`NODE_BATCH`] one node
 //! at a time (plain DFS, which dives to an incumbent fast), otherwise
-//! [`NODE_BATCH`] at once (the ramp rule). Every relaxation of a batch is solved against
-//! the master as it stood when the batch was popped, in stack order, and
-//! only then are the nodes processed in that order: node accounting,
-//! incumbent updates, pruning, separation and branching. An incumbent
+//! [`NODE_BATCH`] at once (the ramp rule). Every relaxation of a batch is
+//! solved, in stack order, before the nodes are processed in that order:
+//! node accounting, incumbent updates, pruning and branching. An incumbent
 //! found at position `i` of a batch therefore cannot cancel the
 //! relaxations at positions `> i`; up to `NODE_BATCH - 1` solves per
 //! improvement are spent past it.
 //!
 //! The batches are not a speed device. They fix the node order, and with
 //! it the node counts, incumbent trajectories and `NodeLimit` outcomes,
-//! that every pinned MILP result in the workspace was produced under. A
-//! search that pops one node at a time, or solves each batch-mate against
-//! the master as the earlier ones grew it, visits a different tree.
+//! that every pinned MILP result in the workspace was produced under (the
+//! recovery MILP's goldens, the knapsack pins below). A search that pops
+//! one node at a time visits a different tree.
 //!
 //! Every node solves cold on one [`simplex::Workspace`] the search owns,
 //! which carries no rows and no basis from one solve to the next, so a
@@ -63,23 +62,15 @@ pub fn solve(problem: &Problem, config: BnbConfig) -> Result<Solution, SolveErro
     solve_traced(problem, config).map(|(s, _)| s)
 }
 
-/// A constraint row produced by a separation oracle during lazy
-/// (cutting-plane) branch-and-bound — a row of the *full* formulation that
-/// the master problem omitted and the candidate solution violates.
+/// A constraint row produced by a separation oracle during the LP
+/// cutting-plane loop ([`solve_lp_lazy`]) — a row of the *full*
+/// formulation that the master problem omitted and the candidate solution
+/// violates.
 #[derive(Debug, Clone)]
 pub struct LazyRow {
     pub terms: Vec<(VarId, f64)>,
     pub relation: Relation,
     pub rhs: f64,
-}
-
-/// [`solve_traced_lazy`] without the stats.
-pub fn solve_lazy(
-    problem: &mut Problem,
-    config: BnbConfig,
-    separate: impl FnMut(&Solution) -> Vec<LazyRow>,
-) -> Result<Solution, SolveError> {
-    solve_traced_lazy(problem, config, separate).map(|(s, _)| s)
 }
 
 /// What [`solve_lp_lazy`] did, filled in as it goes so that a caller can
@@ -143,78 +134,6 @@ fn lazy_lp_loop(
     }
 }
 
-/// Branch-and-cut: branch-and-bound over a master problem that holds only
-/// a subset of the full formulation's rows, with `separate` called on
-/// every surviving node relaxation to report violated full-formulation
-/// rows.
-///
-/// Reported rows are appended to the shared `problem` — the global lazy
-/// row pool — and the node is re-queued against the tightened master, so
-/// every node (and in particular every child of the node that triggered
-/// the separation) inherits all rows active anywhere in the tree so far.
-/// Because the master is always a row-subset of the full formulation,
-/// node relaxations stay valid lower bounds and pruning is exact; because
-/// an incumbent is only accepted after `separate` returns no violations,
-/// accepted incumbents are feasible for the full formulation. Together
-/// that makes the search exactly equivalent to branch-and-bound on the
-/// full problem: same optimal objective, same feasible/infeasible
-/// verdict. `separate` must be deterministic (a pure function of the
-/// candidate solution and the rows appended so far) for solves to be
-/// reproducible; it is called while a batch is processed, never between
-/// the solves of one.
-///
-/// Two guards close gaps in that argument that `separate` alone cannot:
-///
-/// * **Stale batch-mates.** All relaxations of a batch are solved against
-///   the master as it stood before the batch, but rows append mid-batch
-///   (while earlier batch-mates are processed sequentially). An oracle is
-///   allowed to skip rows already in the master ("the LP enforces them"),
-///   which is false for a batch-mate solved before the row existed — so
-///   every node is first checked directly against the rows appended since
-///   its relaxation was solved, and a violator is re-queued against the
-///   tightened master exactly like the cuts-nonempty path.
-/// * **Rounding slip.** Integer values are snapped to `round()` before a
-///   candidate becomes the incumbent; a binary rounded *up* by INT_EPS
-///   tightens a lazy row `flow >= b·q` by `b·INT_EPS`, which can exceed
-///   the oracle's separation tolerance. The rounded point is therefore
-///   re-separated (and re-checked against mid-batch rows) and only
-///   accepted when clean; otherwise the node re-queues with the fresh
-///   rows appended.
-///
-/// Each re-queued evaluation counts against `config.max_nodes`. A re-queue
-/// either appends at least one previously-missing row, or (the stale
-/// batch-mate case) re-solves against rows some batch-mate just appended —
-/// at most `NODE_BATCH - 1` such re-queues per append event, and once
-/// re-solved the rows are enforced, so termination is inherited from the
-/// finiteness of the full row set.
-pub fn solve_traced_lazy(
-    problem: &mut Problem,
-    config: BnbConfig,
-    mut separate: impl FnMut(&Solution) -> Vec<LazyRow>,
-) -> Result<(Solution, MilpStats), SolveError> {
-    let int_vars = integer_vars(problem);
-    if !int_vars.is_empty() {
-        return branch_and_bound(Master::Lazy(problem, &mut separate), &int_vars, config);
-    }
-    let mut log = LazyLpLog::default();
-    let sol = solve_lp_lazy(problem, &mut log, separate)?;
-    let mut stats = MilpStats {
-        nodes: log.solves.len() as u64,
-        separation_calls: log.solves.len() as u64,
-        lazy_rows_added: log.rows_per_round.iter().map(|&r| r as u64).sum(),
-        ..MilpStats::default()
-    };
-    for (solve, _) in &log.solves {
-        stats.lp_iterations += solve.iterations();
-        stats.lp_pivots += solve.pivots;
-    }
-    stats.incumbents.push(IncumbentPoint {
-        node: stats.nodes,
-        objective: sol.objective,
-    });
-    Ok((sol, stats))
-}
-
 /// [`solve`], additionally returning the search statistics — node count,
 /// maximum depth, aggregate LP work, and the incumbent trajectory, booked
 /// as each batch is processed in node order.
@@ -224,7 +143,7 @@ pub fn solve_traced(
 ) -> Result<(Solution, MilpStats), SolveError> {
     let int_vars = integer_vars(problem);
     if !int_vars.is_empty() {
-        return branch_and_bound(Master::Fixed(problem), &int_vars, config);
+        return branch_and_bound(problem, &int_vars, config);
     }
     let sol = simplex::solve_relaxation(problem, &[])?;
     let stats = MilpStats {
@@ -250,46 +169,14 @@ fn integer_vars(problem: &Problem) -> Vec<usize> {
         .collect()
 }
 
-/// What a branch-and-bound searches over: the whole formulation, or a
-/// master that a separation oracle grows towards it.
-enum Master<'a> {
-    Fixed(&'a Problem),
-    Lazy(&'a mut Problem, &'a mut dyn FnMut(&Solution) -> Vec<LazyRow>),
-}
-
-impl Master<'_> {
-    fn problem(&self) -> &Problem {
-        match self {
-            Master::Fixed(problem) => problem,
-            Master::Lazy(problem, _) => problem,
-        }
-    }
-
-    /// Ask the oracle about `cand` and append what it reports. True when
-    /// rows were appended: the caller re-queues its node against the
-    /// tightened master (later batches solve against the grown row set).
-    fn separate(&mut self, cand: &Solution, stats: &mut MilpStats) -> bool {
-        let Master::Lazy(problem, separate) = self else {
-            return false;
-        };
-        stats.separation_calls += 1;
-        let cuts = separate(cand);
-        stats.lazy_rows_added += cuts.len() as u64;
-        for cut in &cuts {
-            problem.add_constraint(&cut.terms, cut.relation, cut.rhs);
-        }
-        !cuts.is_empty()
-    }
-}
-
-/// The one tree search behind [`solve_traced`] and [`solve_traced_lazy`].
+/// The one tree search behind [`solve_traced`].
 fn branch_and_bound(
-    mut master: Master<'_>,
+    problem: &Problem,
     int_vars: &[usize],
     config: BnbConfig,
 ) -> Result<(Solution, MilpStats), SolveError> {
     // Internally treat everything as minimization.
-    let sign = match master.problem().sense {
+    let sign = match problem.sense {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
@@ -320,22 +207,17 @@ fn branch_and_bound(
                 None => break,
             }
         }
-        // Every relaxation in this batch is solved against the master as
-        // of this row count; rows appended while processing earlier
-        // batch-mates are re-checked explicitly below.
-        let rows_at_solve = master.problem().num_constraints();
         // Every node solves cold: its vertex (and hence the branching) is
         // a function of the node alone. Warm starts live in the
         // round-to-round scheduling flow ([`crate::warm`]), not inside
         // the tree search.
         let evaluated: Vec<Result<Solution, SolveError>> = batch
             .iter()
-            .map(|node| simplex::solve_with(master.problem(), &node.bounds, &mut ws))
+            .map(|node| simplex::solve_with(problem, &node.bounds, &mut ws))
             .collect();
 
         // Process in batch order: this loop is the only place search
-        // state (incumbent, node budget, stack, row pool) changes and the
-        // only place the oracle runs.
+        // state (incumbent, node budget, stack) changes.
         for (node, relax) in batch.drain(..).zip(evaluated) {
             if nodes >= config.max_nodes {
                 // Out of budget: report the incumbent if we have one.
@@ -356,19 +238,6 @@ fn branch_and_bound(
             stats.lp_pivots += relax.stats.pivots;
             let relax_cost = sign * relax.objective;
             if relax_cost >= incumbent_cost - config.gap {
-                continue; // valid even on the row-subset: it's a relaxation
-            }
-
-            // A batch-mate processed earlier may have appended rows this
-            // relaxation was solved without. The oracle may legitimately
-            // skip rows already in the master, so they are checked here
-            // directly; a violator is re-queued against the tightened
-            // master (its stale objective is still a valid bound, so the
-            // pruning test above stays exact).
-            if violates_rows_since(master.problem(), rows_at_solve, &relax.values)
-                || master.separate(&relax, &mut stats)
-            {
-                stack.push(Node { bounds: node.bounds });
                 continue;
             }
 
@@ -386,32 +255,14 @@ fn branch_and_bound(
 
             match branch_var {
                 None => {
-                    // Integral and cleanly separated — but separation ran
-                    // on the *unrounded* relaxation, and snapping a binary
-                    // up by INT_EPS can push a lazy row past the oracle's
-                    // tolerance. Re-check the rounded point (mid-batch rows
-                    // directly, the rest via the oracle) before accepting.
+                    // Integral within INT_EPS: snap the integers.
                     let mut vals = relax.values.clone();
                     for &j in int_vars {
                         vals[j] = vals[j].round();
                     }
-                    let obj = master.problem().objective_value(&vals);
+                    let obj = problem.objective_value(&vals);
                     let cost = sign * obj;
                     if cost >= incumbent_cost {
-                        continue;
-                    }
-                    let cand = Solution {
-                        objective: obj,
-                        values: vals,
-                        duals: None,
-                        // The incumbent inherits the kernel counters of
-                        // the node relaxation that produced it.
-                        stats: relax.stats.clone(),
-                    };
-                    if violates_rows_since(master.problem(), rows_at_solve, &cand.values)
-                        || master.separate(&cand, &mut stats)
-                    {
-                        stack.push(Node { bounds: node.bounds });
                         continue;
                     }
                     incumbent_cost = cost;
@@ -419,7 +270,14 @@ fn branch_and_bound(
                         node: nodes as u64,
                         objective: obj,
                     });
-                    incumbent = Some(cand);
+                    incumbent = Some(Solution {
+                        objective: obj,
+                        values: vals,
+                        duals: None,
+                        // The incumbent inherits the kernel counters of
+                        // the node relaxation that produced it.
+                        stats: relax.stats,
+                    });
                 }
                 Some(j) => {
                     let v = relax.values[j];
@@ -446,24 +304,6 @@ fn branch_and_bound(
     }
 
     incumbent.map(|s| (s, stats)).ok_or(SolveError::Infeasible)
-}
-
-/// True when `values` violates any master row from index `from` on.
-/// Branch-and-cut uses this to re-check candidates against rows their
-/// relaxation was solved without (stale batch-mates, rounded incumbent
-/// candidates). The rows checked were never in the solved LP, so a
-/// tolerance tighter than the simplex's is safe: a flagged node simply
-/// re-solves with the row enforced, after which it is never re-checked.
-fn violates_rows_since(problem: &Problem, from: usize, values: &[f64]) -> bool {
-    problem.constraints[from..].iter().any(|c| {
-        let lhs: f64 = c.terms.iter().map(|&(i, coef)| coef * values[i]).sum();
-        let tol = 1e-9 * (1.0 + c.rhs.abs());
-        match c.relation {
-            Relation::Le => lhs > c.rhs + tol,
-            Relation::Ge => lhs < c.rhs - tol,
-            Relation::Eq => (lhs - c.rhs).abs() > tol,
-        }
-    })
 }
 
 #[cfg(test)]
@@ -577,8 +417,6 @@ mod tests {
         p.add_constraint(&w2, Relation::Le, 11.0);
 
         let (base, base_stats) = solve_traced(&p, BnbConfig::default()).unwrap();
-        // The search as the eager loop ran it before it was folded into
-        // the shared one: same tree, and no oracle was ever asked.
         let s = &base_stats;
         assert_eq!(
             (s.nodes, s.max_depth, s.lp_iterations, s.lp_pivots),
@@ -586,156 +424,11 @@ mod tests {
         );
         let found_at: Vec<u64> = s.incumbents.iter().map(|i| i.node).collect();
         assert_eq!(found_at, vec![85, 98, 144]);
-        assert_eq!((s.separation_calls, s.lazy_rows_added), (0, 0));
         assert_eq!(
             base_stats.incumbents.last().map(|i| i.objective),
             Some(base.objective),
             "the incumbent trajectory must end at the returned optimum"
         );
-    }
-
-    #[test]
-    fn lazy_rows_match_full_formulation() {
-        // The 12-item double-knapsack of the pinned-tree test, but with
-        // the second capacity row revealed lazily by a separation oracle.
-        // Branch-and-cut must land on the same optimum as the full solve.
-        let build = |with_w2: bool| {
-            let mut p = Problem::new(Sense::Maximize);
-            let items: Vec<_> = (0..12).map(|_| p.add_binary_var()).collect();
-            for (i, &x) in items.iter().enumerate() {
-                p.set_objective(x, 3.0 + (i as f64 * 1.7).sin().abs() * 9.0);
-                p.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
-            }
-            let w1: Vec<_> = items
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (x, 1.0 + (i as f64 * 0.9).cos().abs() * 4.0))
-                .collect();
-            let w2: Vec<_> = items
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (x, 1.0 + (i as f64 * 1.3).sin().abs() * 3.0))
-                .collect();
-            p.add_constraint(&w1, Relation::Le, 14.0);
-            if with_w2 {
-                p.add_constraint(&w2, Relation::Le, 11.0);
-            }
-            (p, w2)
-        };
-
-        let (full, _) = build(true);
-        let want = solve(&full, BnbConfig::default()).unwrap();
-
-        let (mut master, w2) = build(false);
-        let mut active = false;
-        let (sol, stats) = solve_traced_lazy(&mut master, BnbConfig::default(), |cand| {
-            let lhs: f64 = w2.iter().map(|&(x, c)| c * cand[x]).sum();
-            if !active && lhs > 11.0 + 1e-9 {
-                active = true;
-                vec![LazyRow {
-                    terms: w2.clone(),
-                    relation: Relation::Le,
-                    rhs: 11.0,
-                }]
-            } else {
-                Vec::new()
-            }
-        })
-        .unwrap();
-        approx(sol.objective, want.objective);
-        assert!(stats.separation_calls > 0);
-        // The hidden row matters for this instance, so it must have been
-        // pulled in (otherwise the LP bound would overshoot the optimum).
-        assert_eq!(stats.lazy_rows_added, 1);
-    }
-
-    #[test]
-    fn stale_batch_mates_cannot_become_incumbents() {
-        // Regression for the batch-staleness hole: all relaxations of a
-        // batch are solved against the pre-batch master, and an oracle
-        // that skips rows already in the master (the `added`-tracking
-        // pattern the admission MILP uses) will not re-report a row some
-        // earlier batch-mate just appended — so a stale batch-mate whose
-        // integral relaxation violates that row used to be accepted as an
-        // incumbent infeasible for the full formulation.
-        //
-        // The instance forces that interleaving deterministically:
-        //
-        // * `nj` junk gadgets — binary `j`, continuous `j' <= min(j, 1-j)`
-        //   with reward on `j'` — each relax at j = j' = 0.5, and both
-        //   branches of `j` stay feasible, so the DFS frontier grows past
-        //   NODE_BATCH and nodes leave the stack in batches.
-        // * a z-gadget — `r <= 2z`, `r <= 2 - 2z`, and the reward on `r`
-        //   (15) exceeding the combined a/b reward slack — pins z = 0.5
-        //   and r = 1 in every relaxation, which through the shared gate
-        //   `a + b + r <= 2` holds a + b = 1. z has the highest variable
-        //   index, so every junk gadget branches before it.
-        // * branching z kills r on BOTH sides, so both z-children relax
-        //   to the integral point a = b = 1 — violating the hidden row
-        //   `a + b <= 1` — and sit adjacent on the stack, landing in the
-        //   same batch. The first one separates and appends the row; the
-        //   second used to sail through `cuts.is_empty()` and become a
-        //   bogus incumbent at objective 20 (true optimum: 10).
-        let nj = 8;
-        let build = |with_hidden: bool| {
-            let mut p = Problem::new(Sense::Maximize);
-            for _ in 0..nj {
-                let j = p.add_binary_var();
-                let jp = p.add_bounded_var(1.0);
-                p.set_objective(jp, 1.0);
-                p.add_constraint(&[(jp, 1.0), (j, -1.0)], Relation::Le, 0.0);
-                p.add_constraint(&[(jp, 1.0), (j, 1.0)], Relation::Le, 1.0);
-            }
-            let z = p.add_binary_var();
-            let r = p.add_bounded_var(1.0);
-            let a = p.add_binary_var();
-            let b = p.add_binary_var();
-            p.set_objective(r, 15.0);
-            p.set_objective(a, 10.0);
-            p.set_objective(b, 10.0);
-            p.add_constraint(&[(r, 1.0), (z, -2.0)], Relation::Le, 0.0);
-            p.add_constraint(&[(r, 1.0), (z, 2.0)], Relation::Le, 2.0);
-            p.add_constraint(&[(a, 1.0), (b, 1.0), (r, 1.0)], Relation::Le, 2.0);
-            let hidden = vec![(vec![(a, 1.0), (b, 1.0)], 1.0)];
-            if with_hidden {
-                for (t, rhs) in &hidden {
-                    p.add_constraint(t, Relation::Le, *rhs);
-                }
-            }
-            (p, hidden)
-        };
-
-        let (full, _) = build(true);
-        let want = solve(&full, BnbConfig::default()).unwrap();
-        approx(want.objective, 10.0);
-
-        let (mut master, hidden) = build(false);
-        let mut added = vec![false; hidden.len()];
-        let (sol, stats) = solve_traced_lazy(&mut master, BnbConfig::default(), |cand| {
-            let mut cuts = Vec::new();
-            for (ri, (terms, rhs)) in hidden.iter().enumerate() {
-                if added[ri] {
-                    continue; // "the LP enforces it already"
-                }
-                let lhs: f64 = terms.iter().map(|&(x, c)| c * cand[x]).sum();
-                if lhs > rhs + 1e-9 {
-                    added[ri] = true;
-                    cuts.push(LazyRow {
-                        terms: terms.clone(),
-                        relation: Relation::Le,
-                        rhs: *rhs,
-                    });
-                }
-            }
-            cuts
-        })
-        .unwrap();
-        approx(sol.objective, want.objective);
-        assert!(
-            full.is_feasible(&sol.values, 1e-6),
-            "lazy incumbent violates the hidden row"
-        );
-        assert_eq!(stats.lazy_rows_added, 1);
     }
 
     /// `min x + y` over `x + y >= 1/4`, with `x + y >= 2` held back: one

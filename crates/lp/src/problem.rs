@@ -163,6 +163,12 @@ impl Problem {
         self.constraints[row].rhs = rhs;
     }
 
+    /// Drop every constraint from row `len` on: rows appended for one
+    /// solve, taken back after it.
+    pub fn truncate_constraints(&mut self, len: usize) {
+        self.constraints.truncate(len);
+    }
+
     /// Right-hand side of constraint `row`.
     pub fn rhs(&self, row: usize) -> f64 {
         self.constraints[row].rhs

@@ -85,9 +85,9 @@ pub struct IncumbentPoint {
 
 /// Search statistics from one branch-and-bound solve.
 ///
-/// Node accounting happens in the sequential batch-processing loop, so
-/// every field is byte-identical across thread counts (the same property
-/// the solver itself guarantees for its solutions).
+/// Node accounting happens as each batch is processed, in node order, so
+/// every field is a function of the problem and the search limits alone,
+/// as the solution is.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MilpStats {
     /// LP relaxations processed (includes pruned and infeasible nodes).
@@ -101,10 +101,4 @@ pub struct MilpStats {
     /// Every incumbent improvement, in discovery order — the trajectory
     /// from first feasible point to the returned optimum.
     pub incumbents: Vec<IncumbentPoint>,
-    /// Lazy-constraint rows appended by the separation oracle (always 0
-    /// for plain [`solve_traced`](crate::milp::solve_traced); see
-    /// [`solve_traced_lazy`](crate::milp::solve_traced_lazy)).
-    pub lazy_rows_added: u64,
-    /// Separation-oracle invocations during lazy branch-and-cut.
-    pub separation_calls: u64,
 }

@@ -24,7 +24,8 @@ pub enum AdmissionStrategy {
     Fixed,
     /// BATE's full pipeline (fixed check + Algorithm-1 conjecture).
     Bate,
-    /// The Appendix-A MILP ("OPT").
+    /// The optimal admission check of Appendix A ("OPT",
+    /// `admission::optimal::optimal_feasible`).
     Optimal,
     /// Admit everything (baseline TE algorithms have no admission control;
     /// used when comparing raw TE behaviour).
@@ -63,7 +64,7 @@ pub struct SimConfig {
     pub admission: AdmissionStrategy,
     pub recovery: RecoveryPolicy,
     /// When true, every rejection is double-checked against the optimal
-    /// MILP to count false rejections (Fig. 12(d)). Expensive.
+    /// admission check to count false rejections (Fig. 12(d)).
     pub measure_false_rejections: bool,
     /// Seed for the failure process.
     pub seed: u64,
@@ -295,7 +296,11 @@ impl<'a> Simulation<'a> {
                             Err(_) => AdmissionOutcome::Rejected,
                         }
                     }
-                    _ => AdmissionOutcome::Rejected,
+                    Ok(false) => AdmissionOutcome::Rejected,
+                    Err(_) => {
+                        st.report.opt_undecided += 1;
+                        AdmissionOutcome::Rejected
+                    }
                 }
             }
             AdmissionStrategy::AcceptAll => AdmissionOutcome::Admitted {
@@ -339,8 +344,10 @@ impl<'a> Simulation<'a> {
                 if self.config.measure_false_rejections {
                     let mut all = st.active.clone();
                     all.push(demand.clone());
-                    if optimal_feasible(&st.ctx, &all).unwrap_or(false) {
-                        st.report.false_rejections += 1;
+                    match optimal_feasible(&st.ctx, &all) {
+                        Ok(true) => st.report.false_rejections += 1,
+                        Ok(false) => {}
+                        Err(_) => st.report.opt_undecided += 1,
                     }
                 }
             }

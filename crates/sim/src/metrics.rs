@@ -48,6 +48,13 @@ pub struct SimReport {
     /// Rejections that the optimal (Appendix A) check would have admitted —
     /// only populated when the run measures false rejections (Fig. 12(d)).
     pub false_rejections: usize,
+    /// Arrivals whose OPT check (`optimal_feasible`, run by the Optimal
+    /// strategy or by the false-rejection count) returned an error (the
+    /// MILP's `NodeLimit`, a simplex `IterationLimit`) instead of a
+    /// verdict. Such an arrival is still booked as a rejection (or as no
+    /// false rejection), so the rows stay comparable; a nonzero count
+    /// means a limit, not the model, decided some of them.
+    pub opt_undecided: usize,
     pub demands: Vec<DemandRecord>,
     /// Delivered/demanded samples taken at scheduling rounds (Fig. 8).
     pub bw_ratio_samples: Vec<f64>,

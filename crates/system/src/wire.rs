@@ -24,10 +24,11 @@ use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Registry handles for the wire metric family. Frames move on many
-/// threads concurrently (controller per-connection handlers, broker
-/// reader/writer splits), so these are metrics only — counter adds
-/// commute, trace events would interleave nondeterministically.
+/// Registry handles for the wire metric family. Frames move on several
+/// threads at once (the controller's poll loop, each broker's reader
+/// thread and whichever thread sends through it, every client), so these
+/// are metrics only — counter adds commute, trace events would interleave
+/// nondeterministically.
 struct WireMetrics {
     frames_sent: Arc<bate_obs::Counter>,
     frames_received: Arc<bate_obs::Counter>,

@@ -150,6 +150,20 @@ if [[ -z "$VS_RATIO" || -z "$SEARCH_P90" || -z "$LP_P90" ]] \
 fi
 echo "fixed_vs_lp ATT LP / search ${VS_RATIO}x >= 1.5x, testbed6 p90 ${SEARCH_P90} <= ${LP_P90} us: OK"
 
+# OPT decides a single-pair pool by its up-set search (DESIGN.md §9): on
+# the fig12 pool, which the full admission MILP also decides, the search's
+# median must be no higher than the MILP's.
+echo "== OPT search gate (DESIGN.md §9) =="
+OPT=$(grep '"opt_search"' BENCH_lp.json || true)
+OPT_SEARCH=$(sed -n 's/.*"opt_search": {"fig12": {[^}]*"search_ms": {"median": \([0-9.]*\),.*/\1/p' <<<"$OPT")
+OPT_MILP=$(sed -n 's/.*"opt_search": {"fig12": {[^}]*"search_ms": {[^}]*}, "milp_ms": {"median": \([0-9.]*\),.*/\1/p' <<<"$OPT")
+if [[ -z "$OPT_SEARCH" || -z "$OPT_MILP" ]] \
+    || ! awk -v s="$OPT_SEARCH" -v m="$OPT_MILP" 'BEGIN { exit !(s <= m) }'; then
+    echo "FAILED: opt_search fig12 search median '${OPT_SEARCH}' ms vs MILP '${OPT_MILP}' ms missing or above it"
+    exit 1
+fi
+echo "opt_search fig12 search ${OPT_SEARCH} ms <= MILP ${OPT_MILP} ms: OK"
+
 if [[ -n "$BASELINE" ]]; then
     echo "== diff vs $BASELINE =="
     diff -u "$BASELINE" BENCH_lp.json && echo "(no change)" || true

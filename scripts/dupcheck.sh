@@ -143,5 +143,12 @@ check "par_map, par_map_with, thread_count, with_thread_count, thread::scope, th
         | grep -oE 'par_map(_with)?|(with_)?thread_count|thread::(scope|spawn)|BATE_THREADS' | wc -l)" 0
 check "fan_out or Handoff under crates/ (trace contexts stay on their thread)" \
     "$(grep -rhoE 'fan_out|Handoff' crates | wc -l)" 0
+# One branch-and-bound (DESIGN.md §9): OPT decides a single-pair pool by
+# its up-set search and any other pool by the full MILP, so neither the
+# branch-and-cut path of bate_lp::milp nor a solve-mode choice of OPT's
+# entry points comes back.
+check "names of the deleted branch-and-cut path and OPT's mode entry points under crates/" \
+    "$(grep -rhoE '\b(solve_lazy|solve_traced_lazy|violates_rows_since|admission_lazy_master|optimal_feasible_mode|maximize_admissions_mode)\b|Master::Lazy' \
+        crates | wc -l)" 0
 [ "$STATUS" -eq 0 ] && echo "dupcheck: ok"
 exit "$STATUS"
