@@ -2,8 +2,7 @@
 //!
 //! The cutting-plane solve path (`SolveMode::RowGen`) must be *exactly*
 //! equivalent to building the full formulation: same optimal objective,
-//! same feasible/infeasible verdict, same admission decisions, same
-//! hardening behavior. These tests sweep the pinned instances — toy4 at
+//! same feasible/infeasible verdict, same hardening behavior. These tests sweep the pinned instances — toy4 at
 //! pruning depths 2 and 4, testbed6 at 1 and 2, B4 at 2 — across five
 //! gravity-model traffic seeds and compare the two paths end to end.
 //!

@@ -4,7 +4,7 @@
 //! Deliberately sequential and deterministic (DFS, branch on the lowest
 //! fractional integer index, floor branch first): its job is to produce
 //! the provably-optimal objective for harness-sized MILPs so the float
-//! branch-and-cut's answers can be differenced against it. Branch bounds
+//! branch-and-bound's answers can be differenced against it. Branch bounds
 //! are integers, which `f64` represents exactly far beyond any instance
 //! the harness generates, so the float-typed override channel shared with
 //! the float kernel loses nothing.
