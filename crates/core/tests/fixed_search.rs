@@ -19,7 +19,8 @@
 //! (`admission::optimal::upset_search`) is held to the same brute force
 //! lifted to a pool: on random toy4, testbed6 and B4 pools it returns the
 //! verdict of the full Appendix-A MILP wherever that finishes, every
-//! accept's witness meets every target within the link capacities, and a
+//! accept's witness meets every target within the link capacities (also
+//! under the scenario-by-scenario walk), and a
 //! reject on toy4 or testbed6 that the MILP leaves open (or any such
 //! reject with few enough choices) is confirmed by trying every choice
 //! with exact rational feasibility.
@@ -31,7 +32,7 @@ use bate_core::{BaDemand, TeContext};
 use bate_lp::{milp, Problem, Relation, Sense, SolveError, VarId};
 use bate_net::{topologies, ScenarioSet};
 use bate_reference::solve_exact;
-use bate_reference::walk::collapse_walk;
+use bate_reference::walk::{achieved_availability_walk, collapse_walk};
 use bate_routing::{RoutingScheme, TunnelSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -295,6 +296,9 @@ fn pool_search_matches_the_milp_and_a_brute_force_over_upset_choices() {
                     accepts += 1;
                     for d in &demands {
                         assert!(w.meets_target(&ctx, d), "{tag}: demand {} short", d.id.0);
+                        // And under the scenario-by-scenario walk.
+                        let walked = achieved_availability_walk(&ctx, w, d);
+                        assert!(walked >= d.beta - SATISFY_TOL, "{tag}: {walked}");
                     }
                     assert!(w.respects_capacity(&ctx, 1e-9), "{tag}: over capacity");
                 }
