@@ -164,11 +164,12 @@ fn main() {
                 );
                 for c in profit::fig7cd(effort.horizon_min, &effort.seeds) {
                     println!(
-                        "  {:>8} {:>8}  {:>9.2}%  {:>9.1}%",
+                        "  {:>8} {:>8}  {:>9.2}%  {:>9.1}%{}",
                         c.admission,
                         c.te,
                         c.profit_loss * 100.0,
-                        c.profit_gain * 100.0
+                        c.profit_gain * 100.0,
+                        undecided(c.opt_undecided)
                     );
                 }
             }

@@ -24,6 +24,9 @@ pub struct Fig7cdCell {
     pub profit_loss: f64,
     /// profit/baseline (Fig. 7(d)).
     pub profit_gain: f64,
+    /// OPT arrivals a solver limit decided, summed over the seeds
+    /// (`SimReport::opt_undecided`; booked as rejections).
+    pub opt_undecided: usize,
 }
 
 pub fn fig7cd(horizon_min: f64, seeds: &[u64]) -> Vec<Fig7cdCell> {
@@ -48,7 +51,7 @@ pub fn fig7cd(horizon_min: f64, seeds: &[u64]) -> Vec<Fig7cdCell> {
     for (aname, admission) in admissions {
         for (tname, te, recovery) in tes {
             // Per-seed simulations fan out; the mean is seed-order stable.
-            let gains: Vec<f64> = crate::par::par_map(seeds, |&seed| {
+            let per_seed: Vec<(f64, usize)> = crate::par::par_map(seeds, |&seed| {
                 let mut wl = WorkloadConfig::testbed(pairs.clone(), seed);
                 wl.refund_pool = pool.clone();
                 let horizon = horizon_min * 60.0;
@@ -63,14 +66,16 @@ pub fn fig7cd(horizon_min: f64, seeds: &[u64]) -> Vec<Fig7cdCell> {
                     workload: &workload,
                 }
                 .run();
-                rep.profit_gain(&pool)
+                (rep.profit_gain(&pool), rep.opt_undecided)
             });
+            let gains: Vec<f64> = per_seed.iter().map(|r| r.0).collect();
             let gain = mean(&gains);
             out.push(Fig7cdCell {
                 admission: aname,
                 te: tname,
                 profit_loss: 1.0 - gain,
                 profit_gain: gain,
+                opt_undecided: per_seed.iter().map(|r| r.1).sum(),
             });
         }
     }
@@ -215,6 +220,15 @@ mod tests {
                 r.approx_ratio
             );
             assert!(r.speedup > 0.0);
+        }
+    }
+
+    #[test]
+    fn fig7cd_opt_verdicts_are_the_models() {
+        let cells = fig7cd(3.0, &[1]);
+        assert_eq!(cells.len(), 9);
+        for c in &cells {
+            assert_eq!(c.opt_undecided, 0, "{} / {}", c.admission, c.te);
         }
     }
 

@@ -117,7 +117,15 @@ pub struct UpsetSearch {
 /// leaf's allocation is the witness once every demand's `meets_target`
 /// holds on it. There is no node limit: the problem is NP-hard, so the
 /// search is exponential in the pool's size in the worst case.
+///
+/// A demand over several pairs or more than four tunnels has no such
+/// lattice here; debug builds panic on one, release builds would read only
+/// its first pair.
 pub fn upset_search(ctx: &TeContext, demands: &[BaDemand]) -> Result<UpsetSearch, SolveError> {
+    debug_assert!(
+        demands.iter().all(|d| on_upsets(ctx, d)),
+        "upset_search takes single-pair demands on at most four tunnels"
+    );
     let caps = ctx.link_capacities();
     let mut order: Vec<&BaDemand> = demands.iter().collect();
     order.sort_by(|a, b| by_beta(a, b));

@@ -33,7 +33,6 @@ use crate::profile::MaskedProfile;
 use crate::TeContext;
 use bate_lp::{LazyRow, Problem, Relation, Sense, Solution, SolveError, VarId};
 use bate_routing::TunnelId;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// How many of the most probable single-failure scenarios seed a
@@ -437,18 +436,28 @@ impl CoveringLp {
             }
         }
         let paths = || members.iter().flat_map(|m| ctx.tunnels.tunnels(m.1));
+        let links: Vec<_> = paths().flat_map(|path| &path.links).collect();
+        // Per link crossed, the set of columns crossing it as a binary
+        // number of `words` bit words, most significant first.
         let words = cols.len().div_ceil(64);
-        let mut caps: BTreeMap<ColumnSet, f64> = BTreeMap::new();
-        for l in paths().flat_map(|path| &path.links) {
-            let on = paths().enumerate().filter(|(_, path)| path.links.contains(l));
-            let least = caps.entry(ColumnSet::of(words, on.map(|(c, _)| c)));
-            let least = least.or_insert(f64::INFINITY);
-            *least = least.min(capacities[l.index()]);
+        let mut bits = vec![0u64; links.len() * words];
+        for (c, path) in paths().enumerate() {
+            for (k, l) in links.iter().enumerate() {
+                if path.links.contains(l) {
+                    bits[k * words + words - 1 - c / 64] |= 1 << (c % 64);
+                }
+            }
         }
-        for (set, &cap) in &caps {
-            let on = (0..cols.len()).filter(|&c| set.has(c));
+        let set = |k: usize| &bits[k * words..(k + 1) * words];
+        let mut order: Vec<usize> = (0..links.len()).collect();
+        order.sort_by(|&a, &b| set(a).cmp(set(b)));
+        for same in order.chunk_by(|&a, &b| set(a) == set(b)) {
+            let caps = same.iter().map(|&k| capacities[links[k].index()]);
+            let least = caps.fold(f64::INFINITY, f64::min);
+            let set = set(same[0]);
+            let on = (0..cols.len()).filter(|&c| set[words - 1 - c / 64] >> (c % 64) & 1 == 1);
             let terms: Vec<(VarId, f64)> = on.map(|c| (cols[c], 1.0)).collect();
-            p.add_constraint(&terms, Relation::Le, cap);
+            p.add_constraint(&terms, Relation::Le, least);
         }
         CoveringLp { p, members, cols }
     }
@@ -492,34 +501,6 @@ impl CoveringLp {
             }
         }
         alloc
-    }
-}
-
-/// A set of columns as the binary number it is, ordered as one: one word
-/// while a model has at most 64 columns (every single demand), otherwise
-/// its words, most significant first. One model uses one variant.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum ColumnSet {
-    Word(u64),
-    Words(Vec<u64>),
-}
-
-impl ColumnSet {
-    /// The set of columns `on` out of a model with `words` bit words.
-    fn of(words: usize, on: impl Iterator<Item = usize>) -> ColumnSet {
-        if words <= 1 {
-            return ColumnSet::Word(on.fold(0, |m, c| m | 1 << c));
-        }
-        let mut set = vec![0u64; words];
-        on.for_each(|c| set[words - 1 - c / 64] |= 1 << (c % 64));
-        ColumnSet::Words(set)
-    }
-
-    fn has(&self, c: usize) -> bool {
-        match self {
-            ColumnSet::Word(m) => m >> c & 1 == 1,
-            ColumnSet::Words(w) => w[w.len() - 1 - c / 64] >> (c % 64) & 1 == 1,
-        }
     }
 }
 

@@ -240,6 +240,13 @@ fn some_choice_coverable(ctx: &TeContext, demands: &[BaDemand], choices: &[Vec<V
     }
 }
 
+/// The one pool below on which branch and bound answers `Unbounded`,
+/// although the admission MILP's objective is 0 and its root relaxation
+/// solves: a fault of the MILP, not of the search, so the pool counts as
+/// open and its verdict rests on the search's witness and the brute force.
+/// `Unbounded` on any other pool fails the test.
+const UNBOUNDED_POOL: &str = "testbed6 pool 66";
+
 #[test]
 fn pool_search_matches_the_milp_and_a_brute_force_over_upset_choices() {
     let lattice = lattice_upsets();
@@ -281,10 +288,9 @@ fn pool_search_matches_the_milp_and_a_brute_force_over_upset_choices() {
             let full = match milp::solve(&admission_milp(&ctx, &demands, true).unwrap(), cfg) {
                 Ok(_) => Some(true),
                 Err(SolveError::Infeasible) => Some(false),
-                // A limit leaves the pool open, and so does a node relaxation
-                // that the float kernel calls unbounded, although this MILP's
-                // objective is 0 (seen on one testbed6 pool here).
-                Err(SolveError::NodeLimit | SolveError::Unbounded) => None,
+                // A limit leaves the pool open.
+                Err(SolveError::NodeLimit) => None,
+                Err(SolveError::Unbounded) if tag == UNBOUNDED_POOL => None,
                 Err(e) => panic!("{tag}: {e}"),
             };
             if let Some(full) = full {
